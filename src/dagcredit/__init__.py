@@ -13,7 +13,6 @@ from .agents import (
     TradeDecision,
     build_system,
     execute_agent,
-    mock_sensitivity,
     render_prompt,
     signed_decision_value,
     system_runner,
@@ -36,10 +35,8 @@ from .backtest import (
 )
 from .coalitions import (
     Coalition,
-    CoalitionCounts,
     ViabilityReport,
     check_viability,
-    coalition_counts,
     enumerate_viable,
 )
 from .config import ConfigError, RunConfig, load_config, load_graph_file
@@ -47,7 +44,6 @@ from .graph import (
     Agent,
     WorkflowGraph,
     build_graph,
-    information_set,
     path_exists,
     reference_graph,
     topological_order,
@@ -66,9 +62,6 @@ from .optimizer import (
 from .shapley import (
     AttributionResult,
     CostCounters,
-    MemoCache,
-    MemoizedGame,
-    ReplayGame,
     classical_cost,
     format_attribution,
     format_attribution_table,
@@ -78,7 +71,6 @@ from .shapley import (
     shapley_dag,
     shapley_exact,
     shapley_weight,
-    upstream_configuration,
 )
 
 __version__ = "0.1.0"

@@ -330,11 +330,6 @@ def execute_agent(
     return output
 
 
-def mock_sensitivity(spec: AgentSpec) -> float:
-    """Effective sensitivity of a mock under its current prompt."""
-    return spec.executor.sensitivity(render_prompt(spec.prompt))
-
-
 def _positional_role(graph: WorkflowGraph, index: int) -> Role:
     is_source = index in graph.sources
     is_sink = index == graph.sink

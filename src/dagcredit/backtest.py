@@ -413,18 +413,6 @@ def coalition_return_series(
     return series
 
 
-class _TableGame:
-    """Precomputed coalition values exposed as a counting callable."""
-
-    def __init__(self, values: Mapping[int, float], counters: CostCounters) -> None:
-        self._values = values
-        self.agent_executions = counters.agent_executions
-        self.cache_hits = counters.cache_hits
-
-    def __call__(self, coalition: Coalition) -> float:
-        return self._values.get(coalition.mask, 0.0)
-
-
 @dataclass
 class WindowGame:
     """One window's coalition games plus the raw material for history records."""
@@ -448,7 +436,6 @@ def evaluate_window(
     day_indices: Sequence[int],
     rf_daily: float = 0.0,
     engine: str = "dag",
-    parallel: int = 1,
 ) -> WindowGame:
     """Value every coalition's window Sharpe under the requested engine(s).
 
@@ -472,13 +459,11 @@ def evaluate_window(
     if engine in ("dag", "both"):
         counters_dag = CostCounters()
         for i in decision_days:
-            run = layered_run(
-                graph, viable, run_agent, features.for_day(i), parallel=parallel
-            )
+            run = layered_run(graph, viable, run_agent, features.for_day(i))
             day_outputs.append(run.sink_outputs)
             grand_actions.append(
                 {
-                    a: run.cache.peek(a, full.mask & graph.prefix_masks[graph.layer_of[a]])
+                    a: run.cache[(a, full.mask & graph.prefix_masks[graph.layer_of[a]])]
                     for a in range(graph.n)
                 }
             )
@@ -639,10 +624,6 @@ def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> St
     )
 
 
-def _attach_counters(values: Mapping[int, float], counters: CostCounters) -> _TableGame:
-    return _TableGame(values, counters)
-
-
 def _agent_pass(
     graph: WorkflowGraph,
     viable: Sequence[Coalition],
@@ -673,7 +654,6 @@ def _agent_pass(
             day_idx,
             rf_daily=config.rf_daily,
             engine=config.engine,
-            parallel=config.parallel,
         )
         decision_dates = [market.days[i] for i in day_idx[:-1]]
         for k, day in enumerate(decision_dates):
@@ -692,15 +672,12 @@ def _agent_pass(
 
         exact_diff = None
         if config.engine == "exact":
-            attribution = shapley_exact(
-                _attach_counters(game.values_exact, game.counters_exact), graph.n
-            )
+            attribution = shapley_exact(game.values_exact, graph.n, game.counters_exact)
         else:
-            evaluator = _attach_counters(game.values_dag, game.counters_dag)
-            attribution = shapley_dag(graph, evaluator, viable=viable)
+            attribution = shapley_dag(graph, game.values_dag, game.counters_dag)
             if config.engine == "both":
                 exact_att = shapley_exact(
-                    _attach_counters(game.values_exact, game.counters_exact), graph.n
+                    game.values_exact, graph.n, game.counters_exact
                 )
                 exact_diff = max(
                     abs(a - b) for a, b in zip(attribution.values, exact_att.values)
@@ -730,9 +707,7 @@ def _agent_pass(
                 specs,
                 history,
                 decision_dates,
-                _attach_counters(
-                    values, game.counters_dag or game.counters_exact
-                ),
+                attribution,
                 cycle_index=w_index,
                 threshold=config.threshold,
                 lesson_cap=config.lesson_cap,

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import backtest as bt
+from . import shapley as sh
 from .agents import (
     ForbiddenExternalAccess,
     InvalidAgentOutput,
@@ -25,15 +26,14 @@ from .agents import (
     signed_decision_value,
     system_runner,
 )
-from .coalitions import Coalition, GraphTooLarge, InvalidCoalition, coalition_counts, enumerate_viable
+from .coalitions import Coalition, GraphTooLarge, InvalidCoalition, enumerate_viable
 from .config import ConfigError, RunConfig, load_config, load_graph_file, merge_flags
 from .graph import GraphValidationError, reference_graph
 from .optimizer import ReflectorError, WindowTooShort
 from .shapley import (
+    CostCounters,
     InvalidSize,
-    MemoizedGame,
     NonDeterminismDetected,
-    ReplayGame,
     TooManyAgents,
     classical_cost,
     format_attribution_table,
@@ -72,7 +72,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run config file")
     sub.add_argument("--out", help="output directory for report files")
     sub.add_argument("--seed", type=int, help="run seed (overrides config)")
-    sub.add_argument("--parallel", type=int, help="worker threads per layer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check a workflow graph definition")
     p.add_argument("graph", nargs="?", help="graph JSON file (default: built-in reference)")
-    _common_flags(p)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("coalitions", help="list viable coalitions")
@@ -104,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mandatory",
         help="comma-separated 0/1 flags per layer (default: all 1)",
     )
-    _common_flags(p)
     p.set_defaults(func=cmd_cost)
 
     p = subs.add_parser("backtest", help="run the windowed trading experiment")
@@ -127,13 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace, **extra) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    return merge_flags(
-        config,
-        seed=args.seed,
-        out_dir=args.out,
-        parallel=args.parallel,
-        **extra,
-    )
+    return merge_flags(config, seed=args.seed, out_dir=args.out, **extra)
 
 
 def _load_graph(path: str | None):
@@ -153,10 +144,10 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     config = _build_config(args)
     graph = _load_graph(args.graph)
     viable = enumerate_viable(graph)
-    counts = coalition_counts(graph)
+    total = 1 << graph.n
     lines = [",".join(c.names(graph)) for c in viable]
     summary = (
-        f"{counts.viable}/{counts.total} viable ({100.0 * counts.reduction:.1f}% pruned)"
+        f"{len(viable)}/{total} viable ({100.0 * (1.0 - len(viable) / total):.1f}% pruned)"
     )
     for line in lines:
         print(line)
@@ -184,20 +175,24 @@ def _fixture_episode(graph, config: RunConfig):
 def cmd_shapley(args: argparse.Namespace) -> int:
     config = _build_config(args, engine=args.engine)
     graph = _load_graph(args.graph)
-    engine = config.engine
     run_agent, episode = _fixture_episode(graph, config)
     viable = enumerate_viable(graph)
 
+    # Each engine values a coalition by its signed sink decision; a coalition
+    # whose sink never runs is absent from the table and worth zero.
     results = {}
-    if engine in ("dag", "both"):
-        game = MemoizedGame(
-            graph, viable, run_agent, signed_decision_value, episode,
-            parallel=config.parallel,
-        )
-        results["dag"] = shapley_dag(graph, game, viable=viable)
-    if engine in ("exact", "both"):
-        game = ReplayGame(graph, run_agent, signed_decision_value, episode)
-        results["exact"] = shapley_exact(game, graph.n)
+    if config.engine in ("dag", "both"):
+        run = sh.layered_run(graph, viable, run_agent, episode)
+        values = {c.mask: signed_decision_value(out) for c, out in run.sink_outputs.items()}
+        results["dag"] = shapley_dag(graph, values, run.counters)
+    if config.engine in ("exact", "both"):
+        values, counters = {}, CostCounters()
+        for mask in range(1 << graph.n):
+            replay = sh.replay_coalition(graph, Coalition(mask), run_agent, episode)
+            counters.agent_executions += replay.executions
+            if replay.sink_output is not None:
+                values[mask] = signed_decision_value(replay.sink_output)
+        results["exact"] = shapley_exact(values, graph.n, counters)
 
     text = format_attribution_table(graph, results)
     print(text)

@@ -139,18 +139,3 @@ def enumerate_viable(graph: WorkflowGraph) -> list[Coalition]:
         if check_viability(graph, c).viable:
             out.append(c)
     return out
-
-
-@dataclass(frozen=True)
-class CoalitionCounts:
-    total: int
-    viable: int
-
-    @property
-    def reduction(self) -> float:
-        """Fraction of the power set pruned away."""
-        return 1.0 - self.viable / self.total
-
-
-def coalition_counts(graph: WorkflowGraph) -> CoalitionCounts:
-    return CoalitionCounts(total=1 << graph.n, viable=len(enumerate_viable(graph)))

@@ -25,7 +25,6 @@ class ConfigError(ValueError):
 class RunConfig:
     seed: int = 42
     out_dir: str | None = None
-    parallel: int = 1
     engine: str = "dag"
     graph_file: str | None = None
     market_csv: str | None = None
@@ -47,8 +46,6 @@ class RunConfig:
             raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.window_len < 2:
             raise ConfigError("window_len must be at least 2")
-        if self.parallel < 1:
-            raise ConfigError("parallel must be at least 1")
         if self.days < 2:
             raise ConfigError("days must be at least 2")
         if not 0.0 <= self.signal_strength <= 1.0:

@@ -40,15 +40,7 @@ class LayerPartitionInvalid(GraphValidationError):
     pass
 
 
-class AgentNotInCoalition(ValueError):
-    pass
-
-
 class EndpointNotInCoalition(ValueError):
-    pass
-
-
-class BadLayerIndex(IndexError):
     pass
 
 
@@ -235,18 +227,6 @@ def _toposort(n: int, edges: set[tuple[int, int]]) -> list[int]:
 def topological_order(graph: WorkflowGraph) -> list[int]:
     """Deterministic topological order, ties broken by agent index ascending."""
     return _toposort(graph.n, set(graph.edges))
-
-
-def information_set(graph: WorkflowGraph, agent: int, coalition: "Coalition") -> set[int]:
-    """Direct predecessors of ``agent`` that are present in ``coalition``.
-
-    This is what the agent actually receives as input when the coalition runs;
-    it is deliberately narrower than the full upstream membership used as a
-    memo key.
-    """
-    if agent not in coalition:
-        raise AgentNotInCoalition(f"agent {graph.names[agent]} not in coalition")
-    return {p for p in graph.preds[agent] if p in coalition}
 
 
 def path_exists(graph: WorkflowGraph, coalition: "Coalition", src: int, dst: int) -> bool:

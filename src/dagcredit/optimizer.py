@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .agents import AgentSpec, BOOST_TOKEN, DAMP_TOKEN, PromptState
 from .graph import WorkflowGraph
-from .shapley import AttributionResult, shapley_dag
+from .shapley import AttributionResult
 
 REFLECTION_TEMPLATE = (
     "Review this agent's recent trading record. Identify recurring mistakes "
@@ -194,24 +194,23 @@ def run_cycle(
     specs: Mapping[int, AgentSpec],
     history: Sequence[HistoryRecord],
     days: Sequence[date],
-    evaluator: Callable[[Any], float],
+    attribution: AttributionResult,
     *,
     cycle_index: int,
     threshold: float = DEFAULT_THRESHOLD,
     lesson_cap: int | None = DEFAULT_LESSON_CAP,
     reflector: Reflector = mock_reflector,
 ) -> tuple[CycleRecord, dict[int, AgentSpec]]:
-    """One full optimization cycle over an already-traded window.
+    """One full optimization cycle over an already-traded, attributed window.
 
-    Stages run in order: Shapley attribution over the window's coalition
-    game, bottleneck identification, case extraction, reflection, and lesson
-    appending. At most one agent's prompt changes, and only when the
-    bottleneck's contribution is below ``threshold``. Returns the cycle
-    record plus the (possibly updated) spec table for the next window.
+    Stages run in order on the window's Shapley ``attribution``: bottleneck
+    identification, case extraction, reflection, and lesson appending. At
+    most one agent's prompt changes, and only when the bottleneck's
+    contribution is below ``threshold``. Returns the cycle record plus the
+    (possibly updated) spec table for the next window.
     """
     if len(days) < 2:
         raise WindowTooShort("a cycle window needs at least two trading days")
-    attribution = shapley_dag(graph, evaluator)
     target = identify_bottleneck(attribution.values, threshold)
     new_specs = dict(specs)
     lesson = None

@@ -1,28 +1,27 @@
-"""Exact Shapley attribution over coalition games, with a pruned engine for
-layered workflows.
+"""Exact Shapley attribution over coalition value tables, with layer-wise
+shared execution for layered workflows.
 
-Two engines produce per-agent contributions:
+A game is a table from coalition bitmask to value; masks missing from the
+table are worth zero. Two entry points aggregate a table into per-agent
+contributions with the same routine:
 
-* ``shapley_exact`` evaluates the characteristic function on every subset.
-* ``shapley_dag`` evaluates only viable coalitions and treats the rest as
-  zero, which is sound whenever non-viable coalitions cannot trade.
+* ``shapley_exact`` takes a table over every subset (the classical path).
+* ``shapley_dag`` takes a table over the viable coalitions only; every other
+  subset cannot trade and is worth zero by the game definition.
 
-Shared agent executions across coalitions are exploited by ``layered_run``:
-agents in one layer are keyed by the exact upstream membership they see, so
-every distinct (agent, upstream configuration) pair runs once per episode.
+Tables for the pruned engine come from ``layered_run``: agents in one layer
+are keyed by the exact upstream membership they see, so every distinct
+(agent, upstream configuration) pair runs once per episode.
 """
 from __future__ import annotations
 
 import math
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .coalitions import Coalition, GraphTooLarge
-from .graph import BadLayerIndex, WorkflowGraph, topological_order
+from .coalitions import Coalition
+from .graph import WorkflowGraph, topological_order
 
 MAX_EXACT_AGENTS = 24
 
@@ -46,10 +45,6 @@ class ExecutorFailure(RuntimeError):
 
 class NonDeterminismDetected(RuntimeError):
     """Optional debug re-execution produced a different output for a cached key."""
-
-
-class CacheConflict(RuntimeError):
-    """Attempt to overwrite a memo entry with a different value."""
 
 
 def shapley_weight(s: int, n: int) -> Fraction:
@@ -87,7 +82,6 @@ class AttributionResult:
 
     values: tuple[float, ...]
     counters: CostCounters
-    elapsed: float
 
     def total(self) -> float:
         return math.fsum(self.values)
@@ -124,127 +118,68 @@ def _phi_from_values(
 
 
 def shapley_exact(
-    game: Callable[[Coalition], float], n: int, *, exact_arith: bool = False
+    values: Mapping[int, float],
+    n: int,
+    counters: CostCounters,
+    *,
+    exact_arith: bool = False,
 ) -> AttributionResult:
-    """Exact Shapley values by full power-set evaluation.
+    """Exact Shapley values from a table over the full power set of ``n`` agents.
 
-    Every subset is valued exactly once (results keyed by bit pattern), so
-    ``coalition_evaluations`` is ``2**n``. With ``exact_arith`` the weighted
-    marginals accumulate as rationals, which makes null players exactly zero;
-    the default path converts weights to float and uses compensated summation.
+    ``counters`` is the work spent filling the table; the result reports it
+    with ``coalition_evaluations`` set to ``2**n``. With ``exact_arith`` the
+    weighted marginals accumulate as rationals, which makes null players
+    exactly zero; the default path converts weights to float and uses
+    compensated summation.
     """
     if n <= 0:
         raise InvalidSize("need at least one agent")
     if n > MAX_EXACT_AGENTS:
         raise TooManyAgents(f"{n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
-    start = time.perf_counter()
-    values = [game(Coalition(mask)) for mask in range(1 << n)]
-    phi = _phi_from_values(n, values.__getitem__, exact_arith)
-    counters = CostCounters(
-        coalition_evaluations=1 << n,
-        agent_executions=getattr(game, "agent_executions", 0),
-        cache_hits=getattr(game, "cache_hits", 0),
-    )
-    return AttributionResult(tuple(phi), counters, time.perf_counter() - start)
+    phi = _phi_from_values(n, lambda mask: values.get(mask, 0.0), exact_arith)
+    return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
 
 def shapley_dag(
-    graph: WorkflowGraph,
-    evaluator: Callable[[Coalition], float],
-    *,
-    viable: Sequence[Coalition] | None = None,
-    exact_arith: bool = False,
+    graph: WorkflowGraph, values: Mapping[int, float], counters: CostCounters
 ) -> AttributionResult:
-    """Exact Shapley values evaluating viable coalitions only.
+    """Exact Shapley values from a table over the viable coalitions only.
 
-    ``evaluator`` is called once per viable coalition; all other subsets take
-    value zero by the game definition, so their marginals cost nothing. The
-    result is identical to ``shapley_exact`` on the zero-extended game.
+    Every other subset takes value zero by the game definition, so the result
+    is identical to ``shapley_exact`` on the zero-extended table.
+    ``counters`` is the work spent filling the table; the result reports it
+    with ``coalition_evaluations`` set to the table size.
     """
-    from .coalitions import enumerate_viable
-
     if graph.n > MAX_EXACT_AGENTS:
         raise TooManyAgents(f"{graph.n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
-    start = time.perf_counter()
-    if viable is None:
-        viable = enumerate_viable(graph)
-    table = {c.mask: evaluator(c) for c in viable}
-    phi = _phi_from_values(
-        graph.n, lambda mask: table.get(mask, 0.0), exact_arith
+    phi = _phi_from_values(graph.n, lambda mask: values.get(mask, 0.0), False)
+    return AttributionResult(
+        tuple(phi), replace(counters, coalition_evaluations=len(values))
     )
-    counters = CostCounters(
-        coalition_evaluations=len(table),
-        agent_executions=getattr(evaluator, "agent_executions", 0),
-        cache_hits=getattr(evaluator, "cache_hits", 0),
-    )
-    return AttributionResult(tuple(phi), counters, time.perf_counter() - start)
-
-
-def upstream_configuration(
-    graph: WorkflowGraph, coalition: Coalition, layer_index: int
-) -> Coalition:
-    """Coalition members in layers strictly before ``layer_index`` (0-based).
-
-    This is the memo key for agents of that layer: two coalitions with the
-    same upstream membership feed a layer identical inputs.
-    """
-    if not 0 <= layer_index < len(graph.layers):
-        raise BadLayerIndex(f"layer {layer_index} out of range")
-    return Coalition(coalition.mask & graph.prefix_masks[layer_index])
-
-
-class MemoCache:
-    """Write-once mapping from (agent, upstream configuration) to output.
-
-    Entries may be inserted concurrently but never overwritten with a
-    different value; a conflicting write raises CacheConflict. Reads are
-    counted so engines can report reuse.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[tuple[int, int], Any] = {}
-        self._lock = threading.Lock()
-        self.reads = 0
-
-    def put(self, agent: int, config_mask: int, value: Any) -> None:
-        key = (agent, config_mask)
-        with self._lock:
-            existing = self._data.setdefault(key, value)
-        if existing is not value and existing != value:
-            raise CacheConflict(f"conflicting value for key {key}")
-
-    def get(self, agent: int, config_mask: int) -> Any:
-        value = self._data[(agent, config_mask)]
-        self.reads += 1
-        return value
-
-    def peek(self, agent: int, config_mask: int) -> Any:
-        """Read without counting toward the reuse statistics."""
-        return self._data[(agent, config_mask)]
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self) -> list[tuple[int, int]]:
-        return sorted(self._data)
 
 
 @dataclass(frozen=True)
 class LayeredRunResult:
-    """One episode of memoized execution across all viable coalitions."""
+    """One episode of memoized execution across all viable coalitions.
 
-    cache: MemoCache
+    ``cache`` maps (agent, upstream configuration mask) to the agent's output.
+    """
+
+    cache: dict[tuple[int, int], Any]
     sink_outputs: dict[Coalition, Any]
     counters: CostCounters
 
 
-def _predecessor_config(graph: WorkflowGraph, pred: int, config_mask: int) -> int:
-    # The predecessor's own upstream membership is derivable from the current
-    # configuration: members of layers before the predecessor's layer.
-    return config_mask & graph.prefix_masks[graph.layer_of[pred]]
+def _upstream(
+    graph: WorkflowGraph, cache: Mapping[tuple[int, int], Any], agent: int, cfg: int
+) -> dict[int, Any]:
+    # Direct predecessors inside the configuration, each read under its own
+    # upstream membership: the members of layers before the predecessor's.
+    return {
+        p: cache[(p, cfg & graph.prefix_masks[graph.layer_of[p]])]
+        for p in graph.preds[agent]
+        if (cfg >> p) & 1
+    }
 
 
 def layered_run(
@@ -253,7 +188,6 @@ def layered_run(
     run_agent: AgentRunner,
     external: Any = None,
     *,
-    parallel: int = 1,
     verify_determinism: bool = False,
 ) -> LayeredRunResult:
     """Execute every viable coalition for one episode with layer-wise sharing.
@@ -263,18 +197,16 @@ def layered_run(
     output is cached under (agent, configuration). Inputs to an agent are the
     cached outputs of its direct predecessors inside the configuration;
     external data goes to source agents only. Per-coalition sink outputs are
-    then read straight from the cache.
+    then read straight from the cache. ``cache_hits`` counts every cache read.
 
-    ``parallel`` > 1 runs each layer's pending executions in a thread pool;
-    outputs are deterministic because execution order never feeds back into
-    inputs within a layer. ``verify_determinism`` re-executes one sampled key
-    per episode and raises NonDeterminismDetected on a mismatch.
+    ``verify_determinism`` re-executes the last task of the episode and raises
+    NonDeterminismDetected on a mismatch.
     """
-    cache = MemoCache()
-    counters = CostCounters()
+    cache: dict[tuple[int, int], Any] = {}
+    reads = 0
     last_task: tuple[int, int] | None = None
 
-    for li, _layer in enumerate(graph.layers):
+    for li in range(len(graph.layers)):
         layer_mask = graph.layer_masks[li]
         groups: dict[int, int] = {}
         for c in viable:
@@ -283,60 +215,37 @@ def layered_run(
                 cfg = c.mask & graph.prefix_masks[li]
                 groups[cfg] = groups.get(cfg, 0) | active_bits
 
-        tasks: list[tuple[int, int]] = []
         for cfg in sorted(groups):
             bits = groups[cfg]
             while bits:
                 low = bits & -bits
-                tasks.append((cfg, low.bit_length() - 1))
                 bits ^= low
-
-        def execute(task: tuple[int, int]) -> tuple[int, int, Any]:
-            cfg, agent = task
-            upstream = {
-                p: cache.get(p, _predecessor_config(graph, p, cfg))
-                for p in graph.preds[agent]
-                if (cfg >> p) & 1
-            }
-            data = external if agent in graph.sources else None
-            try:
-                out = run_agent(agent, upstream, data)
-            except Exception as exc:  # pragma: no cover - passthrough wrapper
-                raise ExecutorFailure(
-                    f"agent {graph.names[agent]} failed under config {bin(cfg)}"
-                ) from exc
-            return cfg, agent, out
-
-        if parallel > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                results = list(pool.map(execute, tasks))
-        else:
-            results = [execute(t) for t in tasks]
-        for cfg, agent, out in results:
-            cache.put(agent, cfg, out)
-            counters.agent_executions += 1
-            last_task = (cfg, agent)
+                agent = low.bit_length() - 1
+                upstream = _upstream(graph, cache, agent, cfg)
+                reads += len(upstream)
+                data = external if agent in graph.sources else None
+                try:
+                    cache[(agent, cfg)] = run_agent(agent, upstream, data)
+                except Exception as exc:
+                    raise ExecutorFailure(
+                        f"agent {graph.names[agent]} failed under config {bin(cfg)}"
+                    ) from exc
+                last_task = (agent, cfg)
 
     if verify_determinism and last_task is not None:
-        cfg, agent = last_task
-        upstream = {
-            p: cache.get(p, _predecessor_config(graph, p, cfg))
-            for p in graph.preds[agent]
-            if (cfg >> p) & 1
-        }
+        agent, cfg = last_task
+        upstream = _upstream(graph, cache, agent, cfg)
+        reads += len(upstream) + 1
         data = external if agent in graph.sources else None
-        again = run_agent(agent, upstream, data)
-        if again != cache.get(agent, cfg):
+        if run_agent(agent, upstream, data) != cache[last_task]:
             raise NonDeterminismDetected(
                 f"agent {graph.names[agent]} is not deterministic under config {bin(cfg)}"
             )
 
-    last_layer = len(graph.layers) - 1
-    sink_outputs: dict[Coalition, Any] = {}
-    for c in viable:
-        cfg = c.mask & graph.prefix_masks[last_layer]
-        sink_outputs[c] = cache.get(graph.sink, cfg)
-    counters.cache_hits = cache.reads
+    sink_prefix = graph.prefix_masks[len(graph.layers) - 1]
+    sink_outputs = {c: cache[(graph.sink, c.mask & sink_prefix)] for c in viable}
+    reads += len(viable)
+    counters = CostCounters(agent_executions=len(cache), cache_hits=reads)
     return LayeredRunResult(cache, sink_outputs, counters)
 
 
@@ -372,79 +281,6 @@ def replay_coalition(
             raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
         executed += 1
     return ReplayResult(outputs, outputs.get(graph.sink), executed)
-
-
-class ReplayGame:
-    """Characteristic function that replays every requested coalition.
-
-    Used by the exhaustive engine as the classical comparator: no sharing,
-    every member of every coalition executes. ``sink_value`` maps the sink
-    output (or None when the sink is absent) to a real value.
-    """
-
-    def __init__(
-        self,
-        graph: WorkflowGraph,
-        run_agent: AgentRunner,
-        sink_value: Callable[[Any], float],
-        external: Any = None,
-    ) -> None:
-        self.graph = graph
-        self.run_agent = run_agent
-        self.sink_value = sink_value
-        self.external = external
-        self.agent_executions = 0
-        self.cache_hits = 0
-
-    def __call__(self, coalition: Coalition) -> float:
-        result = replay_coalition(self.graph, coalition, self.run_agent, self.external)
-        self.agent_executions += result.executions
-        if result.sink_output is None:
-            return 0.0
-        return self.sink_value(result.sink_output)
-
-
-class MemoizedGame:
-    """Characteristic function backed by one memoized episode run.
-
-    Valid only for viable coalitions (the pruned engine never asks for
-    others); the episode executes lazily on first use.
-    """
-
-    def __init__(
-        self,
-        graph: WorkflowGraph,
-        viable: Sequence[Coalition],
-        run_agent: AgentRunner,
-        sink_value: Callable[[Any], float],
-        external: Any = None,
-        parallel: int = 1,
-    ) -> None:
-        self.graph = graph
-        self.viable = viable
-        self.run_agent = run_agent
-        self.sink_value = sink_value
-        self.external = external
-        self.parallel = parallel
-        self._table: dict[int, float] | None = None
-        self.agent_executions = 0
-        self.cache_hits = 0
-
-    def _materialize(self) -> dict[int, float]:
-        if self._table is None:
-            run = layered_run(
-                self.graph, self.viable, self.run_agent, self.external,
-                parallel=self.parallel,
-            )
-            self._table = {
-                c.mask: self.sink_value(out) for c, out in run.sink_outputs.items()
-            }
-            self.agent_executions = run.counters.agent_executions
-            self.cache_hits = run.counters.cache_hits
-        return self._table
-
-    def __call__(self, coalition: Coalition) -> float:
-        return self._materialize()[coalition.mask]
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ from dagcredit.backtest import (
     _window_report_text,
 )
 from dagcredit.cli import main
-from dagcredit.coalitions import Coalition, coalition_counts, enumerate_viable
+from dagcredit.coalitions import Coalition, enumerate_viable
 from dagcredit.config import RunConfig
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import (
+    CostCounters,
     classical_cost,
     layered_run,
     predicted_cost,
@@ -45,7 +46,6 @@ from dagcredit.shapley import (
     shapley_dag,
     shapley_exact,
     shapley_weight,
-    upstream_configuration,
 )
 
 from conftest import FEATURES, layered_graph
@@ -59,10 +59,11 @@ def report(criterion, elapsed, budget, detail):
 
 def test_criterion_1_coalition_pruning_counts(capsys):
     start = time.perf_counter()
-    counts = coalition_counts(reference_graph())
-    assert counts.total == 128
-    assert counts.viable == 49
-    assert round(100.0 * counts.reduction, 1) == 61.7
+    g = reference_graph()
+    viable = len(enumerate_viable(g))
+    assert 1 << g.n == 128
+    assert viable == 49
+    assert round(100.0 * (1.0 - viable / 128), 1) == 61.7
     assert main(["coalitions"]) == 0
     out = capsys.readouterr().out
     assert "49/128 viable (61.7% pruned)" in out
@@ -96,8 +97,8 @@ def test_criterion_3_attribution_equivalence():
         g = random_layered(rng, 3 + seed % 8)
         viable = enumerate_viable(g)
         table = {c.mask: rng.uniform(-2.0, 2.0) for c in viable}
-        dag = shapley_dag(g, lambda c: table[c.mask], viable=viable)
-        exact = shapley_exact(lambda c: table.get(c.mask, 0.0), g.n)
+        dag = shapley_dag(g, table, CostCounters())
+        exact = shapley_exact(table, g.n, CostCounters())
         worst_diff = max(
             worst_diff, max(abs(a - b) for a, b in zip(dag.values, exact.values))
         )
@@ -119,13 +120,14 @@ def test_criterion_4_shapley_axioms():
     for seed in range(6):
         rng = random.Random(seed)
         n = 3 + seed % 4
-        table = [0.0] + [rng.uniform(-5, 5) for _ in range((1 << n) - 1)]
-        result = shapley_exact(lambda c: table[c.mask], n)
-        assert abs(result.total() - table[-1]) < 1e-9
+        table = {mask: rng.uniform(-5, 5) for mask in range(1, 1 << n)}
+        result = shapley_exact(table, n, CostCounters())
+        assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
     # symmetry: cardinality-only games value every agent identically
     for n in (3, 5):
         by_size = [Fraction(0)] + [Fraction(k + 1, 3) for k in range(n)]
-        result = shapley_exact(lambda c: by_size[len(c)], n, exact_arith=True)
+        table = {mask: by_size[mask.bit_count()] for mask in range(1 << n)}
+        result = shapley_exact(table, n, CostCounters(), exact_arith=True)
         assert len(set(result.values)) == 1
     # null player: ignored agent gets exactly zero under rational arithmetic
     rng = random.Random(99)
@@ -135,7 +137,8 @@ def test_criterion_4_shapley_axioms():
     for mask in range(1 << n):
         cache.setdefault(mask & strip, Fraction(rng.randint(-9, 9), 4))
     cache[0] = Fraction(0)
-    result = shapley_exact(lambda c: cache[c.mask & strip], n, exact_arith=True)
+    table = {mask: cache[mask & strip] for mask in range(1 << n)}
+    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
     assert result.values[null_agent] == 0.0
     # rational weights sum to one for every agent count
     for n in range(1, 13):
@@ -258,8 +261,8 @@ def test_criterion_8_information_flow_enforcement():
     legal = set()
     for c in viable:
         for agent in c:
-            cfg = upstream_configuration(g, c, g.layer_of[agent])
-            legal.add((agent, frozenset(set(cfg) & set(g.preds[agent]))))
+            cfg = c.mask & g.prefix_masks[g.layer_of[agent]]
+            legal.add((agent, frozenset(p for p in g.preds[agent] if cfg >> p & 1)))
 
     replay_calls = []
     memo_calls = []

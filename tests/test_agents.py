@@ -30,7 +30,6 @@ from dagcredit.agents import (
     TraderMock,
     build_system,
     execute_agent,
-    mock_sensitivity,
     render_prompt,
     signed_decision_value,
 )
@@ -349,7 +348,7 @@ def test_mock_sensitivity_reads_current_prompt():
     g = reference_graph()
     specs = build_system(g, seed=42)
     spec = specs[0]
-    base = mock_sensitivity(spec)
+    base = spec.executor.sensitivity(render_prompt(spec.prompt))
     boosted = AgentSpec(
         index=spec.index,
         name=spec.name,
@@ -359,4 +358,4 @@ def test_mock_sensitivity_reads_current_prompt():
         is_source=spec.is_source,
         is_sink=spec.is_sink,
     )
-    assert mock_sensitivity(boosted) == pytest.approx(base + 0.1)
+    assert boosted.executor.sensitivity(render_prompt(boosted.prompt)) == pytest.approx(base + 0.1)

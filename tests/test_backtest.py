@@ -486,6 +486,28 @@ def test_backtest_engine_both_reports_exact_diff():
         assert rep.exact_diff < 1e-9
 
 
+@pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("exact", 128), ("both", 49)])
+def test_cycle_records_carry_their_window_attribution(engine, evaluations, tmp_path):
+    """Each tuning cycle acts on, and records, the attribution its window
+    report prints, including under the exhaustive engine."""
+    config = RunConfig(seed=78, days=15, engine=engine, out_dir=str(tmp_path))
+    result = run_backtest(config.validate())
+    lines = (tmp_path / "cycles.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(result.windows) == 3
+    for line, rep in zip(lines, result.windows):
+        record = json.loads(line)
+        counters = rep.attribution.counters
+        assert record["contributions"] == dict(zip(result.graph.names, rep.attribution.values))
+        assert record["cost"] == {
+            "coalition_evaluations": counters.coalition_evaluations,
+            "agent_executions": counters.agent_executions,
+            "cache_hits": counters.cache_hits,
+        }
+        assert counters.coalition_evaluations == evaluations
+        text = (tmp_path / "windows" / f"window_{rep.index:02d}.txt").read_text(encoding="utf-8")
+        assert f"cost: coalition_evaluations={evaluations} " in text
+
+
 def test_backtest_csv_inputs(tmp_path):
     rows = ["date,open,high,low,close,volume"]
     frows = ["date,sentiment,fundamental"]

@@ -23,6 +23,28 @@ def graph_file(tmp_path, payload, name="graph.json"):
 
 
 # ---------------------------------------------------------------------------
+# flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["validate", flag, "1"] for flag in ("--config", "--out", "--seed")),
+        *(["cost", "3,3,1", flag, "1"] for flag in ("--config", "--out", "--seed")),
+        *([*cmd, "--parallel", "2"] for cmd in (
+            ["validate"], ["coalitions"], ["shapley"], ["cost", "3,3,1"], ["backtest"],
+        )),
+    ],
+    ids=" ".join,
+)
+def test_subcommands_accept_only_flags_they_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # validate
 
 
@@ -206,9 +228,11 @@ def test_backtest_config_file_roundtrip(capsys, tmp_path):
 
 def test_backtest_rejects_unknown_config_key(capsys, tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"seed": 7, "turbo": True}), encoding="utf-8")
-    code, out, err = run(capsys, "backtest", "--config", str(path))
-    assert code == 1
+    for extra in ({"turbo": True}, {"parallel": 2}):
+        path.write_text(json.dumps({"seed": 7, **extra}), encoding="utf-8")
+        code, out, err = run(capsys, "backtest", "--config", str(path))
+        assert code == 1
+        assert "unknown config keys" in err
 
 
 def test_backtest_missing_config_file_is_io_error(capsys, tmp_path):

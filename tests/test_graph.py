@@ -3,15 +3,14 @@
 import pytest
 
 from dagcredit.coalitions import Coalition
+from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
-    AgentNotInCoalition,
     CrossLayerViolation,
     CycleDetected,
     EndpointNotInCoalition,
     LayerPartitionInvalid,
     MultipleSinks,
     build_graph,
-    information_set,
     path_exists,
     reference_graph,
     topological_order,
@@ -104,17 +103,16 @@ def test_topological_order_respects_edges_and_breaks_ties_by_index():
 
 
 def test_information_set_is_direct_predecessors_inside_coalition():
+    """A running agent sees exactly its direct predecessors inside the coalition."""
     g = reference_graph()
-    coalition = Coalition.of([0, 3, 6])
-    assert information_set(g, 3, coalition) == {0}
-    assert information_set(g, 6, coalition) == {3}
-    assert information_set(g, 0, coalition) == set()
+    seen = {}
 
+    def recorder(agent, upstream, external):
+        seen[agent] = set(upstream)
+        return agent
 
-def test_information_set_requires_membership():
-    g = reference_graph()
-    with pytest.raises(AgentNotInCoalition):
-        information_set(g, 1, Coalition.of([0, 6]))
+    replay_coalition(g, Coalition.of([0, 3, 6]), recorder, external="data")
+    assert seen == {0: set(), 3: {0}, 6: {3}}
 
 
 def test_path_exists_through_members_only():

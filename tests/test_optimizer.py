@@ -27,6 +27,7 @@ from dagcredit.optimizer import (
     run_cycle,
 )
 from dagcredit.graph import reference_graph
+from dagcredit.shapley import CostCounters, shapley_dag
 
 DAY0 = date(2024, 1, 2)
 
@@ -236,7 +237,8 @@ def test_append_lessons_never_exceeds_cap(cap, extra):
 
 
 def cycle_fixture(phi_table):
-    """Graph, specs, history, and window days driving a synthetic cycle."""
+    """Graph, specs, history, window days and the attribution of a coalition
+    value table, driving a synthetic cycle."""
     g = reference_graph()
     specs = build_system(g, seed=42)
     days = [DAY0 + timedelta(days=i) for i in range(5)]
@@ -247,9 +249,8 @@ def cycle_fixture(phi_table):
             history.append(
                 HistoryRecord(day, agent, "SYNTH", "hold@0.000", rewards[k])
             )
-    viable = enumerate_viable(g)
-    evaluator = lambda c: phi_table.get(c.mask, 0.0)
-    return g, specs, history, days, evaluator
+    attribution = shapley_dag(g, phi_table, CostCounters())
+    return g, specs, history, days, attribution
 
 
 def test_run_cycle_triggered_updates_exactly_one_prompt():
@@ -257,9 +258,9 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
     # v({i in S}) favors nothing; full-coalition value below zero pins the
     # minimum on a specific agent through the marginals.
     table = {c.mask: (-0.5 if 1 in c else 0.1) for c in enumerate_viable(g)}
-    g, specs, history, days, evaluator = cycle_fixture(table)
+    g, specs, history, days, attribution = cycle_fixture(table)
     record_, updated = run_cycle(
-        g, specs, history, days, evaluator, cycle_index=0, threshold=0.0
+        g, specs, history, days, attribution, cycle_index=0, threshold=0.0
     )
     assert record_.triggered
     assert record_.bottleneck == 1
@@ -273,9 +274,9 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
 
 def test_run_cycle_untriggered_changes_nothing():
     table = {}
-    g, specs, history, days, evaluator = cycle_fixture(table)
+    g, specs, history, days, attribution = cycle_fixture(table)
     record_, updated = run_cycle(
-        g, specs, history, days, evaluator, cycle_index=0, threshold=0.0
+        g, specs, history, days, attribution, cycle_index=0, threshold=0.0
     )
     assert not record_.triggered
     assert record_.bottleneck is None
@@ -287,26 +288,26 @@ def test_run_cycle_untriggered_changes_nothing():
 def test_run_cycle_threshold_gates_triggering():
     g = reference_graph()
     table = {c.mask: 0.07 for c in enumerate_viable(g)}
-    g, specs, history, days, evaluator = cycle_fixture(table)
+    g, specs, history, days, attribution = cycle_fixture(table)
     low, _ = run_cycle(
-        g, specs, history, days, evaluator, cycle_index=0, threshold=-1.0
+        g, specs, history, days, attribution, cycle_index=0, threshold=-1.0
     )
     assert not low.triggered
     high, _ = run_cycle(
-        g, specs, history, days, evaluator, cycle_index=0, threshold=1.0
+        g, specs, history, days, attribution, cycle_index=0, threshold=1.0
     )
     assert high.triggered
 
 
 def test_run_cycle_requires_two_days():
-    g, specs, history, days, evaluator = cycle_fixture({})
+    g, specs, history, days, attribution = cycle_fixture({})
     with pytest.raises(WindowTooShort):
-        run_cycle(g, specs, history, days[:1], evaluator, cycle_index=0)
+        run_cycle(g, specs, history, days[:1], attribution, cycle_index=0)
 
 
 def test_run_cycle_records_window_bounds():
-    g, specs, history, days, evaluator = cycle_fixture({})
-    record_, _ = run_cycle(g, specs, history, days, evaluator, cycle_index=4)
+    g, specs, history, days, attribution = cycle_fixture({})
+    record_, _ = run_cycle(g, specs, history, days, attribution, cycle_index=4)
     assert record_.cycle == 4
     assert record_.start_day == days[0]
     assert record_.end_day == days[-1]

@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from dagcredit.agents import build_system, signed_decision_value, system_runner
 from dagcredit.coalitions import Coalition, enumerate_viable
-from dagcredit.graph import BadLayerIndex, build_graph, reference_graph
+from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import (
-    CacheConflict,
+    CostCounters,
     ExecutorFailure,
     InvalidSize,
-    MemoCache,
-    MemoizedGame,
     NonDeterminismDetected,
-    ReplayGame,
     TooManyAgents,
     classical_cost,
     format_attribution,
@@ -30,10 +27,28 @@ from dagcredit.shapley import (
     shapley_dag,
     shapley_exact,
     shapley_weight,
-    upstream_configuration,
 )
 
 from conftest import FEATURES, layered_graph
+
+
+def memo_table(graph, viable, runner):
+    """Signed sink decisions of the viable coalitions from one shared episode."""
+    run = layered_run(graph, viable, runner, FEATURES)
+    values = {c.mask: signed_decision_value(out) for c, out in run.sink_outputs.items()}
+    return values, run.counters
+
+
+def replay_table(graph, runner):
+    """Signed sink decisions of every subset, each replayed without sharing;
+    subsets whose sink never runs are left out (worth zero)."""
+    values, counters = {}, CostCounters()
+    for mask in range(1 << graph.n):
+        replay = replay_coalition(graph, Coalition(mask), runner, FEATURES)
+        counters.agent_executions += replay.executions
+        if replay.sink_output is not None:
+            values[mask] = signed_decision_value(replay.sink_output)
+    return values, counters
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +102,26 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     table = {0: Fraction(0)}
     for mask in range(1, 1 << n):
         table[mask] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-    game = lambda c: table[c.mask]
-    oracle = permutation_shapley(n, game)
-    result = shapley_exact(game, n, exact_arith=True)
+    oracle = permutation_shapley(n, lambda c: table[c.mask])
+    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
     assert list(result.values) == [float(v) for v in oracle]
-    floats = shapley_exact(lambda c: float(table[c.mask]), n)
+    floats = shapley_exact({m: float(v) for m, v in table.items()}, n, CostCounters())
     for got, want in zip(floats.values, oracle):
         assert abs(got - float(want)) < 1e-9
 
 
 def test_exact_engine_counts_evaluations():
-    calls = []
-    result = shapley_exact(lambda c: calls.append(c.mask) or 0.0, 4)
-    assert result.counters.coalition_evaluations == 16
-    assert sorted(calls) == list(range(16))
+    work = CostCounters(agent_executions=5, cache_hits=2)
+    result = shapley_exact({0b1111: 1.0}, 4, work)
+    assert result.counters == CostCounters(16, 5, 2)
+    assert work == CostCounters(0, 5, 2)
 
 
 def test_engines_reject_oversized_inputs():
     with pytest.raises(TooManyAgents):
-        shapley_exact(lambda c: 0.0, 25)
+        shapley_exact({}, 25, CostCounters())
     with pytest.raises(InvalidSize):
-        shapley_exact(lambda c: 0.0, 0)
+        shapley_exact({}, 0, CostCounters())
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +135,9 @@ def test_engines_reject_oversized_inputs():
 @settings(max_examples=60, deadline=None)
 def test_efficiency_on_random_games(n, seed):
     rng = random.Random(seed)
-    table = [0.0] + [rng.uniform(-5, 5) for _ in range((1 << n) - 1)]
-    result = shapley_exact(lambda c: table[c.mask], n)
-    assert abs(result.total() - table[-1]) < 1e-9
+    table = {mask: rng.uniform(-5, 5) for mask in range(1, 1 << n)}
+    result = shapley_exact(table, n, CostCounters())
+    assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=500))
@@ -134,7 +148,8 @@ def test_symmetry_on_cardinality_games(n, seed):
     by_size = [Fraction(0)] + [
         Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)
     ]
-    result = shapley_exact(lambda c: by_size[len(c)], n, exact_arith=True)
+    table = {mask: by_size[mask.bit_count()] for mask in range(1 << n)}
+    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
     assert len(set(result.values)) == 1
 
 
@@ -151,14 +166,15 @@ def test_null_player_gets_exact_zero(n, seed):
             table[base] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         table[mask] = table[base]
     table[0] = Fraction(0)
-    result = shapley_exact(lambda c: table[c.mask & strip], n, exact_arith=True)
+    game = {mask: table[mask & strip] for mask in range(1 << n)}
+    result = shapley_exact(game, n, CostCounters(), exact_arith=True)
     assert result.values[null_agent] == 0
 
 
 def test_symmetric_pair_in_float_mode():
     table = {0: 0.0, 0b001: 1.5, 0b010: 1.5, 0b100: 0.25,
              0b011: 2.0, 0b101: 1.75, 0b110: 1.75, 0b111: 3.5}
-    result = shapley_exact(lambda c: table[c.mask], 3)
+    result = shapley_exact(table, 3, CostCounters())
     assert abs(result.values[0] - result.values[1]) < 1e-12
 
 
@@ -192,8 +208,8 @@ def test_engine_equivalence_on_random_graphs(seed):
     g = random_layered(rng, 3 + seed % 8)
     viable = enumerate_viable(g)
     table = {c.mask: rng.uniform(-2, 2) for c in viable}
-    dag = shapley_dag(g, lambda c: table[c.mask], viable=viable)
-    exact = shapley_exact(lambda c: table.get(c.mask, 0.0), g.n)
+    dag = shapley_dag(g, table, CostCounters())
+    exact = shapley_exact(table, g.n, CostCounters())
     worst = max(abs(a - b) for a, b in zip(dag.values, exact.values))
     assert worst < 1e-9
     assert abs(dag.total() - table[g.full_mask]) < 1e-9
@@ -206,40 +222,20 @@ def test_dag_engine_rejects_oversized_graph():
     edges = [(f"s{i}", f"s{i+1}") for i in range(23)] + [("s23", "t")]
     g = build_graph(layers, edges)
     with pytest.raises(TooManyAgents):
-        shapley_dag(g, lambda c: 0.0)
+        shapley_dag(g, {}, CostCounters())
 
 
 # ---------------------------------------------------------------------------
-# upstream configurations and the memo cache
+# upstream configurations
 
 
 def test_upstream_configuration_masks():
+    """A layer's memo key is the coalition's membership in earlier layers."""
     g = reference_graph()
     c = Coalition.of([0, 2, 4, 6])
-    assert upstream_configuration(g, c, 0) == Coalition.empty()
-    assert upstream_configuration(g, c, 1) == Coalition.of([0, 2])
-    assert upstream_configuration(g, c, 2) == Coalition.of([0, 2, 4])
-
-
-def test_upstream_configuration_range_check():
-    g = reference_graph()
-    with pytest.raises(BadLayerIndex):
-        upstream_configuration(g, Coalition.empty(), 3)
-
-
-def test_memo_cache_read_write_semantics():
-    cache = MemoCache()
-    cache.put(3, 0b101, "out")
-    assert (3, 0b101) in cache
-    assert len(cache) == 1
-    assert cache.get(3, 0b101) == "out"
-    assert cache.reads == 1
-    assert cache.peek(3, 0b101) == "out"
-    assert cache.reads == 1
-    cache.put(3, 0b101, "out")
-    with pytest.raises(CacheConflict):
-        cache.put(3, 0b101, "different")
-    assert cache.keys() == [(3, 0b101)]
+    assert [c.mask & g.prefix_masks[layer] for layer in range(3)] == [
+        0, 0b101, 0b10101,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +246,10 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
     assert run.counters.agent_executions == 73
     assert len(run.cache) == 73
+    grand = ref_graph.full_mask
+    assert run.cache[(ref_graph.sink, grand & ref_graph.prefix_masks[2])] == (
+        run.sink_outputs[Coalition(grand)]
+    )
     # upstream reads: layer 1 pulls 3 * (3 + 6 + 3) / ... = 36, layer 2 pulls
     # 84 across its 49 configurations, plus 49 sink-output reads = 169.
     assert run.counters.cache_hits == 169
@@ -261,13 +261,6 @@ def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_run
     for c in ref_viable:
         replay = replay_coalition(ref_graph, c, ref_runner, FEATURES)
         assert run.sink_outputs[c] == replay.sink_output
-
-
-def test_parallel_execution_is_equivalent(ref_graph, ref_viable, ref_runner):
-    serial = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
-    threaded = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, parallel=4)
-    assert threaded.sink_outputs == serial.sink_outputs
-    assert threaded.counters.agent_executions == serial.counters.agent_executions
 
 
 def test_determinism_verification_passes_for_pure_agents(ref_graph, ref_viable, ref_runner):
@@ -310,32 +303,30 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
     legal = set()
     for c in ref_viable:
         for agent in c:
-            layer = ref_graph.layer_of[agent]
-            cfg = upstream_configuration(ref_graph, c, layer)
-            legal.add((agent, frozenset(set(cfg) & set(ref_graph.preds[agent]))))
+            cfg = c.mask & ref_graph.prefix_masks[ref_graph.layer_of[agent]]
+            legal.add((agent, frozenset(p for p in ref_graph.preds[agent] if cfg >> p & 1)))
     assert set(seen) <= legal
 
 
 # ---------------------------------------------------------------------------
-# game wrappers
+# value tables from shared and unshared execution
 
 
 def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
-    memo = MemoizedGame(
-        ref_graph, ref_viable, ref_runner, signed_decision_value, FEATURES
-    )
-    replay = ReplayGame(ref_graph, ref_runner, signed_decision_value, FEATURES)
-    dag = shapley_dag(ref_graph, memo, viable=ref_viable)
-    exact = shapley_exact(replay, ref_graph.n)
-    assert max(abs(a - b) for a, b in zip(dag.values, exact.values)) < 1e-9
-    assert dag.counters.agent_executions == 73
-    assert exact.counters.agent_executions == 448
+    replay_values, replay_counters = replay_table(ref_graph, ref_runner)
+    dag = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
+    exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
+    assert dag.values == exact.values
+    assert dag.counters == CostCounters(49, 73, 169)
+    assert exact.counters == CostCounters(128, 448, 0)
 
 
-def test_replay_game_values_nonviable_as_zero(ref_graph, ref_runner):
-    replay = ReplayGame(ref_graph, ref_runner, signed_decision_value, FEATURES)
-    assert replay(Coalition.empty()) == 0.0
-    assert replay(Coalition.of([0, 1])) == 0.0
+def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner):
+    values, _ = replay_table(ref_graph, ref_runner)
+    viable_masks = {c.mask for c in ref_viable}
+    assert 0 not in values
+    assert 0b11 not in values
+    assert all(values.get(mask, 0.0) == 0.0 for mask in range(128) if mask not in viable_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +397,7 @@ def test_reference_execution_reduction_fraction():
 
 
 def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_runner):
-    memo = MemoizedGame(
-        ref_graph, ref_viable, ref_runner, signed_decision_value, FEATURES
-    )
-    result = shapley_dag(ref_graph, memo, viable=ref_viable)
+    result = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
     text = format_attribution(ref_graph, result)
     for name in ref_graph.names:
         assert name in text
@@ -417,13 +405,10 @@ def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_run
 
 
 def test_format_attribution_table_reports_reduction(ref_graph, ref_viable, ref_runner):
-    memo = MemoizedGame(
-        ref_graph, ref_viable, ref_runner, signed_decision_value, FEATURES
-    )
-    replay = ReplayGame(ref_graph, ref_runner, signed_decision_value, FEATURES)
+    replay_values, replay_counters = replay_table(ref_graph, ref_runner)
     results = {
-        "dag": shapley_dag(ref_graph, memo, viable=ref_viable),
-        "exact": shapley_exact(replay, ref_graph.n),
+        "dag": shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner)),
+        "exact": shapley_exact(replay_values, ref_graph.n, replay_counters),
     }
     text = format_attribution_table(ref_graph, results)
     assert "execution reduction: 83.7%" in text
