@@ -23,7 +23,6 @@ from .backtest import (
     MarketSeries,
     annualized_sharpe,
     build_equity,
-    coalition_return_series,
     decision_to_position,
     load_features_csv,
     load_market_csv,

@@ -9,6 +9,7 @@ has a measurable, reproducible effect.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -154,15 +155,19 @@ class MockExecutor:
     name: str
     seed: int
 
+    @functools.cached_property
+    def base_sensitivity(self) -> float:
+        """Seeded base in [0.35, 0.85]; hashed once per executor."""
+        return 0.35 + 0.5 * _hash_unit(f"{self.seed}:{self.name}:sensitivity")
+
     def sensitivity(self, prompt: str) -> float:
-        """Seeded base in [0.35, 0.85], shifted by calibration tokens.
+        """Seeded base shifted by calibration tokens.
 
         Damp tokens lower it and boost tokens raise it, one step each,
         clamped to [0, 1].
         """
-        base = 0.35 + 0.5 * _hash_unit(f"{self.seed}:{self.name}:sensitivity")
         shift = SENSITIVITY_STEP * (prompt.count(BOOST_TOKEN) - prompt.count(DAMP_TOKEN))
-        return _clamp(base + shift, 0.0, 1.0)
+        return _clamp(self.base_sensitivity + shift, 0.0, 1.0)
 
     def gain(self, prompt: str) -> float:
         """Responsiveness factor: sensitivity 0.5 is unit gain, 1.0 doubles."""

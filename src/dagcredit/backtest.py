@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .agents import (
     AgentSpec,
@@ -357,12 +357,15 @@ def max_drawdown(equity: Sequence[float]) -> float:
     return worst
 
 
+_POSITION = {Decision.BUY: 1, Decision.HOLD: 0, Decision.SELL: -1}
+
+
 def decision_to_position(decision: Any) -> int:
     """Buy -> +1, Hold -> 0, Sell -> -1. ``None`` (no trader ran) is flat."""
     if decision is None:
         return 0
     action = decision.action if isinstance(decision, TradeDecision) else decision
-    return {Decision.BUY: 1, Decision.HOLD: 0, Decision.SELL: -1}[action]
+    return _POSITION[action]
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +387,6 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
     return windows
 
 
-def coalition_return_series(
-    graph: WorkflowGraph,
-    coalition: Coalition,
-    market: MarketSeries,
-    features: FeatureView,
-    run_agent: Callable,
-    day_indices: Sequence[int],
-    day_outputs: Sequence[Mapping[Coalition, Any]] | None = None,
-) -> list[float]:
-    """Next-day returns earned by one coalition across a window.
-
-    Decisions happen on every window day but the last; each earns the step
-    return to the following day. With ``day_outputs`` (from a memoized
-    episode run) the sink decisions are read instead of re-executed.
-    """
-    if len(day_indices) < 2:
-        raise WindowTooShort("a window needs at least two days")
-    series = []
-    for k, i in enumerate(day_indices[:-1]):
-        if day_outputs is not None:
-            decision = day_outputs[k].get(coalition)
-        else:
-            decision = replay_coalition(
-                graph, coalition, run_agent, features.for_day(i)
-            ).sink_output
-        series.append(decision_to_position(decision) * market.step_return(i))
-    return series
-
-
 @dataclass
 class WindowGame:
     """One window's coalition games plus the raw material for history records."""
@@ -422,14 +396,14 @@ class WindowGame:
     counters_dag: CostCounters | None
     values_exact: dict[int, float] | None
     counters_exact: CostCounters | None
-    day_outputs: list[dict[Coalition, Any]]
+    day_outputs: list[dict[int, Any]]
     grand_actions: list[dict[int, Any]]
     rewards: list[float]
 
 
 def evaluate_window(
     graph: WorkflowGraph,
-    viable: Sequence[Coalition],
+    viable: Sequence[int],
     run_agent: Callable,
     market: MarketSeries,
     features: FeatureView,
@@ -440,20 +414,32 @@ def evaluate_window(
     """Value every coalition's window Sharpe under the requested engine(s).
 
     The pruned engine runs one memoized episode per decision day over the
-    viable coalitions; the exhaustive engine replays every subset without
-    sharing (the classical comparator). Both value a coalition by the raw
-    Sharpe of its next-day return series.
+    viable coalitions (given by mask); the exhaustive engine replays every
+    subset without sharing (the classical comparator). Both value a coalition
+    by the raw Sharpe of its next-day return series. That series is a
+    function of the coalition's positions on the decision days, so Sharpe
+    runs once per distinct position vector in the window, shared by both
+    engines.
     """
     if engine not in ("dag", "exact", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
     if len(day_indices) < 3:
         raise WindowTooShort("need at least three days for a two-return window game")
     decision_days = list(day_indices[:-1])
-    full = Coalition.full(graph.n)
+    step_returns = [market.step_return(i) for i in decision_days]
+    full = graph.full_mask
+    sharpe_by_positions: dict[tuple[int, ...], float] = {}
+
+    def coalition_sharpe(decisions: Sequence[Any]) -> float:
+        positions = tuple(decision_to_position(d) for d in decisions)
+        if positions not in sharpe_by_positions:
+            series = [p * r for p, r in zip(positions, step_returns)]
+            sharpe_by_positions[positions] = sharpe(series, rf_daily)
+        return sharpe_by_positions[positions]
 
     values_dag = counters_dag = None
     values_exact = counters_exact = None
-    day_outputs: list[dict[Coalition, Any]] = []
+    day_outputs: list[dict[int, Any]] = []
     grand_actions: list[dict[int, Any]] = []
 
     if engine in ("dag", "both"):
@@ -463,17 +449,15 @@ def evaluate_window(
             day_outputs.append(run.sink_outputs)
             grand_actions.append(
                 {
-                    a: run.cache[(a, full.mask & graph.prefix_masks[graph.layer_of[a]])]
+                    a: run.cache[(a, full & graph.prefix_masks[graph.layer_of[a]])]
                     for a in range(graph.n)
                 }
             )
             counters_dag = counters_dag.merged(run.counters)
-        values_dag = {}
-        for c in viable:
-            series = coalition_return_series(
-                graph, c, market, features, run_agent, day_indices, day_outputs
-            )
-            values_dag[c.mask] = sharpe(series, rf_daily)
+        values_dag = {
+            mask: coalition_sharpe([outputs[mask] for outputs in day_outputs])
+            for mask in viable
+        }
         counters_dag.coalition_evaluations = len(viable)
 
     if engine in ("exact", "both"):
@@ -482,33 +466,29 @@ def evaluate_window(
         exact_grand: list[dict[int, Any]] = []
         for i in decision_days:
             per_mask: dict[int, Any] = {}
+            episode = features.for_day(i)
             for mask in range(1 << graph.n):
-                result = replay_coalition(
-                    graph, Coalition(mask), run_agent, features.for_day(i)
-                )
+                result = replay_coalition(graph, mask, run_agent, episode)
                 counters_exact.agent_executions += result.executions
                 per_mask[mask] = result.sink_output
-                if mask == full.mask:
+                if mask == full:
                     exact_grand.append(result.outputs)
             exact_day_outputs.append(per_mask)
-        values_exact = {}
-        for mask in range(1 << graph.n):
-            series = [
-                decision_to_position(exact_day_outputs[k][mask]) * market.step_return(i)
-                for k, i in enumerate(decision_days)
-            ]
-            values_exact[mask] = sharpe(series, rf_daily)
+        values_exact = {
+            mask: coalition_sharpe([outputs[mask] for outputs in exact_day_outputs])
+            for mask in range(1 << graph.n)
+        }
         counters_exact.coalition_evaluations = 1 << graph.n
         if not grand_actions:
             grand_actions = exact_grand
             day_outputs = [
-                {c: outputs[c.mask] for c in viable} for outputs in exact_day_outputs
+                {mask: outputs[mask] for mask in viable} for outputs in exact_day_outputs
             ]
 
-    rewards = []
-    for k, i in enumerate(decision_days):
-        decision = grand_actions[k][graph.sink]
-        rewards.append(decision_to_position(decision) * market.step_return(i))
+    rewards = [
+        decision_to_position(grand[graph.sink]) * r
+        for grand, r in zip(grand_actions, step_returns)
+    ]
 
     return WindowGame(
         day_indices=list(day_indices),
@@ -626,7 +606,7 @@ def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> St
 
 def _agent_pass(
     graph: WorkflowGraph,
-    viable: Sequence[Coalition],
+    viable: Sequence[int],
     market: MarketSeries,
     features: FeatureView,
     windows: Sequence[Sequence[int]],
@@ -643,6 +623,7 @@ def _agent_pass(
         (spec.name, spec.prompt.version): render_prompt(spec.prompt)
         for spec in specs.values()
     }
+    viable_names = [",".join(Coalition(mask).names(graph)) for mask in viable]
     for w_index, day_idx in enumerate(windows):
         runner = system_runner(specs)
         game = evaluate_window(
@@ -685,7 +666,7 @@ def _agent_pass(
 
         values = game.values_dag if game.values_dag is not None else game.values_exact
         coalition_values = tuple(
-            (",".join(c.names(graph)), values[c.mask]) for c in viable
+            (names, values[mask]) for names, mask in zip(viable_names, viable)
         )
         reports.append(
             WindowReport(

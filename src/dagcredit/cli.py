@@ -145,7 +145,7 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     viable = enumerate_viable(graph)
     total = 1 << graph.n
-    lines = [",".join(c.names(graph)) for c in viable]
+    lines = [",".join(Coalition(mask).names(graph)) for mask in viable]
     summary = (
         f"{len(viable)}/{total} viable ({100.0 * (1.0 - len(viable) / total):.1f}% pruned)"
     )
@@ -183,12 +183,12 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     results = {}
     if config.engine in ("dag", "both"):
         run = sh.layered_run(graph, viable, run_agent, episode)
-        values = {c.mask: signed_decision_value(out) for c, out in run.sink_outputs.items()}
+        values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
         results["dag"] = shapley_dag(graph, values, run.counters)
     if config.engine in ("exact", "both"):
         values, counters = {}, CostCounters()
         for mask in range(1 << graph.n):
-            replay = sh.replay_coalition(graph, Coalition(mask), run_agent, episode)
+            replay = sh.replay_coalition(graph, mask, run_agent, episode)
             counters.agent_executions += replay.executions
             if replay.sink_output is not None:
                 values[mask] = signed_decision_value(replay.sink_output)
@@ -210,10 +210,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad layer sizes {args.layers!r}") from None
     flags = None
     if args.mandatory is not None:
-        try:
-            flags = [bool(int(x)) for x in args.mandatory.split(",") if x != ""]
-        except ValueError:
-            raise ConfigError(f"bad mandatory flags {args.mandatory!r}") from None
+        parts = [x.strip() for x in args.mandatory.split(",") if x != ""]
+        if any(x not in ("0", "1") for x in parts):
+            raise ConfigError(f"bad mandatory flags {args.mandatory!r}: use 0 or 1")
+        flags = [x == "1" for x in parts]
     predicted = predicted_cost(sizes, flags)
     n = sum(sizes)
     evals, execs = classical_cost(n)

@@ -4,14 +4,16 @@ A coalition is a subset of agents, stored as a bitmask over agent indices.
 Only viable coalitions (trader present, at least one source, and a source
 connected to the trader within the induced subgraph) can produce a trading
 decision; everything else is assigned value zero by definition, so the
-attribution engine never needs to execute it.
+attribution engine never needs to execute it. The engine works on plain
+``int`` masks; :class:`Coalition` wraps one for membership tests and names.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .graph import WorkflowGraph, path_exists
+from .graph import WorkflowGraph
 
 MAX_AGENTS = 24
 
@@ -109,33 +111,53 @@ def check_viability(graph: WorkflowGraph, coalition: Coalition) -> ViabilityRepo
     path to the sink through coalition members only. The empty coalition
     fails all three conditions.
     """
-    if coalition.mask >> graph.n:
+    mask = coalition.mask
+    if mask >> graph.n:
         raise InvalidCoalition("coalition references agents outside the graph")
     has_trader = graph.sink in coalition
-    members_sources = [s for s in graph.sources if s in coalition]
-    has_source = bool(members_sources)
-    connected = False
-    if has_trader and has_source:
-        connected = any(
-            path_exists(graph, coalition, s, graph.sink) for s in members_sources
-        )
+    has_source = any(s in coalition for s in graph.sources)
+    connected = has_trader and has_source and _sink_reached(
+        graph, [(mask >> a) & 1 for a in range(graph.n)]
+    ) == 1
     return ViabilityReport(has_trader, has_source, connected)
 
 
-def enumerate_viable(graph: WorkflowGraph) -> list[Coalition]:
-    """All viable coalitions in ascending bit-pattern order.
+def _sink_reached(graph: WorkflowGraph, member: Sequence[int]) -> int:
+    # Bit-parallel reachability: every bit position ("lane") of the ints is
+    # one coalition, and member[a] has agent a's membership in each lane. An
+    # agent is reached in a lane when it is a member there and is a source or
+    # has a reached predecessor; the sink's reached lanes are the viable ones.
+    reached = [0] * graph.n
+    for a in graph.order:
+        if graph.preds[a]:
+            via = 0
+            for p in graph.preds[a]:
+                via |= reached[p]
+            reached[a] = member[a] & via
+        else:
+            reached[a] = member[a]
+    return reached[graph.sink]
 
-    Enumeration walks the full power set, so graphs beyond MAX_AGENTS agents
-    are rejected rather than silently taking hours.
+
+def enumerate_viable(graph: WorkflowGraph) -> list[int]:
+    """Masks of all viable coalitions, ascending.
+
+    All 2**n coalitions are checked at once, one lane each (lane m is mask
+    m), so graphs beyond MAX_AGENTS agents are rejected rather than silently
+    running out of memory.
     """
     if graph.n > MAX_AGENTS:
         raise GraphTooLarge(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
-    sink_bit = 1 << graph.sink
-    out = []
-    for mask in range(1 << graph.n):
-        if not mask & sink_bit:
-            continue
-        c = Coalition(mask)
-        if check_viability(graph, c).viable:
-            out.append(c)
-    return out
+    lanes = 1 << graph.n
+    member = []
+    for a in range(graph.n):
+        # Lane m holds agent a iff bit a of m is set: runs of 2**a lanes
+        # without it alternate with runs of 2**a lanes with it.
+        run = 1 << a
+        pattern, span = ((1 << run) - 1) << run, 2 * run
+        while span < lanes:
+            pattern |= pattern << span
+            span *= 2
+        member.append(pattern)
+    flags = bin(_sink_reached(graph, member))[:1:-1]  # flags[m] is lane m
+    return list(itertools.compress(range(len(flags)), map("1".__eq__, flags)))

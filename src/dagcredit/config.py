@@ -104,12 +104,25 @@ def load_graph_file(path: str | Path) -> WorkflowGraph:
         raise ConfigError(f"{path}: unknown graph keys {unknown}")
     if "layers" not in raw or "edges" not in raw:
         raise ConfigError(f"{path}: graph definition needs 'layers' and 'edges'")
-    edges = [tuple(e) for e in raw["edges"]]
-    if any(len(e) != 2 for e in edges):
-        raise ConfigError(f"{path}: edges must be [from, to] pairs")
-    return build_graph(
-        raw["layers"], edges, raw.get("mandatory"), agents=raw.get("agents")
-    )
+    layers, edges = raw["layers"], raw["edges"]
+    mandatory, agents = raw.get("mandatory"), raw.get("agents")
+    if not _list_of(layers, _names):
+        raise ConfigError(f"{path}: layers must be a list of lists of agent names")
+    if not _list_of(edges, lambda e: _names(e) and len(e) == 2):
+        raise ConfigError(f"{path}: edges must be [from, to] pairs of agent names")
+    if mandatory is not None and not _list_of(mandatory, lambda f: isinstance(f, bool)):
+        raise ConfigError(f"{path}: mandatory must be a list of true/false flags")
+    if agents is not None and not _names(agents):
+        raise ConfigError(f"{path}: agents must be a list of agent names")
+    return build_graph(layers, [tuple(e) for e in edges], mandatory, agents=agents)
+
+
+def _list_of(value, item_ok) -> bool:
+    return isinstance(value, list) and all(item_ok(item) for item in value)
+
+
+def _names(value) -> bool:
+    return _list_of(value, lambda name: isinstance(name, str))
 
 
 def load_prompts_dir(path: str | Path) -> dict[str, str]:

@@ -57,8 +57,9 @@ class WorkflowGraph:
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
     ``layers`` holds agent indices per layer in declaration order. Derived
-    fields (``sources``, ``sink``, adjacency, per-layer bitmasks) are computed
-    once at construction and treated as read-only.
+    fields (``sources``, ``sink``, adjacency, per-layer bitmasks and the
+    topological ``order``) are computed once at construction and treated as
+    read-only.
     """
 
     agents: tuple[Agent, ...]
@@ -72,6 +73,7 @@ class WorkflowGraph:
     sink: int
     layer_masks: tuple[int, ...]
     prefix_masks: tuple[int, ...]
+    order: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -140,8 +142,9 @@ def build_graph(
         edge_idx.add((index[u_name], index[v_name]))
 
     # Cycle check runs on the raw edge set before layer monotonicity so that a
-    # genuine cycle reports as such rather than as a layer violation.
-    _toposort(n, edge_idx)
+    # genuine cycle reports as such rather than as a layer violation. The
+    # order it returns is kept for replay.
+    order = _toposort(n, edge_idx)
 
     layer_of = [0] * n
     layer_tuples: list[tuple[int, ...]] = []
@@ -200,6 +203,7 @@ def build_graph(
         sink=sinks[0],
         layer_masks=tuple(layer_masks),
         prefix_masks=tuple(prefix_masks),
+        order=tuple(order),
     )
 
 
@@ -226,7 +230,7 @@ def _toposort(n: int, edges: set[tuple[int, int]]) -> list[int]:
 
 def topological_order(graph: WorkflowGraph) -> list[int]:
     """Deterministic topological order, ties broken by agent index ascending."""
-    return _toposort(graph.n, set(graph.edges))
+    return list(graph.order)
 
 
 def path_exists(graph: WorkflowGraph, coalition: "Coalition", src: int, dst: int) -> bool:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .coalitions import Coalition
-from .graph import WorkflowGraph, topological_order
+from .graph import WorkflowGraph
 
 MAX_EXACT_AGENTS = 24
 
@@ -88,32 +87,45 @@ class AttributionResult:
 
 
 def _phi_from_values(
-    n: int, value_of: Callable[[int], float], exact_arith: bool
+    n: int, values: Mapping[int, float], exact_arith: bool
 ) -> list[float]:
-    # Sum over all subsets not containing i of w(|S|) * (v(S + i) - v(S)).
+    # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i. A
+    # term is non-zero only when T + i or T is in the table, so the loop runs
+    # over the table: an entry S holding i gives the term with T = S - i, an
+    # entry S without i gives T = S unless S + i is an entry itself (then that
+    # entry already gave it). The skipped terms are all +0.0, and both sums
+    # below are exact before their single rounding, so the result is the same
+    # as summing over all 2**n subsets.
     weights = [shapley_weight(s, n) for s in range(n)]
-    if exact_arith:
-        phi = []
-        for i in range(n):
-            bit = 1 << i
-            acc = Fraction(0)
-            for mask in range(1 << n):
-                if mask & bit:
-                    continue
-                marginal = Fraction(value_of(mask | bit)) - Fraction(value_of(mask))
-                acc += weights[mask.bit_count()] * marginal
-            phi.append(float(acc))
-        return phi
     wf = [float(w) for w in weights]
+    entries = [(mask, value, mask.bit_count()) for mask, value in values.items()]
     phi = []
     for i in range(n):
         bit = 1 << i
-        terms = [
-            wf[mask.bit_count()] * (value_of(mask | bit) - value_of(mask))
-            for mask in range(1 << n)
-            if not mask & bit
-        ]
-        phi.append(math.fsum(terms))
+        if exact_arith:
+            acc = sum(
+                (
+                    weights[size - 1]
+                    * (Fraction(value) - Fraction(values.get(mask ^ bit, 0.0)))
+                    if mask & bit
+                    else weights[size] * -Fraction(value)
+                    for mask, value, size in entries
+                    if mask & bit or mask | bit not in values
+                ),
+                Fraction(0),
+            )
+            phi.append(float(acc))
+        else:
+            # One agent's terms at a time: a list for all agents would hold
+            # n times the table.
+            terms = [
+                wf[size - 1] * (value - values.get(mask ^ bit, 0.0))
+                if mask & bit
+                else wf[size] * (0.0 - value)
+                for mask, value, size in entries
+                if mask & bit or mask | bit not in values
+            ]
+            phi.append(math.fsum(terms))
     return phi
 
 
@@ -136,7 +148,7 @@ def shapley_exact(
         raise InvalidSize("need at least one agent")
     if n > MAX_EXACT_AGENTS:
         raise TooManyAgents(f"{n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
-    phi = _phi_from_values(n, lambda mask: values.get(mask, 0.0), exact_arith)
+    phi = _phi_from_values(n, values, exact_arith)
     return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
 
@@ -152,7 +164,7 @@ def shapley_dag(
     """
     if graph.n > MAX_EXACT_AGENTS:
         raise TooManyAgents(f"{graph.n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
-    phi = _phi_from_values(graph.n, lambda mask: values.get(mask, 0.0), False)
+    phi = _phi_from_values(graph.n, values, False)
     return AttributionResult(
         tuple(phi), replace(counters, coalition_evaluations=len(values))
     )
@@ -162,42 +174,33 @@ def shapley_dag(
 class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
-    ``cache`` maps (agent, upstream configuration mask) to the agent's output.
+    ``cache`` maps (agent, upstream configuration mask) to the agent's output;
+    ``sink_outputs`` maps each viable coalition's mask to its sink output.
     """
 
     cache: dict[tuple[int, int], Any]
-    sink_outputs: dict[Coalition, Any]
+    sink_outputs: dict[int, Any]
     counters: CostCounters
-
-
-def _upstream(
-    graph: WorkflowGraph, cache: Mapping[tuple[int, int], Any], agent: int, cfg: int
-) -> dict[int, Any]:
-    # Direct predecessors inside the configuration, each read under its own
-    # upstream membership: the members of layers before the predecessor's.
-    return {
-        p: cache[(p, cfg & graph.prefix_masks[graph.layer_of[p]])]
-        for p in graph.preds[agent]
-        if (cfg >> p) & 1
-    }
 
 
 def layered_run(
     graph: WorkflowGraph,
-    viable: Sequence[Coalition],
+    viable: Sequence[int],
     run_agent: AgentRunner,
     external: Any = None,
     *,
     verify_determinism: bool = False,
 ) -> LayeredRunResult:
-    """Execute every viable coalition for one episode with layer-wise sharing.
+    """Execute every viable coalition (given by mask) for one episode with
+    layer-wise sharing.
 
-    Layer by layer, viable coalitions are grouped by upstream configuration;
-    each agent active under a configuration is executed exactly once and the
-    output is cached under (agent, configuration). Inputs to an agent are the
-    cached outputs of its direct predecessors inside the configuration;
-    external data goes to source agents only. Per-coalition sink outputs are
-    then read straight from the cache. ``cache_hits`` counts every cache read.
+    Layer by layer, each agent runs exactly once under every distinct upstream
+    configuration (the members of earlier layers) of a viable coalition that
+    holds it, and the output is cached under (agent, configuration). Inputs
+    to an agent are the cached outputs of its direct predecessors inside the
+    configuration; external data goes to source agents only. Per-coalition
+    sink outputs are then read straight from the cache, keyed by mask.
+    ``cache_hits`` counts every cache read.
 
     ``verify_determinism`` re-executes the last task of the episode and raises
     NonDeterminismDetected on a mismatch.
@@ -205,27 +208,34 @@ def layered_run(
     cache: dict[tuple[int, int], Any] = {}
     reads = 0
     last_task: tuple[int, int] | None = None
+    # Per agent, its direct predecessors as (index, bit, mask of the layers
+    # before the predecessor's): a predecessor inside a configuration is read
+    # under its own upstream membership, the configuration & that mask.
+    upstream_keys = [
+        [(p, 1 << p, graph.prefix_masks[graph.layer_of[p]]) for p in graph.preds[a]]
+        for a in range(graph.n)
+    ]
+    inputs = [external if a in graph.sources else None for a in range(graph.n)]
 
-    for li in range(len(graph.layers)):
-        layer_mask = graph.layer_masks[li]
-        groups: dict[int, int] = {}
-        for c in viable:
-            active_bits = c.mask & layer_mask
-            if active_bits:
-                cfg = c.mask & graph.prefix_masks[li]
-                groups[cfg] = groups.get(cfg, 0) | active_bits
+    def upstream_of(agent: int, cfg: int) -> dict[int, Any]:
+        return {
+            p: cache[(p, cfg & prefix)]
+            for p, bit, prefix in upstream_keys[agent]
+            if cfg & bit
+        }
 
-        for cfg in sorted(groups):
-            bits = groups[cfg]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                agent = low.bit_length() - 1
-                upstream = _upstream(graph, cache, agent, cfg)
+    for li, layer in enumerate(graph.layers):
+        prefix = graph.prefix_masks[li]
+        # Coalitions that agree on this layer and the ones before it give the
+        # same tasks, so each distinct membership pattern is looked at once.
+        patterns = {mask & (prefix | graph.layer_masks[li]) for mask in viable}
+        for agent in layer:
+            bit = 1 << agent
+            for cfg in sorted({key & prefix for key in patterns if key & bit}):
+                upstream = upstream_of(agent, cfg)
                 reads += len(upstream)
-                data = external if agent in graph.sources else None
                 try:
-                    cache[(agent, cfg)] = run_agent(agent, upstream, data)
+                    cache[(agent, cfg)] = run_agent(agent, upstream, inputs[agent])
                 except Exception as exc:
                     raise ExecutorFailure(
                         f"agent {graph.names[agent]} failed under config {bin(cfg)}"
@@ -234,16 +244,15 @@ def layered_run(
 
     if verify_determinism and last_task is not None:
         agent, cfg = last_task
-        upstream = _upstream(graph, cache, agent, cfg)
+        upstream = upstream_of(agent, cfg)
         reads += len(upstream) + 1
-        data = external if agent in graph.sources else None
-        if run_agent(agent, upstream, data) != cache[last_task]:
+        if run_agent(agent, upstream, inputs[agent]) != cache[last_task]:
             raise NonDeterminismDetected(
                 f"agent {graph.names[agent]} is not deterministic under config {bin(cfg)}"
             )
 
-    sink_prefix = graph.prefix_masks[len(graph.layers) - 1]
-    sink_outputs = {c: cache[(graph.sink, c.mask & sink_prefix)] for c in viable}
+    sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
+    sink_outputs = {mask: cache[(sink, mask & sink_prefix)] for mask in viable}
     reads += len(viable)
     counters = CostCounters(agent_executions=len(cache), cache_hits=reads)
     return LayeredRunResult(cache, sink_outputs, counters)
@@ -258,29 +267,27 @@ class ReplayResult:
 
 def replay_coalition(
     graph: WorkflowGraph,
-    coalition: Coalition,
+    mask: int,
     run_agent: AgentRunner,
     external: Any = None,
 ) -> ReplayResult:
-    """Cache-free straight-line execution of one coalition.
+    """Cache-free straight-line execution of one coalition, given by mask.
 
     Every member runs once in topological order, receiving the outputs of its
     direct predecessors that are also members. This is the classical
     (unshared) evaluation path and the reference oracle for the memoized one.
     """
     outputs: dict[int, Any] = {}
-    executed = 0
-    for agent in topological_order(graph):
-        if agent not in coalition:
+    for agent in graph.order:
+        if not (mask >> agent) & 1:
             continue
-        upstream = {p: outputs[p] for p in graph.preds[agent] if p in coalition}
+        upstream = {p: outputs[p] for p in graph.preds[agent] if (mask >> p) & 1}
         data = external if agent in graph.sources else None
         try:
             outputs[agent] = run_agent(agent, upstream, data)
         except Exception as exc:
             raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
-        executed += 1
-    return ReplayResult(outputs, outputs.get(graph.sink), executed)
+    return ReplayResult(outputs, outputs.get(graph.sink), len(outputs))
 
 
 @dataclass(frozen=True)

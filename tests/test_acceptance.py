@@ -96,7 +96,7 @@ def test_criterion_3_attribution_equivalence():
         rng = random.Random(4000 + seed)
         g = random_layered(rng, 3 + seed % 8)
         viable = enumerate_viable(g)
-        table = {c.mask: rng.uniform(-2.0, 2.0) for c in viable}
+        table = {mask: rng.uniform(-2.0, 2.0) for mask in viable}
         dag = shapley_dag(g, table, CostCounters())
         exact = shapley_exact(table, g.n, CostCounters())
         worst_diff = max(
@@ -259,9 +259,9 @@ def test_criterion_8_information_flow_enforcement():
     base = system_runner(specs)
 
     legal = set()
-    for c in viable:
-        for agent in c:
-            cfg = c.mask & g.prefix_masks[g.layer_of[agent]]
+    for mask in viable:
+        for agent in Coalition(mask):
+            cfg = mask & g.prefix_masks[g.layer_of[agent]]
             legal.add((agent, frozenset(p for p in g.preds[agent] if cfg >> p & 1)))
 
     replay_calls = []
@@ -280,7 +280,7 @@ def test_criterion_8_information_flow_enforcement():
                 recorder.sink = replay_calls
                 coalition = Coalition(mask)
                 before = len(replay_calls)
-                result = replay_coalition(g, coalition, recorder, view.for_day(day))
+                result = replay_coalition(g, mask, recorder, view.for_day(day))
                 invoked = {agent for agent, _ in replay_calls[before:]}
                 assert invoked <= set(coalition)
                 assert set(result.outputs) <= set(coalition)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagcredit import backtest
 from dagcredit.agents import Decision, TradeDecision, build_system, system_runner
 from dagcredit.backtest import (
     STRATEGY_BUY_HOLD,
@@ -24,7 +25,6 @@ from dagcredit.backtest import (
     WindowTooShort,
     annualized_sharpe,
     build_equity,
-    coalition_return_series,
     day_windows,
     decision_to_position,
     evaluate_window,
@@ -39,9 +39,10 @@ from dagcredit.backtest import (
     total_return,
     _window_report_text,
 )
-from dagcredit.coalitions import Coalition, enumerate_viable
+from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
+from dagcredit.shapley import replay_coalition
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -267,32 +268,6 @@ def test_day_windows_rejects_tiny_window():
 
 
 # ---------------------------------------------------------------------------
-# coalition return series
-
-
-def always_buy(agent, upstream, external):
-    return TradeDecision(Decision.BUY, confidence=1.0)
-
-
-def test_coalition_return_series_from_positions(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
-    view = load_features_csv(write(tmp_path, "f.csv", FEATURES_CSV), market)
-    g = reference_graph()
-    series = coalition_return_series(
-        g, Coalition.full(g.n), market, view, always_buy, [0, 1, 2]
-    )
-    assert series == pytest.approx([0.10, -0.10])
-
-
-def test_coalition_return_series_needs_two_days(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
-    view = load_features_csv(write(tmp_path, "f.csv", FEATURES_CSV), market)
-    g = reference_graph()
-    with pytest.raises(WindowTooShort):
-        coalition_return_series(g, Coalition.full(g.n), market, view, always_buy, [0])
-
-
-# ---------------------------------------------------------------------------
 # window games
 
 
@@ -311,7 +286,7 @@ def test_evaluate_window_dag_engine_counts(window_setup):
     assert game.counters_dag.coalition_evaluations == 49
     # four decision days, 73 shared executions each
     assert game.counters_dag.agent_executions == 4 * 73
-    assert set(game.values_dag) == {c.mask for c in viable}
+    assert set(game.values_dag) == set(viable)
     assert game.values_exact is None
 
 
@@ -320,9 +295,9 @@ def test_evaluate_window_engines_agree(window_setup):
     game = evaluate_window(
         g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="both"
     )
-    for c in viable:
-        assert game.values_dag[c.mask] == pytest.approx(
-            game.values_exact[c.mask], abs=1e-9
+    for mask in viable:
+        assert game.values_dag[mask] == pytest.approx(
+            game.values_exact[mask], abs=1e-9
         )
     assert game.counters_exact.coalition_evaluations == 128
     assert game.counters_exact.agent_executions == 4 * 448
@@ -333,10 +308,47 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     game = evaluate_window(
         g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="exact"
     )
-    viable_masks = {c.mask for c in viable}
+    viable_masks = set(viable)
     for mask, value in game.values_exact.items():
         if mask not in viable_masks:
             assert value == 0.0
+
+
+@given(st.integers(0, 10_000), st.integers(0, 7))
+@settings(max_examples=12, deadline=None)
+def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
+    """Each value is the Sharpe of the coalition's own return series, though
+    Sharpe runs once per distinct position vector and coalitions share them."""
+    g = reference_graph()
+    market, view = synthesize_market(seed=seed, days=12, regime="sideways")
+    runner = system_runner(build_system(g, seed=seed))
+    days = list(range(start, start + 5))
+    calls = []
+
+    def counted(returns, rf_daily=0.0):
+        calls.append(tuple(returns))
+        return sharpe(returns, rf_daily)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "sharpe", counted)
+        game = evaluate_window(
+            g, enumerate_viable(g), runner, market, view, days, engine="both"
+        )
+    vectors = set()
+    for mask in range(1 << g.n):
+        decisions = [
+            replay_coalition(g, mask, runner, view.for_day(i)).sink_output
+            for i in days[:-1]
+        ]
+        vectors.add(tuple(decision_to_position(d) for d in decisions))
+        own = sharpe([
+            decision_to_position(d) * market.step_return(i)
+            for d, i in zip(decisions, days[:-1])
+        ])
+        assert game.values_exact[mask] == own
+        if mask in game.values_dag:
+            assert game.values_dag[mask] == own
+    assert len(calls) == len(set(calls)) == len(vectors) < 1 << g.n
 
 
 def test_evaluate_window_rewards_follow_grand_decisions(window_setup):

@@ -77,6 +77,29 @@ def test_validate_rejects_unknown_graph_keys(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # A string layer would be split into one agent per character.
+        {"layers": ["AB", ["T"]], "edges": [["A", "T"], ["B", "T"]]},
+        {"layers": [["A", 1], ["T"]], "edges": [["A", "T"]]},
+        # A string edge would be read as a pair of one-letter names.
+        {"layers": [["A", "B"], ["T"]], "edges": ["AT", ["B", "T"]]},
+        {"layers": [["A"], ["T"]], "edges": [["A", "T", "T"]]},
+        {"layers": [["A"], ["T"]], "edges": [["A", "T"]], "mandatory": [1, 1]},
+        {"layers": [["A"], ["T"]], "edges": [["A", "T"]], "mandatory": "yes"},
+        {"layers": [["A"], ["T"]], "edges": [["A", "T"]], "agents": "AT"},
+    ],
+    ids=["string-layer", "number-name", "string-edge", "three-name-edge",
+         "number-flags", "string-flags", "string-roster"],
+)
+def test_validate_rejects_malformed_graph_file(capsys, tmp_path, payload):
+    code, out, err = run(capsys, "validate", graph_file(tmp_path, payload))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_validate_missing_file_is_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 2
@@ -156,6 +179,13 @@ def test_cost_optional_layers(capsys):
     code, out, err = run(capsys, "cost", "2,2,1", "--mandatory", "1,0,1")
     assert code == 0
     assert "memoized executions:" in out
+
+
+@pytest.mark.parametrize("flags", ["1,2,1", "1,true,1", "1,-1,1"])
+def test_cost_rejects_mandatory_flags_other_than_0_and_1(capsys, flags):
+    code, out, err = run(capsys, "cost", "3,3,1", "--mandatory", flags)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_cost_rejects_bad_layer_list(capsys):

@@ -1,7 +1,9 @@
 """Coalition bitmask arithmetic, viability checks, and pruning counts."""
 
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.coalitions import (
@@ -11,7 +13,8 @@ from dagcredit.coalitions import (
     check_viability,
     enumerate_viable,
 )
-from dagcredit.graph import build_graph, reference_graph
+from dagcredit.config import load_graph_file
+from dagcredit.graph import build_graph, path_exists, reference_graph
 
 from conftest import layered_graph
 
@@ -104,19 +107,58 @@ def test_reference_pruning_counts():
 
 def test_enumerate_viable_is_sorted_and_consistent():
     g = reference_graph()
-    viable = enumerate_viable(g)
-    masks = [c.mask for c in viable]
+    masks = enumerate_viable(g)
     assert masks == sorted(masks)
     assert len(set(masks)) == len(masks)
-    for c in viable:
-        assert check_viability(g, c).viable
+    for mask in masks:
+        assert check_viability(g, Coalition(mask)).viable
 
 
 def test_enumeration_matches_per_coalition_checks():
     g = reference_graph()
-    viable_masks = {c.mask for c in enumerate_viable(g)}
+    viable_masks = set(enumerate_viable(g))
     for mask in range(1 << g.n):
         assert (mask in viable_masks) == check_viability(g, Coalition(mask)).viable
+
+
+@st.composite
+def skip_layered_graphs(draw):
+    """Layered graphs of up to ten agents whose edges may skip layers; a
+    middle-layer agent without predecessors is a source too."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)) + [1]
+    layers = [[f"L{i}N{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    edges = set()
+    for i, layer in enumerate(layers[:-1]):
+        later = [name for down in layers[i + 1:] for name in down]
+        for name in layer:
+            targets = draw(st.sets(st.sampled_from(later), min_size=1, max_size=3))
+            edges.update((name, dst) for dst in targets)
+    return build_graph(layers, sorted(edges))
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_equals_per_mask_check_on_skip_graphs(g):
+    by_check = [m for m in range(1 << g.n) if check_viability(g, Coalition(m)).viable]
+    assert enumerate_viable(g) == by_check
+    # The same set from a search over paths: a member source with a path to
+    # the sink through members.
+    by_paths = [
+        m for m in range(1 << g.n)
+        if g.sink in Coalition(m)
+        and any(
+            s in Coalition(m) and path_exists(g, Coalition(m), s, g.sink)
+            for s in g.sources
+        )
+    ]
+    assert by_check == by_paths
+
+
+def test_wide_benchmark_graph_count():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json"
+    g = load_graph_file(path)
+    assert g.n == 19
+    assert len(enumerate_viable(g)) == 239_367
 
 
 def test_small_topology_counts():
@@ -127,8 +169,7 @@ def test_small_topology_counts():
 
 def test_single_agent_graph_has_one_viable_coalition():
     g = build_graph([["solo"]], [])
-    viable = enumerate_viable(g)
-    assert [c.mask for c in viable] == [1]
+    assert enumerate_viable(g) == [1]
 
 
 def test_enumeration_rejects_oversized_graphs():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dagcredit import graph as graph_module
 from dagcredit.coalitions import Coalition
 from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
@@ -102,6 +103,20 @@ def test_topological_order_respects_edges_and_breaks_ties_by_index():
     assert order == sorted(order, key=lambda a: (g.layer_of[a], a))
 
 
+def test_topological_order_is_computed_once_per_graph(monkeypatch):
+    """Replay and ``topological_order`` read the order that ``build_graph``
+    kept from its cycle check, instead of sorting the edges again."""
+    g = reference_graph()
+
+    def no_sort(*args):
+        raise AssertionError("topological sort re-run")
+
+    monkeypatch.setattr(graph_module, "_toposort", no_sort)
+    assert topological_order(g) == list(g.order)
+    replay = replay_coalition(g, g.full_mask, lambda agent, upstream, data: agent, "data")
+    assert list(replay.outputs) == list(g.order)
+
+
 def test_information_set_is_direct_predecessors_inside_coalition():
     """A running agent sees exactly its direct predecessors inside the coalition."""
     g = reference_graph()
@@ -111,7 +126,7 @@ def test_information_set_is_direct_predecessors_inside_coalition():
         seen[agent] = set(upstream)
         return agent
 
-    replay_coalition(g, Coalition.of([0, 3, 6]), recorder, external="data")
+    replay_coalition(g, Coalition.of([0, 3, 6]).mask, recorder, external="data")
     assert seen == {0: set(), 3: {0}, 6: {3}}
 
 

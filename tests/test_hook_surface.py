@@ -1,0 +1,77 @@
+"""The module globals through which the program makes its calls.
+
+Tools that observe a run from outside, such as the benchmark's tracer, swap
+these names for wrappers. A call that stops going through its name (a
+rename, or a direct import elsewhere) would no longer be seen, so each name
+must exist, be callable and carry the calls of the run that uses it.
+"""
+
+import pytest
+
+from dagcredit import backtest, cli, coalitions, shapley
+from dagcredit.config import RunConfig
+
+BACKTEST_CALLS = (
+    "enumerate_viable",
+    "layered_run",
+    "replay_coalition",
+    "shapley_dag",
+    "shapley_exact",
+    "sharpe",
+    "evaluate_window",
+    "run_cycle",
+    "write_reports",
+    "load_inputs",
+    "system_runner",
+)
+CLI_CALLS = ("enumerate_viable", "shapley_dag", "shapley_exact", "system_runner")
+SHAPLEY_CALLS = ("layered_run", "replay_coalition")
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named global with a call counter. The runner a
+    ``system_runner`` returns is wrapped too, and counted as ``agents``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            return counted("agents", result) if name == "system_runner" else result
+
+        return wrapper
+
+    if "system_runner" in names:
+        calls["agents"] = 0
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        *((backtest, name) for name in BACKTEST_CALLS),
+        *((cli, name) for name in CLI_CALLS),
+        (coalitions, "enumerate_viable"),
+        (shapley, "layered_run"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_named_call_exists_and_is_callable(module, name):
+    assert callable(getattr(module, name, None))
+
+
+def test_backtest_calls_go_through_module_globals(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, backtest, BACKTEST_CALLS)
+    config = RunConfig(days=15, engine="both", out_dir=str(tmp_path)).validate()
+    backtest.run_backtest(config)
+    assert all(calls.values()), calls
+
+
+def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cli, CLI_CALLS)
+    engine_calls = count_calls(monkeypatch, shapley, SHAPLEY_CALLS)
+    assert cli.main(["shapley", "--engine", "both"]) == 0
+    assert all(calls.values()), calls
+    assert engine_calls == {"layered_run": 1, "replay_coalition": 128}

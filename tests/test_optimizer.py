@@ -257,7 +257,7 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
     g = reference_graph()
     # v({i in S}) favors nothing; full-coalition value below zero pins the
     # minimum on a specific agent through the marginals.
-    table = {c.mask: (-0.5 if 1 in c else 0.1) for c in enumerate_viable(g)}
+    table = {mask: (-0.5 if mask >> 1 & 1 else 0.1) for mask in enumerate_viable(g)}
     g, specs, history, days, attribution = cycle_fixture(table)
     record_, updated = run_cycle(
         g, specs, history, days, attribution, cycle_index=0, threshold=0.0
@@ -287,7 +287,7 @@ def test_run_cycle_untriggered_changes_nothing():
 
 def test_run_cycle_threshold_gates_triggering():
     g = reference_graph()
-    table = {c.mask: 0.07 for c in enumerate_viable(g)}
+    table = dict.fromkeys(enumerate_viable(g), 0.07)
     g, specs, history, days, attribution = cycle_fixture(table)
     low, _ = run_cycle(
         g, specs, history, days, attribution, cycle_index=0, threshold=-1.0

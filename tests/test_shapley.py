@@ -35,7 +35,7 @@ from conftest import FEATURES, layered_graph
 def memo_table(graph, viable, runner):
     """Signed sink decisions of the viable coalitions from one shared episode."""
     run = layered_run(graph, viable, runner, FEATURES)
-    values = {c.mask: signed_decision_value(out) for c, out in run.sink_outputs.items()}
+    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
     return values, run.counters
 
 
@@ -44,7 +44,7 @@ def replay_table(graph, runner):
     subsets whose sink never runs are left out (worth zero)."""
     values, counters = {}, CostCounters()
     for mask in range(1 << graph.n):
-        replay = replay_coalition(graph, Coalition(mask), runner, FEATURES)
+        replay = replay_coalition(graph, mask, runner, FEATURES)
         counters.agent_executions += replay.executions
         if replay.sink_output is not None:
             values[mask] = signed_decision_value(replay.sink_output)
@@ -108,6 +108,64 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     floats = shapley_exact({m: float(v) for m, v in table.items()}, n, CostCounters())
     for got, want in zip(floats.values, oracle):
         assert abs(got - float(want)) < 1e-9
+
+
+def all_masks_phi(n, value_of, exact_arith):
+    """Aggregation over all 2**n subsets, as the engine did it before it
+    looped over table entries only; the oracle for bit-identity."""
+    weights = [shapley_weight(s, n) for s in range(n)]
+    if exact_arith:
+        phi = []
+        for i in range(n):
+            bit = 1 << i
+            acc = Fraction(0)
+            for mask in range(1 << n):
+                if mask & bit:
+                    continue
+                marginal = Fraction(value_of(mask | bit)) - Fraction(value_of(mask))
+                acc += weights[mask.bit_count()] * marginal
+            phi.append(float(acc))
+        return phi
+    wf = [float(w) for w in weights]
+    phi = []
+    for i in range(n):
+        bit = 1 << i
+        terms = [
+            wf[mask.bit_count()] * (value_of(mask | bit) - value_of(mask))
+            for mask in range(1 << n)
+            if not mask & bit
+        ]
+        phi.append(math.fsum(terms))
+    return phi
+
+
+@st.composite
+def sparse_tables(draw):
+    """A size n and a table over some of its 2**n masks; absent masks are
+    worth zero, and present ones may hold 0.0 or -0.0."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    table = draw(st.dictionaries(st.integers(0, (1 << n) - 1), value))
+    return n, table
+
+
+def same_bits(got, want):
+    return list(got) == list(want) and [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@given(sparse_tables(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_table_aggregation_is_bit_identical_to_all_masks(case, exact_arith):
+    n, table = case
+    want = all_masks_phi(n, lambda mask: table.get(mask, 0.0), exact_arith)
+    exact = shapley_exact(table, n, CostCounters(), exact_arith=exact_arith)
+    assert same_bits(exact.values, want)
+    if not exact_arith:
+        g = layered_graph([n - 1, 1]) if n > 1 else build_graph([["solo"]], [])
+        assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
 
 
 def test_exact_engine_counts_evaluations():
@@ -207,7 +265,7 @@ def test_engine_equivalence_on_random_graphs(seed):
     rng = random.Random(1000 + seed)
     g = random_layered(rng, 3 + seed % 8)
     viable = enumerate_viable(g)
-    table = {c.mask: rng.uniform(-2, 2) for c in viable}
+    table = {mask: rng.uniform(-2, 2) for mask in viable}
     dag = shapley_dag(g, table, CostCounters())
     exact = shapley_exact(table, g.n, CostCounters())
     worst = max(abs(a - b) for a, b in zip(dag.values, exact.values))
@@ -248,7 +306,7 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
     assert run.cache[(ref_graph.sink, grand & ref_graph.prefix_masks[2])] == (
-        run.sink_outputs[Coalition(grand)]
+        run.sink_outputs[grand]
     )
     # upstream reads: layer 1 pulls 3 * (3 + 6 + 3) / ... = 36, layer 2 pulls
     # 84 across its 49 configurations, plus 49 sink-output reads = 169.
@@ -258,9 +316,9 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
-    for c in ref_viable:
-        replay = replay_coalition(ref_graph, c, ref_runner, FEATURES)
-        assert run.sink_outputs[c] == replay.sink_output
+    for mask in ref_viable:
+        replay = replay_coalition(ref_graph, mask, ref_runner, FEATURES)
+        assert run.sink_outputs[mask] == replay.sink_output
 
 
 def test_determinism_verification_passes_for_pure_agents(ref_graph, ref_viable, ref_runner):
@@ -301,9 +359,9 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
 
     layered_run(ref_graph, ref_viable, recorder, FEATURES)
     legal = set()
-    for c in ref_viable:
-        for agent in c:
-            cfg = c.mask & ref_graph.prefix_masks[ref_graph.layer_of[agent]]
+    for mask in ref_viable:
+        for agent in Coalition(mask):
+            cfg = mask & ref_graph.prefix_masks[ref_graph.layer_of[agent]]
             legal.add((agent, frozenset(p for p in ref_graph.preds[agent] if cfg >> p & 1)))
     assert set(seen) <= legal
 
@@ -323,7 +381,7 @@ def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
 
 def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner):
     values, _ = replay_table(ref_graph, ref_runner)
-    viable_masks = {c.mask for c in ref_viable}
+    viable_masks = set(ref_viable)
     assert 0 not in values
     assert 0b11 not in values
     assert all(values.get(mask, 0.0) == 0.0 for mask in range(128) if mask not in viable_masks)
