@@ -33,9 +33,9 @@ from .backtest import (
     total_return,
 )
 from .coalitions import (
-    Coalition,
     ViabilityReport,
     check_viability,
+    coalition_names,
     enumerate_viable,
 )
 from .config import ConfigError, RunConfig, load_config, load_graph_file
@@ -45,7 +45,6 @@ from .graph import (
     build_graph,
     path_exists,
     reference_graph,
-    topological_order,
 )
 from .optimizer import (
     CycleRecord,

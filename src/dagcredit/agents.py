@@ -90,10 +90,18 @@ class PromptState:
     lesson_blocks: tuple[str, ...] = ()
     version: int = 1
 
+    @functools.cached_property
+    def rendered(self) -> str:
+        """Base text followed by lesson blocks, oldest first, delimiter-joined.
+
+        Joined once per prompt state: every agent call reads it.
+        """
+        return LESSON_DELIMITER.join((self.base_text, *self.lesson_blocks))
+
 
 def render_prompt(prompt: PromptState) -> str:
-    """Base text followed by lesson blocks, oldest first, delimiter-joined."""
-    return LESSON_DELIMITER.join((prompt.base_text, *prompt.lesson_blocks))
+    """The prompt text an executor reads (see ``PromptState.rendered``)."""
+    return prompt.rendered
 
 
 class Decision(enum.Enum):

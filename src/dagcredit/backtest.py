@@ -17,6 +17,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -26,9 +27,10 @@ from .agents import (
     MarketFeatures,
     TradeDecision,
     build_system,
+    render_prompt,
     system_runner,
 )
-from .coalitions import Coalition, enumerate_viable
+from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, load_graph_file, load_prompts_dir
 from .graph import WorkflowGraph, reference_graph
 from .optimizer import (
@@ -105,7 +107,7 @@ class MarketSeries:
     def __len__(self) -> int:
         return len(self.bars)
 
-    @property
+    @cached_property
     def days(self) -> tuple[date, ...]:
         return tuple(b.day for b in self.bars)
 
@@ -389,14 +391,13 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 
 @dataclass
 class WindowGame:
-    """One window's coalition games plus the raw material for history records."""
+    """One window's coalition games plus the grand coalition's actions and
+    rewards on each decision day."""
 
-    day_indices: list[int]
     values_dag: dict[int, float] | None
     counters_dag: CostCounters | None
     values_exact: dict[int, float] | None
     counters_exact: CostCounters | None
-    day_outputs: list[dict[int, Any]]
     grand_actions: list[dict[int, Any]]
     rewards: list[float]
 
@@ -427,7 +428,6 @@ def evaluate_window(
         raise WindowTooShort("need at least three days for a two-return window game")
     decision_days = list(day_indices[:-1])
     step_returns = [market.step_return(i) for i in decision_days]
-    full = graph.full_mask
     sharpe_by_positions: dict[tuple[int, ...], float] = {}
 
     def coalition_sharpe(decisions: Sequence[Any]) -> float:
@@ -439,20 +439,15 @@ def evaluate_window(
 
     values_dag = counters_dag = None
     values_exact = counters_exact = None
-    day_outputs: list[dict[int, Any]] = []
     grand_actions: list[dict[int, Any]] = []
 
     if engine in ("dag", "both"):
         counters_dag = CostCounters()
+        day_outputs: list[dict[int, Any]] = []
         for i in decision_days:
             run = layered_run(graph, viable, run_agent, features.for_day(i))
             day_outputs.append(run.sink_outputs)
-            grand_actions.append(
-                {
-                    a: run.cache[(a, full & graph.prefix_masks[graph.layer_of[a]])]
-                    for a in range(graph.n)
-                }
-            )
+            grand_actions.append(run.grand_outputs)
             counters_dag = counters_dag.merged(run.counters)
         values_dag = {
             mask: coalition_sharpe([outputs[mask] for outputs in day_outputs])
@@ -462,6 +457,7 @@ def evaluate_window(
 
     if engine in ("exact", "both"):
         counters_exact = CostCounters()
+        full = graph.full_mask
         exact_day_outputs: list[dict[int, Any]] = []
         exact_grand: list[dict[int, Any]] = []
         for i in decision_days:
@@ -479,11 +475,8 @@ def evaluate_window(
             for mask in range(1 << graph.n)
         }
         counters_exact.coalition_evaluations = 1 << graph.n
-        if not grand_actions:
+        if engine == "exact":
             grand_actions = exact_grand
-            day_outputs = [
-                {mask: outputs[mask] for mask in viable} for outputs in exact_day_outputs
-            ]
 
     rewards = [
         decision_to_position(grand[graph.sink]) * r
@@ -491,12 +484,10 @@ def evaluate_window(
     ]
 
     return WindowGame(
-        day_indices=list(day_indices),
         values_dag=values_dag,
         counters_dag=counters_dag,
         values_exact=values_exact,
         counters_exact=counters_exact,
-        day_outputs=day_outputs,
         grand_actions=grand_actions,
         rewards=rewards,
     )
@@ -613,17 +604,23 @@ def _agent_pass(
     specs: dict[int, AgentSpec],
     config: RunConfig,
     optimize: bool,
-) -> tuple[list[WindowReport], list[CycleRecord], list[HistoryRecord], dict[int, AgentSpec], dict[tuple[str, int], str]]:
-    from .agents import render_prompt
+) -> tuple[list[WindowReport], list[CycleRecord], list[HistoryRecord], dict[tuple[str, int], str]]:
+    """Run the agent system over every window and report each one.
 
+    With ``optimize`` every window ends in a tuning cycle, which reads the
+    history records; only then are the cycles, the history and the prompt
+    lineage built, and they come back empty otherwise.
+    """
     reports: list[WindowReport] = []
     cycles: list[CycleRecord] = []
     history: list[HistoryRecord] = []
-    lineage: dict[tuple[str, int], str] = {
-        (spec.name, spec.prompt.version): render_prompt(spec.prompt)
-        for spec in specs.values()
-    }
-    viable_names = [",".join(Coalition(mask).names(graph)) for mask in viable]
+    lineage: dict[tuple[str, int], str] = {}
+    if optimize:
+        lineage = {
+            (spec.name, spec.prompt.version): render_prompt(spec.prompt)
+            for spec in specs.values()
+        }
+    viable_names = [coalition_names(graph, mask) for mask in viable]
     for w_index, day_idx in enumerate(windows):
         runner = system_runner(specs)
         game = evaluate_window(
@@ -637,19 +634,20 @@ def _agent_pass(
             engine=config.engine,
         )
         decision_dates = [market.days[i] for i in day_idx[:-1]]
-        for k, day in enumerate(decision_dates):
-            reward = game.rewards[k]
-            state = f"{market.symbol}:{day.isoformat()}"
-            for a in range(graph.n):
-                history.append(
-                    HistoryRecord(
-                        day=day,
-                        agent=a,
-                        state=state,
-                        action=describe_output(game.grand_actions[k][a]),
-                        reward=reward,
+        if optimize:
+            for k, day in enumerate(decision_dates):
+                reward = game.rewards[k]
+                state = f"{market.symbol}:{day.isoformat()}"
+                for a in range(graph.n):
+                    history.append(
+                        HistoryRecord(
+                            day=day,
+                            agent=a,
+                            state=state,
+                            action=describe_output(game.grand_actions[k][a]),
+                            reward=reward,
+                        )
                     )
-                )
 
         exact_diff = None
         if config.engine == "exact":
@@ -699,7 +697,7 @@ def _agent_pass(
                 lineage[(specs[target].name, specs[target].prompt.version)] = (
                     render_prompt(specs[target].prompt)
                 )
-    return reports, cycles, history, specs, lineage
+    return reports, cycles, history, lineage
 
 
 def run_backtest(config: RunConfig) -> BacktestResult:
@@ -718,10 +716,10 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
     specs0 = build_system(graph, config.seed, base_prompts=base_prompts)
 
-    tuned_reports, cycles, history, _, lineage = _agent_pass(
+    tuned_reports, cycles, history, lineage = _agent_pass(
         graph, viable, market, features, windows, dict(specs0), config, optimize=True
     )
-    frozen_reports, _, _, _, _ = _agent_pass(
+    frozen_reports, _, _, _ = _agent_pass(
         graph, viable, market, features, windows, dict(specs0), config, optimize=False
     )
 

@@ -26,7 +26,7 @@ from .agents import (
     signed_decision_value,
     system_runner,
 )
-from .coalitions import Coalition, GraphTooLarge, InvalidCoalition, enumerate_viable
+from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, load_config, load_graph_file, merge_flags
 from .graph import GraphValidationError, reference_graph
 from .optimizer import ReflectorError, WindowTooShort
@@ -145,7 +145,7 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     viable = enumerate_viable(graph)
     total = 1 << graph.n
-    lines = [",".join(Coalition(mask).names(graph)) for mask in viable]
+    lines = [coalition_names(graph, mask) for mask in viable]
     summary = (
         f"{len(viable)}/{total} viable ({100.0 * (1.0 - len(viable) / total):.1f}% pruned)"
     )

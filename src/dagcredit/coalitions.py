@@ -4,14 +4,14 @@ A coalition is a subset of agents, stored as a bitmask over agent indices.
 Only viable coalitions (trader present, at least one source, and a source
 connected to the trader within the induced subgraph) can produce a trading
 decision; everything else is assigned value zero by definition, so the
-attribution engine never needs to execute it. The engine works on plain
-``int`` masks; :class:`Coalition` wraps one for membership tests and names.
+attribution engine never needs to execute it. Bit ``i`` of a mask is agent
+``i``; plain ``int`` masks are the only coalition type.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .graph import WorkflowGraph
 
@@ -26,69 +26,9 @@ class InvalidCoalition(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Coalition:
-    """Immutable agent subset. Equality, hashing and ordering use the bitmask."""
-
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise InvalidCoalition("coalition mask must be non-negative")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if i < 0:
-                raise InvalidCoalition(f"negative agent index {i}")
-            mask |= 1 << i
-        return cls(mask)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1)
-
-    @classmethod
-    def empty(cls) -> "Coalition":
-        return cls(0)
-
-    def __contains__(self, index: int) -> bool:
-        return index >= 0 and (self.mask >> index) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def add(self, index: int) -> "Coalition":
-        return Coalition(self.mask | (1 << index))
-
-    def without(self, index: int) -> "Coalition":
-        return Coalition(self.mask & ~(1 << index))
-
-    def __or__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask | other.mask)
-
-    def __and__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask & other.mask)
-
-    def issubset(self, other: "Coalition") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def names(self, graph: WorkflowGraph) -> list[str]:
-        return [graph.names[i] for i in self]
-
-    def __repr__(self) -> str:
-        return f"Coalition({bin(self.mask)})"
+def coalition_names(graph: WorkflowGraph, mask: int) -> str:
+    """The members' names, comma-joined in ascending agent index order."""
+    return ",".join(a.name for a in graph.agents if (mask >> a.index) & 1)
 
 
 @dataclass(frozen=True)
@@ -104,18 +44,20 @@ class ViabilityReport:
         return self.has_trader and self.has_source and self.connected
 
 
-def check_viability(graph: WorkflowGraph, coalition: Coalition) -> ViabilityReport:
-    """Evaluate the three conditions a coalition needs to produce a decision.
+def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
+    """Evaluate the three conditions a coalition (given by mask) needs to
+    produce a decision.
 
     Connectivity asks for at least one source inside the coalition with a
     path to the sink through coalition members only. The empty coalition
-    fails all three conditions.
+    fails all three conditions. A negative mask, or one with bits beyond
+    the graph's agents, raises InvalidCoalition.
     """
-    mask = coalition.mask
     if mask >> graph.n:
-        raise InvalidCoalition("coalition references agents outside the graph")
-    has_trader = graph.sink in coalition
-    has_source = any(s in coalition for s in graph.sources)
+        # Non-zero for a negative mask too: the shift keeps the sign.
+        raise InvalidCoalition(f"mask {mask} is not a coalition of {graph.n} agents")
+    has_trader = (mask >> graph.sink) & 1 == 1
+    has_source = any((mask >> s) & 1 for s in graph.sources)
     connected = has_trader and has_source and _sink_reached(
         graph, [(mask >> a) & 1 for a in range(graph.n)]
     ) == 1

@@ -2,12 +2,13 @@
 
 A run is described by a flat JSON object; command-line flags override file
 values field by field. Graph definitions are JSON too: layers of agent names,
-name-pair edges, and optional per-layer mandatory flags.
+name-pair edges, and an optional roster of agent names.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,14 @@ class RunConfig:
     rf_daily: float = 0.0
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            # Annotations are strings here (postponed evaluation), such as
+            # "int" or "str | None"; a value must match one of the parts.
+            kinds = f.type.split(" | ")
+            value = getattr(self, f.name)
+            if not any(_IS_KIND[kind](value) for kind in kinds):
+                expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.regime not in REGIMES:
@@ -56,6 +65,22 @@ class RunConfig:
             raise ConfigError("market_csv and features_csv must be given together")
         return self
 
+
+def _is_int(value) -> bool:
+    # A bool is an int to Python, but never a count, a seed or a number here.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON files may hold NaN and Infinity, which no real-valued field can use.
+_IS_KIND = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+_KIND_NAMES = {
+    "int": "an integer", "float": "a finite number", "str": "a string", "None": "null",
+}
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -90,8 +115,8 @@ def load_graph_file(path: str | Path) -> WorkflowGraph:
     """Build a workflow graph from its JSON description.
 
     Expected keys: ``layers`` (list of lists of agent names), ``edges``
-    (list of [from, to] name pairs), optional ``mandatory`` (list of bool
-    per layer) and optional ``agents`` roster to check the partition against.
+    (list of [from, to] name pairs) and optional ``agents`` roster to check
+    the partition against.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -99,22 +124,20 @@ def load_graph_file(path: str | Path) -> WorkflowGraph:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: graph definition must be a JSON object")
-    unknown = sorted(set(raw) - {"layers", "edges", "mandatory", "agents"})
+    unknown = sorted(set(raw) - {"layers", "edges", "agents"})
     if unknown:
         raise ConfigError(f"{path}: unknown graph keys {unknown}")
     if "layers" not in raw or "edges" not in raw:
         raise ConfigError(f"{path}: graph definition needs 'layers' and 'edges'")
     layers, edges = raw["layers"], raw["edges"]
-    mandatory, agents = raw.get("mandatory"), raw.get("agents")
+    agents = raw.get("agents")
     if not _list_of(layers, _names):
         raise ConfigError(f"{path}: layers must be a list of lists of agent names")
     if not _list_of(edges, lambda e: _names(e) and len(e) == 2):
         raise ConfigError(f"{path}: edges must be [from, to] pairs of agent names")
-    if mandatory is not None and not _list_of(mandatory, lambda f: isinstance(f, bool)):
-        raise ConfigError(f"{path}: mandatory must be a list of true/false flags")
     if agents is not None and not _names(agents):
         raise ConfigError(f"{path}: agents must be a list of agent names")
-    return build_graph(layers, [tuple(e) for e in edges], mandatory, agents=agents)
+    return build_graph(layers, [tuple(e) for e in edges], agents=agents)
 
 
 def _list_of(value, item_ok) -> bool:

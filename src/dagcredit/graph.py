@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .coalitions import Coalition
+from typing import Iterable, Sequence
 
 
 class GraphValidationError(Exception):
@@ -65,7 +62,6 @@ class WorkflowGraph:
     agents: tuple[Agent, ...]
     edges: frozenset[tuple[int, int]]
     layers: tuple[tuple[int, ...], ...]
-    mandatory: tuple[bool, ...]
     layer_of: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
@@ -97,7 +93,6 @@ class WorkflowGraph:
 def build_graph(
     layers: Sequence[Sequence[str]],
     edges: Iterable[tuple[str, str]],
-    mandatory: Sequence[bool] | None = None,
     *,
     agents: Sequence[str] | None = None,
 ) -> WorkflowGraph:
@@ -105,9 +100,8 @@ def build_graph(
 
     Agent indices are assigned densely in layer declaration order. When
     ``agents`` is given it must list exactly the names appearing in ``layers``
-    (an external roster to check the partition against). ``mandatory`` gives
-    one flag per layer, defaulting to all True; it only affects cost
-    prediction, not validation.
+    (an external roster to check the partition against). Which layers a
+    viable coalition may leave empty follows from the edges alone.
 
     Raises:
         LayerPartitionInvalid: empty layers, duplicate names, or a roster
@@ -173,13 +167,6 @@ def build_graph(
     if not sources:
         raise NoSource("graph has no agent with in-degree zero")
 
-    if mandatory is None:
-        flags = tuple(True for _ in layers)
-    else:
-        if len(mandatory) != len(layers):
-            raise LayerPartitionInvalid("one mandatory flag required per layer")
-        flags = tuple(bool(f) for f in mandatory)
-
     layer_masks = []
     prefix_masks = []
     prefix = 0
@@ -195,7 +182,6 @@ def build_graph(
         agents=tuple(Agent(i, name) for i, name in enumerate(names)),
         edges=frozenset(edge_idx),
         layers=tuple(layer_tuples),
-        mandatory=flags,
         layer_of=tuple(layer_of),
         preds=tuple(tuple(sorted(p)) for p in preds),
         succs=tuple(tuple(sorted(s)) for s in succs),
@@ -228,18 +214,16 @@ def _toposort(n: int, edges: set[tuple[int, int]]) -> list[int]:
     return order
 
 
-def topological_order(graph: WorkflowGraph) -> list[int]:
-    """Deterministic topological order, ties broken by agent index ascending."""
-    return list(graph.order)
-
-
-def path_exists(graph: WorkflowGraph, coalition: "Coalition", src: int, dst: int) -> bool:
-    """Whether ``dst`` is reachable from ``src`` inside the induced subgraph.
+def path_exists(graph: WorkflowGraph, mask: int, src: int, dst: int) -> bool:
+    """Whether ``dst`` is reachable from ``src`` inside the subgraph induced
+    by the coalition ``mask``.
 
     Both endpoints must be coalition members. ``src == dst`` counts as
     reachable (empty path).
     """
-    if src not in coalition or dst not in coalition:
+    # A negative mask is no coalition, and a negative index must not reach
+    # a shift (it would raise a bare ValueError).
+    if min(mask, src, dst) < 0 or not (mask >> src) & (mask >> dst) & 1:
         raise EndpointNotInCoalition("both endpoints must be coalition members")
     if src == dst:
         return True
@@ -250,7 +234,7 @@ def path_exists(graph: WorkflowGraph, coalition: "Coalition", src: int, dst: int
         for w in graph.succs[u]:
             if w == dst:
                 return True
-            if w in coalition and w not in seen:
+            if (mask >> w) & 1 and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return False
@@ -260,11 +244,10 @@ def reference_graph() -> WorkflowGraph:
     """The seven-agent trading workflow used throughout the tests and CLI.
 
     Three analyst sources feed three outlook aggregators which feed a single
-    trader sink; both inter-layer stages are fully connected and every layer
-    is mandatory for a working system.
+    trader sink; both inter-layer stages are fully connected.
     """
     analysts = ["NAA", "TAA", "FAA"]
     outlooks = ["BOA", "BeOA", "NOA"]
     edges = [(a, o) for a in analysts for o in outlooks]
     edges += [(o, "TRA") for o in outlooks]
-    return build_graph([analysts, outlooks, ["TRA"]], edges, mandatory=[True, True, True])
+    return build_graph([analysts, outlooks, ["TRA"]], edges)

@@ -175,12 +175,15 @@ class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
     ``cache`` maps (agent, upstream configuration mask) to the agent's output;
-    ``sink_outputs`` maps each viable coalition's mask to its sink output.
+    ``sink_outputs`` maps each viable coalition's mask to its sink output;
+    ``grand_outputs`` maps each agent to its output in the grand coalition,
+    and is empty when the grand coalition is not among the viable masks.
     """
 
     cache: dict[tuple[int, int], Any]
     sink_outputs: dict[int, Any]
     counters: CostCounters
+    grand_outputs: dict[int, Any]
 
 
 def layered_run(
@@ -254,8 +257,14 @@ def layered_run(
     sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
     sink_outputs = {mask: cache[(sink, mask & sink_prefix)] for mask in viable}
     reads += len(viable)
+    full = graph.full_mask
+    grand_outputs = (
+        {a: cache[(a, full & graph.prefix_masks[graph.layer_of[a]])] for a in range(graph.n)}
+        if full in sink_outputs
+        else {}
+    )
     counters = CostCounters(agent_executions=len(cache), cache_hits=reads)
-    return LayeredRunResult(cache, sink_outputs, counters)
+    return LayeredRunResult(cache, sink_outputs, counters, grand_outputs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
 
 
-def layered_graph(sizes, mandatory=None):
+def layered_graph(sizes):
     """Fully connected layered graph with generic names (L0A0, L0A1, ...)."""
     layers = [[f"L{i}A{j}" for j in range(size)] for i, size in enumerate(sizes)]
     edges = []
@@ -16,7 +16,7 @@ def layered_graph(sizes, mandatory=None):
         for src in upper:
             for dst in lower:
                 edges.append((src, dst))
-    return build_graph(layers, edges, mandatory=mandatory)
+    return build_graph(layers, edges)
 
 
 FEATURES = MarketFeatures(

@@ -34,7 +34,7 @@ from dagcredit.backtest import (
     _window_report_text,
 )
 from dagcredit.cli import main
-from dagcredit.coalitions import Coalition, enumerate_viable
+from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import (
@@ -260,7 +260,7 @@ def test_criterion_8_information_flow_enforcement():
 
     legal = set()
     for mask in viable:
-        for agent in Coalition(mask):
+        for agent in (a for a in range(g.n) if mask >> a & 1):
             cfg = mask & g.prefix_masks[g.layer_of[agent]]
             legal.add((agent, frozenset(p for p in g.preds[agent] if cfg >> p & 1)))
 
@@ -278,12 +278,12 @@ def test_criterion_8_information_flow_enforcement():
         for day in day_indices[:-1]:
             for mask in range(1 << g.n):
                 recorder.sink = replay_calls
-                coalition = Coalition(mask)
+                coalition = {a for a in range(g.n) if mask >> a & 1}
                 before = len(replay_calls)
                 result = replay_coalition(g, mask, recorder, view.for_day(day))
                 invoked = {agent for agent, _ in replay_calls[before:]}
-                assert invoked <= set(coalition)
-                assert set(result.outputs) <= set(coalition)
+                assert invoked <= coalition
+                assert set(result.outputs) <= coalition
 
     assert set(memo_calls) <= legal
     for agent, upstream in replay_calls:

@@ -1,5 +1,7 @@
 """Deterministic mock executors, prompt rendering, and information-flow rules."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,35 @@ def as_upstream(values):
 def test_render_prompt_joins_blocks_in_order():
     prompt = PromptState("base", ("first", "second"), version=3)
     assert render_prompt(prompt) == f"base{LESSON_DELIMITER}first{LESSON_DELIMITER}second"
+
+
+def test_each_prompt_state_renders_once():
+    """Agents read one rendered text per prompt state; the outputs are the
+    same as from a freshly joined prompt."""
+    g = reference_graph()
+    specs = build_system(g, seed=42)
+    upstream_by_layer = [
+        {},
+        as_upstream([0.5, -0.2, 0.3]),
+        {3: OutlookScore(0.6), 4: OutlookScore(-0.1), 5: OutlookScore(0.2)},
+    ]
+    for spec in specs.values():
+        blocks = (f"{DAMP_TOKEN} lesson", f"{BOOST_TOKEN} {BOOST_TOKEN} lesson")
+        prompt = PromptState(spec.prompt.base_text, blocks, version=3)
+        first = render_prompt(prompt)
+        assert render_prompt(prompt) is first
+        fresh = LESSON_DELIMITER.join((prompt.base_text, *blocks))
+        assert first == fresh and first is not fresh
+
+        tuned = dataclasses.replace(spec, prompt=prompt)
+        upstream = upstream_by_layer[g.layer_of[spec.index]]
+        external = FEATURES if spec.is_source else None
+        outputs = [execute_agent(tuned, upstream, external) for _ in range(3)]
+        assert outputs == [spec.executor(fresh, upstream, external)] * 3
+
+    # A new state (one more lesson) renders its own text.
+    grown = dataclasses.replace(prompt, lesson_blocks=(*blocks, "third"))
+    assert render_prompt(grown) == f"{first}{LESSON_DELIMITER}third"
 
 
 def test_prompt_defaults():

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit import backtest
-from dagcredit.agents import Decision, TradeDecision, build_system, system_runner
+from dagcredit.agents import (
+    DAMP_TOKEN,
+    DEFAULT_BASE_PROMPTS,
+    Decision,
+    Role,
+    TradeDecision,
+    build_system,
+    system_runner,
+)
 from dagcredit.backtest import (
     STRATEGY_BUY_HOLD,
     STRATEGY_FROZEN,
@@ -40,6 +48,7 @@ from dagcredit.backtest import (
     _window_report_text,
 )
 from dagcredit.coalitions import enumerate_viable
+from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import replay_coalition
@@ -536,3 +545,51 @@ def test_backtest_csv_inputs(tmp_path):
     result = run_backtest(config)
     assert result.market.symbol == "FILE"
     assert len(result.windows) == 2
+
+
+# ---------------------------------------------------------------------------
+# base prompts from a directory
+
+
+def test_prompts_dir_base_prompt_starts_the_lineage(tmp_path):
+    prompts = tmp_path / "prompts_in"
+    prompts.mkdir()
+    write(prompts, "NAA.txt", "Read the news closely.\n")
+    out = tmp_path / "out"
+    run_backtest(
+        RunConfig(seed=78, days=15, prompts_dir=str(prompts), out_dir=str(out)).validate()
+    )
+    assert (out / "prompts" / "NAA_v1.txt").read_text(encoding="utf-8") == (
+        "Read the news closely."
+    )
+
+
+def test_prompts_dir_calibration_token_changes_that_agents_outputs(tmp_path):
+    prompts = tmp_path / "prompts_in"
+    prompts.mkdir()
+    # The built-in text plus one token, so the token is the only difference.
+    write(prompts, "NAA.txt", f"{DEFAULT_BASE_PROMPTS[Role.NEWS_ANALYST]} {DAMP_TOKEN}")
+    plain = run_backtest(RunConfig(seed=78, days=15).validate())
+    damped = run_backtest(RunConfig(seed=78, days=15, prompts_dir=str(prompts)).validate())
+
+    def first_window_actions(result, name):
+        agent = result.graph.index_of(name)
+        days = set(result.windows[0].decision_days)
+        return [r.action for r in result.history if r.agent == agent and r.day in days]
+
+    # Before any tuning cycle, only the damped agent's outputs move; the
+    # other sources read the same data with the same prompts.
+    assert first_window_actions(damped, "NAA") != first_window_actions(plain, "NAA")
+    for name in ("TAA", "FAA"):
+        assert first_window_actions(damped, name) == first_window_actions(plain, name)
+
+
+def test_prompts_dir_must_be_a_directory(capsys, tmp_path):
+    not_a_dir = write(tmp_path, "NAA.txt", "base")
+    config = write(
+        tmp_path, "run.json", json.dumps({"days": 15, "prompts_dir": str(not_a_dir)})
+    )
+    assert main(["backtest", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not a directory" in captured.err

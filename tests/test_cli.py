@@ -100,6 +100,16 @@ def test_validate_rejects_malformed_graph_file(capsys, tmp_path, payload):
     assert err.startswith("error:")
 
 
+def test_validate_rejects_mandatory_graph_key(capsys, tmp_path):
+    """Graph files declare no per-layer flags: the edges alone decide which
+    layers a viable coalition may leave empty."""
+    payload = {"layers": [["a"], ["t"]], "edges": [["a", "t"]], "mandatory": [True, True]}
+    code, out, err = run(capsys, "validate", graph_file(tmp_path, payload))
+    assert code == 1
+    assert out == ""
+    assert "unknown graph keys ['mandatory']" in err
+
+
 def test_validate_missing_file_is_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 2
@@ -263,6 +273,36 @@ def test_backtest_rejects_unknown_config_key(capsys, tmp_path):
         code, out, err = run(capsys, "backtest", "--config", str(path))
         assert code == 1
         assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"days": 20.5},
+        {"window_len": 5.0},
+        {"lesson_cap": 2.5},
+        {"lesson_cap": True},
+        {"threshold": "x"},
+        {"seed": "abc"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"signal_strength": "0.5"},
+        {"rf_daily": None},
+        {"rf_daily": float("nan")},
+        {"threshold": float("inf")},
+        {"symbol": None},
+        {"out_dir": 3},
+        {"prompts_dir": ["p"]},
+    ],
+    ids=lambda payload: ",".join(f"{k}={v!r}" for k, v in payload.items()),
+)
+def test_backtest_rejects_config_values_of_the_wrong_type(capsys, tmp_path, payload):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "backtest", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_backtest_missing_config_file_is_io_error(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Coalition bitmask arithmetic, viability checks, and pruning counts."""
+"""Coalition masks, viability checks, and pruning counts."""
 
 from pathlib import Path
 
@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.coalitions import (
-    Coalition,
     GraphTooLarge,
     InvalidCoalition,
     check_viability,
+    coalition_names,
     enumerate_viable,
 )
 from dagcredit.config import load_graph_file
@@ -19,55 +19,35 @@ from dagcredit.graph import build_graph, path_exists, reference_graph
 from conftest import layered_graph
 
 
-def test_coalition_construction_and_iteration():
-    c = Coalition.of([4, 0, 2])
-    assert c.mask == 0b10101
-    assert list(c) == [0, 2, 4]
-    assert len(c) == 3
-    assert 2 in c
-    assert 1 not in c
-
-
-def test_coalition_full_and_empty():
-    assert Coalition.full(3).mask == 0b111
-    assert Coalition.empty().mask == 0
-    assert not Coalition.empty()
-    assert Coalition.full(1)
-
-
 def test_coalition_rejects_negative_mask():
-    with pytest.raises(InvalidCoalition):
-        Coalition(-1)
-
-
-def test_coalition_set_operations():
-    a = Coalition.of([0, 1])
-    b = Coalition.of([1, 2])
-    assert (a | b) == Coalition.of([0, 1, 2])
-    assert (a & b) == Coalition.of([1])
-    assert a.add(2) == Coalition.of([0, 1, 2])
-    assert a.without(0) == Coalition.of([1])
-    assert a.issubset(Coalition.of([0, 1, 2]))
-    assert not Coalition.of([0, 3]).issubset(a)
-
-
-def test_coalition_names_and_repr():
     g = reference_graph()
-    c = Coalition.of([0, 4, 6])
-    assert c.names(g) == ["NAA", "BeOA", "TRA"]
-    assert repr(c) == "Coalition(0b1010001)"
+    for mask in (-1, -(1 << g.n), ~0b1001001):
+        with pytest.raises(InvalidCoalition):
+            check_viability(g, mask)
+
+
+def test_coalition_names_follow_index_order():
+    g = reference_graph()
+    assert coalition_names(g, 0b1010001) == "NAA,BeOA,TRA"
+    assert coalition_names(g, g.full_mask) == ",".join(g.names)
+    assert coalition_names(g, 0) == ""
+    # Index order (the order the layers declare the agents in), not
+    # alphabetical order.
+    skip = build_graph([["b", "a"], ["t"]], [("b", "t"), ("a", "t")])
+    assert skip.names == ("b", "a", "t")
+    assert coalition_names(skip, 0b111) == "b,a,t"
 
 
 def test_viability_requires_trader():
     g = reference_graph()
-    report = check_viability(g, Coalition.of([0, 3]))
+    report = check_viability(g, 0b0001001)  # NAA, BOA
     assert not report.has_trader
     assert not report.viable
 
 
 def test_viability_requires_source():
     g = reference_graph()
-    report = check_viability(g, Coalition.of([3, 6]))
+    report = check_viability(g, 0b1001000)  # BOA, TRA
     assert report.has_trader
     assert not report.has_source
     assert not report.viable
@@ -75,7 +55,7 @@ def test_viability_requires_source():
 
 def test_viability_requires_connecting_path():
     g = reference_graph()
-    report = check_viability(g, Coalition.of([0, 6]))
+    report = check_viability(g, 0b1000001)  # NAA, TRA
     assert report.has_trader and report.has_source
     assert not report.connected
     assert not report.viable
@@ -83,20 +63,20 @@ def test_viability_requires_connecting_path():
 
 def test_minimal_viable_coalition():
     g = reference_graph()
-    report = check_viability(g, Coalition.of([0, 3, 6]))
+    report = check_viability(g, 0b1001001)  # NAA, BOA, TRA
     assert report.viable
 
 
 def test_empty_coalition_fails_everything():
     g = reference_graph()
-    report = check_viability(g, Coalition.empty())
+    report = check_viability(g, 0)
     assert not (report.has_trader or report.has_source or report.connected)
 
 
 def test_viability_rejects_out_of_range_mask():
     g = reference_graph()
     with pytest.raises(InvalidCoalition):
-        check_viability(g, Coalition(1 << g.n))
+        check_viability(g, 1 << g.n)
 
 
 def test_reference_pruning_counts():
@@ -111,14 +91,14 @@ def test_enumerate_viable_is_sorted_and_consistent():
     assert masks == sorted(masks)
     assert len(set(masks)) == len(masks)
     for mask in masks:
-        assert check_viability(g, Coalition(mask)).viable
+        assert check_viability(g, mask).viable
 
 
 def test_enumeration_matches_per_coalition_checks():
     g = reference_graph()
     viable_masks = set(enumerate_viable(g))
     for mask in range(1 << g.n):
-        assert (mask in viable_masks) == check_viability(g, Coalition(mask)).viable
+        assert (mask in viable_masks) == check_viability(g, mask).viable
 
 
 @st.composite
@@ -139,17 +119,14 @@ def skip_layered_graphs(draw):
 @given(skip_layered_graphs())
 @settings(max_examples=60, deadline=None)
 def test_enumeration_equals_per_mask_check_on_skip_graphs(g):
-    by_check = [m for m in range(1 << g.n) if check_viability(g, Coalition(m)).viable]
+    by_check = [m for m in range(1 << g.n) if check_viability(g, m).viable]
     assert enumerate_viable(g) == by_check
     # The same set from a search over paths: a member source with a path to
     # the sink through members.
     by_paths = [
         m for m in range(1 << g.n)
-        if g.sink in Coalition(m)
-        and any(
-            s in Coalition(m) and path_exists(g, Coalition(m), s, g.sink)
-            for s in g.sources
-        )
+        if m >> g.sink & 1
+        and any(m >> s & 1 and path_exists(g, m, s, g.sink) for s in g.sources)
     ]
     assert by_check == by_paths
 
@@ -184,7 +161,7 @@ def test_enumeration_rejects_oversized_graphs():
 @given(st.integers(min_value=0, max_value=127))
 def test_viability_flags_agree_with_viable_property(mask):
     g = reference_graph()
-    report = check_viability(g, Coalition(mask))
+    report = check_viability(g, mask)
     assert report.viable == (
         report.has_trader and report.has_source and report.connected
     )
@@ -194,9 +171,8 @@ def test_viability_flags_agree_with_viable_property(mask):
 def test_adding_members_never_breaks_viability(members):
     """Viability is monotone: growing a viable coalition keeps it viable."""
     g = reference_graph()
-    c = Coalition.of(members)
-    if check_viability(g, c).viable:
-        grown = c | Coalition.full(g.n)
-        assert check_viability(g, grown).viable
+    mask = sum(1 << i for i in members)
+    if check_viability(g, mask).viable:
+        assert check_viability(g, g.full_mask).viable
         for extra in range(g.n):
-            assert check_viability(g, c.add(extra)).viable
+            assert check_viability(g, mask | 1 << extra).viable

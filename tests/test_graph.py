@@ -3,7 +3,6 @@
 import pytest
 
 from dagcredit import graph as graph_module
-from dagcredit.coalitions import Coalition
 from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
     CrossLayerViolation,
@@ -14,7 +13,6 @@ from dagcredit.graph import (
     build_graph,
     path_exists,
     reference_graph,
-    topological_order,
 )
 
 from conftest import layered_graph
@@ -96,7 +94,7 @@ def test_skip_layer_edges_are_legal():
 
 def test_topological_order_respects_edges_and_breaks_ties_by_index():
     g = reference_graph()
-    order = topological_order(g)
+    order = list(g.order)
     position = {agent: k for k, agent in enumerate(order)}
     for src, dst in g.edges:
         assert position[src] < position[dst]
@@ -104,15 +102,14 @@ def test_topological_order_respects_edges_and_breaks_ties_by_index():
 
 
 def test_topological_order_is_computed_once_per_graph(monkeypatch):
-    """Replay and ``topological_order`` read the order that ``build_graph``
-    kept from its cycle check, instead of sorting the edges again."""
+    """Replay reads the order that ``build_graph`` kept from its cycle
+    check, instead of sorting the edges again."""
     g = reference_graph()
 
     def no_sort(*args):
         raise AssertionError("topological sort re-run")
 
     monkeypatch.setattr(graph_module, "_toposort", no_sort)
-    assert topological_order(g) == list(g.order)
     replay = replay_coalition(g, g.full_mask, lambda agent, upstream, data: agent, "data")
     assert list(replay.outputs) == list(g.order)
 
@@ -126,26 +123,31 @@ def test_information_set_is_direct_predecessors_inside_coalition():
         seen[agent] = set(upstream)
         return agent
 
-    replay_coalition(g, Coalition.of([0, 3, 6]).mask, recorder, external="data")
+    replay_coalition(g, 0b1001001, recorder, external="data")  # agents 0, 3, 6
     assert seen == {0: set(), 3: {0}, 6: {3}}
 
 
 def test_path_exists_through_members_only():
     g = reference_graph()
-    assert path_exists(g, Coalition.of([0, 3, 6]), 0, 6)
-    assert not path_exists(g, Coalition.of([0, 6]), 0, 6)
-    assert path_exists(g, Coalition.of([2, 2 + 3, 6]), 2, 6)
+    assert path_exists(g, 0b1001001, 0, 6)  # agents 0, 3, 6
+    assert not path_exists(g, 0b1000001, 0, 6)  # agents 0, 6
+    assert path_exists(g, 0b1100100, 2, 6)  # agents 2, 5, 6
 
 
 def test_path_exists_same_endpoint():
     g = reference_graph()
-    assert path_exists(g, Coalition.of([4]), 4, 4)
+    assert path_exists(g, 1 << 4, 4, 4)
 
 
 def test_path_exists_requires_endpoints_in_coalition():
     g = reference_graph()
     with pytest.raises(EndpointNotInCoalition):
-        path_exists(g, Coalition.of([3, 6]), 0, 6)
+        path_exists(g, 0b1001000, 0, 6)  # agents 3, 6
+    # A negative index or mask names no member; neither reaches a shift.
+    with pytest.raises(EndpointNotInCoalition):
+        path_exists(g, g.full_mask, -1, 6)
+    with pytest.raises(EndpointNotInCoalition):
+        path_exists(g, -1, 0, 6)
 
 
 def test_layered_helper_builds_expected_shapes():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.agents import build_system, signed_decision_value, system_runner
-from dagcredit.coalitions import Coalition, enumerate_viable
+from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import (
     CostCounters,
@@ -89,9 +89,9 @@ def permutation_shapley(n, game):
     for order in itertools.permutations(range(n)):
         mask = 0
         for agent in order:
-            before = game(Coalition(mask))
+            before = game(mask)
             mask |= 1 << agent
-            totals[agent] += Fraction(game(Coalition(mask))) - Fraction(before)
+            totals[agent] += Fraction(game(mask)) - Fraction(before)
         count += 1
     return [t / count for t in totals]
 
@@ -102,7 +102,7 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     table = {0: Fraction(0)}
     for mask in range(1, 1 << n):
         table[mask] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-    oracle = permutation_shapley(n, lambda c: table[c.mask])
+    oracle = permutation_shapley(n, table.__getitem__)
     result = shapley_exact(table, n, CostCounters(), exact_arith=True)
     assert list(result.values) == [float(v) for v in oracle]
     floats = shapley_exact({m: float(v) for m, v in table.items()}, n, CostCounters())
@@ -290,8 +290,8 @@ def test_dag_engine_rejects_oversized_graph():
 def test_upstream_configuration_masks():
     """A layer's memo key is the coalition's membership in earlier layers."""
     g = reference_graph()
-    c = Coalition.of([0, 2, 4, 6])
-    assert [c.mask & g.prefix_masks[layer] for layer in range(3)] == [
+    mask = 0b1010101  # agents 0, 2, 4 and 6
+    assert [mask & g.prefix_masks[layer] for layer in range(3)] == [
         0, 0b101, 0b10101,
     ]
 
@@ -312,6 +312,17 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     # 84 across its 49 configurations, plus 49 sink-output reads = 169.
     assert run.counters.cache_hits == 169
     assert len(run.sink_outputs) == 49
+
+
+def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable, ref_runner):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+    replay = replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, FEATURES)
+    assert run.grand_outputs == replay.outputs
+    assert list(run.grand_outputs) == list(range(ref_graph.n))
+    # Without the grand coalition among the masks there is nothing to report.
+    assert ref_viable[-1] == ref_graph.full_mask
+    partial = layered_run(ref_graph, ref_viable[:-1], ref_runner, FEATURES)
+    assert partial.grand_outputs == {}
 
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
@@ -360,7 +371,7 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
     layered_run(ref_graph, ref_viable, recorder, FEATURES)
     legal = set()
     for mask in ref_viable:
-        for agent in Coalition(mask):
+        for agent in (a for a in range(ref_graph.n) if mask >> a & 1):
             cfg = mask & ref_graph.prefix_masks[ref_graph.layer_of[agent]]
             legal.add((agent, frozenset(p for p in ref_graph.preds[agent] if cfg >> p & 1)))
     assert set(seen) <= legal
