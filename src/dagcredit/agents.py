@@ -139,16 +139,25 @@ class MarketFeatures:
     closes: tuple[float, ...]
 
 
+_SIGN = {Decision.BUY: 1.0, Decision.SELL: -1.0, Decision.HOLD: 0.0}
+
+
 def signed_decision_value(output: Any) -> float:
     """Map a sink output to a real value: direction times confidence."""
     if not isinstance(output, TradeDecision):
         return 0.0
-    sign = {Decision.BUY: 1.0, Decision.SELL: -1.0, Decision.HOLD: 0.0}[output.action]
-    return sign * output.confidence
+    return _SIGN[output.action] * output.confidence
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return max(lo, min(hi, x))
+
+
+@functools.lru_cache(maxsize=256)
+def _calibration_shift(prompt: str) -> float:
+    # Rendered prompts are few and each is read by every call of its agent,
+    # so the tokens of each are counted once.
+    return SENSITIVITY_STEP * (prompt.count(BOOST_TOKEN) - prompt.count(DAMP_TOKEN))
 
 
 def _hash_unit(key: str) -> float:
@@ -174,8 +183,7 @@ class MockExecutor:
         Damp tokens lower it and boost tokens raise it, one step each,
         clamped to [0, 1].
         """
-        shift = SENSITIVITY_STEP * (prompt.count(BOOST_TOKEN) - prompt.count(DAMP_TOKEN))
-        return _clamp(self.base_sensitivity + shift, 0.0, 1.0)
+        return _clamp(self.base_sensitivity + _calibration_shift(prompt), 0.0, 1.0)
 
     def gain(self, prompt: str) -> float:
         """Responsiveness factor: sensitivity 0.5 is unit gain, 1.0 doubles."""

@@ -2,9 +2,10 @@
 
 One entry point with five subcommands: ``validate`` and ``coalitions``
 inspect a workflow graph, ``shapley`` compares attribution engines on a
-seeded fixture, ``cost`` predicts memoized execution counts from layer sizes,
-and ``backtest`` runs the full windowed experiment. Identical invocations
-with the same config and seed print and write byte-identical output.
+seeded fixture, ``cost`` counts memoized executions on a graph without
+running agents, and ``backtest`` runs the full windowed experiment.
+Identical invocations with the same config and seed print and write
+byte-identical output.
 
 Exit codes: 0 success, 1 validation or config error, 2 I/O error, 3 runtime
 failure.
@@ -96,12 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=cmd_shapley)
 
-    p = subs.add_parser("cost", help="predict memoized execution counts")
-    p.add_argument("layers", help="comma-separated layer sizes, e.g. 3,3,1")
-    p.add_argument(
-        "--mandatory",
-        help="comma-separated 0/1 flags per layer (default: all 1)",
-    )
+    p = subs.add_parser("cost", help="count memoized executions without running agents")
+    p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
     p.set_defaults(func=cmd_cost)
 
     p = subs.add_parser("backtest", help="run the windowed trading experiment")
@@ -204,23 +201,13 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(x) for x in args.layers.split(",") if x != ""]
-    except ValueError:
-        raise ConfigError(f"bad layer sizes {args.layers!r}") from None
-    flags = None
-    if args.mandatory is not None:
-        parts = [x.strip() for x in args.mandatory.split(",") if x != ""]
-        if any(x not in ("0", "1") for x in parts):
-            raise ConfigError(f"bad mandatory flags {args.mandatory!r}: use 0 or 1")
-        flags = [x == "1" for x in parts]
-    predicted = predicted_cost(sizes, flags)
-    n = sum(sizes)
-    evals, execs = classical_cost(n)
-    print(f"layer sizes: {sizes}  mandatory: {flags if flags is not None else [True] * len(sizes)}")
-    for i, (size, configs) in enumerate(zip(sizes, predicted.unique_configs)):
-        print(f"  layer {i}: size {size}, upstream configs {configs}, executions {configs * size}")
-    print(f"viable coalitions: {predicted.viable_coalitions} of {1 << n}")
+    graph = _load_graph(args.graph)
+    predicted = predicted_cost(graph)
+    evals, execs = classical_cost(graph.n)
+    print(f"layer sizes: {[len(layer) for layer in graph.layers]}")
+    for i, (layer, count) in enumerate(zip(graph.layers, predicted.layer_executions)):
+        print(f"  layer {i}: size {len(layer)}, executions {count}")
+    print(f"viable coalitions: {predicted.viable_coalitions} of {1 << graph.n}")
     print(f"memoized executions: {predicted.total_executions}")
     print(f"classical: evaluations {evals}, executions {execs}")
     print(f"execution reduction: {100.0 * (1.0 - predicted.total_executions / execs):.1f}%")

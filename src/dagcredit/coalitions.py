@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .graph import WorkflowGraph
 
+# The power-set limit: enumeration and aggregation both refuse larger graphs.
 MAX_AGENTS = 24
 
 

@@ -9,20 +9,22 @@ contributions with the same routine:
 * ``shapley_dag`` takes a table over the viable coalitions only; every other
   subset cannot trade and is worth zero by the game definition.
 
-Tables for the pruned engine come from ``layered_run``: agents in one layer
-are keyed by the exact upstream membership they see, so every distinct
-(agent, upstream configuration) pair runs once per episode.
+Tables for the pruned engine come from ``layered_run``. An agent in a
+coalition is fed only by its predecessors inside the coalition, so its output
+depends only on its live key: the coalition members with a path to it inside
+the coalition. Every distinct (agent, live key) pair runs once per episode,
+and ``predicted_cost`` counts those pairs without running an agent.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
+from .coalitions import MAX_AGENTS, enumerate_viable
 from .graph import WorkflowGraph
-
-MAX_EXACT_AGENTS = 24
 
 # An agent runner: (agent index, upstream outputs by agent index, external
 # data or None) -> opaque output. Engines pass external data to source
@@ -146,8 +148,8 @@ def shapley_exact(
     """
     if n <= 0:
         raise InvalidSize("need at least one agent")
-    if n > MAX_EXACT_AGENTS:
-        raise TooManyAgents(f"{n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
+    if n > MAX_AGENTS:
+        raise TooManyAgents(f"{n} agents exceeds the limit of {MAX_AGENTS}")
     phi = _phi_from_values(n, values, exact_arith)
     return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
@@ -162,8 +164,8 @@ def shapley_dag(
     ``counters`` is the work spent filling the table; the result reports it
     with ``coalition_evaluations`` set to the table size.
     """
-    if graph.n > MAX_EXACT_AGENTS:
-        raise TooManyAgents(f"{graph.n} agents exceeds the limit of {MAX_EXACT_AGENTS}")
+    if graph.n > MAX_AGENTS:
+        raise TooManyAgents(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
     phi = _phi_from_values(graph.n, values, False)
     return AttributionResult(
         tuple(phi), replace(counters, coalition_evaluations=len(values))
@@ -174,16 +176,79 @@ def shapley_dag(
 class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
-    ``cache`` maps (agent, upstream configuration mask) to the agent's output;
-    ``sink_outputs`` maps each viable coalition's mask to its sink output;
-    ``grand_outputs`` maps each agent to its output in the grand coalition,
-    and is empty when the grand coalition is not among the viable masks.
+    ``cache`` maps (agent, live key) to the agent's output, one entry per
+    execution; ``sink_outputs`` maps each viable coalition's mask to its sink
+    output; ``grand_outputs`` maps each agent to its output in the grand
+    coalition, and is empty when the grand coalition is not among the viable
+    masks.
     """
 
-    cache: dict[tuple[int, int], Any]
+    cache: Mapping[tuple[int, int], Any]
     sink_outputs: dict[int, Any]
     counters: CostCounters
     grand_outputs: dict[int, Any]
+
+
+class _OutputsByKey(Mapping[tuple[int, int], Any]):
+    """(agent, live key) -> output over the per-agent output dicts, without
+    copying them into a second index."""
+
+    def __init__(self, outputs: list[dict[int, Any]]):
+        self._outputs = outputs
+
+    def __getitem__(self, item: tuple[int, int]) -> Any:
+        agent, key = item
+        if not 0 <= agent < len(self._outputs):
+            raise KeyError(item)
+        return self._outputs[agent][key]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for agent, done in enumerate(self._outputs):
+            for key in done:
+                yield agent, key
+
+    def __len__(self) -> int:
+        return sum(map(len, self._outputs))
+
+
+def _pred_keys(graph: WorkflowGraph) -> list[list[tuple[int, int, int]]]:
+    # Per agent, its direct predecessors as (index, bit, mask of the layers
+    # before the predecessor's).
+    return [
+        [(p, 1 << p, graph.prefix_masks[graph.layer_of[p]]) for p in graph.preds[a]]
+        for a in range(graph.n)
+    ]
+
+
+def _live_keys(graph: WorkflowGraph, viable: Sequence[int]) -> list[dict[int, int]]:
+    """Per agent, its live key under each upstream configuration it meets.
+
+    An agent's upstream configuration in a coalition is the coalition's
+    membership in the layers before the agent's; every distinct one among
+    the viable masks that hold the agent is a key of the agent's dict. The
+    live key is the set of the configuration's members with a path to the
+    agent inside the coalition: the union, over the predecessors p in the
+    configuration, of p's bit and p's live key under the configuration
+    masked to the layers before p's. Mask arithmetic only: no agent runs.
+    """
+    live: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    pred_keys = _pred_keys(graph)
+    for li, layer in enumerate(graph.layers):
+        prefix = graph.prefix_masks[li]
+        # Coalitions that agree on this layer and the ones before it give the
+        # same configurations, so each distinct membership pattern is looked
+        # at once.
+        patterns = {mask & (prefix | graph.layer_masks[li]) for mask in viable}
+        for agent in layer:
+            bit = 1 << agent
+            keys = live[agent]
+            for cfg in {pattern & prefix for pattern in patterns if pattern & bit}:
+                key = 0
+                for p, p_bit, p_prefix in pred_keys[agent]:
+                    if cfg & p_bit:
+                        key |= p_bit | live[p][cfg & p_prefix]
+                keys[cfg] = key
+    return live
 
 
 def layered_run(
@@ -197,72 +262,74 @@ def layered_run(
     """Execute every viable coalition (given by mask) for one episode with
     layer-wise sharing.
 
-    Layer by layer, each agent runs exactly once under every distinct upstream
-    configuration (the members of earlier layers) of a viable coalition that
-    holds it, and the output is cached under (agent, configuration). Inputs
-    to an agent are the cached outputs of its direct predecessors inside the
-    configuration; external data goes to source agents only. Per-coalition
-    sink outputs are then read straight from the cache, keyed by mask.
-    ``cache_hits`` counts every cache read.
+    An agent's output in a coalition depends only on the outputs of its
+    predecessors inside the coalition, so only on the members with a path
+    to it inside the coalition: its live key. Layer by layer, each agent runs
+    exactly once per distinct live key among the viable coalitions that hold
+    it, and the output is kept under that key. Inputs to an agent are the
+    kept outputs of its direct predecessors inside the live key; external
+    data goes to source agents only. Per-coalition sink outputs are then
+    read through the sink's live key, keyed by mask. ``cache_hits`` counts
+    every read of a kept output.
 
     ``verify_determinism`` re-executes the last task of the episode and raises
     NonDeterminismDetected on a mismatch.
     """
-    cache: dict[tuple[int, int], Any] = {}
+    live = _live_keys(graph, viable)
+    outputs: list[dict[int, Any]] = [{} for _ in range(graph.n)]
     reads = 0
-    last_task: tuple[int, int] | None = None
-    # Per agent, its direct predecessors as (index, bit, mask of the layers
-    # before the predecessor's): a predecessor inside a configuration is read
-    # under its own upstream membership, the configuration & that mask.
-    upstream_keys = [
-        [(p, 1 << p, graph.prefix_masks[graph.layer_of[p]]) for p in graph.preds[a]]
-        for a in range(graph.n)
-    ]
+    last_task: tuple[int, int, int] | None = None
+    pred_keys = _pred_keys(graph)
     inputs = [external if a in graph.sources else None for a in range(graph.n)]
 
     def upstream_of(agent: int, cfg: int) -> dict[int, Any]:
+        # Any configuration with the live key gives the same inputs: the
+        # predecessors in it, each under its own live key.
         return {
-            p: cache[(p, cfg & prefix)]
-            for p, bit, prefix in upstream_keys[agent]
+            p: outputs[p][live[p][cfg & prefix]]
+            for p, bit, prefix in pred_keys[agent]
             if cfg & bit
         }
 
-    for li, layer in enumerate(graph.layers):
-        prefix = graph.prefix_masks[li]
-        # Coalitions that agree on this layer and the ones before it give the
-        # same tasks, so each distinct membership pattern is looked at once.
-        patterns = {mask & (prefix | graph.layer_masks[li]) for mask in viable}
+    for layer in graph.layers:
         for agent in layer:
-            bit = 1 << agent
-            for cfg in sorted({key & prefix for key in patterns if key & bit}):
-                upstream = upstream_of(agent, cfg)
+            # One configuration per live key to read the inputs through.
+            tasks = {key: cfg for cfg, key in live[agent].items()}
+            done = outputs[agent]
+            for key in sorted(tasks):
+                upstream = upstream_of(agent, tasks[key])
                 reads += len(upstream)
                 try:
-                    cache[(agent, cfg)] = run_agent(agent, upstream, inputs[agent])
+                    done[key] = run_agent(agent, upstream, inputs[agent])
                 except Exception as exc:
                     raise ExecutorFailure(
-                        f"agent {graph.names[agent]} failed under config {bin(cfg)}"
+                        f"agent {graph.names[agent]} failed under live key {bin(key)}"
                     ) from exc
-                last_task = (agent, cfg)
+                last_task = (agent, key, tasks[key])
 
     if verify_determinism and last_task is not None:
-        agent, cfg = last_task
+        agent, key, cfg = last_task
         upstream = upstream_of(agent, cfg)
         reads += len(upstream) + 1
-        if run_agent(agent, upstream, inputs[agent]) != cache[last_task]:
+        if run_agent(agent, upstream, inputs[agent]) != outputs[agent][key]:
             raise NonDeterminismDetected(
-                f"agent {graph.names[agent]} is not deterministic under config {bin(cfg)}"
+                f"agent {graph.names[agent]} is not deterministic under live key {bin(key)}"
             )
 
     sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
-    sink_outputs = {mask: cache[(sink, mask & sink_prefix)] for mask in viable}
+    sink_live, sink_done = live[sink], outputs[sink]
+    sink_outputs = {mask: sink_done[sink_live[mask & sink_prefix]] for mask in viable}
     reads += len(viable)
     full = graph.full_mask
     grand_outputs = (
-        {a: cache[(a, full & graph.prefix_masks[graph.layer_of[a]])] for a in range(graph.n)}
+        {
+            a: outputs[a][live[a][full & graph.prefix_masks[graph.layer_of[a]]]]
+            for a in range(graph.n)
+        }
         if full in sink_outputs
         else {}
     )
+    cache = _OutputsByKey(outputs)
     counters = CostCounters(agent_executions=len(cache), cache_hits=reads)
     return LayeredRunResult(cache, sink_outputs, counters, grand_outputs)
 
@@ -301,41 +368,28 @@ def replay_coalition(
 
 @dataclass(frozen=True)
 class PredictedCost:
-    """Closed-form execution counts for a fully connected layered graph."""
+    """Memoized execution counts of one episode on a graph."""
 
-    unique_configs: tuple[int, ...]
+    layer_executions: tuple[int, ...]
     total_executions: int
     viable_coalitions: int
 
 
-def predicted_cost(
-    layer_sizes: Sequence[int], mandatory: Sequence[bool] | None = None
-) -> PredictedCost:
-    """Predict memoized execution counts from layer sizes alone.
+def predicted_cost(graph: WorkflowGraph) -> PredictedCost:
+    """Count the executions ``layered_run`` makes in one episode on ``graph``
+    without running any agent.
 
-    For each layer the number of distinct upstream configurations is the
-    product over earlier layers of (2**size - 1 if the layer is mandatory
-    else 2**size); total executions add size * configs per layer. Matches the
-    measured counter of ``layered_run`` on fully connected layered graphs.
+    Each layer's count is the number of distinct live keys of its agents
+    over the viable coalitions, from the same routine ``layered_run`` keys
+    its executions by, so the prediction equals the measured counter on any
+    valid graph.
     """
-    if not layer_sizes or any(s < 1 for s in layer_sizes):
-        raise InvalidSize("layer sizes must be positive")
-    if mandatory is None:
-        mandatory = [True] * len(layer_sizes)
-    if len(mandatory) != len(layer_sizes):
-        raise InvalidSize("one mandatory flag per layer")
-    configs = []
-    total = 0
-    for i, size in enumerate(layer_sizes):
-        u = 1
-        for j in range(i):
-            u *= (1 << layer_sizes[j]) - (1 if mandatory[j] else 0)
-        configs.append(u)
-        total += u * size
-    viable = 1
-    for size, flag in zip(layer_sizes, mandatory):
-        viable *= (1 << size) - (1 if flag else 0)
-    return PredictedCost(tuple(configs), total, viable)
+    viable = enumerate_viable(graph)
+    live = _live_keys(graph, viable)
+    per_layer = tuple(
+        sum(len(set(live[agent].values())) for agent in layer) for layer in graph.layers
+    )
+    return PredictedCost(per_layer, sum(per_layer), len(viable))
 
 
 def classical_cost(n: int) -> tuple[int, int]:

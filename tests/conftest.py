@@ -1,6 +1,7 @@
 """Shared fixtures: the reference workflow, generic layered graphs, market data."""
 
 import pytest
+from hypothesis import strategies as st
 
 from dagcredit.agents import MarketFeatures, build_system, system_runner
 from dagcredit.backtest import synthesize_market
@@ -17,6 +18,21 @@ def layered_graph(sizes):
             for dst in lower:
                 edges.append((src, dst))
     return build_graph(layers, edges)
+
+
+@st.composite
+def skip_layered_graphs(draw):
+    """Layered graphs of up to ten agents whose edges may skip layers; a
+    middle-layer agent without predecessors is a source too."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)) + [1]
+    layers = [[f"L{i}N{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    edges = set()
+    for i, layer in enumerate(layers[:-1]):
+        later = [name for down in layers[i + 1:] for name in down]
+        for name in layer:
+            targets = draw(st.sets(st.sampled_from(later), min_size=1, max_size=3))
+            edges.update((name, dst) for dst in targets)
+    return build_graph(layers, sorted(edges))
 
 
 FEATURES = MarketFeatures(

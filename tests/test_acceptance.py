@@ -49,7 +49,7 @@ from dagcredit.shapley import (
 )
 
 from conftest import FEATURES, layered_graph
-from test_shapley import random_layered
+from test_shapley import closed_form_cost, random_layered
 
 
 def report(criterion, elapsed, budget, detail):
@@ -157,9 +157,10 @@ def test_criterion_5_predicted_vs_measured_cost():
         viable = enumerate_viable(g)
         runner = system_runner(build_system(g, seed=9))
         run = layered_run(g, viable, runner, FEATURES)
-        predicted = predicted_cost(sizes)
+        predicted = predicted_cost(g)
         assert run.counters.agent_executions == predicted.total_executions
         assert len(viable) == predicted.viable_coalitions
+        assert predicted.layer_executions == closed_form_cost(sizes)[0]
         measured[tuple(sizes)] = run.counters.agent_executions
     assert measured[(2, 2, 1)] == 17
     assert measured[(4, 2, 1)] == 79

@@ -9,6 +9,8 @@ from dagcredit import backtest as bt
 from dagcredit.agents import MissingExternalData
 from dagcredit.cli import main
 
+from test_golden import SPARSE_SKIP_GRAPH
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -30,9 +32,11 @@ def graph_file(tmp_path, payload, name="graph.json"):
     "argv",
     [
         *(["validate", flag, "1"] for flag in ("--config", "--out", "--seed")),
+        # `cost 3,3,1 ...` also keeps the retired layer-size positional rejected.
         *(["cost", "3,3,1", flag, "1"] for flag in ("--config", "--out", "--seed")),
+        *(["cost", flag, "1"] for flag in ("--config", "--out", "--seed", "--mandatory")),
         *([*cmd, "--parallel", "2"] for cmd in (
-            ["validate"], ["coalitions"], ["shapley"], ["cost", "3,3,1"], ["backtest"],
+            ["validate"], ["coalitions"], ["shapley"], ["cost", "3,3,1"], ["cost"], ["backtest"],
         )),
     ],
     ids=" ".join,
@@ -170,42 +174,53 @@ def test_shapley_is_deterministic(capsys):
 
 
 def test_cost_reference_topology(capsys):
-    code, out, err = run(capsys, "cost", "3,3,1")
+    code, out, err = run(capsys, "cost")
     assert code == 0
+    assert "  layer 1: size 3, executions 21" in out
     assert "viable coalitions: 49 of 128" in out
     assert "memoized executions: 73" in out
     assert "classical: evaluations 128, executions 448" in out
     assert "execution reduction: 83.7%" in out
 
 
-def test_cost_small_topology(capsys):
-    code, out, err = run(capsys, "cost", "2,2,1")
+def test_cost_small_topology(capsys, tmp_path):
+    layers = [["a", "b"], ["c", "d"], ["t"]]
+    edges = [[u, v] for u in "ab" for v in "cd"] + [["c", "t"], ["d", "t"]]
+    code, out, err = run(capsys, "cost", "--graph", graph_file(tmp_path, {"layers": layers, "edges": edges}))
     assert code == 0
     assert "memoized executions: 17" in out
     assert "viable coalitions: 9 of 32" in out
 
 
-def test_cost_optional_layers(capsys):
-    code, out, err = run(capsys, "cost", "2,2,1", "--mandatory", "1,0,1")
+def test_cost_counts_live_keys_on_a_graph_file_without_running_agents(capsys, tmp_path, monkeypatch):
+    def no_agent(*args):
+        raise AssertionError("an agent ran")
+
+    monkeypatch.setattr("dagcredit.agents.execute_agent", no_agent)
+    code, out, err = run(capsys, "cost", "--graph", graph_file(tmp_path, SPARSE_SKIP_GRAPH))
     assert code == 0
-    assert "memoized executions:" in out
+    assert out.splitlines() == [
+        "layer sizes: [3, 2, 1]",
+        "  layer 0: size 3, executions 3",
+        "  layer 1: size 2, executions 6",
+        "  layer 2: size 1, executions 18",
+        "viable coalitions: 24 of 64",
+        "memoized executions: 27",
+        "classical: evaluations 64, executions 192",
+        "execution reduction: 85.9%",
+    ]
 
 
-@pytest.mark.parametrize("flags", ["1,2,1", "1,true,1", "1,-1,1"])
-def test_cost_rejects_mandatory_flags_other_than_0_and_1(capsys, flags):
-    code, out, err = run(capsys, "cost", "3,3,1", "--mandatory", flags)
+def test_cost_rejects_bad_layer_list(capsys, tmp_path):
+    payload = {"layers": ["AB", ["T"]], "edges": [["A", "T"], ["B", "T"]]}
+    code, out, err = run(capsys, "cost", "--graph", graph_file(tmp_path, payload))
     assert code == 1
     assert err.startswith("error:")
 
 
-def test_cost_rejects_bad_layer_list(capsys):
-    code, out, err = run(capsys, "cost", "3,x,1")
-    assert code == 1
-    assert err.startswith("error:")
-
-
-def test_cost_rejects_zero_layer(capsys):
-    code, out, err = run(capsys, "cost", "3,0,1")
+def test_cost_rejects_zero_layer(capsys, tmp_path):
+    payload = {"layers": [["A"], [], ["T"]], "edges": [["A", "T"]]}
+    code, out, err = run(capsys, "cost", "--graph", graph_file(tmp_path, payload))
     assert code == 1
 
 

@@ -16,7 +16,7 @@ from dagcredit.coalitions import (
 from dagcredit.config import load_graph_file
 from dagcredit.graph import build_graph, path_exists, reference_graph
 
-from conftest import layered_graph
+from conftest import layered_graph, skip_layered_graphs
 
 
 def test_coalition_rejects_negative_mask():
@@ -99,21 +99,6 @@ def test_enumeration_matches_per_coalition_checks():
     viable_masks = set(enumerate_viable(g))
     for mask in range(1 << g.n):
         assert (mask in viable_masks) == check_viability(g, mask).viable
-
-
-@st.composite
-def skip_layered_graphs(draw):
-    """Layered graphs of up to ten agents whose edges may skip layers; a
-    middle-layer agent without predecessors is a source too."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)) + [1]
-    layers = [[f"L{i}N{j}" for j in range(size)] for i, size in enumerate(sizes)]
-    edges = set()
-    for i, layer in enumerate(layers[:-1]):
-        later = [name for down in layers[i + 1:] for name in down]
-        for name in layer:
-            targets = draw(st.sets(st.sampled_from(later), min_size=1, max_size=3))
-            edges.update((name, dst) for dst in targets)
-    return build_graph(layers, sorted(edges))
 
 
 @given(skip_layered_graphs())

@@ -4,14 +4,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.agents import build_system, signed_decision_value, system_runner
-from dagcredit.coalitions import enumerate_viable
-from dagcredit.graph import build_graph, reference_graph
+from dagcredit.coalitions import GraphTooLarge, enumerate_viable
+from dagcredit.config import load_graph_file
+from dagcredit.graph import build_graph, path_exists, reference_graph
 from dagcredit.shapley import (
     CostCounters,
     ExecutorFailure,
@@ -29,7 +31,8 @@ from dagcredit.shapley import (
     shapley_weight,
 )
 
-from conftest import FEATURES, layered_graph
+from conftest import FEATURES, layered_graph, skip_layered_graphs
+from test_golden import SPARSE_SKIP_GRAPH
 
 
 def memo_table(graph, viable, runner):
@@ -288,7 +291,8 @@ def test_dag_engine_rejects_oversized_graph():
 
 
 def test_upstream_configuration_masks():
-    """A layer's memo key is the coalition's membership in earlier layers."""
+    """An agent's upstream configuration is the coalition's membership in
+    earlier layers."""
     g = reference_graph()
     mask = 0b1010101  # agents 0, 2, 4 and 6
     assert [mask & g.prefix_masks[layer] for layer in range(3)] == [
@@ -402,11 +406,25 @@ def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner)
 # cost model
 
 
+def closed_form_cost(sizes):
+    """Per-layer executions, total and viable count of a fully connected
+    layered graph, from layer sizes alone: every layer must be non-empty, so
+    a layer meets the product over earlier layers of (2**size - 1) upstream
+    configurations, and each is its agents' live key."""
+    configs, viable = [], 1
+    for size in sizes:
+        configs.append(viable)
+        viable *= (1 << size) - 1
+    per_layer = tuple(c * size for c, size in zip(configs, sizes))
+    return per_layer, sum(per_layer), viable
+
+
 def test_predicted_cost_reference_values():
-    cost = predicted_cost([3, 3, 1])
-    assert cost.unique_configs == (1, 7, 49)
+    cost = predicted_cost(reference_graph())
+    assert cost.layer_executions == (3, 21, 49)
     assert cost.total_executions == 73
     assert cost.viable_coalitions == 49
+    assert closed_form_cost([3, 3, 1]) == ((3, 21, 49), 73, 49)
 
 
 @pytest.mark.parametrize(
@@ -420,30 +438,34 @@ def test_predicted_cost_reference_values():
     ],
 )
 def test_predicted_cost_small_topologies(sizes, configs, total, viable):
-    cost = predicted_cost(sizes)
-    assert cost.unique_configs == configs
+    per_layer = tuple(c * size for c, size in zip(configs, sizes))
+    assert closed_form_cost(sizes) == (per_layer, total, viable)
+    cost = predicted_cost(layered_graph(sizes))
+    assert cost.layer_executions == per_layer
     assert cost.total_executions == total
     assert cost.viable_coalitions == viable
 
 
 def test_predicted_cost_rejects_bad_shapes():
-    with pytest.raises(InvalidSize):
-        predicted_cost([])
-    with pytest.raises(InvalidSize):
-        predicted_cost([3, 0, 1])
-    with pytest.raises(InvalidSize):
-        predicted_cost([2, 1], mandatory=[True])
+    # Counting enumerates every subset, so it has the power-set limit.
+    layers = [[f"s{i}"] for i in range(24)] + [["t"]]
+    edges = [(f"s{i}", f"s{i+1}") for i in range(23)] + [("s23", "t")]
+    with pytest.raises(GraphTooLarge):
+        predicted_cost(build_graph(layers, edges))
 
 
 def test_predicted_cost_matches_measured_counter():
-    for sizes in ([2, 2, 1], [3, 3, 1]):
+    for sizes in ([2, 2, 1], [3, 3, 1], [2, 3, 2, 1]):
         g = layered_graph(sizes)
         viable = enumerate_viable(g)
         runner = system_runner(build_system(g, seed=5))
         run = layered_run(g, viable, runner, FEATURES)
-        cost = predicted_cost(sizes)
+        cost = predicted_cost(g)
         assert run.counters.agent_executions == cost.total_executions
         assert len(viable) == cost.viable_coalitions
+        assert (cost.layer_executions, cost.total_executions, cost.viable_coalitions) == (
+            closed_form_cost(sizes)
+        )
 
 
 def test_classical_cost_values():
@@ -455,10 +477,87 @@ def test_classical_cost_values():
 
 
 def test_reference_execution_reduction_fraction():
-    memoized = predicted_cost([3, 3, 1]).total_executions
+    memoized = predicted_cost(reference_graph()).total_executions
     _, classical = classical_cost(7)
     reduction = 1 - memoized / classical
     assert abs(reduction - 0.837) < 0.0005
+
+
+# ---------------------------------------------------------------------------
+# live keys
+
+
+def live_sets(graph, viable, agent):
+    """The distinct live sets of an agent over the viable coalitions that
+    hold it, by path search: the members of earlier layers with a path to
+    the agent inside the coalition."""
+    prefix = graph.prefix_masks[graph.layer_of[agent]]
+    return {
+        frozenset(
+            p for p in range(graph.n)
+            if (mask & prefix) >> p & 1 and path_exists(graph, mask, p, agent)
+        )
+        for mask in viable
+        if mask >> agent & 1
+    }
+
+
+def counting(runner):
+    calls = []
+
+    def run(agent, upstream, external):
+        calls.append(agent)
+        return runner(agent, upstream, external)
+
+    return run, calls
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=40, deadline=None)
+def test_each_agent_runs_once_per_live_set(g):
+    viable = enumerate_viable(g)
+    runner, calls = counting(system_runner(build_system(g, seed=5)))
+    run = layered_run(g, viable, runner, FEATURES)
+    cost = predicted_cost(g)
+    assert len(calls) == run.counters.agent_executions == len(run.cache) == cost.total_executions
+    oracle = {a: live_sets(g, viable, a) for a in range(g.n)}
+    for a in range(g.n):
+        assert calls.count(a) == len(oracle[a])
+    assert set(run.cache) == {
+        (a, sum(1 << p for p in live)) for a in range(g.n) for live in oracle[a]
+    }
+    assert cost.layer_executions == tuple(
+        sum(calls.count(a) for a in layer) for layer in g.layers
+    )
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=40, deadline=None)
+def test_live_key_outputs_match_replay_and_exact_engine(g):
+    viable = enumerate_viable(g)
+    runner = system_runner(build_system(g, seed=11))
+    run = layered_run(g, viable, runner, FEATURES)
+    for mask in viable:
+        assert run.sink_outputs[mask] == replay_coalition(g, mask, runner, FEATURES).sink_output
+    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    dag = shapley_dag(g, values, run.counters)
+    replay_values, replay_counters = replay_table(g, runner)
+    exact = shapley_exact(replay_values, g.n, replay_counters)
+    assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
+
+
+@pytest.mark.parametrize("name,executions", [("reference", 73), ("sparse-skip", 27), ("wide", 104_820)])
+def test_executions_per_episode_are_pinned(name, executions):
+    if name == "reference":
+        g = reference_graph()
+    elif name == "sparse-skip":
+        g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    else:
+        g = load_graph_file(Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json")
+    runner, calls = counting(lambda agent, upstream, external: None)
+    run = layered_run(g, enumerate_viable(g), runner)
+    assert len(calls) == run.counters.agent_executions == len(run.cache) == executions
+    assert predicted_cost(g).total_executions == executions
 
 
 # ---------------------------------------------------------------------------
