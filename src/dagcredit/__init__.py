@@ -60,10 +60,12 @@ from .optimizer import (
 from .shapley import (
     AttributionResult,
     CostCounters,
+    ExecutionMemo,
     classical_cost,
     format_attribution,
     format_attribution_table,
     layered_run,
+    live_plan,
     predicted_cost,
     replay_coalition,
     shapley_dag,

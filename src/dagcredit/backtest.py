@@ -7,6 +7,12 @@ per-coalition window Sharpe defines the coalition game, Shapley contributions
 are computed, and at most one agent's prompt is updated for the next window.
 A frozen-prompt pass and three classic baselines run on exactly the same
 decision days for comparison.
+
+The two agent passes run window by window. Both passes of a window share one
+execution memo, so on each day the frozen pass calls an agent only where the
+agent or a member upstream of it in the coalition has a prompt the tuned pass
+had changed; the memo is dropped after the window, which keeps memory
+bounded by one window.
 """
 from __future__ import annotations
 
@@ -42,8 +48,11 @@ from .optimizer import (
 from .shapley import (
     AttributionResult,
     CostCounters,
+    ExecutionMemo,
+    LivePlan,
     format_attribution,
     layered_run,
+    live_plan,
     replay_coalition,
     shapley_dag,
     shapley_exact,
@@ -411,16 +420,22 @@ def evaluate_window(
     day_indices: Sequence[int],
     rf_daily: float = 0.0,
     engine: str = "dag",
+    *,
+    plan: LivePlan | None = None,
+    memo: ExecutionMemo | None = None,
+    prompts: Sequence[Any] | None = None,
 ) -> WindowGame:
     """Value every coalition's window Sharpe under the requested engine(s).
 
     The pruned engine runs one memoized episode per decision day over the
-    viable coalitions (given by mask); the exhaustive engine replays every
-    subset without sharing (the classical comparator). Both value a coalition
-    by the raw Sharpe of its next-day return series. That series is a
-    function of the coalition's positions on the decision days, so Sharpe
-    runs once per distinct position vector in the window, shared by both
-    engines.
+    viable coalitions (given by mask), with the tasks of ``plan`` (built when
+    not given) and, when ``memo`` is given, the outputs it kept from earlier
+    episodes under the agents' ``prompts`` (see ``layered_run``). The
+    exhaustive engine replays every subset without sharing (the classical
+    comparator). Both value a coalition by the raw Sharpe of its next-day
+    return series. That series is a function of the coalition's positions on
+    the decision days, so Sharpe runs once per distinct position vector in
+    the window, shared by both engines.
     """
     if engine not in ("dag", "exact", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -443,9 +458,14 @@ def evaluate_window(
 
     if engine in ("dag", "both"):
         counters_dag = CostCounters()
+        if plan is None:
+            plan = live_plan(graph, viable)
         day_outputs: list[dict[int, Any]] = []
         for i in decision_days:
-            run = layered_run(graph, viable, run_agent, features.for_day(i))
+            run = layered_run(
+                graph, viable, run_agent, features.for_day(i),
+                plan=plan, memo=memo, prompts=prompts,
+            )
             day_outputs.append(run.sink_outputs)
             grand_actions.append(run.grand_outputs)
             counters_dag = counters_dag.merged(run.counters)
@@ -595,60 +615,43 @@ def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> St
     )
 
 
-def _agent_pass(
-    graph: WorkflowGraph,
-    viable: Sequence[int],
-    market: MarketSeries,
-    features: FeatureView,
-    windows: Sequence[Sequence[int]],
-    specs: dict[int, AgentSpec],
-    config: RunConfig,
-    optimize: bool,
-) -> tuple[list[WindowReport], list[CycleRecord], list[HistoryRecord], dict[tuple[str, int], str]]:
-    """Run the agent system over every window and report each one.
+def run_backtest(config: RunConfig) -> BacktestResult:
+    """Execute the full experiment described by ``config``.
 
-    With ``optimize`` every window ends in a tuning cycle, which reads the
-    history records; only then are the cycles, the history and the prompt
-    lineage built, and they come back empty otherwise.
+    Two agent passes (tuned and frozen prompts) and three baselines are
+    evaluated on identical decision days. The passes run window by window,
+    sharing one execution memo per window. Every window of the tuned pass
+    ends in a tuning cycle, which reads the history records and may update
+    one prompt for the next window. Reports are written under
+    ``config.out_dir`` when set; the same config and seed always produce
+    byte-identical files.
     """
-    reports: list[WindowReport] = []
-    cycles: list[CycleRecord] = []
-    history: list[HistoryRecord] = []
-    lineage: dict[tuple[str, int], str] = {}
-    if optimize:
-        lineage = {
-            (spec.name, spec.prompt.version): render_prompt(spec.prompt)
-            for spec in specs.values()
-        }
+    graph = load_graph_file(config.graph_file) if config.graph_file else reference_graph()
+    market, features = load_inputs(config)
+    viable = enumerate_viable(graph)
+    plan = live_plan(graph, viable) if config.engine != "exact" else None
+    windows = day_windows(len(market), config.window_len)
     viable_names = [coalition_names(graph, mask) for mask in viable]
-    for w_index, day_idx in enumerate(windows):
-        runner = system_runner(specs)
+
+    base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
+    specs0 = build_system(graph, config.seed, base_prompts=base_prompts)
+
+    def attributed_window(
+        specs: dict[int, AgentSpec], memo: ExecutionMemo, w_index: int, day_idx: list[int]
+    ) -> tuple[WindowGame, WindowReport]:
         game = evaluate_window(
             graph,
             viable,
-            runner,
+            system_runner(specs),
             market,
             features,
             day_idx,
             rf_daily=config.rf_daily,
             engine=config.engine,
+            plan=plan,
+            memo=memo,
+            prompts=[specs[a].prompt for a in range(graph.n)],
         )
-        decision_dates = [market.days[i] for i in day_idx[:-1]]
-        if optimize:
-            for k, day in enumerate(decision_dates):
-                reward = game.rewards[k]
-                state = f"{market.symbol}:{day.isoformat()}"
-                for a in range(graph.n):
-                    history.append(
-                        HistoryRecord(
-                            day=day,
-                            agent=a,
-                            state=state,
-                            action=describe_output(game.grand_actions[k][a]),
-                            reward=reward,
-                        )
-                    )
-
         exact_diff = None
         if config.engine == "exact":
             attribution = shapley_exact(game.values_exact, graph.n, game.counters_exact)
@@ -663,65 +666,67 @@ def _agent_pass(
                 )
 
         values = game.values_dag if game.values_dag is not None else game.values_exact
-        coalition_values = tuple(
-            (names, values[mask]) for names, mask in zip(viable_names, viable)
+        report = WindowReport(
+            index=w_index,
+            start=market.days[day_idx[0]],
+            end=market.days[day_idx[-1]],
+            decision_days=tuple(market.days[i] for i in day_idx[:-1]),
+            returns=tuple(game.rewards),
+            window_sharpe=sharpe(game.rewards, config.rf_daily),
+            attribution=attribution,
+            coalition_values=tuple(
+                (names, values[mask]) for names, mask in zip(viable_names, viable)
+            ),
+            exact_diff=exact_diff,
         )
-        reports.append(
-            WindowReport(
-                index=w_index,
-                start=market.days[day_idx[0]],
-                end=market.days[day_idx[-1]],
-                decision_days=tuple(decision_dates),
-                returns=tuple(game.rewards),
-                window_sharpe=sharpe(game.rewards, config.rf_daily),
-                attribution=attribution,
-                coalition_values=coalition_values,
-                exact_diff=exact_diff,
-            )
-        )
+        return game, report
 
-        if optimize:
-            record, specs = run_cycle(
-                graph,
-                specs,
-                history,
-                decision_dates,
-                attribution,
-                cycle_index=w_index,
-                threshold=config.threshold,
-                lesson_cap=config.lesson_cap,
-            )
-            cycles.append(record)
-            if record.triggered:
-                target = record.bottleneck
-                lineage[(specs[target].name, specs[target].prompt.version)] = (
-                    render_prompt(specs[target].prompt)
+    specs = dict(specs0)
+    lineage = {
+        (spec.name, spec.prompt.version): render_prompt(spec.prompt)
+        for spec in specs.values()
+    }
+    tuned_reports: list[WindowReport] = []
+    frozen_reports: list[WindowReport] = []
+    cycles: list[CycleRecord] = []
+    history: list[HistoryRecord] = []
+    for w_index, day_idx in enumerate(windows):
+        memo = ExecutionMemo()
+        game, tuned = attributed_window(specs, memo, w_index, day_idx)
+        _, frozen = attributed_window(specs0, memo, w_index, day_idx)
+        tuned_reports.append(tuned)
+        frozen_reports.append(frozen)
+
+        decision_dates = list(tuned.decision_days)
+        for k, day in enumerate(decision_dates):
+            reward = game.rewards[k]
+            state = f"{market.symbol}:{day.isoformat()}"
+            for a in range(graph.n):
+                history.append(
+                    HistoryRecord(
+                        day=day,
+                        agent=a,
+                        state=state,
+                        action=describe_output(game.grand_actions[k][a]),
+                        reward=reward,
+                    )
                 )
-    return reports, cycles, history, lineage
-
-
-def run_backtest(config: RunConfig) -> BacktestResult:
-    """Execute the full experiment described by ``config``.
-
-    Two agent passes (tuned and frozen prompts) and three baselines are
-    evaluated on identical decision days. Reports are written under
-    ``config.out_dir`` when set; the same config and seed always produce
-    byte-identical files.
-    """
-    graph = load_graph_file(config.graph_file) if config.graph_file else reference_graph()
-    market, features = load_inputs(config)
-    viable = enumerate_viable(graph)
-    windows = day_windows(len(market), config.window_len)
-
-    base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
-    specs0 = build_system(graph, config.seed, base_prompts=base_prompts)
-
-    tuned_reports, cycles, history, lineage = _agent_pass(
-        graph, viable, market, features, windows, dict(specs0), config, optimize=True
-    )
-    frozen_reports, _, _, _ = _agent_pass(
-        graph, viable, market, features, windows, dict(specs0), config, optimize=False
-    )
+        record, specs = run_cycle(
+            graph,
+            specs,
+            history,
+            decision_dates,
+            tuned.attribution,
+            cycle_index=w_index,
+            threshold=config.threshold,
+            lesson_cap=config.lesson_cap,
+        )
+        cycles.append(record)
+        if record.triggered:
+            target = record.bottleneck
+            lineage[(specs[target].name, specs[target].prompt.version)] = (
+                render_prompt(specs[target].prompt)
+            )
 
     decision_days = [i for win in windows for i in win[:-1]]
     tuned_returns = [r for rep in tuned_reports for r in rep.returns]
@@ -788,6 +793,7 @@ def _cycle_record_json(graph: WorkflowGraph, record: CycleRecord) -> str:
         "cost": {
             "coalition_evaluations": record.attribution.counters.coalition_evaluations,
             "agent_executions": record.attribution.counters.agent_executions,
+            "executions_reused": record.attribution.counters.executions_reused,
             "cache_hits": record.attribution.counters.cache_hits,
         },
         "bottleneck": graph.names[record.bottleneck] if record.bottleneck is not None else None,

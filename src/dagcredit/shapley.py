@@ -12,13 +12,19 @@ contributions with the same routine:
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
 depends only on its live key: the coalition members with a path to it inside
-the coalition. Every distinct (agent, live key) pair runs once per episode,
-and ``predicted_cost`` counts those pairs without running an agent.
+the coalition. Every distinct (agent, live key) pair is one task per episode;
+``live_plan`` lists the tasks of a graph's viable masks once, and
+``predicted_cost`` counts them without running an agent. Given an
+``ExecutionMemo``, a task takes its output from an earlier episode on the
+same external data whose prompts were the same for its agent and live key,
+instead of running the agent again.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from array import array
+from bisect import bisect_left
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any
@@ -63,17 +69,24 @@ def shapley_weight(s: int, n: int) -> Fraction:
 
 @dataclass
 class CostCounters:
-    """Work performed while valuing a game."""
+    """Work performed while valuing a game.
+
+    ``agent_executions`` counts runner calls; ``executions_reused`` counts
+    the tasks that took their output from an earlier episode kept in an
+    ``ExecutionMemo`` instead of calling the runner.
+    """
 
     coalition_evaluations: int = 0
     agent_executions: int = 0
     cache_hits: int = 0
+    executions_reused: int = 0
 
     def merged(self, other: "CostCounters") -> "CostCounters":
         return CostCounters(
             self.coalition_evaluations + other.coalition_evaluations,
             self.agent_executions + other.agent_executions,
             self.cache_hits + other.cache_hits,
+            self.executions_reused + other.executions_reused,
         )
 
 
@@ -177,10 +190,10 @@ class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
     ``cache`` maps (agent, live key) to the agent's output, one entry per
-    execution; ``sink_outputs`` maps each viable coalition's mask to its sink
-    output; ``grand_outputs`` maps each agent to its output in the grand
-    coalition, and is empty when the grand coalition is not among the viable
-    masks.
+    task, whether it ran or came from the memo;
+    ``sink_outputs`` maps each viable coalition's mask to its sink output;
+    ``grand_outputs`` maps each agent to its output in the grand coalition,
+    and is empty when the grand coalition is not among the viable masks.
     """
 
     cache: Mapping[tuple[int, int], Any]
@@ -189,26 +202,103 @@ class LayeredRunResult:
     grand_outputs: dict[int, Any]
 
 
-class _OutputsByKey(Mapping[tuple[int, int], Any]):
-    """(agent, live key) -> output over the per-agent output dicts, without
-    copying them into a second index."""
+@dataclass(frozen=True)
+class LivePlan:
+    """The tasks of one episode on a graph's viable masks, from masks alone.
 
-    def __init__(self, outputs: list[dict[int, Any]]):
+    A task is an agent under one of its live keys. ``keys`` lists each
+    agent's live keys in increasing order, one task each. ``inputs`` gives,
+    per agent and per direct predecessor, the predecessor's task under each
+    of the agent's tasks, or -1 where the predecessor is outside it.
+    ``sink_tasks`` is the sink's task of each mask of ``viable``, in order;
+    ``grand_tasks`` each agent's task in the grand coalition, or None when
+    the grand coalition is not viable. ``upstream_reads`` is the number of
+    predecessor outputs the tasks read.
+    """
+
+    graph: WorkflowGraph
+    viable: Sequence[int]
+    keys: tuple[list[int], ...]
+    inputs: tuple[tuple[tuple[int, array], ...], ...]
+    sink_tasks: array
+    grand_tasks: tuple[int, ...] | None
+    upstream_reads: int
+
+    @property
+    def tasks(self) -> int:
+        return sum(map(len, self.keys))
+
+    def serves(self, graph: WorkflowGraph, viable: Sequence[int]) -> bool:
+        """Whether the plan was built for ``graph`` and ``viable``."""
+        return (self.graph is graph or self.graph == graph) and (
+            self.viable is viable or list(self.viable) == list(viable)
+        )
+
+
+class ExecutionMemo:
+    """Task outputs of earlier episodes, shared by every ``layered_run``
+    handed the same memo.
+
+    A task's output is fixed by the episode's external data and the prompt
+    states of its agent and of the members of its live key: nothing else
+    reaches the agent. The memo keeps each episode that ran a task, by its
+    external data, with its prompts and its outputs by task. A task of a
+    later episode on equal external data takes its output from the first
+    kept episode whose prompts are equal on the task's agent and live key;
+    only the other tasks call the runner. Outputs are never compared, so
+    which tasks run follows from the graph, the masks and the prompts
+    alone. A backtest keeps one memo per window, shared by the window's
+    tuned and frozen passes, and then drops it.
+    """
+
+    def __init__(self) -> None:
+        self.plan: LivePlan | None = None
+        # external data -> [(prompt states, per agent its outputs by task)]
+        self._episodes: dict[Hashable, list[tuple[tuple[Any, ...], list[list[Any]]]]] = {}
+
+    def earlier(
+        self, plan: LivePlan, external: Hashable, prompts: Sequence[Any]
+    ) -> list[tuple[int, list[list[Any]]]]:
+        """The kept episodes on ``external``, each as (mask of the agents
+        whose kept prompt differs from ``prompts``, outputs by task)."""
+        if self.plan is None:
+            self.plan = plan
+        elif self.plan is not plan and not self.plan.serves(plan.graph, plan.viable):
+            raise ValueError("the memo holds tasks of other viable masks")
+        return [
+            (sum(1 << a for a, (p, q) in enumerate(zip(prompts, kept)) if p != q), outputs)
+            for kept, outputs in self._episodes.get(external, ())
+        ]
+
+    def keep(self, external: Hashable, prompts: Sequence[Any], outputs: list[list[Any]]) -> None:
+        self._episodes.setdefault(external, []).append((tuple(prompts), outputs))
+
+
+class _OutputsByKey(Mapping[tuple[int, int], Any]):
+    """(agent, live key) -> output over an episode's outputs by task,
+    without building a second index."""
+
+    def __init__(self, plan: LivePlan, outputs: list[list[Any]]):
+        self._plan = plan
         self._outputs = outputs
 
     def __getitem__(self, item: tuple[int, int]) -> Any:
         agent, key = item
         if not 0 <= agent < len(self._outputs):
             raise KeyError(item)
-        return self._outputs[agent][key]
+        keys = self._plan.keys[agent]
+        task = bisect_left(keys, key)
+        if task == len(keys) or keys[task] != key:
+            raise KeyError(item)
+        return self._outputs[agent][task]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for agent, done in enumerate(self._outputs):
-            for key in done:
+        for agent, keys in enumerate(self._plan.keys):
+            for key in keys:
                 yield agent, key
 
     def __len__(self) -> int:
-        return sum(map(len, self._outputs))
+        return self._plan.tasks
 
 
 def _pred_keys(graph: WorkflowGraph) -> list[list[tuple[int, int, int]]]:
@@ -251,12 +341,56 @@ def _live_keys(graph: WorkflowGraph, viable: Sequence[int]) -> list[dict[int, in
     return live
 
 
+def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
+    """List the tasks of ``layered_run`` on ``viable`` (masks of ``graph``).
+
+    Mask arithmetic only: no agent runs. The plan depends on the graph and
+    the masks alone, so one plan serves every episode over them.
+    """
+    live = _live_keys(graph, viable)
+    keys = tuple(sorted(set(live[a].values())) for a in range(graph.n))
+    task_of = [{key: task for task, key in enumerate(agent_keys)} for agent_keys in keys]
+    inputs = []
+    for agent, preds in enumerate(_pred_keys(graph)):
+        # Any configuration with the live key gives the same inputs: the
+        # predecessors in it, each under its own live key.
+        cfg_of = {key: cfg for cfg, key in live[agent].items()}
+        cfgs = [cfg_of[key] for key in keys[agent]]
+        inputs.append(tuple(
+            (p, array("q", [
+                task_of[p][live[p][cfg & prefix]] if cfg & bit else -1 for cfg in cfgs
+            ]))
+            for p, bit, prefix in preds
+        ))
+    sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
+    sink_live, sink_task = live[sink], task_of[sink]
+    sink_tasks = array("q", [sink_task[sink_live[mask & sink_prefix]] for mask in viable])
+    full = graph.full_mask
+    grand_tasks = (
+        tuple(
+            task_of[a][live[a][full & graph.prefix_masks[graph.layer_of[a]]]]
+            for a in range(graph.n)
+        )
+        if full in viable
+        else None
+    )
+    upstream_reads = sum(
+        len(col) - col.count(-1) for agent_inputs in inputs for _, col in agent_inputs
+    )
+    return LivePlan(
+        graph, viable, keys, tuple(inputs), sink_tasks, grand_tasks, upstream_reads
+    )
+
+
 def layered_run(
     graph: WorkflowGraph,
     viable: Sequence[int],
     run_agent: AgentRunner,
     external: Any = None,
     *,
+    plan: LivePlan | None = None,
+    memo: ExecutionMemo | None = None,
+    prompts: Sequence[Any] | None = None,
     verify_determinism: bool = False,
 ) -> LayeredRunResult:
     """Execute every viable coalition (given by mask) for one episode with
@@ -264,74 +398,93 @@ def layered_run(
 
     An agent's output in a coalition depends only on the outputs of its
     predecessors inside the coalition, so only on the members with a path
-    to it inside the coalition: its live key. Layer by layer, each agent runs
-    exactly once per distinct live key among the viable coalitions that hold
-    it, and the output is kept under that key. Inputs to an agent are the
-    kept outputs of its direct predecessors inside the live key; external
+    to it inside the coalition: its live key. Layer by layer, each agent has
+    one task per distinct live key among the viable coalitions that hold it
+    (``plan``, built from the masks when not given). A task's inputs are the
+    outputs of its direct predecessors' tasks inside the live key; external
     data goes to source agents only. Per-coalition sink outputs are then
-    read through the sink's live key, keyed by mask. ``cache_hits`` counts
-    every read of a kept output.
+    read through the sink's live key, keyed by mask.
 
-    ``verify_determinism`` re-executes the last task of the episode and raises
-    NonDeterminismDetected on a mismatch.
+    Without ``memo`` every task calls ``run_agent``. With one, a task whose
+    agent and live-key members had the same prompt states (``prompts``, per
+    agent; all None when not given) in an episode the memo kept on equal
+    external data, which must then be hashable, takes that episode's output
+    (see ``ExecutionMemo``), and an episode that called the runner is kept.
+
+    ``agent_executions`` counts runner calls and ``executions_reused`` the
+    other tasks; the two sum to the plan's task count. ``cache_hits`` counts
+    every read of a kept output: each task's predecessor outputs and each
+    viable mask's sink output.
+
+    ``verify_determinism`` re-executes the last task that called the runner
+    and raises NonDeterminismDetected on a mismatch.
     """
-    live = _live_keys(graph, viable)
-    outputs: list[dict[int, Any]] = [{} for _ in range(graph.n)]
-    reads = 0
-    last_task: tuple[int, int, int] | None = None
-    pred_keys = _pred_keys(graph)
-    inputs = [external if a in graph.sources else None for a in range(graph.n)]
-
-    def upstream_of(agent: int, cfg: int) -> dict[int, Any]:
-        # Any configuration with the live key gives the same inputs: the
-        # predecessors in it, each under its own live key.
-        return {
-            p: outputs[p][live[p][cfg & prefix]]
-            for p, bit, prefix in pred_keys[agent]
-            if cfg & bit
-        }
+    if plan is None:
+        plan = live_plan(graph, viable)
+    elif not plan.serves(graph, viable):
+        raise ValueError("the plan was built for other viable masks")
+    if prompts is None:
+        prompts = (None,) * graph.n
+    earlier = [] if memo is None else memo.earlier(plan, external, prompts)
+    # Per agent, its output under each of its tasks.
+    outputs: list[list[Any]] = [[] for _ in range(graph.n)]
+    executions = 0
+    last_run: tuple[int, int, dict[int, Any]] | None = None
 
     for layer in graph.layers:
         for agent in layer:
-            # One configuration per live key to read the inputs through.
-            tasks = {key: cfg for cfg, key in live[agent].items()}
-            done = outputs[agent]
-            for key in sorted(tasks):
-                upstream = upstream_of(agent, tasks[key])
-                reads += len(upstream)
-                try:
-                    done[key] = run_agent(agent, upstream, inputs[agent])
-                except Exception as exc:
-                    raise ExecutorFailure(
-                        f"agent {graph.names[agent]} failed under live key {bin(key)}"
-                    ) from exc
-                last_task = (agent, key, tasks[key])
+            bit = 1 << agent
+            # Kept episodes with this agent's prompt; a task reuses one whose
+            # prompts also agree on its live key.
+            kept = [(changed, done[agent]) for changed, done in earlier if not changed & bit]
+            inputs = plan.inputs[agent]
+            # Sources are the agents without predecessors.
+            data = None if inputs else external
+            row = outputs[agent]
+            for task, key in enumerate(plan.keys[agent]):
+                for changed, done in kept:
+                    if not key & changed:
+                        row.append(done[task])
+                        break
+                else:
+                    upstream = {
+                        p: outputs[p][col[task]] for p, col in inputs if col[task] >= 0
+                    }
+                    try:
+                        row.append(run_agent(agent, upstream, data))
+                    except Exception as exc:
+                        raise ExecutorFailure(
+                            f"agent {graph.names[agent]} failed under live key {bin(key)}"
+                        ) from exc
+                    executions += 1
+                    last_run = (agent, task, upstream)
 
-    if verify_determinism and last_task is not None:
-        agent, key, cfg = last_task
-        upstream = upstream_of(agent, cfg)
+    reads = plan.upstream_reads + len(viable)
+    if verify_determinism and last_run is not None:
+        agent, task, upstream = last_run
         reads += len(upstream) + 1
-        if run_agent(agent, upstream, inputs[agent]) != outputs[agent][key]:
+        data = None if plan.inputs[agent] else external
+        if run_agent(agent, upstream, data) != outputs[agent][task]:
             raise NonDeterminismDetected(
-                f"agent {graph.names[agent]} is not deterministic under live key {bin(key)}"
+                f"agent {graph.names[agent]} is not deterministic under live key "
+                f"{bin(plan.keys[agent][task])}"
             )
+    if memo is not None and executions:
+        memo.keep(external, prompts, outputs)
 
-    sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
-    sink_live, sink_done = live[sink], outputs[sink]
-    sink_outputs = {mask: sink_done[sink_live[mask & sink_prefix]] for mask in viable}
-    reads += len(viable)
-    full = graph.full_mask
+    sink_row = outputs[graph.sink]
+    sink_outputs = dict(zip(viable, map(sink_row.__getitem__, plan.sink_tasks)))
     grand_outputs = (
-        {
-            a: outputs[a][live[a][full & graph.prefix_masks[graph.layer_of[a]]]]
-            for a in range(graph.n)
-        }
-        if full in sink_outputs
-        else {}
+        {}
+        if plan.grand_tasks is None
+        else {a: outputs[a][task] for a, task in enumerate(plan.grand_tasks)}
     )
-    cache = _OutputsByKey(outputs)
-    counters = CostCounters(agent_executions=len(cache), cache_hits=reads)
-    return LayeredRunResult(cache, sink_outputs, counters, grand_outputs)
+    counters = CostCounters(
+        agent_executions=executions,
+        cache_hits=reads,
+        executions_reused=plan.tasks - executions,
+    )
+    return LayeredRunResult(_OutputsByKey(plan, outputs), sink_outputs, counters, grand_outputs)
 
 
 @dataclass(frozen=True)
@@ -368,7 +521,8 @@ def replay_coalition(
 
 @dataclass(frozen=True)
 class PredictedCost:
-    """Memoized execution counts of one episode on a graph."""
+    """Task counts of one episode on a graph: its runner calls without an
+    ``ExecutionMemo``, which a memo can only lower."""
 
     layer_executions: tuple[int, ...]
     total_executions: int
@@ -376,13 +530,14 @@ class PredictedCost:
 
 
 def predicted_cost(graph: WorkflowGraph) -> PredictedCost:
-    """Count the executions ``layered_run`` makes in one episode on ``graph``
-    without running any agent.
+    """Count the tasks of one ``layered_run`` episode on ``graph`` without
+    running any agent.
 
     Each layer's count is the number of distinct live keys of its agents
     over the viable coalitions, from the same routine ``layered_run`` keys
-    its executions by, so the prediction equals the measured counter on any
-    valid graph.
+    its tasks by. It depends on the graph alone and equals
+    ``agent_executions + executions_reused`` of any episode; the runner
+    calls reach it when no memo serves the episode.
     """
     viable = enumerate_viable(graph)
     live = _live_keys(graph, viable)
@@ -414,6 +569,7 @@ def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
         "cost: "
         f"coalition_evaluations={c.coalition_evaluations} "
         f"agent_executions={c.agent_executions} "
+        f"executions_reused={c.executions_reused} "
         f"cache_hits={c.cache_hits}"
     )
     return "\n".join(lines)
@@ -440,7 +596,8 @@ def format_attribution_table(
         c = results[e].counters
         lines.append(
             f"cost ({e}): coalition_evaluations={c.coalition_evaluations} "
-            f"agent_executions={c.agent_executions} cache_hits={c.cache_hits}"
+            f"agent_executions={c.agent_executions} "
+            f"executions_reused={c.executions_reused} cache_hits={c.cache_hits}"
         )
     execs = {e: results[e].counters.agent_executions for e in engines}
     if "exact" in execs and "dag" in execs and execs["exact"]:

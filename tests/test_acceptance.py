@@ -8,6 +8,7 @@ import filecmp
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -195,11 +196,16 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
             assert bumps == []
         previous = cycle.prompt_versions
 
-    # (c) frozen and tuned passes agree through the first triggered window
+    # (c) frozen and tuned passes agree through the first triggered window,
+    # where the frozen pass takes every output from the tuned pass's runs
     first = next(c.cycle for c in result.cycles if c.triggered)
     for w in range(first + 1):
-        assert _window_report_text(g, result.windows[w]) == _window_report_text(
-            g, result.frozen_windows[w]
+        tuned, frozen = result.windows[w], result.frozen_windows[w]
+        assert frozen.attribution.counters.agent_executions == 0
+        assert frozen.attribution.counters.executions_reused == 4 * 73
+        same_cost = replace(frozen.attribution, counters=tuned.attribution.counters)
+        assert _window_report_text(g, tuned) == _window_report_text(
+            g, replace(frozen, attribution=same_cost)
         )
 
     # (d) reruns are byte-identical on disk

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -51,7 +52,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
-from dagcredit.shapley import replay_coalition
+from dagcredit.shapley import ExecutionMemo, replay_coalition
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -295,8 +296,25 @@ def test_evaluate_window_dag_engine_counts(window_setup):
     assert game.counters_dag.coalition_evaluations == 49
     # four decision days, 73 shared executions each
     assert game.counters_dag.agent_executions == 4 * 73
+    assert game.counters_dag.executions_reused == 0
     assert set(game.values_dag) == set(viable)
     assert game.values_exact is None
+
+
+def test_evaluate_window_shares_a_given_memo(window_setup):
+    g, market, view, runner, viable = window_setup
+    memo = ExecutionMemo()
+    prompts = ["same"] * g.n
+    first = evaluate_window(
+        g, viable, runner, market, view, [0, 1, 2, 3, 4], memo=memo, prompts=prompts
+    )
+    again = evaluate_window(
+        g, viable, runner, market, view, [0, 1, 2, 3, 4], memo=memo, prompts=prompts
+    )
+    assert again.counters_dag.agent_executions == 0
+    assert again.counters_dag.executions_reused == 4 * 73
+    assert again.values_dag == first.values_dag
+    assert again.grand_actions == first.grand_actions
 
 
 def test_evaluate_window_engines_agree(window_setup):
@@ -450,12 +468,46 @@ def test_backtest_at_most_one_increment_per_window(result_30):
 
 
 def test_backtest_passes_agree_until_first_trigger(result_30):
+    """Until a prompt changes, the passes report the same window, and the
+    frozen pass takes every output from the tuned pass's runs."""
     g = result_30.graph
     first = next(c.cycle for c in result_30.cycles if c.triggered)
     for w in range(first + 1):
-        tuned = _window_report_text(g, result_30.windows[w])
-        frozen = _window_report_text(g, result_30.frozen_windows[w])
-        assert tuned == frozen
+        tuned, frozen = result_30.windows[w], result_30.frozen_windows[w]
+        assert frozen.attribution.counters.agent_executions == 0
+        same_cost = replace(frozen.attribution, counters=tuned.attribution.counters)
+        assert _window_report_text(g, tuned) == _window_report_text(
+            g, replace(frozen, attribution=same_cost)
+        )
+
+
+@pytest.mark.parametrize("engine", ["dag", "both"])
+def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, tmp_path):
+    """Both passes of a window share one memo: the runners are called exactly
+    as often as the reports say, and frozen window 0 runs nothing."""
+    calls = [0]
+    make_runner = backtest.system_runner
+
+    def counted_runner(specs):
+        runner = make_runner(specs)
+
+        def run(agent, upstream, external):
+            calls[0] += 1
+            return runner(agent, upstream, external)
+
+        return run
+
+    monkeypatch.setattr(backtest, "system_runner", counted_runner)
+    config = RunConfig(seed=78, days=30, engine=engine, out_dir=str(tmp_path))
+    result = run_backtest(config.validate())
+    reports = result.windows + result.frozen_windows
+    replayed = 6 * 2 * 4 * 448 if engine == "both" else 0
+    assert calls[0] == sum(r.attribution.counters.agent_executions for r in reports) + replayed
+    for rep in reports:
+        counters = rep.attribution.counters
+        assert counters.agent_executions + counters.executions_reused == 4 * 73
+    text = (tmp_path / "frozen" / "window_00.txt").read_text(encoding="utf-8")
+    assert "agent_executions=0 executions_reused=292 " in text
 
 
 def test_backtest_lesson_changes_later_bottleneck(result_30):
@@ -522,6 +574,7 @@ def test_cycle_records_carry_their_window_attribution(engine, evaluations, tmp_p
         assert record["cost"] == {
             "coalition_evaluations": counters.coalition_evaluations,
             "agent_executions": counters.agent_executions,
+            "executions_reused": counters.executions_reused,
             "cache_hits": counters.cache_hits,
         }
         assert counters.coalition_evaluations == evaluations

@@ -151,6 +151,7 @@ def test_shapley_both_engines_match(capsys, tmp_path):
         capsys, "shapley", "--engine", "both", "--seed", "7", "--out", str(out_dir)
     )
     assert code == 0
+    assert "agent_executions=73 executions_reused=0 cache_hits=169" in out
     assert "execution reduction: 83.7%" in out
     for name in ("NAA", "TAA", "FAA", "BOA", "BeOA", "NOA", "TRA"):
         assert name in out

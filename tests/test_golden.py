@@ -61,8 +61,10 @@ def test_shapley_both_stdout(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[-3:] == [
-        "cost (dag): coalition_evaluations=49 agent_executions=73 cache_hits=169",
-        "cost (exact): coalition_evaluations=128 agent_executions=448 cache_hits=0",
+        "cost (dag): coalition_evaluations=49 agent_executions=73 executions_reused=0 "
+        "cache_hits=169",
+        "cost (exact): coalition_evaluations=128 agent_executions=448 executions_reused=0 "
+        "cache_hits=0",
         "execution reduction: 83.7%",
     ]
     assert sha256(out.encode("utf-8")) == GOLDEN["shapley-both-seed7-stdout"]

@@ -1,5 +1,6 @@
 """Attribution engines, memoized execution, cost model, and axiom properties."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,12 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagcredit.agents import build_system, signed_decision_value, system_runner
+from dagcredit.agents import (
+    BOOST_TOKEN,
+    MarketFeatures,
+    build_system,
+    signed_decision_value,
+    system_runner,
+)
 from dagcredit.coalitions import GraphTooLarge, enumerate_viable
 from dagcredit.config import load_graph_file
 from dagcredit.graph import build_graph, path_exists, reference_graph
+from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
     CostCounters,
+    ExecutionMemo,
     ExecutorFailure,
     InvalidSize,
     NonDeterminismDetected,
@@ -24,6 +33,7 @@ from dagcredit.shapley import (
     format_attribution,
     format_attribution_table,
     layered_run,
+    live_plan,
     predicted_cost,
     replay_coalition,
     shapley_dag,
@@ -307,6 +317,7 @@ def test_upstream_configuration_masks():
 def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
     assert run.counters.agent_executions == 73
+    assert run.counters.executions_reused == 0
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
     assert run.cache[(ref_graph.sink, grand & ref_graph.prefix_masks[2])] == (
@@ -561,6 +572,149 @@ def test_executions_per_episode_are_pinned(name, executions):
 
 
 # ---------------------------------------------------------------------------
+# reuse across episodes
+
+OTHER_FEATURES = MarketFeatures(
+    sentiment=-0.3,
+    fundamental=0.5,
+    closes=(100.0, 99.0, 99.5, 98.0, 97.0, 97.5, 96.0, 95.0),
+)
+
+
+@given(skip_layered_graphs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_runner_calls_are_the_distinct_tasks_and_prompts(g, data):
+    """With one memo over several episodes, the runner runs once per distinct
+    (external data, agent, live set, prompts of the agent and its live set)
+    among the episodes' tasks, and no value changes."""
+    viable = enumerate_viable(g)
+    cost = predicted_cost(g)
+    plan = live_plan(g, viable)
+    frozen = build_system(g, seed=11)
+    tuned = dict(frozen)
+    agent = data.draw(st.integers(0, g.n - 1), label="tuned agent")
+    tuned[agent] = dataclasses.replace(
+        frozen[agent], prompt=append_lessons(frozen[agent].prompt, [BOOST_TOKEN])
+    )
+    sets = [live_sets(g, viable, a) for a in range(g.n)]
+    memo = ExecutionMemo()
+    seen = set()
+    runner_calls = 0
+    episodes = [(tuned, FEATURES), (tuned, OTHER_FEATURES), (frozen, FEATURES), (tuned, FEATURES)]
+    for specs, external in episodes:
+        prompts = [specs[a].prompt for a in range(g.n)]
+        runner = system_runner(specs)
+        run = layered_run(
+            g, viable, runner, external, plan=plan, memo=memo, prompts=prompts
+        )
+        runner_calls += run.counters.agent_executions
+        assert run.counters.agent_executions + run.counters.executions_reused == (
+            cost.total_executions
+        )
+        seen |= {
+            (external, a, live, tuple(prompts[m] for m in sorted(live | {a})))
+            for a in range(g.n)
+            for live in sets[a]
+        }
+        assert runner_calls == len(seen)
+
+        replay_values = {}
+        for mask in range(1 << g.n):
+            replay = replay_coalition(g, mask, runner, external)
+            if replay.sink_output is not None:
+                replay_values[mask] = signed_decision_value(replay.sink_output)
+            if mask in run.sink_outputs:
+                assert run.sink_outputs[mask] == replay.sink_output
+        values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+        dag = shapley_dag(g, values, run.counters)
+        exact = shapley_exact(replay_values, g.n, CostCounters())
+        assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
+    # The last episode repeats the first.
+    assert run.counters.agent_executions == 0
+
+
+def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
+    def listing(agent, upstream, external):
+        return [agent, sorted(upstream)]
+
+    memo = ExecutionMemo()
+    first = layered_run(ref_graph, ref_viable, listing, FEATURES, memo=memo)
+    again = layered_run(ref_graph, ref_viable, listing, FEATURES, memo=memo)
+    assert first.counters.agent_executions == 73
+    assert again.counters.agent_executions == 0
+    assert again.sink_outputs == first.sink_outputs
+
+
+def test_determinism_check_reruns_the_last_task_that_ran(ref_graph, ref_viable, ref_runner):
+    runner, calls = counting(ref_runner)
+    memo = ExecutionMemo()
+    run = layered_run(ref_graph, ref_viable, runner, FEATURES, memo=memo, verify_determinism=True)
+    assert len(calls) == run.counters.agent_executions + 1 == 74
+    assert calls[-1] == calls[-2] == ref_graph.sink
+    # With every task already in the memo nothing runs, and nothing is rerun.
+    again = layered_run(
+        ref_graph, ref_viable, runner, FEATURES, memo=memo, verify_determinism=True
+    )
+    assert again.counters.agent_executions == 0
+    assert len(calls) == 74
+    assert again.sink_outputs == run.sink_outputs
+
+
+def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runner):
+    runner, calls = counting(ref_runner)
+    memo = ExecutionMemo()
+    plan = live_plan(ref_graph, ref_viable)
+    prompts = ["v1"] * ref_graph.n
+    layered_run(ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts)
+    # A new prompt for one outlook reruns its 7 tasks and the 28 trader tasks
+    # whose live key holds it. Outputs are never compared: those tasks rerun
+    # although this runner ignores prompts.
+    boa, sink = ref_graph.index_of("BOA"), ref_graph.sink
+    assert sum(key >> boa & 1 for key in plan.keys[sink]) == 28
+    prompts[boa] = "v2"
+    run = layered_run(
+        ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts
+    )
+    assert calls[73:] == [boa] * 7 + [sink] * 28
+    assert run.counters.agent_executions == 35
+    assert run.counters.executions_reused == 38
+    # A different external day shares nothing.
+    other = layered_run(
+        ref_graph, ref_viable, runner, OTHER_FEATURES, plan=plan, memo=memo, prompts=prompts
+    )
+    assert other.counters.agent_executions == 73
+    # Back to the first prompts, the first episode serves every task.
+    prompts[boa] = "v1"
+    back = layered_run(
+        ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts
+    )
+    assert back.counters.agent_executions == 0
+
+
+def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner):
+    naa = ref_graph.index_of("NAA")
+    without_naa = [mask for mask in ref_viable if not mask >> naa & 1]
+    runner, calls = counting(ref_runner)
+    run = layered_run(ref_graph, without_naa, runner, FEATURES)
+    assert naa not in calls
+    assert len(calls) == run.counters.agent_executions == len(run.cache)
+    assert run.counters.executions_reused == 0
+    assert len(run.sink_outputs) == len(without_naa) == 3 * 7
+
+
+def test_plan_and_memo_must_match_the_masks(ref_graph, ref_viable, ref_runner):
+    plan = live_plan(ref_graph, ref_viable[:-1])
+    with pytest.raises(ValueError, match="plan was built for other viable masks"):
+        layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=plan)
+    same = layered_run(ref_graph, list(ref_viable[:-1]), ref_runner, FEATURES, plan=plan)
+    assert len(same.sink_outputs) == 48
+    memo = ExecutionMemo()
+    layered_run(ref_graph, ref_viable, ref_runner, FEATURES, memo=memo)
+    with pytest.raises(ValueError, match="memo holds tasks of other viable masks"):
+        layered_run(ref_graph, ref_viable[:-1], ref_runner, FEATURES, plan=plan, memo=memo)
+
+
+# ---------------------------------------------------------------------------
 # formatting
 
 
@@ -569,7 +723,7 @@ def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_run
     text = format_attribution(ref_graph, result)
     for name in ref_graph.names:
         assert name in text
-    assert "agent_executions=73" in text
+    assert "agent_executions=73 executions_reused=0 cache_hits=169" in text
 
 
 def test_format_attribution_table_reports_reduction(ref_graph, ref_viable, ref_runner):
