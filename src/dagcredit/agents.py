@@ -196,12 +196,11 @@ class MockExecutor:
 def _mean_score(upstream: Mapping[int, Any]) -> float:
     if not upstream:
         return 0.0
-    scores = [upstream[k].score for k in sorted(upstream)]
-    return math.fsum(scores) / len(scores)
+    return math.fsum([out.score for out in upstream.values()]) / len(upstream)
 
 
 def _sum_score(upstream: Mapping[int, Any]) -> float:
-    return math.fsum(upstream[k].score for k in sorted(upstream))
+    return math.fsum([out.score for out in upstream.values()])
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,17 @@ attribution engine never needs to execute it. Bit ``i`` of a mask is agent
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graph import WorkflowGraph
 
 # The power-set limit: enumeration and aggregation both refuse larger graphs.
 MAX_AGENTS = 24
+
+# Lane flags, one byte of 0 or 1 per lane, to binary digits and back.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GraphTooLarge(ValueError):
@@ -60,14 +64,14 @@ def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
     has_trader = (mask >> graph.sink) & 1 == 1
     has_source = any((mask >> s) & 1 for s in graph.sources)
     connected = has_trader and has_source and _sink_reached(
-        graph, [(mask >> a) & 1 for a in range(graph.n)]
+        graph, lambda a: (mask >> a) & 1
     ) == 1
     return ViabilityReport(has_trader, has_source, connected)
 
 
-def _sink_reached(graph: WorkflowGraph, member: Sequence[int]) -> int:
+def _sink_reached(graph: WorkflowGraph, member: Callable[[int], int]) -> int:
     # Bit-parallel reachability: every bit position ("lane") of the ints is
-    # one coalition, and member[a] has agent a's membership in each lane. An
+    # one coalition, and member(a) has agent a's membership in each lane. An
     # agent is reached in a lane when it is a member there and is a source or
     # has a reached predecessor; the sink's reached lanes are the viable ones.
     reached = [0] * graph.n
@@ -76,10 +80,43 @@ def _sink_reached(graph: WorkflowGraph, member: Sequence[int]) -> int:
             via = 0
             for p in graph.preds[a]:
                 via |= reached[p]
-            reached[a] = member[a] & via
+            reached[a] = member(a) & via
         else:
-            reached[a] = member[a]
+            reached[a] = member(a)
     return reached[graph.sink]
+
+
+def member_lanes(agent: int, n: int) -> int:
+    """Agent ``agent``'s membership in every mask of ``n`` agents: lane (bit)
+    m of the result is bit ``agent`` of m."""
+    # Runs of 2**agent lanes without the agent alternate with runs of
+    # 2**agent lanes with it.
+    run = 1 << agent
+    pattern, span = ((1 << run) - 1) << run, 2 * run
+    while span < 1 << n:
+        pattern |= pattern << span
+        span *= 2
+    return pattern
+
+
+def lanes_of(masks: Iterable[int], n: int) -> int:
+    """The int whose lane (bit) m is set for each m of ``masks``, masks of
+    ``n`` agents."""
+    flags = bytearray(1 << n)
+    for mask in masks:
+        flags[mask] = 1
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
+def lane_flags(lanes: int) -> bytes:
+    """Byte m is 1 where lane m of ``lanes`` is set and 0 elsewhere, up to
+    its highest set lane."""
+    return bin(lanes)[:1:-1].encode().translate(_TO_FLAGS)
+
+
+def masks_of(lanes: int) -> list[int]:
+    """The set lanes of ``lanes``, ascending: the inverse of ``lanes_of``."""
+    return list(itertools.compress(itertools.count(), lane_flags(lanes)))
 
 
 def enumerate_viable(graph: WorkflowGraph) -> list[int]:
@@ -91,16 +128,4 @@ def enumerate_viable(graph: WorkflowGraph) -> list[int]:
     """
     if graph.n > MAX_AGENTS:
         raise GraphTooLarge(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
-    lanes = 1 << graph.n
-    member = []
-    for a in range(graph.n):
-        # Lane m holds agent a iff bit a of m is set: runs of 2**a lanes
-        # without it alternate with runs of 2**a lanes with it.
-        run = 1 << a
-        pattern, span = ((1 << run) - 1) << run, 2 * run
-        while span < lanes:
-            pattern |= pattern << span
-            span *= 2
-        member.append(pattern)
-    flags = bin(_sink_reached(graph, member))[:1:-1]  # flags[m] is lane m
-    return list(itertools.compress(range(len(flags)), map("1".__eq__, flags)))
+    return masks_of(_sink_reached(graph, lambda a: member_lanes(a, graph.n)))

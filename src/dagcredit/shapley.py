@@ -9,33 +9,47 @@ contributions with the same routine:
 * ``shapley_dag`` takes a table over the viable coalitions only; every other
   subset cannot trade and is worth zero by the game definition.
 
+The routine loops over the table's entries, and looks up absent supersets
+only for the agents where a bit-lane test over the table's masks finds one;
+a table over the viable coalitions has none.
+
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
 depends only on its live key: the coalition members with a path to it inside
 the coalition. Every distinct (agent, live key) pair is one task per episode;
 ``live_plan`` lists the tasks of a graph's viable masks once, and
-``predicted_cost`` counts them without running an agent. Given an
-``ExecutionMemo``, a task takes its output from an earlier episode on the
-same external data whose prompts were the same for its agent and live key,
-instead of running the agent again.
+``predicted_cost`` counts them without running an agent. Both take the live
+keys from per-agent tables over every configuration of the agent's
+ancestors' indices, built from whole byte runs of the predecessors' tables.
+Given an ``ExecutionMemo``, a task takes its output from an earlier episode
+on the same external data whose prompts were the same for its agent and live
+key, instead of running the agent again.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Any
 
-from .coalitions import MAX_AGENTS, enumerate_viable
+from .coalitions import MAX_AGENTS, enumerate_viable, lane_flags, lanes_of, member_lanes
 from .graph import WorkflowGraph
 
 # An agent runner: (agent index, upstream outputs by agent index, external
 # data or None) -> opaque output. Engines pass external data to source
 # agents only.
 AgentRunner = Callable[[int, Mapping[int, Any], Any], Any]
+
+# Array type of a live key, which has at most MAX_AGENTS bits: "I" is 32
+# bits wide on every platform CPython supports.
+_KEY = "I"
+_KEY_BYTES = array(_KEY).itemsize
 
 
 class TooManyAgents(ValueError):
@@ -101,6 +115,13 @@ class AttributionResult:
         return math.fsum(self.values)
 
 
+@functools.cache
+def _weights(n: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    # The weights of every coalition size below n, exact and as floats.
+    exact = tuple(shapley_weight(s, n) for s in range(n))
+    return exact, tuple(map(float, exact))
+
+
 def _phi_from_values(
     n: int, values: Mapping[int, float], exact_arith: bool
 ) -> list[float]:
@@ -111,12 +132,22 @@ def _phi_from_values(
     # entry already gave it). The skipped terms are all +0.0, and both sums
     # below are exact before their single rounding, so the result is the same
     # as summing over all 2**n subsets.
-    weights = [shapley_weight(s, n) for s in range(n)]
-    wf = [float(w) for w in weights]
+    #
+    # Only an entry without i whose S + i is absent gives a term of its own,
+    # and one lane test per agent tells whether there is any: shifting the
+    # table's lanes up by 2**i moves each entry S without i to lane S + i,
+    # which holds i (an entry holding i lands on a lane without i, and the
+    # membership lanes drop it), so all those S + i are entries exactly when
+    # the shifted lanes that hold i are all the table's. Adding a member
+    # keeps a coalition viable, so a table over the viable coalitions passes
+    # for every agent and is never probed.
+    weights, wf = _weights(n)
+    present = lanes_of(values, n)
     entries = [(mask, value, mask.bit_count()) for mask, value in values.items()]
     phi = []
     for i in range(n):
         bit = 1 << i
+        probe = bool(present << bit & member_lanes(i, n) & ~present)
         if exact_arith:
             acc = sum(
                 (
@@ -125,7 +156,7 @@ def _phi_from_values(
                     if mask & bit
                     else weights[size] * -Fraction(value)
                     for mask, value, size in entries
-                    if mask & bit or mask | bit not in values
+                    if mask & bit or probe and mask | bit not in values
                 ),
                 Fraction(0),
             )
@@ -138,7 +169,7 @@ def _phi_from_values(
                 if mask & bit
                 else wf[size] * (0.0 - value)
                 for mask, value, size in entries
-                if mask & bit or mask | bit not in values
+                if mask & bit or probe and mask | bit not in values
             ]
             phi.append(math.fsum(terms))
     return phi
@@ -301,44 +332,61 @@ class _OutputsByKey(Mapping[tuple[int, int], Any]):
         return self._plan.tasks
 
 
-def _pred_keys(graph: WorkflowGraph) -> list[list[tuple[int, int, int]]]:
-    # Per agent, its direct predecessors as (index, bit, mask of the layers
-    # before the predecessor's).
-    return [
-        [(p, 1 << p, graph.prefix_masks[graph.layer_of[p]]) for p in graph.preds[a]]
-        for a in range(graph.n)
-    ]
+def _live_keys(
+    graph: WorkflowGraph, viable: Sequence[int]
+) -> tuple[list[array], list[list[int]]]:
+    """Per agent, its live key under every configuration, and its tasks.
 
+    Agent indices follow the layers and edges run to later layers, so every
+    agent with a path to agent a has an index no higher than a's highest
+    predecessor h. a's configuration in a coalition is the coalition's
+    membership below h + 1, and entry c of a's table is a's live key under
+    configuration c: the members of c with a path to a inside c, which is
+    the union, over the predecessors p in c, of p's bit and p's live key
+    under c. As c counts up, p's membership alternates in runs of 2**p
+    configurations, and within a run with p, p's entries repeat with the
+    period of p's own table. So each table is built from its predecessors'
+    by repeating and OR-ing whole runs of entries, with no loop over
+    configurations.
 
-def _live_keys(graph: WorkflowGraph, viable: Sequence[int]) -> list[dict[int, int]]:
-    """Per agent, its live key under each upstream configuration it meets.
-
-    An agent's upstream configuration in a coalition is the coalition's
-    membership in the layers before the agent's; every distinct one among
-    the viable masks that hold the agent is a key of the agent's dict. The
-    live key is the set of the configuration's members with a path to the
-    agent inside the coalition: the union, over the predecessors p in the
-    configuration, of p's bit and p's live key under the configuration
-    masked to the layers before p's. Mask arithmetic only: no agent runs.
+    An agent's tasks are the distinct live keys, in increasing order, under
+    the configurations of the viable masks that hold it; folding the lanes
+    of those masks onto their low bits lists the configurations. Mask
+    arithmetic only: no agent runs.
     """
-    live: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    pred_keys = _pred_keys(graph)
-    for li, layer in enumerate(graph.layers):
-        prefix = graph.prefix_masks[li]
-        # Coalitions that agree on this layer and the ones before it give the
-        # same configurations, so each distinct membership pattern is looked
-        # at once.
-        patterns = {mask & (prefix | graph.layer_masks[li]) for mask in viable}
-        for agent in layer:
-            bit = 1 << agent
-            keys = live[agent]
-            for cfg in {pattern & prefix for pattern in patterns if pattern & bit}:
-                key = 0
-                for p, p_bit, p_prefix in pred_keys[agent]:
-                    if cfg & p_bit:
-                        key |= p_bit | live[p][cfg & p_prefix]
-                keys[cfg] = key
-    return live
+    n = graph.n
+    order = sys.byteorder
+    tables: list[array] = []
+    # Per agent, its table with its own bit added, as bytes: what it adds to
+    # its successors' tables where it is in the configuration.
+    terms: list[bytes] = []
+    for agent in range(n):
+        preds = graph.preds[agent]
+        if preds:
+            size = 1 << max(preds) + 1
+            acc = 0
+            for p in preds:
+                # A run of 2**p configurations without p, then one with it.
+                with_p = terms[p] * ((1 << p) // len(tables[p]))
+                acc |= int.from_bytes((bytes(len(with_p)) + with_p) * (size >> p + 1), order)
+            table = array(_KEY, acc.to_bytes(size * _KEY_BYTES, order))
+        else:
+            table = array(_KEY, [0])
+        tables.append(table)
+        bit = 1 << agent
+        terms.append(
+            array(_KEY, [key | bit for key in table]).tobytes() if graph.succs[agent] else b""
+        )
+    lanes = lanes_of(viable, n)
+    keys = []
+    for agent, table in enumerate(tables):
+        # Lane m of the masks holding the agent moves to m mod len(table).
+        held = lanes & member_lanes(agent, n)
+        for b in reversed(range(len(table).bit_length() - 1, n)):
+            run = 1 << b
+            held = held >> run | held & (1 << run) - 1
+        keys.append(sorted(set(compress(table, lane_flags(held)))))
+    return tables, keys
 
 
 def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
@@ -347,30 +395,32 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
     Mask arithmetic only: no agent runs. The plan depends on the graph and
     the masks alone, so one plan serves every episode over them.
     """
-    live = _live_keys(graph, viable)
-    keys = tuple(sorted(set(live[a].values())) for a in range(graph.n))
+    tables, keys = _live_keys(graph, viable)
     task_of = [{key: task for task, key in enumerate(agent_keys)} for agent_keys in keys]
+    # Per agent with successors, its task under each configuration of its
+    # table, or -1 where no viable mask gives that live key.
+    tasks = [
+        array("q", map(task_of[a].get, table, repeat(-1))) if graph.succs[a] else None
+        for a, table in enumerate(tables)
+    ]
     inputs = []
-    for agent, preds in enumerate(_pred_keys(graph)):
-        # Any configuration with the live key gives the same inputs: the
-        # predecessors in it, each under its own live key.
-        cfg_of = {key: cfg for cfg, key in live[agent].items()}
-        cfgs = [cfg_of[key] for key in keys[agent]]
-        inputs.append(tuple(
-            (p, array("q", [
-                task_of[p][live[p][cfg & prefix]] if cfg & bit else -1 for cfg in cfgs
-            ]))
-            for p, bit, prefix in preds
-        ))
-    sink, sink_prefix = graph.sink, graph.prefix_masks[len(graph.layers) - 1]
-    sink_live, sink_task = live[sink], task_of[sink]
-    sink_tasks = array("q", [sink_task[sink_live[mask & sink_prefix]] for mask in viable])
+    for agent in range(graph.n):
+        # A predecessor p in live key K has the same live key under K as
+        # under any configuration with live key K: the members with a path
+        # to p inside the coalition are all in K.
+        columns = []
+        for p in graph.preds[agent]:
+            bit, last, p_tasks = 1 << p, len(tables[p]) - 1, tasks[p]
+            columns.append((p, array("q", [
+                p_tasks[key & last] if key & bit else -1 for key in keys[agent]
+            ])))
+        inputs.append(tuple(columns))
+    sink_table, sink_task = tables[graph.sink], task_of[graph.sink]
+    sink_last = len(sink_table) - 1
+    sink_tasks = array("q", [sink_task[sink_table[mask & sink_last]] for mask in viable])
     full = graph.full_mask
     grand_tasks = (
-        tuple(
-            task_of[a][live[a][full & graph.prefix_masks[graph.layer_of[a]]]]
-            for a in range(graph.n)
-        )
+        tuple(task_of[a][table[full & len(table) - 1]] for a, table in enumerate(tables))
         if full in viable
         else None
     )
@@ -378,7 +428,7 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
         len(col) - col.count(-1) for agent_inputs in inputs for _, col in agent_inputs
     )
     return LivePlan(
-        graph, viable, keys, tuple(inputs), sink_tasks, grand_tasks, upstream_reads
+        graph, viable, tuple(keys), tuple(inputs), sink_tasks, grand_tasks, upstream_reads
     )
 
 
@@ -437,7 +487,9 @@ def layered_run(
             # Kept episodes with this agent's prompt; a task reuses one whose
             # prompts also agree on its live key.
             kept = [(changed, done[agent]) for changed, done in earlier if not changed & bit]
-            inputs = plan.inputs[agent]
+            # Per predecessor, its outputs and its task under each of this
+            # agent's tasks.
+            inputs = [(p, outputs[p], col) for p, col in plan.inputs[agent]]
             # Sources are the agents without predecessors.
             data = None if inputs else external
             row = outputs[agent]
@@ -448,7 +500,7 @@ def layered_run(
                         break
                 else:
                     upstream = {
-                        p: outputs[p][col[task]] for p, col in inputs if col[task] >= 0
+                        p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0
                     }
                     try:
                         row.append(run_agent(agent, upstream, data))
@@ -540,10 +592,8 @@ def predicted_cost(graph: WorkflowGraph) -> PredictedCost:
     calls reach it when no memo serves the episode.
     """
     viable = enumerate_viable(graph)
-    live = _live_keys(graph, viable)
-    per_layer = tuple(
-        sum(len(set(live[agent].values())) for agent in layer) for layer in graph.layers
-    )
+    _, keys = _live_keys(graph, viable)
+    per_layer = tuple(sum(len(keys[agent]) for agent in layer) for layer in graph.layers)
     return PredictedCost(per_layer, sum(per_layer), len(viable))
 
 

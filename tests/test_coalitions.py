@@ -12,6 +12,9 @@ from dagcredit.coalitions import (
     check_viability,
     coalition_names,
     enumerate_viable,
+    lanes_of,
+    masks_of,
+    member_lanes,
 )
 from dagcredit.config import load_graph_file
 from dagcredit.graph import build_graph, path_exists, reference_graph
@@ -161,3 +164,13 @@ def test_adding_members_never_breaks_viability(members):
         assert check_viability(g, g.full_mask).viable
         for extra in range(g.n):
             assert check_viability(g, mask | 1 << extra).viable
+
+
+@given(st.integers(min_value=0, max_value=8), st.data())
+def test_lanes_hold_one_mask_each(n, data):
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+    lanes = lanes_of(masks, n)
+    assert lanes < 1 << (1 << n)
+    assert masks_of(lanes) == sorted(masks)
+    for agent in range(n):
+        assert masks_of(member_lanes(agent, n)) == [m for m in range(1 << n) if m >> agent & 1]

@@ -1,6 +1,7 @@
 """Attribution engines, memoized execution, cost model, and axiom properties."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -178,6 +179,31 @@ def test_table_aggregation_is_bit_identical_to_all_masks(case, exact_arith):
     assert same_bits(exact.values, want)
     if not exact_arith:
         g = layered_graph([n - 1, 1]) if n > 1 else build_graph([["solo"]], [])
+        assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
+
+
+class ProbeRefused(dict):
+    """A table that refuses membership tests."""
+
+    def __contains__(self, mask):
+        raise AssertionError(f"probed the table for {mask:#b}")
+
+
+@given(skip_layered_graphs(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_viable_tables_aggregate_without_superset_probes(g, seed, exact_arith):
+    """Adding a member keeps a coalition viable, so every entry of a table
+    over the viable masks has its supersets in the table, and aggregation
+    never asks whether one is absent."""
+    rng = random.Random(seed)
+    table = ProbeRefused(
+        (mask, rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)]))
+        for mask in enumerate_viable(g)
+    )
+    want = all_masks_phi(g.n, lambda mask: table.get(mask, 0.0), exact_arith)
+    exact = shapley_exact(table, g.n, CostCounters(), exact_arith=exact_arith)
+    assert same_bits(exact.values, want)
+    if not exact_arith:
         assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
 
 
@@ -569,6 +595,22 @@ def test_executions_per_episode_are_pinned(name, executions):
     run = layered_run(g, enumerate_viable(g), runner)
     assert len(calls) == run.counters.agent_executions == len(run.cache) == executions
     assert predicted_cost(g).total_executions == executions
+
+
+# sha256 of the comma-joined float.hex() of the 19 contributions below.
+WIDE_PHI_SHA256 = "5f016f0498378ee26d18f08cf04a9dbcc8220ef41579f3cdec3316b75b5db84e"
+
+
+def test_wide_attribution_is_pinned():
+    """The mock system's contributions on the sparse 6-6-6-1 benchmark graph,
+    to the last bit: plan, execution and aggregation at full width."""
+    g = load_graph_file(Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json")
+    runner = system_runner(build_system(g, seed=42))
+    run = layered_run(g, enumerate_viable(g), runner, FEATURES)
+    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    phi = shapley_dag(g, values, run.counters).values
+    text = ",".join(value.hex() for value in phi)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_PHI_SHA256
 
 
 # ---------------------------------------------------------------------------
