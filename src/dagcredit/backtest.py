@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import random
-import statistics
+import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
@@ -154,7 +154,8 @@ def load_market_csv(path: str | Path, symbol: str = "CSV") -> MarketSeries:
     """Parse and validate an OHLCV file.
 
     The header must be exactly ``date,open,high,low,close,volume``; dates are
-    ISO format, strictly increasing, prices strictly positive.
+    ISO format, strictly increasing, every number finite, prices strictly
+    positive.
     """
     rows = _read_csv(path, MARKET_HEADER)
     bars: list[Bar] = []
@@ -167,6 +168,8 @@ def load_market_csv(path: str | Path, symbol: str = "CSV") -> MarketSeries:
                 numbers[col] = float(row[col])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in column {col!r}") from None
+            if not math.isfinite(numbers[col]):
+                raise ParseError(f"line {lineno}: non-finite number in column {col!r}")
         for col in ("open", "high", "low", "close"):
             if not numbers[col] > 0:
                 raise NonPositivePrice(f"line {lineno}: {col} must be positive")
@@ -326,16 +329,45 @@ def synthesize_market(
 def sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:
     """Raw (non-annualized) Sharpe ratio with sample standard deviation.
 
+    Exact: each excess return is a dyadic rational, so over their largest
+    denominator ``d`` they are integers ``A`` with sums ``S`` and ``Q`` of
+    ``A`` and ``A**2``. The mean ``S / (k*d)`` and the standard deviation
+    ``sqrt((k*Q - S*S) / (k*(k-1)*d*d))`` are each rounded once, so the
+    result equals ``statistics.mean / statistics.stdev`` of Python 3.11+ bit
+    for bit, and is the same on every supported Python.
+
     A zero-variance series scores 0 by convention; fewer than two returns is
     an error rather than a silent zero.
     """
-    if len(returns) < 2:
+    k = len(returns)
+    if k < 2:
         raise TooFewReturns("sharpe needs at least two returns")
-    excess = [r - rf_daily for r in returns]
-    sd = statistics.stdev(excess)
+    ratios = [(r - rf_daily).as_integer_ratio() for r in returns]
+    d = max(den for _, den in ratios)
+    nums = [num * (d // den) for num, den in ratios]
+    s = sum(nums)
+    sd = _sqrt_of_ratio(k * sum(a * a for a in nums) - s * s, k * (k - 1) * d * d)
     if sd == 0.0:
         return 0.0
-    return statistics.mean(excess) / sd
+    return s / (k * d) / sd
+
+
+# The radicand is scaled to at least 2p+3 bits for p-bit floats, so its integer
+# root rounded to odd keeps the two extra bits that make the one rounding to a
+# float correct (https://bugs.python.org/msg407078).
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """Correctly rounded square root of ``n / m`` for ``n >= 0``, ``m > 0``."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd: an inexact root gets its low bit set
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
 
 
 def annualized_sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import statistics
+import sys
 from dataclasses import replace
 from datetime import date
 
@@ -192,7 +194,31 @@ def test_synthesize_market_regimes_differ():
 
 
 def test_sharpe_frozen_value():
-    assert sharpe([0.02, 0.00], 0.0) == pytest.approx(0.7071067811865476, abs=1e-12)
+    assert sharpe([0.02, 0.00], 0.0).hex() == "0x1.6a09e667f3bcdp-1"
+
+
+# Bounded so that no excess return, and no standard deviation, overflows.
+finite_returns = st.one_of(
+    st.floats(min_value=-0.2, max_value=0.2),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11")
+@settings(max_examples=300, deadline=None)
+@given(
+    returns=st.one_of(
+        st.lists(finite_returns, min_size=2, max_size=64),
+        st.builds(lambda x, k: [x] * k, finite_returns, st.integers(2, 64)),
+    ),
+    rf_daily=st.one_of(st.just(0.0), finite_returns),
+)
+def test_sharpe_equals_statistics_bit_for_bit(returns, rf_daily):
+    excess = [r - rf_daily for r in returns]
+    sd = statistics.stdev(excess)
+    expected = 0.0 if sd == 0.0 else statistics.mean(excess) / sd
+    assert sharpe(returns, rf_daily).hex() == expected.hex()
 
 
 def test_sharpe_zero_variance_is_zero():

@@ -343,6 +343,29 @@ def test_backtest_market_without_features_is_config_error(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("column, text", [("close", "inf"), ("open", "-inf"), ("volume", "nan")])
+def test_backtest_rejects_non_finite_market_numbers(capsys, tmp_path, column, text):
+    market, view = bt.synthesize_market(seed=3, days=15)
+    rows = ["date,open,high,low,close,volume"]
+    frows = ["date,sentiment,fundamental"]
+    for i, bar in enumerate(market.bars):
+        fields = {c: f"{getattr(bar, c):.6f}" for c in ("open", "high", "low", "close", "volume")}
+        if i == 4:
+            fields[column] = text
+        rows.append(",".join([bar.day.isoformat(), *fields.values()]))
+        frows.append(f"{bar.day.isoformat()},{view.sentiment[i]:.6f},{view.fundamental[i]:.6f}")
+    (tmp_path / "m.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "f.csv").write_text("\n".join(frows) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "backtest",
+        "--market", str(tmp_path / "m.csv"),
+        "--features", str(tmp_path / "f.csv"),
+    )
+    assert code == 1
+    assert err == f"error: line 6: non-finite number in column {column!r}\n"
+
+
 def test_backtest_rejects_bad_window_len(capsys):
     code, out, err = run(capsys, "backtest", "--days", "15", "--window-len", "1")
     assert code == 1
