@@ -60,7 +60,6 @@ from .optimizer import (
 from .shapley import (
     AttributionResult,
     CostCounters,
-    ExecutionMemo,
     classical_cost,
     format_attribution,
     format_attribution_table,

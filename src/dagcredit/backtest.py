@@ -8,11 +8,12 @@ are computed, and at most one agent's prompt is updated for the next window.
 A frozen-prompt pass and three classic baselines run on exactly the same
 decision days for comparison.
 
-The two agent passes run window by window. Both passes of a window share one
-execution memo, so on each day the frozen pass calls an agent only where the
-agent or a member upstream of it in the coalition has a prompt the tuned pass
-had changed; the memo is dropped after the window, which keeps memory
-bounded by one window.
+The two agent passes run window by window. On each day the frozen pass takes
+its outputs from the tuned pass's run of that day and calls an agent only
+where the agent or a member upstream of it in the coalition has a prompt the
+tuned pass had changed. Only the tuned pass's runs are kept past the frozen
+pass, and only until the next window, which keeps memory bounded by one
+window.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .optimizer import (
 from .shapley import (
     AttributionResult,
     CostCounters,
-    ExecutionMemo,
+    LayeredRunResult,
     LivePlan,
     format_attribution,
     layered_run,
@@ -433,7 +434,8 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 @dataclass
 class WindowGame:
     """One window's coalition games plus the grand coalition's actions and
-    rewards on each decision day."""
+    rewards on each decision day; ``runs`` holds the pruned engine's run of
+    each decision day, and is empty without that engine."""
 
     values_dag: dict[int, float] | None
     counters_dag: CostCounters | None
@@ -441,6 +443,7 @@ class WindowGame:
     counters_exact: CostCounters | None
     grand_actions: list[dict[int, Any]]
     rewards: list[float]
+    runs: list[LayeredRunResult]
 
 
 def evaluate_window(
@@ -454,15 +457,15 @@ def evaluate_window(
     engine: str = "dag",
     *,
     plan: LivePlan | None = None,
-    memo: ExecutionMemo | None = None,
-    prompts: Sequence[Any] | None = None,
+    reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
     """Value every coalition's window Sharpe under the requested engine(s).
 
     The pruned engine runs one memoized episode per decision day over the
     viable coalitions (given by mask), with the tasks of ``plan`` (built when
-    not given) and, when ``memo`` is given, the outputs it kept from earlier
-    episodes under the agents' ``prompts`` (see ``layered_run``). The
+    not given). ``reuse`` is an earlier game on the same decision days with
+    the mask of the agents whose prompts have changed since; each day's run
+    then reuses the earlier run of that day (see ``layered_run``). The
     exhaustive engine replays every subset without sharing (the classical
     comparator). Both value a coalition by the raw Sharpe of its next-day
     return series. That series is a function of the coalition's positions on
@@ -487,22 +490,27 @@ def evaluate_window(
     values_dag = counters_dag = None
     values_exact = counters_exact = None
     grand_actions: list[dict[int, Any]] = []
+    runs: list[LayeredRunResult] = []
 
     if engine in ("dag", "both"):
         counters_dag = CostCounters()
         if plan is None:
             plan = live_plan(graph, viable)
-        day_outputs: list[dict[int, Any]] = []
-        for i in decision_days:
+        earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(decision_days)
+        if reuse is not None:
+            game, changed = reuse
+            if len(game.runs) != len(decision_days):
+                raise ValueError("the earlier game has other decision days")
+            earlier = [(run, changed) for run in game.runs]
+        for i, done in zip(decision_days, earlier):
             run = layered_run(
-                graph, viable, run_agent, features.for_day(i),
-                plan=plan, memo=memo, prompts=prompts,
+                graph, viable, run_agent, features.for_day(i), plan=plan, reuse=done
             )
-            day_outputs.append(run.sink_outputs)
+            runs.append(run)
             grand_actions.append(run.grand_outputs)
             counters_dag = counters_dag.merged(run.counters)
         values_dag = {
-            mask: coalition_sharpe([outputs[mask] for outputs in day_outputs])
+            mask: coalition_sharpe([run.sink_outputs[mask] for run in runs])
             for mask in viable
         }
         counters_dag.coalition_evaluations = len(viable)
@@ -542,6 +550,7 @@ def evaluate_window(
         counters_exact=counters_exact,
         grand_actions=grand_actions,
         rewards=rewards,
+        runs=runs,
     )
 
 
@@ -652,9 +661,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 
     Two agent passes (tuned and frozen prompts) and three baselines are
     evaluated on identical decision days. The passes run window by window,
-    sharing one execution memo per window. Every window of the tuned pass
-    ends in a tuning cycle, which reads the history records and may update
-    one prompt for the next window. Reports are written under
+    and the frozen pass reuses the tuned pass's runs. Every window of the
+    tuned pass ends in a tuning cycle, which reads the history records and
+    may update one prompt for the next window. Reports are written under
     ``config.out_dir`` when set; the same config and seed always produce
     byte-identical files.
     """
@@ -666,10 +675,19 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     viable_names = [coalition_names(graph, mask) for mask in viable]
 
     base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
+    unknown = sorted(set(base_prompts or ()) - set(graph.names))
+    if unknown:
+        raise ConfigError(
+            f"{config.prompts_dir}: prompt files name no agent of the graph: "
+            + ", ".join(f"{stem}.txt" for stem in unknown)
+        )
     specs0 = build_system(graph, config.seed, base_prompts=base_prompts)
 
     def attributed_window(
-        specs: dict[int, AgentSpec], memo: ExecutionMemo, w_index: int, day_idx: list[int]
+        specs: dict[int, AgentSpec],
+        w_index: int,
+        day_idx: list[int],
+        reuse: tuple[WindowGame, int] | None = None,
     ) -> tuple[WindowGame, WindowReport]:
         game = evaluate_window(
             graph,
@@ -681,8 +699,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             rf_daily=config.rf_daily,
             engine=config.engine,
             plan=plan,
-            memo=memo,
-            prompts=[specs[a].prompt for a in range(graph.n)],
+            reuse=reuse,
         )
         exact_diff = None
         if config.engine == "exact":
@@ -723,9 +740,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     cycles: list[CycleRecord] = []
     history: list[HistoryRecord] = []
     for w_index, day_idx in enumerate(windows):
-        memo = ExecutionMemo()
-        game, tuned = attributed_window(specs, memo, w_index, day_idx)
-        _, frozen = attributed_window(specs0, memo, w_index, day_idx)
+        game, tuned = attributed_window(specs, w_index, day_idx)
+        changed = sum(1 << a for a in range(graph.n) if specs[a].prompt != specs0[a].prompt)
+        frozen = attributed_window(specs0, w_index, day_idx, (game, changed))[1]
         tuned_reports.append(tuned)
         frozen_reports.append(frozen)
 

@@ -35,7 +35,6 @@ from .shapley import (
     CostCounters,
     InvalidSize,
     NonDeterminismDetected,
-    TooManyAgents,
     classical_cost,
     format_attribution_table,
     predicted_cost,
@@ -49,7 +48,6 @@ _VALIDATION_ERRORS = (
     GraphTooLarge,
     InvalidCoalition,
     InvalidSize,
-    TooManyAgents,
     RoleMismatch,
     WindowTooShort,
     bt.ParseError,

@@ -54,7 +54,7 @@ class WorkflowGraph:
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
     ``layers`` holds agent indices per layer in declaration order. Derived
-    fields (``sources``, ``sink``, adjacency, per-layer bitmasks and the
+    fields (``sources``, ``sink``, adjacency, each agent's layer and the
     topological ``order``) are computed once at construction and treated as
     read-only.
     """
@@ -67,8 +67,6 @@ class WorkflowGraph:
     succs: tuple[tuple[int, ...], ...]
     sources: tuple[int, ...]
     sink: int
-    layer_masks: tuple[int, ...]
-    prefix_masks: tuple[int, ...]
     order: tuple[int, ...]
 
     @property
@@ -167,17 +165,6 @@ def build_graph(
     if not sources:
         raise NoSource("graph has no agent with in-degree zero")
 
-    layer_masks = []
-    prefix_masks = []
-    prefix = 0
-    for row in layer_tuples:
-        mask = 0
-        for i in row:
-            mask |= 1 << i
-        layer_masks.append(mask)
-        prefix_masks.append(prefix)
-        prefix |= mask
-
     return WorkflowGraph(
         agents=tuple(Agent(i, name) for i, name in enumerate(names)),
         edges=frozenset(edge_idx),
@@ -187,8 +174,6 @@ def build_graph(
         succs=tuple(tuple(sorted(s)) for s in succs),
         sources=sources,
         sink=sinks[0],
-        layer_masks=tuple(layer_masks),
-        prefix_masks=tuple(prefix_masks),
         order=tuple(order),
     )
 

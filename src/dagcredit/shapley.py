@@ -21,9 +21,9 @@ the coalition. Every distinct (agent, live key) pair is one task per episode;
 ``predicted_cost`` counts them without running an agent. Both take the live
 keys from per-agent tables over every configuration of the agent's
 ancestors' indices, built from whole byte runs of the predecessors' tables.
-Given an ``ExecutionMemo``, a task takes its output from an earlier episode
-on the same external data whose prompts were the same for its agent and live
-key, instead of running the agent again.
+Handed an earlier run on the same external data and the mask of the agents
+whose prompts have changed since, a task whose agent and live key hold none
+of them takes the earlier run's output instead of running the agent again.
 """
 from __future__ import annotations
 
@@ -32,13 +32,15 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import Any
 
-from .coalitions import MAX_AGENTS, enumerate_viable, lane_flags, lanes_of, member_lanes
+from .coalitions import (
+    MAX_AGENTS, GraphTooLarge, enumerate_viable, lane_flags, lanes_of, member_lanes,
+)
 from .graph import WorkflowGraph
 
 # An agent runner: (agent index, upstream outputs by agent index, external
@@ -50,10 +52,6 @@ AgentRunner = Callable[[int, Mapping[int, Any], Any], Any]
 # bits wide on every platform CPython supports.
 _KEY = "I"
 _KEY_BYTES = array(_KEY).itemsize
-
-
-class TooManyAgents(ValueError):
-    pass
 
 
 class InvalidSize(ValueError):
@@ -86,8 +84,8 @@ class CostCounters:
     """Work performed while valuing a game.
 
     ``agent_executions`` counts runner calls; ``executions_reused`` counts
-    the tasks that took their output from an earlier episode kept in an
-    ``ExecutionMemo`` instead of calling the runner.
+    the tasks that took their output from an earlier run instead of calling
+    the runner.
     """
 
     coalition_evaluations: int = 0
@@ -193,7 +191,7 @@ def shapley_exact(
     if n <= 0:
         raise InvalidSize("need at least one agent")
     if n > MAX_AGENTS:
-        raise TooManyAgents(f"{n} agents exceeds the limit of {MAX_AGENTS}")
+        raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
     phi = _phi_from_values(n, values, exact_arith)
     return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
@@ -209,7 +207,7 @@ def shapley_dag(
     with ``coalition_evaluations`` set to the table size.
     """
     if graph.n > MAX_AGENTS:
-        raise TooManyAgents(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
+        raise GraphTooLarge(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
     phi = _phi_from_values(graph.n, values, False)
     return AttributionResult(
         tuple(phi), replace(counters, coalition_evaluations=len(values))
@@ -220,17 +218,25 @@ def shapley_dag(
 class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
-    ``cache`` maps (agent, live key) to the agent's output, one entry per
-    task, whether it ran or came from the memo;
-    ``sink_outputs`` maps each viable coalition's mask to its sink output;
-    ``grand_outputs`` maps each agent to its output in the grand coalition,
-    and is empty when the grand coalition is not among the viable masks.
+    ``outputs`` holds, per agent, its output under each of its tasks in
+    ``plan``, whether it ran or was reused; ``cache`` reads them by (agent,
+    live key), one entry per task. ``external`` is the episode's external
+    data. ``sink_outputs`` maps each viable coalition's mask to its sink
+    output; ``grand_outputs`` maps each agent to its output in the grand
+    coalition, and is empty when the grand coalition is not among the
+    viable masks.
     """
 
-    cache: Mapping[tuple[int, int], Any]
+    plan: LivePlan
+    external: Any
+    outputs: list[list[Any]]
     sink_outputs: dict[int, Any]
     counters: CostCounters
     grand_outputs: dict[int, Any]
+
+    @property
+    def cache(self) -> Mapping[tuple[int, int], Any]:
+        return _OutputsByKey(self.plan, self.outputs)
 
 
 @dataclass(frozen=True)
@@ -264,45 +270,6 @@ class LivePlan:
         return (self.graph is graph or self.graph == graph) and (
             self.viable is viable or list(self.viable) == list(viable)
         )
-
-
-class ExecutionMemo:
-    """Task outputs of earlier episodes, shared by every ``layered_run``
-    handed the same memo.
-
-    A task's output is fixed by the episode's external data and the prompt
-    states of its agent and of the members of its live key: nothing else
-    reaches the agent. The memo keeps each episode that ran a task, by its
-    external data, with its prompts and its outputs by task. A task of a
-    later episode on equal external data takes its output from the first
-    kept episode whose prompts are equal on the task's agent and live key;
-    only the other tasks call the runner. Outputs are never compared, so
-    which tasks run follows from the graph, the masks and the prompts
-    alone. A backtest keeps one memo per window, shared by the window's
-    tuned and frozen passes, and then drops it.
-    """
-
-    def __init__(self) -> None:
-        self.plan: LivePlan | None = None
-        # external data -> [(prompt states, per agent its outputs by task)]
-        self._episodes: dict[Hashable, list[tuple[tuple[Any, ...], list[list[Any]]]]] = {}
-
-    def earlier(
-        self, plan: LivePlan, external: Hashable, prompts: Sequence[Any]
-    ) -> list[tuple[int, list[list[Any]]]]:
-        """The kept episodes on ``external``, each as (mask of the agents
-        whose kept prompt differs from ``prompts``, outputs by task)."""
-        if self.plan is None:
-            self.plan = plan
-        elif self.plan is not plan and not self.plan.serves(plan.graph, plan.viable):
-            raise ValueError("the memo holds tasks of other viable masks")
-        return [
-            (sum(1 << a for a, (p, q) in enumerate(zip(prompts, kept)) if p != q), outputs)
-            for kept, outputs in self._episodes.get(external, ())
-        ]
-
-    def keep(self, external: Hashable, prompts: Sequence[Any], outputs: list[list[Any]]) -> None:
-        self._episodes.setdefault(external, []).append((tuple(prompts), outputs))
 
 
 class _OutputsByKey(Mapping[tuple[int, int], Any]):
@@ -439,8 +406,7 @@ def layered_run(
     external: Any = None,
     *,
     plan: LivePlan | None = None,
-    memo: ExecutionMemo | None = None,
-    prompts: Sequence[Any] | None = None,
+    reuse: tuple[LayeredRunResult, int] | None = None,
     verify_determinism: bool = False,
 ) -> LayeredRunResult:
     """Execute every viable coalition (given by mask) for one episode with
@@ -455,11 +421,14 @@ def layered_run(
     data goes to source agents only. Per-coalition sink outputs are then
     read through the sink's live key, keyed by mask.
 
-    Without ``memo`` every task calls ``run_agent``. With one, a task whose
-    agent and live-key members had the same prompt states (``prompts``, per
-    agent; all None when not given) in an episode the memo kept on equal
-    external data, which must then be hashable, takes that episode's output
-    (see ``ExecutionMemo``), and an episode that called the runner is kept.
+    Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
+    earlier run of the same plan on equal external data, with the mask of
+    the agents whose prompts have changed since: a task whose agent and
+    live key hold none of those agents takes the earlier run's output, as
+    nothing else reaches the agent, and only the other tasks call the
+    runner. Outputs are never compared, so which tasks run follows from the
+    masks alone. An earlier run of another plan or on unequal external data
+    raises ValueError.
 
     ``agent_executions`` counts runner calls and ``executions_reused`` the
     other tasks; the two sum to the plan's task count. ``cache_hits`` counts
@@ -473,9 +442,15 @@ def layered_run(
         plan = live_plan(graph, viable)
     elif not plan.serves(graph, viable):
         raise ValueError("the plan was built for other viable masks")
-    if prompts is None:
-        prompts = (None,) * graph.n
-    earlier = [] if memo is None else memo.earlier(plan, external, prompts)
+    done: list[list[Any]] | None = None
+    changed = 0
+    if reuse is not None:
+        earlier, changed = reuse
+        if earlier.plan is not plan and not earlier.plan.serves(graph, viable):
+            raise ValueError("the earlier run was built from another plan")
+        if earlier.external is not external and earlier.external != external:
+            raise ValueError("the earlier run was on other external data")
+        done = earlier.outputs
     # Per agent, its output under each of its tasks.
     outputs: list[list[Any]] = [[] for _ in range(graph.n)]
     executions = 0
@@ -483,10 +458,9 @@ def layered_run(
 
     for layer in graph.layers:
         for agent in layer:
-            bit = 1 << agent
-            # Kept episodes with this agent's prompt; a task reuses one whose
-            # prompts also agree on its live key.
-            kept = [(changed, done[agent]) for changed, done in earlier if not changed & bit]
+            # The earlier outputs when this agent's prompt is unchanged; a
+            # task reuses its own when its live key is unchanged too.
+            kept = done[agent] if done is not None and not changed >> agent & 1 else None
             # Per predecessor, its outputs and its task under each of this
             # agent's tasks.
             inputs = [(p, outputs[p], col) for p, col in plan.inputs[agent]]
@@ -494,22 +468,18 @@ def layered_run(
             data = None if inputs else external
             row = outputs[agent]
             for task, key in enumerate(plan.keys[agent]):
-                for changed, done in kept:
-                    if not key & changed:
-                        row.append(done[task])
-                        break
-                else:
-                    upstream = {
-                        p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0
-                    }
-                    try:
-                        row.append(run_agent(agent, upstream, data))
-                    except Exception as exc:
-                        raise ExecutorFailure(
-                            f"agent {graph.names[agent]} failed under live key {bin(key)}"
-                        ) from exc
-                    executions += 1
-                    last_run = (agent, task, upstream)
+                if kept is not None and not key & changed:
+                    row.append(kept[task])
+                    continue
+                upstream = {p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0}
+                try:
+                    row.append(run_agent(agent, upstream, data))
+                except Exception as exc:
+                    raise ExecutorFailure(
+                        f"agent {graph.names[agent]} failed under live key {bin(key)}"
+                    ) from exc
+                executions += 1
+                last_run = (agent, task, upstream)
 
     reads = plan.upstream_reads + len(viable)
     if verify_determinism and last_run is not None:
@@ -521,9 +491,6 @@ def layered_run(
                 f"agent {graph.names[agent]} is not deterministic under live key "
                 f"{bin(plan.keys[agent][task])}"
             )
-    if memo is not None and executions:
-        memo.keep(external, prompts, outputs)
-
     sink_row = outputs[graph.sink]
     sink_outputs = dict(zip(viable, map(sink_row.__getitem__, plan.sink_tasks)))
     grand_outputs = (
@@ -536,7 +503,7 @@ def layered_run(
         cache_hits=reads,
         executions_reused=plan.tasks - executions,
     )
-    return LayeredRunResult(_OutputsByKey(plan, outputs), sink_outputs, counters, grand_outputs)
+    return LayeredRunResult(plan, external, outputs, sink_outputs, counters, grand_outputs)
 
 
 @dataclass(frozen=True)
@@ -573,8 +540,8 @@ def replay_coalition(
 
 @dataclass(frozen=True)
 class PredictedCost:
-    """Task counts of one episode on a graph: its runner calls without an
-    ``ExecutionMemo``, which a memo can only lower."""
+    """Task counts of one episode on a graph: its runner calls without
+    ``reuse``, which reuse can only lower."""
 
     layer_executions: tuple[int, ...]
     total_executions: int
@@ -589,7 +556,7 @@ def predicted_cost(graph: WorkflowGraph) -> PredictedCost:
     over the viable coalitions, from the same routine ``layered_run`` keys
     its tasks by. It depends on the graph alone and equals
     ``agent_executions + executions_reused`` of any episode; the runner
-    calls reach it when no memo serves the episode.
+    calls reach it when the episode reuses nothing.
     """
     viable = enumerate_viable(graph)
     _, keys = _live_keys(graph, viable)

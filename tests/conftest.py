@@ -20,6 +20,12 @@ def layered_graph(sizes):
     return build_graph(layers, edges)
 
 
+def prefix_mask(graph, layer):
+    """The agents of the layers before ``layer``: the upstream configuration
+    of an agent in that layer is a coalition's membership among them."""
+    return sum(1 << a for row in graph.layers[:layer] for a in row)
+
+
 @st.composite
 def skip_layered_graphs(draw):
     """Layered graphs of up to ten agents whose edges may skip layers; a

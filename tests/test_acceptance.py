@@ -49,7 +49,7 @@ from dagcredit.shapley import (
     shapley_weight,
 )
 
-from conftest import FEATURES, layered_graph
+from conftest import FEATURES, layered_graph, prefix_mask
 from test_shapley import closed_form_cost, random_layered
 
 
@@ -268,7 +268,7 @@ def test_criterion_8_information_flow_enforcement():
     legal = set()
     for mask in viable:
         for agent in (a for a in range(g.n) if mask >> a & 1):
-            cfg = mask & g.prefix_masks[g.layer_of[agent]]
+            cfg = mask & prefix_mask(g, g.layer_of[agent])
             legal.add((agent, frozenset(p for p in g.preds[agent] if cfg >> p & 1)))
 
     replay_calls = []

@@ -54,7 +54,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
-from dagcredit.shapley import ExecutionMemo, replay_coalition
+from dagcredit.shapley import replay_coalition
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -327,20 +327,25 @@ def test_evaluate_window_dag_engine_counts(window_setup):
     assert game.values_exact is None
 
 
-def test_evaluate_window_shares_a_given_memo(window_setup):
+def test_evaluate_window_reuses_an_earlier_game(window_setup):
     g, market, view, runner, viable = window_setup
-    memo = ExecutionMemo()
-    prompts = ["same"] * g.n
-    first = evaluate_window(
-        g, viable, runner, market, view, [0, 1, 2, 3, 4], memo=memo, prompts=prompts
-    )
-    again = evaluate_window(
-        g, viable, runner, market, view, [0, 1, 2, 3, 4], memo=memo, prompts=prompts
-    )
+    days = [0, 1, 2, 3, 4]
+    first = evaluate_window(g, viable, runner, market, view, days)
+    assert len(first.runs) == 4
+    again = evaluate_window(g, viable, runner, market, view, days, reuse=(first, 0))
     assert again.counters_dag.agent_executions == 0
     assert again.counters_dag.executions_reused == 4 * 73
     assert again.values_dag == first.values_dag
     assert again.grand_actions == first.grand_actions
+    # A changed trader reruns its 49 tasks on each day.
+    trader = evaluate_window(
+        g, viable, runner, market, view, days, reuse=(first, 1 << g.sink)
+    )
+    assert trader.counters_dag.agent_executions == 4 * 49
+    with pytest.raises(ValueError, match="other decision days"):
+        evaluate_window(g, viable, runner, market, view, days[:-1], reuse=(first, 0))
+    with pytest.raises(ValueError, match="other external data"):
+        evaluate_window(g, viable, runner, market, view, [1, 2, 3, 4, 5], reuse=(first, 0))
 
 
 def test_evaluate_window_engines_agree(window_setup):
@@ -509,8 +514,8 @@ def test_backtest_passes_agree_until_first_trigger(result_30):
 
 @pytest.mark.parametrize("engine", ["dag", "both"])
 def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, tmp_path):
-    """Both passes of a window share one memo: the runners are called exactly
-    as often as the reports say, and frozen window 0 runs nothing."""
+    """The frozen pass reuses the tuned pass's runs: the runners are called
+    exactly as often as the reports say, and frozen window 0 runs nothing."""
     calls = [0]
     make_runner = backtest.system_runner
 

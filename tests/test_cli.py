@@ -366,6 +366,19 @@ def test_backtest_rejects_non_finite_market_numbers(capsys, tmp_path, column, te
     assert err == f"error: line 6: non-finite number in column {column!r}\n"
 
 
+def test_backtest_rejects_prompt_files_that_name_no_agent(capsys, tmp_path):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "TRA.txt").write_text("Trade the consensus.\n", encoding="utf-8")
+    (prompts / "TRADER.txt").write_text("Trade the consensus.\n", encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"days": 15, "prompts_dir": str(prompts)}), encoding="utf-8")
+    code, out, err = run(capsys, "backtest", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {prompts}: prompt files name no agent of the graph: TRADER.txt\n"
+
+
 def test_backtest_rejects_bad_window_len(capsys):
     code, out, err = run(capsys, "backtest", "--days", "15", "--window-len", "1")
     assert code == 1

@@ -28,12 +28,6 @@ def test_reference_graph_shape():
     assert len(g.edges) == 12
 
 
-def test_reference_graph_layer_masks():
-    g = reference_graph()
-    assert g.layer_masks == (0b0000111, 0b0111000, 0b1000000)
-    assert g.prefix_masks == (0b0000000, 0b0000111, 0b0111111)
-
-
 def test_reference_graph_adjacency():
     g = reference_graph()
     for analyst in (0, 1, 2):

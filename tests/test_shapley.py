@@ -25,11 +25,9 @@ from dagcredit.graph import build_graph, path_exists, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
     CostCounters,
-    ExecutionMemo,
     ExecutorFailure,
     InvalidSize,
     NonDeterminismDetected,
-    TooManyAgents,
     classical_cost,
     format_attribution,
     format_attribution_table,
@@ -42,7 +40,7 @@ from dagcredit.shapley import (
     shapley_weight,
 )
 
-from conftest import FEATURES, layered_graph, skip_layered_graphs
+from conftest import FEATURES, layered_graph, prefix_mask, skip_layered_graphs
 from test_golden import SPARSE_SKIP_GRAPH
 
 
@@ -215,7 +213,7 @@ def test_exact_engine_counts_evaluations():
 
 
 def test_engines_reject_oversized_inputs():
-    with pytest.raises(TooManyAgents):
+    with pytest.raises(GraphTooLarge, match="25 agents exceeds the limit of 24"):
         shapley_exact({}, 25, CostCounters())
     with pytest.raises(InvalidSize):
         shapley_exact({}, 0, CostCounters())
@@ -318,7 +316,7 @@ def test_dag_engine_rejects_oversized_graph():
     layers = [[f"s{i}"] for i in range(24)] + [["t"]]
     edges = [(f"s{i}", f"s{i+1}") for i in range(23)] + [("s23", "t")]
     g = build_graph(layers, edges)
-    with pytest.raises(TooManyAgents):
+    with pytest.raises(GraphTooLarge, match="25 agents exceeds the limit of 24"):
         shapley_dag(g, {}, CostCounters())
 
 
@@ -331,7 +329,7 @@ def test_upstream_configuration_masks():
     earlier layers."""
     g = reference_graph()
     mask = 0b1010101  # agents 0, 2, 4 and 6
-    assert [mask & g.prefix_masks[layer] for layer in range(3)] == [
+    assert [mask & prefix_mask(g, layer) for layer in range(3)] == [
         0, 0b101, 0b10101,
     ]
 
@@ -346,7 +344,7 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     assert run.counters.executions_reused == 0
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
-    assert run.cache[(ref_graph.sink, grand & ref_graph.prefix_masks[2])] == (
+    assert run.cache[(ref_graph.sink, grand & prefix_mask(ref_graph, 2))] == (
         run.sink_outputs[grand]
     )
     # upstream reads: layer 1 pulls 3 * (3 + 6 + 3) / ... = 36, layer 2 pulls
@@ -413,7 +411,7 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
     legal = set()
     for mask in ref_viable:
         for agent in (a for a in range(ref_graph.n) if mask >> a & 1):
-            cfg = mask & ref_graph.prefix_masks[ref_graph.layer_of[agent]]
+            cfg = mask & prefix_mask(ref_graph, ref_graph.layer_of[agent])
             legal.add((agent, frozenset(p for p in ref_graph.preds[agent] if cfg >> p & 1)))
     assert set(seen) <= legal
 
@@ -528,7 +526,7 @@ def live_sets(graph, viable, agent):
     """The distinct live sets of an agent over the viable coalitions that
     hold it, by path search: the members of earlier layers with a path to
     the agent inside the coalition."""
-    prefix = graph.prefix_masks[graph.layer_of[agent]]
+    prefix = prefix_mask(graph, graph.layer_of[agent])
     return {
         frozenset(
             p for p in range(graph.n)
@@ -623,65 +621,110 @@ OTHER_FEATURES = MarketFeatures(
 )
 
 
+def with_lessons(specs, changed):
+    """``specs`` with a lesson appended to the prompt of each agent in the
+    mask ``changed``."""
+    return {
+        a: dataclasses.replace(spec, prompt=append_lessons(spec.prompt, [BOOST_TOKEN]))
+        if changed >> a & 1
+        else spec
+        for a, spec in specs.items()
+    }
+
+
+def assert_matches_replay(g, run, runner):
+    """Every viable sink output is the replayed one, and the pruned engine's
+    contributions equal the exact engine's to the last bit."""
+    for mask in run.sink_outputs:
+        assert run.sink_outputs[mask] == replay_coalition(g, mask, runner, FEATURES).sink_output
+    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    dag = shapley_dag(g, values, run.counters)
+    replay_values, _ = replay_table(g, runner)
+    exact = shapley_exact(replay_values, g.n, CostCounters())
+    assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
+
+
 @given(skip_layered_graphs(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_runner_calls_are_the_distinct_tasks_and_prompts(g, data):
-    """With one memo over several episodes, the runner runs once per distinct
-    (external data, agent, live set, prompts of the agent and its live set)
-    among the episodes' tasks, and no value changes."""
+    """A run reusing an earlier one calls the runner once per distinct
+    (agent, live set, prompts of the agent and its live set) among its tasks
+    that the earlier run's tasks lack, and no value changes."""
     viable = enumerate_viable(g)
     cost = predicted_cost(g)
     plan = live_plan(g, viable)
-    frozen = build_system(g, seed=11)
-    tuned = dict(frozen)
     agent = data.draw(st.integers(0, g.n - 1), label="tuned agent")
-    tuned[agent] = dataclasses.replace(
-        frozen[agent], prompt=append_lessons(frozen[agent].prompt, [BOOST_TOKEN])
-    )
+    frozen = build_system(g, seed=11)
+    tuned = with_lessons(frozen, 1 << agent)
     sets = [live_sets(g, viable, a) for a in range(g.n)]
-    memo = ExecutionMemo()
     seen = set()
     runner_calls = 0
-    episodes = [(tuned, FEATURES), (tuned, OTHER_FEATURES), (frozen, FEATURES), (tuned, FEATURES)]
-    for specs, external in episodes:
+    run = None
+    for specs in (tuned, frozen):
         prompts = [specs[a].prompt for a in range(g.n)]
         runner = system_runner(specs)
-        run = layered_run(
-            g, viable, runner, external, plan=plan, memo=memo, prompts=prompts
-        )
+        reuse = None if run is None else (run, 1 << agent)
+        run = layered_run(g, viable, runner, FEATURES, plan=plan, reuse=reuse)
         runner_calls += run.counters.agent_executions
         assert run.counters.agent_executions + run.counters.executions_reused == (
             cost.total_executions
         )
         seen |= {
-            (external, a, live, tuple(prompts[m] for m in sorted(live | {a})))
+            (a, live, tuple(prompts[m] for m in sorted(live | {a})))
             for a in range(g.n)
             for live in sets[a]
         }
         assert runner_calls == len(seen)
+        assert_matches_replay(g, run, runner)
+    # With nothing changed since, every task is reused.
+    again = layered_run(g, viable, runner, FEATURES, plan=plan, reuse=(run, 0))
+    assert again.counters.agent_executions == 0
+    assert again.sink_outputs == run.sink_outputs
 
-        replay_values = {}
-        for mask in range(1 << g.n):
-            replay = replay_coalition(g, mask, runner, external)
-            if replay.sink_output is not None:
-                replay_values[mask] = signed_decision_value(replay.sink_output)
-            if mask in run.sink_outputs:
-                assert run.sink_outputs[mask] == replay.sink_output
-        values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
-        dag = shapley_dag(g, values, run.counters)
-        exact = shapley_exact(replay_values, g.n, CostCounters())
-        assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
-    # The last episode repeats the first.
-    assert run.counters.agent_executions == 0
+
+@given(skip_layered_graphs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_reuse_reruns_the_tasks_that_a_changed_agent_reaches(g, data):
+    """With any mask of changed agents, the runner runs exactly the tasks
+    whose agent or live key holds one of them, in plan order with their
+    live predecessors' outputs, and the run is that of the changed system."""
+    viable = enumerate_viable(g)
+    plan = live_plan(g, viable)
+    changed = data.draw(st.integers(0, g.full_mask), label="changed")
+    before = build_system(g, seed=11)
+    earlier = layered_run(g, viable, system_runner(before), FEATURES, plan=plan)
+    after = system_runner(with_lessons(before, changed))
+    calls = []
+
+    def recorder(agent, upstream, external):
+        calls.append((agent, frozenset(upstream)))
+        return after(agent, upstream, external)
+
+    run = layered_run(g, viable, recorder, FEATURES, plan=plan, reuse=(earlier, changed))
+    assert calls == [
+        (a, frozenset(p for p in g.preds[a] if key >> p & 1))
+        for layer in g.layers
+        for a in layer
+        for key in plan.keys[a]
+        if (key | 1 << a) & changed
+    ]
+    assert run.counters.agent_executions == len(calls)
+    assert run.counters.agent_executions + run.counters.executions_reused == (
+        predicted_cost(g).total_executions
+    )
+    assert_matches_replay(g, run, after)
 
 
 def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
+    """Reuse reads outputs by task and compares external data for equality,
+    so neither needs to be hashable."""
+
     def listing(agent, upstream, external):
         return [agent, sorted(upstream)]
 
-    memo = ExecutionMemo()
-    first = layered_run(ref_graph, ref_viable, listing, FEATURES, memo=memo)
-    again = layered_run(ref_graph, ref_viable, listing, FEATURES, memo=memo)
+    external = {"closes": [100.0, 101.0]}
+    first = layered_run(ref_graph, ref_viable, listing, external)
+    again = layered_run(ref_graph, ref_viable, listing, dict(external), reuse=(first, 0))
     assert first.counters.agent_executions == 73
     assert again.counters.agent_executions == 0
     assert again.sink_outputs == first.sink_outputs
@@ -689,13 +732,12 @@ def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
 
 def test_determinism_check_reruns_the_last_task_that_ran(ref_graph, ref_viable, ref_runner):
     runner, calls = counting(ref_runner)
-    memo = ExecutionMemo()
-    run = layered_run(ref_graph, ref_viable, runner, FEATURES, memo=memo, verify_determinism=True)
+    run = layered_run(ref_graph, ref_viable, runner, FEATURES, verify_determinism=True)
     assert len(calls) == run.counters.agent_executions + 1 == 74
     assert calls[-1] == calls[-2] == ref_graph.sink
-    # With every task already in the memo nothing runs, and nothing is rerun.
+    # Reusing every task, nothing runs, and nothing is rerun.
     again = layered_run(
-        ref_graph, ref_viable, runner, FEATURES, memo=memo, verify_determinism=True
+        ref_graph, ref_viable, runner, FEATURES, reuse=(run, 0), verify_determinism=True
     )
     assert again.counters.agent_executions == 0
     assert len(calls) == 74
@@ -704,33 +746,25 @@ def test_determinism_check_reruns_the_last_task_that_ran(ref_graph, ref_viable, 
 
 def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runner):
     runner, calls = counting(ref_runner)
-    memo = ExecutionMemo()
     plan = live_plan(ref_graph, ref_viable)
-    prompts = ["v1"] * ref_graph.n
-    layered_run(ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts)
-    # A new prompt for one outlook reruns its 7 tasks and the 28 trader tasks
-    # whose live key holds it. Outputs are never compared: those tasks rerun
-    # although this runner ignores prompts.
+    first = layered_run(ref_graph, ref_viable, runner, FEATURES, plan=plan)
+    # A changed prompt for one outlook reruns its 7 tasks and the 28 trader
+    # tasks whose live key holds it. Outputs are never compared: those tasks
+    # rerun although this runner ignores prompts.
     boa, sink = ref_graph.index_of("BOA"), ref_graph.sink
     assert sum(key >> boa & 1 for key in plan.keys[sink]) == 28
-    prompts[boa] = "v2"
     run = layered_run(
-        ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts
+        ref_graph, ref_viable, runner, FEATURES, plan=plan, reuse=(first, 1 << boa)
     )
     assert calls[73:] == [boa] * 7 + [sink] * 28
     assert run.counters.agent_executions == 35
     assert run.counters.executions_reused == 38
-    # A different external day shares nothing.
-    other = layered_run(
-        ref_graph, ref_viable, runner, OTHER_FEATURES, plan=plan, memo=memo, prompts=prompts
+    # A changed trader reruns its own 49 tasks only.
+    trader = layered_run(
+        ref_graph, ref_viable, runner, FEATURES, plan=plan, reuse=(run, 1 << sink)
     )
-    assert other.counters.agent_executions == 73
-    # Back to the first prompts, the first episode serves every task.
-    prompts[boa] = "v1"
-    back = layered_run(
-        ref_graph, ref_viable, runner, FEATURES, plan=plan, memo=memo, prompts=prompts
-    )
-    assert back.counters.agent_executions == 0
+    assert calls[108:] == [sink] * 49
+    assert trader.sink_outputs == first.sink_outputs
 
 
 def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner):
@@ -744,16 +778,19 @@ def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner)
     assert len(run.sink_outputs) == len(without_naa) == 3 * 7
 
 
-def test_plan_and_memo_must_match_the_masks(ref_graph, ref_viable, ref_runner):
+def test_plan_and_reuse_must_match_the_masks(ref_graph, ref_viable, ref_runner):
     plan = live_plan(ref_graph, ref_viable[:-1])
     with pytest.raises(ValueError, match="plan was built for other viable masks"):
         layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=plan)
     same = layered_run(ref_graph, list(ref_viable[:-1]), ref_runner, FEATURES, plan=plan)
     assert len(same.sink_outputs) == 48
-    memo = ExecutionMemo()
-    layered_run(ref_graph, ref_viable, ref_runner, FEATURES, memo=memo)
-    with pytest.raises(ValueError, match="memo holds tasks of other viable masks"):
-        layered_run(ref_graph, ref_viable[:-1], ref_runner, FEATURES, plan=plan, memo=memo)
+    full = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+    with pytest.raises(ValueError, match="earlier run was built from another plan"):
+        layered_run(
+            ref_graph, ref_viable[:-1], ref_runner, FEATURES, plan=plan, reuse=(full, 0)
+        )
+    with pytest.raises(ValueError, match="earlier run was on other external data"):
+        layered_run(ref_graph, ref_viable, ref_runner, OTHER_FEATURES, reuse=(full, 0))
 
 
 # ---------------------------------------------------------------------------
