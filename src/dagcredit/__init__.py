@@ -69,7 +69,6 @@ from .shapley import (
     replay_coalition,
     shapley_dag,
     shapley_exact,
-    shapley_weight,
 )
 
 __version__ = "0.1.0"

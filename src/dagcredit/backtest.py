@@ -417,9 +417,12 @@ def decision_to_position(decision: Any) -> int:
 
 
 def day_windows(total_days: int, window_len: int) -> list[list[int]]:
-    """Consecutive full windows of day indices; a short tail is dropped."""
-    if window_len < 2:
-        raise ConfigError("window_len must be at least 2")
+    """Consecutive full windows of day indices; a short tail is dropped.
+
+    A window of w days gives w - 1 next-day returns, and a Sharpe needs two.
+    """
+    if window_len < 3:
+        raise ConfigError("window_len must be at least 3")
     windows = [
         list(range(start, start + window_len))
         for start in range(0, total_days - window_len + 1, window_len)

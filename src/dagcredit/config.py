@@ -53,8 +53,8 @@ class RunConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.window_len < 2:
-            raise ConfigError("window_len must be at least 2")
+        if self.window_len < 3:
+            raise ConfigError("window_len must be at least 3")
         if self.days < 2:
             raise ConfigError("days must be at least 2")
         if not 0.0 <= self.signal_strength <= 1.0:

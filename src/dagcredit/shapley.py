@@ -2,16 +2,18 @@
 shared execution for layered workflows.
 
 A game is a table from coalition bitmask to value; masks missing from the
-table are worth zero. Two entry points aggregate a table into per-agent
-contributions with the same routine:
+table are worth zero, and the table holds every superset of each of its
+masks. Two entry points aggregate a table into per-agent contributions with
+the same float routine:
 
 * ``shapley_exact`` takes a table over every subset (the classical path).
 * ``shapley_dag`` takes a table over the viable coalitions only; every other
   subset cannot trade and is worth zero by the game definition.
 
-The routine loops over the table's entries, and looks up absent supersets
-only for the agents where a bit-lane test over the table's masks finds one;
-a table over the viable coalitions has none.
+The routine sums, for each agent, over the table's entries that hold it; a
+bit-lane test per agent rejects a table that lacks a superset of one of its
+masks. Viable masks, the full power set and the masks where the sink ran
+all pass.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -34,7 +36,6 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import compress, repeat
 from typing import Any
 
@@ -64,19 +65,6 @@ class ExecutorFailure(RuntimeError):
 
 class NonDeterminismDetected(RuntimeError):
     """Optional debug re-execution produced a different output for a cached key."""
-
-
-def shapley_weight(s: int, n: int) -> Fraction:
-    """Exact weight ``s! (n - s - 1)! / n!`` for a coalition of size ``s``.
-
-    Kept rational so that summing the weights over all subset sizes is
-    exactly 1; conversion to float happens only when terms are accumulated.
-    """
-    if n <= 0 or s < 0 or s >= n:
-        raise InvalidSize(f"need 0 <= s < n, got s={s} n={n}")
-    return Fraction(
-        math.factorial(s) * math.factorial(n - s - 1), math.factorial(n)
-    )
 
 
 @dataclass
@@ -114,85 +102,65 @@ class AttributionResult:
 
 
 @functools.cache
-def _weights(n: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    # The weights of every coalition size below n, exact and as floats.
-    exact = tuple(shapley_weight(s, n) for s in range(n))
-    return exact, tuple(map(float, exact))
+def _weights(n: int) -> tuple[float, ...]:
+    # The weight s! (n - s - 1)! / n! of each coalition size s below n. An
+    # int / int division is correctly rounded, so each is the float nearest
+    # the exact rational.
+    total = math.factorial(n)
+    return tuple(math.factorial(s) * math.factorial(n - s - 1) / total for s in range(n))
 
 
-def _phi_from_values(
-    n: int, values: Mapping[int, float], exact_arith: bool
-) -> list[float]:
+def _phi_from_values(n: int, values: Mapping[int, float]) -> list[float]:
     # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i. A
-    # term is non-zero only when T + i or T is in the table, so the loop runs
-    # over the table: an entry S holding i gives the term with T = S - i, an
-    # entry S without i gives T = S unless S + i is an entry itself (then that
-    # entry already gave it). The skipped terms are all +0.0, and both sums
-    # below are exact before their single rounding, so the result is the same
-    # as summing over all 2**n subsets.
+    # table holds every superset of each of its masks, so a term is non-zero
+    # only when T + i is an entry: the loop runs over the table's entries
+    # holding i. The skipped terms are all +0.0, and the sum below is exact
+    # before its single rounding, so the result is the same as summing over
+    # all 2**n subsets.
     #
-    # Only an entry without i whose S + i is absent gives a term of its own,
-    # and one lane test per agent tells whether there is any: shifting the
-    # table's lanes up by 2**i moves each entry S without i to lane S + i,
-    # which holds i (an entry holding i lands on a lane without i, and the
-    # membership lanes drop it), so all those S + i are entries exactly when
-    # the shifted lanes that hold i are all the table's. Adding a member
-    # keeps a coalition viable, so a table over the viable coalitions passes
-    # for every agent and is never probed.
-    weights, wf = _weights(n)
+    # One lane test per agent checks the superset rule: shifting the table's
+    # lanes up by 2**i moves each entry S without i to lane S + i, which
+    # holds i (an entry holding i lands on a lane without i, and the
+    # membership lanes drop it), so every such S + i is an entry exactly
+    # when the shifted lanes that hold i are all the table's.
+    if n < 1:
+        raise InvalidSize("need at least one agent")
+    if n > MAX_AGENTS:
+        raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
+    w = _weights(n)
     present = lanes_of(values, n)
     entries = [(mask, value, mask.bit_count()) for mask, value in values.items()]
     phi = []
     for i in range(n):
         bit = 1 << i
-        probe = bool(present << bit & member_lanes(i, n) & ~present)
-        if exact_arith:
-            acc = sum(
-                (
-                    weights[size - 1]
-                    * (Fraction(value) - Fraction(values.get(mask ^ bit, 0.0)))
-                    if mask & bit
-                    else weights[size] * -Fraction(value)
-                    for mask, value, size in entries
-                    if mask & bit or probe and mask | bit not in values
-                ),
-                Fraction(0),
+        missing = present << bit & member_lanes(i, n) & ~present
+        if missing:
+            superset = (missing & -missing).bit_length() - 1
+            raise ValueError(
+                f"the table lacks the superset {superset:#b} of its mask {superset ^ bit:#b}"
             )
-            phi.append(float(acc))
-        else:
-            # One agent's terms at a time: a list for all agents would hold
-            # n times the table.
-            terms = [
-                wf[size - 1] * (value - values.get(mask ^ bit, 0.0))
-                if mask & bit
-                else wf[size] * (0.0 - value)
-                for mask, value, size in entries
-                if mask & bit or probe and mask | bit not in values
-            ]
-            phi.append(math.fsum(terms))
+        # One agent's terms at a time: a list for all agents would hold n
+        # times the table.
+        terms = [
+            w[size - 1] * (value - values.get(mask ^ bit, 0.0))
+            for mask, value, size in entries
+            if mask & bit
+        ]
+        phi.append(math.fsum(terms))
     return phi
 
 
 def shapley_exact(
-    values: Mapping[int, float],
-    n: int,
-    counters: CostCounters,
-    *,
-    exact_arith: bool = False,
+    values: Mapping[int, float], n: int, counters: CostCounters
 ) -> AttributionResult:
     """Exact Shapley values from a table over the full power set of ``n`` agents.
 
-    ``counters`` is the work spent filling the table; the result reports it
-    with ``coalition_evaluations`` set to ``2**n``. With ``exact_arith`` the
-    weighted marginals accumulate as rationals, which makes null players
-    exactly zero; the default path converts weights to float and uses
-    compensated summation.
+    Masks missing from the table are worth zero, and the table holds every
+    superset of each of its masks (ValueError otherwise). ``counters`` is
+    the work spent filling the table; the result reports it with
+    ``coalition_evaluations`` set to ``2**n``.
     """
-    if n <= 0:
-        raise InvalidSize("need at least one agent")
-    if n > MAX_AGENTS:
-        raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
-    phi = _phi_from_values(n, values, exact_arith)
+    phi = _phi_from_values(n, values)
     return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
 
@@ -202,13 +170,13 @@ def shapley_dag(
     """Exact Shapley values from a table over the viable coalitions only.
 
     Every other subset takes value zero by the game definition, so the result
-    is identical to ``shapley_exact`` on the zero-extended table.
+    is identical to ``shapley_exact`` on the zero-extended table. Adding a
+    member keeps a coalition viable, so a table over viable masks holds
+    every superset of each of its masks, as both entry points require.
     ``counters`` is the work spent filling the table; the result reports it
     with ``coalition_evaluations`` set to the table size.
     """
-    if graph.n > MAX_AGENTS:
-        raise GraphTooLarge(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
-    phi = _phi_from_values(graph.n, values, False)
+    phi = _phi_from_values(graph.n, values)
     return AttributionResult(
         tuple(phi), replace(counters, coalition_evaluations=len(values))
     )
@@ -575,20 +543,22 @@ def classical_cost(n: int) -> tuple[int, int]:
     return (1 << n, n * (1 << (n - 1)))
 
 
+def _cost_fields(c: CostCounters) -> str:
+    """The four counters as every cost line prints them."""
+    return (
+        f"coalition_evaluations={c.coalition_evaluations} "
+        f"agent_executions={c.agent_executions} "
+        f"executions_reused={c.executions_reused} cache_hits={c.cache_hits}"
+    )
+
+
 def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
     """Per-agent contributions plus the cost block, as stable text."""
     lines = ["agent contributions:"]
     for i, name in enumerate(graph.names):
         lines.append(f"  {name:<8} {result.values[i]:+.10f}")
     lines.append(f"  total    {result.total():+.10f}")
-    c = result.counters
-    lines.append(
-        "cost: "
-        f"coalition_evaluations={c.coalition_evaluations} "
-        f"agent_executions={c.agent_executions} "
-        f"executions_reused={c.executions_reused} "
-        f"cache_hits={c.cache_hits}"
-    )
+    lines.append(f"cost: {_cost_fields(result.counters)}")
     return "\n".join(lines)
 
 
@@ -609,13 +579,7 @@ def format_attribution_table(
         )
         row.append(f" {spread:>12.3e}")
         lines.append("".join(row))
-    for e in engines:
-        c = results[e].counters
-        lines.append(
-            f"cost ({e}): coalition_evaluations={c.coalition_evaluations} "
-            f"agent_executions={c.agent_executions} "
-            f"executions_reused={c.executions_reused} cache_hits={c.cache_hits}"
-        )
+    lines.extend(f"cost ({e}): {_cost_fields(results[e].counters)}" for e in engines)
     execs = {e: results[e].counters.agent_executions for e in engines}
     if "exact" in execs and "dag" in execs and execs["exact"]:
         reduction = 1.0 - execs["dag"] / execs["exact"]

@@ -46,7 +46,7 @@ from dagcredit.shapley import (
     replay_coalition,
     shapley_dag,
     shapley_exact,
-    shapley_weight,
+    _weights,
 )
 
 from conftest import FEATURES, layered_graph, prefix_mask
@@ -126,25 +126,30 @@ def test_criterion_4_shapley_axioms():
         assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
     # symmetry: cardinality-only games value every agent identically
     for n in (3, 5):
-        by_size = [Fraction(0)] + [Fraction(k + 1, 3) for k in range(n)]
+        by_size = [0.0] + [(k + 1) / 3 for k in range(n)]
         table = {mask: by_size[mask.bit_count()] for mask in range(1 << n)}
-        result = shapley_exact(table, n, CostCounters(), exact_arith=True)
+        result = shapley_exact(table, n, CostCounters())
         assert len(set(result.values)) == 1
-    # null player: ignored agent gets exactly zero under rational arithmetic
+    # null player: ignored agent gets exactly zero
     rng = random.Random(99)
     n, null_agent = 5, 2
     strip = ~(1 << null_agent)
     cache = {}
     for mask in range(1 << n):
-        cache.setdefault(mask & strip, Fraction(rng.randint(-9, 9), 4))
-    cache[0] = Fraction(0)
+        cache.setdefault(mask & strip, rng.randint(-9, 9) / 4)
+    cache[0] = 0.0
     table = {mask: cache[mask & strip] for mask in range(1 << n)}
-    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
+    result = shapley_exact(table, n, CostCounters())
     assert result.values[null_agent] == 0.0
-    # rational weights sum to one for every agent count
+    # the weights sum to one for every agent count, and the engine's are
+    # those rationals rounded once
     for n in range(1, 13):
-        total = sum(math.comb(n - 1, s) * shapley_weight(s, n) for s in range(n))
-        assert total == Fraction(1)
+        exact = [
+            Fraction(math.factorial(s) * math.factorial(n - s - 1), math.factorial(n))
+            for s in range(n)
+        ]
+        assert sum(math.comb(n - 1, s) * w for s, w in enumerate(exact)) == 1
+        assert _weights(n) == tuple(map(float, exact))
     elapsed = time.perf_counter() - start
     report(4, elapsed, 5.0, "efficiency, symmetry, null player, weight sums")
 

@@ -299,8 +299,9 @@ def test_day_windows_requires_one_full_window():
 
 
 def test_day_windows_rejects_tiny_window():
-    with pytest.raises(ConfigError):
-        day_windows(10, 1)
+    for window_len in (1, 2):
+        with pytest.raises(ConfigError, match="window_len must be at least 3"):
+            day_windows(10, window_len)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from dagcredit import backtest as bt
 from dagcredit.agents import MissingExternalData
 from dagcredit.cli import main
 
-from test_golden import SPARSE_SKIP_GRAPH
+from golden_runs import SPARSE_SKIP_GRAPH
 
 
 def run(capsys, *argv):
@@ -380,8 +380,10 @@ def test_backtest_rejects_prompt_files_that_name_no_agent(capsys, tmp_path):
 
 
 def test_backtest_rejects_bad_window_len(capsys):
-    code, out, err = run(capsys, "backtest", "--days", "15", "--window-len", "1")
-    assert code == 1
+    # A window of w days gives w - 1 returns, and a Sharpe needs two.
+    for window_len in ("1", "2"):
+        code, out, err = run(capsys, "backtest", "--days", "20", "--window-len", window_len)
+        assert (code, out, err) == (1, "", "error: window_len must be at least 3\n")
 
 
 def test_runtime_failures_exit_three(capsys, monkeypatch):

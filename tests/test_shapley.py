@@ -33,15 +33,15 @@ from dagcredit.shapley import (
     format_attribution_table,
     layered_run,
     live_plan,
+    _weights,
     predicted_cost,
     replay_coalition,
     shapley_dag,
     shapley_exact,
-    shapley_weight,
 )
 
 from conftest import FEATURES, layered_graph, prefix_mask, skip_layered_graphs
-from test_golden import SPARSE_SKIP_GRAPH
+from golden_runs import SPARSE_SKIP_GRAPH
 
 
 def memo_table(graph, viable, runner):
@@ -67,27 +67,18 @@ def replay_table(graph, runner):
 # weights
 
 
-def test_weight_endpoints():
-    assert shapley_weight(0, 4) == Fraction(1, 4)
-    assert shapley_weight(3, 4) == Fraction(1, 4)
-    assert shapley_weight(1, 3) == Fraction(1, 6)
+def exact_weight(s, n):
+    """The Shapley weight s! (n - s - 1)! / n! of a coalition of size s."""
+    return Fraction(math.factorial(s) * math.factorial(n - s - 1), math.factorial(n))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_weights_sum_to_one_exactly(n):
-    total = sum(
-        math.comb(n - 1, s) * shapley_weight(s, n) for s in range(n)
-    )
-    assert total == Fraction(1)
-
-
-def test_weight_rejects_bad_sizes():
-    with pytest.raises(InvalidSize):
-        shapley_weight(-1, 3)
-    with pytest.raises(InvalidSize):
-        shapley_weight(3, 3)
-    with pytest.raises(InvalidSize):
-        shapley_weight(0, 0)
+    """The exact weights sum to one over the subsets without an agent, and
+    the engine's float weights are those rationals, each rounded once."""
+    exact = [exact_weight(s, n) for s in range(n)]
+    assert sum(math.comb(n - 1, s) * w for s, w in enumerate(exact)) == 1
+    assert _weights(n) == tuple(map(float, exact))
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +106,15 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     for mask in range(1, 1 << n):
         table[mask] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
     oracle = permutation_shapley(n, table.__getitem__)
-    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
-    assert list(result.values) == [float(v) for v in oracle]
     floats = shapley_exact({m: float(v) for m, v in table.items()}, n, CostCounters())
     for got, want in zip(floats.values, oracle):
         assert abs(got - float(want)) < 1e-9
 
 
-def all_masks_phi(n, value_of, exact_arith):
+def all_masks_phi(n, value_of):
     """Aggregation over all 2**n subsets, as the engine did it before it
     looped over table entries only; the oracle for bit-identity."""
-    weights = [shapley_weight(s, n) for s in range(n)]
-    if exact_arith:
-        phi = []
-        for i in range(n):
-            bit = 1 << i
-            acc = Fraction(0)
-            for mask in range(1 << n):
-                if mask & bit:
-                    continue
-                marginal = Fraction(value_of(mask | bit)) - Fraction(value_of(mask))
-                acc += weights[mask.bit_count()] * marginal
-            phi.append(float(acc))
-        return phi
-    wf = [float(w) for w in weights]
+    wf = [float(exact_weight(s, n)) for s in range(n)]
     phi = []
     for i in range(n):
         bit = 1 << i
@@ -152,32 +128,26 @@ def all_masks_phi(n, value_of, exact_arith):
 
 
 @st.composite
-def sparse_tables(draw):
-    """A size n and a table over some of its 2**n masks; absent masks are
-    worth zero, and present ones may hold 0.0 or -0.0."""
+def closed_tables(draw):
+    """A size n and a table over some of its 2**n masks that holds every
+    superset of each of its masks: a drawn sparse table closed upward, the
+    added masks with drawn values too. Absent masks are worth zero, and
+    present ones may hold 0.0 or -0.0."""
     n = draw(st.integers(1, 6))
     value = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0]),
         st.floats(-1e6, 1e6, allow_nan=False),
     )
     table = draw(st.dictionaries(st.integers(0, (1 << n) - 1), value))
+    drawn = list(table)
+    for mask in range(1 << n):
+        if mask not in table and any(seed & mask == seed for seed in drawn):
+            table[mask] = draw(value)
     return n, table
 
 
 def same_bits(got, want):
     return list(got) == list(want) and [x.hex() for x in got] == [x.hex() for x in want]
-
-
-@given(sparse_tables(), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_table_aggregation_is_bit_identical_to_all_masks(case, exact_arith):
-    n, table = case
-    want = all_masks_phi(n, lambda mask: table.get(mask, 0.0), exact_arith)
-    exact = shapley_exact(table, n, CostCounters(), exact_arith=exact_arith)
-    assert same_bits(exact.values, want)
-    if not exact_arith:
-        g = layered_graph([n - 1, 1]) if n > 1 else build_graph([["solo"]], [])
-        assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
 
 
 class ProbeRefused(dict):
@@ -187,9 +157,24 @@ class ProbeRefused(dict):
         raise AssertionError(f"probed the table for {mask:#b}")
 
 
-@given(skip_layered_graphs(), st.integers(0, 2**32 - 1), st.booleans())
+@given(closed_tables())
+@settings(max_examples=200, deadline=None)
+def test_table_aggregation_is_bit_identical_to_all_masks(case):
+    """Both engines equal the sum over all subsets bit for bit, and read the
+    table without asking whether a mask is in it. A table over viable masks
+    is one such table: adding a member keeps a coalition viable."""
+    n, table = case
+    table = ProbeRefused(table)
+    want = all_masks_phi(n, lambda mask: table.get(mask, 0.0))
+    exact = shapley_exact(table, n, CostCounters())
+    assert same_bits(exact.values, want)
+    g = layered_graph([n - 1, 1]) if n > 1 else build_graph([["solo"]], [])
+    assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
+
+
+@given(skip_layered_graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_viable_tables_aggregate_without_superset_probes(g, seed, exact_arith):
+def test_viable_tables_aggregate_without_superset_probes(g, seed):
     """Adding a member keeps a coalition viable, so every entry of a table
     over the viable masks has its supersets in the table, and aggregation
     never asks whether one is absent."""
@@ -198,11 +183,16 @@ def test_viable_tables_aggregate_without_superset_probes(g, seed, exact_arith):
         (mask, rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)]))
         for mask in enumerate_viable(g)
     )
-    want = all_masks_phi(g.n, lambda mask: table.get(mask, 0.0), exact_arith)
-    exact = shapley_exact(table, g.n, CostCounters(), exact_arith=exact_arith)
-    assert same_bits(exact.values, want)
-    if not exact_arith:
-        assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
+    want = all_masks_phi(g.n, lambda mask: table.get(mask, 0.0))
+    assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
+    assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
+
+
+def test_engines_reject_a_table_lacking_a_superset():
+    with pytest.raises(ValueError, match="lacks the superset 0b11 of its mask 0b1"):
+        shapley_exact({0b01: 1.0}, 2, CostCounters())
+    with pytest.raises(ValueError, match="lacks the superset 0b11 of its mask 0b1"):
+        shapley_dag(layered_graph([1, 1]), {0b01: 1.0}, CostCounters())
 
 
 def test_exact_engine_counts_evaluations():
@@ -240,11 +230,10 @@ def test_efficiency_on_random_games(n, seed):
 def test_symmetry_on_cardinality_games(n, seed):
     """A game that only counts heads treats every agent identically."""
     rng = random.Random(seed)
-    by_size = [Fraction(0)] + [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)
-    ]
+    by_size = [0.0] + [rng.randint(-9, 9) / rng.randint(1, 7) for _ in range(n)]
     table = {mask: by_size[mask.bit_count()] for mask in range(1 << n)}
-    result = shapley_exact(table, n, CostCounters(), exact_arith=True)
+    result = shapley_exact(table, n, CostCounters())
+    # Every agent's terms are the same multiset, and fsum rounds them once.
     assert len(set(result.values)) == 1
 
 
@@ -258,12 +247,13 @@ def test_null_player_gets_exact_zero(n, seed):
     for mask in range(1 << n):
         base = mask & strip
         if base not in table:
-            table[base] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            table[base] = rng.randint(-20, 20) / rng.randint(1, 9)
         table[mask] = table[base]
-    table[0] = Fraction(0)
+    table[0] = 0.0
     game = {mask: table[mask & strip] for mask in range(1 << n)}
-    result = shapley_exact(game, n, CostCounters(), exact_arith=True)
-    assert result.values[null_agent] == 0
+    result = shapley_exact(game, n, CostCounters())
+    # Each of the null agent's terms is w * (x - x) = 0.0.
+    assert result.values[null_agent] == 0.0
 
 
 def test_symmetric_pair_in_float_mode():
