@@ -22,7 +22,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from functools import cached_property
 from pathlib import Path
@@ -436,17 +436,16 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 
 @dataclass
 class WindowGame:
-    """One window's coalition games plus the grand coalition's actions and
-    rewards on each decision day; ``runs`` holds the pruned engine's run of
-    each decision day, and is empty without that engine."""
+    """One window's coalition game under the pruned engine: the value of each
+    viable mask, the cost, the run of each decision day and the grand
+    coalition's rewards. ``exact`` holds the classical replay's value of
+    every subset and its cost, and is set only under engine ``both``."""
 
-    values_dag: dict[int, float] | None
-    counters_dag: CostCounters | None
-    values_exact: dict[int, float] | None
-    counters_exact: CostCounters | None
-    grand_actions: list[dict[int, Any]]
-    rewards: list[float]
+    values: dict[int, float]
+    counters: CostCounters
     runs: list[LayeredRunResult]
+    rewards: list[float]
+    exact: tuple[dict[int, float], CostCounters] | None
 
 
 def evaluate_window(
@@ -462,20 +461,20 @@ def evaluate_window(
     plan: LivePlan | None = None,
     reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
-    """Value every coalition's window Sharpe under the requested engine(s).
+    """Value every viable coalition's window Sharpe with the pruned engine.
 
     The pruned engine runs one memoized episode per decision day over the
     viable coalitions (given by mask), with the tasks of ``plan`` (built when
     not given). ``reuse`` is an earlier game on the same decision days with
     the mask of the agents whose prompts have changed since; each day's run
-    then reuses the earlier run of that day (see ``layered_run``). The
-    exhaustive engine replays every subset without sharing (the classical
-    comparator). Both value a coalition by the raw Sharpe of its next-day
+    then reuses the earlier run of that day (see ``layered_run``). Engine
+    ``both`` also replays every subset without sharing (the classical
+    comparator). A coalition is valued by the raw Sharpe of its next-day
     return series. That series is a function of the coalition's positions on
     the decision days, so Sharpe runs once per distinct position vector in
     the window, shared by both engines.
     """
-    if engine not in ("dag", "exact", "both"):
+    if engine not in ("dag", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
     if len(day_indices) < 3:
         raise WindowTooShort("need at least three days for a two-return window game")
@@ -490,71 +489,45 @@ def evaluate_window(
             sharpe_by_positions[positions] = sharpe(series, rf_daily)
         return sharpe_by_positions[positions]
 
-    values_dag = counters_dag = None
-    values_exact = counters_exact = None
-    grand_actions: list[dict[int, Any]] = []
+    counters = CostCounters()
+    if plan is None:
+        plan = live_plan(graph, viable)
+    earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(decision_days)
+    if reuse is not None:
+        game, changed = reuse
+        if len(game.runs) != len(decision_days):
+            raise ValueError("the earlier game has other decision days")
+        earlier = [(run, changed) for run in game.runs]
     runs: list[LayeredRunResult] = []
+    for i, done in zip(decision_days, earlier):
+        run = layered_run(
+            graph, viable, run_agent, features.for_day(i), plan=plan, reuse=done
+        )
+        runs.append(run)
+        counters = counters.merged(run.counters)
+    values = {
+        mask: coalition_sharpe([run.sink_outputs[mask] for run in runs])
+        for mask in viable
+    }
 
-    if engine in ("dag", "both"):
-        counters_dag = CostCounters()
-        if plan is None:
-            plan = live_plan(graph, viable)
-        earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(decision_days)
-        if reuse is not None:
-            game, changed = reuse
-            if len(game.runs) != len(decision_days):
-                raise ValueError("the earlier game has other decision days")
-            earlier = [(run, changed) for run in game.runs]
-        for i, done in zip(decision_days, earlier):
-            run = layered_run(
-                graph, viable, run_agent, features.for_day(i), plan=plan, reuse=done
-            )
-            runs.append(run)
-            grand_actions.append(run.grand_outputs)
-            counters_dag = counters_dag.merged(run.counters)
-        values_dag = {
-            mask: coalition_sharpe([run.sink_outputs[mask] for run in runs])
-            for mask in viable
-        }
-        counters_dag.coalition_evaluations = len(viable)
-
-    if engine in ("exact", "both"):
-        counters_exact = CostCounters()
-        full = graph.full_mask
-        exact_day_outputs: list[dict[int, Any]] = []
-        exact_grand: list[dict[int, Any]] = []
+    exact = None
+    if engine == "both":
+        replay_counters = CostCounters()
+        sink_outputs: dict[int, list[Any]] = {mask: [] for mask in range(1 << graph.n)}
         for i in decision_days:
-            per_mask: dict[int, Any] = {}
             episode = features.for_day(i)
-            for mask in range(1 << graph.n):
+            for mask, outputs in sink_outputs.items():
                 result = replay_coalition(graph, mask, run_agent, episode)
-                counters_exact.agent_executions += result.executions
-                per_mask[mask] = result.sink_output
-                if mask == full:
-                    exact_grand.append(result.outputs)
-            exact_day_outputs.append(per_mask)
-        values_exact = {
-            mask: coalition_sharpe([outputs[mask] for outputs in exact_day_outputs])
-            for mask in range(1 << graph.n)
-        }
-        counters_exact.coalition_evaluations = 1 << graph.n
-        if engine == "exact":
-            grand_actions = exact_grand
+                replay_counters.agent_executions += result.executions
+                outputs.append(result.sink_output)
+        replay_values = {mask: coalition_sharpe(d) for mask, d in sink_outputs.items()}
+        exact = (replay_values, replay_counters)
 
     rewards = [
-        decision_to_position(grand[graph.sink]) * r
-        for grand, r in zip(grand_actions, step_returns)
+        decision_to_position(run.grand_outputs[graph.sink]) * r
+        for run, r in zip(runs, step_returns)
     ]
-
-    return WindowGame(
-        values_dag=values_dag,
-        counters_dag=counters_dag,
-        values_exact=values_exact,
-        counters_exact=counters_exact,
-        grand_actions=grand_actions,
-        rewards=rewards,
-        runs=runs,
-    )
+    return WindowGame(values, counters, runs, rewards, exact)
 
 
 def describe_output(output: Any) -> str:
@@ -673,7 +646,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     graph = load_graph_file(config.graph_file) if config.graph_file else reference_graph()
     market, features = load_inputs(config)
     viable = enumerate_viable(graph)
-    plan = live_plan(graph, viable) if config.engine != "exact" else None
+    plan = live_plan(graph, viable)
     windows = day_windows(len(market), config.window_len)
     viable_names = [coalition_names(graph, mask) for mask in viable]
 
@@ -704,20 +677,15 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             plan=plan,
             reuse=reuse,
         )
+        attribution = shapley_dag(graph, game.values, game.counters)
         exact_diff = None
-        if config.engine == "exact":
-            attribution = shapley_exact(game.values_exact, graph.n, game.counters_exact)
-        else:
-            attribution = shapley_dag(graph, game.values_dag, game.counters_dag)
-            if config.engine == "both":
-                exact_att = shapley_exact(
-                    game.values_exact, graph.n, game.counters_exact
-                )
-                exact_diff = max(
-                    abs(a - b) for a, b in zip(attribution.values, exact_att.values)
-                )
+        if game.exact is not None:
+            replay_values, replay_counters = game.exact
+            exact_att = shapley_exact(replay_values, graph.n, replay_counters)
+            exact_diff = max(
+                abs(a - b) for a, b in zip(attribution.values, exact_att.values)
+            )
 
-        values = game.values_dag if game.values_dag is not None else game.values_exact
         report = WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
@@ -727,7 +695,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             window_sharpe=sharpe(game.rewards, config.rf_daily),
             attribution=attribution,
             coalition_values=tuple(
-                (names, values[mask]) for names, mask in zip(viable_names, viable)
+                (names, game.values[mask]) for names, mask in zip(viable_names, viable)
             ),
             exact_diff=exact_diff,
         )
@@ -759,7 +727,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
                         day=day,
                         agent=a,
                         state=state,
-                        action=describe_output(game.grand_actions[k][a]),
+                        action=describe_output(game.runs[k].grand_outputs[a]),
                         reward=reward,
                     )
                 )
@@ -842,12 +810,7 @@ def _cycle_record_json(graph: WorkflowGraph, record: CycleRecord) -> str:
         "contributions": {
             name: record.attribution.values[i] for i, name in enumerate(graph.names)
         },
-        "cost": {
-            "coalition_evaluations": record.attribution.counters.coalition_evaluations,
-            "agent_executions": record.attribution.counters.agent_executions,
-            "executions_reused": record.attribution.counters.executions_reused,
-            "cache_hits": record.attribution.counters.cache_hits,
-        },
+        "cost": asdict(record.attribution.counters),
         "bottleneck": graph.names[record.bottleneck] if record.bottleneck is not None else None,
         "triggered": record.triggered,
         "lesson_blocks": list(record.lesson.text_blocks) if record.lesson else [],
@@ -858,6 +821,17 @@ def _cycle_record_json(graph: WorkflowGraph, record: CycleRecord) -> str:
         },
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def format_strategies(strategies: Sequence[StrategyReport]) -> list[str]:
+    """The strategy table's header and one row per strategy."""
+    lines = [f"{'strategy':<16} {'total_return':>14} {'sharpe_annual':>14} {'max_drawdown':>14}"]
+    lines.extend(
+        f"{s.name:<16} {s.total_return:>+14.6f} {s.sharpe_annual:>+14.6f} "
+        f"{s.max_drawdown:>14.6f}"
+        for s in strategies
+    )
+    return lines
 
 
 def write_reports(result: BacktestResult, out_dir: Path) -> None:
@@ -891,19 +865,11 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
         f"windows: {len(result.windows)}  triggered_cycles: "
         f"{sum(1 for c in result.cycles if c.triggered)}",
         "",
-        f"{'strategy':<16} {'total_return':>14} {'sharpe_annual':>14} {'max_drawdown':>14}",
+        *format_strategies(result.strategies),
+        "",
+        "per-window grand-coalition sharpe (raw), tuned pass:",
     ]
-    for s in result.strategies:
-        lines.append(
-            f"{s.name:<16} {s.total_return:>+14.6f} {s.sharpe_annual:>+14.6f} "
-            f"{s.max_drawdown:>14.6f}"
-        )
-    lines.append("")
-    lines.append("per-window grand-coalition sharpe (raw), tuned pass:")
-    for rep in result.windows:
-        trig = ""
-        for c in result.cycles:
-            if c.cycle == rep.index and c.triggered:
-                trig = f"  tuned: {graph.names[c.bottleneck]}"
+    for rep, c in zip(result.windows, result.cycles):
+        trig = f"  tuned: {graph.names[c.bottleneck]}" if c.triggered else ""
         lines.append(f"  window {rep.index:02d}: {rep.window_sharpe:+.6f}{trig}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

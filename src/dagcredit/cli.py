@@ -1,14 +1,19 @@
 """Command-line interface.
 
 One entry point with five subcommands: ``validate`` and ``coalitions``
-inspect a workflow graph, ``shapley`` compares attribution engines on a
-seeded fixture, ``cost`` counts memoized executions on a graph without
+inspect a workflow graph, ``shapley`` attributes a seeded fixture
+episode, ``cost`` counts memoized executions on a graph without
 running agents, and ``backtest`` runs the full windowed experiment.
 Identical invocations with the same config and seed print and write
 byte-identical output.
 
-Exit codes: 0 success, 1 validation or config error, 2 I/O error, 3 runtime
-failure.
+The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
+replays every subset classically and prints the two attributions side by
+side.
+
+Exit codes: 0 success, 1 validation or config error, 2 I/O error or a
+command-line usage error (such as an unknown flag or an engine other than
+``dag`` and ``both``), 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .agents import (
     system_runner,
 )
 from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
-from .config import ConfigError, RunConfig, load_config, load_graph_file, merge_flags
+from .config import ENGINES, ConfigError, RunConfig, load_config, load_graph_file, merge_flags
 from .graph import GraphValidationError, reference_graph
 from .optimizer import ReflectorError, WindowTooShort
 from .shapley import (
@@ -91,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("shapley", help="attribute a seeded fixture episode")
     p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
-    p.add_argument("--engine", choices=("exact", "dag", "both"), help="attribution engine")
+    p.add_argument("--engine", choices=ENGINES, help="attribution engine")
     _common_flags(p)
     p.set_defaults(func=cmd_shapley)
 
@@ -109,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-len", type=int, dest="window_len")
     p.add_argument("--threshold", type=float, help="tuning trigger threshold")
     p.add_argument("--lesson-cap", type=int, dest="lesson_cap")
-    p.add_argument("--engine", choices=("exact", "dag", "both"))
+    p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--symbol")
     _common_flags(p)
     p.set_defaults(func=cmd_backtest)
@@ -173,14 +178,13 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     run_agent, episode = _fixture_episode(graph, config)
     viable = enumerate_viable(graph)
 
-    # Each engine values a coalition by its signed sink decision; a coalition
-    # whose sink never runs is absent from the table and worth zero.
-    results = {}
-    if config.engine in ("dag", "both"):
-        run = sh.layered_run(graph, viable, run_agent, episode)
-        values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
-        results["dag"] = shapley_dag(graph, values, run.counters)
-    if config.engine in ("exact", "both"):
+    # A coalition is valued by its signed sink decision; one whose sink never
+    # runs is absent from the table and worth zero. Under ``both`` the
+    # classical replay of every subset is attributed beside the pruned engine.
+    run = sh.layered_run(graph, viable, run_agent, episode)
+    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    results = {"dag": shapley_dag(graph, values, run.counters)}
+    if config.engine == "both":
         values, counters = {}, CostCounters()
         for mask in range(1 << graph.n):
             replay = sh.replay_coalition(graph, mask, run_agent, episode)
@@ -233,12 +237,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         f"{len(result.windows)} windows, {triggered} triggered cycles, "
         f"{len(result.market)} trading days"
     )
-    print(f"{'strategy':<16} {'total_return':>14} {'sharpe_annual':>14} {'max_drawdown':>14}")
-    for s in result.strategies:
-        print(
-            f"{s.name:<16} {s.total_return:>+14.6f} {s.sharpe_annual:>+14.6f} "
-            f"{s.max_drawdown:>14.6f}"
-        )
+    print("\n".join(bt.format_strategies(result.strategies)))
     if config.out_dir:
         print(f"reports written to {config.out_dir}")
     return 0

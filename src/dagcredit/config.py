@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .graph import WorkflowGraph, build_graph
 
-ENGINES = ("exact", "dag", "both")
+ENGINES = ("dag", "both")
 REGIMES = ("bull", "bear", "sideways")
 
 

@@ -54,7 +54,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
-from dagcredit.shapley import replay_coalition
+from dagcredit.shapley import replay_coalition, shapley_dag, shapley_exact
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -320,12 +320,12 @@ def window_setup():
 def test_evaluate_window_dag_engine_counts(window_setup):
     g, market, view, runner, viable = window_setup
     game = evaluate_window(g, viable, runner, market, view, [0, 1, 2, 3, 4])
-    assert game.counters_dag.coalition_evaluations == 49
+    assert shapley_dag(g, game.values, game.counters).counters.coalition_evaluations == 49
     # four decision days, 73 shared executions each
-    assert game.counters_dag.agent_executions == 4 * 73
-    assert game.counters_dag.executions_reused == 0
-    assert set(game.values_dag) == set(viable)
-    assert game.values_exact is None
+    assert game.counters.agent_executions == 4 * 73
+    assert game.counters.executions_reused == 0
+    assert set(game.values) == set(viable)
+    assert game.exact is None
 
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
@@ -334,15 +334,17 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
     first = evaluate_window(g, viable, runner, market, view, days)
     assert len(first.runs) == 4
     again = evaluate_window(g, viable, runner, market, view, days, reuse=(first, 0))
-    assert again.counters_dag.agent_executions == 0
-    assert again.counters_dag.executions_reused == 4 * 73
-    assert again.values_dag == first.values_dag
-    assert again.grand_actions == first.grand_actions
+    assert again.counters.agent_executions == 0
+    assert again.counters.executions_reused == 4 * 73
+    assert again.values == first.values
+    assert [run.grand_outputs for run in again.runs] == [
+        run.grand_outputs for run in first.runs
+    ]
     # A changed trader reruns its 49 tasks on each day.
     trader = evaluate_window(
         g, viable, runner, market, view, days, reuse=(first, 1 << g.sink)
     )
-    assert trader.counters_dag.agent_executions == 4 * 49
+    assert trader.counters.agent_executions == 4 * 49
     with pytest.raises(ValueError, match="other decision days"):
         evaluate_window(g, viable, runner, market, view, days[:-1], reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
@@ -354,21 +356,22 @@ def test_evaluate_window_engines_agree(window_setup):
     game = evaluate_window(
         g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="both"
     )
+    replay_values, replay_counters = game.exact
     for mask in viable:
-        assert game.values_dag[mask] == pytest.approx(
-            game.values_exact[mask], abs=1e-9
-        )
-    assert game.counters_exact.coalition_evaluations == 128
-    assert game.counters_exact.agent_executions == 4 * 448
+        assert game.values[mask] == pytest.approx(replay_values[mask], abs=1e-9)
+    classical = shapley_exact(replay_values, g.n, replay_counters)
+    assert classical.counters.coalition_evaluations == 128
+    assert replay_counters.agent_executions == 4 * 448
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     g, market, view, runner, viable = window_setup
     game = evaluate_window(
-        g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="exact"
+        g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="both"
     )
     viable_masks = set(viable)
-    for mask, value in game.values_exact.items():
+    replay_values, _ = game.exact
+    for mask, value in replay_values.items():
         if mask not in viable_masks:
             assert value == 0.0
 
@@ -404,9 +407,9 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
             decision_to_position(d) * market.step_return(i)
             for d, i in zip(decisions, days[:-1])
         ])
-        assert game.values_exact[mask] == own
-        if mask in game.values_dag:
-            assert game.values_dag[mask] == own
+        assert game.exact[0][mask] == own
+        if mask in game.values:
+            assert game.values[mask] == own
     assert len(calls) == len(set(calls)) == len(vectors) < 1 << g.n
 
 
@@ -415,7 +418,7 @@ def test_evaluate_window_rewards_follow_grand_decisions(window_setup):
     game = evaluate_window(g, viable, runner, market, view, [0, 1, 2, 3, 4])
     assert len(game.rewards) == 4
     for k, day_index in enumerate([0, 1, 2, 3]):
-        position = decision_to_position(game.grand_actions[k][g.sink])
+        position = decision_to_position(game.runs[k].grand_outputs[g.sink])
         assert game.rewards[k] == pytest.approx(position * market.step_return(day_index))
 
 
@@ -425,10 +428,11 @@ def test_evaluate_window_rejects_short_windows(window_setup):
         evaluate_window(g, viable, runner, market, view, [0, 1])
 
 
-def test_evaluate_window_rejects_unknown_engine(window_setup):
+@pytest.mark.parametrize("engine", ["fast", "exact"])
+def test_evaluate_window_rejects_unknown_engine(window_setup, engine):
     g, market, view, runner, viable = window_setup
-    with pytest.raises(ConfigError):
-        evaluate_window(g, viable, runner, market, view, [0, 1, 2], engine="fast")
+    with pytest.raises(ConfigError, match="unknown engine"):
+        evaluate_window(g, viable, runner, market, view, [0, 1, 2], engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +595,11 @@ def test_backtest_engine_both_reports_exact_diff():
         assert rep.exact_diff < 1e-9
 
 
-@pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("exact", 128), ("both", 49)])
+@pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("both", 49)])
 def test_cycle_records_carry_their_window_attribution(engine, evaluations, tmp_path):
-    """Each tuning cycle acts on, and records, the attribution its window
-    report prints, including under the exhaustive engine."""
+    """Each tuning cycle acts on, and records, the pruned engine's attribution
+    that its window report prints, also when the classical replay runs beside
+    it."""
     config = RunConfig(seed=78, days=15, engine=engine, out_dir=str(tmp_path))
     result = run_backtest(config.validate())
     lines = (tmp_path / "cycles.jsonl").read_text(encoding="utf-8").splitlines()

@@ -48,6 +48,16 @@ def test_subcommands_accept_only_flags_they_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["shapley", "backtest"])
+def test_engine_exact_is_an_invalid_choice(capsys, command):
+    """The pruned engine is the one engine of record; the classical replay
+    runs only beside it, under ``both``."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--engine", "exact"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -229,12 +239,22 @@ def test_cost_rejects_zero_layer(capsys, tmp_path):
 # backtest
 
 
-def test_backtest_prints_strategy_table(capsys):
-    code, out, err = run(capsys, "backtest", "--days", "15", "--seed", "7")
+def test_backtest_prints_strategy_table(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "backtest", "--days", "15", "--seed", "7", "--out", str(tmp_path)
+    )
     assert code == 0
     assert "3 windows" in out
     for name in ("tuned-agents", "frozen-agents", "buy-hold", "macd-12-26-9", "sma-20-50"):
         assert name in out
+
+    def table(lines):
+        start = next(i for i, line in enumerate(lines) if line.startswith("strategy "))
+        return lines[start : start + 6]
+
+    # stdout prints the same table as the summary file
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert table(out.splitlines()) == table(summary)
 
 
 def test_backtest_reports_are_byte_identical_across_runs(capsys, tmp_path):
@@ -319,6 +339,15 @@ def test_backtest_rejects_config_values_of_the_wrong_type(capsys, tmp_path, payl
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_backtest_rejects_the_retired_exact_engine_in_a_config_file(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"engine": "exact"}), encoding="utf-8")
+    code, out, err = run(capsys, "backtest", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: engine must be one of ('dag', 'both'), got 'exact'\n"
 
 
 def test_backtest_missing_config_file_is_io_error(capsys, tmp_path):
