@@ -18,6 +18,7 @@ window.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -216,21 +217,28 @@ def load_features_csv(path: str | Path, market: MarketSeries) -> FeatureView:
 
 
 def _read_csv(path: str | Path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [c.strip() for c in first] != header:
-            raise ParseError(f"{path}: header must be {','.join(header)}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} columns")
-            out.append((lineno, dict(zip(header, row))))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    if [c.strip() for c in rows[0]] != header:
+        raise ParseError(f"{path}: header must be {','.join(header)}")
+    out = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"line {lineno}: expected {len(header)} columns")
+        out.append((lineno, dict(zip(header, row))))
     return out
 
 
@@ -720,13 +728,11 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         decision_dates = list(tuned.decision_days)
         for k, day in enumerate(decision_dates):
             reward = game.rewards[k]
-            state = f"{market.symbol}:{day.isoformat()}"
             for a in range(graph.n):
                 history.append(
                     HistoryRecord(
                         day=day,
                         agent=a,
-                        state=state,
                         action=describe_output(game.runs[k].grand_outputs[a]),
                         reward=reward,
                     )

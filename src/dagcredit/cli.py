@@ -11,9 +11,10 @@ The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
 replays every subset classically and prints the two attributions side by
 side.
 
-Exit codes: 0 success, 1 validation or config error, 2 I/O error or a
-command-line usage error (such as an unknown flag or an engine other than
-``dag`` and ``both``), 3 runtime failure.
+Exit codes: 0 success, 1 validation or config error (a malformed input
+file included), 2 I/O error or a command-line usage error (such as an
+unknown flag or an engine other than ``dag`` and ``both``), 3 runtime
+failure.
 """
 from __future__ import annotations
 
@@ -23,24 +24,16 @@ from pathlib import Path
 
 from . import backtest as bt
 from . import shapley as sh
-from .agents import (
-    ForbiddenExternalAccess,
-    InvalidAgentOutput,
-    MissingExternalData,
-    RoleMismatch,
-    build_system,
-    signed_decision_value,
-    system_runner,
-)
+from .agents import RoleMismatch, build_system, signed_decision_value, system_runner
 from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
 from .config import ENGINES, ConfigError, RunConfig, load_config, load_graph_file, merge_flags
 from .graph import GraphValidationError, reference_graph
-from .optimizer import ReflectorError, WindowTooShort
+from .optimizer import WindowTooShort
 from .shapley import (
     CostCounters,
     InvalidSize,
-    NonDeterminismDetected,
     classical_cost,
+    format_attribution,
     format_attribution_table,
     predicted_cost,
     shapley_dag,
@@ -63,19 +56,10 @@ _VALIDATION_ERRORS = (
     bt.InsufficientData,
 )
 
-_RUNTIME_ERRORS = (
-    MissingExternalData,
-    ForbiddenExternalAccess,
-    InvalidAgentOutput,
-    ReflectorError,
-    NonDeterminismDetected,
-)
-
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run config file")
     sub.add_argument("--out", help="output directory for report files")
-    sub.add_argument("--seed", type=int, help="run seed (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
     p.add_argument("--engine", choices=ENGINES, help="attribution engine")
     _common_flags(p)
+    p.add_argument("--seed", type=int, help="run seed (overrides config)")
     p.set_defaults(func=cmd_shapley)
 
     p = subs.add_parser("cost", help="count memoized executions without running agents")
@@ -117,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--symbol")
     _common_flags(p)
+    p.add_argument("--seed", type=int, help="run seed (overrides config)")
     p.set_defaults(func=cmd_backtest)
 
     return parser
@@ -124,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace, **extra) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    return merge_flags(config, seed=args.seed, out_dir=args.out, **extra)
+    return merge_flags(config, out_dir=args.out, **extra)
 
 
 def _load_graph(path: str | None):
@@ -173,7 +159,7 @@ def _fixture_episode(graph, config: RunConfig):
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
-    config = _build_config(args, engine=args.engine)
+    config = _build_config(args, seed=args.seed, engine=args.engine)
     graph = _load_graph(args.graph)
     run_agent, episode = _fixture_episode(graph, config)
     viable = enumerate_viable(graph)
@@ -183,7 +169,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     # classical replay of every subset is attributed beside the pruned engine.
     run = sh.layered_run(graph, viable, run_agent, episode)
     values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
-    results = {"dag": shapley_dag(graph, values, run.counters)}
+    dag = shapley_dag(graph, values, run.counters)
     if config.engine == "both":
         values, counters = {}, CostCounters()
         for mask in range(1 << graph.n):
@@ -191,9 +177,10 @@ def cmd_shapley(args: argparse.Namespace) -> int:
             counters.agent_executions += replay.executions
             if replay.sink_output is not None:
                 values[mask] = signed_decision_value(replay.sink_output)
-        results["exact"] = shapley_exact(values, graph.n, counters)
-
-    text = format_attribution_table(graph, results)
+        exact = shapley_exact(values, graph.n, counters)
+        text = format_attribution_table(graph, dag, exact)
+    else:
+        text = format_attribution(graph, dag)
     print(text)
     if config.out_dir:
         out = Path(config.out_dir)
@@ -219,6 +206,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 def cmd_backtest(args: argparse.Namespace) -> int:
     config = _build_config(
         args,
+        seed=args.seed,
         graph_file=args.graph,
         market_csv=args.market,
         features_csv=args.features,
@@ -254,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -75,7 +75,7 @@ def _sink_reached(graph: WorkflowGraph, member: Callable[[int], int]) -> int:
     # agent is reached in a lane when it is a member there and is a source or
     # has a reached predecessor; the sink's reached lanes are the viable ones.
     reached = [0] * graph.n
-    for a in graph.order:
+    for a in range(graph.n):
         if graph.preds[a]:
             via = 0
             for p in graph.preds[a]:

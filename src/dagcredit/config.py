@@ -85,12 +85,23 @@ _KIND_NAMES = {
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file; unknown keys are an error, not a surprise."""
+def _read_text(path: str | Path) -> str:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read a JSON config file; unknown keys are an error, not a surprise."""
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - _FIELDS)
@@ -118,10 +129,7 @@ def load_graph_file(path: str | Path) -> WorkflowGraph:
     (list of [from, to] name pairs) and optional ``agents`` roster to check
     the partition against.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: graph definition must be a JSON object")
     unknown = sorted(set(raw) - {"layers", "edges", "agents"})
@@ -154,6 +162,6 @@ def load_prompts_dir(path: str | Path) -> dict[str, str]:
     if not directory.is_dir():
         raise ConfigError(f"{path}: not a directory")
     return {
-        p.stem: p.read_text(encoding="utf-8").strip()
+        p.stem: _read_text(p).strip()
         for p in sorted(directory.glob("*.txt"))
     }

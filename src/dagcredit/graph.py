@@ -8,7 +8,6 @@ ones allowed to read external data.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,9 +53,9 @@ class WorkflowGraph:
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
     ``layers`` holds agent indices per layer in declaration order. Derived
-    fields (``sources``, ``sink``, adjacency, each agent's layer and the
-    topological ``order``) are computed once at construction and treated as
-    read-only.
+    fields (``sources``, ``sink``, adjacency and each agent's layer) are
+    computed once at construction and treated as read-only. Every edge runs
+    from a lower index to a higher one, so index order is an execution order.
     """
 
     agents: tuple[Agent, ...]
@@ -67,7 +66,6 @@ class WorkflowGraph:
     succs: tuple[tuple[int, ...], ...]
     sources: tuple[int, ...]
     sink: int
-    order: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -96,7 +94,10 @@ def build_graph(
 ) -> WorkflowGraph:
     """Validate and assemble a :class:`WorkflowGraph`.
 
-    Agent indices are assigned densely in layer declaration order. When
+    Agent indices are assigned densely in layer declaration order, and every
+    edge must reach a strictly later layer, so every edge runs from a lower
+    index to a higher one: ascending index order runs each agent after all
+    its predecessors, and each layer is a consecutive run of indices. When
     ``agents`` is given it must list exactly the names appearing in ``layers``
     (an external roster to check the partition against). Which layers a
     viable coalition may leave empty follows from the edges alone.
@@ -134,9 +135,8 @@ def build_graph(
         edge_idx.add((index[u_name], index[v_name]))
 
     # Cycle check runs on the raw edge set before layer monotonicity so that a
-    # genuine cycle reports as such rather than as a layer violation. The
-    # order it returns is kept for replay.
-    order = _toposort(n, edge_idx)
+    # genuine cycle reports as such rather than as a layer violation.
+    _check_acyclic(n, edge_idx)
 
     layer_of = [0] * n
     layer_tuples: list[tuple[int, ...]] = []
@@ -174,29 +174,25 @@ def build_graph(
         succs=tuple(tuple(sorted(s)) for s in succs),
         sources=sources,
         sink=sinks[0],
-        order=tuple(order),
     )
 
 
-def _toposort(n: int, edges: set[tuple[int, int]]) -> list[int]:
+def _check_acyclic(n: int, edges: set[tuple[int, int]]) -> None:
+    # Kahn's count: removing agents without remaining predecessors reaches
+    # every agent exactly when the edges hold no cycle.
     indeg = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         indeg[v] += 1
         succs[u].append(v)
     ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in sorted(succs[u]):
+    for u in ready:
+        for v in succs[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != n:
+                ready.append(v)
+    if len(ready) != n:
         raise CycleDetected("edge set contains a cycle")
-    return order
 
 
 def path_exists(graph: WorkflowGraph, mask: int, src: int, dst: int) -> bool:

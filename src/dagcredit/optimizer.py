@@ -41,7 +41,6 @@ class HistoryRecord:
 
     day: date
     agent: int
-    state: str
     action: str
     reward: float
 

@@ -33,8 +33,7 @@ import functools
 import math
 import sys
 from array import array
-from bisect import bisect_left
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from typing import Any
@@ -187,12 +186,12 @@ class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
     ``outputs`` holds, per agent, its output under each of its tasks in
-    ``plan``, whether it ran or was reused; ``cache`` reads them by (agent,
-    live key), one entry per task. ``external`` is the episode's external
-    data. ``sink_outputs`` maps each viable coalition's mask to its sink
-    output; ``grand_outputs`` maps each agent to its output in the grand
-    coalition, and is empty when the grand coalition is not among the
-    viable masks.
+    ``plan``, whether it ran or was reused; ``cache`` builds a dict of them
+    by (agent, live key), one entry per task, each time it is read.
+    ``external`` is the episode's external data. ``sink_outputs`` maps each
+    viable coalition's mask to its sink output; ``grand_outputs`` maps each
+    agent to its output in the grand coalition, and is empty when the grand
+    coalition is not among the viable masks.
     """
 
     plan: LivePlan
@@ -203,8 +202,12 @@ class LayeredRunResult:
     grand_outputs: dict[int, Any]
 
     @property
-    def cache(self) -> Mapping[tuple[int, int], Any]:
-        return _OutputsByKey(self.plan, self.outputs)
+    def cache(self) -> dict[tuple[int, int], Any]:
+        return {
+            (agent, key): output
+            for agent, (keys, row) in enumerate(zip(self.plan.keys, self.outputs))
+            for key, output in zip(keys, row)
+        }
 
 
 @dataclass(frozen=True)
@@ -240,41 +243,14 @@ class LivePlan:
         )
 
 
-class _OutputsByKey(Mapping[tuple[int, int], Any]):
-    """(agent, live key) -> output over an episode's outputs by task,
-    without building a second index."""
-
-    def __init__(self, plan: LivePlan, outputs: list[list[Any]]):
-        self._plan = plan
-        self._outputs = outputs
-
-    def __getitem__(self, item: tuple[int, int]) -> Any:
-        agent, key = item
-        if not 0 <= agent < len(self._outputs):
-            raise KeyError(item)
-        keys = self._plan.keys[agent]
-        task = bisect_left(keys, key)
-        if task == len(keys) or keys[task] != key:
-            raise KeyError(item)
-        return self._outputs[agent][task]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for agent, keys in enumerate(self._plan.keys):
-            for key in keys:
-                yield agent, key
-
-    def __len__(self) -> int:
-        return self._plan.tasks
-
-
 def _live_keys(
     graph: WorkflowGraph, viable: Sequence[int]
 ) -> tuple[list[array], list[list[int]]]:
     """Per agent, its live key under every configuration, and its tasks.
 
-    Agent indices follow the layers and edges run to later layers, so every
-    agent with a path to agent a has an index no higher than a's highest
-    predecessor h. a's configuration in a coalition is the coalition's
+    Every edge runs from a lower index to a higher one, so every agent with
+    a path to agent a has an index no higher than a's highest predecessor
+    h. a's configuration in a coalition is the coalition's
     membership below h + 1, and entry c of a's table is a's live key under
     configuration c: the members of c with a path to a inside c, which is
     the union, over the predecessors p in c, of p's bit and p's live key
@@ -382,9 +358,10 @@ def layered_run(
 
     An agent's output in a coalition depends only on the outputs of its
     predecessors inside the coalition, so only on the members with a path
-    to it inside the coalition: its live key. Layer by layer, each agent has
-    one task per distinct live key among the viable coalitions that hold it
-    (``plan``, built from the masks when not given). A task's inputs are the
+    to it inside the coalition: its live key. In index order, which runs
+    every agent after its predecessors, each agent has one task per
+    distinct live key among the viable coalitions that hold it (``plan``,
+    built from the masks when not given). A task's inputs are the
     outputs of its direct predecessors' tasks inside the live key; external
     data goes to source agents only. Per-coalition sink outputs are then
     read through the sink's live key, keyed by mask.
@@ -424,30 +401,29 @@ def layered_run(
     executions = 0
     last_run: tuple[int, int, dict[int, Any]] | None = None
 
-    for layer in graph.layers:
-        for agent in layer:
-            # The earlier outputs when this agent's prompt is unchanged; a
-            # task reuses its own when its live key is unchanged too.
-            kept = done[agent] if done is not None and not changed >> agent & 1 else None
-            # Per predecessor, its outputs and its task under each of this
-            # agent's tasks.
-            inputs = [(p, outputs[p], col) for p, col in plan.inputs[agent]]
-            # Sources are the agents without predecessors.
-            data = None if inputs else external
-            row = outputs[agent]
-            for task, key in enumerate(plan.keys[agent]):
-                if kept is not None and not key & changed:
-                    row.append(kept[task])
-                    continue
-                upstream = {p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0}
-                try:
-                    row.append(run_agent(agent, upstream, data))
-                except Exception as exc:
-                    raise ExecutorFailure(
-                        f"agent {graph.names[agent]} failed under live key {bin(key)}"
-                    ) from exc
-                executions += 1
-                last_run = (agent, task, upstream)
+    for agent in range(graph.n):
+        # The earlier outputs when this agent's prompt is unchanged; a task
+        # reuses its own when its live key is unchanged too.
+        kept = done[agent] if done is not None and not changed >> agent & 1 else None
+        # Per predecessor, its outputs and its task under each of this
+        # agent's tasks.
+        inputs = [(p, outputs[p], col) for p, col in plan.inputs[agent]]
+        # Sources are the agents without predecessors.
+        data = None if inputs else external
+        row = outputs[agent]
+        for task, key in enumerate(plan.keys[agent]):
+            if kept is not None and not key & changed:
+                row.append(kept[task])
+                continue
+            upstream = {p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0}
+            try:
+                row.append(run_agent(agent, upstream, data))
+            except Exception as exc:
+                raise ExecutorFailure(
+                    f"agent {graph.names[agent]} failed under live key {bin(key)}"
+                ) from exc
+            executions += 1
+            last_run = (agent, task, upstream)
 
     reads = plan.upstream_reads + len(viable)
     if verify_determinism and last_run is not None:
@@ -489,16 +465,18 @@ def replay_coalition(
 ) -> ReplayResult:
     """Cache-free straight-line execution of one coalition, given by mask.
 
-    Every member runs once in topological order, receiving the outputs of its
-    direct predecessors that are also members. This is the classical
-    (unshared) evaluation path and the reference oracle for the memoized one.
+    Every member runs once in index order, receiving the outputs of its
+    direct predecessors that are also members; members without predecessors
+    in the graph are sources and receive the external data. This is the
+    classical (unshared) evaluation path and the reference oracle for the
+    memoized one.
     """
     outputs: dict[int, Any] = {}
-    for agent in graph.order:
+    for agent in range(graph.n):
         if not (mask >> agent) & 1:
             continue
         upstream = {p: outputs[p] for p in graph.preds[agent] if (mask >> p) & 1}
-        data = external if agent in graph.sources else None
+        data = None if graph.preds[agent] else external
         try:
             outputs[agent] = run_agent(agent, upstream, data)
         except Exception as exc:
@@ -563,25 +541,19 @@ def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
 
 
 def format_attribution_table(
-    graph: WorkflowGraph, results: Mapping[str, AttributionResult]
+    graph: WorkflowGraph, dag: AttributionResult, exact: AttributionResult
 ) -> str:
-    """Side-by-side engine comparison; single-engine input degrades cleanly."""
-    engines = list(results)
-    if len(engines) == 1:
-        return format_attribution(graph, results[engines[0]])
-    header = f"{'agent':<8}" + "".join(f" {e:>16}" for e in engines) + f" {'|diff|':>12}"
-    lines = [header]
+    """The pruned engine's and the classical replay's attributions side by
+    side, with both cost lines and the execution reduction."""
+    lines = [f"{'agent':<8} {'dag':>16} {'exact':>16} {'|diff|':>12}"]
     for i, name in enumerate(graph.names):
-        row = [f"{name:<8}"]
-        row.extend(f" {results[e].values[i]:>+16.10f}" for e in engines)
-        spread = max(results[e].values[i] for e in engines) - min(
-            results[e].values[i] for e in engines
-        )
-        row.append(f" {spread:>12.3e}")
-        lines.append("".join(row))
-    lines.extend(f"cost ({e}): {_cost_fields(results[e].counters)}" for e in engines)
-    execs = {e: results[e].counters.agent_executions for e in engines}
-    if "exact" in execs and "dag" in execs and execs["exact"]:
-        reduction = 1.0 - execs["dag"] / execs["exact"]
+        pair = (dag.values[i], exact.values[i])
+        spread = max(pair) - min(pair)
+        lines.append(f"{name:<8} {pair[0]:>+16.10f} {pair[1]:>+16.10f} {spread:>12.3e}")
+    lines.append(f"cost (dag): {_cost_fields(dag.counters)}")
+    lines.append(f"cost (exact): {_cost_fields(exact.counters)}")
+    execs_dag, execs_exact = dag.counters.agent_executions, exact.counters.agent_executions
+    if execs_exact:
+        reduction = 1.0 - execs_dag / execs_exact
         lines.append(f"execution reduction: {100.0 * reduction:.1f}%")
     return "\n".join(lines)

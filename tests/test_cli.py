@@ -35,6 +35,7 @@ def graph_file(tmp_path, payload, name="graph.json"):
         # `cost 3,3,1 ...` also keeps the retired layer-size positional rejected.
         *(["cost", "3,3,1", flag, "1"] for flag in ("--config", "--out", "--seed")),
         *(["cost", flag, "1"] for flag in ("--config", "--out", "--seed", "--mandatory")),
+        ["coalitions", "--seed", "1"],
         *([*cmd, "--parallel", "2"] for cmd in (
             ["validate"], ["coalitions"], ["shapley"], ["cost", "3,3,1"], ["cost"], ["backtest"],
         )),
@@ -423,3 +424,85 @@ def test_runtime_failures_exit_three(capsys, monkeypatch):
     code, out, err = run(capsys, "backtest", "--days", "15")
     assert code == 3
     assert err.startswith("runtime error:")
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+
+def bad_graph_file(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_bytes(json.dumps(SPARSE_SKIP_GRAPH).encode().replace(b'"T"', b'"T\xff"'))
+    return str(path)
+
+
+def bad_config_file(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"days": 15, "symbol": "\xff"}')
+    return ["backtest", "--config", str(path)]
+
+
+def bad_prompts_dir(tmp_path):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "TRA.txt").write_bytes(b"Trade the \xff consensus.\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"days": 15, "prompts_dir": str(prompts)}), encoding="utf-8")
+    return ["backtest", "--config", str(config)]
+
+
+def assert_one_error_line(err, message):
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (lambda tmp: ["validate", bad_graph_file(tmp)], "graph.json: not UTF-8 text"),
+        (lambda tmp: ["shapley", "--graph", bad_graph_file(tmp)], "graph.json: not UTF-8 text"),
+        (bad_config_file, "run.json: not UTF-8 text"),
+        (bad_prompts_dir, "TRA.txt: not UTF-8 text"),
+    ],
+    ids=["validate-graph", "shapley-graph", "config", "prompt"],
+)
+def test_text_files_that_are_not_utf8_exit_one(capsys, tmp_path, make_argv, message):
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err, message)
+
+
+@pytest.mark.parametrize(
+    "name, before, after, message",
+    [
+        ("m.csv", b"", b"\xff", "m.csv: line 5: not UTF-8 text"),
+        ("f.csv", b"\xff", b"", "f.csv: line 5: not UTF-8 text"),
+        ("m.csv", b"", b"0" * 140_000, "m.csv: line 5: field larger than field limit"),
+        # CPython 3.10's csv module refuses a NUL byte; later versions read it
+        # into the date field, which then fails to parse.
+        ("f.csv", b"\x00", b"", "line 5"),
+    ],
+    ids=["market-utf8", "features-utf8", "long-field", "nul"],
+)
+def test_malformed_csv_files_exit_one(capsys, tmp_path, name, before, after, message):
+    market, view = bt.synthesize_market(seed=3, days=15)
+    rows = {"m.csv": ["date,open,high,low,close,volume"], "f.csv": ["date,sentiment,fundamental"]}
+    for i, bar in enumerate(market.bars):
+        numbers = (f"{getattr(bar, c):.6f}" for c in ("open", "high", "low", "close", "volume"))
+        rows["m.csv"].append(",".join([bar.day.isoformat(), *numbers]))
+        rows["f.csv"].append(
+            f"{bar.day.isoformat()},{view.sentiment[i]:.6f},{view.fundamental[i]:.6f}"
+        )
+    for file_name, lines in rows.items():
+        data = [line.encode() for line in lines]
+        if file_name == name:
+            data[4] = before + data[4] + after
+        (tmp_path / file_name).write_bytes(b"\n".join(data) + b"\n")
+    code, out, err = run(
+        capsys,
+        "backtest",
+        "--market", str(tmp_path / "m.csv"),
+        "--features", str(tmp_path / "f.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert_one_error_line(err, message)

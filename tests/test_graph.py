@@ -2,7 +2,8 @@
 
 import pytest
 
-from dagcredit import graph as graph_module
+from hypothesis import given, settings
+
 from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
     CrossLayerViolation,
@@ -15,7 +16,8 @@ from dagcredit.graph import (
     reference_graph,
 )
 
-from conftest import layered_graph
+from conftest import layered_graph, skip_layered_graphs
+from golden_runs import SPARSE_SKIP_GRAPH
 
 
 def test_reference_graph_shape():
@@ -64,7 +66,9 @@ def test_build_rejects_self_loop():
 
 
 def test_build_rejects_backward_edge():
-    with pytest.raises((CycleDetected, CrossLayerViolation)):
+    # a -> b -> t -> a is a real cycle: the cycle check runs before the
+    # cross-layer check, so it reports as a cycle.
+    with pytest.raises(CycleDetected):
         build_graph([["a"], ["b"], ["t"]], [("a", "b"), ("b", "t"), ("t", "a")])
 
 
@@ -86,26 +90,46 @@ def test_skip_layer_edges_are_legal():
     assert g.preds[g.index_of("t")] == (0, 1)
 
 
-def test_topological_order_respects_edges_and_breaks_ties_by_index():
-    g = reference_graph()
-    order = list(g.order)
-    position = {agent: k for k, agent in enumerate(order)}
+def assert_edges_run_up_the_indices(g):
     for src, dst in g.edges:
-        assert position[src] < position[dst]
-    assert order == sorted(order, key=lambda a: (g.layer_of[a], a))
+        assert src < dst
+        assert g.layer_of[src] < g.layer_of[dst]
+    # Each layer is a consecutive run of indices.
+    assert [a for layer in g.layers for a in layer] == list(range(g.n))
 
 
-def test_topological_order_is_computed_once_per_graph(monkeypatch):
-    """Replay reads the order that ``build_graph`` kept from its cycle
-    check, instead of sorting the edges again."""
-    g = reference_graph()
+@pytest.mark.parametrize(
+    "g",
+    [
+        reference_graph(),
+        build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"]),
+        layered_graph([2, 3, 2, 1]),
+    ],
+    ids=["reference", "sparse-skip", "2-3-2-1"],
+)
+def test_every_edge_runs_from_a_lower_index_to_a_higher_one(g):
+    """Index order is the execution order: engines and replay run agents in
+    ``range(n)`` and rely on every predecessor coming first."""
+    assert_edges_run_up_the_indices(g)
 
-    def no_sort(*args):
-        raise AssertionError("topological sort re-run")
 
-    monkeypatch.setattr(graph_module, "_toposort", no_sort)
-    replay = replay_coalition(g, g.full_mask, lambda agent, upstream, data: agent, "data")
-    assert list(replay.outputs) == list(g.order)
+@settings(max_examples=100, deadline=None)
+@given(skip_layered_graphs())
+def test_every_edge_of_a_skip_layered_graph_runs_up_the_indices(g):
+    assert_edges_run_up_the_indices(g)
+
+
+def test_replay_runs_agents_in_index_order():
+    g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    seen = []
+
+    def recorder(agent, upstream, external):
+        seen.append(agent)
+        return agent
+
+    replay = replay_coalition(g, g.full_mask, recorder, "data")
+    assert seen == list(range(g.n))
+    assert list(replay.outputs) == list(range(g.n))
 
 
 def test_information_set_is_direct_predecessors_inside_coalition():

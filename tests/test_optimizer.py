@@ -36,7 +36,6 @@ def record(day_offset, agent, reward):
     return HistoryRecord(
         day=DAY0 + timedelta(days=day_offset),
         agent=agent,
-        state="SYNTH",
         action="hold@0.000",
         reward=reward,
     )
@@ -247,7 +246,7 @@ def cycle_fixture(phi_table):
     for k, day in enumerate(days[:-1]):
         for agent in range(g.n):
             history.append(
-                HistoryRecord(day, agent, "SYNTH", "hold@0.000", rewards[k])
+                HistoryRecord(day, agent, "hold@0.000", rewards[k])
             )
     attribution = shapley_dag(g, phi_table, CostCounters())
     return g, specs, history, days, attribution

@@ -797,10 +797,8 @@ def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_run
 
 def test_format_attribution_table_reports_reduction(ref_graph, ref_viable, ref_runner):
     replay_values, replay_counters = replay_table(ref_graph, ref_runner)
-    results = {
-        "dag": shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner)),
-        "exact": shapley_exact(replay_values, ref_graph.n, replay_counters),
-    }
-    text = format_attribution_table(ref_graph, results)
+    dag = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
+    exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
+    text = format_attribution_table(ref_graph, dag, exact)
     assert "execution reduction: 83.7%" in text
     assert "TRA" in text
