@@ -13,7 +13,6 @@ from .agents import (
     TradeDecision,
     build_system,
     execute_agent,
-    render_prompt,
     signed_decision_value,
     system_runner,
 )

@@ -23,6 +23,15 @@ DAMP_TOKEN = "[adjust:damp]"
 BOOST_TOKEN = "[adjust:boost]"
 SENSITIVITY_STEP = 0.1
 
+# The technical analyst compares a short and a long simple moving average of
+# closes; a relative spread of SPREAD_SCALE between them saturates its signal.
+SMA_SHORT = 3
+SMA_LONG = 8
+SPREAD_SCALE = 0.02
+
+# A trader buys when its weighted total exceeds this, and sells below minus it.
+TRADE_THRESHOLD = 0.25
+
 LESSON_DELIMITER = "\n---\n"
 
 
@@ -99,11 +108,6 @@ class PromptState:
         return LESSON_DELIMITER.join((self.base_text, *self.lesson_blocks))
 
 
-def render_prompt(prompt: PromptState) -> str:
-    """The prompt text an executor reads (see ``PromptState.rendered``)."""
-    return prompt.rendered
-
-
 class Decision(enum.Enum):
     BUY = "buy"
     HOLD = "hold"
@@ -113,7 +117,6 @@ class Decision(enum.Enum):
 @dataclass(frozen=True)
 class AnalystSignal:
     score: float
-    tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,15 @@ class MarketFeatures:
     closes: tuple[float, ...]
 
 
-_SIGN = {Decision.BUY: 1.0, Decision.SELL: -1.0, Decision.HOLD: 0.0}
+# Direction of a decision: the sign of its value and the position it takes.
+DECISION_SIGN = {Decision.BUY: 1, Decision.HOLD: 0, Decision.SELL: -1}
 
 
 def signed_decision_value(output: Any) -> float:
     """Map a sink output to a real value: direction times confidence."""
     if not isinstance(output, TradeDecision):
         return 0.0
-    return _SIGN[output.action] * output.confidence
+    return DECISION_SIGN[output.action] * output.confidence
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -207,34 +211,29 @@ def _sum_score(upstream: Mapping[int, Any]) -> float:
 class NewsAnalystMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
-        return AnalystSignal(_clamp(g * external.sentiment), tag="news-sentiment")
+        return AnalystSignal(_clamp(g * external.sentiment))
 
 
 @dataclass(frozen=True)
 class TechnicalAnalystMock(MockExecutor):
-    short: int = 3
-    long: int = 8
-    # a 2% relative spread between the averages saturates the signal
-    spread_scale: float = 0.02
-
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
         closes = external.closes
         if len(closes) < 2:
-            return AnalystSignal(0.0, tag="sma-crossover")
-        fast = closes[-min(self.short, len(closes)):]
-        slow = closes[-min(self.long, len(closes)):]
+            return AnalystSignal(0.0)
+        fast = closes[-min(SMA_SHORT, len(closes)):]
+        slow = closes[-min(SMA_LONG, len(closes)):]
         sma_fast = math.fsum(fast) / len(fast)
         sma_slow = math.fsum(slow) / len(slow)
         spread = (sma_fast - sma_slow) / sma_slow
-        return AnalystSignal(_clamp(g * spread / self.spread_scale), tag="sma-crossover")
+        return AnalystSignal(_clamp(g * spread / SPREAD_SCALE))
 
 
 @dataclass(frozen=True)
 class FundamentalAnalystMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
-        return AnalystSignal(_clamp(g * external.fundamental), tag="valuation")
+        return AnalystSignal(_clamp(g * external.fundamental))
 
 
 @dataclass(frozen=True)
@@ -264,38 +263,28 @@ class NeutralOutlookMock(MockExecutor):
         return OutlookScore(_clamp(s * _mean_score(upstream)))
 
 
+def _decide(total: float) -> TradeDecision:
+    if total > TRADE_THRESHOLD:
+        action = Decision.BUY
+    elif total < -TRADE_THRESHOLD:
+        action = Decision.SELL
+    else:
+        action = Decision.HOLD
+    return TradeDecision(action, confidence=min(1.0, abs(total)))
+
+
 @dataclass(frozen=True)
 class TraderMock(MockExecutor):
-    threshold: float = 0.25
-
     def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        total = g * _sum_score(upstream)
-        if total > self.threshold:
-            action = Decision.BUY
-        elif total < -self.threshold:
-            action = Decision.SELL
-        else:
-            action = Decision.HOLD
-        return TradeDecision(action, confidence=min(1.0, abs(total)))
+        return _decide(self.gain(prompt) * _sum_score(upstream))
 
 
 @dataclass(frozen=True)
 class SoloTraderMock(MockExecutor):
     """Degenerate single-agent system: decides straight from market data."""
 
-    threshold: float = 0.25
-
     def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        total = g * _clamp(external.sentiment)
-        if total > self.threshold:
-            action = Decision.BUY
-        elif total < -self.threshold:
-            action = Decision.SELL
-        else:
-            action = Decision.HOLD
-        return TradeDecision(action, confidence=min(1.0, abs(total)))
+        return _decide(self.gain(prompt) * _clamp(external.sentiment))
 
 
 _EXECUTOR_BY_ROLE = {
@@ -338,7 +327,7 @@ def execute_agent(
         raise ForbiddenExternalAccess(
             f"agent {spec.name} may not access external data"
         )
-    output = spec.executor(render_prompt(spec.prompt), upstream, external)
+    output = spec.executor(spec.prompt.rendered, upstream, external)
     if isinstance(output, (AnalystSignal, OutlookScore)):
         if not -1.0 <= output.score <= 1.0:
             raise InvalidAgentOutput(f"{spec.name} score {output.score} outside [-1, 1]")
@@ -381,20 +370,18 @@ def build_system(
     graph: WorkflowGraph,
     seed: int,
     base_prompts: Mapping[str, str] | None = None,
-    roles: Mapping[str, Role] | None = None,
 ) -> dict[int, AgentSpec]:
     """Assemble the mock agent system for a graph.
 
-    Roles come from an explicit mapping, then from well-known agent names,
-    then from graph position (sources rotate through the analyst roles,
-    intermediates through the outlook roles, the sink is the trader). Base
-    prompt text may be overridden per agent name.
+    Roles come from well-known agent names, then from graph position (sources
+    rotate through the analyst roles, intermediates through the outlook roles,
+    the sink is the trader). A well-known name in a position its role cannot
+    hold raises ``RoleMismatch``. Base prompt text may be overridden per agent
+    name.
     """
     specs: dict[int, AgentSpec] = {}
     for agent in graph.agents:
-        if roles and agent.name in roles:
-            role = roles[agent.name]
-        elif agent.name in ROLE_BY_NAME:
+        if agent.name in ROLE_BY_NAME:
             role = ROLE_BY_NAME[agent.name]
             if role is Role.TRADER and agent.index in graph.sources:
                 role = Role.SOLO_TRADER

@@ -30,17 +30,16 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .agents import (
+    DECISION_SIGN,
     AgentSpec,
-    Decision,
     MarketFeatures,
     TradeDecision,
     build_system,
-    render_prompt,
     system_runner,
 )
 from .coalitions import coalition_names, enumerate_viable
-from .config import ConfigError, RunConfig, load_graph_file, load_prompts_dir
-from .graph import WorkflowGraph, reference_graph
+from .config import ConfigError, RunConfig, config_graph, load_prompts_dir
+from .graph import WorkflowGraph
 from .optimizer import (
     CycleRecord,
     HistoryRecord,
@@ -133,18 +132,21 @@ class MarketSeries:
         return self.bars[i + 1].close / self.bars[i].close - 1.0
 
 
+# Trading days of closes, up to and including the current one, that a source
+# agent sees.
+LOOKBACK_DAYS = 10
+
+
 @dataclass(frozen=True)
 class FeatureView:
     """Per-day external data for source agents, aligned with the market days."""
 
-    days: tuple[date, ...]
     sentiment: tuple[float, ...]
     fundamental: tuple[float, ...]
     closes: tuple[float, ...]
-    lookback: int = 10
 
     def for_day(self, i: int) -> MarketFeatures:
-        start = max(0, i - self.lookback + 1)
+        start = max(0, i - LOOKBACK_DAYS + 1)
         return MarketFeatures(
             sentiment=self.sentiment[i],
             fundamental=self.fundamental[i],
@@ -213,7 +215,7 @@ def load_features_csv(path: str | Path, market: MarketSeries) -> FeatureView:
         )
     sent = tuple(by_day[d][0] for d in market.days)
     fund = tuple(by_day[d][1] for d in market.days)
-    return FeatureView(market.days, sent, fund, market.closes)
+    return FeatureView(sent, fund, market.closes)
 
 
 def _read_csv(path: str | Path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
@@ -327,7 +329,7 @@ def synthesize_market(
         raw = signal_strength * smooth + (1.0 - signal_strength) * 0.5 * noise_fund[i]
         fundamental.append(max(-1.0, min(1.0, raw)))
 
-    view = FeatureView(market.days, tuple(sentiment), tuple(fundamental), market.closes)
+    view = FeatureView(tuple(sentiment), tuple(fundamental), market.closes)
     return market, view
 
 
@@ -409,15 +411,12 @@ def max_drawdown(equity: Sequence[float]) -> float:
     return worst
 
 
-_POSITION = {Decision.BUY: 1, Decision.HOLD: 0, Decision.SELL: -1}
-
-
 def decision_to_position(decision: Any) -> int:
     """Buy -> +1, Hold -> 0, Sell -> -1. ``None`` (no trader ran) is flat."""
     if decision is None:
         return 0
     action = decision.action if isinstance(decision, TradeDecision) else decision
-    return _POSITION[action]
+    return DECISION_SIGN[action]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +650,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     ``config.out_dir`` when set; the same config and seed always produce
     byte-identical files.
     """
-    graph = load_graph_file(config.graph_file) if config.graph_file else reference_graph()
+    graph = config_graph(config)
     market, features = load_inputs(config)
     viable = enumerate_viable(graph)
     plan = live_plan(graph, viable)
@@ -711,7 +710,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 
     specs = dict(specs0)
     lineage = {
-        (spec.name, spec.prompt.version): render_prompt(spec.prompt)
+        (spec.name, spec.prompt.version): spec.prompt.rendered
         for spec in specs.values()
     }
     tuned_reports: list[WindowReport] = []
@@ -749,10 +748,8 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         )
         cycles.append(record)
         if record.triggered:
-            target = record.bottleneck
-            lineage[(specs[target].name, specs[target].prompt.version)] = (
-                render_prompt(specs[target].prompt)
-            )
+            spec = specs[record.bottleneck]
+            lineage[(spec.name, spec.prompt.version)] = spec.prompt.rendered
 
     decision_days = [i for win in windows for i in win[:-1]]
     tuned_returns = [r for rep in tuned_reports for r in rep.returns]

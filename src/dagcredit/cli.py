@@ -7,6 +7,12 @@ running agents, and ``backtest`` runs the full windowed experiment.
 Identical invocations with the same config and seed print and write
 byte-identical output.
 
+Each flag's argparse ``dest`` is the ``RunConfig`` field it sets (``--out``
+sets ``out_dir``; ``--graph`` and the graph argument set ``graph_file``), and
+a flag that is given wins over the ``--config`` file, which wins over the
+defaults. So every command that takes a graph runs the config file's
+``graph_file`` unless a flag names another.
+
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
 replays every subset classically and prints the two attributions side by
 side.
@@ -26,8 +32,8 @@ from . import backtest as bt
 from . import shapley as sh
 from .agents import RoleMismatch, build_system, signed_decision_value, system_runner
 from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
-from .config import ENGINES, ConfigError, RunConfig, load_config, load_graph_file, merge_flags
-from .graph import GraphValidationError, reference_graph
+from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
+from .graph import GraphValidationError
 from .optimizer import WindowTooShort
 from .shapley import (
     CostCounters,
@@ -57,9 +63,18 @@ _VALIDATION_ERRORS = (
 )
 
 
+_GRAPH_HELP = "graph JSON file (default: built-in reference)"
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run config file")
-    sub.add_argument("--out", help="output directory for report files")
+    sub.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="output directory for report files"
+    )
+
+
+def _graph_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--graph", dest="graph_file", metavar="GRAPH", help=_GRAPH_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,29 +85,31 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="check a workflow graph definition")
-    p.add_argument("graph", nargs="?", help="graph JSON file (default: built-in reference)")
+    p.add_argument("graph_file", nargs="?", metavar="graph", help=_GRAPH_HELP)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("coalitions", help="list viable coalitions")
-    p.add_argument("graph", nargs="?", help="graph JSON file (default: built-in reference)")
+    p.add_argument("graph_file", nargs="?", metavar="graph", help=_GRAPH_HELP)
     _common_flags(p)
     p.set_defaults(func=cmd_coalitions)
 
     p = subs.add_parser("shapley", help="attribute a seeded fixture episode")
-    p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
+    _graph_flag(p)
     p.add_argument("--engine", choices=ENGINES, help="attribution engine")
     _common_flags(p)
     p.add_argument("--seed", type=int, help="run seed (overrides config)")
     p.set_defaults(func=cmd_shapley)
 
     p = subs.add_parser("cost", help="count memoized executions without running agents")
-    p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
+    _graph_flag(p)
     p.set_defaults(func=cmd_cost)
 
     p = subs.add_parser("backtest", help="run the windowed trading experiment")
-    p.add_argument("--graph", help="graph JSON file (default: built-in reference)")
-    p.add_argument("--market", help="OHLCV CSV file (requires --features)")
-    p.add_argument("--features", help="per-day feature CSV file")
+    _graph_flag(p)
+    p.add_argument("--market", dest="market_csv", metavar="MARKET",
+                   help="OHLCV CSV file (requires --features)")
+    p.add_argument("--features", dest="features_csv", metavar="FEATURES",
+                   help="per-day feature CSV file")
     p.add_argument("--days", type=int, help="synthetic run length in trading days")
     p.add_argument("--regime", choices=("bull", "bear", "sideways"))
     p.add_argument("--signal-strength", type=float, dest="signal_strength")
@@ -108,17 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args: argparse.Namespace, **extra) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    return merge_flags(config, out_dir=args.out, **extra)
-
-
-def _load_graph(path: str | None):
-    return load_graph_file(path) if path else reference_graph()
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file (or the defaults) with every given flag laid over it."""
+    flags = vars(args)
+    config = load_config(flags["config"]) if flags.get("config") else RunConfig()
+    return merge_flags(config, flags)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = config_graph(_build_config(args))
     print(
         f"valid: {graph.n} agents, {len(graph.layers)} layers, "
         f"{len(graph.sources)} sources, sink {graph.names[graph.sink]}"
@@ -128,7 +143,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_coalitions(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    graph = _load_graph(args.graph)
+    graph = config_graph(config)
     viable = enumerate_viable(graph)
     total = 1 << graph.n
     lines = [coalition_names(graph, mask) for mask in viable]
@@ -159,8 +174,8 @@ def _fixture_episode(graph, config: RunConfig):
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
-    config = _build_config(args, seed=args.seed, engine=args.engine)
-    graph = _load_graph(args.graph)
+    config = _build_config(args)
+    graph = config_graph(config)
     run_agent, episode = _fixture_episode(graph, config)
     viable = enumerate_viable(graph)
 
@@ -190,7 +205,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = config_graph(_build_config(args))
     predicted = predicted_cost(graph)
     evals, execs = classical_cost(graph.n)
     print(f"layer sizes: {[len(layer) for layer in graph.layers]}")
@@ -204,21 +219,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    config = _build_config(
-        args,
-        seed=args.seed,
-        graph_file=args.graph,
-        market_csv=args.market,
-        features_csv=args.features,
-        days=args.days,
-        regime=args.regime,
-        signal_strength=args.signal_strength,
-        window_len=args.window_len,
-        threshold=args.threshold,
-        lesson_cap=args.lesson_cap,
-        engine=args.engine,
-        symbol=args.symbol,
-    )
+    config = _build_config(args)
     result = bt.run_backtest(config)
     triggered = sum(1 for c in result.cycles if c.triggered)
     print(

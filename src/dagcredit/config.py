@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import WorkflowGraph, build_graph
+from .graph import WorkflowGraph, build_graph, reference_graph
 
 ENGINES = ("dag", "both")
 REGIMES = ("bull", "bear", "sideways")
@@ -113,13 +113,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def merge_flags(config: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None flag values over a config, then re-validate."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    bad = sorted(set(changes) - _FIELDS)
-    if bad:
-        raise ConfigError(f"unknown config fields {bad}")
+def merge_flags(config: RunConfig, flags: dict[str, object]) -> RunConfig:
+    """Lay the flags that were given (not None) over a config, then re-validate.
+    Keys that name no field, such as the subcommand, are skipped."""
+    changes = {k: v for k, v in flags.items() if k in _FIELDS and v is not None}
     return dataclasses.replace(config, **changes).validate()
+
+
+def config_graph(config: RunConfig) -> WorkflowGraph:
+    """The run's workflow graph: ``graph_file`` when set, else the reference graph."""
+    return load_graph_file(config.graph_file) if config.graph_file else reference_graph()
 
 
 def load_graph_file(path: str | Path) -> WorkflowGraph:

@@ -32,7 +32,6 @@ from dagcredit.agents import (
     TraderMock,
     build_system,
     execute_agent,
-    render_prompt,
     signed_decision_value,
 )
 from dagcredit.graph import build_graph, reference_graph
@@ -43,7 +42,7 @@ scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 def as_upstream(values):
-    return {i: AnalystSignal(v, tag="t") for i, v in enumerate(values)}
+    return {i: AnalystSignal(v) for i, v in enumerate(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def as_upstream(values):
 
 def test_render_prompt_joins_blocks_in_order():
     prompt = PromptState("base", ("first", "second"), version=3)
-    assert render_prompt(prompt) == f"base{LESSON_DELIMITER}first{LESSON_DELIMITER}second"
+    assert prompt.rendered == f"base{LESSON_DELIMITER}first{LESSON_DELIMITER}second"
 
 
 def test_each_prompt_state_renders_once():
@@ -68,8 +67,8 @@ def test_each_prompt_state_renders_once():
     for spec in specs.values():
         blocks = (f"{DAMP_TOKEN} lesson", f"{BOOST_TOKEN} {BOOST_TOKEN} lesson")
         prompt = PromptState(spec.prompt.base_text, blocks, version=3)
-        first = render_prompt(prompt)
-        assert render_prompt(prompt) is first
+        first = prompt.rendered
+        assert prompt.rendered is first
         fresh = LESSON_DELIMITER.join((prompt.base_text, *blocks))
         assert first == fresh and first is not fresh
 
@@ -81,14 +80,14 @@ def test_each_prompt_state_renders_once():
 
     # A new state (one more lesson) renders its own text.
     grown = dataclasses.replace(prompt, lesson_blocks=(*blocks, "third"))
-    assert render_prompt(grown) == f"{first}{LESSON_DELIMITER}third"
+    assert grown.rendered == f"{first}{LESSON_DELIMITER}third"
 
 
 def test_prompt_defaults():
     prompt = PromptState("base")
     assert prompt.version == 1
     assert prompt.lesson_blocks == ()
-    assert render_prompt(prompt) == "base"
+    assert prompt.rendered == "base"
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,6 @@ def test_news_analyst_scales_sentiment():
     mock = NewsAnalystMock("NAA", seed=1)
     out = mock("p", {}, FEATURES)
     assert isinstance(out, AnalystSignal)
-    assert out.tag == "news-sentiment"
     assert out.score == pytest.approx(
         max(-1.0, min(1.0, mock.gain("p") * FEATURES.sentiment))
     )
@@ -160,7 +158,6 @@ def test_technical_analyst_neutral_on_short_history():
 def test_fundamental_analyst_scales_fundamental():
     mock = FundamentalAnalystMock("FAA", seed=4)
     out = mock("p", {}, FEATURES)
-    assert out.tag == "valuation"
     assert out.score == pytest.approx(
         max(-1.0, min(1.0, mock.gain("p") * FEATURES.fundamental))
     )
@@ -299,7 +296,7 @@ def test_non_source_rejects_external_data():
 
 def test_out_of_range_scores_are_rejected():
     def rogue(prompt, upstream, external):
-        return AnalystSignal(1.5, tag="rogue")
+        return AnalystSignal(1.5)
 
     spec = spec_for(Role.NEWS_ANALYST, True, False, rogue)
     with pytest.raises(InvalidAgentOutput):
@@ -366,20 +363,29 @@ def test_build_system_custom_base_prompts():
 
 
 def test_build_system_rejects_misplaced_roles():
-    g = reference_graph()
-    with pytest.raises(RoleMismatch):
-        build_system(g, seed=1, roles={"NAA": Role.TRADER})
-    with pytest.raises(RoleMismatch):
-        build_system(g, seed=1, roles={"TRA": Role.NEWS_ANALYST})
-    with pytest.raises(RoleMismatch):
-        build_system(g, seed=1, roles={"BOA": Role.SOLO_TRADER})
+    """A well-known name fixes the role, so a graph can put it where the
+    role cannot run; each case hits one placement rule."""
+    cases = [
+        # NAA in the middle layer, then at the sink
+        ([["a"], ["NAA"], ["t"]], [("a", "NAA"), ("NAA", "t")], "analyst roles require a source"),
+        ([["a"], ["NAA"]], [("a", "NAA")], "analyst roles require a source"),
+        # BOA at the sink
+        ([["a"], ["BOA"]], [("a", "BOA")], "outlook roles require an intermediate"),
+        # TRA in the middle layer
+        ([["a"], ["TRA"], ["t"]], [("a", "TRA"), ("TRA", "t")], "trader role requires the sink"),
+        # TRA on a source that is not the sink runs as the solo trader
+        ([["TRA", "a"], ["t"]], [("TRA", "t"), ("a", "t")], "solo trader requires a single-agent"),
+    ]
+    for layers, edges, message in cases:
+        with pytest.raises(RoleMismatch, match=message):
+            build_system(build_graph(layers, edges), seed=1)
 
 
 def test_mock_sensitivity_reads_current_prompt():
     g = reference_graph()
     specs = build_system(g, seed=42)
     spec = specs[0]
-    base = spec.executor.sensitivity(render_prompt(spec.prompt))
+    base = spec.executor.sensitivity(spec.prompt.rendered)
     boosted = AgentSpec(
         index=spec.index,
         name=spec.name,
@@ -389,4 +395,4 @@ def test_mock_sensitivity_reads_current_prompt():
         is_source=spec.is_source,
         is_sink=spec.is_sink,
     )
-    assert boosted.executor.sensitivity(render_prompt(boosted.prompt)) == pytest.approx(base + 0.1)
+    assert boosted.executor.sensitivity(boosted.prompt.rendered) == pytest.approx(base + 0.1)

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: output shapes, exit codes, reports."""
 
+import argparse
+import dataclasses
 import filecmp
 import json
 
@@ -7,7 +9,9 @@ import pytest
 
 from dagcredit import backtest as bt
 from dagcredit.agents import MissingExternalData
-from dagcredit.cli import main
+from dagcredit.cli import build_parser, main
+from dagcredit.coalitions import enumerate_viable
+from dagcredit.config import RunConfig, load_graph_file
 
 from golden_runs import SPARSE_SKIP_GRAPH
 
@@ -47,6 +51,45 @@ def test_subcommands_accept_only_flags_they_read(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_flag_is_named_after_the_config_field_it_sets():
+    """``_build_config`` lays each parsed value over the config file by name,
+    so a flag stored under any other name would bypass the file."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    parser = build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == ["backtest", "coalitions", "cost", "shapley", "validate"]
+    for command, sub in subs.choices.items():
+        dests = {a.dest for a in sub._actions} | set(vars(parser.parse_args([command])))
+        assert dests - {"help", "config", "command", "func"} <= fields, command
+
+
+def agent_rows(out):
+    rows = out.split("agent contributions:\n", 1)[1].split("  total", 1)[0]
+    return [line.split()[0] for line in rows.splitlines()]
+
+
+def test_config_graph_file_drives_every_command_and_a_flag_wins(capsys, tmp_path):
+    sparse = graph_file(tmp_path, SPARSE_SKIP_GRAPH, "sparse.json")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"graph_file": sparse}), encoding="utf-8")
+    viable = len(enumerate_viable(load_graph_file(sparse)))
+
+    code, out, _ = run(capsys, "shapley", "--config", str(config))
+    assert code == 0
+    assert agent_rows(out) == ["S1", "S2", "S3", "M1", "M2", "T"]
+    code, out, _ = run(capsys, "coalitions", "--config", str(config))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{viable}/64 viable")
+
+    small = graph_file(tmp_path, {"layers": [["a", "b"], ["t"]], "edges": [["a", "t"], ["b", "t"]]})
+    code, out, _ = run(capsys, "shapley", "--config", str(config), "--graph", small)
+    assert code == 0
+    assert agent_rows(out) == ["a", "b", "t"]
+    code, out, _ = run(capsys, "coalitions", small, "--config", str(config))
+    assert code == 0
+    assert out.splitlines()[-1] == "3/8 viable (62.5% pruned)"
 
 
 @pytest.mark.parametrize("command", ["shapley", "backtest"])
@@ -167,6 +210,13 @@ def test_shapley_both_engines_match(capsys, tmp_path):
     for name in ("NAA", "TAA", "FAA", "BOA", "BeOA", "NOA", "TRA"):
         assert name in out
     assert (out_dir / "attribution.txt").read_text(encoding="utf-8").strip() == out.strip()
+
+
+def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):
+    payload = {"layers": [["a"], ["NAA"], ["t"]], "edges": [["a", "NAA"], ["NAA", "t"]]}
+    code, out, err = run(capsys, "shapley", "--graph", graph_file(tmp_path, payload))
+    assert (code, out) == (1, "")
+    assert err == "error: NAA: analyst roles require a source position\n"
 
 
 def test_shapley_seed_changes_values(capsys):
