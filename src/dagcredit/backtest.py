@@ -8,6 +8,11 @@ are computed, and at most one agent's prompt is updated for the next window.
 A frozen-prompt pass and three classic baselines run on exactly the same
 decision days for comparison.
 
+``evaluate_window`` is the one routine that turns episodes into an
+attributed game, for any coalition value of the sink outputs: the backtest
+values a window by ``sharpe_value`` and the ``shapley`` command values its
+one fixture episode by the signed sink decision.
+
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
 where the agent or a member upstream of it in the coalition has a prompt the
@@ -25,7 +30,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -40,12 +45,7 @@ from .agents import (
 from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, config_graph, load_prompts_dir
 from .graph import WorkflowGraph
-from .optimizer import (
-    CycleRecord,
-    HistoryRecord,
-    WindowTooShort,
-    run_cycle,
-)
+from .optimizer import CycleRecord, HistoryRecord, run_cycle
 from .shapley import (
     AttributionResult,
     CostCounters,
@@ -443,98 +443,94 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 
 @dataclass
 class WindowGame:
-    """One window's coalition game under the pruned engine: the value of each
-    viable mask, the cost, the run of each decision day and the grand
-    coalition's rewards. ``exact`` holds the classical replay's value of
-    every subset and its cost, and is set only under engine ``both``."""
+    """One game over a set of episodes: the value of each viable mask, the
+    run of each episode and the pruned engine's attribution. ``exact`` holds
+    the classical replay's value of every subset and its attribution, and is
+    set only under engine ``both``."""
 
     values: dict[int, float]
-    counters: CostCounters
     runs: list[LayeredRunResult]
-    rewards: list[float]
-    exact: tuple[dict[int, float], CostCounters] | None
+    attribution: AttributionResult
+    exact: tuple[dict[int, float], AttributionResult] | None
 
 
 def evaluate_window(
     graph: WorkflowGraph,
     viable: Sequence[int],
     run_agent: Callable,
-    market: MarketSeries,
-    features: FeatureView,
-    day_indices: Sequence[int],
-    rf_daily: float = 0.0,
+    episodes: Sequence[Any],
+    value: Callable[[Sequence[Any]], float],
     engine: str = "dag",
     *,
     plan: LivePlan | None = None,
     reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
-    """Value every viable coalition's window Sharpe with the pruned engine.
+    """Play and attribute one coalition game over ``episodes``.
 
-    The pruned engine runs one memoized episode per decision day over the
-    viable coalitions (given by mask), with the tasks of ``plan`` (built when
-    not given). ``reuse`` is an earlier game on the same decision days with
-    the mask of the agents whose prompts have changed since; each day's run
-    then reuses the earlier run of that day (see ``layered_run``). Engine
-    ``both`` also replays every subset without sharing (the classical
-    comparator). A coalition is valued by the raw Sharpe of its next-day
-    return series. That series is a function of the coalition's positions on
-    the decision days, so Sharpe runs once per distinct position vector in
-    the window, shared by both engines.
+    The pruned engine runs one memoized episode per item of ``episodes``
+    (each a source agent's external data) over the viable coalitions (given
+    by mask), with the tasks of ``plan`` (built when not given). ``reuse``
+    is an earlier game on the same episodes with the mask of the agents
+    whose prompts have changed since; each episode's run then reuses the
+    earlier run of that episode (see ``layered_run``). A coalition is worth
+    ``value`` of its sink outputs, one per episode, and ``shapley_dag``
+    attributes the viable masks' values. Engine ``both`` also replays every
+    subset without sharing (the classical comparator), values each with the
+    same ``value`` and attributes them with ``shapley_exact``.
     """
     if engine not in ("dag", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
-    if len(day_indices) < 3:
-        raise WindowTooShort("need at least three days for a two-return window game")
-    decision_days = list(day_indices[:-1])
-    step_returns = [market.step_return(i) for i in decision_days]
-    sharpe_by_positions: dict[tuple[int, ...], float] = {}
-
-    def coalition_sharpe(decisions: Sequence[Any]) -> float:
-        positions = tuple(decision_to_position(d) for d in decisions)
-        if positions not in sharpe_by_positions:
-            series = [p * r for p, r in zip(positions, step_returns)]
-            sharpe_by_positions[positions] = sharpe(series, rf_daily)
-        return sharpe_by_positions[positions]
-
-    counters = CostCounters()
+    if not episodes:
+        raise ValueError("a game needs at least one episode")
     if plan is None:
         plan = live_plan(graph, viable)
-    earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(decision_days)
+    earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(episodes)
     if reuse is not None:
         game, changed = reuse
-        if len(game.runs) != len(decision_days):
-            raise ValueError("the earlier game has other decision days")
+        if len(game.runs) != len(episodes):
+            raise ValueError("the earlier game has another number of episodes")
         earlier = [(run, changed) for run in game.runs]
-    runs: list[LayeredRunResult] = []
-    for i, done in zip(decision_days, earlier):
-        run = layered_run(
-            graph, viable, run_agent, features.for_day(i), plan=plan, reuse=done
-        )
-        runs.append(run)
-        counters = counters.merged(run.counters)
-    values = {
-        mask: coalition_sharpe([run.sink_outputs[mask] for run in runs])
-        for mask in viable
-    }
+    runs = [
+        layered_run(graph, viable, run_agent, episode, plan=plan, reuse=done)
+        for episode, done in zip(episodes, earlier)
+    ]
+    counters = reduce(CostCounters.merged, (run.counters for run in runs), CostCounters())
+    # Sink outputs are aligned with ``viable``: one column per mask.
+    values = dict(zip(viable, map(value, zip(*(run.sink_outputs for run in runs)))))
+    attribution = shapley_dag(graph, values, counters)
 
     exact = None
     if engine == "both":
         replay_counters = CostCounters()
-        sink_outputs: dict[int, list[Any]] = {mask: [] for mask in range(1 << graph.n)}
-        for i in decision_days:
-            episode = features.for_day(i)
-            for mask, outputs in sink_outputs.items():
-                result = replay_coalition(graph, mask, run_agent, episode)
-                replay_counters.agent_executions += result.executions
-                outputs.append(result.sink_output)
-        replay_values = {mask: coalition_sharpe(d) for mask, d in sink_outputs.items()}
-        exact = (replay_values, replay_counters)
+        replay_values = {}
+        for mask in range(1 << graph.n):
+            replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
+            replay_counters.agent_executions += sum(r.executions for r in replays)
+            replay_values[mask] = value([r.sink_output for r in replays])
+        exact = (replay_values, shapley_exact(replay_values, graph.n, replay_counters))
+    return WindowGame(values, runs, attribution, exact)
 
-    rewards = [
-        decision_to_position(run.grand_outputs[graph.sink]) * r
-        for run, r in zip(runs, step_returns)
-    ]
-    return WindowGame(values, counters, runs, rewards, exact)
+
+def sharpe_value(
+    step_returns: Sequence[float], rf_daily: float = 0.0
+) -> Callable[[Sequence[Any]], float]:
+    """A window game's coalition value: the raw Sharpe of the next-day
+    returns that its decisions, one per decision day, earn.
+
+    The return series is a function of the coalition's positions, so the
+    returned function runs Sharpe once per distinct position vector and
+    shares it between every coalition and both engines it values.
+    """
+    by_positions: dict[tuple[int, ...], float] = {}
+
+    def value(decisions: Sequence[Any]) -> float:
+        positions = tuple(map(decision_to_position, decisions))
+        if positions not in by_positions:
+            series = [p * r for p, r in zip(positions, step_returns)]
+            by_positions[positions] = sharpe(series, rf_daily)
+        return by_positions[positions]
+
+    return value
 
 
 def describe_output(output: Any) -> str:
@@ -672,35 +668,36 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         day_idx: list[int],
         reuse: tuple[WindowGame, int] | None = None,
     ) -> tuple[WindowGame, WindowReport]:
+        decision_days = day_idx[:-1]
+        step_returns = [market.step_return(i) for i in decision_days]
         game = evaluate_window(
             graph,
             viable,
             system_runner(specs),
-            market,
-            features,
-            day_idx,
-            rf_daily=config.rf_daily,
-            engine=config.engine,
+            [features.for_day(i) for i in decision_days],
+            sharpe_value(step_returns, config.rf_daily),
+            config.engine,
             plan=plan,
             reuse=reuse,
         )
-        attribution = shapley_dag(graph, game.values, game.counters)
+        rewards = [
+            decision_to_position(run.grand_outputs[graph.sink]) * r
+            for run, r in zip(game.runs, step_returns)
+        ]
         exact_diff = None
         if game.exact is not None:
-            replay_values, replay_counters = game.exact
-            exact_att = shapley_exact(replay_values, graph.n, replay_counters)
             exact_diff = max(
-                abs(a - b) for a, b in zip(attribution.values, exact_att.values)
+                abs(a - b) for a, b in zip(game.attribution.values, game.exact[1].values)
             )
 
         report = WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
             end=market.days[day_idx[-1]],
-            decision_days=tuple(market.days[i] for i in day_idx[:-1]),
-            returns=tuple(game.rewards),
-            window_sharpe=sharpe(game.rewards, config.rf_daily),
-            attribution=attribution,
+            decision_days=tuple(market.days[i] for i in decision_days),
+            returns=tuple(rewards),
+            window_sharpe=sharpe(rewards, config.rf_daily),
+            attribution=game.attribution,
             coalition_values=tuple(
                 (names, game.values[mask]) for names, mask in zip(viable_names, viable)
             ),
@@ -725,8 +722,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         frozen_reports.append(frozen)
 
         decision_dates = list(tuned.decision_days)
-        for k, day in enumerate(decision_dates):
-            reward = game.rewards[k]
+        for k, (day, reward) in enumerate(zip(decision_dates, tuned.returns)):
             for a in range(graph.n):
                 history.append(
                     HistoryRecord(

@@ -2,8 +2,11 @@
 
 One entry point with five subcommands: ``validate`` and ``coalitions``
 inspect a workflow graph, ``shapley`` attributes a seeded fixture
-episode, ``cost`` counts memoized executions on a graph without
-running agents, and ``backtest`` runs the full windowed experiment.
+episode (day 10 of a 10-day synthetic series), ``cost`` counts memoized
+executions on a graph without running agents, and ``backtest`` runs the
+full windowed experiment. ``shapley`` and ``backtest`` both attribute
+through ``backtest.evaluate_window``. ``shapley`` reads no market, feature
+or prompt files, so a config that names one exits 1.
 Identical invocations with the same config and seed print and write
 byte-identical output.
 
@@ -29,21 +32,17 @@ import sys
 from pathlib import Path
 
 from . import backtest as bt
-from . import shapley as sh
 from .agents import RoleMismatch, build_system, signed_decision_value, system_runner
 from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
 from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
 from .graph import GraphValidationError
 from .optimizer import WindowTooShort
 from .shapley import (
-    CostCounters,
     InvalidSize,
     classical_cost,
     format_attribution,
     format_attribution_table,
     predicted_cost,
-    shapley_dag,
-    shapley_exact,
 )
 
 _VALIDATION_ERRORS = (
@@ -162,40 +161,35 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fixture_episode(graph, config: RunConfig):
-    # Deterministic one-day fixture: a short synthetic series; the episode is
-    # its final day so the technical window is fully populated.
+def cmd_shapley(args: argparse.Namespace) -> int:
+    config = _build_config(args)
+    unread = [f for f in ("market_csv", "features_csv", "prompts_dir") if getattr(config, f)]
+    if unread:
+        raise ConfigError(
+            f"shapley attributes a synthetic fixture episode; remove {', '.join(unread)}"
+            " from the config"
+        )
+    graph = config_graph(config)
+    # The fixture episode is the last day of a 10-day synthetic series, so
+    # the technical window is fully populated.
     _, features = bt.synthesize_market(
         config.seed, days=10, regime=config.regime,
         signal_strength=config.signal_strength, symbol=config.symbol,
     )
-    specs = build_system(graph, config.seed)
-    return system_runner(specs), features.for_day(9)
-
-
-def cmd_shapley(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    graph = config_graph(config)
-    run_agent, episode = _fixture_episode(graph, config)
-    viable = enumerate_viable(graph)
-
     # A coalition is valued by its signed sink decision; one whose sink never
-    # runs is absent from the table and worth zero. Under ``both`` the
-    # classical replay of every subset is attributed beside the pruned engine.
-    run = sh.layered_run(graph, viable, run_agent, episode)
-    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
-    dag = shapley_dag(graph, values, run.counters)
-    if config.engine == "both":
-        values, counters = {}, CostCounters()
-        for mask in range(1 << graph.n):
-            replay = sh.replay_coalition(graph, mask, run_agent, episode)
-            counters.agent_executions += replay.executions
-            if replay.sink_output is not None:
-                values[mask] = signed_decision_value(replay.sink_output)
-        exact = shapley_exact(values, graph.n, counters)
-        text = format_attribution_table(graph, dag, exact)
+    # runs is worth zero.
+    game = bt.evaluate_window(
+        graph,
+        enumerate_viable(graph),
+        system_runner(build_system(graph, config.seed)),
+        [features.for_day(9)],
+        lambda outs: signed_decision_value(outs[0]),
+        config.engine,
+    )
+    if game.exact is not None:
+        text = format_attribution_table(graph, game.attribution, game.exact[1])
     else:
-        text = format_attribution(graph, dag)
+        text = format_attribution(graph, game.attribution)
     print(text)
     if config.out_dir:
         out = Path(config.out_dir)

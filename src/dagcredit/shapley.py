@@ -188,16 +188,16 @@ class LayeredRunResult:
     ``outputs`` holds, per agent, its output under each of its tasks in
     ``plan``, whether it ran or was reused; ``cache`` builds a dict of them
     by (agent, live key), one entry per task, each time it is read.
-    ``external`` is the episode's external data. ``sink_outputs`` maps each
-    viable coalition's mask to its sink output; ``grand_outputs`` maps each
-    agent to its output in the grand coalition, and is empty when the grand
-    coalition is not among the viable masks.
+    ``external`` is the episode's external data. ``sink_outputs`` lists the
+    sink output of each viable mask, in the plan's ``viable`` order;
+    ``grand_outputs`` maps each agent to its output in the grand coalition,
+    and is empty when the grand coalition is not among the viable masks.
     """
 
     plan: LivePlan
     external: Any
     outputs: list[list[Any]]
-    sink_outputs: dict[int, Any]
+    sink_outputs: list[Any]
     counters: CostCounters
     grand_outputs: dict[int, Any]
 
@@ -364,7 +364,7 @@ def layered_run(
     built from the masks when not given). A task's inputs are the
     outputs of its direct predecessors' tasks inside the live key; external
     data goes to source agents only. Per-coalition sink outputs are then
-    read through the sink's live key, keyed by mask.
+    read through the sink's live key, in the order of ``viable``.
 
     Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
     earlier run of the same plan on equal external data, with the mask of
@@ -435,8 +435,7 @@ def layered_run(
                 f"agent {graph.names[agent]} is not deterministic under live key "
                 f"{bin(plan.keys[agent][task])}"
             )
-    sink_row = outputs[graph.sink]
-    sink_outputs = dict(zip(viable, map(sink_row.__getitem__, plan.sink_tasks)))
+    sink_outputs = list(map(outputs[graph.sink].__getitem__, plan.sink_tasks))
     grand_outputs = (
         {}
         if plan.grand_tasks is None

@@ -30,6 +30,7 @@ from dagcredit.backtest import (
     max_drawdown,
     run_backtest,
     sharpe,
+    sharpe_value,
     synthesize_market,
     write_reports,
     _window_report_text,
@@ -286,7 +287,14 @@ def test_criterion_8_information_flow_enforcement():
     windows = day_windows(len(market), 5)
     for day_indices in windows:
         recorder.sink = memo_calls
-        evaluate_window(g, viable, recorder, market, view, day_indices)
+        decision_days = day_indices[:-1]
+        evaluate_window(
+            g,
+            viable,
+            recorder,
+            [view.for_day(day) for day in decision_days],
+            sharpe_value([market.step_return(day) for day in decision_days]),
+        )
         for day in day_indices[:-1]:
             for mask in range(1 << g.n):
                 recorder.sink = replay_calls

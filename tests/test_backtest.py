@@ -33,7 +33,6 @@ from dagcredit.backtest import (
     ParseError,
     TooFewReturns,
     UnsortedDates,
-    WindowTooShort,
     annualized_sharpe,
     build_equity,
     day_windows,
@@ -45,6 +44,7 @@ from dagcredit.backtest import (
     max_drawdown,
     run_backtest,
     sharpe,
+    sharpe_value,
     sma_positions,
     synthesize_market,
     total_return,
@@ -317,57 +317,69 @@ def window_setup():
     return g, market, view, runner, viable
 
 
+def window_game_args(market, view, day_indices, rf_daily=0.0):
+    """The episodes and the Sharpe value of the window game on ``day_indices``,
+    as ``run_backtest`` hands them to ``evaluate_window``."""
+    decision_days = day_indices[:-1]
+    step_returns = [market.step_return(i) for i in decision_days]
+    return [view.for_day(i) for i in decision_days], sharpe_value(step_returns, rf_daily)
+
+
 def test_evaluate_window_dag_engine_counts(window_setup):
     g, market, view, runner, viable = window_setup
-    game = evaluate_window(g, viable, runner, market, view, [0, 1, 2, 3, 4])
-    assert shapley_dag(g, game.values, game.counters).counters.coalition_evaluations == 49
+    game = evaluate_window(g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]))
+    counters = game.attribution.counters
+    assert counters.coalition_evaluations == 49
     # four decision days, 73 shared executions each
-    assert game.counters.agent_executions == 4 * 73
-    assert game.counters.executions_reused == 0
+    assert counters.agent_executions == 4 * 73
+    assert counters.executions_reused == 0
     assert set(game.values) == set(viable)
+    assert game.attribution == shapley_dag(g, game.values, counters)
     assert game.exact is None
 
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
     g, market, view, runner, viable = window_setup
-    days = [0, 1, 2, 3, 4]
-    first = evaluate_window(g, viable, runner, market, view, days)
+    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    first = evaluate_window(g, viable, runner, episodes, value)
     assert len(first.runs) == 4
-    again = evaluate_window(g, viable, runner, market, view, days, reuse=(first, 0))
-    assert again.counters.agent_executions == 0
-    assert again.counters.executions_reused == 4 * 73
+    again = evaluate_window(g, viable, runner, episodes, value, reuse=(first, 0))
+    assert again.attribution.counters.agent_executions == 0
+    assert again.attribution.counters.executions_reused == 4 * 73
     assert again.values == first.values
     assert [run.grand_outputs for run in again.runs] == [
         run.grand_outputs for run in first.runs
     ]
     # A changed trader reruns its 49 tasks on each day.
-    trader = evaluate_window(
-        g, viable, runner, market, view, days, reuse=(first, 1 << g.sink)
-    )
-    assert trader.counters.agent_executions == 4 * 49
-    with pytest.raises(ValueError, match="other decision days"):
-        evaluate_window(g, viable, runner, market, view, days[:-1], reuse=(first, 0))
+    trader = evaluate_window(g, viable, runner, episodes, value, reuse=(first, 1 << g.sink))
+    assert trader.attribution.counters.agent_executions == 4 * 49
+    with pytest.raises(ValueError, match="another number of episodes"):
+        evaluate_window(g, viable, runner, episodes[:-1], value, reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
-        evaluate_window(g, viable, runner, market, view, [1, 2, 3, 4, 5], reuse=(first, 0))
+        evaluate_window(
+            g, viable, runner, *window_game_args(market, view, [1, 2, 3, 4, 5]), reuse=(first, 0)
+        )
+    with pytest.raises(ValueError, match="at least one episode"):
+        evaluate_window(g, viable, runner, [], value)
 
 
 def test_evaluate_window_engines_agree(window_setup):
     g, market, view, runner, viable = window_setup
     game = evaluate_window(
-        g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="both"
+        g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
     )
-    replay_values, replay_counters = game.exact
+    replay_values, classical = game.exact
     for mask in viable:
         assert game.values[mask] == pytest.approx(replay_values[mask], abs=1e-9)
-    classical = shapley_exact(replay_values, g.n, replay_counters)
     assert classical.counters.coalition_evaluations == 128
-    assert replay_counters.agent_executions == 4 * 448
+    assert classical.counters.agent_executions == 4 * 448
+    assert classical == shapley_exact(replay_values, g.n, classical.counters)
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     g, market, view, runner, viable = window_setup
     game = evaluate_window(
-        g, viable, runner, market, view, [0, 1, 2, 3, 4], engine="both"
+        g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
     )
     viable_masks = set(viable)
     replay_values, _ = game.exact
@@ -394,7 +406,7 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "sharpe", counted)
         game = evaluate_window(
-            g, enumerate_viable(g), runner, market, view, days, engine="both"
+            g, enumerate_viable(g), runner, *window_game_args(market, view, days), engine="both"
         )
     vectors = set()
     for mask in range(1 << g.n):
@@ -413,26 +425,13 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     assert len(calls) == len(set(calls)) == len(vectors) < 1 << g.n
 
 
-def test_evaluate_window_rewards_follow_grand_decisions(window_setup):
-    g, market, view, runner, viable = window_setup
-    game = evaluate_window(g, viable, runner, market, view, [0, 1, 2, 3, 4])
-    assert len(game.rewards) == 4
-    for k, day_index in enumerate([0, 1, 2, 3]):
-        position = decision_to_position(game.runs[k].grand_outputs[g.sink])
-        assert game.rewards[k] == pytest.approx(position * market.step_return(day_index))
-
-
-def test_evaluate_window_rejects_short_windows(window_setup):
-    g, market, view, runner, viable = window_setup
-    with pytest.raises(WindowTooShort):
-        evaluate_window(g, viable, runner, market, view, [0, 1])
-
-
 @pytest.mark.parametrize("engine", ["fast", "exact"])
 def test_evaluate_window_rejects_unknown_engine(window_setup, engine):
     g, market, view, runner, viable = window_setup
     with pytest.raises(ConfigError, match="unknown engine"):
-        evaluate_window(g, viable, runner, market, view, [0, 1, 2], engine=engine)
+        evaluate_window(
+            g, viable, runner, *window_game_args(market, view, [0, 1, 2]), engine=engine
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +554,30 @@ def test_backtest_lesson_changes_later_bottleneck(result_30):
     f_arg = min(range(7), key=lambda i: (frozen[i], i))
     assert result_30.cycles[1].triggered
     assert t_arg != f_arg
+
+
+def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
+    """Each window report's returns, in both passes, are the grand
+    coalition's position on each decision day times that day's step return."""
+    games = []
+    play = backtest.evaluate_window
+
+    def recorded(*args, **kwargs):
+        games.append(play(*args, **kwargs))
+        return games[-1]
+
+    monkeypatch.setattr(backtest, "evaluate_window", recorded)
+    result = run_backtest(RunConfig(seed=78, days=15).validate())
+    market, sink = result.market, result.graph.sink
+    reports = [rep for pair in zip(result.windows, result.frozen_windows) for rep in pair]
+    assert len(games) == len(reports) == 6
+    for game, rep in zip(games, reports):
+        days = [market.days.index(d) for d in rep.decision_days]
+        assert len(rep.returns) == len(days) == len(game.runs) == 4
+        assert list(rep.returns) == [
+            decision_to_position(run.grand_outputs[sink]) * market.step_return(i)
+            for run, i in zip(game.runs, days)
+        ]
 
 
 def test_backtest_rewards_are_shared_per_day(result_30):

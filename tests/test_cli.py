@@ -219,6 +219,32 @@ def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):
     assert err == "error: NAA: analyst roles require a source position\n"
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # A config names a market and its features together or neither.
+        ("market_csv", "features_csv"),
+        ("prompts_dir",),
+        ("market_csv", "features_csv", "prompts_dir"),
+    ],
+    ids=",".join,
+)
+def test_shapley_rejects_a_config_naming_inputs_it_does_not_read(capsys, tmp_path, fields):
+    """``shapley`` attributes its own synthetic fixture episode, so a config
+    that names a market, feature or prompt source exits 1 rather than being
+    silently ignored."""
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({field: str(tmp_path / field) for field in fields}), encoding="utf-8"
+    )
+    code, out, err = run(capsys, "shapley", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: shapley attributes a synthetic fixture episode; "
+        f"remove {', '.join(fields)} from the config\n"
+    )
+
+
 def test_shapley_seed_changes_values(capsys):
     _, out7, _ = run(capsys, "shapley", "--seed", "7")
     _, out8, _ = run(capsys, "shapley", "--seed", "8")

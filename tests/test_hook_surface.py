@@ -24,8 +24,11 @@ BACKTEST_CALLS = (
     "load_inputs",
     "system_runner",
 )
-CLI_CALLS = ("enumerate_viable", "shapley_dag", "shapley_exact", "system_runner")
-SHAPLEY_CALLS = ("layered_run", "replay_coalition")
+CLI_CALLS = ("enumerate_viable", "system_runner")
+# The shapley command plays its game through ``backtest.evaluate_window``.
+GAME_CALLS = (
+    "evaluate_window", "layered_run", "replay_coalition", "shapley_dag", "shapley_exact",
+)
 
 
 def count_calls(monkeypatch, module, names):
@@ -71,7 +74,13 @@ def test_backtest_calls_go_through_module_globals(monkeypatch, tmp_path):
 
 def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
     calls = count_calls(monkeypatch, cli, CLI_CALLS)
-    engine_calls = count_calls(monkeypatch, shapley, SHAPLEY_CALLS)
+    game_calls = count_calls(monkeypatch, backtest, GAME_CALLS)
     assert cli.main(["shapley", "--engine", "both"]) == 0
     assert all(calls.values()), calls
-    assert engine_calls == {"layered_run": 1, "replay_coalition": 128}
+    assert game_calls == {
+        "evaluate_window": 1,
+        "layered_run": 1,
+        "replay_coalition": 128,
+        "shapley_dag": 1,
+        "shapley_exact": 1,
+    }

@@ -47,7 +47,7 @@ from golden_runs import SPARSE_SKIP_GRAPH
 def memo_table(graph, viable, runner):
     """Signed sink decisions of the viable coalitions from one shared episode."""
     run = layered_run(graph, viable, runner, FEATURES)
-    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    values = dict(zip(viable, map(signed_decision_value, run.sink_outputs), strict=True))
     return values, run.counters
 
 
@@ -335,7 +335,7 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
     assert run.cache[(ref_graph.sink, grand & prefix_mask(ref_graph, 2))] == (
-        run.sink_outputs[grand]
+        run.sink_outputs[ref_viable.index(grand)]
     )
     # upstream reads: layer 1 pulls 3 * (3 + 6 + 3) / ... = 36, layer 2 pulls
     # 84 across its 49 configurations, plus 49 sink-output reads = 169.
@@ -356,9 +356,9 @@ def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable,
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
-    for mask in ref_viable:
+    for mask, output in zip(ref_viable, run.sink_outputs, strict=True):
         replay = replay_coalition(ref_graph, mask, ref_runner, FEATURES)
-        assert run.sink_outputs[mask] == replay.sink_output
+        assert output == replay.sink_output
 
 
 def test_determinism_verification_passes_for_pure_agents(ref_graph, ref_viable, ref_runner):
@@ -562,13 +562,19 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     viable = enumerate_viable(g)
     runner = system_runner(build_system(g, seed=11))
     run = layered_run(g, viable, runner, FEATURES)
-    for mask in viable:
-        assert run.sink_outputs[mask] == replay_coalition(g, mask, runner, FEATURES).sink_output
-    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    for mask, output in zip(viable, run.sink_outputs, strict=True):
+        assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
+    values = dict(zip(viable, map(signed_decision_value, run.sink_outputs)))
     dag = shapley_dag(g, values, run.counters)
     replay_values, replay_counters = replay_table(g, runner)
     exact = shapley_exact(replay_values, g.n, replay_counters)
     assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
+    # An explicit 0.0 for every subset that lacks the sink, where the table
+    # above has no entry, leaves every bit of phi unchanged.
+    lacking = [mask for mask in range(1 << g.n) if not mask >> g.sink & 1]
+    assert sorted([*replay_values, *lacking]) == list(range(1 << g.n))
+    padded = shapley_exact({**replay_values, **dict.fromkeys(lacking, 0.0)}, g.n, replay_counters)
+    assert [v.hex() for v in padded.values] == [v.hex() for v in exact.values]
 
 
 @pytest.mark.parametrize("name,executions", [("reference", 73), ("sparse-skip", 27), ("wide", 104_820)])
@@ -594,8 +600,9 @@ def test_wide_attribution_is_pinned():
     to the last bit: plan, execution and aggregation at full width."""
     g = load_graph_file(Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json")
     runner = system_runner(build_system(g, seed=42))
-    run = layered_run(g, enumerate_viable(g), runner, FEATURES)
-    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    viable = enumerate_viable(g)
+    run = layered_run(g, viable, runner, FEATURES)
+    values = dict(zip(viable, map(signed_decision_value, run.sink_outputs)))
     phi = shapley_dag(g, values, run.counters).values
     text = ",".join(value.hex() for value in phi)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_PHI_SHA256
@@ -625,9 +632,10 @@ def with_lessons(specs, changed):
 def assert_matches_replay(g, run, runner):
     """Every viable sink output is the replayed one, and the pruned engine's
     contributions equal the exact engine's to the last bit."""
-    for mask in run.sink_outputs:
-        assert run.sink_outputs[mask] == replay_coalition(g, mask, runner, FEATURES).sink_output
-    values = {mask: signed_decision_value(out) for mask, out in run.sink_outputs.items()}
+    viable = run.plan.viable
+    for mask, output in zip(viable, run.sink_outputs, strict=True):
+        assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
+    values = dict(zip(viable, map(signed_decision_value, run.sink_outputs)))
     dag = shapley_dag(g, values, run.counters)
     replay_values, _ = replay_table(g, runner)
     exact = shapley_exact(replay_values, g.n, CostCounters())
