@@ -31,18 +31,12 @@ from .backtest import (
     synthesize_market,
     total_return,
 )
-from .coalitions import (
-    ViabilityReport,
-    check_viability,
-    coalition_names,
-    enumerate_viable,
-)
+from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, load_config, load_graph_file
 from .graph import (
     Agent,
     WorkflowGraph,
     build_graph,
-    path_exists,
     reference_graph,
 )
 from .optimizer import (

@@ -95,6 +95,11 @@ class InsufficientData(ValueError):
     pass
 
 
+class EnginesDisagree(RuntimeError):
+    """Under engine ``both``, the classical replay valued a subset otherwise
+    than the pruned engine did."""
+
+
 # ---------------------------------------------------------------------------
 # market data
 
@@ -446,7 +451,8 @@ class WindowGame:
     """One game over a set of episodes: the value of each viable mask, the
     run of each episode and the pruned engine's attribution. ``exact`` holds
     the classical replay's value of every subset and its attribution, and is
-    set only under engine ``both``."""
+    set only under engine ``both``; each of those values is then the pruned
+    engine's, bit for bit, or ``evaluate_window`` would have raised."""
 
     values: dict[int, float]
     runs: list[LayeredRunResult]
@@ -477,6 +483,13 @@ def evaluate_window(
     attributes the viable masks' values. Engine ``both`` also replays every
     subset without sharing (the classical comparator), values each with the
     same ``value`` and attributes them with ``shapley_exact``.
+
+    Under ``both``, every subset's replay value must equal the pruned
+    engine's value (a viable mask's entry, 0.0 for any other subset), by
+    ``==`` and in the sign of zero; the first subset where it does not
+    raises EnginesDisagree. As the replay runs every agent afresh, this
+    checks the pruned engine, that the agents are deterministic and, in a
+    game with ``reuse``, that the reused outputs are still current.
     """
     if engine not in ("dag", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -507,6 +520,13 @@ def evaluate_window(
             replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
             replay_counters.agent_executions += sum(r.executions for r in replays)
             replay_values[mask] = value([r.sink_output for r in replays])
+        for mask, replayed in replay_values.items():
+            pruned = values.get(mask, 0.0)
+            if replayed != pruned or math.copysign(1.0, replayed) != math.copysign(1.0, pruned):
+                raise EnginesDisagree(
+                    f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
+                    f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
+                )
         exact = (replay_values, shapley_exact(replay_values, graph.n, replay_counters))
     return WindowGame(values, runs, attribution, exact)
 

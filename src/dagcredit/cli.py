@@ -6,7 +6,9 @@ episode (day 10 of a 10-day synthetic series), ``cost`` counts memoized
 executions on a graph without running agents, and ``backtest`` runs the
 full windowed experiment. ``shapley`` and ``backtest`` both attribute
 through ``backtest.evaluate_window``. ``shapley`` reads no market, feature
-or prompt files, so a config that names one exits 1.
+or prompt files and none of the backtest's settings (``days``,
+``window_len``, ``threshold``, ``lesson_cap``, ``rf_daily``), so a config
+that names a file or sets one of these to other than its default exits 1.
 Identical invocations with the same config and seed print and write
 byte-identical output.
 
@@ -17,13 +19,14 @@ defaults. So every command that takes a graph runs the config file's
 ``graph_file`` unless a flag names another.
 
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
-replays every subset classically and prints the two attributions side by
-side.
+replays every subset classically, requires each subset's replay value to
+equal the pruned engine's bit for bit, and prints the two attributions side
+by side. A subset where they differ ends the command with exit 3.
 
 Exit codes: 0 success, 1 validation or config error (a malformed input
 file included), 2 I/O error or a command-line usage error (such as an
 unknown flag or an engine other than ``dag`` and ``both``), 3 runtime
-failure.
+failure (an agent that raised, or engines that disagree under ``both``).
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from . import backtest as bt
 from .agents import RoleMismatch, build_system, signed_decision_value, system_runner
-from .coalitions import GraphTooLarge, InvalidCoalition, coalition_names, enumerate_viable
+from .coalitions import GraphTooLarge, coalition_names, enumerate_viable
 from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
 from .graph import GraphValidationError
 from .optimizer import WindowTooShort
@@ -49,7 +52,6 @@ _VALIDATION_ERRORS = (
     ConfigError,
     GraphValidationError,
     GraphTooLarge,
-    InvalidCoalition,
     InvalidSize,
     RoleMismatch,
     WindowTooShort,
@@ -163,7 +165,15 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
 
 def cmd_shapley(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    unread = [f for f in ("market_csv", "features_csv", "prompts_dir") if getattr(config, f)]
+    defaults = RunConfig()
+    unread = [
+        f
+        for f in (
+            "market_csv", "features_csv", "prompts_dir",
+            "days", "window_len", "threshold", "lesson_cap", "rf_daily",
+        )
+        if getattr(config, f) != getattr(defaults, f)
+    ]
     if unread:
         raise ConfigError(
             f"shapley attributes a synthetic fixture episode; remove {', '.join(unread)}"

@@ -10,8 +10,7 @@ attribution engine never needs to execute it. Bit ``i`` of a mask is agent
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .graph import WorkflowGraph
 
@@ -27,63 +26,9 @@ class GraphTooLarge(ValueError):
     """Exhaustive enumeration refused beyond MAX_AGENTS agents."""
 
 
-class InvalidCoalition(ValueError):
-    pass
-
-
 def coalition_names(graph: WorkflowGraph, mask: int) -> str:
     """The members' names, comma-joined in ascending agent index order."""
     return ",".join(a.name for a in graph.agents if (mask >> a.index) & 1)
-
-
-@dataclass(frozen=True)
-class ViabilityReport:
-    """Outcome of the three viability conditions for one coalition."""
-
-    has_trader: bool
-    has_source: bool
-    connected: bool
-
-    @property
-    def viable(self) -> bool:
-        return self.has_trader and self.has_source and self.connected
-
-
-def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
-    """Evaluate the three conditions a coalition (given by mask) needs to
-    produce a decision.
-
-    Connectivity asks for at least one source inside the coalition with a
-    path to the sink through coalition members only. The empty coalition
-    fails all three conditions. A negative mask, or one with bits beyond
-    the graph's agents, raises InvalidCoalition.
-    """
-    if mask >> graph.n:
-        # Non-zero for a negative mask too: the shift keeps the sign.
-        raise InvalidCoalition(f"mask {mask} is not a coalition of {graph.n} agents")
-    has_trader = (mask >> graph.sink) & 1 == 1
-    has_source = any((mask >> s) & 1 for s in graph.sources)
-    connected = has_trader and has_source and _sink_reached(
-        graph, lambda a: (mask >> a) & 1
-    ) == 1
-    return ViabilityReport(has_trader, has_source, connected)
-
-
-def _sink_reached(graph: WorkflowGraph, member: Callable[[int], int]) -> int:
-    # Bit-parallel reachability: every bit position ("lane") of the ints is
-    # one coalition, and member(a) has agent a's membership in each lane. An
-    # agent is reached in a lane when it is a member there and is a source or
-    # has a reached predecessor; the sink's reached lanes are the viable ones.
-    reached = [0] * graph.n
-    for a in range(graph.n):
-        if graph.preds[a]:
-            via = 0
-            for p in graph.preds[a]:
-                via |= reached[p]
-            reached[a] = member(a) & via
-        else:
-            reached[a] = member(a)
-    return reached[graph.sink]
 
 
 def member_lanes(agent: int, n: int) -> int:
@@ -128,4 +73,17 @@ def enumerate_viable(graph: WorkflowGraph) -> list[int]:
     """
     if graph.n > MAX_AGENTS:
         raise GraphTooLarge(f"{graph.n} agents exceeds the limit of {MAX_AGENTS}")
-    return masks_of(_sink_reached(graph, lambda a: member_lanes(a, graph.n)))
+    # Bit-parallel reachability: an agent is reached in a lane when it is a
+    # member there and is a source or has a reached predecessor; the sink's
+    # reached lanes are the viable masks.
+    reached = [0] * graph.n
+    for a in range(graph.n):
+        member = member_lanes(a, graph.n)
+        if graph.preds[a]:
+            via = 0
+            for p in graph.preds[a]:
+                via |= reached[p]
+            reached[a] = member & via
+        else:
+            reached[a] = member
+    return masks_of(reached[graph.sink])

@@ -36,10 +36,6 @@ class LayerPartitionInvalid(GraphValidationError):
     pass
 
 
-class EndpointNotInCoalition(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Agent:
     """An agent identity: dense index plus a unique display name."""
@@ -193,32 +189,6 @@ def _check_acyclic(n: int, edges: set[tuple[int, int]]) -> None:
                 ready.append(v)
     if len(ready) != n:
         raise CycleDetected("edge set contains a cycle")
-
-
-def path_exists(graph: WorkflowGraph, mask: int, src: int, dst: int) -> bool:
-    """Whether ``dst`` is reachable from ``src`` inside the subgraph induced
-    by the coalition ``mask``.
-
-    Both endpoints must be coalition members. ``src == dst`` counts as
-    reachable (empty path).
-    """
-    # A negative mask is no coalition, and a negative index must not reach
-    # a shift (it would raise a bare ValueError).
-    if min(mask, src, dst) < 0 or not (mask >> src) & (mask >> dst) & 1:
-        raise EndpointNotInCoalition("both endpoints must be coalition members")
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for w in graph.succs[u]:
-            if w == dst:
-                return True
-            if (mask >> w) & 1 and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 def reference_graph() -> WorkflowGraph:

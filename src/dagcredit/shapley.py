@@ -62,10 +62,6 @@ class ExecutorFailure(RuntimeError):
     """An agent runner raised during engine-driven execution."""
 
 
-class NonDeterminismDetected(RuntimeError):
-    """Optional debug re-execution produced a different output for a cached key."""
-
-
 @dataclass
 class CostCounters:
     """Work performed while valuing a game.
@@ -351,7 +347,6 @@ def layered_run(
     *,
     plan: LivePlan | None = None,
     reuse: tuple[LayeredRunResult, int] | None = None,
-    verify_determinism: bool = False,
 ) -> LayeredRunResult:
     """Execute every viable coalition (given by mask) for one episode with
     layer-wise sharing.
@@ -380,8 +375,9 @@ def layered_run(
     every read of a kept output: each task's predecessor outputs and each
     viable mask's sink output.
 
-    ``verify_determinism`` re-executes the last task that called the runner
-    and raises NonDeterminismDetected on a mismatch.
+    Outputs are trusted, not checked: an agent must be a pure function of
+    its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,
+    as its replay runs every agent of every subset again.
     """
     if plan is None:
         plan = live_plan(graph, viable)
@@ -399,7 +395,6 @@ def layered_run(
     # Per agent, its output under each of its tasks.
     outputs: list[list[Any]] = [[] for _ in range(graph.n)]
     executions = 0
-    last_run: tuple[int, int, dict[int, Any]] | None = None
 
     for agent in range(graph.n):
         # The earlier outputs when this agent's prompt is unchanged; a task
@@ -423,18 +418,7 @@ def layered_run(
                     f"agent {graph.names[agent]} failed under live key {bin(key)}"
                 ) from exc
             executions += 1
-            last_run = (agent, task, upstream)
 
-    reads = plan.upstream_reads + len(viable)
-    if verify_determinism and last_run is not None:
-        agent, task, upstream = last_run
-        reads += len(upstream) + 1
-        data = None if plan.inputs[agent] else external
-        if run_agent(agent, upstream, data) != outputs[agent][task]:
-            raise NonDeterminismDetected(
-                f"agent {graph.names[agent]} is not deterministic under live key "
-                f"{bin(plan.keys[agent][task])}"
-            )
     sink_outputs = list(map(outputs[graph.sink].__getitem__, plan.sink_tasks))
     grand_outputs = (
         {}
@@ -443,7 +427,7 @@ def layered_run(
     )
     counters = CostCounters(
         agent_executions=executions,
-        cache_hits=reads,
+        cache_hits=plan.upstream_reads + len(viable),
         executions_reused=plan.tasks - executions,
     )
     return LayeredRunResult(plan, external, outputs, sink_outputs, counters, grand_outputs)

@@ -1,9 +1,12 @@
 """Shared fixtures: the reference workflow, generic layered graphs, market data."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import strategies as st
 
-from dagcredit.agents import MarketFeatures, build_system, system_runner
+from dagcredit.agents import Decision, MarketFeatures, build_system, system_runner
 from dagcredit.backtest import synthesize_market
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
@@ -39,6 +42,22 @@ def skip_layered_graphs(draw):
             targets = draw(st.sets(st.sampled_from(later), min_size=1, max_size=3))
             edges.update((name, dst) for dst in targets)
     return build_graph(layers, sorted(edges))
+
+
+def swapped_trader(runner, sink, every=1):
+    """``runner`` with the sink's buys and sells swapped on every ``every``-th
+    call of the sink: a changed trader for ``every=1``, and a trader whose
+    output changes between calls for ``every=2``."""
+    calls = itertools.count(1)
+    swap = {Decision.BUY: Decision.SELL, Decision.SELL: Decision.BUY}
+
+    def run(agent, upstream, external):
+        output = runner(agent, upstream, external)
+        if agent == sink and next(calls) % every == 0:
+            output = replace(output, action=swap.get(output.action, output.action))
+        return output
+
+    return run
 
 
 FEATURES = MarketFeatures(

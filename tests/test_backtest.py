@@ -28,6 +28,7 @@ from dagcredit.backtest import (
     STRATEGY_SMA,
     STRATEGY_TUNED,
     DuplicateDate,
+    EnginesDisagree,
     InsufficientData,
     NonPositivePrice,
     ParseError,
@@ -55,6 +56,8 @@ from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import replay_coalition, shapley_dag, shapley_exact
+
+from conftest import swapped_trader
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -370,7 +373,7 @@ def test_evaluate_window_engines_agree(window_setup):
     )
     replay_values, classical = game.exact
     for mask in viable:
-        assert game.values[mask] == pytest.approx(replay_values[mask], abs=1e-9)
+        assert game.values[mask] == replay_values[mask]
     assert classical.counters.coalition_evaluations == 128
     assert classical.counters.agent_executions == 4 * 448
     assert classical == shapley_exact(replay_values, g.n, classical.counters)
@@ -386,6 +389,68 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     for mask, value in replay_values.items():
         if mask not in viable_masks:
             assert value == 0.0
+
+
+def test_evaluate_window_both_rejects_a_runner_whose_outputs_change(window_setup):
+    g, market, view, runner, viable = window_setup
+    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+    with pytest.raises(EnginesDisagree, match=r"^engines disagree on coalition \{.*TRA\}"):
+        evaluate_window(g, viable, swapped_trader(runner, g.sink, every=2), *args, "both")
+
+
+def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(window_setup):
+    """A trader that buys with no upstream gives the lone-trader subset a
+    value, though the game makes every non-viable subset worth zero; the
+    pruned engine never runs it, the replay does."""
+    g, market, view, runner, viable = window_setup
+    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+
+    def eager(agent, upstream, external):
+        if agent == g.sink and not upstream:
+            return TradeDecision(Decision.BUY, 1.0)
+        return runner(agent, upstream, external)
+
+    assert evaluate_window(g, viable, eager, *args).values == (
+        evaluate_window(g, viable, runner, *args).values
+    )
+    with pytest.raises(
+        EnginesDisagree, match=r"^engines disagree on coalition \{TRA\} \(mask 0b1000000\): "
+        r"replay [-\d.e]+, pruned 0\.0$",
+    ):
+        evaluate_window(g, viable, eager, *args, "both")
+
+
+def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
+    """A value that gives a subset without a trader -0.0 equals the pruned
+    engine's implied 0.0 by ``==``, but not in sign."""
+    g, market, view, runner, viable = window_setup
+    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+
+    def signed_zero(decisions):
+        return -0.0 if decisions[0] is None else value(decisions)
+
+    with pytest.raises(
+        EnginesDisagree, match=r"^engines disagree on coalition \{\} \(mask 0b0\): "
+        r"replay -0\.0, pruned 0\.0$",
+    ):
+        evaluate_window(g, viable, runner, episodes, signed_zero, "both")
+
+
+def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_setup):
+    """Reusing every output after the trader changed keeps the old values in
+    the pruned engine, and the fresh replay shows it; naming the trader as
+    changed reruns its tasks and the engines agree."""
+    g, market, view, runner, viable = window_setup
+    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    first = evaluate_window(g, viable, runner, episodes, value)
+    changed = swapped_trader(runner, g.sink)
+    with pytest.raises(EnginesDisagree):
+        evaluate_window(g, viable, changed, episodes, value, "both", reuse=(first, 0))
+    game = evaluate_window(
+        g, viable, changed, episodes, value, "both", reuse=(first, 1 << g.sink)
+    )
+    assert game.values != first.values
+    assert game.attribution.counters.agent_executions == 4 * 49
 
 
 @given(st.integers(0, 10_000), st.integers(0, 7))
@@ -614,8 +679,7 @@ def test_backtest_engine_both_reports_exact_diff():
     result = run_backtest(RunConfig(seed=78, days=10, engine="both").validate())
     assert len(result.windows) == 2
     for rep in result.windows:
-        assert rep.exact_diff is not None
-        assert rep.exact_diff < 1e-9
+        assert rep.exact_diff == 0.0
 
 
 @pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("both", 49)])

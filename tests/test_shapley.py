@@ -21,13 +21,12 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import GraphTooLarge, enumerate_viable
 from dagcredit.config import load_graph_file
-from dagcredit.graph import build_graph, path_exists, reference_graph
+from dagcredit.graph import build_graph, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
     CostCounters,
     ExecutorFailure,
     InvalidSize,
-    NonDeterminismDetected,
     classical_cost,
     format_attribution,
     format_attribution_table,
@@ -42,6 +41,7 @@ from dagcredit.shapley import (
 
 from conftest import FEATURES, layered_graph, prefix_mask, skip_layered_graphs
 from golden_runs import SPARSE_SKIP_GRAPH
+from oracles import path_exists
 
 
 def memo_table(graph, viable, runner):
@@ -359,25 +359,6 @@ def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_run
     for mask, output in zip(ref_viable, run.sink_outputs, strict=True):
         replay = replay_coalition(ref_graph, mask, ref_runner, FEATURES)
         assert output == replay.sink_output
-
-
-def test_determinism_verification_passes_for_pure_agents(ref_graph, ref_viable, ref_runner):
-    run = layered_run(
-        ref_graph, ref_viable, ref_runner, FEATURES, verify_determinism=True
-    )
-    assert run.counters.agent_executions == 73
-
-
-def test_determinism_verification_catches_impure_agents(ref_graph, ref_viable):
-    ticks = itertools.count()
-
-    def flaky(agent, upstream, external):
-        return next(ticks)
-
-    with pytest.raises(NonDeterminismDetected):
-        layered_run(
-            ref_graph, ref_viable, flaky, FEATURES, verify_determinism=True
-        )
 
 
 def test_agent_failure_is_wrapped(ref_graph, ref_viable):
@@ -726,20 +707,6 @@ def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
     assert first.counters.agent_executions == 73
     assert again.counters.agent_executions == 0
     assert again.sink_outputs == first.sink_outputs
-
-
-def test_determinism_check_reruns_the_last_task_that_ran(ref_graph, ref_viable, ref_runner):
-    runner, calls = counting(ref_runner)
-    run = layered_run(ref_graph, ref_viable, runner, FEATURES, verify_determinism=True)
-    assert len(calls) == run.counters.agent_executions + 1 == 74
-    assert calls[-1] == calls[-2] == ref_graph.sink
-    # Reusing every task, nothing runs, and nothing is rerun.
-    again = layered_run(
-        ref_graph, ref_viable, runner, FEATURES, reuse=(run, 0), verify_determinism=True
-    )
-    assert again.counters.agent_executions == 0
-    assert len(calls) == 74
-    assert again.sink_outputs == run.sink_outputs
 
 
 def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runner):
