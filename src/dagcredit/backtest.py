@@ -484,6 +484,12 @@ def evaluate_window(
     subset without sharing (the classical comparator), values each with the
     same ``value`` and attributes them with ``shapley_exact``.
 
+    ``value`` must be a pure function of its sink outputs, as
+    ``sharpe_value`` and the ``shapley`` command's signed decision are: the
+    pruned engine calls it once per sink task of the plan, not once per
+    viable mask, and every viable mask whose sink runs under that task takes
+    the same value.
+
     Under ``both``, every subset's replay value must equal the pruned
     engine's value (a viable mask's entry, 0.0 for any other subset), by
     ``==`` and in the sign of zero; the first subset where it does not
@@ -508,8 +514,12 @@ def evaluate_window(
         for episode, done in zip(episodes, earlier)
     ]
     counters = reduce(CostCounters.merged, (run.counters for run in runs), CostCounters())
-    # Sink outputs are aligned with ``viable``: one column per mask.
-    values = dict(zip(viable, map(value, zip(*(run.sink_outputs for run in runs)))))
+    # Every run shares the plan, so the sink's outputs line up in one column
+    # per sink task: value each task once, and each viable mask by its sink
+    # task. Masks that share a sink task share its value.
+    assert all(run.plan is plan for run in runs)
+    by_task = list(map(value, zip(*(run.outputs[graph.sink] for run in runs))))
+    values = dict(zip(viable, map(by_task.__getitem__, plan.sink_tasks)))
     attribution = shapley_dag(graph, values, counters)
 
     exact = None

@@ -10,10 +10,11 @@ the same float routine:
 * ``shapley_dag`` takes a table over the viable coalitions only; every other
   subset cannot trade and is worth zero by the game definition.
 
-The routine sums, for each agent, over the table's entries that hold it; a
-bit-lane test per agent rejects a table that lacks a superset of one of its
-masks. Viable masks, the full power set and the masks where the sink ran
-all pass.
+The routine sums, for each agent, over the table's entries that hold it,
+streaming the terms into one exactly rounded ``math.fsum``, so it builds no
+list of entries or terms. A bit-lane test per agent rejects a table that
+lacks a superset of one of its masks. Viable masks, the full power set and
+the masks where the sink ran all pass.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -108,10 +109,11 @@ def _weights(n: int) -> tuple[float, ...]:
 def _phi_from_values(n: int, values: Mapping[int, float]) -> list[float]:
     # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i. A
     # table holds every superset of each of its masks, so a term is non-zero
-    # only when T + i is an entry: the loop runs over the table's entries
-    # holding i. The skipped terms are all +0.0, and the sum below is exact
-    # before its single rounding, so the result is the same as summing over
-    # all 2**n subsets.
+    # only when T + i is an entry: each agent's sum walks the table and keeps
+    # the entries holding i. The skipped terms are all +0.0, and fsum is
+    # exact before its single rounding and gives +0.0 for a zero sum, so the
+    # result is the same as summing over all 2**n subsets, in any order. The
+    # terms stream into fsum one at a time, so no list of them is built.
     #
     # One lane test per agent checks the superset rule: shifting the table's
     # lanes up by 2**i moves each entry S without i to lane S + i, which
@@ -124,7 +126,8 @@ def _phi_from_values(n: int, values: Mapping[int, float]) -> list[float]:
         raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
     w = _weights(n)
     present = lanes_of(values, n)
-    entries = [(mask, value, mask.bit_count()) for mask, value in values.items()]
+    # The size of each entry's mask, in the table's order.
+    sizes = bytes(map(int.bit_count, values))
     phi = []
     for i in range(n):
         bit = 1 << i
@@ -134,14 +137,11 @@ def _phi_from_values(n: int, values: Mapping[int, float]) -> list[float]:
             raise ValueError(
                 f"the table lacks the superset {superset:#b} of its mask {superset ^ bit:#b}"
             )
-        # One agent's terms at a time: a list for all agents would hold n
-        # times the table.
-        terms = [
+        phi.append(math.fsum(
             w[size - 1] * (value - values.get(mask ^ bit, 0.0))
-            for mask, value, size in entries
+            for mask, value, size in zip(values, values.values(), sizes)
             if mask & bit
-        ]
-        phi.append(math.fsum(terms))
+        ))
     return phi
 
 
@@ -183,9 +183,9 @@ class LayeredRunResult:
 
     ``outputs`` holds, per agent, its output under each of its tasks in
     ``plan``, whether it ran or was reused; ``cache`` builds a dict of them
-    by (agent, live key), one entry per task, each time it is read.
-    ``external`` is the episode's external data. ``sink_outputs`` lists the
-    sink output of each viable mask, in the plan's ``viable`` order;
+    by (agent, live key), one entry per task, and ``sink_outputs`` a list of
+    the sink output of each viable mask, in the plan's ``viable`` order, each
+    time they are read. ``external`` is the episode's external data;
     ``grand_outputs`` maps each agent to its output in the grand coalition,
     and is empty when the grand coalition is not among the viable masks.
     """
@@ -193,7 +193,6 @@ class LayeredRunResult:
     plan: LivePlan
     external: Any
     outputs: list[list[Any]]
-    sink_outputs: list[Any]
     counters: CostCounters
     grand_outputs: dict[int, Any]
 
@@ -204,6 +203,10 @@ class LayeredRunResult:
             for agent, (keys, row) in enumerate(zip(self.plan.keys, self.outputs))
             for key, output in zip(keys, row)
         }
+
+    @property
+    def sink_outputs(self) -> list[Any]:
+        return list(map(self.outputs[self.plan.graph.sink].__getitem__, self.plan.sink_tasks))
 
 
 @dataclass(frozen=True)
@@ -324,7 +327,8 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
         inputs.append(tuple(columns))
     sink_table, sink_task = tables[graph.sink], task_of[graph.sink]
     sink_last = len(sink_table) - 1
-    sink_tasks = array("q", [sink_task[sink_table[mask & sink_last]] for mask in viable])
+    # Packed as they come: a list would hold an int object per viable mask.
+    sink_tasks = array("q", (sink_task[sink_table[mask & sink_last]] for mask in viable))
     full = graph.full_mask
     grand_tasks = (
         tuple(task_of[a][table[full & len(table) - 1]] for a, table in enumerate(tables))
@@ -358,8 +362,8 @@ def layered_run(
     distinct live key among the viable coalitions that hold it (``plan``,
     built from the masks when not given). A task's inputs are the
     outputs of its direct predecessors' tasks inside the live key; external
-    data goes to source agents only. Per-coalition sink outputs are then
-    read through the sink's live key, in the order of ``viable``.
+    data goes to source agents only. A coalition's sink output is the
+    output of the sink's task under its live key (``plan.sink_tasks``).
 
     Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
     earlier run of the same plan on equal external data, with the mask of
@@ -419,7 +423,6 @@ def layered_run(
                 ) from exc
             executions += 1
 
-    sink_outputs = list(map(outputs[graph.sink].__getitem__, plan.sink_tasks))
     grand_outputs = (
         {}
         if plan.grand_tasks is None
@@ -430,7 +433,7 @@ def layered_run(
         cache_hits=plan.upstream_reads + len(viable),
         executions_reused=plan.tasks - executions,
     )
-    return LayeredRunResult(plan, external, outputs, sink_outputs, counters, grand_outputs)
+    return LayeredRunResult(plan, external, outputs, counters, grand_outputs)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import strategies as st
 
-from dagcredit.agents import Decision, MarketFeatures, build_system, system_runner
+from dagcredit.agents import Decision, build_system, system_runner
 from dagcredit.backtest import synthesize_market
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
@@ -58,13 +58,6 @@ def swapped_trader(runner, sink, every=1):
         return output
 
     return run
-
-
-FEATURES = MarketFeatures(
-    sentiment=0.4,
-    fundamental=0.2,
-    closes=(100.0, 101.0, 99.5, 102.0, 103.0, 101.5, 104.0, 105.0),
-)
 
 
 @pytest.fixture

@@ -50,7 +50,8 @@ from dagcredit.shapley import (
     _weights,
 )
 
-from conftest import FEATURES, layered_graph, prefix_mask
+from conftest import layered_graph, prefix_mask
+from golden_runs import FEATURES
 from test_shapley import closed_form_cost, random_layered
 
 

@@ -36,7 +36,8 @@ from dagcredit.agents import (
 )
 from dagcredit.graph import build_graph, reference_graph
 
-from conftest import FEATURES, layered_graph
+from conftest import layered_graph
+from golden_runs import FEATURES
 
 scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

@@ -54,10 +54,11 @@ from dagcredit.backtest import (
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
-from dagcredit.graph import reference_graph
-from dagcredit.shapley import replay_coalition, shapley_dag, shapley_exact
+from dagcredit.graph import build_graph, reference_graph
+from dagcredit.shapley import live_plan, replay_coalition, shapley_dag, shapley_exact
 
 from conftest import swapped_trader
+from golden_runs import SPARSE_SKIP_GRAPH
 
 returns_lists = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=2, max_size=40
@@ -451,6 +452,39 @@ def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_
     )
     assert game.values != first.values
     assert game.attribution.counters.agent_executions == 4 * 49
+
+
+def test_evaluate_window_values_each_sink_task_once():
+    """On a graph whose sink has fewer tasks than there are viable masks,
+    the pruned engine calls ``value`` once per sink task, with and without
+    reuse, and every mask still takes the value of its own replayed sink
+    outputs, bit for bit."""
+    g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    viable = enumerate_viable(g)
+    sink_tasks = len(live_plan(g, viable).keys[g.sink])
+    assert sink_tasks < len(viable)
+    market, view = synthesize_market(seed=5, days=8, regime="bull")
+    runner = system_runner(build_system(g, seed=5))
+    episodes, value = window_game_args(market, view, [2, 3, 4])
+    calls = []
+
+    def counted(decisions):
+        calls.append(decisions)
+        return value(decisions)
+
+    first = evaluate_window(g, viable, runner, episodes, counted)
+    changed = swapped_trader(runner, g.sink)
+    again = evaluate_window(g, viable, changed, episodes, counted, reuse=(first, 1 << g.sink))
+    assert len(calls) == 2 * sink_tasks
+    assert again.values != first.values
+    for game, run_agent in ((first, runner), (again, changed)):
+        per_mask = [
+            value([replay_coalition(g, mask, run_agent, e).sink_output for e in episodes])
+            for mask in viable
+        ]
+        assert list(game.values) == viable
+        assert [v.hex() for v in game.values.values()] == [v.hex() for v in per_mask]
+        evaluate_window(g, viable, run_agent, episodes, value, "both", reuse=(game, 0))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 7))

@@ -1,12 +1,12 @@
 """Attribution engines, memoized execution, cost model, and axiom properties."""
 
 import dataclasses
-import hashlib
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +39,8 @@ from dagcredit.shapley import (
     shapley_exact,
 )
 
-from conftest import FEATURES, layered_graph, prefix_mask, skip_layered_graphs
-from golden_runs import SPARSE_SKIP_GRAPH
+from conftest import layered_graph, prefix_mask, skip_layered_graphs
+from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import path_exists
 
 
@@ -186,6 +186,29 @@ def test_viable_tables_aggregate_without_superset_probes(g, seed):
     want = all_masks_phi(g.n, lambda mask: table.get(mask, 0.0))
     assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
     assert same_bits(shapley_dag(g, table, CostCounters()).values, want)
+
+
+def test_aggregation_holds_no_list_of_terms():
+    """Aggregation streams its terms: on a 29,791-entry viable table its
+    peak allocation stays under a quarter of the table's own dict, where a
+    list of entries or of one agent's terms would not, and phi is the
+    all-masks sum to the last bit."""
+    g = layered_graph([5, 5, 5, 1])
+    rng = random.Random(18)
+    values = {
+        mask: rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])
+        for mask in enumerate_viable(g)
+    }
+    assert len(values) == 29_791
+    assert {"0x0.0p+0", "-0x0.0p+0"} <= {v.hex() for v in values.values()}
+    tracemalloc.start()
+    try:
+        result = shapley_dag(g, values, CostCounters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(values) / 4
+    assert same_bits(result.values, all_masks_phi(g.n, lambda mask: values.get(mask, 0.0)))
 
 
 def test_engines_reject_a_table_lacking_a_superset():
@@ -565,28 +588,18 @@ def test_executions_per_episode_are_pinned(name, executions):
     elif name == "sparse-skip":
         g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
     else:
-        g = load_graph_file(Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json")
+        g = load_graph_file(WIDE_GRAPH)
     runner, calls = counting(lambda agent, upstream, external: None)
     run = layered_run(g, enumerate_viable(g), runner)
     assert len(calls) == run.counters.agent_executions == len(run.cache) == executions
     assert predicted_cost(g).total_executions == executions
 
 
-# sha256 of the comma-joined float.hex() of the 19 contributions below.
-WIDE_PHI_SHA256 = "5f016f0498378ee26d18f08cf04a9dbcc8220ef41579f3cdec3316b75b5db84e"
-
-
 def test_wide_attribution_is_pinned():
     """The mock system's contributions on the sparse 6-6-6-1 benchmark graph,
-    to the last bit: plan, execution and aggregation at full width."""
-    g = load_graph_file(Path(__file__).resolve().parents[1] / "benchmarks" / "wide_6661.json")
-    runner = system_runner(build_system(g, seed=42))
-    viable = enumerate_viable(g)
-    run = layered_run(g, viable, runner, FEATURES)
-    values = dict(zip(viable, map(signed_decision_value, run.sink_outputs)))
-    phi = shapley_dag(g, values, run.counters).values
-    text = ",".join(value.hex() for value in phi)
-    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_PHI_SHA256
+    to the last bit: plan, execution, valuation and aggregation at full
+    width. The run and its digest live in ``golden_runs``."""
+    assert wide_phi_digest() == WIDE_PHI_SHA256
 
 
 # ---------------------------------------------------------------------------
