@@ -41,13 +41,10 @@ from .graph import (
 )
 from .optimizer import (
     CycleRecord,
-    HistoryRecord,
     LessonSet,
-    extract_cases,
     identify_bottleneck,
     append_lessons,
     mock_reflector,
-    reflect,
     run_cycle,
 )
 from .shapley import (

@@ -45,7 +45,7 @@ from .agents import (
 from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, config_graph, load_prompts_dir
 from .graph import WorkflowGraph
-from .optimizer import CycleRecord, HistoryRecord, run_cycle
+from .optimizer import CycleRecord, run_cycle
 from .shapley import (
     AttributionResult,
     CostCounters,
@@ -563,15 +563,6 @@ def sharpe_value(
     return value
 
 
-def describe_output(output: Any) -> str:
-    if isinstance(output, TradeDecision):
-        return f"{output.action.value}@{output.confidence:.3f}"
-    score = getattr(output, "score", None)
-    if score is not None:
-        return f"signal={score:.4f}"
-    return repr(output)
-
-
 # ---------------------------------------------------------------------------
 # baselines
 
@@ -640,7 +631,6 @@ class BacktestResult:
     cycles: list[CycleRecord]
     strategies: list[StrategyReport]
     prompt_lineage: dict[tuple[str, int], str]
-    history: list[HistoryRecord]
 
 
 def load_inputs(config: RunConfig) -> tuple[MarketSeries, FeatureView]:
@@ -671,10 +661,10 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     Two agent passes (tuned and frozen prompts) and three baselines are
     evaluated on identical decision days. The passes run window by window,
     and the frozen pass reuses the tuned pass's runs. Every window of the
-    tuned pass ends in a tuning cycle, which reads the history records and
-    may update one prompt for the next window. Reports are written under
-    ``config.out_dir`` when set; the same config and seed always produce
-    byte-identical files.
+    tuned pass ends in a tuning cycle, which reads that window's daily
+    rewards and may update one prompt for the next window. Reports are
+    written under ``config.out_dir`` when set; the same config and seed
+    always produce byte-identical files.
     """
     graph = config_graph(config)
     market, features = load_inputs(config)
@@ -743,30 +733,17 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     tuned_reports: list[WindowReport] = []
     frozen_reports: list[WindowReport] = []
     cycles: list[CycleRecord] = []
-    history: list[HistoryRecord] = []
     for w_index, day_idx in enumerate(windows):
         game, tuned = attributed_window(specs, w_index, day_idx)
         changed = sum(1 << a for a in range(graph.n) if specs[a].prompt != specs0[a].prompt)
         frozen = attributed_window(specs0, w_index, day_idx, (game, changed))[1]
         tuned_reports.append(tuned)
         frozen_reports.append(frozen)
-
-        decision_dates = list(tuned.decision_days)
-        for k, (day, reward) in enumerate(zip(decision_dates, tuned.returns)):
-            for a in range(graph.n):
-                history.append(
-                    HistoryRecord(
-                        day=day,
-                        agent=a,
-                        action=describe_output(game.runs[k].grand_outputs[a]),
-                        reward=reward,
-                    )
-                )
         record, specs = run_cycle(
             graph,
             specs,
-            history,
-            decision_dates,
+            tuned.returns,
+            tuned.decision_days,
             tuned.attribution,
             cycle_index=w_index,
             threshold=config.threshold,
@@ -804,7 +781,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         cycles=cycles,
         strategies=strategies,
         prompt_lineage=lineage,
-        history=history,
     )
     if config.out_dir:
         write_reports(result, Path(config.out_dir))

@@ -10,7 +10,7 @@ attribution engine never needs to execute it. Bit ``i`` of a mask is agent
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Collection
 
 from .graph import WorkflowGraph
 
@@ -44,9 +44,14 @@ def member_lanes(agent: int, n: int) -> int:
     return pattern
 
 
-def lanes_of(masks: Iterable[int], n: int) -> int:
+def lanes_of(masks: Collection[int], n: int) -> int:
     """The int whose lane (bit) m is set for each m of ``masks``, masks of
-    ``n`` agents."""
+    ``n`` agents. A mask outside ``[0, 2**n)`` raises ValueError."""
+    if masks:
+        low, high = min(masks), max(masks)
+        if low < 0 or high >> n:
+            bad = low if low < 0 else high
+            raise ValueError(f"mask {bad} is outside [0, 2**{n}) for n={n} agents")
     flags = bytearray(1 << n)
     for mask in masks:
         flags[mask] = 1

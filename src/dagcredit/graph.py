@@ -24,10 +24,6 @@ class MultipleSinks(GraphValidationError):
     pass
 
 
-class NoSource(GraphValidationError):
-    pass
-
-
 class CrossLayerViolation(GraphValidationError):
     pass
 
@@ -105,8 +101,9 @@ def build_graph(
         CrossLayerViolation: an acyclic edge that is not strictly forward
             across layers (same-layer or backward).
         MultipleSinks: more than one agent has no outgoing edge.
-        NoSource: no agent has in-degree zero (unreachable for valid input,
-            kept as a defensive check).
+
+    An acyclic graph with agents always has one without predecessors, so
+    every valid graph has a source.
     """
     if not layers or any(not layer for layer in layers):
         raise LayerPartitionInvalid("every layer must contain at least one agent")
@@ -157,10 +154,6 @@ def build_graph(
     sinks = [i for i in range(n) if not succs[i]]
     if len(sinks) != 1:
         raise MultipleSinks(f"expected exactly one sink, found {[names[i] for i in sinks]}")
-    sources = tuple(i for i in range(n) if not preds[i])
-    if not sources:
-        raise NoSource("graph has no agent with in-degree zero")
-
     return WorkflowGraph(
         agents=tuple(Agent(i, name) for i, name in enumerate(names)),
         edges=frozenset(edge_idx),
@@ -168,7 +161,7 @@ def build_graph(
         layer_of=tuple(layer_of),
         preds=tuple(tuple(sorted(p)) for p in preds),
         succs=tuple(tuple(sorted(s)) for s in succs),
-        sources=sources,
+        sources=tuple(i for i in range(n) if not preds[i]),
         sink=sinks[0],
     )
 

@@ -375,9 +375,10 @@ def layered_run(
     raises ValueError.
 
     ``agent_executions`` counts runner calls and ``executions_reused`` the
-    other tasks; the two sum to the plan's task count. ``cache_hits`` counts
-    every read of a kept output: each task's predecessor outputs and each
-    viable mask's sink output.
+    other tasks; the two sum to the plan's task count. ``cache_hits`` is
+    ``plan.upstream_reads`` (each task's reads of its predecessors' outputs)
+    plus one per viable mask. The second term is not a count of reads:
+    ``backtest.evaluate_window`` reads the sink's outputs once per sink task.
 
     Outputs are trusted, not checked: an agent must be a pure function of
     its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,

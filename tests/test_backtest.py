@@ -679,14 +679,6 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
         ]
 
 
-def test_backtest_rewards_are_shared_per_day(result_30):
-    by_day = {}
-    for rec in result_30.history:
-        by_day.setdefault(rec.day, set()).add(rec.reward)
-    assert by_day
-    assert all(len(rewards) == 1 for rewards in by_day.values())
-
-
 def test_backtest_is_deterministic():
     a = run_backtest(RunConfig(seed=78, days=30).validate())
     b = run_backtest(RunConfig(seed=78, days=30).validate())
@@ -775,24 +767,38 @@ def test_prompts_dir_base_prompt_starts_the_lineage(tmp_path):
     )
 
 
-def test_prompts_dir_calibration_token_changes_that_agents_outputs(tmp_path):
+def test_prompts_dir_calibration_token_changes_that_agents_outputs(monkeypatch, tmp_path):
     prompts = tmp_path / "prompts_in"
     prompts.mkdir()
     # The built-in text plus one token, so the token is the only difference.
     write(prompts, "NAA.txt", f"{DEFAULT_BASE_PROMPTS[Role.NEWS_ANALYST]} {DAMP_TOKEN}")
-    plain = run_backtest(RunConfig(seed=78, days=15).validate())
-    damped = run_backtest(RunConfig(seed=78, days=15, prompts_dir=str(prompts)).validate())
+    games = []
+    play = backtest.evaluate_window
 
-    def first_window_actions(result, name):
-        agent = result.graph.index_of(name)
-        days = set(result.windows[0].decision_days)
-        return [r.action for r in result.history if r.agent == agent and r.day in days]
+    def recorded(*args, **kwargs):
+        games.append(play(*args, **kwargs))
+        return games[-1]
+
+    monkeypatch.setattr(backtest, "evaluate_window", recorded)
+
+    def first_tuned_outputs(config):
+        """Each agent's grand-coalition outputs over the first tuned window."""
+        games.clear()
+        result = run_backtest(config.validate())
+        return result.graph, [run.grand_outputs for run in games[0].runs]
+
+    g, plain = first_tuned_outputs(RunConfig(seed=78, days=15))
+    _, damped = first_tuned_outputs(RunConfig(seed=78, days=15, prompts_dir=str(prompts)))
+    assert len(plain) == len(damped) == 4
+
+    def outputs_of(runs, name):
+        return [outputs[g.index_of(name)] for outputs in runs]
 
     # Before any tuning cycle, only the damped agent's outputs move; the
     # other sources read the same data with the same prompts.
-    assert first_window_actions(damped, "NAA") != first_window_actions(plain, "NAA")
+    assert outputs_of(damped, "NAA") != outputs_of(plain, "NAA")
     for name in ("TAA", "FAA"):
-        assert first_window_actions(damped, name) == first_window_actions(plain, name)
+        assert outputs_of(damped, name) == outputs_of(plain, name)
 
 
 def test_prompts_dir_must_be_a_directory(capsys, tmp_path):

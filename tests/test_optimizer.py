@@ -15,39 +15,16 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.optimizer import (
-    HistoryRecord,
-    ReflectionRequest,
-    ReflectorError,
     WindowTooShort,
-    extract_cases,
     identify_bottleneck,
     append_lessons,
     mock_reflector,
-    reflect,
     run_cycle,
 )
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import CostCounters, shapley_dag
 
 DAY0 = date(2024, 1, 2)
-
-
-def record(day_offset, agent, reward):
-    return HistoryRecord(
-        day=DAY0 + timedelta(days=day_offset),
-        agent=agent,
-        action="hold@0.000",
-        reward=reward,
-    )
-
-
-def request_with(failures, successes, name="TAA", phi=-0.1):
-    return ReflectionRequest(
-        target_name=name,
-        phi=phi,
-        failures=tuple(failures),
-        successes=tuple(successes),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,104 +69,45 @@ def test_bottleneck_properties(values, threshold):
 
 
 # ---------------------------------------------------------------------------
-# case extraction
-
-
-def test_extract_cases_filters_agent_and_window():
-    history = [
-        record(0, 1, -0.01),
-        record(0, 2, -0.01),
-        record(1, 1, 0.02),
-        record(9, 1, -0.5),
-    ]
-    days = [DAY0, DAY0 + timedelta(days=1)]
-    failures, successes = extract_cases(history, agent=1, days=days)
-    assert [r.day for r in failures] == [DAY0]
-    assert [r.day for r in successes] == [DAY0 + timedelta(days=1)]
-
-
-def test_extract_cases_zero_reward_counts_as_success():
-    failures, successes = extract_cases([record(0, 1, 0.0)], agent=1, days=[DAY0])
-    assert not failures
-    assert len(successes) == 1
-
-
-def test_extract_cases_preserves_order():
-    history = [record(i, 1, -0.01 * (i + 1)) for i in range(4)]
-    days = [DAY0 + timedelta(days=i) for i in range(4)]
-    failures, _ = extract_cases(history, agent=1, days=days)
-    assert [r.reward for r in failures] == [-0.01, -0.02, -0.03, -0.04]
-
-
-# ---------------------------------------------------------------------------
 # the deterministic reflector
 
 
 def test_reflector_emits_stats_block():
-    req = request_with([record(0, 1, -0.02)], [record(1, 1, 0.04)])
-    blocks = mock_reflector("ignored", req)
+    blocks = mock_reflector("TAA", [-0.02, 0.04])
     assert blocks[0] == (
         "Window review for TAA: failure_rate=0.50 avg_fail=-0.0200 "
         "avg_win=0.0400 cases=2"
     )
 
 
+def test_reflector_zero_reward_counts_as_success():
+    for zero in (0.0, -0.0):
+        blocks = mock_reflector("TAA", [zero])
+        assert blocks == (
+            "Window review for TAA: failure_rate=0.00 avg_fail=0.0000 "
+            "avg_win=0.0000 cases=1",
+        )
+
+
 def test_reflector_damps_when_failures_dominate():
-    req = request_with([record(0, 1, -0.02), record(1, 1, -0.01)], [record(2, 1, 0.01)])
-    blocks = mock_reflector("ignored", req)
+    blocks = mock_reflector("TAA", [-0.02, -0.01, 0.01])
     assert len(blocks) == 2
     assert DAMP_TOKEN in blocks[1]
 
 
 def test_reflector_boosts_on_minority_failures():
-    req = request_with([record(0, 1, -0.02)], [record(1, 1, 0.01), record(2, 1, 0.01)])
-    blocks = mock_reflector("ignored", req)
+    blocks = mock_reflector("TAA", [-0.02, 0.01, 0.01])
     assert BOOST_TOKEN in blocks[1]
 
 
 def test_reflector_emits_no_directive_without_failures():
-    req = request_with([], [record(0, 1, 0.01)])
-    blocks = mock_reflector("ignored", req)
+    blocks = mock_reflector("TAA", [0.01])
     assert len(blocks) == 1
     assert DAMP_TOKEN not in blocks[0] and BOOST_TOKEN not in blocks[0]
 
 
 def test_reflector_is_deterministic():
-    req = request_with([record(0, 1, -0.02)], [record(1, 1, 0.04)])
-    assert mock_reflector("a", req) == mock_reflector("b", req)
-
-
-# ---------------------------------------------------------------------------
-# reflect wrapper
-
-
-def test_reflect_packages_lesson_set():
-    req = request_with([record(0, 1, -0.02)], [record(1, 1, 0.04)])
-    lesson = reflect(cycle=3, target=1, request=req)
-    assert lesson.cycle == 3
-    assert lesson.target == 1
-    assert lesson.failure_count == 1
-    assert lesson.success_count == 1
-    assert len(lesson.text_blocks) == 2
-
-
-def test_reflect_wraps_reflector_exceptions():
-    def broken(prompt, request):
-        raise RuntimeError("llm down")
-
-    req = request_with([], [record(0, 1, 0.01)])
-    with pytest.raises(ReflectorError):
-        reflect(0, 1, req, reflector=broken)
-
-
-def test_reflect_rejects_empty_or_non_text_blocks():
-    req = request_with([], [record(0, 1, 0.01)])
-    with pytest.raises(ReflectorError):
-        reflect(0, 1, req, reflector=lambda p, r: ())
-    with pytest.raises(ReflectorError):
-        reflect(0, 1, req, reflector=lambda p, r: ("ok", ""))
-    with pytest.raises(ReflectorError):
-        reflect(0, 1, req, reflector=lambda p, r: (b"bytes",))
+    assert mock_reflector("TAA", [-0.02, 0.04]) == mock_reflector("TAA", [-0.02, 0.04])
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +154,14 @@ def test_append_lessons_never_exceeds_cap(cap, extra):
 
 
 def cycle_fixture(phi_table):
-    """Graph, specs, history, window days and the attribution of a coalition
-    value table, driving a synthetic cycle."""
+    """Graph, specs, daily rewards, window days and the attribution of a
+    coalition value table, driving a synthetic cycle."""
     g = reference_graph()
     specs = build_system(g, seed=42)
-    days = [DAY0 + timedelta(days=i) for i in range(5)]
-    history = []
     rewards = [-0.01, 0.02, -0.03, 0.01]
-    for k, day in enumerate(days[:-1]):
-        for agent in range(g.n):
-            history.append(
-                HistoryRecord(day, agent, "hold@0.000", rewards[k])
-            )
+    days = [DAY0 + timedelta(days=i) for i in range(len(rewards))]
     attribution = shapley_dag(g, phi_table, CostCounters())
-    return g, specs, history, days, attribution
+    return g, specs, rewards, days, attribution
 
 
 def test_run_cycle_triggered_updates_exactly_one_prompt():
@@ -257,9 +169,9 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
     # v({i in S}) favors nothing; full-coalition value below zero pins the
     # minimum on a specific agent through the marginals.
     table = {mask: (-0.5 if mask >> 1 & 1 else 0.1) for mask in enumerate_viable(g)}
-    g, specs, history, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(table)
     record_, updated = run_cycle(
-        g, specs, history, days, attribution, cycle_index=0, threshold=0.0
+        g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
     )
     assert record_.triggered
     assert record_.bottleneck == 1
@@ -271,11 +183,28 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
     assert record_.prompt_versions == (1, 2, 1, 1, 1, 1, 1)
 
 
+def test_reflect_packages_lesson_set():
+    g = reference_graph()
+    table = {mask: (-0.5 if mask >> 1 & 1 else 0.1) for mask in enumerate_viable(g)}
+    g, specs, rewards, days, attribution = cycle_fixture(table)
+    record_, updated = run_cycle(
+        g, specs, rewards, days, attribution, cycle_index=3, threshold=0.0
+    )
+    lesson = record_.lesson
+    assert lesson.cycle == 3
+    assert lesson.target == 1
+    assert lesson.failure_count == 2
+    assert lesson.success_count == 2
+    assert lesson.text_blocks == mock_reflector(g.names[1], rewards)
+    assert len(lesson.text_blocks) == 2
+    assert updated[1].prompt.lesson_blocks == lesson.text_blocks
+
+
 def test_run_cycle_untriggered_changes_nothing():
     table = {}
-    g, specs, history, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(table)
     record_, updated = run_cycle(
-        g, specs, history, days, attribution, cycle_index=0, threshold=0.0
+        g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
     )
     assert not record_.triggered
     assert record_.bottleneck is None
@@ -287,26 +216,33 @@ def test_run_cycle_untriggered_changes_nothing():
 def test_run_cycle_threshold_gates_triggering():
     g = reference_graph()
     table = dict.fromkeys(enumerate_viable(g), 0.07)
-    g, specs, history, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(table)
     low, _ = run_cycle(
-        g, specs, history, days, attribution, cycle_index=0, threshold=-1.0
+        g, specs, rewards, days, attribution, cycle_index=0, threshold=-1.0
     )
     assert not low.triggered
     high, _ = run_cycle(
-        g, specs, history, days, attribution, cycle_index=0, threshold=1.0
+        g, specs, rewards, days, attribution, cycle_index=0, threshold=1.0
     )
     assert high.triggered
 
 
 def test_run_cycle_requires_two_days():
-    g, specs, history, days, attribution = cycle_fixture({})
+    g, specs, rewards, days, attribution = cycle_fixture({})
     with pytest.raises(WindowTooShort):
-        run_cycle(g, specs, history, days[:1], attribution, cycle_index=0)
+        run_cycle(g, specs, rewards[:1], days[:1], attribution, cycle_index=0)
+
+
+def test_run_cycle_needs_one_reward_per_day():
+    g, specs, rewards, days, attribution = cycle_fixture({})
+    for wrong in (rewards[:-1], rewards + [0.0]):
+        with pytest.raises(ValueError, match="rewards for 4 window days"):
+            run_cycle(g, specs, wrong, days, attribution, cycle_index=0)
 
 
 def test_run_cycle_records_window_bounds():
-    g, specs, history, days, attribution = cycle_fixture({})
-    record_, _ = run_cycle(g, specs, history, days, attribution, cycle_index=4)
+    g, specs, rewards, days, attribution = cycle_fixture({})
+    record_, _ = run_cycle(g, specs, rewards, days, attribution, cycle_index=4)
     assert record_.cycle == 4
     assert record_.start_day == days[0]
     assert record_.end_day == days[-1]

@@ -218,6 +218,13 @@ def test_engines_reject_a_table_lacking_a_superset():
         shapley_dag(layered_graph([1, 1]), {0b01: 1.0}, CostCounters())
 
 
+def test_engines_reject_a_mask_outside_the_power_set():
+    # -1 would otherwise land on the lane of the grand coalition 0b111.
+    for mask in (-1, 8, 1 << 40):
+        with pytest.raises(ValueError, match=f"mask {mask} is outside \\[0, 2\\*\\*3\\)"):
+            shapley_exact({mask: 1.0}, 3, CostCounters())
+
+
 def test_exact_engine_counts_evaluations():
     work = CostCounters(agent_executions=5, cache_hits=2)
     result = shapley_exact({0b1111: 1.0}, 4, work)
@@ -754,6 +761,14 @@ def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner)
     assert len(calls) == run.counters.agent_executions == len(run.cache)
     assert run.counters.executions_reused == 0
     assert len(run.sink_outputs) == len(without_naa) == 3 * 7
+
+
+def test_layered_run_rejects_a_mask_outside_the_power_set(ref_graph, ref_runner):
+    runner, calls = counting(ref_runner)
+    for mask in (-1, 1 << ref_graph.n):
+        with pytest.raises(ValueError, match=f"mask {mask} is outside \\[0, 2\\*\\*7\\)"):
+            layered_run(ref_graph, [mask], runner, FEATURES)
+    assert not calls
 
 
 def test_plan_and_reuse_must_match_the_masks(ref_graph, ref_viable, ref_runner):
