@@ -448,16 +448,20 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 
 @dataclass
 class WindowGame:
-    """One game over a set of episodes: the value of each viable mask, the
-    run of each episode and the pruned engine's attribution. ``exact`` holds
-    the classical replay's value of every subset and its attribution, and is
-    set only under engine ``both``; each of those values is then the pruned
-    engine's, bit for bit, or ``evaluate_window`` would have raised."""
+    """One game over a set of episodes: the value of every subset, the run
+    of each episode and the pruned engine's attribution. ``values`` is a
+    list of ``2**n`` floats indexed by mask, each viable mask's value and
+    0.0 at every other mask: 8 bytes a subset, less than a dict of the
+    viable masks once about 18% of the masks are viable. ``exact`` holds the
+    classical replay's value of every subset, indexed the same way, and its
+    attribution, and is set only under engine ``both``; each of those values
+    is then the pruned engine's, bit for bit, or ``evaluate_window`` would
+    have raised."""
 
-    values: dict[int, float]
+    values: list[float]
     runs: list[LayeredRunResult]
     attribution: AttributionResult
-    exact: tuple[dict[int, float], AttributionResult] | None
+    exact: tuple[list[float], AttributionResult] | None
 
 
 def evaluate_window(
@@ -479,10 +483,12 @@ def evaluate_window(
     is an earlier game on the same episodes with the mask of the agents
     whose prompts have changed since; each episode's run then reuses the
     earlier run of that episode (see ``layered_run``). A coalition is worth
-    ``value`` of its sink outputs, one per episode, and ``shapley_dag``
-    attributes the viable masks' values. Engine ``both`` also replays every
-    subset without sharing (the classical comparator), values each with the
-    same ``value`` and attributes them with ``shapley_exact``.
+    ``value`` of its sink outputs, one per episode; the game is a list of
+    ``2**n`` values indexed by mask, 0.0 off the viable masks, and
+    ``shapley_dag`` attributes it over the viable masks. Engine ``both``
+    also replays every subset without sharing (the classical comparator),
+    values each with the same ``value`` and attributes them with
+    ``shapley_exact``.
 
     ``value`` must be a pure function of its sink outputs, as
     ``sharpe_value`` and the ``shapley`` command's signed decision are: the
@@ -491,9 +497,9 @@ def evaluate_window(
     the same value.
 
     Under ``both``, every subset's replay value must equal the pruned
-    engine's value (a viable mask's entry, 0.0 for any other subset), by
-    ``==`` and in the sign of zero; the first subset where it does not
-    raises EnginesDisagree. As the replay runs every agent afresh, this
+    engine's entry for it (0.0 for a non-viable subset), by ``==`` and in
+    the sign of zero; the first subset where it does not raises
+    EnginesDisagree. As the replay runs every agent afresh, this
     checks the pruned engine, that the agents are deterministic and, in a
     game with ``reuse``, that the reused outputs are still current.
     """
@@ -519,26 +525,27 @@ def evaluate_window(
     # task. Masks that share a sink task share its value.
     assert all(run.plan is plan for run in runs)
     by_task = list(map(value, zip(*(run.outputs[graph.sink] for run in runs))))
-    values = dict(zip(viable, map(by_task.__getitem__, plan.sink_tasks)))
-    attribution = shapley_dag(graph, values, counters)
+    table = [0.0] * (1 << graph.n)
+    for mask, task in zip(viable, plan.sink_tasks):
+        table[mask] = by_task[task]
+    attribution = shapley_dag(graph, viable, table, counters)
 
     exact = None
     if engine == "both":
         replay_counters = CostCounters()
-        replay_values = {}
+        replay_values = []
         for mask in range(1 << graph.n):
             replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
             replay_counters.agent_executions += sum(r.executions for r in replays)
-            replay_values[mask] = value([r.sink_output for r in replays])
-        for mask, replayed in replay_values.items():
-            pruned = values.get(mask, 0.0)
+            replay_values.append(value([r.sink_output for r in replays]))
+        for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
             if replayed != pruned or math.copysign(1.0, replayed) != math.copysign(1.0, pruned):
                 raise EnginesDisagree(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
         exact = (replay_values, shapley_exact(replay_values, graph.n, replay_counters))
-    return WindowGame(values, runs, attribution, exact)
+    return WindowGame(table, runs, attribution, exact)
 
 
 def sharpe_value(

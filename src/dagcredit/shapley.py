@@ -1,20 +1,21 @@
-"""Exact Shapley attribution over coalition value tables, with layer-wise
-shared execution for layered workflows.
+"""Exact Shapley attribution over dense coalition value tables, with
+layer-wise shared execution for layered workflows.
 
-A game is a table from coalition bitmask to value; masks missing from the
-table are worth zero, and the table holds every superset of each of its
-masks. Two entry points aggregate a table into per-agent contributions with
-the same float routine:
+A game is a list of ``2**n`` floats, the value of every coalition indexed by
+its bitmask. Two entry points aggregate it into per-agent contributions with
+the same float routine, which sums, for each agent, over a list of masks
+that hold it, streaming the terms into one exactly rounded ``math.fsum``:
 
-* ``shapley_exact`` takes a table over every subset (the classical path).
-* ``shapley_dag`` takes a table over the viable coalitions only; every other
-  subset cannot trade and is worth zero by the game definition.
+* ``shapley_exact`` walks every subset (the classical path).
+* ``shapley_dag`` walks the viable coalitions only; every other subset
+  cannot trade and is worth zero by the game definition, so the table must
+  be zero there. It checks that, and that the viable masks hold every
+  superset of each of their members, with one bit-lane test per agent.
 
-The routine sums, for each agent, over the table's entries that hold it,
-streaming the terms into one exactly rounded ``math.fsum``, so it builds no
-list of entries or terms. A bit-lane test per agent rejects a table that
-lacks a superset of one of its masks. Viable masks, the full power set and
-the masks where the sink ran all pass.
+The dense list costs 8 bytes per subset (128 MiB at ``MAX_AGENTS``), where a
+dict keyed by viable mask costs about 44 bytes per viable mask, so the list
+is the smaller once about 18% of the masks are viable: 38% are on the
+reference graph and 46% on the benchmark's wide graph.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -106,74 +107,96 @@ def _weights(n: int) -> tuple[float, ...]:
     return tuple(math.factorial(s) * math.factorial(n - s - 1) / total for s in range(n))
 
 
-def _phi_from_values(n: int, values: Mapping[int, float]) -> list[float]:
-    # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i. A
-    # table holds every superset of each of its masks, so a term is non-zero
-    # only when T + i is an entry: each agent's sum walks the table and keeps
-    # the entries holding i. The skipped terms are all +0.0, and fsum is
-    # exact before its single rounding and gives +0.0 for a zero sum, so the
-    # result is the same as summing over all 2**n subsets, in any order. The
-    # terms stream into fsum one at a time, so no list of them is built.
-    #
-    # One lane test per agent checks the superset rule: shifting the table's
-    # lanes up by 2**i moves each entry S without i to lane S + i, which
-    # holds i (an entry holding i lands on a lane without i, and the
-    # membership lanes drop it), so every such S + i is an entry exactly
-    # when the shifted lanes that hold i are all the table's.
+def _check_game(n: int, table: Sequence[float]) -> None:
     if n < 1:
         raise InvalidSize("need at least one agent")
     if n > MAX_AGENTS:
         raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
+    if len(table) != 1 << n:
+        raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
+
+
+def _phi(n: int, masks: Sequence[int], table: Sequence[float]) -> list[float]:
+    # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i.
+    # The caller's masks hold every superset of each of their members and
+    # the table is zero off them, so when T + i is not one of the masks,
+    # neither is T, and the term is a zero: each agent's sum walks only the
+    # masks that hold i. fsum is exact before its single rounding and gives
+    # +0.0 for a sum of zeros of either sign, so dropping zero terms leaves
+    # every bit of the result, in any order. The terms stream into fsum one
+    # at a time, so no list of them is built.
     w = _weights(n)
-    present = lanes_of(values, n)
-    # The size of each entry's mask, in the table's order.
-    sizes = bytes(map(int.bit_count, values))
     phi = []
     for i in range(n):
         bit = 1 << i
-        missing = present << bit & member_lanes(i, n) & ~present
-        if missing:
-            superset = (missing & -missing).bit_length() - 1
-            raise ValueError(
-                f"the table lacks the superset {superset:#b} of its mask {superset ^ bit:#b}"
-            )
         phi.append(math.fsum(
-            w[size - 1] * (value - values.get(mask ^ bit, 0.0))
-            for mask, value, size in zip(values, values.values(), sizes)
+            w[mask.bit_count() - 1] * (table[mask] - table[mask ^ bit])
+            for mask in masks
             if mask & bit
         ))
     return phi
 
 
 def shapley_exact(
-    values: Mapping[int, float], n: int, counters: CostCounters
+    table: Sequence[float], n: int, counters: CostCounters
 ) -> AttributionResult:
-    """Exact Shapley values from a table over the full power set of ``n`` agents.
+    """Exact Shapley values of the game ``table`` over ``n`` agents: the
+    value of every subset, indexed by mask (ValueError unless it has
+    ``2**n`` entries).
 
-    Masks missing from the table are worth zero, and the table holds every
-    superset of each of its masks (ValueError otherwise). ``counters`` is
-    the work spent filling the table; the result reports it with
-    ``coalition_evaluations`` set to ``2**n``.
+    ``counters`` is the work spent filling the table; the result reports it
+    with ``coalition_evaluations`` set to ``2**n``.
     """
-    phi = _phi_from_values(n, values)
+    _check_game(n, table)
+    phi = _phi(n, range(1 << n), table)
     return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
 
 
 def shapley_dag(
-    graph: WorkflowGraph, values: Mapping[int, float], counters: CostCounters
+    graph: WorkflowGraph, viable: Sequence[int], table: Sequence[float], counters: CostCounters
 ) -> AttributionResult:
-    """Exact Shapley values from a table over the viable coalitions only.
+    """Exact Shapley values of the game ``table`` (indexed by mask, ``2**n``
+    entries) walking only the masks of ``viable``.
 
-    Every other subset takes value zero by the game definition, so the result
-    is identical to ``shapley_exact`` on the zero-extended table. Adding a
-    member keeps a coalition viable, so a table over viable masks holds
-    every superset of each of its masks, as both entry points require.
+    Every other subset cannot trade and is worth zero by the game
+    definition, so ``table`` must be zero (0.0 or -0.0) off ``viable``, and
+    the result is identical to ``shapley_exact`` on the same table. Adding
+    a member keeps a coalition viable, so ``viable`` holds every superset of
+    each of its masks. Each of these raises ValueError when it fails: a
+    mask of ``viable`` outside ``[0, 2**n)``, one listed twice, a missing
+    superset, a table of another length, a non-zero entry off ``viable``.
     ``counters`` is the work spent filling the table; the result reports it
-    with ``coalition_evaluations`` set to the table size.
+    with ``coalition_evaluations`` set to the number of viable masks.
     """
-    phi = _phi_from_values(graph.n, values)
+    n = graph.n
+    _check_game(n, table)
+    # Range-checks the masks before any of them indexes the table, where a
+    # negative one would read from its end.
+    present = lanes_of(viable, n)
+    if present.bit_count() != len(viable):
+        raise ValueError("viable lists a mask more than once")
+    # One lane test per agent checks the superset rule: shifting the lanes
+    # up by 2**i moves each mask S without i to lane S + i, which holds i (a
+    # mask holding i lands on a lane without i, and the membership lanes
+    # drop it), so every such S + i is present exactly when the shifted
+    # lanes that hold i are all present.
+    for i in range(n):
+        bit = 1 << i
+        missing = present << bit & member_lanes(i, n) & ~present
+        if missing:
+            superset = (missing & -missing).bit_length() - 1
+            raise ValueError(
+                f"viable lacks the superset {superset:#b} of its mask {superset ^ bit:#b}"
+            )
+    # The table's non-zero entries (NaN included) all lie on viable masks
+    # exactly when they are as many as the viable masks' non-zero entries.
+    if len(table) - table.count(0.0) != sum(map(bool, map(table.__getitem__, viable))):
+        masks = set(viable)
+        mask = next(m for m, value in enumerate(table) if value and m not in masks)
+        raise ValueError(f"the table holds {table[mask]!r} at the non-viable mask {mask:#b}")
+    phi = _phi(n, viable, table)
     return AttributionResult(
-        tuple(phi), replace(counters, coalition_evaluations=len(values))
+        tuple(phi), replace(counters, coalition_evaluations=len(viable))
     )
 
 

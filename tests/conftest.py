@@ -23,6 +23,16 @@ def layered_graph(sizes):
     return build_graph(layers, edges)
 
 
+def dense_table(n, entries):
+    """A game over ``n`` agents as the engines take it: a list of 2**n
+    values indexed by mask, holding the value of each (mask, value) of
+    ``entries`` and 0.0 at every other mask."""
+    table = [0.0] * (1 << n)
+    for mask, value in entries:
+        table[mask] = value
+    return table
+
+
 def prefix_mask(graph, layer):
     """The agents of the layers before ``layer``: the upstream configuration
     of an agent in that layer is a coalition's membership among them."""

@@ -99,8 +99,10 @@ def test_criterion_3_attribution_equivalence():
         rng = random.Random(4000 + seed)
         g = random_layered(rng, 3 + seed % 8)
         viable = enumerate_viable(g)
-        table = {mask: rng.uniform(-2.0, 2.0) for mask in viable}
-        dag = shapley_dag(g, table, CostCounters())
+        table = [0.0] * (1 << g.n)
+        for mask in viable:
+            table[mask] = rng.uniform(-2.0, 2.0)
+        dag = shapley_dag(g, viable, table, CostCounters())
         exact = shapley_exact(table, g.n, CostCounters())
         worst_diff = max(
             worst_diff, max(abs(a - b) for a, b in zip(dag.values, exact.values))
@@ -123,13 +125,13 @@ def test_criterion_4_shapley_axioms():
     for seed in range(6):
         rng = random.Random(seed)
         n = 3 + seed % 4
-        table = {mask: rng.uniform(-5, 5) for mask in range(1, 1 << n)}
+        table = [0.0] + [rng.uniform(-5, 5) for mask in range(1, 1 << n)]
         result = shapley_exact(table, n, CostCounters())
         assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
     # symmetry: cardinality-only games value every agent identically
     for n in (3, 5):
         by_size = [0.0] + [(k + 1) / 3 for k in range(n)]
-        table = {mask: by_size[mask.bit_count()] for mask in range(1 << n)}
+        table = [by_size[mask.bit_count()] for mask in range(1 << n)]
         result = shapley_exact(table, n, CostCounters())
         assert len(set(result.values)) == 1
     # null player: ignored agent gets exactly zero
@@ -140,7 +142,7 @@ def test_criterion_4_shapley_axioms():
     for mask in range(1 << n):
         cache.setdefault(mask & strip, rng.randint(-9, 9) / 4)
     cache[0] = 0.0
-    table = {mask: cache[mask & strip] for mask in range(1 << n)}
+    table = [cache[mask & strip] for mask in range(1 << n)]
     result = shapley_exact(table, n, CostCounters())
     assert result.values[null_agent] == 0.0
     # the weights sum to one for every agent count, and the engine's are

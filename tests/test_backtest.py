@@ -329,6 +329,17 @@ def window_game_args(market, view, day_indices, rf_daily=0.0):
     return [view.for_day(i) for i in decision_days], sharpe_value(step_returns, rf_daily)
 
 
+def assert_dense_game(g, viable, values):
+    """``values`` is a game as the engines take it: a list of 2**n floats,
+    +0.0 at every non-viable mask."""
+    viable_masks = set(viable)
+    assert type(values) is list and len(values) == 1 << g.n
+    assert all(type(v) is float for v in values)
+    assert all(
+        values[mask].hex() == "0x0.0p+0" for mask in range(1 << g.n) if mask not in viable_masks
+    )
+
+
 def test_evaluate_window_dag_engine_counts(window_setup):
     g, market, view, runner, viable = window_setup
     game = evaluate_window(g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]))
@@ -337,8 +348,8 @@ def test_evaluate_window_dag_engine_counts(window_setup):
     # four decision days, 73 shared executions each
     assert counters.agent_executions == 4 * 73
     assert counters.executions_reused == 0
-    assert set(game.values) == set(viable)
-    assert game.attribution == shapley_dag(g, game.values, counters)
+    assert_dense_game(g, viable, game.values)
+    assert game.attribution == shapley_dag(g, viable, game.values, counters)
     assert game.exact is None
 
 
@@ -373,6 +384,8 @@ def test_evaluate_window_engines_agree(window_setup):
         g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
     )
     replay_values, classical = game.exact
+    assert_dense_game(g, viable, game.values)
+    assert type(replay_values) is list and len(replay_values) == 1 << g.n
     for mask in viable:
         assert game.values[mask] == replay_values[mask]
     assert classical.counters.coalition_evaluations == 128
@@ -387,7 +400,7 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     )
     viable_masks = set(viable)
     replay_values, _ = game.exact
-    for mask, value in replay_values.items():
+    for mask, value in enumerate(replay_values):
         if mask not in viable_masks:
             assert value == 0.0
 
@@ -482,8 +495,8 @@ def test_evaluate_window_values_each_sink_task_once():
             value([replay_coalition(g, mask, run_agent, e).sink_output for e in episodes])
             for mask in viable
         ]
-        assert list(game.values) == viable
-        assert [v.hex() for v in game.values.values()] == [v.hex() for v in per_mask]
+        assert_dense_game(g, viable, game.values)
+        assert [game.values[mask].hex() for mask in viable] == [v.hex() for v in per_mask]
         evaluate_window(g, viable, run_agent, episodes, value, "both", reuse=(game, 0))
 
 
@@ -519,8 +532,9 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
             for d, i in zip(decisions, days[:-1])
         ])
         assert game.exact[0][mask] == own
-        if mask in game.values:
-            assert game.values[mask] == own
+        # Engine ``both`` raised nothing, so the pruned table holds the
+        # replay's value at every mask, 0.0 off the viable ones.
+        assert game.values[mask] == own
     assert len(calls) == len(set(calls)) == len(vectors) < 1 << g.n
 
 

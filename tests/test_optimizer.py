@@ -153,23 +153,28 @@ def test_append_lessons_never_exceeds_cap(cap, extra):
 # full cycles against the reference system
 
 
-def cycle_fixture(phi_table):
-    """Graph, specs, daily rewards, window days and the attribution of a
-    coalition value table, driving a synthetic cycle."""
+def cycle_fixture(value_of):
+    """Graph, specs, daily rewards, window days and the attribution of the
+    game worth ``value_of(mask)`` at each viable mask and 0.0 elsewhere,
+    driving a synthetic cycle."""
     g = reference_graph()
     specs = build_system(g, seed=42)
     rewards = [-0.01, 0.02, -0.03, 0.01]
     days = [DAY0 + timedelta(days=i) for i in range(len(rewards))]
-    attribution = shapley_dag(g, phi_table, CostCounters())
+    viable = enumerate_viable(g)
+    table = [0.0] * (1 << g.n)
+    for mask in viable:
+        table[mask] = value_of(mask)
+    attribution = shapley_dag(g, viable, table, CostCounters())
     return g, specs, rewards, days, attribution
 
 
 def test_run_cycle_triggered_updates_exactly_one_prompt():
-    g = reference_graph()
     # v({i in S}) favors nothing; full-coalition value below zero pins the
     # minimum on a specific agent through the marginals.
-    table = {mask: (-0.5 if mask >> 1 & 1 else 0.1) for mask in enumerate_viable(g)}
-    g, specs, rewards, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(
+        lambda mask: -0.5 if mask >> 1 & 1 else 0.1
+    )
     record_, updated = run_cycle(
         g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
     )
@@ -184,9 +189,9 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
 
 
 def test_reflect_packages_lesson_set():
-    g = reference_graph()
-    table = {mask: (-0.5 if mask >> 1 & 1 else 0.1) for mask in enumerate_viable(g)}
-    g, specs, rewards, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(
+        lambda mask: -0.5 if mask >> 1 & 1 else 0.1
+    )
     record_, updated = run_cycle(
         g, specs, rewards, days, attribution, cycle_index=3, threshold=0.0
     )
@@ -201,8 +206,7 @@ def test_reflect_packages_lesson_set():
 
 
 def test_run_cycle_untriggered_changes_nothing():
-    table = {}
-    g, specs, rewards, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
     record_, updated = run_cycle(
         g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
     )
@@ -214,9 +218,7 @@ def test_run_cycle_untriggered_changes_nothing():
 
 
 def test_run_cycle_threshold_gates_triggering():
-    g = reference_graph()
-    table = dict.fromkeys(enumerate_viable(g), 0.07)
-    g, specs, rewards, days, attribution = cycle_fixture(table)
+    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.07)
     low, _ = run_cycle(
         g, specs, rewards, days, attribution, cycle_index=0, threshold=-1.0
     )
@@ -228,20 +230,20 @@ def test_run_cycle_threshold_gates_triggering():
 
 
 def test_run_cycle_requires_two_days():
-    g, specs, rewards, days, attribution = cycle_fixture({})
+    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
     with pytest.raises(WindowTooShort):
         run_cycle(g, specs, rewards[:1], days[:1], attribution, cycle_index=0)
 
 
 def test_run_cycle_needs_one_reward_per_day():
-    g, specs, rewards, days, attribution = cycle_fixture({})
+    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
     for wrong in (rewards[:-1], rewards + [0.0]):
         with pytest.raises(ValueError, match="rewards for 4 window days"):
             run_cycle(g, specs, wrong, days, attribution, cycle_index=0)
 
 
 def test_run_cycle_records_window_bounds():
-    g, specs, rewards, days, attribution = cycle_fixture({})
+    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
     record_, _ = run_cycle(g, specs, rewards, days, attribution, cycle_index=4)
     assert record_.cycle == 4
     assert record_.start_day == days[0]
