@@ -528,6 +528,7 @@ def evaluate_window(
     table = [0.0] * (1 << graph.n)
     for mask, task in zip(viable, plan.sink_tasks):
         table[mask] = by_task[task]
+    del by_task  # the table holds every value: free the list before the aggregation peak
     attribution = shapley_dag(graph, viable, table, counters)
 
     exact = None

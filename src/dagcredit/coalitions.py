@@ -10,12 +10,17 @@ attribution engine never needs to execute it. Bit ``i`` of a mask is agent
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Collection
 
 from .graph import WorkflowGraph
 
 # The power-set limit: enumeration and aggregation both refuse larger graphs.
 MAX_AGENTS = 24
+
+# Array type of a mask, which has at most MAX_AGENTS bits: "I" is 32 bits
+# wide on every platform CPython supports.
+MASK_TYPECODE = "I"
 
 # Lane flags, one byte of 0 or 1 per lane, to binary digits and back.
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -64,13 +69,16 @@ def lane_flags(lanes: int) -> bytes:
     return bin(lanes)[:1:-1].encode().translate(_TO_FLAGS)
 
 
-def masks_of(lanes: int) -> list[int]:
-    """The set lanes of ``lanes``, ascending: the inverse of ``lanes_of``."""
-    return list(itertools.compress(itertools.count(), lane_flags(lanes)))
+def masks_of(lanes: int) -> array:
+    """The set lanes of ``lanes``, ascending, packed 4 bytes each in an
+    ``array(MASK_TYPECODE)``: the inverse of ``lanes_of``."""
+    return array(MASK_TYPECODE, itertools.compress(itertools.count(), lane_flags(lanes)))
 
 
-def enumerate_viable(graph: WorkflowGraph) -> list[int]:
-    """Masks of all viable coalitions, ascending.
+def enumerate_viable(graph: WorkflowGraph) -> array:
+    """Masks of all viable coalitions, ascending, as an
+    ``array(MASK_TYPECODE)`` of 4 bytes a mask (a list would hold an int
+    object of about 36 bytes per mask).
 
     All 2**n coalitions are checked at once, one lane each (lane m is mask
     m), so graphs beyond MAX_AGENTS agents are rejected rather than silently

@@ -3,7 +3,7 @@ layer-wise shared execution for layered workflows.
 
 A game is a list of ``2**n`` floats, the value of every coalition indexed by
 its bitmask. Two entry points aggregate it into per-agent contributions with
-the same float routine, which sums, for each agent, over a list of masks
+the same float routine, which sums, for each agent, over a sequence of masks
 that hold it, streaming the terms into one exactly rounded ``math.fsum``:
 
 * ``shapley_exact`` walks every subset (the classical path).
@@ -15,7 +15,11 @@ that hold it, streaming the terms into one exactly rounded ``math.fsum``:
 The dense list costs 8 bytes per subset (128 MiB at ``MAX_AGENTS``), where a
 dict keyed by viable mask costs about 44 bytes per viable mask, so the list
 is the smaller once about 18% of the masks are viable: 38% are on the
-reference graph and 46% on the benchmark's wide graph.
+reference graph and 46% on the benchmark's wide graph. The viable masks and
+the plan's live keys and task indices are packed arrays of 4 bytes an item,
+where a list would hold an int object of about 36 bytes for each. Walking
+an array makes an int object for each item it yields, so the aggregation
+pays for its walks by keeping only the non-zero terms.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -33,15 +37,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from array import array
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import compress
 from typing import Any
 
 from .coalitions import (
-    MAX_AGENTS, GraphTooLarge, enumerate_viable, lane_flags, lanes_of, member_lanes,
+    MASK_TYPECODE, MAX_AGENTS, GraphTooLarge, enumerate_viable, lane_flags, lanes_of,
+    member_lanes,
 )
 from .graph import WorkflowGraph
 
@@ -50,10 +56,11 @@ from .graph import WorkflowGraph
 # agents only.
 AgentRunner = Callable[[int, Mapping[int, Any], Any], Any]
 
-# Array type of a live key, which has at most MAX_AGENTS bits: "I" is 32
-# bits wide on every platform CPython supports.
-_KEY = "I"
+# Array types of a live key, which is a mask, and of a task index, which is
+# -1 for no task: an agent has at most 2**MAX_AGENTS tasks, below 2**31.
+_KEY = MASK_TYPECODE
 _KEY_BYTES = array(_KEY).itemsize
+_TASK = "i"
 
 
 class InvalidSize(ValueError):
@@ -121,18 +128,19 @@ def _phi(n: int, masks: Sequence[int], table: Sequence[float]) -> list[float]:
     # The caller's masks hold every superset of each of their members and
     # the table is zero off them, so when T + i is not one of the masks,
     # neither is T, and the term is a zero: each agent's sum walks only the
-    # masks that hold i. fsum is exact before its single rounding and gives
-    # +0.0 for a sum of zeros of either sign, so dropping zero terms leaves
-    # every bit of the result, in any order. The terms stream into fsum one
-    # at a time, so no list of them is built.
+    # masks that hold i, and keeps only the non-zero differences (NaN is
+    # truthy, so an inf - inf difference is kept). fsum is exact before its
+    # single rounding and gives +0.0 for a sum of zeros of either sign, so
+    # dropping zero terms leaves every bit of the result, in any order. The
+    # terms stream into fsum one at a time, so no list of them is built.
     w = _weights(n)
     phi = []
     for i in range(n):
         bit = 1 << i
         phi.append(math.fsum(
-            w[mask.bit_count() - 1] * (table[mask] - table[mask ^ bit])
+            w[mask.bit_count() - 1] * d
             for mask in masks
-            if mask & bit
+            if mask & bit and (d := table[mask] - table[mask ^ bit])
         ))
     return phi
 
@@ -237,18 +245,20 @@ class LivePlan:
     """The tasks of one episode on a graph's viable masks, from masks alone.
 
     A task is an agent under one of its live keys. ``keys`` lists each
-    agent's live keys in increasing order, one task each. ``inputs`` gives,
-    per agent and per direct predecessor, the predecessor's task under each
-    of the agent's tasks, or -1 where the predecessor is outside it.
-    ``sink_tasks`` is the sink's task of each mask of ``viable``, in order;
+    agent's live keys in increasing order, one task each, as an
+    ``array("I")``. ``inputs`` gives, per agent and per direct predecessor,
+    the predecessor's task under each of the agent's tasks, or -1 where the
+    predecessor is outside it, as an ``array("i")``. ``sink_tasks`` is the
+    sink's task of each mask of ``viable``, in order, packed the same way;
     ``grand_tasks`` each agent's task in the grand coalition, or None when
     the grand coalition is not viable. ``upstream_reads`` is the number of
-    predecessor outputs the tasks read.
+    predecessor outputs the tasks read. Packed, a key or task index costs 4
+    bytes, where a list would hold an int object of about 36 bytes.
     """
 
     graph: WorkflowGraph
     viable: Sequence[int]
-    keys: tuple[list[int], ...]
+    keys: tuple[array, ...]
     inputs: tuple[tuple[tuple[int, array], ...], ...]
     sink_tasks: array
     grand_tasks: tuple[int, ...] | None
@@ -261,13 +271,14 @@ class LivePlan:
     def serves(self, graph: WorkflowGraph, viable: Sequence[int]) -> bool:
         """Whether the plan was built for ``graph`` and ``viable``."""
         return (self.graph is graph or self.graph == graph) and (
-            self.viable is viable or list(self.viable) == list(viable)
+            self.viable is viable
+            or len(self.viable) == len(viable) and all(map(operator.eq, self.viable, viable))
         )
 
 
 def _live_keys(
     graph: WorkflowGraph, viable: Sequence[int]
-) -> tuple[list[array], list[list[int]]]:
+) -> tuple[list[array], list[array]]:
     """Per agent, its live key under every configuration, and its tasks.
 
     Every edge runs from a lower index to a higher one, so every agent with
@@ -318,7 +329,7 @@ def _live_keys(
         for b in reversed(range(len(table).bit_length() - 1, n)):
             run = 1 << b
             held = held >> run | held & (1 << run) - 1
-        keys.append(sorted(set(compress(table, lane_flags(held)))))
+        keys.append(array(_KEY, sorted(set(compress(table, lane_flags(held))))))
     return tables, keys
 
 
@@ -329,11 +340,19 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
     the masks alone, so one plan serves every episode over them.
     """
     tables, keys = _live_keys(graph, viable)
-    task_of = [{key: task for task, key in enumerate(agent_keys)} for agent_keys in keys]
+    # Per agent, its task under each live key, or -1 where a key is none of
+    # its tasks. A live key under a configuration is a subset of the
+    # configuration's bits, so it indexes an array as long as the table.
+    task_of = []
+    for table, agent_keys in zip(tables, keys):
+        by_key = array(_TASK, [-1]) * len(table)
+        for task, key in enumerate(agent_keys):
+            by_key[key] = task
+        task_of.append(by_key)
     # Per agent with successors, its task under each configuration of its
     # table, or -1 where no viable mask gives that live key.
     tasks = [
-        array("q", map(task_of[a].get, table, repeat(-1))) if graph.succs[a] else None
+        array(_TASK, map(task_of[a].__getitem__, table)) if graph.succs[a] else None
         for a, table in enumerate(tables)
     ]
     inputs = []
@@ -344,14 +363,14 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
         columns = []
         for p in graph.preds[agent]:
             bit, last, p_tasks = 1 << p, len(tables[p]) - 1, tasks[p]
-            columns.append((p, array("q", [
+            columns.append((p, array(_TASK, [
                 p_tasks[key & last] if key & bit else -1 for key in keys[agent]
             ])))
         inputs.append(tuple(columns))
     sink_table, sink_task = tables[graph.sink], task_of[graph.sink]
     sink_last = len(sink_table) - 1
     # Packed as they come: a list would hold an int object per viable mask.
-    sink_tasks = array("q", (sink_task[sink_table[mask & sink_last]] for mask in viable))
+    sink_tasks = array(_TASK, (sink_task[sink_table[mask & sink_last]] for mask in viable))
     full = graph.full_mask
     grand_tasks = (
         tuple(task_of[a][table[full & len(table) - 1]] for a, table in enumerate(tables))
