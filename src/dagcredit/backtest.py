@@ -9,9 +9,11 @@ A frozen-prompt pass and three classic baselines run on exactly the same
 decision days for comparison.
 
 ``evaluate_window`` is the one routine that turns episodes into an
-attributed game, for any coalition value of the sink outputs: the backtest
-values a window by ``sharpe_value`` and the ``shapley`` command values its
-one fixture episode by the signed sink decision.
+attributed game, for any score of a sink output and any coalition value of
+those scores: the backtest scores a decision by its position and values a
+window by ``sharpe_value``, and the ``shapley`` command scores its one
+fixture episode by the signed sink decision and values a coalition by that
+score.
 
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
@@ -417,7 +419,11 @@ def max_drawdown(equity: Sequence[float]) -> float:
 
 
 def decision_to_position(decision: Any) -> int:
-    """Buy -> +1, Hold -> 0, Sell -> -1. ``None`` (no trader ran) is flat."""
+    """Buy -> +1, Hold -> 0, Sell -> -1. ``None`` (no trader ran) is flat.
+
+    The backtest's ``score`` for ``evaluate_window``: a window game keeps
+    each sink decision's position, which is all ``sharpe_value`` reads.
+    """
     if decision is None:
         return 0
     action = decision.action if isinstance(decision, TradeDecision) else decision
@@ -452,8 +458,10 @@ class WindowGame:
     of each episode and the pruned engine's attribution. ``values`` is a
     list of ``2**n`` floats indexed by mask, each viable mask's value and
     0.0 at every other mask: 8 bytes a subset, less than a dict of the
-    viable masks once about 18% of the masks are viable. ``exact`` holds the
-    classical replay's value of every subset, indexed the same way, and its
+    viable masks once about 18% of the masks are viable. Each run's sink
+    row holds the ``score`` of each sink output, not the output itself, and
+    its other rows hold the agents' outputs. ``exact`` holds the classical
+    replay's value of every subset, indexed the same way, and its
     attribution, and is set only under engine ``both``; each of those values
     is then the pruned engine's, bit for bit, or ``evaluate_window`` would
     have raised."""
@@ -469,6 +477,7 @@ def evaluate_window(
     viable: Sequence[int],
     run_agent: Callable,
     episodes: Sequence[Any],
+    score: Callable[[Any], Any],
     value: Callable[[Sequence[Any]], float],
     engine: str = "dag",
     *,
@@ -479,20 +488,25 @@ def evaluate_window(
 
     The pruned engine runs one memoized episode per item of ``episodes``
     (each a source agent's external data) over the viable coalitions (given
-    by mask), with the tasks of ``plan`` (built when not given). ``reuse``
-    is an earlier game on the same episodes with the mask of the agents
-    whose prompts have changed since; each episode's run then reuses the
-    earlier run of that episode (see ``layered_run``). A coalition is worth
-    ``value`` of its sink outputs, one per episode; the game is a list of
-    ``2**n`` values indexed by mask, 0.0 off the viable masks, and
-    ``shapley_dag`` attributes it over the viable masks. Engine ``both``
+    by mask), with the tasks of ``plan`` (built when not given). ``score``
+    is what the game reads of one sink output, applied as each sink output
+    is produced: a run keeps the score in the sink's row, and the output is
+    dropped. A coalition is worth ``value`` of its sink scores, one per
+    episode; the game is a list of ``2**n`` values indexed by mask, 0.0 off
+    the viable masks, and ``shapley_dag`` attributes it over the viable
+    masks. ``reuse`` is an earlier game on the same episodes, played with
+    the same ``score``, and the mask of the agents whose prompts have
+    changed since; each episode's run then reuses the earlier run of that
+    episode (see ``layered_run``), sink scores included. Engine ``both``
     also replays every subset without sharing (the classical comparator),
-    values each with the same ``value`` and attributes them with
+    scores each replay's sink output (``None`` where the sink did not run),
+    values the scores with the same ``value`` and attributes them with
     ``shapley_exact``.
 
-    ``value`` must be a pure function of its sink outputs, as
-    ``sharpe_value`` and the ``shapley`` command's signed decision are: the
-    pruned engine calls it once per sink task of the plan, not once per
+    ``score`` and ``value`` must be pure functions, as the backtest's
+    ``decision_to_position`` and ``sharpe_value`` and the ``shapley``
+    command's ``signed_decision_value`` and first score are: the pruned
+    engine calls ``value`` once per sink task of the plan, not once per
     viable mask, and every viable mask whose sink runs under that task takes
     the same value.
 
@@ -515,16 +529,24 @@ def evaluate_window(
         if len(game.runs) != len(episodes):
             raise ValueError("the earlier game has another number of episodes")
         earlier = [(run, changed) for run in game.runs]
+    sink = graph.sink
+
+    def scored(agent: int, upstream: Any, external: Any) -> Any:
+        # No sink output outlives its call: the run keeps its score.
+        if agent == sink:
+            return score(run_agent(agent, upstream, external))
+        return run_agent(agent, upstream, external)
+
     runs = [
-        layered_run(graph, viable, run_agent, episode, plan=plan, reuse=done)
+        layered_run(graph, viable, scored, episode, plan=plan, reuse=done)
         for episode, done in zip(episodes, earlier)
     ]
     counters = reduce(CostCounters.merged, (run.counters for run in runs), CostCounters())
-    # Every run shares the plan, so the sink's outputs line up in one column
+    # Every run shares the plan, so the sink's scores line up in one column
     # per sink task: value each task once, and each viable mask by its sink
     # task. Masks that share a sink task share its value.
     assert all(run.plan is plan for run in runs)
-    by_task = list(map(value, zip(*(run.outputs[graph.sink] for run in runs))))
+    by_task = list(map(value, zip(*(run.outputs[sink] for run in runs))))
     table = [0.0] * (1 << graph.n)
     for mask, task in zip(viable, plan.sink_tasks):
         table[mask] = by_task[task]
@@ -538,7 +560,7 @@ def evaluate_window(
         for mask in range(1 << graph.n):
             replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
             replay_counters.agent_executions += sum(r.executions for r in replays)
-            replay_values.append(value([r.sink_output for r in replays]))
+            replay_values.append(value([score(r.sink_output) for r in replays]))
         for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
             if replayed != pruned or math.copysign(1.0, replayed) != math.copysign(1.0, pruned):
                 raise EnginesDisagree(
@@ -551,22 +573,24 @@ def evaluate_window(
 
 def sharpe_value(
     step_returns: Sequence[float], rf_daily: float = 0.0
-) -> Callable[[Sequence[Any]], float]:
+) -> Callable[[Sequence[int]], float]:
     """A window game's coalition value: the raw Sharpe of the next-day
-    returns that its decisions, one per decision day, earn.
+    returns that its positions, one per decision day, earn. The positions
+    are the sink scores of ``evaluate_window`` with ``decision_to_position``
+    as ``score``.
 
-    The return series is a function of the coalition's positions, so the
-    returned function runs Sharpe once per distinct position vector and
-    shares it between every coalition and both engines it values.
+    The return series is a function of the positions, so the returned
+    function runs Sharpe once per distinct position vector and shares it
+    between every coalition, both engines and every game it values.
     """
     by_positions: dict[tuple[int, ...], float] = {}
 
-    def value(decisions: Sequence[Any]) -> float:
-        positions = tuple(map(decision_to_position, decisions))
-        if positions not in by_positions:
-            series = [p * r for p, r in zip(positions, step_returns)]
-            by_positions[positions] = sharpe(series, rf_daily)
-        return by_positions[positions]
+    def value(positions: Sequence[int]) -> float:
+        key = tuple(positions)
+        if key not in by_positions:
+            series = [p * r for p, r in zip(key, step_returns)]
+            by_positions[key] = sharpe(series, rf_daily)
+        return by_positions[key]
 
     return value
 
@@ -694,23 +718,25 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         specs: dict[int, AgentSpec],
         w_index: int,
         day_idx: list[int],
+        step_returns: list[float],
+        value: Callable[[Sequence[int]], float],
         reuse: tuple[WindowGame, int] | None = None,
     ) -> tuple[WindowGame, WindowReport]:
         decision_days = day_idx[:-1]
-        step_returns = [market.step_return(i) for i in decision_days]
         game = evaluate_window(
             graph,
             viable,
             system_runner(specs),
             [features.for_day(i) for i in decision_days],
-            sharpe_value(step_returns, config.rf_daily),
+            decision_to_position,
+            value,
             config.engine,
             plan=plan,
             reuse=reuse,
         )
+        # The grand coalition's sink score is its position.
         rewards = [
-            decision_to_position(run.grand_outputs[graph.sink]) * r
-            for run, r in zip(game.runs, step_returns)
+            run.grand_outputs[graph.sink] * r for run, r in zip(game.runs, step_returns)
         ]
         exact_diff = None
         if game.exact is not None:
@@ -742,9 +768,15 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     frozen_reports: list[WindowReport] = []
     cycles: list[CycleRecord] = []
     for w_index, day_idx in enumerate(windows):
-        game, tuned = attributed_window(specs, w_index, day_idx)
+        step_returns = [market.step_return(i) for i in day_idx[:-1]]
+        # Both passes value the window with one memo, so the frozen pass
+        # runs Sharpe only on position vectors the tuned pass did not value.
+        value = sharpe_value(step_returns, config.rf_daily)
+        game, tuned = attributed_window(specs, w_index, day_idx, step_returns, value)
         changed = sum(1 << a for a in range(graph.n) if specs[a].prompt != specs0[a].prompt)
-        frozen = attributed_window(specs0, w_index, day_idx, (game, changed))[1]
+        frozen = attributed_window(
+            specs0, w_index, day_idx, step_returns, value, (game, changed)
+        )[1]
         tuned_reports.append(tuned)
         frozen_reports.append(frozen)
         record, specs = run_cycle(

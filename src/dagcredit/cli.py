@@ -186,14 +186,15 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         config.seed, days=10, regime=config.regime,
         signal_strength=config.signal_strength, symbol=config.symbol,
     )
-    # A coalition is valued by its signed sink decision; one whose sink never
-    # runs is worth zero.
+    # A coalition is valued by its signed sink decision, the score of its one
+    # episode; one whose sink never runs is worth zero.
     game = bt.evaluate_window(
         graph,
         enumerate_viable(graph),
         system_runner(build_system(graph, config.seed)),
         [features.for_day(9)],
-        lambda outs: signed_decision_value(outs[0]),
+        signed_decision_value,
+        lambda scores: scores[0],
         config.engine,
     )
     if game.exact is not None:

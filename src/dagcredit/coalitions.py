@@ -22,8 +22,7 @@ MAX_AGENTS = 24
 # wide on every platform CPython supports.
 MASK_TYPECODE = "I"
 
-# Lane flags, one byte of 0 or 1 per lane, to binary digits and back.
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Binary digits to lane flags, one byte of 0 or 1 per lane.
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -57,10 +56,12 @@ def lanes_of(masks: Collection[int], n: int) -> int:
         if low < 0 or high >> n:
             bad = low if low < 0 else high
             raise ValueError(f"mask {bad} is outside [0, 2**{n}) for n={n} agents")
-    flags = bytearray(1 << n)
+    # One buffer of binary digits, lane 0 last once reversed in place.
+    digits = bytearray(b"0") * (1 << n)
     for mask in masks:
-        flags[mask] = 1
-    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+        digits[mask] = 0x31  # b"1"
+    digits.reverse()
+    return int(digits, 2)
 
 
 def lane_flags(lanes: int) -> bytes:

@@ -212,12 +212,14 @@ def shapley_dag(
 class LayeredRunResult:
     """One episode of memoized execution across all viable coalitions.
 
-    ``outputs`` holds, per agent, its output under each of its tasks in
-    ``plan``, whether it ran or was reused; ``cache`` builds a dict of them
-    by (agent, live key), one entry per task, and ``sink_outputs`` a list of
-    the sink output of each viable mask, in the plan's ``viable`` order, each
-    time they are read. ``external`` is the episode's external data;
-    ``grand_outputs`` maps each agent to its output in the grand coalition,
+    ``outputs`` holds, per agent, what the runner returned under each of
+    its tasks in ``plan``, whether it ran or was reused: the agent's output,
+    except that in a run ``backtest.evaluate_window`` makes, the sink's row
+    holds the score of each sink output. ``cache`` builds a dict of them by
+    (agent, live key), one entry per task, and ``sink_outputs`` a list of
+    the sink's entry for each viable mask, in the plan's ``viable`` order,
+    each time they are read. ``external`` is the episode's external data;
+    ``grand_outputs`` maps each agent to its entry in the grand coalition,
     and is empty when the grand coalition is not among the viable masks.
     """
 
@@ -420,7 +422,7 @@ def layered_run(
     other tasks; the two sum to the plan's task count. ``cache_hits`` is
     ``plan.upstream_reads`` (each task's reads of its predecessors' outputs)
     plus one per viable mask. The second term is not a count of reads:
-    ``backtest.evaluate_window`` reads the sink's outputs once per sink task.
+    ``backtest.evaluate_window`` reads the sink's scores once per sink task.
 
     Outputs are trusted, not checked: an agent must be a pure function of
     its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,

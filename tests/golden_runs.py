@@ -101,7 +101,8 @@ def wide_phi_digest() -> str:
         enumerate_viable(graph),
         system_runner(build_system(graph, seed=42)),
         [FEATURES],
-        lambda outs: signed_decision_value(outs[0]),
+        signed_decision_value,
+        lambda scores: scores[0],
     )
     return sha256(",".join(value.hex() for value in game.attribution.values).encode())
 

@@ -1,8 +1,11 @@
-"""Slow reference checks for one coalition at a time, written apart from the
-bit-parallel code in ``dagcredit`` that they test: a depth-first path search
-and the three viability conditions built on it."""
+"""Slow reference checks, written apart from the code in ``dagcredit`` that
+they test: a depth-first path search and the three viability conditions
+built on it, one coalition at a time, and the exact Shapley values of a
+float game with the a priori bound on the engine's float error."""
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from dagcredit.graph import WorkflowGraph
 
@@ -49,3 +52,48 @@ def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
         (mask >> s) & 1 and path_exists(graph, mask, s, graph.sink) for s in graph.sources
     )
     return ViabilityReport(has_trader, has_source, connected)
+
+
+# The unit roundoff of a double: half the gap between 1.0 and the next float.
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def exact_shapley(table: list[float], n: int) -> list[tuple[Fraction, Fraction]]:
+    """Per agent, its Shapley value of the game ``table`` (``2**n`` finite
+    floats indexed by mask) exactly, and the sum of its terms' magnitudes.
+
+    Scaled integers, one division at the end: every float is a dyadic
+    rational, so over the table's largest denominator ``d`` every value is
+    an integer ``A[m]``, and over ``n! * d`` agent i's term for a subset T
+    without i, ``s! (n - s - 1)! / n! * (v(T + i) - v(T))`` with ``s = |T|``,
+    is the integer ``s! (n - s - 1)! * (A[T + i] - A[T])``."""
+    ratios = [value.as_integer_ratio() for value in table]
+    d = max(den for _, den in ratios)
+    ints = [num * (d // den) for num, den in ratios]
+    weights = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
+    scale = math.factorial(n) * d
+    out = []
+    for i in range(n):
+        bit = 1 << i
+        total = magnitude = 0
+        for mask in range(1 << n):
+            if not mask & bit:
+                term = weights[mask.bit_count()] * (ints[mask | bit] - ints[mask])
+                total += term
+                magnitude += abs(term)
+        out.append((Fraction(total, scale), Fraction(magnitude, scale)))
+    return out
+
+
+def float_phi_bound(magnitude: Fraction, phi: float) -> Fraction:
+    """The a priori bound on ``|phi - exact|`` for a float ``phi`` summed
+    as the engine sums it from terms of total magnitude ``magnitude``.
+
+    Each term's weight, difference and product is rounded once, by at most
+    the unit roundoff u relative to it, so each term is off by at most
+    ``(1 + u)**3 - 1`` (about 3u) times its magnitude; ``math.fsum`` adds
+    the rounded terms exactly and rounds once more, by at most half an ulp
+    of the result. This holds while every rounded product is a normal
+    float."""
+    u = UNIT_ROUNDOFF
+    return ((1 + u) ** 3 - 1) * magnitude + Fraction(math.ulp(phi)) / 2

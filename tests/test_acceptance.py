@@ -26,6 +26,7 @@ from dagcredit.agents import (
 from dagcredit.backtest import (
     build_equity,
     day_windows,
+    decision_to_position,
     evaluate_window,
     max_drawdown,
     run_backtest,
@@ -296,6 +297,7 @@ def test_criterion_8_information_flow_enforcement():
             viable,
             recorder,
             [view.for_day(day) for day in decision_days],
+            decision_to_position,
             sharpe_value([market.step_return(day) for day in decision_days]),
         )
         for day in day_indices[:-1]:

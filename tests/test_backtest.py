@@ -4,6 +4,7 @@ import json
 import math
 import statistics
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -19,6 +20,7 @@ from dagcredit.agents import (
     Role,
     TradeDecision,
     build_system,
+    signed_decision_value,
     system_runner,
 )
 from dagcredit.backtest import (
@@ -57,7 +59,7 @@ from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import live_plan, replay_coalition, shapley_dag, shapley_exact
 
-from conftest import swapped_trader
+from conftest import layered_graph, swapped_trader
 from golden_runs import SPARSE_SKIP_GRAPH
 
 returns_lists = st.lists(
@@ -322,11 +324,16 @@ def window_setup():
 
 
 def window_game_args(market, view, day_indices, rf_daily=0.0):
-    """The episodes and the Sharpe value of the window game on ``day_indices``,
-    as ``run_backtest`` hands them to ``evaluate_window``."""
+    """The episodes, the position score and the Sharpe value of the window
+    game on ``day_indices``, as ``run_backtest`` hands them to
+    ``evaluate_window``."""
     decision_days = day_indices[:-1]
     step_returns = [market.step_return(i) for i in decision_days]
-    return [view.for_day(i) for i in decision_days], sharpe_value(step_returns, rf_daily)
+    return (
+        [view.for_day(i) for i in decision_days],
+        decision_to_position,
+        sharpe_value(step_returns, rf_daily),
+    )
 
 
 def assert_dense_game(g, viable, values):
@@ -355,10 +362,10 @@ def test_evaluate_window_dag_engine_counts(window_setup):
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
     g, market, view, runner, viable = window_setup
-    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
-    first = evaluate_window(g, viable, runner, episodes, value)
+    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    first = evaluate_window(g, viable, runner, episodes, score, value)
     assert len(first.runs) == 4
-    again = evaluate_window(g, viable, runner, episodes, value, reuse=(first, 0))
+    again = evaluate_window(g, viable, runner, episodes, score, value, reuse=(first, 0))
     assert again.attribution.counters.agent_executions == 0
     assert again.attribution.counters.executions_reused == 4 * 73
     assert again.values == first.values
@@ -366,16 +373,18 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
         run.grand_outputs for run in first.runs
     ]
     # A changed trader reruns its 49 tasks on each day.
-    trader = evaluate_window(g, viable, runner, episodes, value, reuse=(first, 1 << g.sink))
+    trader = evaluate_window(
+        g, viable, runner, episodes, score, value, reuse=(first, 1 << g.sink)
+    )
     assert trader.attribution.counters.agent_executions == 4 * 49
     with pytest.raises(ValueError, match="another number of episodes"):
-        evaluate_window(g, viable, runner, episodes[:-1], value, reuse=(first, 0))
+        evaluate_window(g, viable, runner, episodes[:-1], score, value, reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
         evaluate_window(
             g, viable, runner, *window_game_args(market, view, [1, 2, 3, 4, 5]), reuse=(first, 0)
         )
     with pytest.raises(ValueError, match="at least one episode"):
-        evaluate_window(g, viable, runner, [], value)
+        evaluate_window(g, viable, runner, [], score, value)
 
 
 def test_evaluate_window_engines_agree(window_setup):
@@ -436,18 +445,22 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(window_
 
 def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
     """A value that gives a subset without a trader -0.0 equals the pruned
-    engine's implied 0.0 by ``==``, but not in sign."""
+    engine's implied 0.0 by ``==``, but not in sign. The replay scores the
+    missing sink output ``None``, and this score keeps it."""
     g, market, view, runner, viable = window_setup
-    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    episodes, _, value = window_game_args(market, view, [0, 1, 2, 3, 4])
 
-    def signed_zero(decisions):
-        return -0.0 if decisions[0] is None else value(decisions)
+    def score(decision):
+        return None if decision is None else decision_to_position(decision)
+
+    def signed_zero(positions):
+        return -0.0 if positions[0] is None else value(positions)
 
     with pytest.raises(
         EnginesDisagree, match=r"^engines disagree on coalition \{\} \(mask 0b0\): "
         r"replay -0\.0, pruned 0\.0$",
     ):
-        evaluate_window(g, viable, runner, episodes, signed_zero, "both")
+        evaluate_window(g, viable, runner, episodes, score, signed_zero, "both")
 
 
 def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_setup):
@@ -455,13 +468,13 @@ def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_
     the pruned engine, and the fresh replay shows it; naming the trader as
     changed reruns its tasks and the engines agree."""
     g, market, view, runner, viable = window_setup
-    episodes, value = window_game_args(market, view, [0, 1, 2, 3, 4])
-    first = evaluate_window(g, viable, runner, episodes, value)
+    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    first = evaluate_window(g, viable, runner, episodes, score, value)
     changed = swapped_trader(runner, g.sink)
     with pytest.raises(EnginesDisagree):
-        evaluate_window(g, viable, changed, episodes, value, "both", reuse=(first, 0))
+        evaluate_window(g, viable, changed, episodes, score, value, "both", reuse=(first, 0))
     game = evaluate_window(
-        g, viable, changed, episodes, value, "both", reuse=(first, 1 << g.sink)
+        g, viable, changed, episodes, score, value, "both", reuse=(first, 1 << g.sink)
     )
     assert game.values != first.values
     assert game.attribution.counters.agent_executions == 4 * 49
@@ -478,26 +491,30 @@ def test_evaluate_window_values_each_sink_task_once():
     assert sink_tasks < len(viable)
     market, view = synthesize_market(seed=5, days=8, regime="bull")
     runner = system_runner(build_system(g, seed=5))
-    episodes, value = window_game_args(market, view, [2, 3, 4])
+    episodes, score, value = window_game_args(market, view, [2, 3, 4])
     calls = []
 
-    def counted(decisions):
-        calls.append(decisions)
-        return value(decisions)
+    def counted(positions):
+        calls.append(positions)
+        return value(positions)
 
-    first = evaluate_window(g, viable, runner, episodes, counted)
+    first = evaluate_window(g, viable, runner, episodes, score, counted)
     changed = swapped_trader(runner, g.sink)
-    again = evaluate_window(g, viable, changed, episodes, counted, reuse=(first, 1 << g.sink))
+    again = evaluate_window(
+        g, viable, changed, episodes, score, counted, reuse=(first, 1 << g.sink)
+    )
     assert len(calls) == 2 * sink_tasks
     assert again.values != first.values
     for game, run_agent in ((first, runner), (again, changed)):
         per_mask = [
-            value([replay_coalition(g, mask, run_agent, e).sink_output for e in episodes])
+            value([
+                score(replay_coalition(g, mask, run_agent, e).sink_output) for e in episodes
+            ])
             for mask in viable
         ]
         assert_dense_game(g, viable, game.values)
         assert [game.values[mask].hex() for mask in viable] == [v.hex() for v in per_mask]
-        evaluate_window(g, viable, run_agent, episodes, value, "both", reuse=(game, 0))
+        evaluate_window(g, viable, run_agent, episodes, score, value, "both", reuse=(game, 0))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 7))
@@ -536,6 +553,34 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
         # replay's value at every mask, 0.0 off the viable ones.
         assert game.values[mask] == own
     assert len(calls) == len(set(calls)) == len(vectors) < 1 << g.n
+
+
+def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
+    """A game keeps each sink output's score, not the output: on fully
+    connected 5-5-5-1 (29,791 sink tasks) ``evaluate_window`` retains at
+    most 2.5 MiB and peaks at most 3 MiB above its inputs, plan included.
+    Measured on CPython 3.11: 1.93 and 2.16 MiB, where keeping the sink's
+    decisions took 4.87 and 5.10 MiB."""
+    g = layered_graph([5, 5, 5, 1])
+    viable = enumerate_viable(g)
+    plan = live_plan(g, viable)
+    _, view = synthesize_market(seed=3, days=10, regime="bull")
+    runner = system_runner(build_system(g, seed=3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        game = evaluate_window(
+            g, viable, runner, [view.for_day(9)], signed_decision_value,
+            lambda scores: scores[0], plan=plan,
+        )
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    sink_row = game.runs[0].outputs[g.sink]
+    assert len(sink_row) == 29_791
+    assert not any(isinstance(entry, TradeDecision) for entry in sink_row)
+    assert retained <= 2.5 * 2**20
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("engine", ["fast", "exact"])
@@ -671,25 +716,31 @@ def test_backtest_lesson_changes_later_bottleneck(result_30):
 
 def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
     """Each window report's returns, in both passes, are the grand
-    coalition's position on each decision day times that day's step return."""
+    coalition's position on each decision day times that day's step return.
+    The runs keep the sink's position, not its decision, so the decisions
+    come from a fresh replay of the grand coalition with the pass's runner."""
     games = []
     play = backtest.evaluate_window
 
     def recorded(*args, **kwargs):
-        games.append(play(*args, **kwargs))
-        return games[-1]
+        games.append((args, play(*args, **kwargs)))
+        return games[-1][1]
 
     monkeypatch.setattr(backtest, "evaluate_window", recorded)
     result = run_backtest(RunConfig(seed=78, days=15).validate())
-    market, sink = result.market, result.graph.sink
+    g, market = result.graph, result.market
     reports = [rep for pair in zip(result.windows, result.frozen_windows) for rep in pair]
     assert len(games) == len(reports) == 6
-    for game, rep in zip(games, reports):
+    for ((_, _, runner, episodes, *_), game), rep in zip(games, reports):
         days = [market.days.index(d) for d in rep.decision_days]
-        assert len(rep.returns) == len(days) == len(game.runs) == 4
+        assert len(rep.returns) == len(days) == len(game.runs) == len(episodes) == 4
+        positions = [
+            decision_to_position(replay_coalition(g, g.full_mask, runner, e).sink_output)
+            for e in episodes
+        ]
+        assert [run.grand_outputs[g.sink] for run in game.runs] == positions
         assert list(rep.returns) == [
-            decision_to_position(run.grand_outputs[sink]) * market.step_return(i)
-            for run, i in zip(game.runs, days)
+            p * market.step_return(i) for p, i in zip(positions, days)
         ]
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagcredit import backtest
 from dagcredit.agents import (
     BOOST_TOKEN,
     MarketFeatures,
@@ -19,7 +20,7 @@ from dagcredit.agents import (
     system_runner,
 )
 from dagcredit.coalitions import GraphTooLarge, enumerate_viable
-from dagcredit.config import load_graph_file
+from dagcredit.config import RunConfig, load_graph_file
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
@@ -40,7 +41,7 @@ from dagcredit.shapley import (
 
 from conftest import dense_table, layered_graph, prefix_mask, skip_layered_graphs
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
-from oracles import path_exists
+from oracles import exact_shapley, float_phi_bound, path_exists
 
 
 def memo_table(graph, viable, runner):
@@ -110,6 +111,51 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     floats = shapley_exact([float(table[m]) for m in range(1 << n)], n, CostCounters())
     for got, want in zip(floats.values, oracle):
         assert abs(got - float(want)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# float phi against the exact oracle
+
+
+def assert_phi_within_bound(table, n, phi):
+    """Each float of ``phi`` lies within the a priori bound of the exact
+    Shapley value of ``table``."""
+    for got, (want, magnitude) in zip(phi, exact_shapley(table, n), strict=True):
+        assert abs(Fraction(got) - want) <= float_phi_bound(magnitude, got)
+
+
+def test_backtest_phi_is_within_its_bound_of_the_exact_value(monkeypatch):
+    """Every window game of a 60-day reference backtest, both passes."""
+    games = []
+    play = backtest.evaluate_window
+
+    def recorded(*args, **kwargs):
+        games.append(play(*args, **kwargs))
+        return games[-1]
+
+    monkeypatch.setattr(backtest, "evaluate_window", recorded)
+    result = backtest.run_backtest(RunConfig(seed=42, days=60).validate())
+    assert len(games) == 2 * len(result.windows) == 24
+    for game in games:
+        assert_phi_within_bound(game.values, result.graph.n, game.attribution.values)
+
+
+@given(
+    skip_layered_graphs().filter(lambda g: g.n <= 8),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_phi_is_within_its_bound_of_the_exact_value(graph, rng):
+    """Both engines on games of values spread over many binades, zero off
+    the viable masks."""
+    viable = enumerate_viable(graph)
+    table = dense_table(graph.n, (
+        (mask, rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30)]))
+        for mask in viable
+    ))
+    dag = shapley_dag(graph, viable, table, CostCounters())
+    assert dag.values == shapley_exact(table, graph.n, CostCounters()).values
+    assert_phi_within_bound(table, graph.n, dag.values)
 
 
 def all_masks_phi(n, value_of):
