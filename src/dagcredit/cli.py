@@ -31,6 +31,8 @@ failure (an agent that raised, or engines that disagree under ``both``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -147,19 +149,25 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     graph = config_graph(config)
     viable = enumerate_viable(graph)
     total = 1 << graph.n
-    lines = [coalition_names(graph, mask) for mask in viable]
     summary = (
         f"{len(viable)}/{total} viable ({100.0 * (1.0 - len(viable) / total):.1f}% pruned)"
     )
-    for line in lines:
-        print(line)
-    print(summary)
-    if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "coalitions.txt").write_text(
-            "\n".join(lines + [summary]) + "\n", encoding="utf-8"
-        )
+    # Each line is written as it is named, so no list of lines is held: the
+    # wide graph has 239,367 of them.
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout]
+        if config.out_dir:
+            out = Path(config.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            sinks.append(stack.enter_context(
+                (out / "coalitions.txt").open("w", encoding="utf-8")
+            ))
+        for line in itertools.chain(
+            (coalition_names(graph, mask) for mask in viable), [summary]
+        ):
+            line += "\n"
+            for sink in sinks:
+                sink.write(line)
     return 0
 
 

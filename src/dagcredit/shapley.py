@@ -29,6 +29,9 @@ the coalition. Every distinct (agent, live key) pair is one task per episode;
 ``predicted_cost`` counts them without running an agent. Both take the live
 keys from per-agent tables over every configuration of the agent's
 ancestors' indices, built from whole byte runs of the predecessors' tables.
+The plan keeps each agent's task under every configuration of its table; a
+task reads a predecessor's output at the configuration its own live key
+gives, so the plan stores nothing per task beyond its key.
 Handed an earlier run on the same external data and the mask of the agents
 whose prompts have changed since, a task whose agent and live key hold none
 of them takes the earlier run's output instead of running the agent again.
@@ -248,20 +251,25 @@ class LivePlan:
 
     A task is an agent under one of its live keys. ``keys`` lists each
     agent's live keys in increasing order, one task each, as an
-    ``array("I")``. ``inputs`` gives, per agent and per direct predecessor,
-    the predecessor's task under each of the agent's tasks, or -1 where the
-    predecessor is outside it, as an ``array("i")``. ``sink_tasks`` is the
-    sink's task of each mask of ``viable``, in order, packed the same way;
-    ``grand_tasks`` each agent's task in the grand coalition, or None when
-    the grand coalition is not viable. ``upstream_reads`` is the number of
-    predecessor outputs the tasks read. Packed, a key or task index costs 4
-    bytes, where a list would hold an int object of about 36 bytes.
+    ``array("I")``. ``task_tables`` gives, per agent with successors, its
+    task under each configuration of its live-key table (see
+    ``_live_keys``), or -1 where no viable mask gives that live key, as an
+    ``array("i")``; it is empty for an agent without successors. A task of
+    live key K reads, for each predecessor p in K, p's task
+    ``task_tables[p][K & len(task_tables[p]) - 1]``: p has the same live key
+    under K as under any coalition where K is the task's live key.
+    ``sink_tasks`` is the sink's task of each mask of ``viable``, in order,
+    packed the same way; ``grand_tasks`` each agent's task in the grand
+    coalition, or None when the grand coalition is not viable.
+    ``upstream_reads`` is the number of predecessor outputs the tasks read.
+    Packed, a key or task index costs 4 bytes, where a list would hold an
+    int object of about 36 bytes.
     """
 
     graph: WorkflowGraph
     viable: Sequence[int]
     keys: tuple[array, ...]
-    inputs: tuple[tuple[tuple[int, array], ...], ...]
+    task_tables: tuple[array, ...]
     sink_tasks: array
     grand_tasks: tuple[int, ...] | None
     upstream_reads: int
@@ -331,7 +339,12 @@ def _live_keys(
         for b in reversed(range(len(table).bit_length() - 1, n)):
             run = 1 << b
             held = held >> run | held & (1 << run) - 1
-        keys.append(array(_KEY, sorted(set(compress(table, lane_flags(held))))))
+        # A live key is a subset of its configuration's bits, so it is below
+        # len(table): marking one byte per key dedupes them in key order.
+        seen = bytearray(len(table))
+        for key in compress(table, lane_flags(held)):
+            seen[key] = 1
+        keys.append(array(_KEY, compress(range(len(table)), seen)))
     return tables, keys
 
 
@@ -352,23 +365,12 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
             by_key[key] = task
         task_of.append(by_key)
     # Per agent with successors, its task under each configuration of its
-    # table, or -1 where no viable mask gives that live key.
-    tasks = [
-        array(_TASK, map(task_of[a].__getitem__, table)) if graph.succs[a] else None
+    # table, or -1 where no viable mask gives that live key; empty for an
+    # agent without successors, as no task reads it.
+    task_tables = tuple(
+        array(_TASK, map(task_of[a].__getitem__, table) if graph.succs[a] else ())
         for a, table in enumerate(tables)
-    ]
-    inputs = []
-    for agent in range(graph.n):
-        # A predecessor p in live key K has the same live key under K as
-        # under any configuration with live key K: the members with a path
-        # to p inside the coalition are all in K.
-        columns = []
-        for p in graph.preds[agent]:
-            bit, last, p_tasks = 1 << p, len(tables[p]) - 1, tasks[p]
-            columns.append((p, array(_TASK, [
-                p_tasks[key & last] if key & bit else -1 for key in keys[agent]
-            ])))
-        inputs.append(tuple(columns))
+    )
     sink_table, sink_task = tables[graph.sink], task_of[graph.sink]
     sink_last = len(sink_table) - 1
     # Packed as they come: a list would hold an int object per viable mask.
@@ -379,11 +381,13 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
         if full in viable
         else None
     )
-    upstream_reads = sum(
-        len(col) - col.count(-1) for agent_inputs in inputs for _, col in agent_inputs
-    )
+    # A task reads each predecessor in its live key.
+    upstream_reads = 0
+    for agent, agent_keys in enumerate(keys):
+        preds = sum(1 << p for p in graph.preds[agent])
+        upstream_reads += sum(map(int.bit_count, map(preds.__and__, agent_keys)))
     return LivePlan(
-        graph, viable, tuple(keys), tuple(inputs), sink_tasks, grand_tasks, upstream_reads
+        graph, viable, tuple(keys), task_tables, sink_tasks, grand_tasks, upstream_reads
     )
 
 
@@ -443,15 +447,16 @@ def layered_run(
         done = earlier.outputs
     # Per agent, its output under each of its tasks.
     outputs: list[list[Any]] = [[] for _ in range(graph.n)]
+    # Per agent with successors, its output under each configuration of its
+    # table: what a successor's task reads at its live key's configuration.
+    by_config: list[list[Any]] = [[] for _ in range(graph.n)]
     executions = 0
 
     for agent in range(graph.n):
         # The earlier outputs when this agent's prompt is unchanged; a task
         # reuses its own when its live key is unchanged too.
         kept = done[agent] if done is not None and not changed >> agent & 1 else None
-        # Per predecessor, its outputs and its task under each of this
-        # agent's tasks.
-        inputs = [(p, outputs[p], col) for p, col in plan.inputs[agent]]
+        inputs = [(p, 1 << p, len(by_config[p]) - 1, by_config[p]) for p in graph.preds[agent]]
         # Sources are the agents without predecessors.
         data = None if inputs else external
         row = outputs[agent]
@@ -459,7 +464,7 @@ def layered_run(
             if kept is not None and not key & changed:
                 row.append(kept[task])
                 continue
-            upstream = {p: outs[t] for p, outs, col in inputs if (t := col[task]) >= 0}
+            upstream = {p: outs[key & last] for p, bit, last, outs in inputs if key & bit}
             try:
                 row.append(run_agent(agent, upstream, data))
             except Exception as exc:
@@ -467,6 +472,11 @@ def layered_run(
                     f"agent {graph.names[agent]} failed under live key {bin(key)}"
                 ) from exc
             executions += 1
+        # A configuration without a task (-1) reads the row's last output,
+        # which no task's live key selects; an agent without tasks has an
+        # empty row, and no live key holds it.
+        if row:
+            by_config[agent] = list(map(row.__getitem__, plan.task_tables[agent]))
 
     grand_outputs = (
         {}

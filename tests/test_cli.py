@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: output shapes, exit codes, reports."""
 
 import argparse
+import contextlib
 import dataclasses
 import filecmp
 import json
+import tracemalloc
 
 import pytest
 
@@ -196,6 +198,31 @@ def test_coalitions_writes_report(capsys, tmp_path):
     assert code == 0
     text = (out_dir / "coalitions.txt").read_text(encoding="utf-8")
     assert text.strip() == out.strip()
+
+
+def test_coalitions_streams_its_lines(tmp_path):
+    """Fully connected 5-5-5-1 lists 29,791 viable coalitions. Writing each
+    line as it is named peaks at most 1 MiB above the call's start: measured
+    0.38 MiB, where holding every line and their join peaked at 5.5 MiB."""
+    layers = [[f"L{i}A{j}" for j in range(size)] for i, size in enumerate([5, 5, 5, 1])]
+    edges = [[a, b] for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower]
+    path = graph_file(tmp_path, {"layers": layers, "edges": edges})
+    out_dir, stdout = tmp_path / "rep", tmp_path / "stdout.txt"
+    with stdout.open("w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(["coalitions", path, "--out", str(out_dir)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    text = stdout.read_text(encoding="utf-8")
+    assert (out_dir / "coalitions.txt").read_text(encoding="utf-8") == text
+    lines = text.splitlines()
+    assert len(lines) == 29_792
+    assert lines[-1] == "29791/65536 viable (54.5% pruned)"
+    assert peak <= 2**20
 
 
 # ---------------------------------------------------------------------------
