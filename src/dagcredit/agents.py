@@ -12,8 +12,8 @@ import enum
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, NamedTuple
 
 from .graph import WorkflowGraph
 
@@ -114,24 +114,20 @@ class Decision(enum.Enum):
     SELL = "sell"
 
 
-@dataclass(frozen=True)
-class AnalystSignal:
+class AnalystSignal(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class OutlookScore:
+class OutlookScore(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class TradeDecision:
+class TradeDecision(NamedTuple):
     action: Decision
     confidence: float
 
 
-@dataclass(frozen=True)
-class MarketFeatures:
+class MarketFeatures(NamedTuple):
     """External data visible to source agents for a single trading day.
 
     ``closes`` is the trailing close-price window ending at the current day.
@@ -171,7 +167,11 @@ def _hash_unit(key: str) -> float:
 
 @dataclass(frozen=True)
 class MockExecutor:
-    """Base for deterministic mocks; concrete roles override ``__call__``."""
+    """Base for deterministic mocks; concrete roles override ``__call__``.
+
+    Subclasses add no field, so they inherit the generated methods: equality
+    checks the class, and the repr names it.
+    """
 
     name: str
     seed: int
@@ -207,14 +207,12 @@ def _sum_score(upstream: Mapping[int, Any]) -> float:
     return math.fsum([out.score for out in upstream.values()])
 
 
-@dataclass(frozen=True)
 class NewsAnalystMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
         return AnalystSignal(_clamp(g * external.sentiment))
 
 
-@dataclass(frozen=True)
 class TechnicalAnalystMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
@@ -229,14 +227,12 @@ class TechnicalAnalystMock(MockExecutor):
         return AnalystSignal(_clamp(g * spread / SPREAD_SCALE))
 
 
-@dataclass(frozen=True)
 class FundamentalAnalystMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         g = self.gain(prompt)
         return AnalystSignal(_clamp(g * external.fundamental))
 
 
-@dataclass(frozen=True)
 class BullishOutlookMock(MockExecutor):
     """Passes through only the upside of the aggregate analyst view."""
 
@@ -245,7 +241,6 @@ class BullishOutlookMock(MockExecutor):
         return OutlookScore(_clamp(max(0.0, g * _mean_score(upstream)), 0.0, 1.0))
 
 
-@dataclass(frozen=True)
 class BearishOutlookMock(MockExecutor):
     """Passes through only the downside of the aggregate analyst view."""
 
@@ -254,7 +249,6 @@ class BearishOutlookMock(MockExecutor):
         return OutlookScore(_clamp(min(0.0, g * _mean_score(upstream)), -1.0, 0.0))
 
 
-@dataclass(frozen=True)
 class NeutralOutlookMock(MockExecutor):
     """Mean of the analyst view damped toward zero by its own sensitivity."""
 
@@ -273,13 +267,11 @@ def _decide(total: float) -> TradeDecision:
     return TradeDecision(action, confidence=min(1.0, abs(total)))
 
 
-@dataclass(frozen=True)
 class TraderMock(MockExecutor):
     def __call__(self, prompt, upstream, external):
         return _decide(self.gain(prompt) * _sum_score(upstream))
 
 
-@dataclass(frozen=True)
 class SoloTraderMock(MockExecutor):
     """Degenerate single-agent system: decides straight from market data."""
 
@@ -299,8 +291,7 @@ _EXECUTOR_BY_ROLE = {
 }
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     """Everything needed to run one agent: identity, role, prompt, executor."""
 
     index: int

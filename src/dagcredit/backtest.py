@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from functools import cached_property, reduce
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .agents import (
     DECISION_SIGN,
@@ -106,8 +106,7 @@ class EnginesDisagree(RuntimeError):
 # market data
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(NamedTuple):
     day: date
     open: float
     high: float
@@ -144,8 +143,7 @@ class MarketSeries:
 LOOKBACK_DAYS = 10
 
 
-@dataclass(frozen=True)
-class FeatureView:
+class FeatureView(NamedTuple):
     """Per-day external data for source agents, aligned with the market days."""
 
     sentiment: tuple[float, ...]
@@ -452,8 +450,7 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
     return windows
 
 
-@dataclass
-class WindowGame:
+class WindowGame(NamedTuple):
     """One game over a set of episodes: the value of every subset, the run
     of each episode and the pruned engine's attribution. ``values`` is a
     list of ``2**n`` floats indexed by mask, each viable mask's value and
@@ -631,8 +628,7 @@ def sma_positions(closes: Sequence[float], fast: int = 20, slow: int = 50) -> li
 # full run
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     index: int
     start: date
     end: date
@@ -644,8 +640,7 @@ class WindowReport:
     exact_diff: float | None
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(NamedTuple):
     name: str
     returns: tuple[float, ...]
     total_return: float
@@ -653,8 +648,7 @@ class StrategyReport:
     max_drawdown: float
 
 
-@dataclass
-class BacktestResult:
+class BacktestResult(NamedTuple):
     graph: WorkflowGraph
     config: RunConfig
     market: MarketSeries

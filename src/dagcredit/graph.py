@@ -8,8 +8,7 @@ ones allowed to read external data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphValidationError(Exception):
@@ -32,16 +31,14 @@ class LayerPartitionInvalid(GraphValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(NamedTuple):
     """An agent identity: dense index plus a unique display name."""
 
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class WorkflowGraph:
+class WorkflowGraph(NamedTuple):
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
     ``layers`` holds agent indices per layer in declaration order. Derived

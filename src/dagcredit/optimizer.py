@@ -11,9 +11,8 @@ to a retention cap); base text never changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .agents import AgentSpec, BOOST_TOKEN, DAMP_TOKEN, PromptState
 from .graph import WorkflowGraph
@@ -27,8 +26,7 @@ class WindowTooShort(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LessonSet:
+class LessonSet(NamedTuple):
     cycle: int
     target: int
     text_blocks: tuple[str, ...]
@@ -93,8 +91,7 @@ def append_lessons(
     )
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Everything one optimization cycle decided, for reporting and replay."""
 
     cycle: int
@@ -139,7 +136,7 @@ def run_cycle(
         failures = sum(1 for r in rewards if r < 0)
         lesson = LessonSet(cycle_index, target, blocks, failures, len(rewards) - failures)
         new_prompt = append_lessons(specs[target].prompt, lesson.text_blocks, lesson_cap)
-        new_specs[target] = replace(specs[target], prompt=new_prompt)
+        new_specs[target] = specs[target]._replace(prompt=new_prompt)
     record = CycleRecord(
         cycle=cycle_index,
         start_day=days[0],

@@ -46,7 +46,7 @@ from array import array
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Any
+from typing import Any, NamedTuple
 
 from .coalitions import (
     MASK_TYPECODE, MAX_AGENTS, GraphTooLarge, enumerate_viable, lane_flags, lanes_of,
@@ -97,8 +97,7 @@ class CostCounters:
         )
 
 
-@dataclass(frozen=True)
-class AttributionResult:
+class AttributionResult(NamedTuple):
     """Per-agent Shapley values plus the cost of obtaining them."""
 
     values: tuple[float, ...]
@@ -211,8 +210,7 @@ def shapley_dag(
     )
 
 
-@dataclass(frozen=True)
-class LayeredRunResult:
+class LayeredRunResult(NamedTuple):
     """One episode of memoized execution across all viable coalitions.
 
     ``outputs`` holds, per agent, what the runner returned under each of
@@ -245,8 +243,7 @@ class LayeredRunResult:
         return list(map(self.outputs[self.plan.graph.sink].__getitem__, self.plan.sink_tasks))
 
 
-@dataclass(frozen=True)
-class LivePlan:
+class LivePlan(NamedTuple):
     """The tasks of one episode on a graph's viable masks, from masks alone.
 
     A task is an agent under one of its live keys. ``keys`` lists each
@@ -491,8 +488,7 @@ def layered_run(
     return LayeredRunResult(plan, external, outputs, counters, grand_outputs)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     outputs: dict[int, Any]
     sink_output: Any
     executions: int
@@ -525,8 +521,7 @@ def replay_coalition(
     return ReplayResult(outputs, outputs.get(graph.sink), len(outputs))
 
 
-@dataclass(frozen=True)
-class PredictedCost:
+class PredictedCost(NamedTuple):
     """Task counts of one episode on a graph: its runner calls without
     ``reuse``, which reuse can only lower."""
 

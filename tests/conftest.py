@@ -1,7 +1,6 @@
 """Shared fixtures: the reference workflow, generic layered graphs, market data."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
@@ -64,7 +63,7 @@ def swapped_trader(runner, sink, every=1):
     def run(agent, upstream, external):
         output = runner(agent, upstream, external)
         if agent == sink and next(calls) % every == 0:
-            output = replace(output, action=swap.get(output.action, output.action))
+            output = output._replace(action=swap.get(output.action, output.action))
         return output
 
     return run

@@ -8,7 +8,6 @@ import filecmp
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,9 +212,9 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
         tuned, frozen = result.windows[w], result.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0
         assert frozen.attribution.counters.executions_reused == 4 * 73
-        same_cost = replace(frozen.attribution, counters=tuned.attribution.counters)
+        same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
         assert _window_report_text(g, tuned) == _window_report_text(
-            g, replace(frozen, attribution=same_cost)
+            g, frozen._replace(attribution=same_cost)
         )
 
     # (d) reruns are byte-identical on disk

@@ -73,7 +73,7 @@ def test_each_prompt_state_renders_once():
         fresh = LESSON_DELIMITER.join((prompt.base_text, *blocks))
         assert first == fresh and first is not fresh
 
-        tuned = dataclasses.replace(spec, prompt=prompt)
+        tuned = spec._replace(prompt=prompt)
         upstream = upstream_by_layer[g.layer_of[spec.index]]
         external = FEATURES if spec.is_source else None
         outputs = [execute_agent(tuned, upstream, external) for _ in range(3)]

@@ -5,7 +5,6 @@ import math
 import statistics
 import sys
 import tracemalloc
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -668,9 +667,9 @@ def test_backtest_passes_agree_until_first_trigger(result_30):
     for w in range(first + 1):
         tuned, frozen = result_30.windows[w], result_30.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0
-        same_cost = replace(frozen.attribution, counters=tuned.attribution.counters)
+        same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
         assert _window_report_text(g, tuned) == _window_report_text(
-            g, replace(frozen, attribution=same_cost)
+            g, frozen._replace(attribution=same_cost)
         )
 
 

@@ -1,6 +1,5 @@
 """Attribution engines, memoized execution, cost model, and axiom properties."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -788,7 +787,7 @@ def with_lessons(specs, changed):
     """``specs`` with a lesson appended to the prompt of each agent in the
     mask ``changed``."""
     return {
-        a: dataclasses.replace(spec, prompt=append_lessons(spec.prompt, [BOOST_TOKEN]))
+        a: spec._replace(prompt=append_lessons(spec.prompt, [BOOST_TOKEN]))
         if changed >> a & 1
         else spec
         for a, spec in specs.items()
