@@ -52,7 +52,7 @@ from .shapley import (
     CostCounters,
     classical_cost,
     format_attribution,
-    format_attribution_table,
+    format_replay_check,
     layered_run,
     live_plan,
     predicted_cost,

@@ -457,16 +457,15 @@ class WindowGame(NamedTuple):
     0.0 at every other mask: 8 bytes a subset, less than a dict of the
     viable masks once about 18% of the masks are viable. Each run's sink
     row holds the ``score`` of each sink output, not the output itself, and
-    its other rows hold the agents' outputs. ``exact`` holds the classical
-    replay's value of every subset, indexed the same way, and its
-    attribution, and is set only under engine ``both``; each of those values
-    is then the pruned engine's, bit for bit, or ``evaluate_window`` would
-    have raised."""
+    its other rows hold the agents' outputs. ``exact`` is the classical
+    replay's attribution, set only under engine ``both``; the replay's value
+    of every subset, and its contributions, are then the pruned engine's,
+    bit for bit, or ``evaluate_window`` would have raised."""
 
     values: list[float]
     runs: list[LayeredRunResult]
     attribution: AttributionResult
-    exact: tuple[list[float], AttributionResult] | None
+    exact: AttributionResult | None
 
 
 def evaluate_window(
@@ -512,7 +511,9 @@ def evaluate_window(
     the sign of zero; the first subset where it does not raises
     EnginesDisagree. As the replay runs every agent afresh, this
     checks the pruned engine, that the agents are deterministic and, in a
-    game with ``reuse``, that the reused outputs are still current.
+    game with ``reuse``, that the reused outputs are still current. The
+    replay's contributions must then equal the pruned engine's the same
+    way, or EnginesDisagree is raised too.
     """
     if engine not in ("dag", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -559,13 +560,24 @@ def evaluate_window(
             replay_counters.agent_executions += sum(r.executions for r in replays)
             replay_values.append(value([score(r.sink_output) for r in replays]))
         for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
-            if replayed != pruned or math.copysign(1.0, replayed) != math.copysign(1.0, pruned):
+            if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
-        exact = (replay_values, shapley_exact(replay_values, graph.n, replay_counters))
+        exact = shapley_exact(replay_values, graph.n, replay_counters)
+        for name, replayed, pruned in zip(graph.names, exact.values, attribution.values):
+            if not _same_float(replayed, pruned):
+                raise EnginesDisagree(
+                    f"engines disagree on the contribution of {name}: "
+                    f"replay {replayed!r}, pruned {pruned!r}"
+                )
     return WindowGame(table, runs, attribution, exact)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """``a == b``, with zeros of different sign told apart."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def sharpe_value(
@@ -632,7 +644,6 @@ class WindowReport(NamedTuple):
     index: int
     start: date
     end: date
-    decision_days: tuple[date, ...]
     returns: tuple[float, ...]
     window_sharpe: float
     attribution: AttributionResult
@@ -716,35 +727,35 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         value: Callable[[Sequence[int]], float],
         reuse: tuple[WindowGame, int] | None = None,
     ) -> tuple[WindowGame, WindowReport]:
-        decision_days = day_idx[:-1]
         game = evaluate_window(
             graph,
             viable,
             system_runner(specs),
-            [features.for_day(i) for i in decision_days],
+            [features.for_day(i) for i in day_idx[:-1]],
             decision_to_position,
             value,
             config.engine,
             plan=plan,
             reuse=reuse,
         )
-        # The grand coalition's sink score is its position.
-        rewards = [
-            run.grand_outputs[graph.sink] * r for run, r in zip(game.runs, step_returns)
-        ]
+        # The grand coalition's sink score is its position. The viable masks
+        # ascend, and the grand coalition is always viable, so its sink task
+        # is the last.
+        grand = plan.sink_tasks[-1]
+        rewards = [run.outputs[graph.sink][grand] * r for run, r in zip(game.runs, step_returns)]
         exact_diff = None
         if game.exact is not None:
             exact_diff = max(
-                abs(a - b) for a, b in zip(game.attribution.values, game.exact[1].values)
+                abs(a - b) for a, b in zip(game.attribution.values, game.exact.values)
             )
 
         report = WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
             end=market.days[day_idx[-1]],
-            decision_days=tuple(market.days[i] for i in decision_days),
             returns=tuple(rewards),
-            window_sharpe=sharpe(rewards, config.rf_daily),
+            # The grand coalition's value is the Sharpe of the rewards.
+            window_sharpe=game.values[graph.full_mask],
             attribution=game.attribution,
             coalition_values=tuple(
                 (names, game.values[mask]) for names, mask in zip(viable_names, viable)
@@ -777,9 +788,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             graph,
             specs,
             tuned.returns,
-            tuned.decision_days,
-            tuned.attribution,
-            cycle_index=w_index,
+            tuned.attribution.values,
             threshold=config.threshold,
             lesson_cap=config.lesson_cap,
         )
@@ -841,15 +850,15 @@ def _window_report_text(graph: WorkflowGraph, rep: WindowReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cycle_record_json(graph: WorkflowGraph, record: CycleRecord) -> str:
+def _cycle_record_json(graph: WorkflowGraph, window: WindowReport, record: CycleRecord) -> str:
+    """One line of ``cycles.jsonl``: the cycle that ``window`` (the tuned
+    pass's report) ended in, with the window's index, span and attribution."""
     payload = {
-        "cycle": record.cycle,
-        "start": record.start_day.isoformat(),
-        "end": record.end_day.isoformat(),
-        "contributions": {
-            name: record.attribution.values[i] for i, name in enumerate(graph.names)
-        },
-        "cost": asdict(record.attribution.counters),
+        "cycle": window.index,
+        "start": window.start.isoformat(),
+        "end": window.end.isoformat(),
+        "contributions": dict(zip(graph.names, window.attribution.values)),
+        "cost": asdict(window.attribution.counters),
         "bottleneck": graph.names[record.bottleneck] if record.bottleneck is not None else None,
         "triggered": record.triggered,
         "lesson_blocks": list(record.lesson.text_blocks) if record.lesson else [],
@@ -887,8 +896,8 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
             path.write_text(_window_report_text(graph, rep), encoding="utf-8")
 
     with open(out_dir / "cycles.jsonl", "w", encoding="utf-8") as fh:
-        for record in result.cycles:
-            fh.write(_cycle_record_json(graph, record) + "\n")
+        for window, record in zip(result.windows, result.cycles):
+            fh.write(_cycle_record_json(graph, window, record) + "\n")
 
     prompts_dir = out_dir / "prompts"
     prompts_dir.mkdir(exist_ok=True)

@@ -19,9 +19,11 @@ defaults. So every command that takes a graph runs the config file's
 ``graph_file`` unless a flag names another.
 
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
-replays every subset classically, requires each subset's replay value to
-equal the pruned engine's bit for bit, and prints the two attributions side
-by side. A subset where they differ ends the command with exit 3.
+replays every subset classically and requires each subset's replay value,
+and the replay's contributions, to equal the pruned engine's bit for bit.
+``shapley`` then prints the ``dag`` output followed by the replay's cost, the
+execution reduction and the number of subsets that agreed. Engines that
+differ end the command with exit 3.
 
 Exit codes: 0 success, 1 validation or config error (a malformed input
 file included), 2 I/O error or a command-line usage error (such as an
@@ -46,7 +48,7 @@ from .shapley import (
     InvalidSize,
     classical_cost,
     format_attribution,
-    format_attribution_table,
+    format_replay_check,
     predicted_cost,
 )
 
@@ -205,10 +207,9 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         lambda scores: scores[0],
         config.engine,
     )
+    text = format_attribution(graph, game.attribution)
     if game.exact is not None:
-        text = format_attribution_table(graph, game.attribution, game.exact[1])
-    else:
-        text = format_attribution(graph, game.attribution)
+        text += "\n" + format_replay_check(graph, game.attribution, game.exact)
     print(text)
     if config.out_dir:
         out = Path(config.out_dir)

@@ -79,7 +79,8 @@ def masks_of(lanes: int) -> array:
 def enumerate_viable(graph: WorkflowGraph) -> array:
     """Masks of all viable coalitions, ascending, as an
     ``array(MASK_TYPECODE)`` of 4 bytes a mask (a list would hold an int
-    object of about 36 bytes per mask).
+    object of about 36 bytes per mask). Every agent reaches the single
+    sink, so the grand coalition is always viable, and it is the last mask.
 
     All 2**n coalitions are checked at once, one lane each (lane m is mask
     m), so graphs beyond MAX_AGENTS agents are rejected rather than silently

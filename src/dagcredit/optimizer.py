@@ -11,12 +11,10 @@ to a retention cap); base text never changes.
 from __future__ import annotations
 
 import math
-from datetime import date
 from typing import Mapping, NamedTuple, Sequence
 
 from .agents import AgentSpec, BOOST_TOKEN, DAMP_TOKEN, PromptState
 from .graph import WorkflowGraph
-from .shapley import AttributionResult
 
 DEFAULT_THRESHOLD = 0.0
 DEFAULT_LESSON_CAP = 5
@@ -27,8 +25,6 @@ class WindowTooShort(ValueError):
 
 
 class LessonSet(NamedTuple):
-    cycle: int
-    target: int
     text_blocks: tuple[str, ...]
     failure_count: int
     success_count: int
@@ -92,59 +88,46 @@ def append_lessons(
 
 
 class CycleRecord(NamedTuple):
-    """Everything one optimization cycle decided, for reporting and replay."""
+    """What one optimization cycle decided. The window it tuned on (its
+    dates, rewards and attribution) is the window's own report."""
 
-    cycle: int
-    start_day: date
-    end_day: date
-    attribution: AttributionResult
     bottleneck: int | None
-    triggered: bool
     lesson: LessonSet | None
     prompt_versions: tuple[int, ...]
+
+    @property
+    def triggered(self) -> bool:
+        return self.bottleneck is not None
 
 
 def run_cycle(
     graph: WorkflowGraph,
     specs: Mapping[int, AgentSpec],
     rewards: Sequence[float],
-    days: Sequence[date],
-    attribution: AttributionResult,
+    contributions: Sequence[float],
     *,
-    cycle_index: int,
     threshold: float = DEFAULT_THRESHOLD,
     lesson_cap: int | None = DEFAULT_LESSON_CAP,
 ) -> tuple[CycleRecord, dict[int, AgentSpec]]:
     """One full optimization cycle over an already-traded, attributed window.
 
-    ``rewards`` holds the window's reward on each of its decision ``days``,
-    in day order. Stages run in order on the window's Shapley
-    ``attribution``: bottleneck identification, reflection on the rewards,
-    and lesson appending. At most one agent's prompt changes, and only when
-    the bottleneck's contribution is below ``threshold``. Returns the cycle
+    ``rewards`` holds the window's reward on each of its decision days, in
+    day order, and ``contributions`` its per-agent Shapley values. Stages
+    run in order: bottleneck identification, reflection on the rewards, and
+    lesson appending. At most one agent's prompt changes, and only when the
+    bottleneck's contribution is below ``threshold``. Returns the cycle
     record plus the (possibly updated) spec table for the next window.
     """
-    if len(days) < 2:
-        raise WindowTooShort("a cycle window needs at least two trading days")
-    if len(rewards) != len(days):
-        raise ValueError(f"{len(rewards)} rewards for {len(days)} window days")
-    target = identify_bottleneck(attribution.values, threshold)
+    if len(rewards) < 2:
+        raise WindowTooShort("a cycle window needs at least two rewards")
+    target = identify_bottleneck(contributions, threshold)
     new_specs = dict(specs)
     lesson = None
     if target is not None:
         blocks = mock_reflector(graph.names[target], rewards)
         failures = sum(1 for r in rewards if r < 0)
-        lesson = LessonSet(cycle_index, target, blocks, failures, len(rewards) - failures)
+        lesson = LessonSet(blocks, failures, len(rewards) - failures)
         new_prompt = append_lessons(specs[target].prompt, lesson.text_blocks, lesson_cap)
         new_specs[target] = specs[target]._replace(prompt=new_prompt)
-    record = CycleRecord(
-        cycle=cycle_index,
-        start_day=days[0],
-        end_day=days[-1],
-        attribution=attribution,
-        bottleneck=target,
-        triggered=target is not None,
-        lesson=lesson,
-        prompt_versions=tuple(new_specs[i].prompt.version for i in range(graph.n)),
-    )
-    return record, new_specs
+    versions = tuple(new_specs[i].prompt.version for i in range(graph.n))
+    return CycleRecord(target, lesson, versions), new_specs

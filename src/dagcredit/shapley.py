@@ -219,16 +219,13 @@ class LayeredRunResult(NamedTuple):
     holds the score of each sink output. ``cache`` builds a dict of them by
     (agent, live key), one entry per task, and ``sink_outputs`` a list of
     the sink's entry for each viable mask, in the plan's ``viable`` order,
-    each time they are read. ``external`` is the episode's external data;
-    ``grand_outputs`` maps each agent to its entry in the grand coalition,
-    and is empty when the grand coalition is not among the viable masks.
+    each time they are read. ``external`` is the episode's external data.
     """
 
     plan: LivePlan
     external: Any
     outputs: list[list[Any]]
     counters: CostCounters
-    grand_outputs: dict[int, Any]
 
     @property
     def cache(self) -> dict[tuple[int, int], Any]:
@@ -256,11 +253,9 @@ class LivePlan(NamedTuple):
     ``task_tables[p][K & len(task_tables[p]) - 1]``: p has the same live key
     under K as under any coalition where K is the task's live key.
     ``sink_tasks`` is the sink's task of each mask of ``viable``, in order,
-    packed the same way; ``grand_tasks`` each agent's task in the grand
-    coalition, or None when the grand coalition is not viable.
-    ``upstream_reads`` is the number of predecessor outputs the tasks read.
-    Packed, a key or task index costs 4 bytes, where a list would hold an
-    int object of about 36 bytes.
+    packed the same way. ``upstream_reads`` is the number of predecessor
+    outputs the tasks read. Packed, a key or task index costs 4 bytes, where
+    a list would hold an int object of about 36 bytes.
     """
 
     graph: WorkflowGraph
@@ -268,7 +263,6 @@ class LivePlan(NamedTuple):
     keys: tuple[array, ...]
     task_tables: tuple[array, ...]
     sink_tasks: array
-    grand_tasks: tuple[int, ...] | None
     upstream_reads: int
 
     @property
@@ -372,20 +366,12 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
     sink_last = len(sink_table) - 1
     # Packed as they come: a list would hold an int object per viable mask.
     sink_tasks = array(_TASK, (sink_task[sink_table[mask & sink_last]] for mask in viable))
-    full = graph.full_mask
-    grand_tasks = (
-        tuple(task_of[a][table[full & len(table) - 1]] for a, table in enumerate(tables))
-        if full in viable
-        else None
-    )
     # A task reads each predecessor in its live key.
     upstream_reads = 0
     for agent, agent_keys in enumerate(keys):
         preds = sum(1 << p for p in graph.preds[agent])
         upstream_reads += sum(map(int.bit_count, map(preds.__and__, agent_keys)))
-    return LivePlan(
-        graph, viable, tuple(keys), task_tables, sink_tasks, grand_tasks, upstream_reads
-    )
+    return LivePlan(graph, viable, tuple(keys), task_tables, sink_tasks, upstream_reads)
 
 
 def layered_run(
@@ -475,17 +461,12 @@ def layered_run(
         if row:
             by_config[agent] = list(map(row.__getitem__, plan.task_tables[agent]))
 
-    grand_outputs = (
-        {}
-        if plan.grand_tasks is None
-        else {a: outputs[a][task] for a, task in enumerate(plan.grand_tasks)}
-    )
     counters = CostCounters(
         agent_executions=executions,
         cache_hits=plan.upstream_reads + len(viable),
         executions_reused=plan.tasks - executions,
     )
-    return LayeredRunResult(plan, external, outputs, counters, grand_outputs)
+    return LayeredRunResult(plan, external, outputs, counters)
 
 
 class ReplayResult(NamedTuple):
@@ -576,20 +557,16 @@ def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
     return "\n".join(lines)
 
 
-def format_attribution_table(
-    graph: WorkflowGraph, dag: AttributionResult, exact: AttributionResult
+def format_replay_check(
+    graph: WorkflowGraph, dag: AttributionResult, replay: AttributionResult
 ) -> str:
-    """The pruned engine's and the classical replay's attributions side by
-    side, with both cost lines and the execution reduction."""
-    lines = [f"{'agent':<8} {'dag':>16} {'exact':>16} {'|diff|':>12}"]
-    for i, name in enumerate(graph.names):
-        pair = (dag.values[i], exact.values[i])
-        spread = max(pair) - min(pair)
-        lines.append(f"{name:<8} {pair[0]:>+16.10f} {pair[1]:>+16.10f} {spread:>12.3e}")
-    lines.append(f"cost (dag): {_cost_fields(dag.counters)}")
-    lines.append(f"cost (exact): {_cost_fields(exact.counters)}")
-    execs_dag, execs_exact = dag.counters.agent_executions, exact.counters.agent_executions
-    if execs_exact:
-        reduction = 1.0 - execs_dag / execs_exact
-        lines.append(f"execution reduction: {100.0 * reduction:.1f}%")
-    return "\n".join(lines)
+    """What engine ``both`` prints below the pruned engine's attribution:
+    the classical replay's cost line, the execution reduction against it,
+    and that the two engines agreed on every subset."""
+    replayed = replay.counters
+    reduction = 1.0 - dag.counters.agent_executions / replayed.agent_executions
+    return "\n".join([
+        f"cost (replay): {_cost_fields(replayed)}",
+        f"execution reduction: {100.0 * reduction:.1f}%",
+        f"all 2^{graph.n} = {1 << graph.n} subsets agreed",
+    ])

@@ -38,6 +38,18 @@ def prefix_mask(graph, layer):
     return sum(1 << a for row in graph.layers[:layer] for a in row)
 
 
+def grand_outputs(graph, run):
+    """Each agent's entry in a layered run under the grand coalition, by
+    agent: the task of its live key there, which holds every agent with a
+    path to it."""
+    keys = []
+    for agent in range(graph.n):
+        keys.append(0)
+        for p in graph.preds[agent]:
+            keys[agent] |= 1 << p | keys[p]
+    return {a: run.outputs[a][run.plan.keys[a].index(key)] for a, key in enumerate(keys)}
+
+
 @st.composite
 def skip_layered_graphs(draw):
     """Layered graphs of up to ten agents whose edges may skip layers; a

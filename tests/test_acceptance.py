@@ -207,7 +207,7 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
 
     # (c) frozen and tuned passes agree through the first triggered window,
     # where the frozen pass takes every output from the tuned pass's runs
-    first = next(c.cycle for c in result.cycles if c.triggered)
+    first = next(i for i, c in enumerate(result.cycles) if c.triggered)
     for w in range(first + 1):
         tuned, frozen = result.windows[w], result.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0

@@ -58,7 +58,7 @@ from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import live_plan, replay_coalition, shapley_dag, shapley_exact
 
-from conftest import layered_graph, swapped_trader
+from conftest import grand_outputs, layered_graph, swapped_trader
 from golden_runs import SPARSE_SKIP_GRAPH
 
 returns_lists = st.lists(
@@ -368,8 +368,8 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
     assert again.attribution.counters.agent_executions == 0
     assert again.attribution.counters.executions_reused == 4 * 73
     assert again.values == first.values
-    assert [run.grand_outputs for run in again.runs] == [
-        run.grand_outputs for run in first.runs
+    assert [grand_outputs(g, run) for run in again.runs] == [
+        grand_outputs(g, run) for run in first.runs
     ]
     # A changed trader reruns its 49 tasks on each day.
     trader = evaluate_window(
@@ -391,26 +391,27 @@ def test_evaluate_window_engines_agree(window_setup):
     game = evaluate_window(
         g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
     )
-    replay_values, classical = game.exact
+    classical = game.exact
     assert_dense_game(g, viable, game.values)
-    assert type(replay_values) is list and len(replay_values) == 1 << g.n
-    for mask in viable:
-        assert game.values[mask] == replay_values[mask]
+    # Engine ``both`` raised nothing, so the replay valued every subset as
+    # the pruned table does, and its contributions are the pruned engine's.
     assert classical.counters.coalition_evaluations == 128
     assert classical.counters.agent_executions == 4 * 448
-    assert classical == shapley_exact(replay_values, g.n, classical.counters)
+    assert classical == shapley_exact(game.values, g.n, classical.counters)
+    assert classical.values == game.attribution.values
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     g, market, view, runner, viable = window_setup
-    game = evaluate_window(
-        g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
-    )
+    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    game = evaluate_window(g, viable, runner, episodes, score, value, engine="both")
     viable_masks = set(viable)
-    replay_values, _ = game.exact
-    for mask, value in enumerate(replay_values):
+    for mask in range(1 << g.n):
         if mask not in viable_masks:
-            assert value == 0.0
+            # The replay's value of the subset, as engine ``both`` takes it.
+            replays = [replay_coalition(g, mask, runner, e) for e in episodes]
+            assert value([score(r.sink_output) for r in replays]) == 0.0
+            assert game.values[mask] == 0.0
 
 
 def test_evaluate_window_both_rejects_a_runner_whose_outputs_change(window_setup):
@@ -460,6 +461,33 @@ def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
         r"replay -0\.0, pruned 0\.0$",
     ):
         evaluate_window(g, viable, runner, episodes, score, signed_zero, "both")
+
+
+def test_evaluate_window_both_rejects_contributions_one_ulp_apart(
+    window_setup, monkeypatch, capsys
+):
+    """Where every subset's replay value agrees, the replay's contributions
+    must still equal the pruned engine's bit for bit: one ulp off on one
+    agent raises, and the ``shapley`` command exits 3."""
+    g, market, view, runner, viable = window_setup
+    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+    exact = backtest.shapley_exact
+
+    def one_ulp_off(table, n, counters):
+        result = exact(table, n, counters)
+        values = list(result.values)
+        values[0] = math.nextafter(values[0], math.inf)
+        return result._replace(values=tuple(values))
+
+    monkeypatch.setattr(backtest, "shapley_exact", one_ulp_off)
+    with pytest.raises(
+        EnginesDisagree, match=r"^engines disagree on the contribution of NAA: replay "
+    ):
+        evaluate_window(g, viable, runner, *args, "both")
+    assert main(["shapley", "--engine", "both"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: engines disagree on the contribution of NAA: ")
+    assert main(["shapley", "--engine", "dag"]) == 0
 
 
 def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_setup):
@@ -547,7 +575,6 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
             decision_to_position(d) * market.step_return(i)
             for d, i in zip(decisions, days[:-1])
         ])
-        assert game.exact[0][mask] == own
         # Engine ``both`` raised nothing, so the pruned table holds the
         # replay's value at every mask, 0.0 off the viable ones.
         assert game.values[mask] == own
@@ -663,7 +690,7 @@ def test_backtest_passes_agree_until_first_trigger(result_30):
     """Until a prompt changes, the passes report the same window, and the
     frozen pass takes every output from the tuned pass's runs."""
     g = result_30.graph
-    first = next(c.cycle for c in result_30.cycles if c.triggered)
+    first = next(i for i, c in enumerate(result_30.cycles) if c.triggered)
     for w in range(first + 1):
         tuned, frozen = result_30.windows[w], result_30.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0
@@ -731,13 +758,14 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
     reports = [rep for pair in zip(result.windows, result.frozen_windows) for rep in pair]
     assert len(games) == len(reports) == 6
     for ((_, _, runner, episodes, *_), game), rep in zip(games, reports):
-        days = [market.days.index(d) for d in rep.decision_days]
+        # A window's decision days are all its days but the last.
+        days = list(range(market.days.index(rep.start), market.days.index(rep.end)))
         assert len(rep.returns) == len(days) == len(game.runs) == len(episodes) == 4
         positions = [
             decision_to_position(replay_coalition(g, g.full_mask, runner, e).sink_output)
             for e in episodes
         ]
-        assert [run.grand_outputs[g.sink] for run in game.runs] == positions
+        assert [grand_outputs(g, run)[g.sink] for run in game.runs] == positions
         assert list(rep.returns) == [
             p * market.step_return(i) for p, i in zip(positions, days)
         ]
@@ -756,13 +784,25 @@ def test_backtest_is_deterministic():
 def test_backtest_baselines_share_decision_days(result_30):
     market = result_30.market
     decision_indices = [
-        market.days.index(d) for w in result_30.windows for d in w.decision_days
+        i
+        for w in result_30.windows
+        for i in range(market.days.index(w.start), market.days.index(w.end))
     ]
     buy_hold = next(
         s for s in result_30.strategies if s.name == STRATEGY_BUY_HOLD
     )
     expected = tuple(market.step_return(i) for i in decision_indices)
     assert buy_hold.returns == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("rf_daily", [0.0, 0.0001])
+def test_window_sharpe_is_the_sharpe_of_the_window_returns(rf_daily):
+    """A window's Sharpe is its grand coalition's game value. The Sharpe of
+    the window's returns, as the report once computed it, is the oracle."""
+    result = run_backtest(RunConfig(seed=78, days=30, rf_daily=rf_daily).validate())
+    assert any(c.triggered for c in result.cycles)
+    for rep in result.windows + result.frozen_windows:
+        assert rep.window_sharpe.hex() == sharpe(rep.returns, rf_daily).hex()
 
 
 def test_backtest_engine_both_reports_exact_diff():
@@ -849,7 +889,7 @@ def test_prompts_dir_calibration_token_changes_that_agents_outputs(monkeypatch, 
         """Each agent's grand-coalition outputs over the first tuned window."""
         games.clear()
         result = run_backtest(config.validate())
-        return result.graph, [run.grand_outputs for run in games[0].runs]
+        return result.graph, [grand_outputs(result.graph, run) for run in games[0].runs]
 
     g, plain = first_tuned_outputs(RunConfig(seed=78, days=15))
     _, damped = first_tuned_outputs(RunConfig(seed=78, days=15, prompts_dir=str(prompts)))

@@ -1,7 +1,5 @@
 """Bottleneck identification, reflection, lesson appending, full cycles."""
 
-from datetime import date, timedelta
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,8 +21,6 @@ from dagcredit.optimizer import (
 )
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import CostCounters, shapley_dag
-
-DAY0 = date(2024, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +150,27 @@ def test_append_lessons_never_exceeds_cap(cap, extra):
 
 
 def cycle_fixture(value_of):
-    """Graph, specs, daily rewards, window days and the attribution of the
-    game worth ``value_of(mask)`` at each viable mask and 0.0 elsewhere,
-    driving a synthetic cycle."""
+    """Graph, specs, daily rewards and the contributions of the game worth
+    ``value_of(mask)`` at each viable mask and 0.0 elsewhere, driving a
+    synthetic cycle."""
     g = reference_graph()
     specs = build_system(g, seed=42)
     rewards = [-0.01, 0.02, -0.03, 0.01]
-    days = [DAY0 + timedelta(days=i) for i in range(len(rewards))]
     viable = enumerate_viable(g)
     table = [0.0] * (1 << g.n)
     for mask in viable:
         table[mask] = value_of(mask)
     attribution = shapley_dag(g, viable, table, CostCounters())
-    return g, specs, rewards, days, attribution
+    return g, specs, rewards, attribution.values
 
 
 def test_run_cycle_triggered_updates_exactly_one_prompt():
     # v({i in S}) favors nothing; full-coalition value below zero pins the
     # minimum on a specific agent through the marginals.
-    g, specs, rewards, days, attribution = cycle_fixture(
+    g, specs, rewards, contributions = cycle_fixture(
         lambda mask: -0.5 if mask >> 1 & 1 else 0.1
     )
-    record_, updated = run_cycle(
-        g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
-    )
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
     assert record_.triggered
     assert record_.bottleneck == 1
     assert record_.lesson is not None
@@ -189,15 +182,12 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
 
 
 def test_reflect_packages_lesson_set():
-    g, specs, rewards, days, attribution = cycle_fixture(
+    g, specs, rewards, contributions = cycle_fixture(
         lambda mask: -0.5 if mask >> 1 & 1 else 0.1
     )
-    record_, updated = run_cycle(
-        g, specs, rewards, days, attribution, cycle_index=3, threshold=0.0
-    )
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
     lesson = record_.lesson
-    assert lesson.cycle == 3
-    assert lesson.target == 1
+    assert record_.bottleneck == 1
     assert lesson.failure_count == 2
     assert lesson.success_count == 2
     assert lesson.text_blocks == mock_reflector(g.names[1], rewards)
@@ -206,10 +196,8 @@ def test_reflect_packages_lesson_set():
 
 
 def test_run_cycle_untriggered_changes_nothing():
-    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
-    record_, updated = run_cycle(
-        g, specs, rewards, days, attribution, cycle_index=0, threshold=0.0
-    )
+    g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.0)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
     assert not record_.triggered
     assert record_.bottleneck is None
     assert record_.lesson is None
@@ -218,33 +206,16 @@ def test_run_cycle_untriggered_changes_nothing():
 
 
 def test_run_cycle_threshold_gates_triggering():
-    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.07)
-    low, _ = run_cycle(
-        g, specs, rewards, days, attribution, cycle_index=0, threshold=-1.0
-    )
+    g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.07)
+    low, _ = run_cycle(g, specs, rewards, contributions, threshold=-1.0)
     assert not low.triggered
-    high, _ = run_cycle(
-        g, specs, rewards, days, attribution, cycle_index=0, threshold=1.0
-    )
+    high, _ = run_cycle(g, specs, rewards, contributions, threshold=1.0)
     assert high.triggered
 
 
 def test_run_cycle_requires_two_days():
-    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
+    # A window of w days has w - 1 decision days, one reward each.
+    g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.0)
     with pytest.raises(WindowTooShort):
-        run_cycle(g, specs, rewards[:1], days[:1], attribution, cycle_index=0)
-
-
-def test_run_cycle_needs_one_reward_per_day():
-    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
-    for wrong in (rewards[:-1], rewards + [0.0]):
-        with pytest.raises(ValueError, match="rewards for 4 window days"):
-            run_cycle(g, specs, wrong, days, attribution, cycle_index=0)
-
-
-def test_run_cycle_records_window_bounds():
-    g, specs, rewards, days, attribution = cycle_fixture(lambda mask: 0.0)
-    record_, _ = run_cycle(g, specs, rewards, days, attribution, cycle_index=4)
-    assert record_.cycle == 4
-    assert record_.start_day == days[0]
-    assert record_.end_day == days[-1]
+        run_cycle(g, specs, rewards[:1], contributions)
+    run_cycle(g, specs, rewards[:2], contributions)

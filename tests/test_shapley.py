@@ -28,7 +28,7 @@ from dagcredit.shapley import (
     InvalidSize,
     classical_cost,
     format_attribution,
-    format_attribution_table,
+    format_replay_check,
     layered_run,
     live_plan,
     _weights,
@@ -38,7 +38,9 @@ from dagcredit.shapley import (
     shapley_exact,
 )
 
-from conftest import dense_table, layered_graph, prefix_mask, skip_layered_graphs
+from conftest import (
+    dense_table, grand_outputs, layered_graph, prefix_mask, skip_layered_graphs,
+)
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import exact_shapley, float_phi_bound, path_exists
 
@@ -537,12 +539,13 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
 def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
     replay = replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, FEATURES)
-    assert run.grand_outputs == replay.outputs
-    assert list(run.grand_outputs) == list(range(ref_graph.n))
-    # Without the grand coalition among the masks there is nothing to report.
+    grand = grand_outputs(ref_graph, run)
+    assert grand == replay.outputs
+    assert list(grand) == list(range(ref_graph.n))
+    # The viable masks ascend and end with the grand coalition, so the last
+    # sink task is the grand coalition's, which the backtest reads.
     assert ref_viable[-1] == ref_graph.full_mask
-    partial = layered_run(ref_graph, ref_viable[:-1], ref_runner, FEATURES)
-    assert partial.grand_outputs == {}
+    assert run.outputs[ref_graph.sink][run.plan.sink_tasks[-1]] == replay.sink_output
 
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
@@ -1007,10 +1010,14 @@ def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_run
     assert "agent_executions=73 executions_reused=0 cache_hits=169" in text
 
 
-def test_format_attribution_table_reports_reduction(ref_graph, ref_viable, ref_runner):
+def test_format_replay_check_reports_reduction(ref_graph, ref_viable, ref_runner):
     replay_values, replay_counters = replay_table(ref_graph, ref_runner)
     dag = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
     exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
-    text = format_attribution_table(ref_graph, dag, exact)
-    assert "execution reduction: 83.7%" in text
-    assert "TRA" in text
+    text = format_replay_check(ref_graph, dag, exact)
+    assert text.splitlines() == [
+        "cost (replay): coalition_evaluations=128 agent_executions=448 executions_reused=0 "
+        "cache_hits=0",
+        "execution reduction: 83.7%",
+        "all 2^7 = 128 subsets agreed",
+    ]
