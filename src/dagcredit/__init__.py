@@ -18,13 +18,11 @@ from .agents import (
 )
 from .backtest import (
     BacktestResult,
-    FeatureView,
-    MarketSeries,
+    Market,
     annualized_sharpe,
     build_equity,
     decision_to_position,
-    load_features_csv,
-    load_market_csv,
+    load_market,
     max_drawdown,
     run_backtest,
     sharpe,
@@ -33,12 +31,7 @@ from .backtest import (
 )
 from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, load_config, load_graph_file
-from .graph import (
-    Agent,
-    WorkflowGraph,
-    build_graph,
-    reference_graph,
-)
+from .graph import WorkflowGraph, build_graph, reference_graph
 from .optimizer import (
     CycleRecord,
     LessonSet,

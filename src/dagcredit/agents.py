@@ -371,23 +371,23 @@ def build_system(
     name.
     """
     specs: dict[int, AgentSpec] = {}
-    for agent in graph.agents:
-        if agent.name in ROLE_BY_NAME:
-            role = ROLE_BY_NAME[agent.name]
-            if role is Role.TRADER and agent.index in graph.sources:
+    for index, name in enumerate(graph.names):
+        if name in ROLE_BY_NAME:
+            role = ROLE_BY_NAME[name]
+            if role is Role.TRADER and index in graph.sources:
                 role = Role.SOLO_TRADER
         else:
-            role = _positional_role(graph, agent.index)
-        _check_placement(graph, agent.index, role, agent.name)
-        base = (base_prompts or {}).get(agent.name, DEFAULT_BASE_PROMPTS[role])
-        specs[agent.index] = AgentSpec(
-            index=agent.index,
-            name=agent.name,
+            role = _positional_role(graph, index)
+        _check_placement(graph, index, role, name)
+        base = (base_prompts or {}).get(name, DEFAULT_BASE_PROMPTS[role])
+        specs[index] = AgentSpec(
+            index=index,
+            name=name,
             role=role,
             prompt=PromptState(base_text=base),
-            executor=_EXECUTOR_BY_ROLE[role](name=agent.name, seed=seed),
-            is_source=agent.index in graph.sources,
-            is_sink=agent.index == graph.sink,
+            executor=_EXECUTOR_BY_ROLE[role](name=name, seed=seed),
+            is_source=index in graph.sources,
+            is_sink=index == graph.sink,
         )
     return specs
 

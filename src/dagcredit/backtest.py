@@ -30,9 +30,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from datetime import date, timedelta
-from functools import cached_property, reduce
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -106,51 +104,30 @@ class EnginesDisagree(RuntimeError):
 # market data
 
 
-class Bar(NamedTuple):
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
-@dataclass(frozen=True)
-class MarketSeries:
-    symbol: str
-    bars: tuple[Bar, ...]
-
-    def __len__(self) -> int:
-        return len(self.bars)
-
-    @cached_property
-    def days(self) -> tuple[date, ...]:
-        return tuple(b.day for b in self.bars)
-
-    @property
-    def closes(self) -> tuple[float, ...]:
-        return tuple(b.close for b in self.bars)
-
-    def step_return(self, i: int) -> float:
-        """Simple return earned holding from day i to day i+1."""
-        if not 0 <= i < len(self.bars) - 1:
-            raise IndexError(f"no next-day return for day index {i}")
-        return self.bars[i + 1].close / self.bars[i].close - 1.0
-
-
 # Trading days of closes, up to and including the current one, that a source
 # agent sees.
 LOOKBACK_DAYS = 10
 
 
-class FeatureView(NamedTuple):
-    """Per-day external data for source agents, aligned with the market days."""
+class Market(NamedTuple):
+    """One symbol's trading days, each day's close, and the external data
+    that source agents read on each day. ``len(market)`` is the field
+    count: the number of days is ``len(market.days)``."""
 
+    symbol: str
+    days: tuple[date, ...]
+    closes: tuple[float, ...]
     sentiment: tuple[float, ...]
     fundamental: tuple[float, ...]
-    closes: tuple[float, ...]
+
+    def step_return(self, i: int) -> float:
+        """Simple return earned holding from day i to day i+1."""
+        if not 0 <= i < len(self.closes) - 1:
+            raise IndexError(f"no next-day return for day index {i}")
+        return self.closes[i + 1] / self.closes[i] - 1.0
 
     def for_day(self, i: int) -> MarketFeatures:
+        """What a source agent sees on day i."""
         start = max(0, i - LOOKBACK_DAYS + 1)
         return MarketFeatures(
             sentiment=self.sentiment[i],
@@ -159,17 +136,20 @@ class FeatureView(NamedTuple):
         )
 
 
-def load_market_csv(path: str | Path, symbol: str = "CSV") -> MarketSeries:
-    """Parse and validate an OHLCV file.
+def load_market(
+    market_csv: str | Path, features_csv: str | Path, symbol: str = "CSV"
+) -> Market:
+    """Parse and validate an OHLCV file, then the per-day feature file,
+    which must cover every market day.
 
-    The header must be exactly ``date,open,high,low,close,volume``; dates are
-    ISO format, strictly increasing, every number finite, prices strictly
-    positive.
+    The market header must be exactly ``date,open,high,low,close,volume``;
+    dates are ISO format, strictly increasing, every number finite, prices
+    strictly positive and volume non-negative. Only the dates and closes
+    are kept. Feature values lie in [-1, 1].
     """
-    rows = _read_csv(path, MARKET_HEADER)
-    bars: list[Bar] = []
-    prev: date | None = None
-    for lineno, row in rows:
+    days: list[date] = []
+    closes: list[float] = []
+    for lineno, row in _read_csv(market_csv, MARKET_HEADER):
         day = _parse_date(row["date"], lineno)
         numbers = {}
         for col in ("open", "high", "low", "close", "volume"):
@@ -184,23 +164,18 @@ def load_market_csv(path: str | Path, symbol: str = "CSV") -> MarketSeries:
                 raise NonPositivePrice(f"line {lineno}: {col} must be positive")
         if numbers["volume"] < 0:
             raise ParseError(f"line {lineno}: volume must be non-negative")
-        if prev is not None:
-            if day == prev:
+        if days:
+            if day == days[-1]:
                 raise DuplicateDate(f"line {lineno}: duplicate date {day.isoformat()}")
-            if day < prev:
+            if day < days[-1]:
                 raise UnsortedDates(f"line {lineno}: dates must be increasing")
-        prev = day
-        bars.append(Bar(day, **numbers))
-    if len(bars) < 2:
+        days.append(day)
+        closes.append(numbers["close"])
+    if len(days) < 2:
         raise InsufficientData("need at least two market days")
-    return MarketSeries(symbol=symbol, bars=tuple(bars))
 
-
-def load_features_csv(path: str | Path, market: MarketSeries) -> FeatureView:
-    """Parse the per-day feature file and check it covers every market day."""
-    rows = _read_csv(path, FEATURE_HEADER)
     by_day: dict[date, tuple[float, float]] = {}
-    for lineno, row in rows:
+    for lineno, row in _read_csv(features_csv, FEATURE_HEADER):
         day = _parse_date(row["date"], lineno)
         if day in by_day:
             raise DuplicateDate(f"line {lineno}: duplicate date {day.isoformat()}")
@@ -213,14 +188,18 @@ def load_features_csv(path: str | Path, market: MarketSeries) -> FeatureView:
             if not -1.0 <= value <= 1.0:
                 raise ParseError(f"line {lineno}: {name} outside [-1, 1]")
         by_day[day] = (sent, fund)
-    missing = [d for d in market.days if d not in by_day]
+    missing = [d for d in days if d not in by_day]
     if missing:
         raise InsufficientData(
             f"features missing for {len(missing)} market days, first {missing[0]}"
         )
-    sent = tuple(by_day[d][0] for d in market.days)
-    fund = tuple(by_day[d][1] for d in market.days)
-    return FeatureView(sent, fund, market.closes)
+    return Market(
+        symbol,
+        tuple(days),
+        tuple(closes),
+        tuple(by_day[d][0] for d in days),
+        tuple(by_day[d][1] for d in days),
+    )
 
 
 def _read_csv(path: str | Path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
@@ -269,7 +248,7 @@ def synthesize_market(
     regime: str = "bull",
     signal_strength: float = 0.6,
     symbol: str = "SYNTH",
-) -> tuple[MarketSeries, FeatureView]:
+) -> Market:
     """Seeded geometric random walk plus features that lead the returns.
 
     Regimes set the daily drift (bull +, bear -, sideways 0). The sentiment
@@ -290,7 +269,6 @@ def synthesize_market(
     shocks = [rng.gauss(0.0, 1.0) for _ in range(days)]
     noise_sent = [rng.uniform(-1.0, 1.0) for _ in range(days)]
     noise_fund = [rng.uniform(-1.0, 1.0) for _ in range(days)]
-    noise_vol = [rng.uniform(0.0, 1.0) for _ in range(days)]
 
     rets = [drifts[regime] + vol * z for z in shocks]
     closes = []
@@ -299,25 +277,9 @@ def synthesize_market(
         level *= 1.0 + r
         closes.append(level)
 
-    bars = []
-    day = date(2024, 1, 2)
-    for i in range(days):
-        open_ = closes[i - 1] if i > 0 else 100.0
-        body_hi = max(open_, closes[i])
-        body_lo = min(open_, closes[i])
-        wiggle = 0.3 * abs(rets[i]) + 0.001
-        bars.append(
-            Bar(
-                day=day,
-                open=open_,
-                high=body_hi * (1.0 + wiggle),
-                low=body_lo * (1.0 - wiggle),
-                close=closes[i],
-                volume=float(round(1_000_000 * (0.75 + 0.5 * noise_vol[i]))),
-            )
-        )
-        day = _next_weekday(day)
-    market = MarketSeries(symbol=symbol, bars=tuple(bars))
+    trading_days = [date(2024, 1, 2)]
+    while len(trading_days) < days:
+        trading_days.append(_next_weekday(trading_days[-1]))
 
     sentiment = []
     for i in range(days):
@@ -334,8 +296,9 @@ def synthesize_market(
         raw = signal_strength * smooth + (1.0 - signal_strength) * 0.5 * noise_fund[i]
         fundamental.append(max(-1.0, min(1.0, raw)))
 
-    view = FeatureView(tuple(sentiment), tuple(fundamental), market.closes)
-    return market, view
+    return Market(
+        symbol, tuple(trading_days), tuple(closes), tuple(sentiment), tuple(fundamental)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +502,7 @@ def evaluate_window(
         layered_run(graph, viable, scored, episode, plan=plan, reuse=done)
         for episode, done in zip(episodes, earlier)
     ]
-    counters = reduce(CostCounters.merged, (run.counters for run in runs), CostCounters())
+    counters = CostCounters(*map(sum, zip(*(run.counters for run in runs))))
     # Every run shares the plan, so the sink's scores line up in one column
     # per sink task: value each task once, and each viable mask by its sink
     # task. Masks that share a sink task share its value.
@@ -553,11 +516,11 @@ def evaluate_window(
 
     exact = None
     if engine == "both":
-        replay_counters = CostCounters()
+        replay_executions = 0
         replay_values = []
         for mask in range(1 << graph.n):
             replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
-            replay_counters.agent_executions += sum(r.executions for r in replays)
+            replay_executions += sum(r.executions for r in replays)
             replay_values.append(value([score(r.sink_output) for r in replays]))
         for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
             if not _same_float(replayed, pruned):
@@ -565,7 +528,9 @@ def evaluate_window(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
-        exact = shapley_exact(replay_values, graph.n, replay_counters)
+        exact = shapley_exact(
+            replay_values, graph.n, CostCounters(agent_executions=replay_executions)
+        )
         for name, replayed, pruned in zip(graph.names, exact.values, attribution.values):
             if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
@@ -662,7 +627,7 @@ class StrategyReport(NamedTuple):
 class BacktestResult(NamedTuple):
     graph: WorkflowGraph
     config: RunConfig
-    market: MarketSeries
+    market: Market
     windows: list[WindowReport]
     frozen_windows: list[WindowReport]
     cycles: list[CycleRecord]
@@ -670,12 +635,11 @@ class BacktestResult(NamedTuple):
     prompt_lineage: dict[tuple[str, int], str]
 
 
-def load_inputs(config: RunConfig) -> tuple[MarketSeries, FeatureView]:
+def load_inputs(config: RunConfig) -> Market:
     if config.market_csv:
         if not config.features_csv:
             raise ConfigError("market_csv requires features_csv")
-        market = load_market_csv(config.market_csv, symbol=config.symbol)
-        return market, load_features_csv(config.features_csv, market)
+        return load_market(config.market_csv, config.features_csv, symbol=config.symbol)
     return synthesize_market(
         config.seed, config.days, config.regime, config.signal_strength, config.symbol
     )
@@ -704,10 +668,10 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     always produce byte-identical files.
     """
     graph = config_graph(config)
-    market, features = load_inputs(config)
+    market = load_inputs(config)
     viable = enumerate_viable(graph)
     plan = live_plan(graph, viable)
-    windows = day_windows(len(market), config.window_len)
+    windows = day_windows(len(market.days), config.window_len)
     viable_names = [coalition_names(graph, mask) for mask in viable]
 
     base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
@@ -731,7 +695,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             graph,
             viable,
             system_runner(specs),
-            [features.for_day(i) for i in day_idx[:-1]],
+            [market.for_day(i) for i in day_idx[:-1]],
             decision_to_position,
             value,
             config.engine,
@@ -858,7 +822,7 @@ def _cycle_record_json(graph: WorkflowGraph, window: WindowReport, record: Cycle
         "start": window.start.isoformat(),
         "end": window.end.isoformat(),
         "contributions": dict(zip(graph.names, window.attribution.values)),
-        "cost": asdict(window.attribution.counters),
+        "cost": window.attribution.counters._asdict(),
         "bottleneck": graph.names[record.bottleneck] if record.bottleneck is not None else None,
         "triggered": record.triggered,
         "lesson_blocks": list(record.lesson.text_blocks) if record.lesson else [],
@@ -893,22 +857,22 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
         directory.mkdir(exist_ok=True)
         for rep in reports:
             path = directory / f"window_{rep.index:02d}.txt"
-            path.write_text(_window_report_text(graph, rep), encoding="utf-8")
+            path.write_text(_window_report_text(graph, rep), encoding="utf-8", newline="\n")
 
-    with open(out_dir / "cycles.jsonl", "w", encoding="utf-8") as fh:
+    with open(out_dir / "cycles.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for window, record in zip(result.windows, result.cycles):
             fh.write(_cycle_record_json(graph, window, record) + "\n")
 
     prompts_dir = out_dir / "prompts"
     prompts_dir.mkdir(exist_ok=True)
     for (name, version), text in sorted(result.prompt_lineage.items()):
-        (prompts_dir / f"{name}_v{version}.txt").write_text(text, encoding="utf-8")
+        (prompts_dir / f"{name}_v{version}.txt").write_text(text, encoding="utf-8", newline="\n")
 
     cfg = result.config
     lines = [
         "backtest summary",
         f"symbol: {result.market.symbol}",
-        f"days: {len(result.market)}  window_len: {cfg.window_len}  seed: {cfg.seed}",
+        f"days: {len(result.market.days)}  window_len: {cfg.window_len}  seed: {cfg.seed}",
         f"engine: {cfg.engine}  threshold: {cfg.threshold:+.4f}  lesson_cap: {cfg.lesson_cap}",
         f"windows: {len(result.windows)}  triggered_cycles: "
         f"{sum(1 for c in result.cycles if c.triggered)}",
@@ -920,4 +884,4 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
     for rep, c in zip(result.windows, result.cycles):
         trig = f"  tuned: {graph.names[c.bottleneck]}" if c.triggered else ""
         lines.append(f"  window {rep.index:02d}: {rep.window_sharpe:+.6f}{trig}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

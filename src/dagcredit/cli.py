@@ -162,7 +162,7 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             sinks.append(stack.enter_context(
-                (out / "coalitions.txt").open("w", encoding="utf-8")
+                (out / "coalitions.txt").open("w", encoding="utf-8", newline="\n")
             ))
         for line in itertools.chain(
             (coalition_names(graph, mask) for mask in viable), [summary]
@@ -192,7 +192,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     graph = config_graph(config)
     # The fixture episode is the last day of a 10-day synthetic series, so
     # the technical window is fully populated.
-    _, features = bt.synthesize_market(
+    market = bt.synthesize_market(
         config.seed, days=10, regime=config.regime,
         signal_strength=config.signal_strength, symbol=config.symbol,
     )
@@ -202,7 +202,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         graph,
         enumerate_viable(graph),
         system_runner(build_system(graph, config.seed)),
-        [features.for_day(9)],
+        [market.for_day(9)],
         signed_decision_value,
         lambda scores: scores[0],
         config.engine,
@@ -214,7 +214,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "attribution.txt").write_text(text + "\n", encoding="utf-8")
+        (out / "attribution.txt").write_text(text + "\n", encoding="utf-8", newline="\n")
     return 0
 
 
@@ -238,7 +238,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     triggered = sum(1 for c in result.cycles if c.triggered)
     print(
         f"{len(result.windows)} windows, {triggered} triggered cycles, "
-        f"{len(result.market)} trading days"
+        f"{len(result.market.days)} trading days"
     )
     print("\n".join(bt.format_strategies(result.strategies)))
     if config.out_dir:

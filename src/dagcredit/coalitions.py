@@ -32,7 +32,7 @@ class GraphTooLarge(ValueError):
 
 def coalition_names(graph: WorkflowGraph, mask: int) -> str:
     """The members' names, comma-joined in ascending agent index order."""
-    return ",".join(a.name for a in graph.agents if (mask >> a.index) & 1)
+    return ",".join(name for i, name in enumerate(graph.names) if (mask >> i) & 1)
 
 
 def member_lanes(agent: int, n: int) -> int:

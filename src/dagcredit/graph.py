@@ -31,23 +31,17 @@ class LayerPartitionInvalid(GraphValidationError):
     pass
 
 
-class Agent(NamedTuple):
-    """An agent identity: dense index plus a unique display name."""
-
-    index: int
-    name: str
-
-
 class WorkflowGraph(NamedTuple):
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
-    ``layers`` holds agent indices per layer in declaration order. Derived
-    fields (``sources``, ``sink``, adjacency and each agent's layer) are
-    computed once at construction and treated as read-only. Every edge runs
-    from a lower index to a higher one, so index order is an execution order.
+    ``names`` holds each agent's unique name at its index, and ``layers``
+    the agent indices per layer in declaration order. Derived fields
+    (``sources``, ``sink``, adjacency and each agent's layer) are computed
+    once at construction and treated as read-only. Every edge runs from a
+    lower index to a higher one, so index order is an execution order.
     """
 
-    agents: tuple[Agent, ...]
+    names: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
     layers: tuple[tuple[int, ...], ...]
     layer_of: tuple[int, ...]
@@ -58,17 +52,7 @@ class WorkflowGraph(NamedTuple):
 
     @property
     def n(self) -> int:
-        return len(self.agents)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.agents)
-
-    def index_of(self, name: str) -> int:
-        for a in self.agents:
-            if a.name == name:
-                return a.index
-        raise KeyError(name)
+        return len(self.names)
 
     @property
     def full_mask(self) -> int:
@@ -152,7 +136,7 @@ def build_graph(
     if len(sinks) != 1:
         raise MultipleSinks(f"expected exactly one sink, found {[names[i] for i in sinks]}")
     return WorkflowGraph(
-        agents=tuple(Agent(i, name) for i, name in enumerate(names)),
+        names=tuple(names),
         edges=frozenset(edge_idx),
         layers=tuple(layer_tuples),
         layer_of=tuple(layer_of),

@@ -44,7 +44,6 @@ import operator
 import sys
 from array import array
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Any, NamedTuple
 
@@ -74,8 +73,7 @@ class ExecutorFailure(RuntimeError):
     """An agent runner raised during engine-driven execution."""
 
 
-@dataclass
-class CostCounters:
+class CostCounters(NamedTuple):
     """Work performed while valuing a game.
 
     ``agent_executions`` counts runner calls; ``executions_reused`` counts
@@ -87,14 +85,6 @@ class CostCounters:
     agent_executions: int = 0
     cache_hits: int = 0
     executions_reused: int = 0
-
-    def merged(self, other: "CostCounters") -> "CostCounters":
-        return CostCounters(
-            self.coalition_evaluations + other.coalition_evaluations,
-            self.agent_executions + other.agent_executions,
-            self.cache_hits + other.cache_hits,
-            self.executions_reused + other.executions_reused,
-        )
 
 
 class AttributionResult(NamedTuple):
@@ -159,7 +149,7 @@ def shapley_exact(
     """
     _check_game(n, table)
     phi = _phi(n, range(1 << n), table)
-    return AttributionResult(tuple(phi), replace(counters, coalition_evaluations=1 << n))
+    return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=1 << n))
 
 
 def shapley_dag(
@@ -205,9 +195,7 @@ def shapley_dag(
         mask = next(m for m, value in enumerate(table) if value and m not in masks)
         raise ValueError(f"the table holds {table[mask]!r} at the non-viable mask {mask:#b}")
     phi = _phi(n, viable, table)
-    return AttributionResult(
-        tuple(phi), replace(counters, coalition_evaluations=len(viable))
-    )
+    return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=len(viable)))
 
 
 class LayeredRunResult(NamedTuple):
@@ -216,10 +204,10 @@ class LayeredRunResult(NamedTuple):
     ``outputs`` holds, per agent, what the runner returned under each of
     its tasks in ``plan``, whether it ran or was reused: the agent's output,
     except that in a run ``backtest.evaluate_window`` makes, the sink's row
-    holds the score of each sink output. ``cache`` builds a dict of them by
-    (agent, live key), one entry per task, and ``sink_outputs`` a list of
-    the sink's entry for each viable mask, in the plan's ``viable`` order,
-    each time they are read. ``external`` is the episode's external data.
+    holds the score of each sink output. A viable mask's sink entry is the
+    sink's row at its task in ``plan.sink_tasks``. ``cache`` builds a dict
+    of them by (agent, live key), one entry per task, each time it is read.
+    ``external`` is the episode's external data.
     """
 
     plan: LivePlan
@@ -234,10 +222,6 @@ class LayeredRunResult(NamedTuple):
             for agent, (keys, row) in enumerate(zip(self.plan.keys, self.outputs))
             for key, output in zip(keys, row)
         }
-
-    @property
-    def sink_outputs(self) -> list[Any]:
-        return list(map(self.outputs[self.plan.graph.sink].__getitem__, self.plan.sink_tasks))
 
 
 class LivePlan(NamedTuple):

@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference workflow, generic layered graphs, market data."""
+"""Shared fixtures and helpers: the reference workflow, generic layered graphs."""
 
 import itertools
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import strategies as st
 
 from dagcredit.agents import Decision, build_system, system_runner
-from dagcredit.backtest import synthesize_market
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
 
@@ -36,6 +35,13 @@ def prefix_mask(graph, layer):
     """The agents of the layers before ``layer``: the upstream configuration
     of an agent in that layer is a coalition's membership among them."""
     return sum(1 << a for row in graph.layers[:layer] for a in row)
+
+
+def sink_outputs(run):
+    """The sink's entry in a layered run for each viable mask, in the
+    plan's ``viable`` order: the sink's row at each mask's sink task."""
+    row = run.outputs[run.plan.graph.sink]
+    return [row[task] for task in run.plan.sink_tasks]
 
 
 def grand_outputs(graph, run):
@@ -100,8 +106,3 @@ def ref_runner(ref_graph):
 @pytest.fixture
 def ref_specs(ref_graph):
     return build_system(ref_graph, seed=42)
-
-
-@pytest.fixture
-def market_pair():
-    return synthesize_market(seed=7, days=30, regime="bull")

@@ -270,7 +270,7 @@ def test_criterion_8_information_flow_enforcement():
         execute_agent(specs[0], {}, None)
 
     # instrumented full backtest: both engines, every window, every coalition
-    market, view = synthesize_market(seed=42, days=30, regime="bull")
+    market = synthesize_market(seed=42, days=30, regime="bull")
     viable = enumerate_viable(g)
     base = system_runner(specs)
 
@@ -287,7 +287,7 @@ def test_criterion_8_information_flow_enforcement():
         recorder.sink.append((agent, frozenset(upstream)))
         return base(agent, upstream, external)
 
-    windows = day_windows(len(market), 5)
+    windows = day_windows(len(market.days), 5)
     for day_indices in windows:
         recorder.sink = memo_calls
         decision_days = day_indices[:-1]
@@ -295,7 +295,7 @@ def test_criterion_8_information_flow_enforcement():
             g,
             viable,
             recorder,
-            [view.for_day(day) for day in decision_days],
+            [market.for_day(day) for day in decision_days],
             decision_to_position,
             sharpe_value([market.step_return(day) for day in decision_days]),
         )
@@ -304,7 +304,7 @@ def test_criterion_8_information_flow_enforcement():
                 recorder.sink = replay_calls
                 coalition = {a for a in range(g.n) if mask >> a & 1}
                 before = len(replay_calls)
-                result = replay_coalition(g, mask, recorder, view.for_day(day))
+                result = replay_coalition(g, mask, recorder, market.for_day(day))
                 invoked = {agent for agent, _ in replay_calls[before:]}
                 assert invoked <= coalition
                 assert set(result.outputs) <= coalition

@@ -1,5 +1,6 @@
 """Data loading, metrics, windowed coalition games, and the full backtest."""
 
+import hashlib
 import json
 import math
 import statistics
@@ -40,8 +41,7 @@ from dagcredit.backtest import (
     day_windows,
     decision_to_position,
     evaluate_window,
-    load_features_csv,
-    load_market_csv,
+    load_market,
     macd_positions,
     max_drawdown,
     run_backtest,
@@ -85,84 +85,94 @@ def write(tmp_path, name, text):
     return path
 
 
+def load(tmp_path, market=MARKET_CSV, features=FEATURES_CSV, **kwargs):
+    """``load_market`` on the two texts, each written to a file."""
+    return load_market(
+        write(tmp_path, "m.csv", market), write(tmp_path, "f.csv", features), **kwargs
+    )
+
+
 # ---------------------------------------------------------------------------
 # loaders
 
 
 def test_load_market_csv_happy_path(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV), symbol="TEST")
+    market = load(tmp_path, symbol="TEST")
     assert market.symbol == "TEST"
-    assert len(market) == 3
+    assert len(market.days) == 3
     assert market.closes == (100.0, 110.0, 99.0)
     assert market.days[0] == date(2024, 1, 2)
     assert market.step_return(0) == pytest.approx(0.10)
     assert market.step_return(1) == pytest.approx(-0.10)
+    with pytest.raises(IndexError):
+        market.step_return(2)
 
 
 def test_load_market_csv_rejects_bad_header(tmp_path):
-    path = write(tmp_path, "m.csv", "date,open,close\n2024-01-02,1,1\n")
     with pytest.raises(ParseError):
-        load_market_csv(path)
+        load(tmp_path, "date,open,close\n2024-01-02,1,1\n")
 
 
 def test_load_market_csv_rejects_bad_number(tmp_path):
     bad = MARKET_CSV.replace("110,1000", "abc,1000")
     with pytest.raises(ParseError):
-        load_market_csv(write(tmp_path, "m.csv", bad))
+        load(tmp_path, bad)
 
 
 def test_load_market_csv_rejects_nonpositive_price(tmp_path):
     bad = MARKET_CSV.replace("2024-01-03,100,112,99,110,1000", "2024-01-03,100,112,0,110,1000")
     with pytest.raises(NonPositivePrice):
-        load_market_csv(write(tmp_path, "m.csv", bad))
+        load(tmp_path, bad)
 
 
 def test_load_market_csv_rejects_duplicate_date(tmp_path):
     bad = MARKET_CSV.replace("2024-01-03", "2024-01-02", 1)
     with pytest.raises(DuplicateDate):
-        load_market_csv(write(tmp_path, "m.csv", bad))
+        load(tmp_path, bad)
 
 
 def test_load_market_csv_rejects_unsorted_dates(tmp_path):
     bad = MARKET_CSV.replace("2024-01-04", "2024-01-01")
     with pytest.raises(UnsortedDates):
-        load_market_csv(write(tmp_path, "m.csv", bad))
+        load(tmp_path, bad)
 
 
 def test_load_market_csv_needs_two_days(tmp_path):
     one = "date,open,high,low,close,volume\n2024-01-02,100,101,99,100,0\n"
     with pytest.raises(InsufficientData):
-        load_market_csv(write(tmp_path, "m.csv", one))
+        load(tmp_path, one)
+
+
+def test_load_market_checks_the_market_file_before_the_features(tmp_path):
+    bad_market = MARKET_CSV.replace("2024-01-04", "2024-01-01")
+    bad_features = FEATURES_CSV.replace("0.5", "1.5")
+    with pytest.raises(UnsortedDates):
+        load(tmp_path, bad_market, bad_features)
 
 
 def test_load_features_csv_happy_path(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
-    view = load_features_csv(write(tmp_path, "f.csv", FEATURES_CSV), market)
-    feats = view.for_day(1)
+    feats = load(tmp_path).for_day(1)
     assert feats.sentiment == -0.2
     assert feats.fundamental == 0.0
     assert feats.closes[-1] == 110.0
 
 
 def test_load_features_csv_requires_full_coverage(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
     partial = "\n".join(FEATURES_CSV.splitlines()[:-1]) + "\n"
     with pytest.raises(InsufficientData):
-        load_features_csv(write(tmp_path, "f.csv", partial), market)
+        load(tmp_path, features=partial)
 
 
 def test_load_features_csv_rejects_out_of_range(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
     bad = FEATURES_CSV.replace("0.5", "1.5")
     with pytest.raises(ParseError):
-        load_features_csv(write(tmp_path, "f.csv", bad), market)
+        load(tmp_path, features=bad)
 
 
 def test_feature_view_lookback_window(tmp_path):
-    market = load_market_csv(write(tmp_path, "m.csv", MARKET_CSV))
-    view = load_features_csv(write(tmp_path, "f.csv", FEATURES_CSV), market)
-    assert view.for_day(0).closes == (100.0,)
-    assert view.for_day(2).closes == (100.0, 110.0, 99.0)
+    market = load(tmp_path)
+    assert market.for_day(0).closes == (100.0,)
+    assert market.for_day(2).closes == (100.0, 110.0, 99.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +180,58 @@ def test_feature_view_lookback_window(tmp_path):
 
 
 def test_synthesize_market_is_deterministic():
-    m1, f1 = synthesize_market(seed=3, days=20, regime="bull")
-    m2, f2 = synthesize_market(seed=3, days=20, regime="bull")
+    m1 = synthesize_market(seed=3, days=20, regime="bull")
+    m2 = synthesize_market(seed=3, days=20, regime="bull")
     assert m1.closes == m2.closes
-    assert f1.sentiment == f2.sentiment
-    m3, _ = synthesize_market(seed=4, days=20, regime="bull")
+    assert m1.sentiment == m2.sentiment
+    m3 = synthesize_market(seed=4, days=20, regime="bull")
     assert m1.closes != m3.closes
 
 
 def test_synthesize_market_shape_and_ranges():
-    market, view = synthesize_market(seed=5, days=40, regime="sideways")
-    assert len(market) == 40
+    market = synthesize_market(seed=5, days=40, regime="sideways")
+    assert len(market.days) == len(market.closes) == 40
+    assert len(market.sentiment) == len(market.fundamental) == 40
     assert all(c > 0 for c in market.closes)
     assert all(d.weekday() < 5 for d in market.days)
-    assert all(-1.0 <= s <= 1.0 for s in view.sentiment)
-    assert all(-1.0 <= f <= 1.0 for f in view.fundamental)
+    assert all(-1.0 <= s <= 1.0 for s in market.sentiment)
+    assert all(-1.0 <= f <= 1.0 for f in market.fundamental)
     assert len(set(market.days)) == 40
 
 
 def test_synthesize_market_regimes_differ():
-    bull, _ = synthesize_market(seed=6, days=60, regime="bull")
-    bear, _ = synthesize_market(seed=6, days=60, regime="bear")
+    bull = synthesize_market(seed=6, days=60, regime="bull")
+    bear = synthesize_market(seed=6, days=60, regime="bear")
     assert bull.closes[-1] > bear.closes[-1]
+
+
+# sha256 of each synthetic market's ISO days, then the float.hex() of its
+# closes, sentiment and fundamental values, one a line: 60 days of each
+# regime at three seeds.
+SYNTHETIC_MARKET_SHA256 = {
+    (1, "bull"): "caba585ec8b62961a72fa2f7607a1d00c9645a78e2e44c55eb136cf8d2dff10b",
+    (1, "bear"): "520600a2f81fa26940f9f4be8e12ed3c990269f91a2e012ca26e5cea9b8a37d0",
+    (1, "sideways"): "2e2068e2181d8d96fbd4b31cf2ef3671a3064c6a56a69da408a55ea90478796e",
+    (42, "bull"): "e64e5910619ffb5d7552a6733f72808900ea2b36e624cc2d55324b0657662cf2",
+    (42, "bear"): "7726888060c263ec270712dc5c0cbddbb0f957a88023b67bceb646bef04859e0",
+    (42, "sideways"): "855b24e0a74bb8c98e9d9d5af5a1b542cea5553a6d514bbb6f6f45d23b325c68",
+    (1301, "bull"): "5843a6f9387f840773e5726e00f01915fe741c274cbbdd5f49e12b748d6b5cab",
+    (1301, "bear"): "22282782e5cd91a53e8daf7bdd6b7c67e4541cc67d0286e66c3d2193f6374fdb",
+    (1301, "sideways"): "c0319346b9539db3cbc06f3a174f542133e05f6793cce54f22d5f96207ca0019",
+}
+
+
+def test_synthesize_market_content_is_pinned():
+    # Every value of the generator's stream, bit for bit, in all regimes:
+    # a draw added, dropped or moved changes these.
+    got = {}
+    for seed, regime in SYNTHETIC_MARKET_SHA256:
+        m = synthesize_market(seed, 60, regime)
+        lines = [d.isoformat() for d in m.days]
+        for values in (m.closes, m.sentiment, m.fundamental):
+            lines.extend(map(float.hex, values))
+        got[seed, regime] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == SYNTHETIC_MARKET_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +356,20 @@ def test_day_windows_rejects_tiny_window():
 @pytest.fixture(scope="module")
 def window_setup():
     g = reference_graph()
-    market, view = synthesize_market(seed=11, days=12, regime="bull")
+    market = synthesize_market(seed=11, days=12, regime="bull")
     runner = system_runner(build_system(g, seed=11))
     viable = enumerate_viable(g)
-    return g, market, view, runner, viable
+    return g, market, runner, viable
 
 
-def window_game_args(market, view, day_indices, rf_daily=0.0):
+def window_game_args(market, day_indices, rf_daily=0.0):
     """The episodes, the position score and the Sharpe value of the window
     game on ``day_indices``, as ``run_backtest`` hands them to
     ``evaluate_window``."""
     decision_days = day_indices[:-1]
     step_returns = [market.step_return(i) for i in decision_days]
     return (
-        [view.for_day(i) for i in decision_days],
+        [market.for_day(i) for i in decision_days],
         decision_to_position,
         sharpe_value(step_returns, rf_daily),
     )
@@ -347,8 +387,8 @@ def assert_dense_game(g, viable, values):
 
 
 def test_evaluate_window_dag_engine_counts(window_setup):
-    g, market, view, runner, viable = window_setup
-    game = evaluate_window(g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]))
+    g, market, runner, viable = window_setup
+    game = evaluate_window(g, viable, runner, *window_game_args(market, [0, 1, 2, 3, 4]))
     counters = game.attribution.counters
     assert counters.coalition_evaluations == 49
     # four decision days, 73 shared executions each
@@ -360,8 +400,8 @@ def test_evaluate_window_dag_engine_counts(window_setup):
 
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
-    g, market, view, runner, viable = window_setup
-    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
     first = evaluate_window(g, viable, runner, episodes, score, value)
     assert len(first.runs) == 4
     again = evaluate_window(g, viable, runner, episodes, score, value, reuse=(first, 0))
@@ -380,16 +420,16 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
         evaluate_window(g, viable, runner, episodes[:-1], score, value, reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
         evaluate_window(
-            g, viable, runner, *window_game_args(market, view, [1, 2, 3, 4, 5]), reuse=(first, 0)
+            g, viable, runner, *window_game_args(market, [1, 2, 3, 4, 5]), reuse=(first, 0)
         )
     with pytest.raises(ValueError, match="at least one episode"):
         evaluate_window(g, viable, runner, [], score, value)
 
 
 def test_evaluate_window_engines_agree(window_setup):
-    g, market, view, runner, viable = window_setup
+    g, market, runner, viable = window_setup
     game = evaluate_window(
-        g, viable, runner, *window_game_args(market, view, [0, 1, 2, 3, 4]), engine="both"
+        g, viable, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both"
     )
     classical = game.exact
     assert_dense_game(g, viable, game.values)
@@ -402,8 +442,8 @@ def test_evaluate_window_engines_agree(window_setup):
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
-    g, market, view, runner, viable = window_setup
-    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
     game = evaluate_window(g, viable, runner, episodes, score, value, engine="both")
     viable_masks = set(viable)
     for mask in range(1 << g.n):
@@ -415,8 +455,8 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
 
 
 def test_evaluate_window_both_rejects_a_runner_whose_outputs_change(window_setup):
-    g, market, view, runner, viable = window_setup
-    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    args = window_game_args(market, [0, 1, 2, 3, 4])
     with pytest.raises(EnginesDisagree, match=r"^engines disagree on coalition \{.*TRA\}"):
         evaluate_window(g, viable, swapped_trader(runner, g.sink, every=2), *args, "both")
 
@@ -425,8 +465,8 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(window_
     """A trader that buys with no upstream gives the lone-trader subset a
     value, though the game makes every non-viable subset worth zero; the
     pruned engine never runs it, the replay does."""
-    g, market, view, runner, viable = window_setup
-    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    args = window_game_args(market, [0, 1, 2, 3, 4])
 
     def eager(agent, upstream, external):
         if agent == g.sink and not upstream:
@@ -447,8 +487,8 @@ def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
     """A value that gives a subset without a trader -0.0 equals the pruned
     engine's implied 0.0 by ``==``, but not in sign. The replay scores the
     missing sink output ``None``, and this score keeps it."""
-    g, market, view, runner, viable = window_setup
-    episodes, _, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    episodes, _, value = window_game_args(market, [0, 1, 2, 3, 4])
 
     def score(decision):
         return None if decision is None else decision_to_position(decision)
@@ -469,8 +509,8 @@ def test_evaluate_window_both_rejects_contributions_one_ulp_apart(
     """Where every subset's replay value agrees, the replay's contributions
     must still equal the pruned engine's bit for bit: one ulp off on one
     agent raises, and the ``shapley`` command exits 3."""
-    g, market, view, runner, viable = window_setup
-    args = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    args = window_game_args(market, [0, 1, 2, 3, 4])
     exact = backtest.shapley_exact
 
     def one_ulp_off(table, n, counters):
@@ -494,8 +534,8 @@ def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_
     """Reusing every output after the trader changed keeps the old values in
     the pruned engine, and the fresh replay shows it; naming the trader as
     changed reruns its tasks and the engines agree."""
-    g, market, view, runner, viable = window_setup
-    episodes, score, value = window_game_args(market, view, [0, 1, 2, 3, 4])
+    g, market, runner, viable = window_setup
+    episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
     first = evaluate_window(g, viable, runner, episodes, score, value)
     changed = swapped_trader(runner, g.sink)
     with pytest.raises(EnginesDisagree):
@@ -516,9 +556,9 @@ def test_evaluate_window_values_each_sink_task_once():
     viable = enumerate_viable(g)
     sink_tasks = len(live_plan(g, viable).keys[g.sink])
     assert sink_tasks < len(viable)
-    market, view = synthesize_market(seed=5, days=8, regime="bull")
+    market = synthesize_market(seed=5, days=8, regime="bull")
     runner = system_runner(build_system(g, seed=5))
-    episodes, score, value = window_game_args(market, view, [2, 3, 4])
+    episodes, score, value = window_game_args(market, [2, 3, 4])
     calls = []
 
     def counted(positions):
@@ -550,7 +590,7 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     """Each value is the Sharpe of the coalition's own return series, though
     Sharpe runs once per distinct position vector and coalitions share them."""
     g = reference_graph()
-    market, view = synthesize_market(seed=seed, days=12, regime="sideways")
+    market = synthesize_market(seed=seed, days=12, regime="sideways")
     runner = system_runner(build_system(g, seed=seed))
     days = list(range(start, start + 5))
     calls = []
@@ -562,12 +602,12 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "sharpe", counted)
         game = evaluate_window(
-            g, enumerate_viable(g), runner, *window_game_args(market, view, days), engine="both"
+            g, enumerate_viable(g), runner, *window_game_args(market, days), engine="both"
         )
     vectors = set()
     for mask in range(1 << g.n):
         decisions = [
-            replay_coalition(g, mask, runner, view.for_day(i)).sink_output
+            replay_coalition(g, mask, runner, market.for_day(i)).sink_output
             for i in days[:-1]
         ]
         vectors.add(tuple(decision_to_position(d) for d in decisions))
@@ -590,13 +630,13 @@ def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
     g = layered_graph([5, 5, 5, 1])
     viable = enumerate_viable(g)
     plan = live_plan(g, viable)
-    _, view = synthesize_market(seed=3, days=10, regime="bull")
+    market = synthesize_market(seed=3, days=10, regime="bull")
     runner = system_runner(build_system(g, seed=3))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         game = evaluate_window(
-            g, viable, runner, [view.for_day(9)], signed_decision_value,
+            g, viable, runner, [market.for_day(9)], signed_decision_value,
             lambda scores: scores[0], plan=plan,
         )
         retained, peak = (size - before for size in tracemalloc.get_traced_memory())
@@ -611,10 +651,10 @@ def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
 
 @pytest.mark.parametrize("engine", ["fast", "exact"])
 def test_evaluate_window_rejects_unknown_engine(window_setup, engine):
-    g, market, view, runner, viable = window_setup
+    g, market, runner, viable = window_setup
     with pytest.raises(ConfigError, match="unknown engine"):
         evaluate_window(
-            g, viable, runner, *window_game_args(market, view, [0, 1, 2]), engine=engine
+            g, viable, runner, *window_game_args(market, [0, 1, 2]), engine=engine
         )
 
 
@@ -839,11 +879,11 @@ def test_cycle_records_carry_their_window_attribution(engine, evaluations, tmp_p
 def test_backtest_csv_inputs(tmp_path):
     rows = ["date,open,high,low,close,volume"]
     frows = ["date,sentiment,fundamental"]
-    market, view = synthesize_market(seed=2, days=12, regime="bull")
+    market = synthesize_market(seed=2, days=12, regime="bull")
     for i, day in enumerate(market.days):
         close = market.closes[i]
         rows.append(f"{day.isoformat()},{close:.6f},{close:.6f},{close:.6f},{close:.6f},100")
-        frows.append(f"{day.isoformat()},{view.sentiment[i]:.6f},{view.fundamental[i]:.6f}")
+        frows.append(f"{day.isoformat()},{market.sentiment[i]:.6f},{market.fundamental[i]:.6f}")
     mpath = write(tmp_path, "m.csv", "\n".join(rows) + "\n")
     fpath = write(tmp_path, "f.csv", "\n".join(frows) + "\n")
     config = RunConfig(
@@ -896,7 +936,7 @@ def test_prompts_dir_calibration_token_changes_that_agents_outputs(monkeypatch, 
     assert len(plain) == len(damped) == 4
 
     def outputs_of(runs, name):
-        return [outputs[g.index_of(name)] for outputs in runs]
+        return [outputs[g.names.index(name)] for outputs in runs]
 
     # Before any tuning cycle, only the damped agent's outputs move; the
     # other sources read the same data with the same prompts.

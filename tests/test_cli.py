@@ -503,19 +503,26 @@ def test_backtest_market_without_features_is_config_error(capsys, tmp_path):
     assert code == 1
 
 
+def market_files(market):
+    """The OHLCV and feature CSV lines of ``market``, header first, by file
+    name; each day's open, high and low are its close."""
+    rows = {"m.csv": [",".join(bt.MARKET_HEADER)], "f.csv": [",".join(bt.FEATURE_HEADER)]}
+    for day, close, sent, fund in zip(
+        market.days, market.closes, market.sentiment, market.fundamental
+    ):
+        rows["m.csv"].append(f"{day.isoformat()}" + f",{close:.6f}" * 4 + ",1000000")
+        rows["f.csv"].append(f"{day.isoformat()},{sent:.6f},{fund:.6f}")
+    return rows
+
+
 @pytest.mark.parametrize("column, text", [("close", "inf"), ("open", "-inf"), ("volume", "nan")])
 def test_backtest_rejects_non_finite_market_numbers(capsys, tmp_path, column, text):
-    market, view = bt.synthesize_market(seed=3, days=15)
-    rows = ["date,open,high,low,close,volume"]
-    frows = ["date,sentiment,fundamental"]
-    for i, bar in enumerate(market.bars):
-        fields = {c: f"{getattr(bar, c):.6f}" for c in ("open", "high", "low", "close", "volume")}
-        if i == 4:
-            fields[column] = text
-        rows.append(",".join([bar.day.isoformat(), *fields.values()]))
-        frows.append(f"{bar.day.isoformat()},{view.sentiment[i]:.6f},{view.fundamental[i]:.6f}")
-    (tmp_path / "m.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    (tmp_path / "f.csv").write_text("\n".join(frows) + "\n", encoding="utf-8")
+    rows = market_files(bt.synthesize_market(seed=3, days=15))
+    fields = rows["m.csv"][5].split(",")
+    fields[bt.MARKET_HEADER.index(column)] = text
+    rows["m.csv"][5] = ",".join(fields)
+    for file_name, lines in rows.items():
+        (tmp_path / file_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(
         capsys,
         "backtest",
@@ -615,14 +622,7 @@ def test_text_files_that_are_not_utf8_exit_one(capsys, tmp_path, make_argv, mess
     ids=["market-utf8", "features-utf8", "long-field", "nul"],
 )
 def test_malformed_csv_files_exit_one(capsys, tmp_path, name, before, after, message):
-    market, view = bt.synthesize_market(seed=3, days=15)
-    rows = {"m.csv": ["date,open,high,low,close,volume"], "f.csv": ["date,sentiment,fundamental"]}
-    for i, bar in enumerate(market.bars):
-        numbers = (f"{getattr(bar, c):.6f}" for c in ("open", "high", "low", "close", "volume"))
-        rows["m.csv"].append(",".join([bar.day.isoformat(), *numbers]))
-        rows["f.csv"].append(
-            f"{bar.day.isoformat()},{view.sentiment[i]:.6f},{view.fundamental[i]:.6f}"
-        )
+    rows = market_files(bt.synthesize_market(seed=3, days=15))
     for file_name, lines in rows.items():
         data = [line.encode() for line in lines]
         if file_name == name:

@@ -1,12 +1,15 @@
 """Coalition masks, viability checks, and pruning counts."""
 
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.coalitions import (
+    MASK_TYPECODE,
+    MAX_AGENTS,
     GraphTooLarge,
     coalition_names,
     enumerate_viable,
@@ -16,6 +19,7 @@ from dagcredit.coalitions import (
 )
 from dagcredit.config import load_graph_file
 from dagcredit.graph import build_graph, reference_graph
+from dagcredit.shapley import live_plan
 
 from conftest import layered_graph, skip_layered_graphs
 from golden_runs import WIDE_GRAPH
@@ -140,6 +144,20 @@ def test_viable_masks_take_four_bytes_each():
         tracemalloc.stop()
     assert len(viable) == 29_791
     assert retained <= 4 * len(viable) + 8 * 1024
+
+
+def test_mask_and_task_arrays_hold_32_bits():
+    """Masks of up to MAX_AGENTS bits and the plan's task indices, below
+    2**31, live in ``array("I")`` and ``array("i")``, which C guarantees
+    only 2 bytes: a narrower platform would truncate them silently."""
+    assert MAX_AGENTS < 32
+    assert array(MASK_TYPECODE).itemsize >= 4
+    assert array("i").itemsize >= 4
+    g = reference_graph()
+    plan = live_plan(g, enumerate_viable(g))
+    assert enumerate_viable(g).typecode == MASK_TYPECODE
+    assert {keys.typecode for keys in plan.keys} == {MASK_TYPECODE}
+    assert {table.typecode for table in plan.task_tables} | {plan.sink_tasks.typecode} == {"i"}
 
 
 def test_small_topology_counts():

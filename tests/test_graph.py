@@ -41,12 +41,12 @@ def test_reference_graph_adjacency():
 
 def test_index_of_and_layer_of():
     g = reference_graph()
-    assert g.index_of("BeOA") == 4
+    # Names are stored in index order: layer by layer, as declared.
+    assert g.names == ("NAA", "TAA", "FAA", "BOA", "BeOA", "NOA", "TRA")
+    assert g.names.index("BeOA") == 4
     assert g.layer_of[0] == 0
     assert g.layer_of[4] == 1
     assert g.layer_of[6] == 2
-    with pytest.raises(KeyError):
-        g.index_of("nope")
 
 
 def test_build_rejects_duplicate_name():
@@ -86,7 +86,7 @@ def test_skip_layer_edges_are_legal():
         [["a"], ["b"], ["t"]],
         [("a", "b"), ("b", "t"), ("a", "t")],
     )
-    assert g.preds[g.index_of("t")] == (0, 1)
+    assert g.preds[g.names.index("t")] == (0, 1)
 
 
 def assert_edges_run_up_the_indices(g):

@@ -3,9 +3,8 @@ still guarantee.
 
 Records that read no dataclass feature are ``typing.NamedTuple`` classes:
 immutable, and built without generated code. A dataclass stays only where
-the code needs one: ``dataclasses.fields`` or ``replace``, in-place
-mutation, ``asdict``, or a ``functools.cached_property``, which needs an
-instance ``__dict__``.
+the code needs one: ``dataclasses.fields`` or ``replace``, or a
+``functools.cached_property``, which needs an instance ``__dict__``.
 """
 
 import dataclasses
@@ -19,19 +18,16 @@ from dagcredit import agents, backtest, cli, coalitions, config, graph, optimize
 
 MODULES = (agents, backtest, cli, coalitions, config, graph, optimizer, shapley)
 
-KEPT_DATACLASSES = {
-    "RunConfig", "CostCounters", "PromptState", "MockExecutor", "MarketSeries",
-}
+KEPT_DATACLASSES = {"RunConfig", "PromptState", "MockExecutor"}
 
 RECORDS = {
     "agents": {"AnalystSignal", "OutlookScore", "TradeDecision", "MarketFeatures", "AgentSpec"},
-    "graph": {"Agent", "WorkflowGraph"},
+    "graph": {"WorkflowGraph"},
     "shapley": {
-        "AttributionResult", "LayeredRunResult", "LivePlan", "ReplayResult", "PredictedCost",
+        "CostCounters", "AttributionResult", "LayeredRunResult", "LivePlan", "ReplayResult",
+        "PredictedCost",
     },
-    "backtest": {
-        "Bar", "FeatureView", "WindowGame", "WindowReport", "StrategyReport", "BacktestResult",
-    },
+    "backtest": {"Market", "WindowGame", "WindowReport", "StrategyReport", "BacktestResult"},
     "optimizer": {"LessonSet", "CycleRecord"},
 }
 
@@ -55,7 +51,7 @@ def defined_classes():
                 yield module, obj
 
 
-def test_exactly_five_classes_are_dataclasses():
+def test_exactly_three_classes_are_dataclasses():
     # A subclass inherits its base's dataclass fields, so ``is_dataclass``
     # also accepts the mocks, which add no field: the decorator processed
     # a class when its own namespace holds the fields.

@@ -39,7 +39,7 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_table, grand_outputs, layered_graph, prefix_mask, skip_layered_graphs,
+    dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import exact_shapley, float_phi_bound, path_exists
@@ -50,20 +50,20 @@ def memo_table(graph, viable, runner):
     one shared episode (0.0 elsewhere) and the episode's work: the
     arguments of ``shapley_dag`` after the graph."""
     run = layered_run(graph, viable, runner, FEATURES)
-    values = map(signed_decision_value, run.sink_outputs)
+    values = map(signed_decision_value, sink_outputs(run))
     return viable, dense_table(graph.n, zip(viable, values, strict=True)), run.counters
 
 
 def replay_table(graph, runner):
     """Signed sink decisions of every subset, each replayed without sharing,
     indexed by mask; subsets whose sink never runs are worth 0.0."""
-    values, counters = [], CostCounters()
+    values, executions = [], 0
     for mask in range(1 << graph.n):
         replay = replay_coalition(graph, mask, runner, FEATURES)
-        counters.agent_executions += replay.executions
+        executions += replay.executions
         sink = replay.sink_output
         values.append(0.0 if sink is None else signed_decision_value(sink))
-    return values, counters
+    return values, CostCounters(agent_executions=executions)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +528,12 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
     assert run.cache[(ref_graph.sink, grand & prefix_mask(ref_graph, 2))] == (
-        run.sink_outputs[ref_viable.index(grand)]
+        sink_outputs(run)[ref_viable.index(grand)]
     )
     # upstream reads: layer 1 pulls 3 * (3 + 6 + 3) / ... = 36, layer 2 pulls
     # 84 across its 49 configurations, plus 49 sink-output reads = 169.
     assert run.counters.cache_hits == 169
-    assert len(run.sink_outputs) == 49
+    assert len(sink_outputs(run)) == 49
 
 
 def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable, ref_runner):
@@ -550,7 +550,7 @@ def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable,
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
-    for mask, output in zip(ref_viable, run.sink_outputs, strict=True):
+    for mask, output in zip(ref_viable, sink_outputs(run), strict=True):
         replay = replay_coalition(ref_graph, mask, ref_runner, FEATURES)
         assert output == replay.sink_output
 
@@ -737,9 +737,9 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     viable = enumerate_viable(g)
     runner = system_runner(build_system(g, seed=11))
     run = layered_run(g, viable, runner, FEATURES)
-    for mask, output in zip(viable, run.sink_outputs, strict=True):
+    for mask, output in zip(viable, sink_outputs(run), strict=True):
         assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
-    table = dense_table(g.n, zip(viable, map(signed_decision_value, run.sink_outputs)))
+    table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_dag(g, viable, table, run.counters)
     replay_values, replay_counters = replay_table(g, runner)
     exact = shapley_exact(replay_values, g.n, replay_counters)
@@ -801,9 +801,9 @@ def assert_matches_replay(g, run, runner):
     """Every viable sink output is the replayed one, and the pruned engine's
     contributions equal the exact engine's to the last bit."""
     viable = run.plan.viable
-    for mask, output in zip(viable, run.sink_outputs, strict=True):
+    for mask, output in zip(viable, sink_outputs(run), strict=True):
         assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
-    table = dense_table(g.n, zip(viable, map(signed_decision_value, run.sink_outputs)))
+    table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_dag(g, viable, table, run.counters)
     replay_values, _ = replay_table(g, runner)
     exact = shapley_exact(replay_values, g.n, CostCounters())
@@ -845,7 +845,7 @@ def test_runner_calls_are_the_distinct_tasks_and_prompts(g, data):
     # With nothing changed since, every task is reused.
     again = layered_run(g, viable, runner, FEATURES, plan=plan, reuse=(run, 0))
     assert again.counters.agent_executions == 0
-    assert again.sink_outputs == run.sink_outputs
+    assert sink_outputs(again) == sink_outputs(run)
 
 
 @given(skip_layered_graphs(), st.data())
@@ -893,7 +893,7 @@ def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
     again = layered_run(ref_graph, ref_viable, listing, dict(external), reuse=(first, 0))
     assert first.counters.agent_executions == 73
     assert again.counters.agent_executions == 0
-    assert again.sink_outputs == first.sink_outputs
+    assert sink_outputs(again) == sink_outputs(first)
 
 
 def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runner):
@@ -903,7 +903,7 @@ def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runne
     # A changed prompt for one outlook reruns its 7 tasks and the 28 trader
     # tasks whose live key holds it. Outputs are never compared: those tasks
     # rerun although this runner ignores prompts.
-    boa, sink = ref_graph.index_of("BOA"), ref_graph.sink
+    boa, sink = ref_graph.names.index("BOA"), ref_graph.sink
     assert sum(key >> boa & 1 for key in plan.keys[sink]) == 28
     run = layered_run(
         ref_graph, ref_viable, runner, FEATURES, plan=plan, reuse=(first, 1 << boa)
@@ -916,18 +916,18 @@ def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runne
         ref_graph, ref_viable, runner, FEATURES, plan=plan, reuse=(run, 1 << sink)
     )
     assert calls[108:] == [sink] * 49
-    assert trader.sink_outputs == first.sink_outputs
+    assert sink_outputs(trader) == sink_outputs(first)
 
 
 def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner):
-    naa = ref_graph.index_of("NAA")
+    naa = ref_graph.names.index("NAA")
     without_naa = [mask for mask in ref_viable if not mask >> naa & 1]
     runner, calls = counting(ref_runner)
     run = layered_run(ref_graph, without_naa, runner, FEATURES)
     assert naa not in calls
     assert len(calls) == run.counters.agent_executions == len(run.cache)
     assert run.counters.executions_reused == 0
-    assert len(run.sink_outputs) == len(without_naa) == 3 * 7
+    assert len(sink_outputs(run)) == len(without_naa) == 3 * 7
 
 
 def test_layered_run_rejects_a_mask_outside_the_power_set(ref_graph, ref_runner):
@@ -943,7 +943,7 @@ def test_plan_and_reuse_must_match_the_masks(ref_graph, ref_viable, ref_runner):
     with pytest.raises(ValueError, match="plan was built for other viable masks"):
         layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=plan)
     same = layered_run(ref_graph, list(ref_viable[:-1]), ref_runner, FEATURES, plan=plan)
-    assert len(same.sink_outputs) == 48
+    assert len(sink_outputs(same)) == 48
     full = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
     with pytest.raises(ValueError, match="earlier run was built from another plan"):
         layered_run(
