@@ -1,10 +1,10 @@
 """Agent specifications, prompt state, and deterministic mock executors.
 
 Executors are pure functions of (rendered prompt, upstream outputs, external
-data): no clocks, no global randomness. Mock behavior is shaped by a
-sensitivity parameter derived from the run seed and shifted by calibration
-tokens that optimization lessons may append to a prompt, so the tuning loop
-has a measurable, reproducible effect.
+data): no clocks, no global randomness. Each role's mock is one function of
+a sensitivity: a base derived from the run seed and the agent's name, shifted
+by calibration tokens that optimization lessons may append to a prompt, so
+the tuning loop has a measurable, reproducible effect.
 """
 from __future__ import annotations
 
@@ -165,36 +165,18 @@ def _hash_unit(key: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-@dataclass(frozen=True)
-class MockExecutor:
-    """Base for deterministic mocks; concrete roles override ``__call__``.
+def base_sensitivity(name: str, seed: int) -> float:
+    """Seeded base sensitivity of an agent, in [0.35, 0.85]."""
+    return 0.35 + 0.5 * _hash_unit(f"{seed}:{name}:sensitivity")
 
-    Subclasses add no field, so they inherit the generated methods: equality
-    checks the class, and the repr names it.
+
+def sensitivity(base: float, prompt: str) -> float:
+    """A base shifted by the prompt's calibration tokens.
+
+    Damp tokens lower it and boost tokens raise it, one step each, clamped
+    to [0, 1].
     """
-
-    name: str
-    seed: int
-
-    @functools.cached_property
-    def base_sensitivity(self) -> float:
-        """Seeded base in [0.35, 0.85]; hashed once per executor."""
-        return 0.35 + 0.5 * _hash_unit(f"{self.seed}:{self.name}:sensitivity")
-
-    def sensitivity(self, prompt: str) -> float:
-        """Seeded base shifted by calibration tokens.
-
-        Damp tokens lower it and boost tokens raise it, one step each,
-        clamped to [0, 1].
-        """
-        return _clamp(self.base_sensitivity + _calibration_shift(prompt), 0.0, 1.0)
-
-    def gain(self, prompt: str) -> float:
-        """Responsiveness factor: sensitivity 0.5 is unit gain, 1.0 doubles."""
-        return 2.0 * self.sensitivity(prompt)
-
-    def __call__(self, prompt: str, upstream: Mapping[int, Any], external: Any) -> Any:
-        raise NotImplementedError
+    return _clamp(base + _calibration_shift(prompt), 0.0, 1.0)
 
 
 def _mean_score(upstream: Mapping[int, Any]) -> float:
@@ -203,58 +185,16 @@ def _mean_score(upstream: Mapping[int, Any]) -> float:
     return math.fsum([out.score for out in upstream.values()]) / len(upstream)
 
 
-def _sum_score(upstream: Mapping[int, Any]) -> float:
-    return math.fsum([out.score for out in upstream.values()])
-
-
-class NewsAnalystMock(MockExecutor):
-    def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        return AnalystSignal(_clamp(g * external.sentiment))
-
-
-class TechnicalAnalystMock(MockExecutor):
-    def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        closes = external.closes
-        if len(closes) < 2:
-            return AnalystSignal(0.0)
-        fast = closes[-min(SMA_SHORT, len(closes)):]
-        slow = closes[-min(SMA_LONG, len(closes)):]
-        sma_fast = math.fsum(fast) / len(fast)
-        sma_slow = math.fsum(slow) / len(slow)
-        spread = (sma_fast - sma_slow) / sma_slow
-        return AnalystSignal(_clamp(g * spread / SPREAD_SCALE))
-
-
-class FundamentalAnalystMock(MockExecutor):
-    def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        return AnalystSignal(_clamp(g * external.fundamental))
-
-
-class BullishOutlookMock(MockExecutor):
-    """Passes through only the upside of the aggregate analyst view."""
-
-    def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        return OutlookScore(_clamp(max(0.0, g * _mean_score(upstream)), 0.0, 1.0))
-
-
-class BearishOutlookMock(MockExecutor):
-    """Passes through only the downside of the aggregate analyst view."""
-
-    def __call__(self, prompt, upstream, external):
-        g = self.gain(prompt)
-        return OutlookScore(_clamp(min(0.0, g * _mean_score(upstream)), -1.0, 0.0))
-
-
-class NeutralOutlookMock(MockExecutor):
-    """Mean of the analyst view damped toward zero by its own sensitivity."""
-
-    def __call__(self, prompt, upstream, external):
-        s = self.sensitivity(prompt)
-        return OutlookScore(_clamp(s * _mean_score(upstream)))
+def _technical_analyst(s, upstream, external):
+    closes = external.closes
+    if len(closes) < 2:
+        return AnalystSignal(0.0)
+    fast = closes[-min(SMA_SHORT, len(closes)):]
+    slow = closes[-min(SMA_LONG, len(closes)):]
+    sma_fast = math.fsum(fast) / len(fast)
+    sma_slow = math.fsum(slow) / len(slow)
+    spread = (sma_fast - sma_slow) / sma_slow
+    return AnalystSignal(_clamp(2.0 * s * spread / SPREAD_SCALE))
 
 
 def _decide(total: float) -> TradeDecision:
@@ -267,40 +207,49 @@ def _decide(total: float) -> TradeDecision:
     return TradeDecision(action, confidence=min(1.0, abs(total)))
 
 
-class TraderMock(MockExecutor):
-    def __call__(self, prompt, upstream, external):
-        return _decide(self.gain(prompt) * _sum_score(upstream))
-
-
-class SoloTraderMock(MockExecutor):
-    """Degenerate single-agent system: decides straight from market data."""
-
-    def __call__(self, prompt, upstream, external):
-        return _decide(self.gain(prompt) * _clamp(external.sentiment))
-
-
-_EXECUTOR_BY_ROLE = {
-    Role.NEWS_ANALYST: NewsAnalystMock,
-    Role.TECHNICAL_ANALYST: TechnicalAnalystMock,
-    Role.FUNDAMENTAL_ANALYST: FundamentalAnalystMock,
-    Role.BULLISH_OUTLOOK: BullishOutlookMock,
-    Role.BEARISH_OUTLOOK: BearishOutlookMock,
-    Role.NEUTRAL_OUTLOOK: NeutralOutlookMock,
-    Role.TRADER: TraderMock,
-    Role.SOLO_TRADER: SoloTraderMock,
+# Each role's mock maps (sensitivity s, upstream, external) to its output.
+# Most scale by the gain 2 * s: sensitivity 0.5 is unit gain, 1.0 doubles.
+# The outlooks read the mean upstream score: the bullish one passes only its
+# upside, the bearish one only its downside, and the neutral one damps it by
+# s. The trader sums its upstream scores; the solo trader, the degenerate
+# single-agent system, decides straight from market data.
+ROLE_MOCKS = {
+    Role.NEWS_ANALYST: lambda s, up, ext: AnalystSignal(_clamp(2.0 * s * ext.sentiment)),
+    Role.TECHNICAL_ANALYST: _technical_analyst,
+    Role.FUNDAMENTAL_ANALYST: lambda s, up, ext: AnalystSignal(_clamp(2.0 * s * ext.fundamental)),
+    Role.BULLISH_OUTLOOK: lambda s, up, ext: OutlookScore(
+        _clamp(max(0.0, 2.0 * s * _mean_score(up)), 0.0, 1.0)
+    ),
+    Role.BEARISH_OUTLOOK: lambda s, up, ext: OutlookScore(
+        _clamp(min(0.0, 2.0 * s * _mean_score(up)), -1.0, 0.0)
+    ),
+    Role.NEUTRAL_OUTLOOK: lambda s, up, ext: OutlookScore(_clamp(s * _mean_score(up))),
+    Role.TRADER: lambda s, up, ext: _decide(2.0 * s * math.fsum([o.score for o in up.values()])),
+    Role.SOLO_TRADER: lambda s, up, ext: _decide(2.0 * s * _clamp(ext.sentiment)),
 }
 
 
-class AgentSpec(NamedTuple):
-    """Everything needed to run one agent: identity, role, prompt, executor."""
+def mock_executor(role: Role, name: str, seed: int):
+    """The deterministic mock of one agent, as a (prompt, upstream,
+    external) callable; its seeded base is hashed once, here."""
+    base = base_sensitivity(name, seed)
+    mock = ROLE_MOCKS[role]
 
-    index: int
+    def executor(prompt: str, upstream: Mapping[int, Any], external: Any) -> Any:
+        return mock(sensitivity(base, prompt), upstream, external)
+
+    return executor
+
+
+class AgentSpec(NamedTuple):
+    """Everything needed to run one agent: identity, role, prompt, and an
+    executor, any (prompt, upstream, external) callable."""
+
     name: str
     role: Role
     prompt: PromptState
     executor: Any
     is_source: bool
-    is_sink: bool
 
 
 def execute_agent(
@@ -381,13 +330,11 @@ def build_system(
         _check_placement(graph, index, role, name)
         base = (base_prompts or {}).get(name, DEFAULT_BASE_PROMPTS[role])
         specs[index] = AgentSpec(
-            index=index,
             name=name,
             role=role,
             prompt=PromptState(base_text=base),
-            executor=_EXECUTOR_BY_ROLE[role](name=name, seed=seed),
+            executor=mock_executor(role, name, seed),
             is_source=index in graph.sources,
-            is_sink=index == graph.sink,
         )
     return specs
 

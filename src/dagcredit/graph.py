@@ -8,7 +8,11 @@ ones allowed to read external data.
 """
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple, Sequence
+
+# Agent names become report file names, so each is one safe path component.
+_AGENT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class GraphValidationError(Exception):
@@ -37,12 +41,12 @@ class WorkflowGraph(NamedTuple):
     ``names`` holds each agent's unique name at its index, and ``layers``
     the agent indices per layer in declaration order. Derived fields
     (``sources``, ``sink``, adjacency and each agent's layer) are computed
-    once at construction and treated as read-only. Every edge runs from a
-    lower index to a higher one, so index order is an execution order.
+    once at construction and treated as read-only. The edges are held once,
+    as ``preds`` and ``succs``. Every edge runs from a lower index to a
+    higher one, so index order is an execution order.
     """
 
     names: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
     layers: tuple[tuple[int, ...], ...]
     layer_of: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
@@ -57,6 +61,15 @@ class WorkflowGraph(NamedTuple):
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as an index pair, read off ``preds``.
+
+        The package reads ``preds`` and ``succs``; the benchmark's workload
+        self-test reads this.
+        """
+        return frozenset((u, v) for v, row in enumerate(self.preds) for u in row)
 
 
 def build_graph(
@@ -75,9 +88,13 @@ def build_graph(
     (an external roster to check the partition against). Which layers a
     viable coalition may leave empty follows from the edges alone.
 
+    Every agent name must match ``[A-Za-z0-9_-]+`` and be unique when case
+    is ignored: names become report file names, and some file systems fold
+    case.
+
     Raises:
-        LayerPartitionInvalid: empty layers, duplicate names, or a roster
-            mismatch against ``agents``.
+        LayerPartitionInvalid: empty layers, a name that breaks the rule
+            above, or a roster mismatch against ``agents``.
         CycleDetected: the raw edge set is cyclic.
         CrossLayerViolation: an acyclic edge that is not strictly forward
             across layers (same-layer or backward).
@@ -92,8 +109,16 @@ def build_graph(
     names: list[str] = []
     for layer in layers:
         names.extend(layer)
-    if len(set(names)) != len(names):
-        raise LayerPartitionInvalid("agent names must be unique across layers")
+    folded: dict[str, str] = {}
+    for name in names:
+        if not _AGENT_NAME.fullmatch(name):
+            raise LayerPartitionInvalid(f"agent name {name!r} must match [A-Za-z0-9_-]+")
+        if name.lower() in folded:
+            raise LayerPartitionInvalid(
+                "agent names must be unique across layers, ignoring case: "
+                f"{folded[name.lower()]!r} and {name!r}"
+            )
+        folded[name.lower()] = name
     if agents is not None and sorted(agents) != sorted(names):
         raise LayerPartitionInvalid("layers must cover exactly the declared agents")
 
@@ -137,7 +162,6 @@ def build_graph(
         raise MultipleSinks(f"expected exactly one sink, found {[names[i] for i in sinks]}")
     return WorkflowGraph(
         names=tuple(names),
-        edges=frozenset(edge_idx),
         layers=tuple(layer_tuples),
         layer_of=tuple(layer_of),
         preds=tuple(tuple(sorted(p)) for p in preds),

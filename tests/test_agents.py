@@ -1,4 +1,4 @@
-"""Deterministic mock executors, prompt rendering, and information-flow rules."""
+"""Deterministic mock agents, prompt rendering, and information-flow rules."""
 
 import dataclasses
 
@@ -10,28 +10,24 @@ from dagcredit.agents import (
     BOOST_TOKEN,
     DAMP_TOKEN,
     LESSON_DELIMITER,
+    ROLE_MOCKS,
     AgentSpec,
     AnalystSignal,
-    BearishOutlookMock,
-    BullishOutlookMock,
     Decision,
     ForbiddenExternalAccess,
-    FundamentalAnalystMock,
     InvalidAgentOutput,
     MarketFeatures,
     MissingExternalData,
-    NeutralOutlookMock,
-    NewsAnalystMock,
     OutlookScore,
     PromptState,
     Role,
     RoleMismatch,
-    SoloTraderMock,
-    TechnicalAnalystMock,
     TradeDecision,
-    TraderMock,
+    base_sensitivity,
     build_system,
     execute_agent,
+    mock_executor,
+    sensitivity,
     signed_decision_value,
 )
 from dagcredit.graph import build_graph, reference_graph
@@ -44,6 +40,10 @@ scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 def as_upstream(values):
     return {i: AnalystSignal(v) for i, v in enumerate(values)}
+
+
+def gain(name, seed, prompt="p"):
+    return 2.0 * sensitivity(base_sensitivity(name, seed), prompt)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_each_prompt_state_renders_once():
         as_upstream([0.5, -0.2, 0.3]),
         {3: OutlookScore(0.6), 4: OutlookScore(-0.1), 5: OutlookScore(0.2)},
     ]
-    for spec in specs.values():
+    for index, spec in specs.items():
         blocks = (f"{DAMP_TOKEN} lesson", f"{BOOST_TOKEN} {BOOST_TOKEN} lesson")
         prompt = PromptState(spec.prompt.base_text, blocks, version=3)
         first = prompt.rendered
@@ -74,7 +74,7 @@ def test_each_prompt_state_renders_once():
         assert first == fresh and first is not fresh
 
         tuned = spec._replace(prompt=prompt)
-        upstream = upstream_by_layer[g.layer_of[spec.index]]
+        upstream = upstream_by_layer[g.layer_of[index]]
         external = FEATURES if spec.is_source else None
         outputs = [execute_agent(tuned, upstream, external) for _ in range(3)]
         assert outputs == [spec.executor(fresh, upstream, external)] * 3
@@ -96,38 +96,40 @@ def test_prompt_defaults():
 
 
 def test_sensitivity_is_seed_and_name_deterministic():
-    a = NewsAnalystMock("NAA", seed=7)
-    b = NewsAnalystMock("NAA", seed=7)
-    assert a.sensitivity("p") == b.sensitivity("p")
-    assert NewsAnalystMock("NAA", seed=8).sensitivity("p") != a.sensitivity("p")
-    assert NewsAnalystMock("FAA", seed=7).sensitivity("p") != a.sensitivity("p")
+    a = base_sensitivity("NAA", 7)
+    assert a == base_sensitivity("NAA", 7)
+    assert base_sensitivity("NAA", 8) != a
+    assert base_sensitivity("FAA", 7) != a
 
 
 def test_sensitivity_base_range():
     for seed in range(25):
-        s = TraderMock("TRA", seed=seed).sensitivity("no tokens here")
+        s = sensitivity(base_sensitivity("TRA", seed), "no tokens here")
         assert 0.35 <= s <= 0.85
 
 
 def test_tokens_shift_sensitivity_one_step_each():
-    mock = NewsAnalystMock("NAA", seed=3)
-    base = mock.sensitivity("plain")
-    assert mock.sensitivity(f"plain {DAMP_TOKEN}") == pytest.approx(base - 0.1)
-    assert mock.sensitivity(f"plain {BOOST_TOKEN}") == pytest.approx(base + 0.1)
-    assert mock.sensitivity(
-        f"{BOOST_TOKEN} {DAMP_TOKEN}"
-    ) == pytest.approx(base)
+    base = base_sensitivity("NAA", 3)
+    assert sensitivity(base, "plain") == base
+    assert sensitivity(base, f"plain {DAMP_TOKEN}") == pytest.approx(base - 0.1)
+    assert sensitivity(base, f"plain {BOOST_TOKEN}") == pytest.approx(base + 0.1)
+    assert sensitivity(base, f"{BOOST_TOKEN} {DAMP_TOKEN}") == pytest.approx(base)
 
 
 def test_sensitivity_clamps_to_unit_interval():
-    mock = NewsAnalystMock("NAA", seed=3)
-    assert mock.sensitivity(DAMP_TOKEN * 12) == 0.0
-    assert mock.sensitivity(BOOST_TOKEN * 12) == 1.0
+    base = base_sensitivity("NAA", 3)
+    assert sensitivity(base, DAMP_TOKEN * 12) == 0.0
+    assert sensitivity(base, BOOST_TOKEN * 12) == 1.0
 
 
 def test_gain_doubles_sensitivity():
-    mock = FundamentalAnalystMock("FAA", seed=11)
-    assert mock.gain("p") == pytest.approx(2.0 * mock.sensitivity("p"))
+    """Sensitivity 0.5 is unit gain and 1.0 doubles; a mock reads its
+    prompt's sensitivity."""
+    fundamental = ROLE_MOCKS[Role.FUNDAMENTAL_ANALYST]
+    assert fundamental(0.5, {}, FEATURES).score == FEATURES.fundamental
+    assert fundamental(1.0, {}, FEATURES).score == 2.0 * FEATURES.fundamental
+    out = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 11)("p", {}, FEATURES)
+    assert out.score == pytest.approx(gain("FAA", 11) * FEATURES.fundamental)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +137,16 @@ def test_gain_doubles_sensitivity():
 
 
 def test_news_analyst_scales_sentiment():
-    mock = NewsAnalystMock("NAA", seed=1)
+    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 1)
     out = mock("p", {}, FEATURES)
     assert isinstance(out, AnalystSignal)
     assert out.score == pytest.approx(
-        max(-1.0, min(1.0, mock.gain("p") * FEATURES.sentiment))
+        max(-1.0, min(1.0, gain("NAA", 1) * FEATURES.sentiment))
     )
 
 
 def test_technical_analyst_follows_trend_sign():
-    mock = TechnicalAnalystMock("TAA", seed=2)
+    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)
     rising = MarketFeatures(0.0, 0.0, tuple(float(100 + i) for i in range(8)))
     falling = MarketFeatures(0.0, 0.0, tuple(float(100 - i) for i in range(8)))
     assert mock("p", {}, rising).score > 0
@@ -152,21 +154,21 @@ def test_technical_analyst_follows_trend_sign():
 
 
 def test_technical_analyst_neutral_on_short_history():
-    mock = TechnicalAnalystMock("TAA", seed=2)
+    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)
     assert mock("p", {}, MarketFeatures(0.0, 0.0, (100.0,))).score == 0.0
 
 
 def test_fundamental_analyst_scales_fundamental():
-    mock = FundamentalAnalystMock("FAA", seed=4)
+    mock = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 4)
     out = mock("p", {}, FEATURES)
     assert out.score == pytest.approx(
-        max(-1.0, min(1.0, mock.gain("p") * FEATURES.fundamental))
+        max(-1.0, min(1.0, gain("FAA", 4) * FEATURES.fundamental))
     )
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_news_analyst_stays_in_range(sentiment):
-    mock = NewsAnalystMock("NAA", seed=9)
+    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 9)
     features = MarketFeatures(sentiment, 0.0, (100.0, 101.0))
     assert -1.0 <= mock("p", {}, features).score <= 1.0
 
@@ -176,7 +178,7 @@ def test_news_analyst_stays_in_range(sentiment):
 
 
 def test_bullish_outlook_keeps_only_upside():
-    mock = BullishOutlookMock("BOA", seed=5)
+    mock = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 5)
     up = mock("p", as_upstream([0.6, 0.4]), None)
     down = mock("p", as_upstream([-0.6, -0.4]), None)
     assert isinstance(up, OutlookScore)
@@ -185,33 +187,36 @@ def test_bullish_outlook_keeps_only_upside():
 
 
 def test_bearish_outlook_keeps_only_downside():
-    mock = BearishOutlookMock("BeOA", seed=5)
+    mock = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 5)
     assert mock("p", as_upstream([0.6, 0.4]), None).score == 0.0
     assert mock("p", as_upstream([-0.6, -0.4]), None).score < 0
 
 
 def test_neutral_outlook_damps_the_mean():
-    mock = NeutralOutlookMock("NOA", seed=5)
+    mock = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 5)
     out = mock("plain", as_upstream([0.8, 0.4]), None)
     mean = 0.6
     assert 0 < out.score < mean
 
 
 def test_outlooks_are_neutral_without_upstream():
-    for cls, name in (
-        (BullishOutlookMock, "BOA"),
-        (BearishOutlookMock, "BeOA"),
-        (NeutralOutlookMock, "NOA"),
+    for role, name in (
+        (Role.BULLISH_OUTLOOK, "BOA"),
+        (Role.BEARISH_OUTLOOK, "BeOA"),
+        (Role.NEUTRAL_OUTLOOK, "NOA"),
     ):
-        assert cls(name, seed=6)("p", {}, None).score == 0.0
+        assert mock_executor(role, name, 6)("p", {}, None).score == 0.0
 
 
 @given(st.lists(scores, min_size=0, max_size=5))
 def test_outlook_ranges(values):
     upstream = as_upstream(values)
-    assert 0.0 <= BullishOutlookMock("BOA", seed=7)("p", upstream, None).score <= 1.0
-    assert -1.0 <= BearishOutlookMock("BeOA", seed=7)("p", upstream, None).score <= 0.0
-    assert -1.0 <= NeutralOutlookMock("NOA", seed=7)("p", upstream, None).score <= 1.0
+    bullish = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 7)
+    bearish = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 7)
+    neutral = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 7)
+    assert 0.0 <= bullish("p", upstream, None).score <= 1.0
+    assert -1.0 <= bearish("p", upstream, None).score <= 0.0
+    assert -1.0 <= neutral("p", upstream, None).score <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +224,8 @@ def test_outlook_ranges(values):
 
 
 def test_trader_threshold_behavior():
-    mock = TraderMock("TRA", seed=8)
-    g = mock.gain("p")
+    mock = mock_executor(Role.TRADER, "TRA", 8)
+    g = gain("TRA", 8)
     strong = 0.9 / g
     out = mock("p", {0: OutlookScore(strong)}, None)
     assert out.action is Decision.BUY
@@ -232,14 +237,14 @@ def test_trader_threshold_behavior():
 
 
 def test_trader_holds_without_upstream():
-    out = TraderMock("TRA", seed=8)("p", {}, None)
+    out = mock_executor(Role.TRADER, "TRA", 8)("p", {}, None)
     assert out.action is Decision.HOLD
     assert out.confidence == 0.0
 
 
 def test_trader_sums_rather_than_averages():
-    mock = TraderMock("TRA", seed=8)
-    g = mock.gain("p")
+    mock = mock_executor(Role.TRADER, "TRA", 8)
+    g = gain("TRA", 8)
     each = 0.2 / g
     three = mock("p", as_upstream([each, each, each]), None)
     assert three.action is Decision.BUY
@@ -247,14 +252,14 @@ def test_trader_sums_rather_than_averages():
 
 @given(st.lists(scores, min_size=0, max_size=4))
 def test_trader_confidence_range(values):
-    out = TraderMock("TRA", seed=8)("p", as_upstream(values), None)
+    out = mock_executor(Role.TRADER, "TRA", 8)("p", as_upstream(values), None)
     assert 0.0 <= out.confidence <= 1.0
     assert out.action in (Decision.BUY, Decision.HOLD, Decision.SELL)
 
 
 def test_solo_trader_decides_from_sentiment():
-    mock = SoloTraderMock("solo", seed=9)
-    g = mock.gain("p")
+    mock = mock_executor(Role.SOLO_TRADER, "solo", 9)
+    g = gain("solo", 9)
     bullish = MarketFeatures(min(1.0, 0.9 / g), 0.0, (100.0, 101.0))
     assert mock("p", {}, bullish).action is Decision.BUY
     flat = MarketFeatures(0.0, 0.0, (100.0, 101.0))
@@ -271,26 +276,28 @@ def test_signed_decision_value():
 # information-flow enforcement
 
 
-def spec_for(role, is_source, is_sink, executor):
+def spec_for(role, is_source, executor):
     return AgentSpec(
-        index=0,
         name="X",
         role=role,
         prompt=PromptState("p"),
         executor=executor,
         is_source=is_source,
-        is_sink=is_sink,
     )
 
 
+def test_agent_spec_holds_what_is_read():
+    assert AgentSpec._fields == ("name", "role", "prompt", "executor", "is_source")
+
+
 def test_source_requires_external_data():
-    spec = spec_for(Role.NEWS_ANALYST, True, False, NewsAnalystMock("X", seed=1))
+    spec = spec_for(Role.NEWS_ANALYST, True, mock_executor(Role.NEWS_ANALYST, "X", 1))
     with pytest.raises(MissingExternalData):
         execute_agent(spec, {}, None)
 
 
 def test_non_source_rejects_external_data():
-    spec = spec_for(Role.BULLISH_OUTLOOK, False, False, BullishOutlookMock("X", seed=1))
+    spec = spec_for(Role.BULLISH_OUTLOOK, False, mock_executor(Role.BULLISH_OUTLOOK, "X", 1))
     with pytest.raises(ForbiddenExternalAccess):
         execute_agent(spec, {}, FEATURES)
 
@@ -299,7 +306,7 @@ def test_out_of_range_scores_are_rejected():
     def rogue(prompt, upstream, external):
         return AnalystSignal(1.5)
 
-    spec = spec_for(Role.NEWS_ANALYST, True, False, rogue)
+    spec = spec_for(Role.NEWS_ANALYST, True, rogue)
     with pytest.raises(InvalidAgentOutput):
         execute_agent(spec, {}, FEATURES)
 
@@ -308,13 +315,13 @@ def test_out_of_range_confidence_is_rejected():
     def rogue(prompt, upstream, external):
         return TradeDecision(Decision.BUY, confidence=2.0)
 
-    spec = spec_for(Role.TRADER, False, True, rogue)
+    spec = spec_for(Role.TRADER, False, rogue)
     with pytest.raises(InvalidAgentOutput):
         execute_agent(spec, {})
 
 
 def test_execute_agent_happy_path():
-    spec = spec_for(Role.NEWS_ANALYST, True, False, NewsAnalystMock("X", seed=1))
+    spec = spec_for(Role.NEWS_ANALYST, True, mock_executor(Role.NEWS_ANALYST, "X", 1))
     out = execute_agent(spec, {}, FEATURES)
     assert isinstance(out, AnalystSignal)
 
@@ -336,7 +343,7 @@ def test_build_system_assigns_reference_roles():
         Role.TRADER,
     ]
     assert all(specs[i].is_source for i in range(3))
-    assert specs[6].is_sink
+    assert not any(specs[i].is_source for i in range(3, 7))
 
 
 def test_build_system_positional_roles_rotate():
@@ -353,7 +360,7 @@ def test_build_system_single_agent_is_solo_trader():
     g = build_graph([["solo"]], [])
     specs = build_system(g, seed=1)
     assert specs[0].role == Role.SOLO_TRADER
-    assert specs[0].is_source and specs[0].is_sink
+    assert specs[0].is_source and g.sink == 0
 
 
 def test_build_system_custom_base_prompts():
@@ -386,14 +393,142 @@ def test_mock_sensitivity_reads_current_prompt():
     g = reference_graph()
     specs = build_system(g, seed=42)
     spec = specs[0]
-    base = spec.executor.sensitivity(spec.prompt.rendered)
-    boosted = AgentSpec(
-        index=spec.index,
-        name=spec.name,
-        role=spec.role,
-        prompt=PromptState(spec.prompt.base_text, (BOOST_TOKEN,), version=2),
-        executor=spec.executor,
-        is_source=spec.is_source,
-        is_sink=spec.is_sink,
+    base = sensitivity(base_sensitivity(spec.name, 42), spec.prompt.rendered)
+    boosted = spec._replace(
+        prompt=PromptState(spec.prompt.base_text, (BOOST_TOKEN,), version=2)
     )
-    assert boosted.executor.sensitivity(boosted.prompt.rendered) == pytest.approx(base + 0.1)
+    assert execute_agent(spec, {}, FEATURES).score == pytest.approx(
+        2.0 * base * FEATURES.sentiment
+    )
+    assert execute_agent(boosted, {}, FEATURES).score == pytest.approx(
+        2.0 * (base + 0.1) * FEATURES.sentiment
+    )
+
+
+# ---------------------------------------------------------------------------
+# every role's output, bit for bit
+
+PIN_PROMPTS = {"base": "p", "s0": DAMP_TOKEN * 12, "s1": BOOST_TOKEN * 12}
+PIN_EXTERNALS = {
+    "c8": FEATURES,
+    "c1": MarketFeatures(-0.7, -0.45, (100.0,)),
+}
+PIN_UPSTREAMS = {
+    "none": {},
+    "up": {0: AnalystSignal(0.37), 1: AnalystSignal(-0.12), 2: AnalystSignal(0.55)},
+    "down": {3: OutlookScore(-0.41), 4: OutlookScore(-0.3), 5: OutlookScore(0.08)},
+}
+
+# "<agent> <prompt> <upstream> <external>": the score's float.hex(), or the
+# action and the confidence's float.hex(). Seed 42; prompt s0 holds 12 damp
+# tokens (sensitivity clamped to 0), s1 12 boost tokens (clamped to 1); c8
+# has eight closes and c1 one. The solo trader runs in a one-agent graph.
+ROLE_PINS = {
+    "NAA base none c8": "0x1.0c524132977cdp-1",
+    "NAA base none c1": "-0x1.d58ff218891a6p-1",
+    "NAA base up c8": "0x1.0c524132977cdp-1",
+    "NAA base up c1": "-0x1.d58ff218891a6p-1",
+    "NAA s0 none c8": "0x0.0p+0",
+    "NAA s0 none c1": "-0x0.0p+0",
+    "NAA s0 up c8": "0x0.0p+0",
+    "NAA s0 up c1": "-0x0.0p+0",
+    "NAA s1 none c8": "0x1.999999999999ap-1",
+    "NAA s1 none c1": "-0x1.0000000000000p+0",
+    "NAA s1 up c8": "0x1.999999999999ap-1",
+    "NAA s1 up c1": "-0x1.0000000000000p+0",
+    "TAA base none c8": "0x1.76411c2c5a89ep-1",
+    "TAA base none c1": "0x0.0p+0",
+    "TAA base up c8": "0x1.76411c2c5a89ep-1",
+    "TAA base up c1": "0x0.0p+0",
+    "TAA s0 none c8": "0x0.0p+0",
+    "TAA s0 none c1": "0x0.0p+0",
+    "TAA s0 up c8": "0x0.0p+0",
+    "TAA s0 up c1": "0x0.0p+0",
+    "TAA s1 none c8": "0x1.0000000000000p+0",
+    "TAA s1 none c1": "0x0.0p+0",
+    "TAA s1 up c8": "0x1.0000000000000p+0",
+    "TAA s1 up c1": "0x0.0p+0",
+    "FAA base none c8": "0x1.49996f8653830p-3",
+    "FAA base none c1": "-0x1.72cc9d771df36p-2",
+    "FAA base up c8": "0x1.49996f8653830p-3",
+    "FAA base up c1": "-0x1.72cc9d771df36p-2",
+    "FAA s0 none c8": "0x0.0p+0",
+    "FAA s0 none c1": "-0x0.0p+0",
+    "FAA s0 up c8": "0x0.0p+0",
+    "FAA s0 up c1": "-0x0.0p+0",
+    "FAA s1 none c8": "0x1.999999999999ap-2",
+    "FAA s1 none c1": "-0x1.ccccccccccccdp-1",
+    "FAA s1 up c8": "0x1.999999999999ap-2",
+    "FAA s1 up c1": "-0x1.ccccccccccccdp-1",
+    "BOA base none -": "0x0.0p+0",
+    "BOA base up -": "0x1.ccf901f70cf80p-2",
+    "BOA base down -": "0x0.0p+0",
+    "BOA s0 none -": "0x0.0p+0",
+    "BOA s0 up -": "0x0.0p+0",
+    "BOA s0 down -": "0x0.0p+0",
+    "BOA s1 none -": "0x0.0p+0",
+    "BOA s1 up -": "0x1.1111111111111p-1",
+    "BOA s1 down -": "0x0.0p+0",
+    "BeOA base none -": "0x0.0p+0",
+    "BeOA base up -": "0x0.0p+0",
+    "BeOA base down -": "-0x1.b6ef539db1c71p-3",
+    "BeOA s0 none -": "0x0.0p+0",
+    "BeOA s0 up -": "0x0.0p+0",
+    "BeOA s0 down -": "0x0.0p+0",
+    "BeOA s1 none -": "0x0.0p+0",
+    "BeOA s1 up -": "0x0.0p+0",
+    "BeOA s1 down -": "-0x1.ae147ae147ae1p-2",
+    "NOA base none -": "0x0.0p+0",
+    "NOA base up -": "0x1.03fda69ae82f6p-3",
+    "NOA base down -": "-0x1.997c4ccd94176p-4",
+    "NOA s0 none -": "0x0.0p+0",
+    "NOA s0 up -": "0x0.0p+0",
+    "NOA s0 down -": "-0x0.0p+0",
+    "NOA s1 none -": "0x0.0p+0",
+    "NOA s1 up -": "0x1.1111111111111p-2",
+    "NOA s1 down -": "-0x1.ae147ae147ae1p-3",
+    "TRA base none -": "hold 0x0.0p+0",
+    "TRA base up -": "buy 0x1.ce26932a626dap-1",
+    "TRA base down -": "sell 0x1.6bf193e493e98p-1",
+    "TRA s0 none -": "hold 0x0.0p+0",
+    "TRA s0 up -": "hold 0x0.0p+0",
+    "TRA s0 down -": "hold 0x0.0p+0",
+    "TRA s1 none -": "hold 0x0.0p+0",
+    "TRA s1 up -": "buy 0x1.0000000000000p+0",
+    "TRA s1 down -": "sell 0x1.0000000000000p+0",
+    "solo base none c8": "buy 0x1.1546e95dce17dp-1",
+    "solo base none c1": "sell 0x1.e53c186428a9ap-1",
+    "solo base up c8": "buy 0x1.1546e95dce17dp-1",
+    "solo base up c1": "sell 0x1.e53c186428a9ap-1",
+    "solo s0 none c8": "hold 0x0.0p+0",
+    "solo s0 none c1": "hold 0x0.0p+0",
+    "solo s0 up c8": "hold 0x0.0p+0",
+    "solo s0 up c1": "hold 0x0.0p+0",
+    "solo s1 none c8": "buy 0x1.999999999999ap-1",
+    "solo s1 none c1": "sell 0x1.0000000000000p+0",
+    "solo s1 up c8": "buy 0x1.999999999999ap-1",
+    "solo s1 up c1": "sell 0x1.0000000000000p+0",
+}
+
+
+def test_every_role_output_is_pinned_bit_for_bit():
+    specs = list(build_system(reference_graph(), seed=42).values())
+    specs += build_system(build_graph([["solo"]], []), seed=42).values()
+    assert sorted({spec.role for spec in specs}, key=lambda r: r.value) == sorted(
+        Role, key=lambda r: r.value
+    )
+    got = {}
+    for spec in specs:
+        externals = PIN_EXTERNALS.items() if spec.is_source else [("-", None)]
+        for p_label, prompt in PIN_PROMPTS.items():
+            for u_label, upstream in PIN_UPSTREAMS.items():
+                if spec.is_source and u_label == "down":
+                    continue
+                for e_label, external in externals:
+                    out = spec.executor(prompt, upstream, external)
+                    if isinstance(out, TradeDecision):
+                        value = f"{out.action.value} {out.confidence.hex()}"
+                    else:
+                        value = out.score.hex()
+                    got[f"{spec.name} {p_label} {u_label} {e_label}"] = value
+    assert got == ROLE_PINS

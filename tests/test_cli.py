@@ -134,6 +134,21 @@ def test_validate_rejects_cyclic_graph(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_backtest_refuses_an_agent_name_that_leaves_the_output_directory(capsys, tmp_path):
+    """Prompt reports are named after agents, so a graph file's names are
+    checked before anything is written."""
+    payload = {"layers": [["a"], ["../../escaped"]], "edges": [["a", "../../escaped"]]}
+    out_dir = tmp_path / "out" / "run"
+    code, out, err = run(
+        capsys, "backtest", "--graph", graph_file(tmp_path, payload),
+        "--days", "15", "--out", str(out_dir),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "'../../escaped'" in err
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("escaped*"))
+
+
 def test_validate_rejects_unknown_graph_keys(capsys, tmp_path):
     path = graph_file(tmp_path, {"layers": [["t"]], "edges": [], "extra": 1})
     code, out, err = run(capsys, "validate", path)

@@ -1,5 +1,7 @@
 """Graph construction, validation, traversal, and the reference workflow."""
 
+import re
+
 import pytest
 
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ def test_reference_graph_shape():
     assert len(g.layers) == 3
     assert g.sources == (0, 1, 2)
     assert g.sink == 6
-    assert len(g.edges) == 12
+    assert sum(map(len, g.preds)) == 12
 
 
 def test_reference_graph_adjacency():
@@ -52,6 +54,17 @@ def test_index_of_and_layer_of():
 def test_build_rejects_duplicate_name():
     with pytest.raises(LayerPartitionInvalid):
         build_graph([["a", "a"], ["t"]], [("a", "t")])
+
+
+@pytest.mark.parametrize("bad", ["../x", "/tmp/x", "a,b", "a b", ""])
+def test_build_rejects_a_name_that_is_not_one_safe_path_component(bad):
+    with pytest.raises(LayerPartitionInvalid, match=re.escape(f"agent name {bad!r}")):
+        build_graph([[bad], ["t"]], [(bad, "t")])
+
+
+def test_build_rejects_names_that_differ_only_by_case():
+    with pytest.raises(LayerPartitionInvalid, match="ignoring case: 'T' and 't'"):
+        build_graph([["T"], ["t"]], [("T", "t")])
 
 
 def test_build_rejects_edge_to_unknown_agent():
@@ -90,9 +103,10 @@ def test_skip_layer_edges_are_legal():
 
 
 def assert_edges_run_up_the_indices(g):
-    for src, dst in g.edges:
-        assert src < dst
-        assert g.layer_of[src] < g.layer_of[dst]
+    for dst, row in enumerate(g.preds):
+        for src in row:
+            assert src < dst
+            assert g.layer_of[src] < g.layer_of[dst]
     # Each layer is a consecutive run of indices.
     assert [a for layer in g.layers for a in layer] == list(range(g.n))
 
@@ -161,4 +175,4 @@ def test_layered_helper_builds_expected_shapes():
     assert g.n == 5
     assert g.sources == (0, 1)
     assert g.sink == 4
-    assert len(g.edges) == 2 * 2 + 2 * 1
+    assert sum(map(len, g.preds)) == 2 * 2 + 2 * 1

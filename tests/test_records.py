@@ -10,7 +10,6 @@ the code needs one: ``dataclasses.fields`` or ``replace``, or a
 import dataclasses
 import importlib
 import inspect
-import itertools
 
 import pytest
 
@@ -18,7 +17,7 @@ from dagcredit import agents, backtest, cli, coalitions, config, graph, optimize
 
 MODULES = (agents, backtest, cli, coalitions, config, graph, optimizer, shapley)
 
-KEPT_DATACLASSES = {"RunConfig", "PromptState", "MockExecutor"}
+KEPT_DATACLASSES = {"RunConfig", "PromptState"}
 
 RECORDS = {
     "agents": {"AnalystSignal", "OutlookScore", "TradeDecision", "MarketFeatures", "AgentSpec"},
@@ -31,18 +30,6 @@ RECORDS = {
     "optimizer": {"LessonSet", "CycleRecord"},
 }
 
-MOCKS = (
-    agents.NewsAnalystMock,
-    agents.TechnicalAnalystMock,
-    agents.FundamentalAnalystMock,
-    agents.BullishOutlookMock,
-    agents.BearishOutlookMock,
-    agents.NeutralOutlookMock,
-    agents.TraderMock,
-    agents.SoloTraderMock,
-)
-
-
 def defined_classes():
     """Every class defined in the package's modules, by module."""
     for module in MODULES:
@@ -51,17 +38,17 @@ def defined_classes():
                 yield module, obj
 
 
-def test_exactly_three_classes_are_dataclasses():
+def test_exactly_two_classes_are_dataclasses():
     # A subclass inherits its base's dataclass fields, so ``is_dataclass``
-    # also accepts the mocks, which add no field: the decorator processed
-    # a class when its own namespace holds the fields.
+    # alone would also accept a subclass: the decorator processed a class
+    # when its own namespace holds the fields.
     decorated = {
         cls.__name__ for _, cls in defined_classes() if "__dataclass_fields__" in vars(cls)
     }
     assert decorated == KEPT_DATACLASSES
     for _, cls in defined_classes():
         if dataclasses.is_dataclass(cls):
-            assert cls.__name__ in KEPT_DATACLASSES or issubclass(cls, agents.MockExecutor)
+            assert cls.__name__ in KEPT_DATACLASSES
 
 
 def test_records_are_the_named_tuples():
@@ -88,14 +75,3 @@ def test_a_record_refuses_assignment_and_deletion(module, name):
         record.not_a_field = -1
     assert tuple(record) == tuple(range(len(cls._fields)))
 
-
-def test_mocks_of_different_roles_differ_and_name_their_class():
-    mocks = [cls("X", 7) for cls in MOCKS]
-    for a, b in itertools.combinations(mocks, 2):
-        assert a != b
-    for cls, mock in zip(MOCKS, mocks):
-        twin = cls("X", 7)
-        assert mock == twin and hash(mock) == hash(twin)
-        assert repr(mock) == f"{cls.__name__}(name='X', seed=7)"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            mock.seed = 8
