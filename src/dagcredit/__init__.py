@@ -31,7 +31,7 @@ from .backtest import (
 )
 from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, load_config, load_graph_file
-from .graph import WorkflowGraph, build_graph, reference_graph
+from .graph import InputError, WorkflowGraph, build_graph, reference_graph
 from .optimizer import (
     CycleRecord,
     LessonSet,

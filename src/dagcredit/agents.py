@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
-from .graph import WorkflowGraph
+from .graph import InputError, WorkflowGraph
 
 # Calibration directives recognized by every mock. Each occurrence anywhere in
 # the rendered prompt shifts sensitivity by one step.
@@ -47,7 +47,7 @@ class InvalidAgentOutput(ValueError):
     """An executor returned a payload outside its documented range."""
 
 
-class RoleMismatch(ValueError):
+class RoleMismatch(InputError):
     """A role was assigned to an agent whose graph position cannot host it."""
 
 

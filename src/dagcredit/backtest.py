@@ -44,7 +44,7 @@ from .agents import (
 )
 from .coalitions import coalition_names, enumerate_viable
 from .config import ConfigError, RunConfig, config_graph, load_prompts_dir
-from .graph import WorkflowGraph
+from .graph import InputError, WorkflowGraph
 from .optimizer import CycleRecord, run_cycle
 from .shapley import (
     AttributionResult,
@@ -71,27 +71,27 @@ STRATEGY_MACD = "macd-12-26-9"
 STRATEGY_SMA = "sma-20-50"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     pass
 
 
-class NonPositivePrice(ValueError):
+class NonPositivePrice(InputError):
     pass
 
 
-class DuplicateDate(ValueError):
+class DuplicateDate(InputError):
     pass
 
 
-class UnsortedDates(ValueError):
+class UnsortedDates(InputError):
     pass
 
 
-class TooFewReturns(ValueError):
+class TooFewReturns(InputError):
     pass
 
 
-class InsufficientData(ValueError):
+class InsufficientData(InputError):
     pass
 
 
@@ -687,6 +687,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         specs: dict[int, AgentSpec],
         w_index: int,
         day_idx: list[int],
+        episodes: list[MarketFeatures],
         step_returns: list[float],
         value: Callable[[Sequence[int]], float],
         reuse: tuple[WindowGame, int] | None = None,
@@ -695,7 +696,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             graph,
             viable,
             system_runner(specs),
-            [market.for_day(i) for i in day_idx[:-1]],
+            episodes,
             decision_to_position,
             value,
             config.engine,
@@ -737,14 +738,17 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     frozen_reports: list[WindowReport] = []
     cycles: list[CycleRecord] = []
     for w_index, day_idx in enumerate(windows):
+        # Both passes play the same episodes, so the frozen pass's reuse of
+        # the tuned pass's runs finds the same external data by identity.
+        episodes = [market.for_day(i) for i in day_idx[:-1]]
         step_returns = [market.step_return(i) for i in day_idx[:-1]]
         # Both passes value the window with one memo, so the frozen pass
         # runs Sharpe only on position vectors the tuned pass did not value.
         value = sharpe_value(step_returns, config.rf_daily)
-        game, tuned = attributed_window(specs, w_index, day_idx, step_returns, value)
+        game, tuned = attributed_window(specs, w_index, day_idx, episodes, step_returns, value)
         changed = sum(1 << a for a in range(graph.n) if specs[a].prompt != specs0[a].prompt)
         frozen = attributed_window(
-            specs0, w_index, day_idx, step_returns, value, (game, changed)
+            specs0, w_index, day_idx, episodes, step_returns, value, (game, changed)
         )[1]
         tuned_reports.append(tuned)
         frozen_reports.append(frozen)

@@ -25,10 +25,12 @@ and the replay's contributions, to equal the pruned engine's bit for bit.
 execution reduction and the number of subsets that agreed. Engines that
 differ end the command with exit 3.
 
-Exit codes: 0 success, 1 validation or config error (a malformed input
-file included), 2 I/O error or a command-line usage error (such as an
-unknown flag or an engine other than ``dag`` and ``both``), 3 runtime
-failure (an agent that raised, or engines that disagree under ``both``).
+Exit codes: 0 success, 1 an ``InputError`` (the root of every bad-input
+error the package raises: a graph, config, data file or setting it cannot
+run, a malformed or cyclic input file included), 2 I/O error or a
+command-line usage error (such as an unknown flag or an engine other than
+``dag`` and ``both``), 3 runtime failure (an agent that raised, or engines
+that disagree under ``both``).
 """
 from __future__ import annotations
 
@@ -39,34 +41,11 @@ import sys
 from pathlib import Path
 
 from . import backtest as bt
-from .agents import RoleMismatch, build_system, signed_decision_value, system_runner
-from .coalitions import GraphTooLarge, coalition_names, enumerate_viable
+from .agents import build_system, signed_decision_value, system_runner
+from .coalitions import coalition_names, enumerate_viable
 from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
-from .graph import GraphValidationError
-from .optimizer import WindowTooShort
-from .shapley import (
-    InvalidSize,
-    classical_cost,
-    format_attribution,
-    format_replay_check,
-    predicted_cost,
-)
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    GraphValidationError,
-    GraphTooLarge,
-    InvalidSize,
-    RoleMismatch,
-    WindowTooShort,
-    bt.ParseError,
-    bt.NonPositivePrice,
-    bt.DuplicateDate,
-    bt.UnsortedDates,
-    bt.TooFewReturns,
-    bt.InsufficientData,
-)
-
+from .graph import InputError
+from .shapley import classical_cost, format_attribution, format_replay_check, predicted_cost
 
 _GRAPH_HELP = "graph JSON file (default: built-in reference)"
 
@@ -251,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

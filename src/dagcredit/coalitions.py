@@ -13,7 +13,7 @@ import itertools
 from array import array
 from collections.abc import Collection
 
-from .graph import WorkflowGraph
+from .graph import InputError, WorkflowGraph
 
 # The power-set limit: enumeration and aggregation both refuse larger graphs.
 MAX_AGENTS = 24
@@ -26,7 +26,7 @@ MASK_TYPECODE = "I"
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class GraphTooLarge(ValueError):
+class GraphTooLarge(InputError):
     """Exhaustive enumeration refused beyond MAX_AGENTS agents."""
 
 

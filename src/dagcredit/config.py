@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import WorkflowGraph, build_graph, reference_graph
+from .graph import InputError, WorkflowGraph, build_graph, reference_graph
 
 ENGINES = ("dag", "both")
 REGIMES = ("bull", "bear", "sideways")
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 

@@ -1,10 +1,13 @@
 """Layered workflow graphs.
 
 Agents are organized into ordered layers with edges running strictly from
-earlier layers to later ones (forward layer-skipping is allowed). Exactly one
-agent has no outgoing edges; that agent is the sink whose output becomes the
-system decision. Agents with no incoming edges are sources and are the only
-ones allowed to read external data.
+earlier layers to later ones (forward layer-skipping is allowed), so no graph
+has a cycle. Exactly one agent has no outgoing edges; that agent is the sink
+whose output becomes the system decision. Agents with no incoming edges are
+sources and are the only ones allowed to read external data.
+
+``InputError`` is defined here, in the module every other one imports: each
+error the package raises for bad input derives from it.
 """
 from __future__ import annotations
 
@@ -15,12 +18,13 @@ from typing import Iterable, NamedTuple, Sequence
 _AGENT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
-class GraphValidationError(Exception):
+class InputError(ValueError):
+    """A graph, config, data file or setting the program cannot run; the
+    CLI exits 1 on it."""
+
+
+class GraphValidationError(InputError):
     """Raised when a graph definition violates a structural rule."""
-
-
-class CycleDetected(GraphValidationError):
-    pass
 
 
 class MultipleSinks(GraphValidationError):
@@ -95,9 +99,9 @@ def build_graph(
     Raises:
         LayerPartitionInvalid: empty layers, a name that breaks the rule
             above, or a roster mismatch against ``agents``.
-        CycleDetected: the raw edge set is cyclic.
-        CrossLayerViolation: an acyclic edge that is not strictly forward
-            across layers (same-layer or backward).
+        CrossLayerViolation: an edge that does not reach a strictly later
+            layer (same-layer, backward or a self-loop). Every cycle holds
+            such an edge, so this rule is what rules out cycles.
         MultipleSinks: more than one agent has no outgoing edge.
 
     An acyclic graph with agents always has one without predecessors, so
@@ -129,13 +133,7 @@ def build_graph(
     for u_name, v_name in edges:
         if u_name not in index or v_name not in index:
             raise LayerPartitionInvalid(f"edge endpoint not an agent: ({u_name}, {v_name})")
-        if u_name == v_name:
-            raise CycleDetected(f"self-loop on {u_name}")
         edge_idx.add((index[u_name], index[v_name]))
-
-    # Cycle check runs on the raw edge set before layer monotonicity so that a
-    # genuine cycle reports as such rather than as a layer violation.
-    _check_acyclic(n, edge_idx)
 
     layer_of = [0] * n
     layer_tuples: list[tuple[int, ...]] = []
@@ -145,6 +143,8 @@ def build_graph(
         for i in row:
             layer_of[i] = li
 
+    # Every cycle, a self-loop included, holds an edge that fails this test,
+    # so it also rules out cycles.
     for u, v in edge_idx:
         if layer_of[u] >= layer_of[v]:
             raise CrossLayerViolation(
@@ -169,24 +169,6 @@ def build_graph(
         sources=tuple(i for i in range(n) if not preds[i]),
         sink=sinks[0],
     )
-
-
-def _check_acyclic(n: int, edges: set[tuple[int, int]]) -> None:
-    # Kahn's count: removing agents without remaining predecessors reaches
-    # every agent exactly when the edges hold no cycle.
-    indeg = [0] * n
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        indeg[v] += 1
-        succs[u].append(v)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    for u in ready:
-        for v in succs[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(ready) != n:
-        raise CycleDetected("edge set contains a cycle")
 
 
 def reference_graph() -> WorkflowGraph:

@@ -14,13 +14,13 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from .agents import AgentSpec, BOOST_TOKEN, DAMP_TOKEN, PromptState
-from .graph import WorkflowGraph
+from .graph import InputError, WorkflowGraph
 
 DEFAULT_THRESHOLD = 0.0
 DEFAULT_LESSON_CAP = 5
 
 
-class WindowTooShort(ValueError):
+class WindowTooShort(InputError):
     pass
 
 

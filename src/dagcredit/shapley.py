@@ -51,7 +51,7 @@ from .coalitions import (
     MASK_TYPECODE, MAX_AGENTS, GraphTooLarge, enumerate_viable, lane_flags, lanes_of,
     member_lanes,
 )
-from .graph import WorkflowGraph
+from .graph import InputError, WorkflowGraph
 
 # An agent runner: (agent index, upstream outputs by agent index, external
 # data or None) -> opaque output. Engines pass external data to source
@@ -65,7 +65,7 @@ _KEY_BYTES = array(_KEY).itemsize
 _TASK = "i"
 
 
-class InvalidSize(ValueError):
+class InvalidSize(InputError):
     pass
 
 

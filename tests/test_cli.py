@@ -4,18 +4,22 @@ import argparse
 import contextlib
 import dataclasses
 import filecmp
+import importlib
+import inspect
 import json
+import pkgutil
 import tracemalloc
 
 import pytest
 
+import dagcredit
 from dagcredit import backtest as bt
 from dagcredit import cli
-from dagcredit.agents import MissingExternalData, system_runner
+from dagcredit.agents import InvalidAgentOutput, MissingExternalData, system_runner
 from dagcredit.cli import build_parser, main
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig, load_graph_file
-from dagcredit.graph import reference_graph
+from dagcredit.graph import InputError, reference_graph
 
 from conftest import swapped_trader
 from golden_runs import SPARSE_SKIP_GRAPH
@@ -132,6 +136,7 @@ def test_validate_rejects_cyclic_graph(capsys, tmp_path):
     code, out, err = run(capsys, "validate", path)
     assert code == 1
     assert err.startswith("error:")
+    assert "t -> a" in err
 
 
 def test_backtest_refuses_an_agent_name_that_leaves_the_output_directory(capsys, tmp_path):
@@ -576,6 +581,36 @@ def test_runtime_failures_exit_three(capsys, monkeypatch):
     code, out, err = run(capsys, "backtest", "--days", "15")
     assert code == 3
     assert err.startswith("runtime error:")
+
+
+def test_every_value_error_the_package_defines_is_an_input_error():
+    # InvalidAgentOutput checks an agent's payload, not the user's input:
+    # the engines wrap it in ExecutorFailure, which exits 3.
+    defined = []
+    for info in pkgutil.iter_modules(dagcredit.__path__):
+        module = importlib.import_module(f"dagcredit.{info.name}")
+        defined += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and issubclass(cls, ValueError)
+        ]
+    assert InvalidAgentOutput in defined and len(defined) > 12
+    assert [
+        cls.__qualname__
+        for cls in defined
+        if cls is not InvalidAgentOutput and not issubclass(cls, InputError)
+    ] == []
+
+
+def test_any_input_error_exits_one(capsys, monkeypatch):
+    class FreshInputError(InputError):
+        pass
+
+    def refuse(config):
+        raise FreshInputError("no such input")
+
+    monkeypatch.setattr(bt, "run_backtest", refuse)
+    assert run(capsys, "backtest", "--days", "15") == (1, "", "error: no such input\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
     CrossLayerViolation,
-    CycleDetected,
     LayerPartitionInvalid,
     MultipleSinks,
     build_graph,
@@ -73,14 +72,14 @@ def test_build_rejects_edge_to_unknown_agent():
 
 
 def test_build_rejects_self_loop():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CrossLayerViolation, match="edge a -> a does not"):
         build_graph([["a"], ["t"]], [("a", "a"), ("a", "t")])
 
 
 def test_build_rejects_backward_edge():
-    # a -> b -> t -> a is a real cycle: the cycle check runs before the
-    # cross-layer check, so it reports as a cycle.
-    with pytest.raises(CycleDetected):
+    # a -> b -> t -> a is a cycle: every cycle holds an edge that does not
+    # reach a later layer, and the error names that edge.
+    with pytest.raises(CrossLayerViolation, match="edge t -> a does not"):
         build_graph([["a"], ["b"], ["t"]], [("a", "b"), ("b", "t"), ("t", "a")])
 
 
