@@ -12,7 +12,6 @@ from .agents import (
     Role,
     TradeDecision,
     build_system,
-    execute_agent,
     signed_decision_value,
     system_runner,
 )

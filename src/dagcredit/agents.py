@@ -1,10 +1,12 @@
 """Agent specifications, prompt state, and deterministic mock executors.
 
-Executors are pure functions of (rendered prompt, upstream outputs, external
-data): no clocks, no global randomness. Each role's mock is one function of
-a sensitivity: a base derived from the run seed and the agent's name, shifted
-by calibration tokens that optimization lessons may append to a prompt, so
-the tuning loop has a measurable, reproducible effect.
+An executor is a binder: ``executor(rendered prompt)`` returns a pure
+``(upstream outputs, external data) -> output`` callable, with no clocks and
+no global randomness, and ``system_runner`` binds each agent once per
+runner. Each role's mock is one function of a sensitivity: a base derived
+from the run seed and the agent's name, shifted by calibration tokens that
+optimization lessons may append to a prompt, so the tuning loop has a
+measurable, reproducible effect.
 """
 from __future__ import annotations
 
@@ -113,6 +115,10 @@ class Decision(enum.Enum):
     HOLD = "hold"
     SELL = "sell"
 
+    def __init__(self, value: str) -> None:
+        # The sign of the decision's value and the position it takes.
+        self.sign = {"buy": 1, "hold": 0, "sell": -1}[value]
+
 
 class AnalystSignal(NamedTuple):
     score: float
@@ -138,26 +144,15 @@ class MarketFeatures(NamedTuple):
     closes: tuple[float, ...]
 
 
-# Direction of a decision: the sign of its value and the position it takes.
-DECISION_SIGN = {Decision.BUY: 1, Decision.HOLD: 0, Decision.SELL: -1}
-
-
 def signed_decision_value(output: Any) -> float:
     """Map a sink output to a real value: direction times confidence."""
     if not isinstance(output, TradeDecision):
         return 0.0
-    return DECISION_SIGN[output.action] * output.confidence
+    return output.action.sign * output.confidence
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return max(lo, min(hi, x))
-
-
-@functools.lru_cache(maxsize=256)
-def _calibration_shift(prompt: str) -> float:
-    # Rendered prompts are few and each is read by every call of its agent,
-    # so the tokens of each are counted once.
-    return SENSITIVITY_STEP * (prompt.count(BOOST_TOKEN) - prompt.count(DAMP_TOKEN))
 
 
 def _hash_unit(key: str) -> float:
@@ -176,7 +171,8 @@ def sensitivity(base: float, prompt: str) -> float:
     Damp tokens lower it and boost tokens raise it, one step each, clamped
     to [0, 1].
     """
-    return _clamp(base + _calibration_shift(prompt), 0.0, 1.0)
+    shift = SENSITIVITY_STEP * (prompt.count(BOOST_TOKEN) - prompt.count(DAMP_TOKEN))
+    return _clamp(base + shift, 0.0, 1.0)
 
 
 def _mean_score(upstream: Mapping[int, Any]) -> float:
@@ -230,53 +226,28 @@ ROLE_MOCKS = {
 
 
 def mock_executor(role: Role, name: str, seed: int):
-    """The deterministic mock of one agent, as a (prompt, upstream,
-    external) callable; its seeded base is hashed once, here."""
+    """The deterministic mock of one agent, as a binder from a rendered
+    prompt to its (upstream, external) callable. The seeded base is hashed
+    once, here, and the prompt's tokens are counted once per binding."""
     base = base_sensitivity(name, seed)
     mock = ROLE_MOCKS[role]
 
-    def executor(prompt: str, upstream: Mapping[int, Any], external: Any) -> Any:
-        return mock(sensitivity(base, prompt), upstream, external)
+    def bind(prompt: str):
+        return functools.partial(mock, sensitivity(base, prompt))
 
-    return executor
+    return bind
 
 
 class AgentSpec(NamedTuple):
     """Everything needed to run one agent: identity, role, prompt, and an
-    executor, any (prompt, upstream, external) callable."""
+    executor, any binder from a rendered prompt to an (upstream, external)
+    callable."""
 
     name: str
     role: Role
     prompt: PromptState
     executor: Any
     is_source: bool
-
-
-def execute_agent(
-    spec: AgentSpec, upstream: Mapping[int, Any], external: Any = None
-) -> Any:
-    """Run one agent with information-flow enforcement.
-
-    Source agents must receive external data; everyone else must not. Known
-    payload types are range-checked on the way out. Empty upstream is legal
-    and yields the executor's neutral behavior.
-    """
-    if spec.is_source and external is None:
-        raise MissingExternalData(f"source agent {spec.name} needs external data")
-    if not spec.is_source and external is not None:
-        raise ForbiddenExternalAccess(
-            f"agent {spec.name} may not access external data"
-        )
-    output = spec.executor(spec.prompt.rendered, upstream, external)
-    if isinstance(output, (AnalystSignal, OutlookScore)):
-        if not -1.0 <= output.score <= 1.0:
-            raise InvalidAgentOutput(f"{spec.name} score {output.score} outside [-1, 1]")
-    elif isinstance(output, TradeDecision):
-        if not 0.0 <= output.confidence <= 1.0:
-            raise InvalidAgentOutput(
-                f"{spec.name} confidence {output.confidence} outside [0, 1]"
-            )
-    return output
 
 
 def _positional_role(graph: WorkflowGraph, index: int) -> Role:
@@ -340,9 +311,32 @@ def build_system(
 
 
 def system_runner(specs: Mapping[int, AgentSpec]):
-    """Adapt a spec table to the engine-facing runner signature."""
+    """Bind each agent of a spec table to its rendered prompt, once, and
+    return the engine-facing runner ``run(agent, upstream, external)``.
+
+    Source agents must receive external data; everyone else must not. Known
+    payload types are range-checked on the way out. Empty upstream is legal
+    and yields the executor's neutral behavior.
+    """
+    bound = {
+        agent: (spec.executor(spec.prompt.rendered), spec.is_source, spec.name)
+        for agent, spec in specs.items()
+    }
 
     def run(agent: int, upstream: Mapping[int, Any], external: Any) -> Any:
-        return execute_agent(specs[agent], upstream, external)
+        call, is_source, name = bound[agent]
+        if is_source:
+            if external is None:
+                raise MissingExternalData(f"source agent {name} needs external data")
+        elif external is not None:
+            raise ForbiddenExternalAccess(f"agent {name} may not access external data")
+        output = call(upstream, external)
+        if isinstance(output, (AnalystSignal, OutlookScore)):
+            if not -1.0 <= output.score <= 1.0:
+                raise InvalidAgentOutput(f"{name} score {output.score} outside [-1, 1]")
+        elif isinstance(output, TradeDecision):
+            if not 0.0 <= output.confidence <= 1.0:
+                raise InvalidAgentOutput(f"{name} confidence {output.confidence} outside [0, 1]")
+        return output
 
     return run

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .agents import (
-    DECISION_SIGN,
     AgentSpec,
     MarketFeatures,
     TradeDecision,
@@ -388,7 +387,7 @@ def decision_to_position(decision: Any) -> int:
     if decision is None:
         return 0
     action = decision.action if isinstance(decision, TradeDecision) else decision
-    return DECISION_SIGN[action]
+    return action.sign
 
 
 # ---------------------------------------------------------------------------

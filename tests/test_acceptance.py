@@ -19,7 +19,6 @@ from dagcredit.agents import (
     PromptState,
     Role,
     build_system,
-    execute_agent,
     system_runner,
 )
 from dagcredit.backtest import (
@@ -260,19 +259,18 @@ def test_criterion_8_information_flow_enforcement():
     specs = build_system(g, seed=42)
 
     # negative tests: externals may only reach sources, sources need them
-    outlook = specs[3]
-    assert not outlook.is_source
+    base = system_runner(specs)
+    assert not specs[3].is_source
     with pytest.raises(ForbiddenExternalAccess):
-        execute_agent(outlook, {}, FEATURES)
+        base(3, {}, FEATURES)
     with pytest.raises(ForbiddenExternalAccess):
-        execute_agent(specs[g.sink], {}, FEATURES)
+        base(g.sink, {}, FEATURES)
     with pytest.raises(MissingExternalData):
-        execute_agent(specs[0], {}, None)
+        base(0, {}, None)
 
     # instrumented full backtest: both engines, every window, every coalition
     market = synthesize_market(seed=42, days=30, regime="bull")
     viable = enumerate_viable(g)
-    base = system_runner(specs)
 
     legal = set()
     for mask in viable:

@@ -25,12 +25,14 @@ from dagcredit.agents import (
     TradeDecision,
     base_sensitivity,
     build_system,
-    execute_agent,
     mock_executor,
     sensitivity,
     signed_decision_value,
+    system_runner,
 )
+from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
+from dagcredit.shapley import layered_run, replay_coalition
 
 from conftest import layered_graph
 from golden_runs import FEATURES
@@ -44,6 +46,11 @@ def as_upstream(values):
 
 def gain(name, seed, prompt="p"):
     return 2.0 * sensitivity(base_sensitivity(name, seed), prompt)
+
+
+def run_one(spec, upstream, external=None):
+    """Run one agent through a runner of its own."""
+    return system_runner({0: spec})(0, upstream, external)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +83,8 @@ def test_each_prompt_state_renders_once():
         tuned = spec._replace(prompt=prompt)
         upstream = upstream_by_layer[g.layer_of[index]]
         external = FEATURES if spec.is_source else None
-        outputs = [execute_agent(tuned, upstream, external) for _ in range(3)]
-        assert outputs == [spec.executor(fresh, upstream, external)] * 3
+        outputs = [run_one(tuned, upstream, external) for _ in range(3)]
+        assert outputs == [spec.executor(fresh)(upstream, external)] * 3
 
     # A new state (one more lesson) renders its own text.
     grown = dataclasses.replace(prompt, lesson_blocks=(*blocks, "third"))
@@ -128,7 +135,7 @@ def test_gain_doubles_sensitivity():
     fundamental = ROLE_MOCKS[Role.FUNDAMENTAL_ANALYST]
     assert fundamental(0.5, {}, FEATURES).score == FEATURES.fundamental
     assert fundamental(1.0, {}, FEATURES).score == 2.0 * FEATURES.fundamental
-    out = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 11)("p", {}, FEATURES)
+    out = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 11)("p")({}, FEATURES)
     assert out.score == pytest.approx(gain("FAA", 11) * FEATURES.fundamental)
 
 
@@ -137,8 +144,8 @@ def test_gain_doubles_sensitivity():
 
 
 def test_news_analyst_scales_sentiment():
-    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 1)
-    out = mock("p", {}, FEATURES)
+    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 1)("p")
+    out = mock({}, FEATURES)
     assert isinstance(out, AnalystSignal)
     assert out.score == pytest.approx(
         max(-1.0, min(1.0, gain("NAA", 1) * FEATURES.sentiment))
@@ -146,21 +153,21 @@ def test_news_analyst_scales_sentiment():
 
 
 def test_technical_analyst_follows_trend_sign():
-    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)
+    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)("p")
     rising = MarketFeatures(0.0, 0.0, tuple(float(100 + i) for i in range(8)))
     falling = MarketFeatures(0.0, 0.0, tuple(float(100 - i) for i in range(8)))
-    assert mock("p", {}, rising).score > 0
-    assert mock("p", {}, falling).score < 0
+    assert mock({}, rising).score > 0
+    assert mock({}, falling).score < 0
 
 
 def test_technical_analyst_neutral_on_short_history():
-    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)
-    assert mock("p", {}, MarketFeatures(0.0, 0.0, (100.0,))).score == 0.0
+    mock = mock_executor(Role.TECHNICAL_ANALYST, "TAA", 2)("p")
+    assert mock({}, MarketFeatures(0.0, 0.0, (100.0,))).score == 0.0
 
 
 def test_fundamental_analyst_scales_fundamental():
-    mock = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 4)
-    out = mock("p", {}, FEATURES)
+    mock = mock_executor(Role.FUNDAMENTAL_ANALYST, "FAA", 4)("p")
+    out = mock({}, FEATURES)
     assert out.score == pytest.approx(
         max(-1.0, min(1.0, gain("FAA", 4) * FEATURES.fundamental))
     )
@@ -168,9 +175,9 @@ def test_fundamental_analyst_scales_fundamental():
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_news_analyst_stays_in_range(sentiment):
-    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 9)
+    mock = mock_executor(Role.NEWS_ANALYST, "NAA", 9)("p")
     features = MarketFeatures(sentiment, 0.0, (100.0, 101.0))
-    assert -1.0 <= mock("p", {}, features).score <= 1.0
+    assert -1.0 <= mock({}, features).score <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +185,23 @@ def test_news_analyst_stays_in_range(sentiment):
 
 
 def test_bullish_outlook_keeps_only_upside():
-    mock = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 5)
-    up = mock("p", as_upstream([0.6, 0.4]), None)
-    down = mock("p", as_upstream([-0.6, -0.4]), None)
+    mock = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 5)("p")
+    up = mock(as_upstream([0.6, 0.4]), None)
+    down = mock(as_upstream([-0.6, -0.4]), None)
     assert isinstance(up, OutlookScore)
     assert up.score > 0
     assert down.score == 0.0
 
 
 def test_bearish_outlook_keeps_only_downside():
-    mock = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 5)
-    assert mock("p", as_upstream([0.6, 0.4]), None).score == 0.0
-    assert mock("p", as_upstream([-0.6, -0.4]), None).score < 0
+    mock = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 5)("p")
+    assert mock(as_upstream([0.6, 0.4]), None).score == 0.0
+    assert mock(as_upstream([-0.6, -0.4]), None).score < 0
 
 
 def test_neutral_outlook_damps_the_mean():
-    mock = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 5)
-    out = mock("plain", as_upstream([0.8, 0.4]), None)
+    mock = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 5)("plain")
+    out = mock(as_upstream([0.8, 0.4]), None)
     mean = 0.6
     assert 0 < out.score < mean
 
@@ -205,18 +212,18 @@ def test_outlooks_are_neutral_without_upstream():
         (Role.BEARISH_OUTLOOK, "BeOA"),
         (Role.NEUTRAL_OUTLOOK, "NOA"),
     ):
-        assert mock_executor(role, name, 6)("p", {}, None).score == 0.0
+        assert mock_executor(role, name, 6)("p")({}, None).score == 0.0
 
 
 @given(st.lists(scores, min_size=0, max_size=5))
 def test_outlook_ranges(values):
     upstream = as_upstream(values)
-    bullish = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 7)
-    bearish = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 7)
-    neutral = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 7)
-    assert 0.0 <= bullish("p", upstream, None).score <= 1.0
-    assert -1.0 <= bearish("p", upstream, None).score <= 0.0
-    assert -1.0 <= neutral("p", upstream, None).score <= 1.0
+    bullish = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 7)("p")
+    bearish = mock_executor(Role.BEARISH_OUTLOOK, "BeOA", 7)("p")
+    neutral = mock_executor(Role.NEUTRAL_OUTLOOK, "NOA", 7)("p")
+    assert 0.0 <= bullish(upstream, None).score <= 1.0
+    assert -1.0 <= bearish(upstream, None).score <= 0.0
+    assert -1.0 <= neutral(upstream, None).score <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,46 +231,46 @@ def test_outlook_ranges(values):
 
 
 def test_trader_threshold_behavior():
-    mock = mock_executor(Role.TRADER, "TRA", 8)
+    mock = mock_executor(Role.TRADER, "TRA", 8)("p")
     g = gain("TRA", 8)
     strong = 0.9 / g
-    out = mock("p", {0: OutlookScore(strong)}, None)
+    out = mock({0: OutlookScore(strong)}, None)
     assert out.action is Decision.BUY
     assert out.confidence == pytest.approx(0.9)
-    out = mock("p", {0: OutlookScore(-strong)}, None)
+    out = mock({0: OutlookScore(-strong)}, None)
     assert out.action is Decision.SELL
-    out = mock("p", {0: OutlookScore(0.01 / g)}, None)
+    out = mock({0: OutlookScore(0.01 / g)}, None)
     assert out.action is Decision.HOLD
 
 
 def test_trader_holds_without_upstream():
-    out = mock_executor(Role.TRADER, "TRA", 8)("p", {}, None)
+    out = mock_executor(Role.TRADER, "TRA", 8)("p")({}, None)
     assert out.action is Decision.HOLD
     assert out.confidence == 0.0
 
 
 def test_trader_sums_rather_than_averages():
-    mock = mock_executor(Role.TRADER, "TRA", 8)
+    mock = mock_executor(Role.TRADER, "TRA", 8)("p")
     g = gain("TRA", 8)
     each = 0.2 / g
-    three = mock("p", as_upstream([each, each, each]), None)
+    three = mock(as_upstream([each, each, each]), None)
     assert three.action is Decision.BUY
 
 
 @given(st.lists(scores, min_size=0, max_size=4))
 def test_trader_confidence_range(values):
-    out = mock_executor(Role.TRADER, "TRA", 8)("p", as_upstream(values), None)
+    out = mock_executor(Role.TRADER, "TRA", 8)("p")(as_upstream(values), None)
     assert 0.0 <= out.confidence <= 1.0
     assert out.action in (Decision.BUY, Decision.HOLD, Decision.SELL)
 
 
 def test_solo_trader_decides_from_sentiment():
-    mock = mock_executor(Role.SOLO_TRADER, "solo", 9)
+    mock = mock_executor(Role.SOLO_TRADER, "solo", 9)("p")
     g = gain("solo", 9)
     bullish = MarketFeatures(min(1.0, 0.9 / g), 0.0, (100.0, 101.0))
-    assert mock("p", {}, bullish).action is Decision.BUY
+    assert mock({}, bullish).action is Decision.BUY
     flat = MarketFeatures(0.0, 0.0, (100.0, 101.0))
-    assert mock("p", {}, flat).action is Decision.HOLD
+    assert mock({}, flat).action is Decision.HOLD
 
 
 def test_signed_decision_value():
@@ -293,37 +300,65 @@ def test_agent_spec_holds_what_is_read():
 def test_source_requires_external_data():
     spec = spec_for(Role.NEWS_ANALYST, True, mock_executor(Role.NEWS_ANALYST, "X", 1))
     with pytest.raises(MissingExternalData):
-        execute_agent(spec, {}, None)
+        run_one(spec, {}, None)
 
 
 def test_non_source_rejects_external_data():
     spec = spec_for(Role.BULLISH_OUTLOOK, False, mock_executor(Role.BULLISH_OUTLOOK, "X", 1))
     with pytest.raises(ForbiddenExternalAccess):
-        execute_agent(spec, {}, FEATURES)
+        run_one(spec, {}, FEATURES)
 
 
 def test_out_of_range_scores_are_rejected():
-    def rogue(prompt, upstream, external):
-        return AnalystSignal(1.5)
+    def rogue(prompt):
+        return lambda upstream, external: AnalystSignal(1.5)
 
     spec = spec_for(Role.NEWS_ANALYST, True, rogue)
     with pytest.raises(InvalidAgentOutput):
-        execute_agent(spec, {}, FEATURES)
+        run_one(spec, {}, FEATURES)
 
 
 def test_out_of_range_confidence_is_rejected():
-    def rogue(prompt, upstream, external):
-        return TradeDecision(Decision.BUY, confidence=2.0)
+    def rogue(prompt):
+        return lambda upstream, external: TradeDecision(Decision.BUY, confidence=2.0)
 
     spec = spec_for(Role.TRADER, False, rogue)
     with pytest.raises(InvalidAgentOutput):
-        execute_agent(spec, {})
+        run_one(spec, {})
 
 
-def test_execute_agent_happy_path():
+def test_runner_happy_path():
     spec = spec_for(Role.NEWS_ANALYST, True, mock_executor(Role.NEWS_ANALYST, "X", 1))
-    out = execute_agent(spec, {}, FEATURES)
+    out = run_one(spec, {}, FEATURES)
     assert isinstance(out, AnalystSignal)
+
+
+def test_a_runner_binds_each_agent_once_however_many_tasks_it_runs():
+    g = reference_graph()
+    binds = []
+
+    def counting(index, executor):
+        def bind(prompt):
+            binds.append((index, prompt))
+            return executor(prompt)
+
+        return bind
+
+    specs = {
+        index: spec._replace(executor=counting(index, spec.executor))
+        for index, spec in build_system(g, seed=42).items()
+    }
+    once = [(index, spec.prompt.rendered) for index, spec in specs.items()]
+    runner = system_runner(specs)
+    assert binds == once
+    viable = enumerate_viable(g)
+    runs = [layered_run(g, viable, runner, FEATURES) for _ in range(3)]
+    assert [run.counters.agent_executions for run in runs] == [73] * 3
+    for mask in viable:
+        replay_coalition(g, mask, runner, FEATURES)
+    assert binds == once
+    system_runner(specs)
+    assert binds == once * 2
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +432,10 @@ def test_mock_sensitivity_reads_current_prompt():
     boosted = spec._replace(
         prompt=PromptState(spec.prompt.base_text, (BOOST_TOKEN,), version=2)
     )
-    assert execute_agent(spec, {}, FEATURES).score == pytest.approx(
+    assert run_one(spec, {}, FEATURES).score == pytest.approx(
         2.0 * base * FEATURES.sentiment
     )
-    assert execute_agent(boosted, {}, FEATURES).score == pytest.approx(
+    assert run_one(boosted, {}, FEATURES).score == pytest.approx(
         2.0 * (base + 0.1) * FEATURES.sentiment
     )
 
@@ -525,7 +560,7 @@ def test_every_role_output_is_pinned_bit_for_bit():
                 if spec.is_source and u_label == "down":
                     continue
                 for e_label, external in externals:
-                    out = spec.executor(prompt, upstream, external)
+                    out = spec.executor(prompt)(upstream, external)
                     if isinstance(out, TradeDecision):
                         value = f"{out.action.value} {out.confidence.hex()}"
                     else:

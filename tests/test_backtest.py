@@ -769,6 +769,77 @@ def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, 
     assert "agent_executions=0 executions_reused=292 " in text
 
 
+def test_backtest_binds_each_agent_once_per_window_and_pass(monkeypatch):
+    """Each pass of each window binds every agent to its current prompt
+    once, and counting the bindings changes no runner call or value: the
+    tuned pass binds a tuned agent's new rendered prompt from the next
+    window on, and the frozen pass always binds the base prompts."""
+    config = RunConfig(seed=78, days=15).validate()
+    make_runner = backtest.system_runner
+
+    def played(binds=None):
+        calls = [0]
+
+        def counted_runner(specs):
+            runner = make_runner(specs)
+
+            def run(agent, upstream, external):
+                calls[0] += 1
+                return runner(agent, upstream, external)
+
+            return run
+
+        monkeypatch.setattr(backtest, "system_runner", counted_runner)
+        if binds is not None:
+            make_system = backtest.build_system
+
+            def counting(name, executor):
+                def bind(prompt):
+                    binds.append((name, prompt))
+                    return executor(prompt)
+
+                return bind
+
+            def counted_system(*args, **kwargs):
+                return {
+                    i: spec._replace(executor=counting(spec.name, spec.executor))
+                    for i, spec in make_system(*args, **kwargs).items()
+                }
+
+            monkeypatch.setattr(backtest, "build_system", counted_system)
+        result = run_backtest(config)
+        monkeypatch.undo()
+        return result, calls[0]
+
+    plain, plain_calls = played()
+    binds = []
+    result, calls = played(binds)
+    g = result.graph
+    assert calls == plain_calls
+    reports = result.windows + result.frozen_windows
+    assert [r.attribution.values for r in reports] == [
+        r.attribution.values for r in plain.windows + plain.frozen_windows
+    ]
+
+    windows = len(result.windows)
+    assert windows == 3
+    assert len(binds) == 2 * windows * g.n
+    lineage = result.prompt_lineage
+    base = [(name, lineage[(name, 1)]) for name in g.names]
+    versions = [(1,) * g.n] + [c.prompt_versions for c in result.cycles[:-1]]
+    passes = [binds[start:start + g.n] for start in range(0, len(binds), g.n)]
+    for w, current in enumerate(versions):
+        tuned, frozen = passes[2 * w], passes[2 * w + 1]
+        assert tuned == [(name, lineage[(name, v)]) for name, v in zip(g.names, current)]
+        assert frozen == base
+    first = result.cycles[0]
+    assert first.triggered
+    tuned_name, tuned_prompt = binds[2 * g.n + first.bottleneck]
+    assert tuned_name == g.names[first.bottleneck]
+    assert tuned_prompt != base[first.bottleneck][1]
+    assert first.lesson.text_blocks[-1] in tuned_prompt
+
+
 def test_backtest_lesson_changes_later_bottleneck(result_30):
     """Window 2's argmin differs between passes, so cycle 1's lesson is
     causally steering the optimizer, not just decorating prompts."""

@@ -15,7 +15,7 @@ import pytest
 import dagcredit
 from dagcredit import backtest as bt
 from dagcredit import cli
-from dagcredit.agents import InvalidAgentOutput, MissingExternalData, system_runner
+from dagcredit.agents import ROLE_MOCKS, InvalidAgentOutput, MissingExternalData, system_runner
 from dagcredit.cli import build_parser, main
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig, load_graph_file
@@ -358,7 +358,9 @@ def test_cost_counts_live_keys_on_a_graph_file_without_running_agents(capsys, tm
     def no_agent(*args):
         raise AssertionError("an agent ran")
 
-    monkeypatch.setattr("dagcredit.agents.execute_agent", no_agent)
+    # Every mock agent's bound callable runs its role's function.
+    for role in ROLE_MOCKS:
+        monkeypatch.setitem(ROLE_MOCKS, role, no_agent)
     code, out, err = run(capsys, "cost", "--graph", graph_file(tmp_path, SPARSE_SKIP_GRAPH))
     assert code == 0
     assert out.splitlines() == [
