@@ -49,6 +49,7 @@ from .shapley import (
     live_plan,
     predicted_cost,
     replay_coalition,
+    replay_steps,
     shapley_dag,
     shapley_exact,
 )

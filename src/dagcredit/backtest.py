@@ -13,7 +13,9 @@ attributed game, for any score of a sink output and any coalition value of
 those scores: the backtest scores a decision by its position and values a
 window by ``sharpe_value``, and the ``shapley`` command scores its one
 fixture episode by the signed sink decision and values a coalition by that
-score.
+score. Under engine ``both`` it also replays each subset once over all the
+window's episodes; the backtest derives every subset's replay steps once
+per run and hands them to each window.
 
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
@@ -50,10 +52,12 @@ from .shapley import (
     CostCounters,
     LayeredRunResult,
     LivePlan,
+    ReplayStep,
     format_attribution,
     layered_run,
     live_plan,
     replay_coalition,
+    replay_schedule,
     shapley_dag,
     shapley_exact,
 )
@@ -440,6 +444,7 @@ def evaluate_window(
     engine: str = "dag",
     *,
     plan: LivePlan | None = None,
+    schedule: Sequence[Sequence[ReplayStep]] | None = None,
     reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
     """Play and attribute one coalition game over ``episodes``.
@@ -457,8 +462,11 @@ def evaluate_window(
     changed since; each episode's run then reuses the earlier run of that
     episode (see ``layered_run``), sink scores included. Engine ``both``
     also replays every subset without sharing (the classical comparator),
-    scores each replay's sink output (``None`` where the sink did not run),
-    values the scores with the same ``value`` and attributes them with
+    one ``replay_coalition`` call per subset over all the episodes, in mask
+    order, with the subset's steps from ``schedule``
+    (``replay_schedule(graph)``, built when not given). The replay scores
+    each sink output (``None`` where the sink did not run), values the
+    scores with the same ``value`` and attributes them with
     ``shapley_exact``.
 
     ``score`` and ``value`` must be pure functions, as the backtest's
@@ -517,10 +525,12 @@ def evaluate_window(
     if engine == "both":
         replay_executions = 0
         replay_values = []
-        for mask in range(1 << graph.n):
-            replays = [replay_coalition(graph, mask, run_agent, e) for e in episodes]
-            replay_executions += sum(r.executions for r in replays)
-            replay_values.append(value([score(r.sink_output) for r in replays]))
+        if schedule is None:
+            schedule = replay_schedule(graph)
+        for steps in schedule:
+            replay = replay_coalition(graph, steps, run_agent, episodes=episodes)
+            replay_executions += replay.executions
+            replay_values.append(value(list(map(score, replay.sink_outputs))))
         for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
             if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
@@ -662,14 +672,17 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     evaluated on identical decision days. The passes run window by window,
     and the frozen pass reuses the tuned pass's runs. Every window of the
     tuned pass ends in a tuning cycle, which reads that window's daily
-    rewards and may update one prompt for the next window. Reports are
-    written under ``config.out_dir`` when set; the same config and seed
-    always produce byte-identical files.
+    rewards and may update one prompt for the next window. The live plan,
+    and under engine ``both`` the replay schedule, are built once per run.
+    Reports are written under ``config.out_dir`` when set; the same config
+    and seed always produce byte-identical files.
     """
     graph = config_graph(config)
     market = load_inputs(config)
     viable = enumerate_viable(graph)
     plan = live_plan(graph, viable)
+    # Only engine ``both`` replays: a table of 2**n coalitions' steps.
+    schedule = replay_schedule(graph) if config.engine == "both" else None
     windows = day_windows(len(market.days), config.window_len)
     viable_names = [coalition_names(graph, mask) for mask in viable]
 
@@ -700,6 +713,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             value,
             config.engine,
             plan=plan,
+            schedule=schedule,
             reuse=reuse,
         )
         # The grand coalition's sink score is its position. The viable masks

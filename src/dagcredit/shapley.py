@@ -35,6 +35,14 @@ gives, so the plan stores nothing per task beyond its key.
 Handed an earlier run on the same external data and the mask of the agents
 whose prompts have changed since, a task whose agent and live key hold none
 of them takes the earlier run's output instead of running the agent again.
+
+The classical comparator, ``replay_coalition``, shares nothing: it runs one
+coalition over a list of episodes, every member once per episode. It takes
+the coalition as its steps, the members in index order with their
+predecessors inside the coalition and whether each is a source, which depend
+on the mask alone: ``replay_steps`` derives them for one mask and
+``replay_schedule`` for all ``2**n`` masks at once, so a caller that replays
+every subset many times derives them once.
 """
 from __future__ import annotations
 
@@ -453,37 +461,92 @@ def layered_run(
     return LayeredRunResult(plan, external, outputs, counters)
 
 
+# One step of a replay: an agent, its predecessors inside the coalition in
+# the graph's order, and whether it is a source, which takes the episode's
+# external data.
+ReplayStep = tuple[int, tuple[int, ...], bool]
+
+
+def replay_steps(graph: WorkflowGraph, mask: int) -> tuple[ReplayStep, ...]:
+    """The steps of replaying the coalition ``mask``: its members in index
+    order, each with its predecessors inside the coalition and whether it
+    is a source (an agent without predecessors in the graph)."""
+    return tuple(
+        (agent, tuple(p for p in preds if mask >> p & 1), not preds)
+        for agent, preds in enumerate(graph.preds)
+        if mask >> agent & 1
+    )
+
+
+def replay_schedule(graph: WorkflowGraph) -> tuple[tuple[ReplayStep, ...], ...]:
+    """``replay_steps`` of every coalition of ``graph``, indexed by mask.
+
+    A coalition's highest member runs last, so its steps are those of the
+    coalition without that member plus one step, which depends only on the
+    members among that agent's predecessors: the table doubles once per
+    agent, and masks that hold the same such members share the step's
+    tuple. On the 19-agent ``benchmarks/wide_6661.json`` the table holds
+    60 MiB (tracemalloc, CPython 3.11), where one ``replay_steps`` tuple per
+    mask would hold 514 MiB; ``dagcredit shapley --engine both`` on that
+    graph peaks at 110 MiB RSS with the table. Mask arithmetic only: no
+    agent runs.
+    """
+    schedule: list[tuple[ReplayStep, ...]] = [()]
+    for agent, preds in enumerate(graph.preds):
+        bit, pred_mask = 1 << agent, sum(1 << p for p in preds)
+        steps: dict[int, ReplayStep] = {}
+        for below in range(bit):
+            key = below & pred_mask
+            step = steps.get(key)
+            if step is None:
+                # The agent is the highest member of key + agent, so it runs last.
+                step = steps[key] = replay_steps(graph, key | bit)[-1]
+            schedule.append(schedule[below] + (step,))
+    return tuple(schedule)
+
+
 class ReplayResult(NamedTuple):
-    outputs: dict[int, Any]
-    sink_output: Any
+    """One coalition replayed over a list of episodes. ``outputs`` holds,
+    per episode, each member's output by agent in run order, and
+    ``sink_outputs`` the sink's output per episode (``None`` where the sink
+    is not a member). ``executions`` counts the runner calls of all the
+    episodes."""
+
+    outputs: list[dict[int, Any]]
+    sink_outputs: list[Any]
     executions: int
 
 
 def replay_coalition(
     graph: WorkflowGraph,
-    mask: int,
+    steps: Sequence[ReplayStep],
     run_agent: AgentRunner,
-    external: Any = None,
+    *,
+    episodes: Sequence[Any],
 ) -> ReplayResult:
-    """Cache-free straight-line execution of one coalition, given by mask.
+    """Cache-free straight-line execution of one coalition, given by its
+    ``replay_steps``, once per item of ``episodes`` (each a source agent's
+    external data).
 
-    Every member runs once in index order, receiving the outputs of its
-    direct predecessors that are also members; members without predecessors
-    in the graph are sources and receive the external data. This is the
-    classical (unshared) evaluation path and the reference oracle for the
-    memoized one.
+    In each episode every member runs once in index order, receiving that
+    episode's outputs of its direct predecessors that are also members;
+    members without predecessors in the graph are sources and receive the
+    episode's external data. This is the classical (unshared) evaluation
+    path and the reference oracle for the memoized one.
     """
-    outputs: dict[int, Any] = {}
-    for agent in range(graph.n):
-        if not (mask >> agent) & 1:
-            continue
-        upstream = {p: outputs[p] for p in graph.preds[agent] if (mask >> p) & 1}
-        data = None if graph.preds[agent] else external
-        try:
-            outputs[agent] = run_agent(agent, upstream, data)
-        except Exception as exc:
-            raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
-    return ReplayResult(outputs, outputs.get(graph.sink), len(outputs))
+    outputs: list[dict[int, Any]] = []
+    for external in episodes:
+        done: dict[int, Any] = {}
+        for agent, preds, source in steps:
+            try:
+                done[agent] = run_agent(
+                    agent, {p: done[p] for p in preds}, external if source else None
+                )
+            except Exception as exc:
+                raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
+        outputs.append(done)
+    sink = graph.sink
+    return ReplayResult(outputs, [done.get(sink) for done in outputs], len(steps) * len(outputs))
 
 
 class PredictedCost(NamedTuple):

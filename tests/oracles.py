@@ -1,7 +1,8 @@
 """Slow reference checks, written apart from the code in ``dagcredit`` that
 they test: a depth-first path search and the three viability conditions
-built on it, one coalition at a time, and the exact Shapley values of a
-float game with the a priori bound on the engine's float error."""
+built on it, one coalition at a time, the steps of replaying every
+coalition, and the exact Shapley values of a float game with the a priori
+bound on the engine's float error."""
 
 import math
 from dataclasses import dataclass
@@ -52,6 +53,22 @@ def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
         (mask >> s) & 1 and path_exists(graph, mask, s, graph.sink) for s in graph.sources
     )
     return ViabilityReport(has_trader, has_source, connected)
+
+
+
+def replay_schedule_by_brute_force(graph: WorkflowGraph) -> list[tuple]:
+    """Per mask, the steps of replaying that coalition: each member in
+    index order, with the members that have an edge into it, in increasing
+    order, and whether it is one of the graph's sources. Reads the edges
+    from ``succs``, one pair of agents at a time."""
+    schedule = []
+    for mask in range(1 << graph.n):
+        members = [a for a in range(graph.n) if (mask >> a) & 1]
+        schedule.append(tuple(
+            (v, tuple(u for u in members if v in graph.succs[u]), v in graph.sources)
+            for v in members
+        ))
+    return schedule
 
 
 # The unit roundoff of a double: half the gap between 1.0 and the next float.

@@ -44,6 +44,7 @@ from dagcredit.shapley import (
     layered_run,
     predicted_cost,
     replay_coalition,
+    replay_steps,
     shapley_dag,
     shapley_exact,
     _weights,
@@ -302,10 +303,12 @@ def test_criterion_8_information_flow_enforcement():
                 recorder.sink = replay_calls
                 coalition = {a for a in range(g.n) if mask >> a & 1}
                 before = len(replay_calls)
-                result = replay_coalition(g, mask, recorder, market.for_day(day))
+                result = replay_coalition(
+                    g, replay_steps(g, mask), recorder, episodes=[market.for_day(day)]
+                )
                 invoked = {agent for agent, _ in replay_calls[before:]}
                 assert invoked <= coalition
-                assert set(result.outputs) <= coalition
+                assert set(result.outputs[0]) <= coalition
 
     assert set(memo_calls) <= legal
     for agent, upstream in replay_calls:

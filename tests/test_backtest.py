@@ -56,7 +56,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig
 from dagcredit.graph import build_graph, reference_graph
-from dagcredit.shapley import live_plan, replay_coalition, shapley_dag, shapley_exact
+from dagcredit.shapley import live_plan, replay_coalition, replay_steps, shapley_dag, shapley_exact
 
 from conftest import grand_outputs, layered_graph, swapped_trader
 from golden_runs import SPARSE_SKIP_GRAPH
@@ -441,6 +441,43 @@ def test_evaluate_window_engines_agree(window_setup):
     assert classical.values == game.attribution.values
 
 
+def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
+    """The classical comparator shares nothing. After the pruned engine's
+    runner calls come n * 2**(n-1) calls per episode: mask by mask, then
+    episode by episode, then member by member in index order, each handed
+    exactly that episode's outputs of the member's predecessors inside the
+    coalition, and external data only at a source."""
+    g, market, runner, viable = window_setup
+    episodes, score, value = window_game_args(market, [0, 1, 2, 3])
+    calls = []
+
+    def recorder(agent, upstream, external):
+        calls.append((agent, upstream, external))
+        return runner(agent, upstream, external)
+
+    game = evaluate_window(g, viable, recorder, episodes, score, value, "both")
+    replayed = calls[game.attribution.counters.agent_executions:]
+    assert len(replayed) == g.n * 2 ** (g.n - 1) * len(episodes) == 448 * 3
+    assert game.exact.counters.agent_executions == len(replayed)
+    expected = []
+    for mask in range(1 << g.n):
+        members = [a for a in range(g.n) if mask >> a & 1]
+        for external in episodes:
+            outputs = {}
+            for agent in members:
+                upstream = {p: outputs[p] for p in members if agent in g.succs[p]}
+                data = external if agent in g.sources else None
+                expected.append((agent, upstream, data))
+                outputs[agent] = runner(agent, upstream, data)
+    # The episodes feed the agents different outputs, so a call handed
+    # another episode's outputs differs from the expected one.
+    grand = expected[-len(episodes) * g.n:]
+    for agent in range(g.n):
+        fed = [repr(upstream) for a, upstream, _ in grand if a == agent and upstream]
+        assert len(set(fed)) == len(fed)
+    assert replayed == expected
+
+
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     g, market, runner, viable = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
@@ -449,8 +486,8 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     for mask in range(1 << g.n):
         if mask not in viable_masks:
             # The replay's value of the subset, as engine ``both`` takes it.
-            replays = [replay_coalition(g, mask, runner, e) for e in episodes]
-            assert value([score(r.sink_output) for r in replays]) == 0.0
+            replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=episodes)
+            assert value(list(map(score, replay.sink_outputs))) == 0.0
             assert game.values[mask] == 0.0
 
 
@@ -574,9 +611,9 @@ def test_evaluate_window_values_each_sink_task_once():
     assert again.values != first.values
     for game, run_agent in ((first, runner), (again, changed)):
         per_mask = [
-            value([
-                score(replay_coalition(g, mask, run_agent, e).sink_output) for e in episodes
-            ])
+            value(list(map(score, replay_coalition(
+                g, replay_steps(g, mask), run_agent, episodes=episodes
+            ).sink_outputs)))
             for mask in viable
         ]
         assert_dense_game(g, viable, game.values)
@@ -606,10 +643,9 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
         )
     vectors = set()
     for mask in range(1 << g.n):
-        decisions = [
-            replay_coalition(g, mask, runner, market.for_day(i)).sink_output
-            for i in days[:-1]
-        ]
+        decisions = replay_coalition(
+            g, replay_steps(g, mask), runner, episodes=[market.for_day(i) for i in days[:-1]]
+        ).sink_outputs
         vectors.add(tuple(decision_to_position(d) for d in decisions))
         own = sharpe([
             decision_to_position(d) * market.step_return(i)
@@ -872,10 +908,8 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
         # A window's decision days are all its days but the last.
         days = list(range(market.days.index(rep.start), market.days.index(rep.end)))
         assert len(rep.returns) == len(days) == len(game.runs) == len(episodes) == 4
-        positions = [
-            decision_to_position(replay_coalition(g, g.full_mask, runner, e).sink_output)
-            for e in episodes
-        ]
+        replay = replay_coalition(g, replay_steps(g, g.full_mask), runner, episodes=episodes)
+        positions = list(map(decision_to_position, replay.sink_outputs))
         assert [grand_outputs(g, run)[g.sink] for run in game.runs] == positions
         assert list(rep.returns) == [
             p * market.step_return(i) for p, i in zip(positions, days)

@@ -68,8 +68,13 @@ def test_named_call_exists_and_is_callable(module, name):
 def test_backtest_calls_go_through_module_globals(monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, backtest, BACKTEST_CALLS)
     config = RunConfig(days=15, engine="both", out_dir=str(tmp_path)).validate()
-    backtest.run_backtest(config)
+    result = backtest.run_backtest(config)
     assert all(calls.values()), calls
+    # Each window pass replays every subset once, over all its episodes:
+    # 3 windows, 2 passes, 2**7 subsets.
+    passes = len(result.windows) + len(result.frozen_windows)
+    assert calls["evaluate_window"] == passes == 2 * 3
+    assert calls["replay_coalition"] == passes << result.graph.n == 768
 
 
 def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):

@@ -34,6 +34,8 @@ from dagcredit.shapley import (
     _weights,
     predicted_cost,
     replay_coalition,
+    replay_schedule,
+    replay_steps,
     shapley_dag,
     shapley_exact,
 )
@@ -42,7 +44,7 @@ from conftest import (
     dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
-from oracles import exact_shapley, float_phi_bound, path_exists
+from oracles import exact_shapley, float_phi_bound, path_exists, replay_schedule_by_brute_force
 
 
 def memo_table(graph, viable, runner):
@@ -59,9 +61,9 @@ def replay_table(graph, runner):
     indexed by mask; subsets whose sink never runs are worth 0.0."""
     values, executions = [], 0
     for mask in range(1 << graph.n):
-        replay = replay_coalition(graph, mask, runner, FEATURES)
+        replay = replay_coalition(graph, replay_steps(graph, mask), runner, episodes=[FEATURES])
         executions += replay.executions
-        sink = replay.sink_output
+        sink = replay.sink_outputs[0]
         values.append(0.0 if sink is None else signed_decision_value(sink))
     return values, CostCounters(agent_executions=executions)
 
@@ -538,21 +540,23 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
 
 def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
-    replay = replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, FEATURES)
+    grand_steps = replay_steps(ref_graph, ref_graph.full_mask)
+    replay = replay_coalition(ref_graph, grand_steps, ref_runner, episodes=[FEATURES])
     grand = grand_outputs(ref_graph, run)
-    assert grand == replay.outputs
+    assert grand == replay.outputs[0]
     assert list(grand) == list(range(ref_graph.n))
     # The viable masks ascend and end with the grand coalition, so the last
     # sink task is the grand coalition's, which the backtest reads.
     assert ref_viable[-1] == ref_graph.full_mask
-    assert run.outputs[ref_graph.sink][run.plan.sink_tasks[-1]] == replay.sink_output
+    assert run.outputs[ref_graph.sink][run.plan.sink_tasks[-1]] == replay.sink_outputs[0]
 
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
     for mask, output in zip(ref_viable, sink_outputs(run), strict=True):
-        replay = replay_coalition(ref_graph, mask, ref_runner, FEATURES)
-        assert output == replay.sink_output
+        steps = replay_steps(ref_graph, mask)
+        replay = replay_coalition(ref_graph, steps, ref_runner, episodes=[FEATURES])
+        assert output == replay.sink_outputs[0]
 
 
 def test_agent_failure_is_wrapped(ref_graph, ref_viable):
@@ -600,6 +604,68 @@ def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner)
     assert len(values) == 128
     assert values[0].hex() == values[0b11].hex() == "0x0.0p+0"
     assert all(values[mask] == 0.0 for mask in range(128) if mask not in viable_masks)
+
+
+# ---------------------------------------------------------------------------
+# replay steps
+
+
+def assert_schedule_is_brute_force(g):
+    """The schedule holds, at each mask, the steps the oracle derives one
+    member at a time, and so does ``replay_steps`` of that mask alone."""
+    schedule = replay_schedule(g)
+    assert list(schedule) == replay_schedule_by_brute_force(g)
+    assert all(replay_steps(g, mask) == steps for mask, steps in enumerate(schedule))
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse-skip"])
+def test_replay_schedule_is_the_brute_force_steps(name):
+    if name == "reference":
+        g = reference_graph()
+    else:
+        g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    assert_schedule_is_brute_force(g)
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=40, deadline=None)
+def test_replay_schedule_is_the_brute_force_steps_on_skip_graphs(g):
+    assert_schedule_is_brute_force(g)
+
+
+def test_replay_runs_each_episode_on_its_own_outputs(ref_graph, ref_runner):
+    """One call replays the coalition once per episode, as separate
+    one-episode calls do."""
+    episodes = [FEATURES, OTHER_FEATURES, FEATURES]
+    steps = replay_steps(ref_graph, ref_graph.full_mask)
+    alone = [replay_coalition(ref_graph, steps, ref_runner, episodes=[e]) for e in episodes]
+    replay = replay_coalition(ref_graph, steps, ref_runner, episodes=episodes)
+    assert replay.outputs == [r.outputs[0] for r in alone]
+    assert replay.sink_outputs == [r.sink_outputs[0] for r in alone]
+    assert replay.executions == 3 * ref_graph.n
+    assert replay.sink_outputs[0] != replay.sink_outputs[1]
+
+
+def test_replay_refuses_a_mask_and_a_single_episode(ref_graph, ref_runner):
+    """The coalition is its steps and the episodes a keyword list, so the
+    call shape of a mask and one episode's data fails instead of replaying
+    each field of the data as an episode."""
+    with pytest.raises(TypeError):
+        replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, FEATURES)
+    with pytest.raises(TypeError):
+        replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, episodes=[FEATURES])
+
+
+def test_replay_failure_names_the_agent(ref_graph, ref_runner):
+    """A runner that raises in any episode fails the replay, naming the agent."""
+    def broken(agent, upstream, external):
+        if external is OTHER_FEATURES:
+            raise ValueError("boom")
+        return ref_runner(agent, upstream, external)
+
+    steps = replay_steps(ref_graph, ref_graph.full_mask)
+    with pytest.raises(ExecutorFailure, match="^agent NAA failed$"):
+        replay_coalition(ref_graph, steps, broken, episodes=[FEATURES, OTHER_FEATURES])
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +804,8 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     runner = system_runner(build_system(g, seed=11))
     run = layered_run(g, viable, runner, FEATURES)
     for mask, output in zip(viable, sink_outputs(run), strict=True):
-        assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
+        replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
+        assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_dag(g, viable, table, run.counters)
     replay_values, replay_counters = replay_table(g, runner)
@@ -802,7 +869,8 @@ def assert_matches_replay(g, run, runner):
     contributions equal the exact engine's to the last bit."""
     viable = run.plan.viable
     for mask, output in zip(viable, sink_outputs(run), strict=True):
-        assert output == replay_coalition(g, mask, runner, FEATURES).sink_output
+        replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
+        assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_dag(g, viable, table, run.counters)
     replay_values, _ = replay_table(g, runner)
