@@ -14,8 +14,9 @@ those scores: the backtest scores a decision by its position and values a
 window by ``sharpe_value``, and the ``shapley`` command scores its one
 fixture episode by the signed sink decision and values a coalition by that
 score. Under engine ``both`` it also replays each subset once over all the
-window's episodes; the backtest derives every subset's replay steps once
-per run and hands them to each window.
+window's episodes. The backtest derives every subset's replay steps once
+per run and hands them to each window; a game handed none, as the
+``shapley`` command's is, derives each subset's steps as it replays it.
 
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
@@ -57,7 +58,7 @@ from .shapley import (
     layered_run,
     live_plan,
     replay_coalition,
-    replay_schedule,
+    replay_steps,
     shapley_dag,
     shapley_exact,
 )
@@ -147,8 +148,9 @@ def load_market(
 
     The market header must be exactly ``date,open,high,low,close,volume``;
     dates are ISO format, strictly increasing, every number finite, prices
-    strictly positive and volume non-negative. Only the dates and closes
-    are kept. Feature values lie in [-1, 1].
+    strictly positive, volume non-negative and each close over the one
+    before it finite. Only the dates and closes are kept. Feature values lie
+    in [-1, 1].
     """
     days: list[date] = []
     closes: list[float] = []
@@ -172,6 +174,9 @@ def load_market(
                 raise DuplicateDate(f"line {lineno}: duplicate date {day.isoformat()}")
             if day < days[-1]:
                 raise UnsortedDates(f"line {lineno}: dates must be increasing")
+            # Each day's return is this ratio less one, so it must be finite.
+            if not math.isfinite(numbers["close"] / closes[-1]):
+                raise ParseError(f"line {lineno}: close over the previous close is not finite")
         days.append(day)
         closes.append(numbers["close"])
     if len(days) < 2:
@@ -463,9 +468,9 @@ def evaluate_window(
     episode (see ``layered_run``), sink scores included. Engine ``both``
     also replays every subset without sharing (the classical comparator),
     one ``replay_coalition`` call per subset over all the episodes, in mask
-    order, with the subset's steps from ``schedule``
-    (``replay_schedule(graph)``, built when not given). The replay scores
-    each sink output (``None`` where the sink did not run), values the
+    order, with the subset's steps from ``schedule`` (a list of every
+    mask's ``replay_steps``, derived per mask when not given). The replay
+    scores each sink output (``None`` where the sink did not run), values the
     scores with the same ``value`` and attributes them with
     ``shapley_exact``.
 
@@ -525,9 +530,8 @@ def evaluate_window(
     if engine == "both":
         replay_executions = 0
         replay_values = []
-        if schedule is None:
-            schedule = replay_schedule(graph)
-        for steps in schedule:
+        for mask in range(1 << graph.n):
+            steps = replay_steps(graph, mask) if schedule is None else schedule[mask]
             replay = replay_coalition(graph, steps, run_agent, episodes=episodes)
             replay_executions += replay.executions
             replay_values.append(value(list(map(score, replay.sink_outputs))))
@@ -673,7 +677,8 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     and the frozen pass reuses the tuned pass's runs. Every window of the
     tuned pass ends in a tuning cycle, which reads that window's daily
     rewards and may update one prompt for the next window. The live plan,
-    and under engine ``both`` the replay schedule, are built once per run.
+    and under engine ``both`` every subset's replay steps, are built once
+    per run.
     Reports are written under ``config.out_dir`` when set; the same config
     and seed always produce byte-identical files.
     """
@@ -681,8 +686,12 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     market = load_inputs(config)
     viable = enumerate_viable(graph)
     plan = live_plan(graph, viable)
-    # Only engine ``both`` replays: a table of 2**n coalitions' steps.
-    schedule = replay_schedule(graph) if config.engine == "both" else None
+    # Only engine ``both`` replays: each of the 2**n subsets' steps, listed
+    # once here rather than derived again in every window pass.
+    schedule = (
+        [replay_steps(graph, mask) for mask in range(1 << graph.n)]
+        if config.engine == "both" else None
+    )
     windows = day_windows(len(market.days), config.window_len)
     viable_names = [coalition_names(graph, mask) for mask in viable]
 

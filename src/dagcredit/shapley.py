@@ -40,9 +40,8 @@ The classical comparator, ``replay_coalition``, shares nothing: it runs one
 coalition over a list of episodes, every member once per episode. It takes
 the coalition as its steps, the members in index order with their
 predecessors inside the coalition and whether each is a source, which depend
-on the mask alone: ``replay_steps`` derives them for one mask and
-``replay_schedule`` for all ``2**n`` masks at once, so a caller that replays
-every subset many times derives them once.
+on the mask alone and which ``replay_steps`` derives, one mask at a time, so
+that no table of ``2**n`` masks' steps need be held.
 """
 from __future__ import annotations
 
@@ -470,39 +469,15 @@ ReplayStep = tuple[int, tuple[int, ...], bool]
 def replay_steps(graph: WorkflowGraph, mask: int) -> tuple[ReplayStep, ...]:
     """The steps of replaying the coalition ``mask``: its members in index
     order, each with its predecessors inside the coalition and whether it
-    is a source (an agent without predecessors in the graph)."""
+    is a source (an agent without predecessors in the graph). A mask
+    outside ``[0, 2**n)`` raises ``ValueError``."""
+    if not 0 <= mask < 1 << graph.n:
+        raise ValueError(f"mask {mask} is not a coalition of {graph.n} agents")
     return tuple(
         (agent, tuple(p for p in preds if mask >> p & 1), not preds)
         for agent, preds in enumerate(graph.preds)
         if mask >> agent & 1
     )
-
-
-def replay_schedule(graph: WorkflowGraph) -> tuple[tuple[ReplayStep, ...], ...]:
-    """``replay_steps`` of every coalition of ``graph``, indexed by mask.
-
-    A coalition's highest member runs last, so its steps are those of the
-    coalition without that member plus one step, which depends only on the
-    members among that agent's predecessors: the table doubles once per
-    agent, and masks that hold the same such members share the step's
-    tuple. On the 19-agent ``benchmarks/wide_6661.json`` the table holds
-    60 MiB (tracemalloc, CPython 3.11), where one ``replay_steps`` tuple per
-    mask would hold 514 MiB; ``dagcredit shapley --engine both`` on that
-    graph peaks at 110 MiB RSS with the table. Mask arithmetic only: no
-    agent runs.
-    """
-    schedule: list[tuple[ReplayStep, ...]] = [()]
-    for agent, preds in enumerate(graph.preds):
-        bit, pred_mask = 1 << agent, sum(1 << p for p in preds)
-        steps: dict[int, ReplayStep] = {}
-        for below in range(bit):
-            key = below & pred_mask
-            step = steps.get(key)
-            if step is None:
-                # The agent is the highest member of key + agent, so it runs last.
-                step = steps[key] = replay_steps(graph, key | bit)[-1]
-            schedule.append(schedule[below] + (step,))
-    return tuple(schedule)
 
 
 class ReplayResult(NamedTuple):

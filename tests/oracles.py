@@ -56,7 +56,7 @@ def check_viability(graph: WorkflowGraph, mask: int) -> ViabilityReport:
 
 
 
-def replay_schedule_by_brute_force(graph: WorkflowGraph) -> list[tuple]:
+def replay_steps_by_brute_force(graph: WorkflowGraph) -> list[tuple]:
     """Per mask, the steps of replaying that coalition: each member in
     index order, with the members that have an edge into it, in increasing
     order, and whether it is one of the graph's sources. Reads the edges

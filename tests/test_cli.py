@@ -555,6 +555,27 @@ def test_backtest_rejects_non_finite_market_numbers(capsys, tmp_path, column, te
     assert err == f"error: line 6: non-finite number in column {column!r}\n"
 
 
+def test_backtest_rejects_closes_whose_ratio_overflows(capsys, tmp_path):
+    """Every close is finite and positive, but 1e300 over 1e-300 is not
+    finite, so neither is that day's return: one error line, no traceback."""
+    rows = market_files(bt.synthesize_market(seed=3, days=15))
+    for i in range(1, len(rows["m.csv"])):
+        price = "1e-300" if i % 2 else "1e300"
+        day, *_, volume = rows["m.csv"][i].split(",")
+        rows["m.csv"][i] = ",".join([day, *[price] * 4, volume])
+    for file_name, lines in rows.items():
+        (tmp_path / file_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "backtest",
+        "--market", str(tmp_path / "m.csv"),
+        "--features", str(tmp_path / "f.csv"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 3: close over the previous close is not finite\n"
+
+
 def test_backtest_rejects_prompt_files_that_name_no_agent(capsys, tmp_path):
     prompts = tmp_path / "prompts"
     prompts.mkdir()

@@ -34,7 +34,6 @@ from dagcredit.shapley import (
     _weights,
     predicted_cost,
     replay_coalition,
-    replay_schedule,
     replay_steps,
     shapley_dag,
     shapley_exact,
@@ -44,7 +43,7 @@ from conftest import (
     dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
-from oracles import exact_shapley, float_phi_bound, path_exists, replay_schedule_by_brute_force
+from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by_brute_force
 
 
 def memo_table(graph, viable, runner):
@@ -610,27 +609,55 @@ def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner)
 # replay steps
 
 
-def assert_schedule_is_brute_force(g):
-    """The schedule holds, at each mask, the steps the oracle derives one
-    member at a time, and so does ``replay_steps`` of that mask alone."""
-    schedule = replay_schedule(g)
-    assert list(schedule) == replay_schedule_by_brute_force(g)
-    assert all(replay_steps(g, mask) == steps for mask, steps in enumerate(schedule))
+def assert_replay_follows_the_brute_force_steps(g):
+    """``replay_steps`` of each mask are the steps the oracle derives one
+    member at a time. Engine ``both`` replays every subset by those steps in
+    mask order, whether ``schedule=`` lists them or each is derived as its
+    replay starts: past the pruned engine's runner calls, each call is one
+    step's agent, handed its predecessors' outputs in the step's order, and
+    the episode's data only at a source."""
+    oracle = replay_steps_by_brute_force(g)
+    steps = [replay_steps(g, mask) for mask in range(1 << g.n)]
+    assert steps == oracle
+    expected = [
+        (agent, preds, FEATURES if source else None)
+        for coalition in oracle
+        for agent, preds, source in coalition
+    ]
+    runner = system_runner(build_system(g, seed=5))
+    for schedule in (steps, None):
+        calls = []
+
+        def recorder(agent, upstream, external):
+            calls.append((agent, tuple(upstream), external))
+            return runner(agent, upstream, external)
+
+        game = backtest.evaluate_window(
+            g, enumerate_viable(g), recorder, [FEATURES], signed_decision_value,
+            lambda scores: scores[0], "both", schedule=schedule,
+        )
+        assert calls[game.attribution.counters.agent_executions:] == expected
 
 
 @pytest.mark.parametrize("name", ["reference", "sparse-skip"])
-def test_replay_schedule_is_the_brute_force_steps(name):
+def test_replay_follows_the_brute_force_steps(name):
     if name == "reference":
         g = reference_graph()
     else:
         g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
-    assert_schedule_is_brute_force(g)
+    assert_replay_follows_the_brute_force_steps(g)
 
 
 @given(skip_layered_graphs())
 @settings(max_examples=40, deadline=None)
-def test_replay_schedule_is_the_brute_force_steps_on_skip_graphs(g):
-    assert_schedule_is_brute_force(g)
+def test_replay_follows_the_brute_force_steps_on_skip_graphs(g):
+    assert_replay_follows_the_brute_force_steps(g)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 7, 1 << 7 | 1])
+def test_replay_steps_rejects_a_mask_outside_the_graph(ref_graph, mask):
+    with pytest.raises(ValueError, match=f"^mask {mask} is not a coalition of 7 agents$"):
+        replay_steps(ref_graph, mask)
 
 
 def test_replay_runs_each_episode_on_its_own_outputs(ref_graph, ref_runner):
