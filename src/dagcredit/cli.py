@@ -30,13 +30,16 @@ error the package raises: a graph, config, data file or setting it cannot
 run, a malformed or cyclic input file included), 2 I/O error or a
 command-line usage error (such as an unknown flag or an engine other than
 ``dag`` and ``both``), 3 runtime failure (an agent that raised, or engines
-that disagree under ``both``).
+that disagree under ``both``), 141 standard output closed by its reader
+before the command finished, as ``| head`` does (128 + SIGPIPE, the code a
+shell reports for a command that signal ends), with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +49,9 @@ from .coalitions import coalition_names, enumerate_viable
 from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
 from .graph import InputError
 from .shapley import classical_cost, format_attribution, format_replay_check, predicted_cost
+
+# What main returns when the reader of standard output closes it early.
+EXIT_PIPE_CLOSED = 141
 
 _GRAPH_HELP = "graph JSON file (default: built-in reference)"
 
@@ -229,7 +235,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader gone early is caught below and not
+        # at the interpreter's exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Not an I/O failure: the reader has all it wanted. Python flushes
+        # stdout again at exit, so point it at devnull to keep that silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,23 +3,28 @@ layer-wise shared execution for layered workflows.
 
 A game is a list of ``2**n`` floats, the value of every coalition indexed by
 its bitmask. Two entry points aggregate it into per-agent contributions with
-the same float routine, which sums, for each agent, over a sequence of masks
-that hold it, streaming the terms into one exactly rounded ``math.fsum``:
+the same float routine, which sums, for each agent, over the masks of
+non-zero value, streaming the terms into one exactly rounded ``math.fsum``:
+a term is non-zero only where one of its two values is, so each walk skips
+the zero-valued coalitions (a share of them that varies with the game).
 
-* ``shapley_exact`` walks every subset (the classical path).
-* ``shapley_dag`` walks the viable coalitions only; every other subset
-  cannot trade and is worth zero by the game definition, so the table must
-  be zero there. It checks that, and that the viable masks hold every
-  superset of each of their members, with one bit-lane test per agent.
+* ``shapley_exact`` finds those masks among every subset (the classical
+  path).
+* ``shapley_dag`` finds them among the viable coalitions only; every other
+  subset cannot trade and is worth zero by the game definition, so the
+  table must be zero there. It checks that, and that the viable masks hold
+  every superset of each of their members, with one bit-lane test per
+  agent.
 
 The dense list costs 8 bytes per subset (128 MiB at ``MAX_AGENTS``), where a
 dict keyed by viable mask costs about 44 bytes per viable mask, so the list
 is the smaller once about 18% of the masks are viable: 38% are on the
 reference graph and 46% on the benchmark's wide graph. The viable masks and
 the plan's live keys and task indices are packed arrays of 4 bytes an item,
-where a list would hold an int object of about 36 bytes for each. Walking
-an array makes an int object for each item it yields, so the aggregation
-pays for its walks by keeping only the non-zero terms.
+where a list would hold an int object of about 36 bytes for each, and so
+are the masks of non-zero value that the aggregation walks. Walking an
+array makes an int object for each item it yields, so the aggregation pays
+for its walks by walking only the masks of non-zero value.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -122,13 +127,14 @@ def _check_game(n: int, table: Sequence[float]) -> None:
         raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
 
 
-def _phi(n: int, masks: Sequence[int], table: Sequence[float]) -> list[float]:
-    # phi_i sums w(|T|) * (v(T + i) - v(T)) over the subsets T without i.
-    # The caller's masks hold every superset of each of their members and
-    # the table is zero off them, so when T + i is not one of the masks,
-    # neither is T, and the term is a zero: each agent's sum walks only the
-    # masks that hold i, and keeps only the non-zero differences (NaN is
-    # truthy, so an inf - inf difference is kept). fsum is exact before its
+def _phi(n: int, nonzero: Sequence[int], table: Sequence[float]) -> list[float]:
+    # phi_i sums w(|S| - 1) * (v(S) - v(S - i)) over the masks S holding i,
+    # and a term is non-zero only where v(S) or v(S - i) is. So each
+    # agent's sum walks only ``nonzero``, the masks whose value is non-zero
+    # (NaN is truthy and counts), and derives each such term once: from S
+    # itself when v(S) is non-zero, and otherwise from the mask S - i, which
+    # is then the non-zero one. Only the non-zero differences are kept (an
+    # inf - inf difference is NaN, which is kept). fsum is exact before its
     # single rounding and gives +0.0 for a sum of zeros of either sign, so
     # dropping zero terms leaves every bit of the result, in any order. The
     # terms stream into fsum one at a time, so no list of them is built.
@@ -137,9 +143,9 @@ def _phi(n: int, masks: Sequence[int], table: Sequence[float]) -> list[float]:
     for i in range(n):
         bit = 1 << i
         phi.append(math.fsum(
-            w[mask.bit_count() - 1] * d
-            for mask in masks
-            if mask & bit and (d := table[mask] - table[mask ^ bit])
+            w[s.bit_count() - 1] * d
+            for m in nonzero
+            if ((s := m | bit) == m or not table[s]) and (d := table[s] - table[s ^ bit])
         ))
     return phi
 
@@ -155,7 +161,7 @@ def shapley_exact(
     with ``coalition_evaluations`` set to ``2**n``.
     """
     _check_game(n, table)
-    phi = _phi(n, range(1 << n), table)
+    phi = _phi(n, array(MASK_TYPECODE, compress(range(1 << n), table)), table)
     return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=1 << n))
 
 
@@ -163,7 +169,8 @@ def shapley_dag(
     graph: WorkflowGraph, viable: Sequence[int], table: Sequence[float], counters: CostCounters
 ) -> AttributionResult:
     """Exact Shapley values of the game ``table`` (indexed by mask, ``2**n``
-    entries) walking only the masks of ``viable``.
+    entries) reading only the masks of ``viable``, and walking only those
+    of non-zero value.
 
     Every other subset cannot trade and is worth zero by the game
     definition, so ``table`` must be zero (0.0 or -0.0) off ``viable``, and
@@ -197,11 +204,12 @@ def shapley_dag(
             )
     # The table's non-zero entries (NaN included) all lie on viable masks
     # exactly when they are as many as the viable masks' non-zero entries.
-    if len(table) - table.count(0.0) != sum(map(bool, map(table.__getitem__, viable))):
+    nonzero = array(MASK_TYPECODE, compress(viable, map(table.__getitem__, viable)))
+    if len(table) - table.count(0.0) != len(nonzero):
         masks = set(viable)
         mask = next(m for m, value in enumerate(table) if value and m not in masks)
         raise ValueError(f"the table holds {table[mask]!r} at the non-viable mask {mask:#b}")
-    phi = _phi(n, viable, table)
+    phi = _phi(n, nonzero, table)
     return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=len(viable)))
 
 
@@ -438,7 +446,12 @@ def layered_run(
             if kept is not None and not key & changed:
                 row.append(kept[task])
                 continue
-            upstream = {p: outs[key & last] for p, bit, last, outs in inputs if key & bit}
+            # A loop, not a comprehension, which before CPython 3.12 costs
+            # a function frame per runner call.
+            upstream = {}
+            for p, bit, last, outs in inputs:
+                if key & bit:
+                    upstream[p] = outs[key & last]
             try:
                 row.append(run_agent(agent, upstream, data))
             except Exception as exc:
@@ -509,19 +522,23 @@ def replay_coalition(
     episode's external data. This is the classical (unshared) evaluation
     path and the reference oracle for the memoized one.
     """
+    sink = graph.sink
     outputs: list[dict[int, Any]] = []
+    sink_outputs: list[Any] = []
     for external in episodes:
         done: dict[int, Any] = {}
         for agent, preds, source in steps:
+            # A loop, as in layered_run.
+            upstream = {}
+            for p in preds:
+                upstream[p] = done[p]
             try:
-                done[agent] = run_agent(
-                    agent, {p: done[p] for p in preds}, external if source else None
-                )
+                done[agent] = run_agent(agent, upstream, external if source else None)
             except Exception as exc:
                 raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
         outputs.append(done)
-    sink = graph.sink
-    return ReplayResult(outputs, [done.get(sink) for done in outputs], len(steps) * len(outputs))
+        sink_outputs.append(done.get(sink))
+    return ReplayResult(outputs, sink_outputs, len(steps) * len(outputs))
 
 
 class PredictedCost(NamedTuple):

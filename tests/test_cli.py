@@ -7,8 +7,12 @@ import filecmp
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,13 @@ def graph_file(tmp_path, payload, name="graph.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def full_5551_file(tmp_path):
+    """A graph file of fully connected 5-5-5-1: 29,791 viable coalitions."""
+    layers = [[f"L{i}A{j}" for j in range(size)] for i, size in enumerate([5, 5, 5, 1])]
+    edges = [[a, b] for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower]
+    return graph_file(tmp_path, {"layers": layers, "edges": edges})
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +235,7 @@ def test_coalitions_streams_its_lines(tmp_path):
     """Fully connected 5-5-5-1 lists 29,791 viable coalitions. Writing each
     line as it is named peaks at most 1 MiB above the call's start: measured
     0.38 MiB, where holding every line and their join peaked at 5.5 MiB."""
-    layers = [[f"L{i}A{j}" for j in range(size)] for i, size in enumerate([5, 5, 5, 1])]
-    edges = [[a, b] for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower]
-    path = graph_file(tmp_path, {"layers": layers, "edges": edges})
+    path = full_5551_file(tmp_path)
     out_dir, stdout = tmp_path / "rep", tmp_path / "stdout.txt"
     with stdout.open("w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
         tracemalloc.start()
@@ -243,6 +252,30 @@ def test_coalitions_streams_its_lines(tmp_path):
     assert len(lines) == 29_792
     assert lines[-1] == "29791/65536 viable (54.5% pruned)"
     assert peak <= 2**20
+
+
+@pytest.mark.skipif(
+    sys.platform == "win32",
+    reason="Windows reports a write to a closed pipe as EINVAL, not as a broken pipe",
+)
+def test_coalitions_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    """As under `dagcredit coalitions | head -1`: the reader closes standard
+    output after one of 29,792 lines, more than a pipe buffers. The command
+    exits with its documented code and writes nothing to stderr, neither
+    from the failed write nor from the flush at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    stderr = tmp_path / "stderr.txt"
+    with stderr.open("wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dagcredit.cli", "coalitions", full_5551_file(tmp_path)],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert first == b"L0A0,L1A0,L2A0,L3A0\n"
+    assert code == cli.EXIT_PIPE_CLOSED == 141
+    assert stderr.read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------

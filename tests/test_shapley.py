@@ -46,6 +46,16 @@ from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256
 from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by_brute_force
 
 
+def named_graph(name):
+    """The reference graph, the golden runs' sparse-skip graph or the wide
+    benchmark graph."""
+    if name == "reference":
+        return reference_graph()
+    if name == "sparse-skip":
+        return build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    return load_graph_file(WIDE_GRAPH)
+
+
 def memo_table(graph, viable, runner):
     """The viable masks, the dense table of their signed sink decisions from
     one shared episode (0.0 elsewhere) and the episode's work: the
@@ -232,37 +242,6 @@ def test_viable_tables_aggregate_without_superset_probes(g, seed):
     assert same_bits(shapley_dag(g, viable, table, CostCounters()).values, want)
 
 
-@given(skip_layered_graphs(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_viable_walk_drops_only_zero_terms(g, data):
-    """A table filled as ``evaluate_window`` fills it, one drawn value per
-    sink task (signed zeros, units and one uniform value that repeats), and
-    a zero of either sign off the viable masks: the pruned engine walking
-    only the viable masks and the exact engine walking every mask both give
-    the all-masks sum, bit for bit, so the terms the pruned walk skips are
-    all zeros."""
-    viable = enumerate_viable(g)
-    viable_masks = set(viable)
-    off = [mask for mask in range(1 << g.n) if mask not in viable_masks]
-    negative = data.draw(st.sets(st.sampled_from(off)), label="masks off viable at -0.0")
-    plan = live_plan(g, viable)
-    shared = data.draw(st.floats(-2, 2), label="repeated value")
-    by_task = data.draw(
-        st.lists(
-            st.sampled_from([0.0, -0.0, 1.0, -1.0, shared]),
-            min_size=len(plan.keys[g.sink]),
-            max_size=len(plan.keys[g.sink]),
-        ),
-        label="value per sink task",
-    )
-    table = dense_table(g.n, zip(viable, map(by_task.__getitem__, plan.sink_tasks)))
-    for mask in negative:
-        table[mask] = -0.0
-    want = all_masks_phi(g.n, table.__getitem__)
-    assert same_bits(shapley_dag(g, viable, table, CostCounters()).values, want)
-    assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
-
-
 def phi_or_error(engine):
     """The hex digits of each agent's value, or the message of the
     ValueError that ``fsum`` raises for an inf + -inf sum."""
@@ -270,6 +249,43 @@ def phi_or_error(engine):
         return [x.hex() for x in engine()]
     except ValueError as exc:
         return str(exc)
+
+
+@given(skip_layered_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_viable_walk_drops_only_zero_terms(g, data):
+    """A table filled as ``evaluate_window`` fills it, one drawn value per
+    sink task (signed zeros, units, NaN, ±inf and one uniform value that
+    repeats), with all but a few sink tasks at zero in some draws, and a
+    zero of either sign off the viable masks: both engines, walking only the
+    masks of non-zero value, give the all-masks sum, bit for bit, or the
+    same error, so the terms their walks skip are all zeros."""
+    viable = enumerate_viable(g)
+    viable_masks = set(viable)
+    off = [mask for mask in range(1 << g.n) if mask not in viable_masks]
+    negative = data.draw(st.sets(st.sampled_from(off)), label="masks off viable at -0.0")
+    plan = live_plan(g, viable)
+    shared = data.draw(st.floats(-2, 2), label="repeated value")
+    tasks = len(plan.keys[g.sink])
+    by_task = data.draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, shared, math.nan, math.inf, -math.inf]),
+            min_size=tasks,
+            max_size=tasks,
+        ),
+        label="value per sink task",
+    )
+    if data.draw(st.booleans(), label="mostly zero"):
+        kept = data.draw(st.sets(st.integers(0, tasks - 1), max_size=2), label="non-zero tasks")
+        by_task = [
+            v if task in kept else math.copysign(0.0, v) for task, v in enumerate(by_task)
+        ]
+    table = dense_table(g.n, zip(viable, map(by_task.__getitem__, plan.sink_tasks)))
+    for mask in negative:
+        table[mask] = -0.0
+    want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
+    assert phi_or_error(lambda: shapley_dag(g, viable, table, CostCounters()).values) == want
+    assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
 
 
 @given(skip_layered_graphs(), st.data())
@@ -333,6 +349,41 @@ def test_aggregation_holds_no_list_of_terms():
         tracemalloc.stop()
     assert peak < 320 * 1024
     assert same_bits(result.values, all_masks_phi(g.n, table.__getitem__))
+
+
+class CountingTable(list):
+    """A table that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_aggregation_reads_three_entries_per_agent_and_non_zero_mask():
+    """Each agent's walk reads at most three entries per mask of non-zero
+    value and none for a zero one, as a term is non-zero only where one of
+    its two values is. On 5-5-5-1 with over 90% of the 29,791 viable values
+    zero, the pruned engine reads besides only each viable entry once, for
+    its off-viable check, and the exact engine at most one pass over its
+    2**16 entries."""
+    g = layered_graph([5, 5, 5, 1])
+    rng = random.Random(32)
+    viable = enumerate_viable(g)
+    values = dense_table(g.n, (
+        (mask, rng.choice([1.0, -1.0, rng.uniform(-2, 2)] if rng.random() < 0.05 else [0.0, -0.0]))
+        for mask in viable
+    ))
+    nonzero = sum(map(bool, values))
+    assert 0 < nonzero <= len(viable) // 10
+    want = all_masks_phi(g.n, values.__getitem__)
+    table = CountingTable(values)
+    assert same_bits(shapley_dag(g, viable, table, CostCounters()).values, want)
+    assert table.reads <= len(viable) + 3 * g.n * nonzero
+    table = CountingTable(values)
+    assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
+    assert table.reads <= (1 << g.n) + 3 * g.n * nonzero
 
 
 def test_engines_reject_a_table_lacking_a_superset():
@@ -641,11 +692,7 @@ def assert_replay_follows_the_brute_force_steps(g):
 
 @pytest.mark.parametrize("name", ["reference", "sparse-skip"])
 def test_replay_follows_the_brute_force_steps(name):
-    if name == "reference":
-        g = reference_graph()
-    else:
-        g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
-    assert_replay_follows_the_brute_force_steps(g)
+    assert_replay_follows_the_brute_force_steps(named_graph(name))
 
 
 @given(skip_layered_graphs())
@@ -845,16 +892,57 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     assert [v.hex() for v in pruned.values] == [v.hex() for v in exact.values]
 
 
+def assert_upstream_is_the_live_keys_replay(g):
+    """Each runner call of ``layered_run``, the agent of one task with its
+    live key, gets exactly the agent's predecessors in the key, in the
+    graph's order, each with the output a replay of the key and the agent
+    hands it. An output is an id interned for its whole computation (agent,
+    upstream items in order, data), so two outputs are equal only when they
+    were computed alike."""
+    ids = {}
+
+    def interned(agent, upstream, external):
+        return ids.setdefault((agent, tuple(upstream.items()), external), len(ids))
+
+    calls = []
+
+    def recorder(agent, upstream, external):
+        calls.append((agent, tuple(upstream.items()), external))
+        return interned(agent, upstream, external)
+
+    run = layered_run(g, enumerate_viable(g), recorder, FEATURES)
+    tasks = [(agent, key) for agent, keys in enumerate(run.plan.keys) for key in keys]
+    assert len(calls) == len(tasks)
+    for call, (agent, key) in zip(calls, tasks):
+        assert call[0] == agent
+        assert [p for p, _ in call[1]] == [p for p in g.preds[agent] if key >> p & 1]
+        replayed = []
+
+        def replayer(a, upstream, external):
+            if a == agent:
+                replayed.append((a, tuple(upstream.items()), external))
+            return interned(a, upstream, external)
+
+        replay_coalition(g, replay_steps(g, key | 1 << agent), replayer, episodes=[FEATURES])
+        assert replayed == [call]
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse-skip"])
+def test_upstream_is_the_live_keys_replay(name):
+    assert_upstream_is_the_live_keys_replay(named_graph(name))
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=40, deadline=None)
+def test_upstream_is_the_live_keys_replay_on_skip_graphs(g):
+    assert_upstream_is_the_live_keys_replay(g)
+
+
 @pytest.mark.parametrize("name,executions", [("reference", 73), ("sparse-skip", 27), ("wide", 104_820)])
 def test_executions_per_episode_are_pinned(name, executions):
     """Runner calls per episode, and the predecessor outputs the runner is
     handed in all, which the plan counts from its live keys alone."""
-    if name == "reference":
-        g = reference_graph()
-    elif name == "sparse-skip":
-        g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
-    else:
-        g = load_graph_file(WIDE_GRAPH)
+    g = named_graph(name)
     reads = []
     runner, calls = counting(lambda agent, upstream, external: reads.append(len(upstream)))
     run = layered_run(g, enumerate_viable(g), runner)
