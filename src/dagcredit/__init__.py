@@ -50,7 +50,6 @@ from .shapley import (
     predicted_cost,
     replay_coalition,
     replay_steps,
-    shapley_dag,
     shapley_exact,
 )
 

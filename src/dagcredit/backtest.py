@@ -59,7 +59,6 @@ from .shapley import (
     live_plan,
     replay_coalition,
     replay_steps,
-    shapley_dag,
     shapley_exact,
 )
 
@@ -428,15 +427,15 @@ class WindowGame(NamedTuple):
     0.0 at every other mask: 8 bytes a subset, less than a dict of the
     viable masks once about 18% of the masks are viable. Each run's sink
     row holds the ``score`` of each sink output, not the output itself, and
-    its other rows hold the agents' outputs. ``exact`` is the classical
-    replay's attribution, set only under engine ``both``; the replay's value
-    of every subset, and its contributions, are then the pruned engine's,
-    bit for bit, or ``evaluate_window`` would have raised."""
+    its other rows hold the agents' outputs. ``replay`` is the classical
+    replay's cost, set only under engine ``both``; the replay's value of
+    every subset is then the pruned engine's, bit for bit, or
+    ``evaluate_window`` would have raised."""
 
     values: list[float]
     runs: list[LayeredRunResult]
     attribution: AttributionResult
-    exact: AttributionResult | None
+    replay: CostCounters | None
 
 
 def evaluate_window(
@@ -461,18 +460,18 @@ def evaluate_window(
     is produced: a run keeps the score in the sink's row, and the output is
     dropped. A coalition is worth ``value`` of its sink scores, one per
     episode; the game is a list of ``2**n`` values indexed by mask, 0.0 off
-    the viable masks, and ``shapley_dag`` attributes it over the viable
-    masks. ``reuse`` is an earlier game on the same episodes, played with
-    the same ``score``, and the mask of the agents whose prompts have
-    changed since; each episode's run then reuses the earlier run of that
-    episode (see ``layered_run``), sink scores included. Engine ``both``
-    also replays every subset without sharing (the classical comparator),
-    one ``replay_coalition`` call per subset over all the episodes, in mask
-    order, with the subset's steps from ``schedule`` (a list of every
-    mask's ``replay_steps``, derived per mask when not given). The replay
-    scores each sink output (``None`` where the sink did not run), values the
-    scores with the same ``value`` and attributes them with
-    ``shapley_exact``.
+    the viable masks, and ``shapley_exact`` attributes it, counting one
+    coalition evaluation per viable mask. ``reuse`` is an earlier game on
+    the same episodes, played with the same ``score``, and the mask of the
+    agents whose prompts have changed since; each episode's run then reuses
+    the earlier run of that episode (see ``layered_run``), sink scores
+    included. Engine ``both`` also replays every subset without sharing
+    (the classical comparator), one ``replay_coalition`` call per subset
+    over all the episodes, in mask order, with the subset's steps from
+    ``schedule`` (a list of every mask's ``replay_steps``, derived per mask
+    when not given). The replay
+    scores each sink output (``None`` where the sink did not run) and values
+    the scores with the same ``value``.
 
     ``score`` and ``value`` must be pure functions, as the backtest's
     ``decision_to_position`` and ``sharpe_value`` and the ``shapley``
@@ -486,9 +485,9 @@ def evaluate_window(
     the sign of zero; the first subset where it does not raises
     EnginesDisagree. As the replay runs every agent afresh, this
     checks the pruned engine, that the agents are deterministic and, in a
-    game with ``reuse``, that the reused outputs are still current. The
-    replay's contributions must then equal the pruned engine's the same
-    way, or EnginesDisagree is raised too.
+    game with ``reuse``, that the reused outputs are still current. One
+    aggregation of tables that agree entry by entry gives the same
+    contributions, so the replay's table is not aggregated.
     """
     if engine not in ("dag", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -524,9 +523,11 @@ def evaluate_window(
     for mask, task in zip(viable, plan.sink_tasks):
         table[mask] = by_task[task]
     del by_task  # the table holds every value: free the list before the aggregation peak
-    attribution = shapley_dag(graph, viable, table, counters)
+    attribution = shapley_exact(
+        table, graph.n, counters._replace(coalition_evaluations=len(viable))
+    )
 
-    exact = None
+    replay_cost = None
     if engine == "both":
         replay_executions = 0
         replay_values = []
@@ -541,16 +542,8 @@ def evaluate_window(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
-        exact = shapley_exact(
-            replay_values, graph.n, CostCounters(agent_executions=replay_executions)
-        )
-        for name, replayed, pruned in zip(graph.names, exact.values, attribution.values):
-            if not _same_float(replayed, pruned):
-                raise EnginesDisagree(
-                    f"engines disagree on the contribution of {name}: "
-                    f"replay {replayed!r}, pruned {pruned!r}"
-                )
-    return WindowGame(table, runs, attribution, exact)
+        replay_cost = CostCounters(1 << graph.n, replay_executions)
+    return WindowGame(table, runs, attribution, replay_cost)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -730,12 +723,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         # is the last.
         grand = plan.sink_tasks[-1]
         rewards = [run.outputs[graph.sink][grand] * r for run, r in zip(game.runs, step_returns)]
-        exact_diff = None
-        if game.exact is not None:
-            exact_diff = max(
-                abs(a - b) for a, b in zip(game.attribution.values, game.exact.values)
-            )
-
         report = WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
@@ -747,7 +734,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             coalition_values=tuple(
                 (names, game.values[mask]) for names, mask in zip(viable_names, viable)
             ),
-            exact_diff=exact_diff,
+            # Under ``both`` every subset's replay value was the pruned
+            # engine's, so the contributions are the same too.
+            exact_diff=None if game.replay is None else 0.0,
         )
         return game, report
 

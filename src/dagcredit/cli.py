@@ -19,8 +19,8 @@ defaults. So every command that takes a graph runs the config file's
 ``graph_file`` unless a flag names another.
 
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
-replays every subset classically and requires each subset's replay value,
-and the replay's contributions, to equal the pruned engine's bit for bit.
+replays every subset classically and requires each subset's replay value
+to equal the pruned engine's bit for bit.
 ``shapley`` then prints the ``dag`` output followed by the replay's cost, the
 execution reduction and the number of subsets that agreed. Engines that
 differ end the command with exit 3.
@@ -193,8 +193,8 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         config.engine,
     )
     text = format_attribution(graph, game.attribution)
-    if game.exact is not None:
-        text += "\n" + format_replay_check(graph, game.attribution, game.exact)
+    if game.replay is not None:
+        text += "\n" + format_replay_check(graph, game.attribution, game.replay)
     print(text)
     if config.out_dir:
         out = Path(config.out_dir)
@@ -243,7 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Not an I/O failure: the reader has all it wanted. Python flushes
         # stdout again at exit, so point it at devnull to keep that silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE_CLOSED
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,19 +2,15 @@
 layer-wise shared execution for layered workflows.
 
 A game is a list of ``2**n`` floats, the value of every coalition indexed by
-its bitmask. Two entry points aggregate it into per-agent contributions with
-the same float routine, which sums, for each agent, over the masks of
-non-zero value, streaming the terms into one exactly rounded ``math.fsum``:
-a term is non-zero only where one of its two values is, so each walk skips
-the zero-valued coalitions (a share of them that varies with the game).
-
-* ``shapley_exact`` finds those masks among every subset (the classical
-  path).
-* ``shapley_dag`` finds them among the viable coalitions only; every other
-  subset cannot trade and is worth zero by the game definition, so the
-  table must be zero there. It checks that, and that the viable masks hold
-  every superset of each of their members, with one bit-lane test per
-  agent.
+its bitmask. ``shapley_exact`` aggregates it into per-agent contributions,
+summing, for each agent, over the masks of non-zero value, and streaming
+the terms into one exactly rounded ``math.fsum``: a term is non-zero only
+where one of its two values is, so each walk skips the zero-valued
+coalitions. It is the one aggregation. The pruned engine's game is zero at
+every non-viable coalition, which cannot trade, so its walks touch only
+viable masks; its saving lies in execution, through the live plan. The
+classical replay's game, checked equal to it entry by entry, needs no
+aggregation of its own.
 
 The dense list costs 8 bytes per subset (128 MiB at ``MAX_AGENTS``), where a
 dict keyed by viable mask costs about 44 bytes per viable mask, so the list
@@ -118,15 +114,6 @@ def _weights(n: int) -> tuple[float, ...]:
     return tuple(math.factorial(s) * math.factorial(n - s - 1) / total for s in range(n))
 
 
-def _check_game(n: int, table: Sequence[float]) -> None:
-    if n < 1:
-        raise InvalidSize("need at least one agent")
-    if n > MAX_AGENTS:
-        raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
-    if len(table) != 1 << n:
-        raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
-
-
 def _phi(n: int, nonzero: Sequence[int], table: Sequence[float]) -> list[float]:
     # phi_i sums w(|S| - 1) * (v(S) - v(S - i)) over the masks S holding i,
     # and a term is non-zero only where v(S) or v(S - i) is. So each
@@ -157,60 +144,17 @@ def shapley_exact(
     value of every subset, indexed by mask (ValueError unless it has
     ``2**n`` entries).
 
-    ``counters`` is the work spent filling the table; the result reports it
-    with ``coalition_evaluations`` set to ``2**n``.
+    ``counters`` is the work spent valuing the game, reported unchanged:
+    the caller sets its ``coalition_evaluations``.
     """
-    _check_game(n, table)
+    if n < 1:
+        raise InvalidSize("need at least one agent")
+    if n > MAX_AGENTS:
+        raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
+    if len(table) != 1 << n:
+        raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
     phi = _phi(n, array(MASK_TYPECODE, compress(range(1 << n), table)), table)
-    return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=1 << n))
-
-
-def shapley_dag(
-    graph: WorkflowGraph, viable: Sequence[int], table: Sequence[float], counters: CostCounters
-) -> AttributionResult:
-    """Exact Shapley values of the game ``table`` (indexed by mask, ``2**n``
-    entries) reading only the masks of ``viable``, and walking only those
-    of non-zero value.
-
-    Every other subset cannot trade and is worth zero by the game
-    definition, so ``table`` must be zero (0.0 or -0.0) off ``viable``, and
-    the result is identical to ``shapley_exact`` on the same table. Adding
-    a member keeps a coalition viable, so ``viable`` holds every superset of
-    each of its masks. Each of these raises ValueError when it fails: a
-    mask of ``viable`` outside ``[0, 2**n)``, one listed twice, a missing
-    superset, a table of another length, a non-zero entry off ``viable``.
-    ``counters`` is the work spent filling the table; the result reports it
-    with ``coalition_evaluations`` set to the number of viable masks.
-    """
-    n = graph.n
-    _check_game(n, table)
-    # Range-checks the masks before any of them indexes the table, where a
-    # negative one would read from its end.
-    present = lanes_of(viable, n)
-    if present.bit_count() != len(viable):
-        raise ValueError("viable lists a mask more than once")
-    # One lane test per agent checks the superset rule: shifting the lanes
-    # up by 2**i moves each mask S without i to lane S + i, which holds i (a
-    # mask holding i lands on a lane without i, and the membership lanes
-    # drop it), so every such S + i is present exactly when the shifted
-    # lanes that hold i are all present.
-    for i in range(n):
-        bit = 1 << i
-        missing = present << bit & member_lanes(i, n) & ~present
-        if missing:
-            superset = (missing & -missing).bit_length() - 1
-            raise ValueError(
-                f"viable lacks the superset {superset:#b} of its mask {superset ^ bit:#b}"
-            )
-    # The table's non-zero entries (NaN included) all lie on viable masks
-    # exactly when they are as many as the viable masks' non-zero entries.
-    nonzero = array(MASK_TYPECODE, compress(viable, map(table.__getitem__, viable)))
-    if len(table) - table.count(0.0) != len(nonzero):
-        masks = set(viable)
-        mask = next(m for m, value in enumerate(table) if value and m not in masks)
-        raise ValueError(f"the table holds {table[mask]!r} at the non-viable mask {mask:#b}")
-    phi = _phi(n, nonzero, table)
-    return AttributionResult(tuple(phi), counters._replace(coalition_evaluations=len(viable)))
+    return AttributionResult(tuple(phi), counters)
 
 
 class LayeredRunResult(NamedTuple):
@@ -597,15 +541,14 @@ def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
 
 
 def format_replay_check(
-    graph: WorkflowGraph, dag: AttributionResult, replay: AttributionResult
+    graph: WorkflowGraph, dag: AttributionResult, replay: CostCounters
 ) -> str:
     """What engine ``both`` prints below the pruned engine's attribution:
     the classical replay's cost line, the execution reduction against it,
     and that the two engines agreed on every subset."""
-    replayed = replay.counters
-    reduction = 1.0 - dag.counters.agent_executions / replayed.agent_executions
+    reduction = 1.0 - dag.counters.agent_executions / replay.agent_executions
     return "\n".join([
-        f"cost (replay): {_cost_fields(replayed)}",
+        f"cost (replay): {_cost_fields(replay)}",
         f"execution reduction: {100.0 * reduction:.1f}%",
         f"all 2^{graph.n} = {1 << graph.n} subsets agreed",
     ])

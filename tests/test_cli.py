@@ -278,6 +278,37 @@ def test_coalitions_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
     assert stderr.read_bytes() == b""
 
 
+def test_a_closed_reader_costs_no_file_descriptor(monkeypatch, tmp_path):
+    """In process, standard output whose reader is gone: ``main`` points it
+    at devnull and closes the descriptor it opened to do so, so repeated
+    calls hold no more descriptors than before."""
+
+    def lowest_free_fd():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.fd
+
+    with (tmp_path / "stdout").open("wb") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        before = lowest_free_fd()
+        assert main(["validate"]) == cli.EXIT_PIPE_CLOSED
+        after = lowest_free_fd()
+    assert after == before
+
+
 # ---------------------------------------------------------------------------
 # shapley
 

@@ -15,7 +15,6 @@ BACKTEST_CALLS = (
     "enumerate_viable",
     "layered_run",
     "replay_coalition",
-    "shapley_dag",
     "shapley_exact",
     "sharpe",
     "evaluate_window",
@@ -26,9 +25,7 @@ BACKTEST_CALLS = (
 )
 CLI_CALLS = ("enumerate_viable", "system_runner")
 # The shapley command plays its game through ``backtest.evaluate_window``.
-GAME_CALLS = (
-    "evaluate_window", "layered_run", "replay_coalition", "shapley_dag", "shapley_exact",
-)
+GAME_CALLS = ("evaluate_window", "layered_run", "replay_coalition", "shapley_exact")
 
 
 def count_calls(monkeypatch, module, names):
@@ -86,6 +83,5 @@ def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
         "evaluate_window": 1,
         "layered_run": 1,
         "replay_coalition": 128,
-        "shapley_dag": 1,
         "shapley_exact": 1,
     }

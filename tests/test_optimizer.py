@@ -20,7 +20,7 @@ from dagcredit.optimizer import (
     run_cycle,
 )
 from dagcredit.graph import reference_graph
-from dagcredit.shapley import CostCounters, shapley_dag
+from dagcredit.shapley import CostCounters, shapley_exact
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def cycle_fixture(value_of):
     table = [0.0] * (1 << g.n)
     for mask in viable:
         table[mask] = value_of(mask)
-    attribution = shapley_dag(g, viable, table, CostCounters())
+    attribution = shapley_exact(table, g.n, CostCounters())
     return g, specs, rewards, attribution.values
 
 

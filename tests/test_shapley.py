@@ -35,7 +35,6 @@ from dagcredit.shapley import (
     predicted_cost,
     replay_coalition,
     replay_steps,
-    shapley_dag,
     shapley_exact,
 )
 
@@ -56,25 +55,27 @@ def named_graph(name):
     return load_graph_file(WIDE_GRAPH)
 
 
-def memo_table(graph, viable, runner):
-    """The viable masks, the dense table of their signed sink decisions from
-    one shared episode (0.0 elsewhere) and the episode's work: the
-    arguments of ``shapley_dag`` after the graph."""
+def pruned_attribution(graph, viable, runner):
+    """The pruned engine's attribution of one shared episode: the dense
+    table of the viable masks' signed sink decisions (0.0 elsewhere),
+    aggregated with the episode's work and one evaluation per viable mask."""
     run = layered_run(graph, viable, runner, FEATURES)
     values = map(signed_decision_value, sink_outputs(run))
-    return viable, dense_table(graph.n, zip(viable, values, strict=True)), run.counters
+    table = dense_table(graph.n, zip(viable, values, strict=True))
+    return shapley_exact(table, graph.n, run.counters._replace(coalition_evaluations=len(viable)))
 
 
 def replay_table(graph, runner):
     """Signed sink decisions of every subset, each replayed without sharing,
-    indexed by mask; subsets whose sink never runs are worth 0.0."""
+    indexed by mask, and the replay's cost; subsets whose sink never runs
+    are worth 0.0."""
     values, executions = [], 0
     for mask in range(1 << graph.n):
         replay = replay_coalition(graph, replay_steps(graph, mask), runner, episodes=[FEATURES])
         executions += replay.executions
         sink = replay.sink_outputs[0]
         values.append(0.0 if sink is None else signed_decision_value(sink))
-    return values, CostCounters(agent_executions=executions)
+    return values, CostCounters(1 << graph.n, executions)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +159,15 @@ def test_backtest_phi_is_within_its_bound_of_the_exact_value(monkeypatch):
 )
 @settings(max_examples=25, deadline=None)
 def test_phi_is_within_its_bound_of_the_exact_value(graph, rng):
-    """Both engines on games of values spread over many binades, zero off
-    the viable masks."""
+    """Games of values spread over many binades, zero off the viable
+    masks."""
     viable = enumerate_viable(graph)
     table = dense_table(graph.n, (
         (mask, rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30)]))
         for mask in viable
     ))
-    dag = shapley_dag(graph, viable, table, CostCounters())
-    assert dag.values == shapley_exact(table, graph.n, CostCounters()).values
-    assert_phi_within_bound(table, graph.n, dag.values)
+    exact = shapley_exact(table, graph.n, CostCounters())
+    assert_phi_within_bound(table, graph.n, exact.values)
 
 
 def all_masks_phi(n, value_of):
@@ -213,25 +213,22 @@ def same_bits(got, want):
 @given(closed_tables())
 @settings(max_examples=200, deadline=None)
 def test_table_aggregation_is_bit_identical_to_all_masks(case):
-    """Both engines equal the sum over all subsets bit for bit: the exact
-    engine walking every mask, the pruned one walking only the drawn masks,
-    which hold every superset of each of their members, as viable masks
-    do (adding a member keeps a coalition viable)."""
+    """The aggregation equals the sum over all subsets bit for bit on a
+    table that is non-zero only on masks holding every superset of each of
+    their members, as viable masks do (adding a member keeps a coalition
+    viable)."""
     n, entries = case
     table = dense_table(n, entries.items())
     want = all_masks_phi(n, table.__getitem__)
     exact = shapley_exact(table, n, CostCounters())
     assert same_bits(exact.values, want)
-    g = layered_graph([n - 1, 1]) if n > 1 else build_graph([["solo"]], [])
-    assert same_bits(shapley_dag(g, sorted(entries), table, CostCounters()).values, want)
 
 
 @given(skip_layered_graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_viable_tables_aggregate_without_superset_probes(g, seed):
-    """Adding a member keeps a coalition viable, so the viable masks pass
-    the pruned engine's superset test, and a dense table over them
-    aggregates to the all-masks sum in both engines."""
+    """A dense table over the viable masks, zero elsewhere, aggregates to
+    the all-masks sum."""
     rng = random.Random(seed)
     viable = enumerate_viable(g)
     table = dense_table(
@@ -239,7 +236,6 @@ def test_viable_tables_aggregate_without_superset_probes(g, seed):
     )
     want = all_masks_phi(g.n, table.__getitem__)
     assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
-    assert same_bits(shapley_dag(g, viable, table, CostCounters()).values, want)
 
 
 def phi_or_error(engine):
@@ -257,9 +253,9 @@ def test_viable_walk_drops_only_zero_terms(g, data):
     """A table filled as ``evaluate_window`` fills it, one drawn value per
     sink task (signed zeros, units, NaN, ±inf and one uniform value that
     repeats), with all but a few sink tasks at zero in some draws, and a
-    zero of either sign off the viable masks: both engines, walking only the
-    masks of non-zero value, give the all-masks sum, bit for bit, or the
-    same error, so the terms their walks skip are all zeros."""
+    zero of either sign off the viable masks: the aggregation, walking only
+    the masks of non-zero value, gives the all-masks sum, bit for bit, or
+    the same error, so the terms its walks skip are all zeros."""
     viable = enumerate_viable(g)
     viable_masks = set(viable)
     off = [mask for mask in range(1 << g.n) if mask not in viable_masks]
@@ -284,15 +280,14 @@ def test_viable_walk_drops_only_zero_terms(g, data):
     for mask in negative:
         table[mask] = -0.0
     want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
-    assert phi_or_error(lambda: shapley_dag(g, viable, table, CostCounters()).values) == want
     assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
 
 
 @given(skip_layered_graphs(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_viable_walk_keeps_every_non_finite_term(g, data):
-    """With ±inf and NaN at viable masks, the pruned walk, which drops the
-    zero differences, still gives the all-masks sum to the last bit: the
+    """With ±inf and NaN at viable masks, the walk, which drops the zero
+    differences, still gives the all-masks sum to the last bit: the
     same infinities and NaNs, and the same ValueError where inf meets -inf.
     Only exact zeros are dropped; an inf - inf difference is NaN, which is
     kept."""
@@ -301,7 +296,6 @@ def test_viable_walk_keeps_every_non_finite_term(g, data):
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, *specials])
     table = dense_table(g.n, ((mask, data.draw(values)) for mask in viable))
     want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
-    assert phi_or_error(lambda: shapley_dag(g, viable, table, CostCounters()).values) == want
     assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
 
 
@@ -318,13 +312,12 @@ def test_viable_walk_keeps_every_non_finite_term(g, data):
 def test_non_finite_values_reach_phi(grand, other, want):
     """On 2-2-1 the grand coalition holds ``grand`` and the mask without
     the second layer's second agent holds ``other``: infinities, the NaN of
-    inf - inf, and the ValueError of inf + -inf all come through the pruned
-    walk as they come through the sum over every mask."""
+    inf - inf, and the ValueError of inf + -inf all come through the walk
+    over the masks of non-zero value as they come through the sum over
+    every mask."""
     g = layered_graph([2, 2, 1])
-    viable = enumerate_viable(g)
     table = dense_table(g.n, [(g.full_mask, grand), (g.full_mask ^ 0b1000, other)])
     assert phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__)) == want
-    assert phi_or_error(lambda: shapley_dag(g, viable, table, CostCounters()).values) == want
     assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
 
 
@@ -343,7 +336,7 @@ def test_aggregation_holds_no_list_of_terms():
     assert {"0x0.0p+0", "-0x0.0p+0"} <= {table[mask].hex() for mask in viable}
     tracemalloc.start()
     try:
-        result = shapley_dag(g, viable, table, CostCounters())
+        result = shapley_exact(table, g.n, CostCounters())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,9 +358,8 @@ def test_aggregation_reads_three_entries_per_agent_and_non_zero_mask():
     """Each agent's walk reads at most three entries per mask of non-zero
     value and none for a zero one, as a term is non-zero only where one of
     its two values is. On 5-5-5-1 with over 90% of the 29,791 viable values
-    zero, the pruned engine reads besides only each viable entry once, for
-    its off-viable check, and the exact engine at most one pass over its
-    2**16 entries."""
+    zero, it reads besides at most one pass over the 2**16 entries, to find
+    the masks of non-zero value."""
     g = layered_graph([5, 5, 5, 1])
     rng = random.Random(32)
     viable = enumerate_viable(g)
@@ -379,73 +371,22 @@ def test_aggregation_reads_three_entries_per_agent_and_non_zero_mask():
     assert 0 < nonzero <= len(viable) // 10
     want = all_masks_phi(g.n, values.__getitem__)
     table = CountingTable(values)
-    assert same_bits(shapley_dag(g, viable, table, CostCounters()).values, want)
-    assert table.reads <= len(viable) + 3 * g.n * nonzero
-    table = CountingTable(values)
     assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
     assert table.reads <= (1 << g.n) + 3 * g.n * nonzero
 
 
-def test_engines_reject_a_table_lacking_a_superset():
-    # Without the superset 0b11 the walk over 0b01 would miss the term of
-    # agent 1 joining agent 0; on every mask the same table is a game.
-    with pytest.raises(ValueError, match="lacks the superset 0b11 of its mask 0b1"):
-        shapley_dag(layered_graph([1, 1]), [0b01], [0.0, 1.0, 0.0, 0.0], CostCounters())
-    table = [0.0, 1.0, 0.0, 0.0]
-    result = shapley_exact(table, 2, CostCounters())
-    assert result.values == (0.5, -0.5)
-    assert list(result.values) == permutation_shapley(2, table.__getitem__)
-
-
-def test_pruned_engine_rejects_a_value_off_the_viable_masks():
-    """The pruned engine reads no table entry off ``viable``, so it refuses
-    a table that is not zero there, naming the first such mask; a zero of
-    either sign passes."""
-    g = layered_graph([1, 1])
-    viable = enumerate_viable(g)
-    assert list(viable) == [0b11]
-    for table, named in (
-        ([0.0, 0.0, 2.5, 1.0], "2.5 at the non-viable mask 0b10"),
-        ([0.0, -3.0, 2.5, 1.0], "-3.0 at the non-viable mask 0b1"),
-        ([math.nan, 0.0, 0.0, 1.0], "nan at the non-viable mask 0b0"),
-    ):
-        with pytest.raises(ValueError, match=f"^the table holds {named}$"):
-            shapley_dag(g, viable, table, CostCounters())
-    signed = [-0.0, 0.0, -0.0, 1.0]
-    result = shapley_dag(g, viable, signed, CostCounters())
-    assert result.values == (0.5, 0.5)
-    assert same_bits(result.values, shapley_exact(signed, g.n, CostCounters()).values)
-
-
 def test_engines_reject_a_table_of_another_length():
-    g = layered_graph([1, 1])
     for length in (0, 3, 5, 8):
         with pytest.raises(ValueError, match=f"^the table has {length} entries, not 2\\*\\*2 = 4$"):
             shapley_exact([0.0] * length, 2, CostCounters())
-        with pytest.raises(ValueError, match=f"^the table has {length} entries, not 2\\*\\*2 = 4$"):
-            shapley_dag(g, [0b11], [0.0] * length, CostCounters())
-
-
-def test_pruned_engine_rejects_a_mask_listed_twice():
-    # Listed twice, a mask's terms would count twice.
-    with pytest.raises(ValueError, match="viable lists a mask more than once"):
-        shapley_dag(layered_graph([1, 1]), [0b11, 0b11], [0.0, 0.0, 0.0, 1.0], CostCounters())
-
-
-def test_engines_reject_a_mask_outside_the_power_set():
-    # -1 would otherwise land on the lane of the grand coalition 0b111, and
-    # index the table from its end.
-    g = layered_graph([2, 1])
-    for mask in (-1, 8, 1 << 40):
-        with pytest.raises(ValueError, match=f"mask {mask} is outside \\[0, 2\\*\\*3\\)"):
-            shapley_dag(g, [mask], [0.0] * 8, CostCounters())
 
 
 def test_exact_engine_counts_evaluations():
-    work = CostCounters(agent_executions=5, cache_hits=2)
+    """The aggregation reports the caller's counters as they are: the
+    caller counts the coalitions it evaluated."""
+    work = CostCounters(coalition_evaluations=3, agent_executions=5, cache_hits=2)
     result = shapley_exact(dense_table(4, [(0b1111, 1.0)]), 4, work)
-    assert result.counters == CostCounters(16, 5, 2)
-    assert work == CostCounters(0, 5, 2)
+    assert result.counters == CostCounters(3, 5, 2)
 
 
 def test_engines_reject_oversized_inputs():
@@ -509,7 +450,7 @@ def test_symmetric_pair_in_float_mode():
 
 
 # ---------------------------------------------------------------------------
-# pruned engine equals the exhaustive one across random topologies
+# the aggregation on random topologies
 
 
 def random_layered(rng, n):
@@ -538,21 +479,9 @@ def test_engine_equivalence_on_random_graphs(seed):
     g = random_layered(rng, 3 + seed % 8)
     viable = enumerate_viable(g)
     table = dense_table(g.n, ((mask, rng.uniform(-2, 2)) for mask in viable))
-    dag = shapley_dag(g, viable, table, CostCounters())
     exact = shapley_exact(table, g.n, CostCounters())
-    worst = max(abs(a - b) for a, b in zip(dag.values, exact.values))
-    assert worst < 1e-9
-    assert abs(dag.total() - table[g.full_mask]) < 1e-9
-    assert dag.counters.coalition_evaluations == len(viable)
-    assert exact.counters.coalition_evaluations == 1 << g.n
-
-
-def test_dag_engine_rejects_oversized_graph():
-    layers = [[f"s{i}"] for i in range(24)] + [["t"]]
-    edges = [(f"s{i}", f"s{i+1}") for i in range(23)] + [("s23", "t")]
-    g = build_graph(layers, edges)
-    with pytest.raises(GraphTooLarge, match="25 agents exceeds the limit of 24"):
-        shapley_dag(g, [], [], CostCounters())
+    assert same_bits(exact.values, all_masks_phi(g.n, table.__getitem__))
+    assert abs(exact.total() - table[g.full_mask]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +570,7 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
 
 def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
     replay_values, replay_counters = replay_table(ref_graph, ref_runner)
-    dag = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
+    dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
     exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
     assert dag.values == exact.values
     assert dag.counters == CostCounters(49, 73, 169)
@@ -881,14 +810,12 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
-    dag = shapley_dag(g, viable, table, run.counters)
     replay_values, replay_counters = replay_table(g, runner)
-    exact = shapley_exact(replay_values, g.n, replay_counters)
-    assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
     # The replay is worth 0.0 at every mask the pruned table leaves at 0.0,
-    # so the exact engine on the pruned table gives every bit of phi too.
+    # so the two tables give every bit of phi alike.
     assert [v.hex() for v in replay_values] == [v.hex() for v in table]
-    pruned = shapley_exact(table, g.n, replay_counters)
+    pruned = shapley_exact(table, g.n, run.counters)
+    exact = shapley_exact(replay_values, g.n, replay_counters)
     assert [v.hex() for v in pruned.values] == [v.hex() for v in exact.values]
 
 
@@ -980,14 +907,14 @@ def with_lessons(specs, changed):
 
 
 def assert_matches_replay(g, run, runner):
-    """Every viable sink output is the replayed one, and the pruned engine's
-    contributions equal the exact engine's to the last bit."""
+    """Every viable sink output is the replayed one, and the pruned table's
+    contributions equal the replayed table's to the last bit."""
     viable = run.plan.viable
     for mask, output in zip(viable, sink_outputs(run), strict=True):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
-    dag = shapley_dag(g, viable, table, run.counters)
+    dag = shapley_exact(table, g.n, run.counters)
     replay_values, _ = replay_table(g, runner)
     exact = shapley_exact(replay_values, g.n, CostCounters())
     assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
@@ -1186,7 +1113,7 @@ def test_live_plan_is_packed():
 
 
 def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_runner):
-    result = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
+    result = pruned_attribution(ref_graph, ref_viable, ref_runner)
     text = format_attribution(ref_graph, result)
     for name in ref_graph.names:
         assert name in text
@@ -1194,10 +1121,9 @@ def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_run
 
 
 def test_format_replay_check_reports_reduction(ref_graph, ref_viable, ref_runner):
-    replay_values, replay_counters = replay_table(ref_graph, ref_runner)
-    dag = shapley_dag(ref_graph, *memo_table(ref_graph, ref_viable, ref_runner))
-    exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
-    text = format_replay_check(ref_graph, dag, exact)
+    _, replay_counters = replay_table(ref_graph, ref_runner)
+    dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
+    text = format_replay_check(ref_graph, dag, replay_counters)
     assert text.splitlines() == [
         "cost (replay): coalition_evaluations=128 agent_executions=448 executions_reused=0 "
         "cache_hits=0",
