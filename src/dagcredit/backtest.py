@@ -45,7 +45,7 @@ from .agents import (
     system_runner,
 )
 from .coalitions import coalition_names, enumerate_viable
-from .config import ConfigError, RunConfig, config_graph, load_prompts_dir
+from .config import ENGINES, ConfigError, RunConfig, config_graph, load_prompts_dir
 from .graph import InputError, WorkflowGraph
 from .optimizer import CycleRecord, run_cycle
 from .shapley import (
@@ -489,7 +489,7 @@ def evaluate_window(
     aggregation of tables that agree entry by entry gives the same
     contributions, so the replay's table is not aggregated.
     """
-    if engine not in ("dag", "both"):
+    if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
     if not episodes:
         raise ValueError("a game needs at least one episode")
@@ -516,12 +516,14 @@ def evaluate_window(
     counters = CostCounters(*map(sum, zip(*(run.counters for run in runs))))
     # Every run shares the plan, so the sink's scores line up in one column
     # per sink task: value each task once, and each viable mask by its sink
-    # task. Masks that share a sink task share its value.
+    # task in the sink's table; masks that share a sink task share its value.
     assert all(run.plan is plan for run in runs)
     by_task = list(map(value, zip(*(run.outputs[sink] for run in runs))))
+    sink_table = plan.task_tables[sink]
+    last = len(sink_table) - 1
     table = [0.0] * (1 << graph.n)
-    for mask, task in zip(viable, plan.sink_tasks):
-        table[mask] = by_task[task]
+    for mask in viable:
+        table[mask] = by_task[sink_table[mask & last]]
     del by_task  # the table holds every value: free the list before the aggregation peak
     attribution = shapley_exact(
         table, graph.n, counters._replace(coalition_evaluations=len(viable))
@@ -718,10 +720,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             schedule=schedule,
             reuse=reuse,
         )
-        # The grand coalition's sink score is its position. The viable masks
-        # ascend, and the grand coalition is always viable, so its sink task
-        # is the last.
-        grand = plan.sink_tasks[-1]
+        # The grand coalition's sink score is its position; its sink task is
+        # the sink's entry at the full configuration, the last.
+        grand = plan.task_tables[graph.sink][-1]
         rewards = [run.outputs[graph.sink][grand] * r for run, r in zip(game.runs, step_returns)]
         report = WindowReport(
             index=w_index,

@@ -46,7 +46,9 @@ from pathlib import Path
 from . import backtest as bt
 from .agents import build_system, signed_decision_value, system_runner
 from .coalitions import coalition_names, enumerate_viable
-from .config import ENGINES, ConfigError, RunConfig, config_graph, load_config, merge_flags
+from .config import (
+    ENGINES, REGIMES, ConfigError, RunConfig, config_graph, load_config, merge_flags,
+)
 from .graph import InputError
 from .shapley import classical_cost, format_attribution, format_replay_check, predicted_cost
 
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", dest="features_csv", metavar="FEATURES",
                    help="per-day feature CSV file")
     p.add_argument("--days", type=int, help="synthetic run length in trading days")
-    p.add_argument("--regime", choices=("bull", "bear", "sideways"))
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--signal-strength", type=float, dest="signal_strength")
     p.add_argument("--window-len", type=int, dest="window_len")
     p.add_argument("--threshold", type=float, help="tuning trigger threshold")

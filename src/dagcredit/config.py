@@ -160,11 +160,12 @@ def _names(value) -> bool:
 
 
 def load_prompts_dir(path: str | Path) -> dict[str, str]:
-    """Read per-agent base prompts: one ``<NAME>.txt`` file per agent."""
+    """Read per-agent base prompts: one ``<NAME>.txt`` file per agent, the
+    suffix matched by case on every OS (``Path.glob`` ignores it on Windows)."""
     directory = Path(path)
     if not directory.is_dir():
         raise ConfigError(f"{path}: not a directory")
     return {
         p.stem: _read_text(p).strip()
-        for p in sorted(directory.glob("*.txt"))
+        for p in sorted(directory.iterdir()) if p.suffix == ".txt"
     }

@@ -32,11 +32,12 @@ class LessonSet(NamedTuple):
 
 def identify_bottleneck(values: Sequence[float], threshold: float) -> int | None:
     """Index of the minimum-contribution agent, or None when the minimum is
-    at or above ``threshold``. Ties break toward the lowest index."""
+    at or above ``threshold`` or tied (by ``==``): by Shapley's symmetry axiom
+    a tie names no one agent, and an index is only a place in the graph file."""
     if not values:
         raise ValueError("no contribution values given")
-    best = min(range(len(values)), key=lambda i: (values[i], i))
-    return best if values[best] < threshold else None
+    low = min(values)
+    return values.index(low) if low < threshold and values.count(low) == 1 else None
 
 
 def mock_reflector(target_name: str, rewards: Sequence[float]) -> tuple[str, ...]:

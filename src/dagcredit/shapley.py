@@ -164,8 +164,9 @@ class LayeredRunResult(NamedTuple):
     its tasks in ``plan``, whether it ran or was reused: the agent's output,
     except that in a run ``backtest.evaluate_window`` makes, the sink's row
     holds the score of each sink output. A viable mask's sink entry is the
-    sink's row at its task in ``plan.sink_tasks``. ``cache`` builds a dict
-    of them by (agent, live key), one entry per task, each time it is read.
+    sink's row at the mask's task in the sink's table of
+    ``plan.task_tables``. ``cache`` builds a dict of them by (agent, live
+    key), one entry per task, each time it is read.
     ``external`` is the episode's external data.
     """
 
@@ -188,24 +189,25 @@ class LivePlan(NamedTuple):
 
     A task is an agent under one of its live keys. ``keys`` lists each
     agent's live keys in increasing order, one task each, as an
-    ``array("I")``. ``task_tables`` gives, per agent with successors, its
-    task under each configuration of its live-key table (see
-    ``_live_keys``), or -1 where no viable mask gives that live key, as an
-    ``array("i")``; it is empty for an agent without successors. A task of
+    ``array("I")``. ``task_tables`` gives, per agent, its task under each
+    configuration of its live-key table (see ``_live_keys``), or -1 where
+    no viable mask gives that live key, as an ``array("i")``. A task of
     live key K reads, for each predecessor p in K, p's task
     ``task_tables[p][K & len(task_tables[p]) - 1]``: p has the same live key
-    under K as under any coalition where K is the task's live key.
-    ``sink_tasks`` is the sink's task of each mask of ``viable``, in order,
-    packed the same way. ``upstream_reads`` is the number of predecessor
-    outputs the tasks read. Packed, a key or task index costs 4 bytes, where
-    a list would hold an int object of about 36 bytes.
+    under K as under any coalition where K is the task's live key. The
+    sink, agent n - 1, is fed by agent n - 2, so its table has an entry for
+    each of the ``2**(n - 1)`` coalitions that hold it: a mask's sink task
+    is ``task_tables[sink][mask & len(task_tables[sink]) - 1]``, -1 exactly
+    where the mask is not viable, as no source reaches the sink there and so
+    the live key holds no source. ``upstream_reads`` is the number of
+    predecessor outputs the tasks read. Packed, a key or task index costs 4
+    bytes, where a list would hold an int object of about 36 bytes.
     """
 
     graph: WorkflowGraph
     viable: Sequence[int]
     keys: tuple[array, ...]
     task_tables: tuple[array, ...]
-    sink_tasks: array
     upstream_reads: int
 
     @property
@@ -289,32 +291,22 @@ def live_plan(graph: WorkflowGraph, viable: Sequence[int]) -> LivePlan:
     the masks alone, so one plan serves every episode over them.
     """
     tables, keys = _live_keys(graph, viable)
-    # Per agent, its task under each live key, or -1 where a key is none of
-    # its tasks. A live key under a configuration is a subset of the
-    # configuration's bits, so it indexes an array as long as the table.
-    task_of = []
+    # Per agent, its task under each configuration of its table, or -1 where
+    # no viable mask gives that live key. A live key under a configuration
+    # is a subset of the configuration's bits, so it indexes an array of
+    # tasks by key as long as the table.
+    task_tables = []
     for table, agent_keys in zip(tables, keys):
-        by_key = array(_TASK, [-1]) * len(table)
+        task_of = array(_TASK, [-1]) * len(table)
         for task, key in enumerate(agent_keys):
-            by_key[key] = task
-        task_of.append(by_key)
-    # Per agent with successors, its task under each configuration of its
-    # table, or -1 where no viable mask gives that live key; empty for an
-    # agent without successors, as no task reads it.
-    task_tables = tuple(
-        array(_TASK, map(task_of[a].__getitem__, table) if graph.succs[a] else ())
-        for a, table in enumerate(tables)
-    )
-    sink_table, sink_task = tables[graph.sink], task_of[graph.sink]
-    sink_last = len(sink_table) - 1
-    # Packed as they come: a list would hold an int object per viable mask.
-    sink_tasks = array(_TASK, (sink_task[sink_table[mask & sink_last]] for mask in viable))
+            task_of[key] = task
+        task_tables.append(array(_TASK, map(task_of.__getitem__, table)))
     # A task reads each predecessor in its live key.
     upstream_reads = 0
     for agent, agent_keys in enumerate(keys):
         preds = sum(1 << p for p in graph.preds[agent])
         upstream_reads += sum(map(int.bit_count, map(preds.__and__, agent_keys)))
-    return LivePlan(graph, viable, tuple(keys), task_tables, sink_tasks, upstream_reads)
+    return LivePlan(graph, viable, tuple(keys), tuple(task_tables), upstream_reads)
 
 
 def layered_run(
@@ -337,7 +329,8 @@ def layered_run(
     built from the masks when not given). A task's inputs are the
     outputs of its direct predecessors' tasks inside the live key; external
     data goes to source agents only. A coalition's sink output is the
-    output of the sink's task under its live key (``plan.sink_tasks``).
+    output of the sink's task under its live key, its entry in the sink's
+    table of ``plan.task_tables``.
 
     Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
     earlier run of the same plan on equal external data, with the mask of
@@ -406,7 +399,7 @@ def layered_run(
         # A configuration without a task (-1) reads the row's last output,
         # which no task's live key selects; an agent without tasks has an
         # empty row, and no live key holds it.
-        if row:
+        if row and graph.succs[agent]:
             by_config[agent] = list(map(row.__getitem__, plan.task_tables[agent]))
 
     counters = CostCounters(

@@ -37,11 +37,19 @@ def prefix_mask(graph, layer):
     return sum(1 << a for row in graph.layers[:layer] for a in row)
 
 
+def sink_tasks(plan):
+    """Each viable mask's sink task, in the plan's ``viable`` order: its
+    entry in the sink's table, which holds every configuration of the other
+    agents."""
+    table = plan.task_tables[plan.graph.sink]
+    return [table[mask & len(table) - 1] for mask in plan.viable]
+
+
 def sink_outputs(run):
     """The sink's entry in a layered run for each viable mask, in the
     plan's ``viable`` order: the sink's row at each mask's sink task."""
     row = run.outputs[run.plan.graph.sink]
-    return [row[task] for task in run.plan.sink_tasks]
+    return [row[task] for task in sink_tasks(run.plan)]
 
 
 def grand_outputs(graph, run):

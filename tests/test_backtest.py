@@ -54,7 +54,7 @@ from dagcredit.backtest import (
 )
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
-from dagcredit.config import ConfigError, RunConfig
+from dagcredit.config import ConfigError, RunConfig, load_prompts_dir
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import (
     CostCounters, live_plan, replay_coalition, replay_steps, shapley_exact,
@@ -1016,6 +1016,76 @@ def test_backtest_csv_inputs(tmp_path):
     assert len(result.windows) == 2
 
 
+# Six named agents with a sparse middle layer and a layer-skip edge FAA ->
+# TRA: the names fix every agent's role, so reordering a layer moves no role.
+NAMED_SKIP_GRAPH = {
+    "layers": [["NAA", "TAA", "FAA"], ["BOA", "BeOA"], ["TRA"]],
+    "edges": [
+        ["NAA", "BOA"], ["TAA", "BOA"], ["TAA", "BeOA"],
+        ["BOA", "TRA"], ["BeOA", "TRA"], ["FAA", "TRA"],
+    ],
+}
+
+REFERENCE_GRAPH = {
+    "layers": [["NAA", "TAA", "FAA"], ["BOA", "BeOA", "NOA"], ["TRA"]],
+    "edges": [[a, o] for a in ("NAA", "TAA", "FAA") for o in ("BOA", "BeOA", "NOA")]
+    + [[o, "TRA"] for o in ("BOA", "BeOA", "NOA")],
+}
+
+
+def order_free_record(path, days, regime, seed):
+    """A backtest on the graph file ``path``, by agent name: each window's
+    contributions (tuned and frozen passes) as float hex, each cycle's
+    bottleneck, the strategy rows, and whether a tuned window's minimum
+    below the threshold is tied."""
+    config = RunConfig(seed=seed, days=days, regime=regime, graph_file=str(path)).validate()
+    result = run_backtest(config)
+    names = result.graph.names
+
+    def by_name(window):
+        return {name: phi.hex() for name, phi in zip(names, window.attribution.values)}
+
+    tied = any(
+        min(w.attribution.values) < config.threshold
+        and w.attribution.values.count(min(w.attribution.values)) > 1
+        for w in result.windows
+    )
+    return {
+        "phi": [by_name(w) for w in result.windows + result.frozen_windows],
+        "bottlenecks": [
+            None if c.bottleneck is None else names[c.bottleneck] for c in result.cycles
+        ],
+        "strategies": result.strategies,
+    }, tied
+
+
+def test_backtest_does_not_depend_on_the_agent_order_in_the_graph_file(tmp_path):
+    """Reversing every layer's agent order in the graph file leaves every
+    contribution by name, every cycle's bottleneck and every strategy row
+    as they were. The grid holds windows whose minimum is tied, which an
+    index-based tie-break would tune differently in the two files."""
+    grid = [
+        (REFERENCE_GRAPH, 60, "bull", 42),
+        (REFERENCE_GRAPH, 60, "sideways", 42),
+        (REFERENCE_GRAPH, 250, "sideways", 2),
+        (NAMED_SKIP_GRAPH, 60, "bull", 42),
+        (NAMED_SKIP_GRAPH, 250, "sideways", 42),
+    ]
+    any_tie = False
+    for graph, days, regime, seed in grid:
+        records = []
+        for reverse in (False, True):
+            layers = [layer[::-1] if reverse else layer for layer in graph["layers"]]
+            path = tmp_path / f"graph_{reverse}.json"
+            graph_file = {"layers": layers, "edges": graph["edges"]}
+            path.write_text(json.dumps(graph_file), encoding="utf-8")
+            record, tied = order_free_record(path, days, regime, seed)
+            records.append(record)
+            any_tie |= tied
+        assert records[0] == records[1], (graph["layers"], days, regime, seed)
+    assert any_tie
+
+
 # ---------------------------------------------------------------------------
 # base prompts from a directory
 
@@ -1031,6 +1101,14 @@ def test_prompts_dir_base_prompt_starts_the_lineage(tmp_path):
     assert (out / "prompts" / "NAA_v1.txt").read_text(encoding="utf-8") == (
         "Read the news closely."
     )
+
+
+def test_prompts_dir_reads_only_the_txt_suffix_by_case(tmp_path):
+    """``TRA.TXT`` is no prompt on any OS: a suffix match that ignores case,
+    as ``Path.glob`` does on Windows, would make it TRA's."""
+    write(tmp_path, "NAA.txt", "Read the news closely.\n")
+    write(tmp_path, "TRA.TXT", "Trade boldly.\n")
+    assert load_prompts_dir(tmp_path) == {"NAA": "Read the news closely."}
 
 
 def test_prompts_dir_calibration_token_changes_that_agents_outputs(monkeypatch, tmp_path):

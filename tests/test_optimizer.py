@@ -31,8 +31,11 @@ def test_bottleneck_is_argmin():
     assert identify_bottleneck([0.3, -0.2, 0.1], threshold=0.0) == 1
 
 
-def test_bottleneck_ties_break_to_lowest_index():
-    assert identify_bottleneck([-0.2, -0.2, 0.1], threshold=0.0) == 0
+def test_bottleneck_tie_at_the_minimum_tunes_no_agent():
+    assert identify_bottleneck([-0.2, -0.2, 0.1], threshold=0.0) is None
+    assert identify_bottleneck([0.1, -0.0, 0.0], threshold=0.5) is None
+    # A tie above the minimum does not matter.
+    assert identify_bottleneck([0.1, -0.2, 0.1], threshold=0.0) == 1
 
 
 def test_bottleneck_none_when_everyone_clears_threshold():
@@ -57,11 +60,10 @@ def test_bottleneck_rejects_empty_input():
 def test_bottleneck_properties(values, threshold):
     got = identify_bottleneck(values, threshold)
     if got is None:
-        assert min(values) >= threshold
+        assert min(values) >= threshold or values.count(min(values)) > 1
     else:
-        assert values[got] == min(values)
         assert values[got] < threshold
-        assert all(values[i] > values[got] for i in range(got))
+        assert all(values[i] > values[got] for i in range(len(values)) if i != got)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +208,25 @@ def test_run_cycle_untriggered_changes_nothing():
 
 
 def test_run_cycle_threshold_gates_triggering():
-    g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.07)
+    # Agent 1's coalitions are worth less, so its contribution is the one
+    # minimum.
+    g, specs, rewards, contributions = cycle_fixture(
+        lambda mask: 0.05 if mask >> 1 & 1 else 0.07
+    )
     low, _ = run_cycle(g, specs, rewards, contributions, threshold=-1.0)
     assert not low.triggered
     high, _ = run_cycle(g, specs, rewards, contributions, threshold=1.0)
     assert high.triggered
+    assert high.bottleneck == 1
+
+
+def test_run_cycle_tied_minimum_triggers_nothing():
+    # A game worth the same at every viable mask: the six upstream agents
+    # tie, so no threshold names one of them.
+    g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.07)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=1.0)
+    assert not record_.triggered
+    assert updated == specs
 
 
 def test_run_cycle_requires_two_days():

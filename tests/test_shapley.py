@@ -39,7 +39,8 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, skip_layered_graphs,
+    dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, sink_tasks,
+    skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by_brute_force
@@ -276,7 +277,7 @@ def test_viable_walk_drops_only_zero_terms(g, data):
         by_task = [
             v if task in kept else math.copysign(0.0, v) for task, v in enumerate(by_task)
         ]
-    table = dense_table(g.n, zip(viable, map(by_task.__getitem__, plan.sink_tasks)))
+    table = dense_table(g.n, zip(viable, map(by_task.__getitem__, sink_tasks(plan))))
     for mask in negative:
         table[mask] = -0.0
     want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
@@ -524,10 +525,10 @@ def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable,
     grand = grand_outputs(ref_graph, run)
     assert grand == replay.outputs[0]
     assert list(grand) == list(range(ref_graph.n))
-    # The viable masks ascend and end with the grand coalition, so the last
-    # sink task is the grand coalition's, which the backtest reads.
-    assert ref_viable[-1] == ref_graph.full_mask
-    assert run.outputs[ref_graph.sink][run.plan.sink_tasks[-1]] == replay.sink_outputs[0]
+    # The grand coalition holds every agent, so its sink task is the sink's
+    # entry at the full configuration, the last, which the backtest reads.
+    grand_task = run.plan.task_tables[ref_graph.sink][-1]
+    assert run.outputs[ref_graph.sink][grand_task] == replay.sink_outputs[0]
 
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
@@ -878,6 +879,40 @@ def test_executions_per_episode_are_pinned(name, executions):
     assert predicted_cost(g).total_executions == executions
 
 
+def assert_sink_table_marks_the_viable_masks(g):
+    """The sink, the last agent, has a task under each configuration of the
+    other agents, 2**(n - 1) in all, exactly where that configuration with
+    the sink is a viable mask; the other entries are -1."""
+    viable = enumerate_viable(g)
+    table = live_plan(g, viable).task_tables[g.sink]
+    sink_bit = 1 << g.sink
+    assert g.sink == g.n - 1
+    assert len(table) == sink_bit
+    held = set(viable)
+    assert [task >= 0 for task in table] == [c | sink_bit in held for c in range(sink_bit)]
+    assert min(table) >= -1
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse-skip", "wide"])
+def test_sink_table_marks_the_viable_masks(name):
+    assert_sink_table_marks_the_viable_masks(named_graph(name))
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=60, deadline=None)
+def test_sink_table_marks_the_viable_masks_on_skip_graphs(g):
+    assert_sink_table_marks_the_viable_masks(g)
+
+
+def test_sink_table_reads_the_replayed_sink_outputs(ref_graph, ref_viable, ref_runner):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+    table, row = run.plan.task_tables[ref_graph.sink], run.outputs[ref_graph.sink]
+    for mask in ref_viable:
+        steps = replay_steps(ref_graph, mask)
+        replay = replay_coalition(ref_graph, steps, ref_runner, episodes=[FEATURES])
+        assert row[table[mask & len(table) - 1]] == replay.sink_outputs[0]
+
+
 def test_wide_attribution_is_pinned():
     """The mock system's contributions on the sparse 6-6-6-1 benchmark graph,
     to the last bit: plan, execution, valuation and aggregation at full
@@ -1089,7 +1124,8 @@ def test_live_plan_is_packed():
     Measured on CPython 3.10-3.13: 0.28 and 0.58 MiB on fully connected
     5-5-5-1 (caps with about 30% headroom), 1.45 and 3.83 MiB on the wide
     graph (caps at 1.6 and 4.5 MiB). Per-task predecessor columns and a set
-    of int keys took 0.92 and 3.46, and 4.17 and 11.21."""
+    of int keys took 0.92 and 3.46, and 4.17 and 11.21. The sink's table of
+    one task per configuration retains 0.29 and 1.51 MiB on CPython 3.11."""
     cases = [
         (layered_graph([5, 5, 5, 1]), 34_756, 0.375, 0.75),
         (load_graph_file(WIDE_GRAPH), 104_820, 1.6, 4.5),
