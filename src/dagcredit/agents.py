@@ -250,31 +250,23 @@ class AgentSpec(NamedTuple):
     is_source: bool
 
 
-def _positional_role(graph: WorkflowGraph, index: int) -> Role:
-    is_source = index in graph.sources
-    is_sink = index == graph.sink
-    if is_source and is_sink:
-        return Role.SOLO_TRADER
-    if is_sink:
-        return Role.TRADER
-    if is_source:
-        pos = graph.sources.index(index)
-        return _ANALYST_ROLES[pos % len(_ANALYST_ROLES)]
-    middles = [i for i in range(graph.n) if i not in graph.sources and i != graph.sink]
-    return _OUTLOOK_ROLES[middles.index(index) % len(_OUTLOOK_ROLES)]
+# Per graph position, the roles it can hold, in the order its agents rotate
+# through them, and what a role placed elsewhere is told. A single agent is
+# both the source and the sink; every role fits one position.
+_PLACEMENT = {
+    "source": (_ANALYST_ROLES, "analyst roles require a source position"),
+    "intermediate": (_OUTLOOK_ROLES, "outlook roles require an intermediate position"),
+    "sink": ((Role.TRADER,), "trader role requires the sink position"),
+    "single": ((Role.SOLO_TRADER,), "solo trader requires a single-agent position"),
+}
+_POSITION_OF = {role: pos for pos, (roles, _) in _PLACEMENT.items() for role in roles}
 
 
-def _check_placement(graph: WorkflowGraph, index: int, role: Role, name: str) -> None:
+def _position(graph: WorkflowGraph, index: int) -> str:
     is_source = index in graph.sources
-    is_sink = index == graph.sink
-    if role in _ANALYST_ROLES and (not is_source or is_sink):
-        raise RoleMismatch(f"{name}: analyst roles require a source position")
-    if role in _OUTLOOK_ROLES and (is_source or is_sink):
-        raise RoleMismatch(f"{name}: outlook roles require an intermediate position")
-    if role is Role.TRADER and (not is_sink or is_source):
-        raise RoleMismatch(f"{name}: trader role requires the sink position")
-    if role is Role.SOLO_TRADER and not (is_sink and is_source):
-        raise RoleMismatch(f"{name}: solo trader requires a single-agent position")
+    if index == graph.sink:
+        return "single" if is_source else "sink"
+    return "source" if is_source else "intermediate"
 
 
 def build_system(
@@ -291,14 +283,19 @@ def build_system(
     name.
     """
     specs: dict[int, AgentSpec] = {}
+    positions = [_position(graph, index) for index in range(graph.n)]
     for index, name in enumerate(graph.names):
+        position = positions[index]
         if name in ROLE_BY_NAME:
             role = ROLE_BY_NAME[name]
             if role is Role.TRADER and index in graph.sources:
                 role = Role.SOLO_TRADER
+            required = _POSITION_OF[role]
+            if position != required:
+                raise RoleMismatch(f"{name}: {_PLACEMENT[required][1]}")
         else:
-            role = _positional_role(graph, index)
-        _check_placement(graph, index, role, name)
+            roles = _PLACEMENT[position][0]
+            role = roles[positions[:index].count(position) % len(roles)]
         base = (base_prompts or {}).get(name, DEFAULT_BASE_PROMPTS[role])
         specs[index] = AgentSpec(
             name=name,

@@ -27,6 +27,7 @@ window.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -45,7 +46,7 @@ from .agents import (
     system_runner,
 )
 from .coalitions import coalition_names, enumerate_viable
-from .config import ENGINES, ConfigError, RunConfig, config_graph, load_prompts_dir
+from .config import ENGINES, ConfigError, RunConfig, config_graph, load_prompts_dir, reject_unread
 from .graph import InputError, WorkflowGraph
 from .optimizer import CycleRecord, run_cycle
 from .shapley import (
@@ -210,7 +211,9 @@ def load_market(
 
 
 def _read_csv(path: str | Path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
-    data = Path(path).read_bytes()
+    # A byte-order mark (Excel's "CSV UTF-8") is not text. Cut before decoding,
+    # it leaves a bad byte's offset counted from the first line's start.
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -439,39 +442,37 @@ class WindowGame(NamedTuple):
 
 
 def evaluate_window(
-    graph: WorkflowGraph,
-    viable: Sequence[int],
+    plan: LivePlan,
     run_agent: Callable,
     episodes: Sequence[Any],
     score: Callable[[Any], Any],
     value: Callable[[Sequence[Any]], float],
     engine: str = "dag",
     *,
-    plan: LivePlan | None = None,
     schedule: Sequence[Sequence[ReplayStep]] | None = None,
     reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
     """Play and attribute one coalition game over ``episodes``.
 
     The pruned engine runs one memoized episode per item of ``episodes``
-    (each a source agent's external data) over the viable coalitions (given
-    by mask), with the tasks of ``plan`` (built when not given). ``score``
-    is what the game reads of one sink output, applied as each sink output
-    is produced: a run keeps the score in the sink's row, and the output is
-    dropped. A coalition is worth ``value`` of its sink scores, one per
-    episode; the game is a list of ``2**n`` values indexed by mask, 0.0 off
-    the viable masks, and ``shapley_exact`` attributes it, counting one
-    coalition evaluation per viable mask. ``reuse`` is an earlier game on
-    the same episodes, played with the same ``score``, and the mask of the
-    agents whose prompts have changed since; each episode's run then reuses
-    the earlier run of that episode (see ``layered_run``), sink scores
-    included. Engine ``both`` also replays every subset without sharing
-    (the classical comparator), one ``replay_coalition`` call per subset
-    over all the episodes, in mask order, with the subset's steps from
-    ``schedule`` (a list of every mask's ``replay_steps``, derived per mask
-    when not given). The replay
-    scores each sink output (``None`` where the sink did not run) and values
-    the scores with the same ``value``.
+    (each a source agent's external data) with the tasks of ``plan``, over
+    the viable masks of ``plan.graph``. ``score`` is what the game reads of
+    one sink output, applied as each sink output is produced: a run keeps
+    the score in the sink's row, and the output is dropped. A coalition is
+    worth ``value`` of its sink scores, one per episode; the game is a list
+    of ``2**n`` values indexed by mask, 0.0 off the viable masks, and
+    ``shapley_exact`` attributes it. The attribution carries the runs'
+    summed counters, with one coalition evaluation per viable mask.
+    ``reuse`` is an earlier game on the same episodes, played with the same
+    ``score``, and the mask of the agents whose prompts have changed since;
+    each episode's run then reuses the earlier run of that episode (see
+    ``layered_run``), sink scores included. Engine ``both`` also replays
+    every subset without sharing (the classical comparator), one
+    ``replay_coalition`` call per subset over all the episodes, in mask
+    order, with the subset's steps from ``schedule`` (a list of every
+    mask's ``replay_steps``, derived per mask when not given). The replay
+    scores each sink output (``None`` where the sink did not run) and
+    values the scores with the same ``value``.
 
     ``score`` and ``value`` must be pure functions, as the backtest's
     ``decision_to_position`` and ``sharpe_value`` and the ``shapley``
@@ -493,8 +494,7 @@ def evaluate_window(
         raise ConfigError(f"unknown engine {engine!r}")
     if not episodes:
         raise ValueError("a game needs at least one episode")
-    if plan is None:
-        plan = live_plan(graph, viable)
+    graph, viable = plan.graph, plan.viable
     earlier: Sequence[tuple[LayeredRunResult, int] | None] = [None] * len(episodes)
     if reuse is not None:
         game, changed = reuse
@@ -517,7 +517,6 @@ def evaluate_window(
     # Every run shares the plan, so the sink's scores line up in one column
     # per sink task: value each task once, and each viable mask by its sink
     # task in the sink's table; masks that share a sink task share its value.
-    assert all(run.plan is plan for run in runs)
     by_task = list(map(value, zip(*(run.outputs[sink] for run in runs))))
     sink_table = plan.task_tables[sink]
     last = len(sink_table) - 1
@@ -525,8 +524,8 @@ def evaluate_window(
     for mask in viable:
         table[mask] = by_task[sink_table[mask & last]]
     del by_task  # the table holds every value: free the list before the aggregation peak
-    attribution = shapley_exact(
-        table, graph.n, counters._replace(coalition_evaluations=len(viable))
+    attribution = AttributionResult(
+        shapley_exact(table, graph.n), counters._replace(coalition_evaluations=len(viable))
     )
 
     replay_cost = None
@@ -614,6 +613,9 @@ def sma_positions(closes: Sequence[float], fast: int = 20, slow: int = 50) -> li
 
 
 class WindowReport(NamedTuple):
+    """One window pass as its report prints it. Whether the classical
+    replay checked it is the run's ``config.engine``."""
+
     index: int
     start: date
     end: date
@@ -621,7 +623,6 @@ class WindowReport(NamedTuple):
     window_sharpe: float
     attribution: AttributionResult
     coalition_values: tuple[tuple[str, float], ...]
-    exact_diff: float | None
 
 
 class StrategyReport(NamedTuple):
@@ -647,6 +648,9 @@ def load_inputs(config: RunConfig) -> Market:
     if config.market_csv:
         if not config.features_csv:
             raise ConfigError("market_csv requires features_csv")
+        # These shape only a synthetic market.
+        reject_unread(config, ("days", "regime", "signal_strength"),
+                      "a backtest on market files does not read {}; remove them")
         return load_market(config.market_csv, config.features_csv, symbol=config.symbol)
     return synthesize_market(
         config.seed, config.days, config.regime, config.signal_strength, config.symbol
@@ -709,21 +713,18 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         reuse: tuple[WindowGame, int] | None = None,
     ) -> tuple[WindowGame, WindowReport]:
         game = evaluate_window(
-            graph,
-            viable,
+            plan,
             system_runner(specs),
             episodes,
             decision_to_position,
             value,
             config.engine,
-            plan=plan,
             schedule=schedule,
             reuse=reuse,
         )
-        # The grand coalition's sink score is its position; its sink task is
-        # the sink's entry at the full configuration, the last.
-        grand = plan.task_tables[graph.sink][-1]
-        rewards = [run.outputs[graph.sink][grand] * r for run, r in zip(game.runs, step_returns)]
+        # The grand coalition's sink score is its position, under the sink's
+        # last task (see ``LivePlan``).
+        rewards = [run.outputs[graph.sink][-1] * r for run, r in zip(game.runs, step_returns)]
         report = WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
@@ -735,9 +736,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             coalition_values=tuple(
                 (names, game.values[mask]) for names, mask in zip(viable_names, viable)
             ),
-            # Under ``both`` every subset's replay value was the pruned
-            # engine's, so the contributions are the same too.
-            exact_diff=None if game.replay is None else 0.0,
         )
         return game, report
 
@@ -814,16 +812,17 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 # reports
 
 
-def _window_report_text(graph: WorkflowGraph, rep: WindowReport) -> str:
+def _window_report_text(result: BacktestResult, rep: WindowReport) -> str:
     lines = [
         f"window {rep.index}",
         f"days: {rep.start.isoformat()} .. {rep.end.isoformat()}",
         "returns: " + " ".join(f"{r:+.8f}" for r in rep.returns),
         f"window_sharpe_raw: {rep.window_sharpe:+.6f}",
-        format_attribution(graph, rep.attribution),
+        format_attribution(result.graph, rep.attribution),
     ]
-    if rep.exact_diff is not None:
-        lines.append(f"exact_vs_pruned_max_diff: {rep.exact_diff:.3e}")
+    # Under ``both`` the replay agreed on every subset, or the run had raised.
+    if result.config.engine == "both":
+        lines.append("exact_vs_pruned_max_diff: 0.000e+00")
     lines.append("coalition window sharpe:")
     for names, value in rep.coalition_values:
         lines.append(f"  {names} {value:+.6f}")
@@ -873,7 +872,7 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
         directory.mkdir(exist_ok=True)
         for rep in reports:
             path = directory / f"window_{rep.index:02d}.txt"
-            path.write_text(_window_report_text(graph, rep), encoding="utf-8", newline="\n")
+            path.write_text(_window_report_text(result, rep), encoding="utf-8", newline="\n")
 
     with open(out_dir / "cycles.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for window, record in zip(result.windows, result.cycles):

@@ -9,6 +9,8 @@ through ``backtest.evaluate_window``. ``shapley`` reads no market, feature
 or prompt files and none of the backtest's settings (``days``,
 ``window_len``, ``threshold``, ``lesson_cap``, ``rf_daily``), so a config
 that names a file or sets one of these to other than its default exits 1.
+So does a ``backtest`` on market files that sets ``days``, ``regime`` or
+``signal_strength``, which shape only a synthetic market, off its default.
 Identical invocations with the same config and seed print and write
 byte-identical output.
 
@@ -47,10 +49,12 @@ from . import backtest as bt
 from .agents import build_system, signed_decision_value, system_runner
 from .coalitions import coalition_names, enumerate_viable
 from .config import (
-    ENGINES, REGIMES, ConfigError, RunConfig, config_graph, load_config, merge_flags,
+    ENGINES, REGIMES, RunConfig, config_graph, load_config, merge_flags, reject_unread,
 )
 from .graph import InputError
-from .shapley import classical_cost, format_attribution, format_replay_check, predicted_cost
+from .shapley import (
+    classical_cost, format_attribution, format_replay_check, live_plan, predicted_cost,
+)
 
 # What main returns when the reader of standard output closes it early.
 EXIT_PIPE_CLOSED = 141
@@ -162,20 +166,10 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
 
 def cmd_shapley(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    defaults = RunConfig()
-    unread = [
-        f
-        for f in (
-            "market_csv", "features_csv", "prompts_dir",
-            "days", "window_len", "threshold", "lesson_cap", "rf_daily",
-        )
-        if getattr(config, f) != getattr(defaults, f)
-    ]
-    if unread:
-        raise ConfigError(
-            f"shapley attributes a synthetic fixture episode; remove {', '.join(unread)}"
-            " from the config"
-        )
+    reject_unread(config, (
+        "market_csv", "features_csv", "prompts_dir",
+        "days", "window_len", "threshold", "lesson_cap", "rf_daily",
+    ), "shapley attributes a synthetic fixture episode; remove {} from the config")
     graph = config_graph(config)
     # The fixture episode is the last day of a 10-day synthetic series, so
     # the technical window is fully populated.
@@ -186,8 +180,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     # A coalition is valued by its signed sink decision, the score of its one
     # episode; one whose sink never runs is worth zero.
     game = bt.evaluate_window(
-        graph,
-        enumerate_viable(graph),
+        live_plan(graph, enumerate_viable(graph)),
         system_runner(build_system(graph, config.seed)),
         [market.for_day(9)],
         signed_decision_value,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,9 +86,20 @@ _KIND_NAMES = {
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def reject_unread(config: RunConfig, names: Iterable[str], message: str) -> None:
+    """Raise ConfigError, naming at the ``{}`` of ``message`` each of the
+    fields ``names`` that ``config`` moves off its default: settings that a
+    run which does not read them would silently ignore."""
+    defaults = RunConfig()
+    unread = [name for name in names if getattr(config, name) != getattr(defaults, name)]
+    if unread:
+        raise ConfigError(message.format(", ".join(unread)))
+
+
 def _read_text(path: str | Path) -> str:
+    # A leading byte-order mark is not part of the text.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
 

@@ -137,15 +137,11 @@ def _phi(n: int, nonzero: Sequence[int], table: Sequence[float]) -> list[float]:
     return phi
 
 
-def shapley_exact(
-    table: Sequence[float], n: int, counters: CostCounters
-) -> AttributionResult:
-    """Exact Shapley values of the game ``table`` over ``n`` agents: the
-    value of every subset, indexed by mask (ValueError unless it has
-    ``2**n`` entries).
-
-    ``counters`` is the work spent valuing the game, reported unchanged:
-    the caller sets its ``coalition_evaluations``.
+def shapley_exact(table: Sequence[float], n: int) -> tuple[float, ...]:
+    """Exact Shapley values of the game ``table`` over ``n`` agents, one per
+    agent in index order. ``table`` is the value of every subset, indexed
+    by mask (ValueError unless it has ``2**n`` entries). A pure function of
+    the table: what valuing it cost is the caller's to report.
     """
     if n < 1:
         raise InvalidSize("need at least one agent")
@@ -153,8 +149,7 @@ def shapley_exact(
         raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
     if len(table) != 1 << n:
         raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
-    phi = _phi(n, array(MASK_TYPECODE, compress(range(1 << n), table)), table)
-    return AttributionResult(tuple(phi), counters)
+    return tuple(_phi(n, array(MASK_TYPECODE, compress(range(1 << n), table)), table))
 
 
 class LayeredRunResult(NamedTuple):
@@ -199,7 +194,9 @@ class LivePlan(NamedTuple):
     each of the ``2**(n - 1)`` coalitions that hold it: a mask's sink task
     is ``task_tables[sink][mask & len(task_tables[sink]) - 1]``, -1 exactly
     where the mask is not viable, as no source reaches the sink there and so
-    the live key holds no source. ``upstream_reads`` is the number of
+    the live key holds no source. Every agent reaches the sink, so the
+    grand coalition's sink key, every other agent, is the sink's largest:
+    its task is the sink's last. ``upstream_reads`` is the number of
     predecessor outputs the tasks read. Packed, a key or task index costs 4
     bytes, where a list would hold an int object of about 36 bytes.
     """

@@ -23,6 +23,7 @@ from dagcredit.backtest import evaluate_window
 from dagcredit.cli import main
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import load_graph_file
+from dagcredit.shapley import live_plan
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_reports.json")).read_text(encoding="utf-8"))
 
@@ -97,8 +98,7 @@ def wide_phi_digest() -> str:
     full width."""
     graph = load_graph_file(WIDE_GRAPH)
     game = evaluate_window(
-        graph,
-        enumerate_viable(graph),
+        live_plan(graph, enumerate_viable(graph)),
         system_runner(build_system(graph, seed=42)),
         [FEATURES],
         signed_decision_value,

@@ -39,9 +39,9 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import (
-    CostCounters,
     classical_cost,
     layered_run,
+    live_plan,
     predicted_cost,
     replay_coalition,
     replay_steps,
@@ -101,12 +101,12 @@ def test_criterion_3_attribution_equivalence():
         table = [0.0] * (1 << g.n)
         for mask in viable:
             table[mask] = rng.uniform(-2.0, 2.0)
-        exact = shapley_exact(table, g.n, CostCounters())
+        phi = shapley_exact(table, g.n)
         worst_diff = max(
             worst_diff,
-            max(abs(a - b) for a, b in zip(exact.values, all_masks_phi(g.n, table.__getitem__))),
+            max(abs(a - b) for a, b in zip(phi, all_masks_phi(g.n, table.__getitem__))),
         )
-        worst_eff = max(worst_eff, abs(exact.total() - table[g.full_mask]))
+        worst_eff = max(worst_eff, abs(math.fsum(phi) - table[g.full_mask]))
         games += 1
     assert games >= 20
     assert worst_diff < 1e-9
@@ -126,14 +126,13 @@ def test_criterion_4_shapley_axioms():
         rng = random.Random(seed)
         n = 3 + seed % 4
         table = [0.0] + [rng.uniform(-5, 5) for mask in range(1, 1 << n)]
-        result = shapley_exact(table, n, CostCounters())
-        assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
+        phi = shapley_exact(table, n)
+        assert abs(math.fsum(phi) - table[(1 << n) - 1]) < 1e-9
     # symmetry: cardinality-only games value every agent identically
     for n in (3, 5):
         by_size = [0.0] + [(k + 1) / 3 for k in range(n)]
         table = [by_size[mask.bit_count()] for mask in range(1 << n)]
-        result = shapley_exact(table, n, CostCounters())
-        assert len(set(result.values)) == 1
+        assert len(set(shapley_exact(table, n))) == 1
     # null player: ignored agent gets exactly zero
     rng = random.Random(99)
     n, null_agent = 5, 2
@@ -143,8 +142,7 @@ def test_criterion_4_shapley_axioms():
         cache.setdefault(mask & strip, rng.randint(-9, 9) / 4)
     cache[0] = 0.0
     table = [cache[mask & strip] for mask in range(1 << n)]
-    result = shapley_exact(table, n, CostCounters())
-    assert result.values[null_agent] == 0.0
+    assert shapley_exact(table, n)[null_agent] == 0.0
     # the weights sum to one for every agent count, and the engine's are
     # those rationals rounded once
     for n in range(1, 13):
@@ -213,8 +211,8 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
         assert frozen.attribution.counters.agent_executions == 0
         assert frozen.attribution.counters.executions_reused == 4 * 73
         same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
-        assert _window_report_text(g, tuned) == _window_report_text(
-            g, frozen._replace(attribution=same_cost)
+        assert _window_report_text(result, tuned) == _window_report_text(
+            result, frozen._replace(attribution=same_cost)
         )
 
     # (d) reruns are byte-identical on disk
@@ -291,8 +289,7 @@ def test_criterion_8_information_flow_enforcement():
         recorder.sink = memo_calls
         decision_days = day_indices[:-1]
         evaluate_window(
-            g,
-            viable,
+            live_plan(g, viable),
             recorder,
             [market.for_day(day) for day in decision_days],
             decision_to_position,

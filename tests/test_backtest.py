@@ -360,8 +360,7 @@ def window_setup():
     g = reference_graph()
     market = synthesize_market(seed=11, days=12, regime="bull")
     runner = system_runner(build_system(g, seed=11))
-    viable = enumerate_viable(g)
-    return g, market, runner, viable
+    return g, market, runner, live_plan(g, enumerate_viable(g))
 
 
 def window_game_args(market, day_indices, rf_daily=0.0):
@@ -389,24 +388,24 @@ def assert_dense_game(g, viable, values):
 
 
 def test_evaluate_window_dag_engine_counts(window_setup):
-    g, market, runner, viable = window_setup
-    game = evaluate_window(g, viable, runner, *window_game_args(market, [0, 1, 2, 3, 4]))
+    g, market, runner, plan = window_setup
+    game = evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2, 3, 4]))
     counters = game.attribution.counters
     assert counters.coalition_evaluations == 49
     # four decision days, 73 shared executions each
     assert counters.agent_executions == 4 * 73
     assert counters.executions_reused == 0
-    assert_dense_game(g, viable, game.values)
-    assert game.attribution == shapley_exact(game.values, g.n, counters)
+    assert_dense_game(g, plan.viable, game.values)
+    assert game.attribution.values == shapley_exact(game.values, g.n)
     assert game.replay is None
 
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
-    first = evaluate_window(g, viable, runner, episodes, score, value)
+    first = evaluate_window(plan, runner, episodes, score, value)
     assert len(first.runs) == 4
-    again = evaluate_window(g, viable, runner, episodes, score, value, reuse=(first, 0))
+    again = evaluate_window(plan, runner, episodes, score, value, reuse=(first, 0))
     assert again.attribution.counters.agent_executions == 0
     assert again.attribution.counters.executions_reused == 4 * 73
     assert again.values == first.values
@@ -414,36 +413,30 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
         grand_outputs(g, run) for run in first.runs
     ]
     # A changed trader reruns its 49 tasks on each day.
-    trader = evaluate_window(
-        g, viable, runner, episodes, score, value, reuse=(first, 1 << g.sink)
-    )
+    trader = evaluate_window(plan, runner, episodes, score, value, reuse=(first, 1 << g.sink))
     assert trader.attribution.counters.agent_executions == 4 * 49
     with pytest.raises(ValueError, match="another number of episodes"):
-        evaluate_window(g, viable, runner, episodes[:-1], score, value, reuse=(first, 0))
+        evaluate_window(plan, runner, episodes[:-1], score, value, reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
-        evaluate_window(
-            g, viable, runner, *window_game_args(market, [1, 2, 3, 4, 5]), reuse=(first, 0)
-        )
+        evaluate_window(plan, runner, *window_game_args(market, [1, 2, 3, 4, 5]), reuse=(first, 0))
     with pytest.raises(ValueError, match="at least one episode"):
-        evaluate_window(g, viable, runner, [], score, value)
+        evaluate_window(plan, runner, [], score, value)
 
 
 def test_evaluate_window_engines_agree(window_setup):
-    g, market, runner, viable = window_setup
-    game = evaluate_window(
-        g, viable, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both"
-    )
-    assert_dense_game(g, viable, game.values)
+    g, market, runner, plan = window_setup
+    game = evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both")
+    assert_dense_game(g, plan.viable, game.values)
     # Engine ``both`` raised nothing, so the replay valued every subset as
     # the pruned table does.
     assert game.replay == CostCounters(coalition_evaluations=128, agent_executions=4 * 448)
-    assert game.attribution == shapley_exact(game.values, g.n, game.attribution.counters)
+    assert game.attribution.values == shapley_exact(game.values, g.n)
 
 
 def test_evaluate_window_both_aggregates_once(window_setup, monkeypatch):
     """The replay's table matched the pruned one entry by entry, so engine
     ``both`` aggregates only the pruned table."""
-    g, market, runner, viable = window_setup
+    _, market, runner, plan = window_setup
     phi = shapley._phi
     calls = []
 
@@ -452,9 +445,7 @@ def test_evaluate_window_both_aggregates_once(window_setup, monkeypatch):
         return phi(*args)
 
     monkeypatch.setattr(shapley, "_phi", counted)
-    game = evaluate_window(
-        g, viable, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both"
-    )
+    game = evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both")
     assert len(calls) == 1
     assert game.attribution.values == tuple(phi(*calls[0]))
 
@@ -465,7 +456,7 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
     episode by episode, then member by member in index order, each handed
     exactly that episode's outputs of the member's predecessors inside the
     coalition, and external data only at a source."""
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3])
     calls = []
 
@@ -473,7 +464,7 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
         calls.append((agent, upstream, external))
         return runner(agent, upstream, external)
 
-    game = evaluate_window(g, viable, recorder, episodes, score, value, "both")
+    game = evaluate_window(plan, recorder, episodes, score, value, "both")
     replayed = calls[game.attribution.counters.agent_executions:]
     assert len(replayed) == g.n * 2 ** (g.n - 1) * len(episodes) == 448 * 3
     assert game.replay.agent_executions == len(replayed)
@@ -497,10 +488,10 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
-    game = evaluate_window(g, viable, runner, episodes, score, value, engine="both")
-    viable_masks = set(viable)
+    game = evaluate_window(plan, runner, episodes, score, value, engine="both")
+    viable_masks = set(plan.viable)
     for mask in range(1 << g.n):
         if mask not in viable_masks:
             # The replay's value of the subset, as engine ``both`` takes it.
@@ -510,17 +501,17 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
 
 
 def test_evaluate_window_both_rejects_a_runner_whose_outputs_change(window_setup):
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     args = window_game_args(market, [0, 1, 2, 3, 4])
     with pytest.raises(EnginesDisagree, match=r"^engines disagree on coalition \{.*TRA\}"):
-        evaluate_window(g, viable, swapped_trader(runner, g.sink, every=2), *args, "both")
+        evaluate_window(plan, swapped_trader(runner, g.sink, every=2), *args, "both")
 
 
 def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(window_setup):
     """A trader that buys with no upstream gives the lone-trader subset a
     value, though the game makes every non-viable subset worth zero; the
     pruned engine never runs it, the replay does."""
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     args = window_game_args(market, [0, 1, 2, 3, 4])
 
     def eager(agent, upstream, external):
@@ -528,21 +519,21 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(window_
             return TradeDecision(Decision.BUY, 1.0)
         return runner(agent, upstream, external)
 
-    assert evaluate_window(g, viable, eager, *args).values == (
-        evaluate_window(g, viable, runner, *args).values
+    assert evaluate_window(plan, eager, *args).values == (
+        evaluate_window(plan, runner, *args).values
     )
     with pytest.raises(
         EnginesDisagree, match=r"^engines disagree on coalition \{TRA\} \(mask 0b1000000\): "
         r"replay [-\d.e]+, pruned 0\.0$",
     ):
-        evaluate_window(g, viable, eager, *args, "both")
+        evaluate_window(plan, eager, *args, "both")
 
 
 def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
     """A value that gives a subset without a trader -0.0 equals the pruned
     engine's implied 0.0 by ``==``, but not in sign. The replay scores the
     missing sink output ``None``, and this score keeps it."""
-    g, market, runner, viable = window_setup
+    _, market, runner, plan = window_setup
     episodes, _, value = window_game_args(market, [0, 1, 2, 3, 4])
 
     def score(decision):
@@ -555,21 +546,21 @@ def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
         EnginesDisagree, match=r"^engines disagree on coalition \{\} \(mask 0b0\): "
         r"replay -0\.0, pruned 0\.0$",
     ):
-        evaluate_window(g, viable, runner, episodes, score, signed_zero, "both")
+        evaluate_window(plan, runner, episodes, score, signed_zero, "both")
 
 
 def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_setup):
     """Reusing every output after the trader changed keeps the old values in
     the pruned engine, and the fresh replay shows it; naming the trader as
     changed reruns its tasks and the engines agree."""
-    g, market, runner, viable = window_setup
+    g, market, runner, plan = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3, 4])
-    first = evaluate_window(g, viable, runner, episodes, score, value)
+    first = evaluate_window(plan, runner, episodes, score, value)
     changed = swapped_trader(runner, g.sink)
     with pytest.raises(EnginesDisagree):
-        evaluate_window(g, viable, changed, episodes, score, value, "both", reuse=(first, 0))
+        evaluate_window(plan, changed, episodes, score, value, "both", reuse=(first, 0))
     game = evaluate_window(
-        g, viable, changed, episodes, score, value, "both", reuse=(first, 1 << g.sink)
+        plan, changed, episodes, score, value, "both", reuse=(first, 1 << g.sink)
     )
     assert game.values != first.values
     assert game.attribution.counters.agent_executions == 4 * 49
@@ -582,7 +573,8 @@ def test_evaluate_window_values_each_sink_task_once():
     outputs, bit for bit."""
     g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
     viable = enumerate_viable(g)
-    sink_tasks = len(live_plan(g, viable).keys[g.sink])
+    plan = live_plan(g, viable)
+    sink_tasks = len(plan.keys[g.sink])
     assert sink_tasks < len(viable)
     market = synthesize_market(seed=5, days=8, regime="bull")
     runner = system_runner(build_system(g, seed=5))
@@ -593,11 +585,9 @@ def test_evaluate_window_values_each_sink_task_once():
         calls.append(positions)
         return value(positions)
 
-    first = evaluate_window(g, viable, runner, episodes, score, counted)
+    first = evaluate_window(plan, runner, episodes, score, counted)
     changed = swapped_trader(runner, g.sink)
-    again = evaluate_window(
-        g, viable, changed, episodes, score, counted, reuse=(first, 1 << g.sink)
-    )
+    again = evaluate_window(plan, changed, episodes, score, counted, reuse=(first, 1 << g.sink))
     assert len(calls) == 2 * sink_tasks
     assert again.values != first.values
     for game, run_agent in ((first, runner), (again, changed)):
@@ -609,7 +599,7 @@ def test_evaluate_window_values_each_sink_task_once():
         ]
         assert_dense_game(g, viable, game.values)
         assert [game.values[mask].hex() for mask in viable] == [v.hex() for v in per_mask]
-        evaluate_window(g, viable, run_agent, episodes, score, value, "both", reuse=(game, 0))
+        evaluate_window(plan, run_agent, episodes, score, value, "both", reuse=(game, 0))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 7))
@@ -630,7 +620,7 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "sharpe", counted)
         game = evaluate_window(
-            g, enumerate_viable(g), runner, *window_game_args(market, days), engine="both"
+            live_plan(g, enumerate_viable(g)), runner, *window_game_args(market, days), "both"
         )
     vectors = set()
     for mask in range(1 << g.n):
@@ -663,8 +653,7 @@ def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
     try:
         before = tracemalloc.get_traced_memory()[0]
         game = evaluate_window(
-            g, viable, runner, [market.for_day(9)], signed_decision_value,
-            lambda scores: scores[0], plan=plan,
+            plan, runner, [market.for_day(9)], signed_decision_value, lambda scores: scores[0]
         )
         retained, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
@@ -692,8 +681,8 @@ def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
     try:
         before = tracemalloc.get_traced_memory()[0]
         game = evaluate_window(
-            g, viable, runner, [market.for_day(9)], signed_decision_value,
-            lambda scores: scores[0], "both", plan=plan,
+            plan, runner, [market.for_day(9)], signed_decision_value, lambda scores: scores[0],
+            "both",
         )
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -704,11 +693,9 @@ def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
 
 @pytest.mark.parametrize("engine", ["fast", "exact"])
 def test_evaluate_window_rejects_unknown_engine(window_setup, engine):
-    g, market, runner, viable = window_setup
+    _, market, runner, plan = window_setup
     with pytest.raises(ConfigError, match="unknown engine"):
-        evaluate_window(
-            g, viable, runner, *window_game_args(market, [0, 1, 2]), engine=engine
-        )
+        evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2]), engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +769,13 @@ def test_backtest_at_most_one_increment_per_window(result_30):
 def test_backtest_passes_agree_until_first_trigger(result_30):
     """Until a prompt changes, the passes report the same window, and the
     frozen pass takes every output from the tuned pass's runs."""
-    g = result_30.graph
     first = next(i for i, c in enumerate(result_30.cycles) if c.triggered)
     for w in range(first + 1):
         tuned, frozen = result_30.windows[w], result_30.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0
         same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
-        assert _window_report_text(g, tuned) == _window_report_text(
-            g, frozen._replace(attribution=same_cost)
+        assert _window_report_text(result_30, tuned) == _window_report_text(
+            result_30, frozen._replace(attribution=same_cost)
         )
 
 
@@ -921,7 +907,7 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
     g, market = result.graph, result.market
     reports = [rep for pair in zip(result.windows, result.frozen_windows) for rep in pair]
     assert len(games) == len(reports) == 6
-    for ((_, _, runner, episodes, *_), game), rep in zip(games, reports):
+    for ((_, runner, episodes, *_), game), rep in zip(games, reports):
         # A window's decision days are all its days but the last.
         days = list(range(market.days.index(rep.start), market.days.index(rep.end)))
         assert len(rep.returns) == len(days) == len(game.runs) == len(episodes) == 4
@@ -936,9 +922,8 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
 def test_backtest_is_deterministic():
     a = run_backtest(RunConfig(seed=78, days=30).validate())
     b = run_backtest(RunConfig(seed=78, days=30).validate())
-    g = a.graph
     for wa, wb in zip(a.windows, b.windows):
-        assert _window_report_text(g, wa) == _window_report_text(g, wb)
+        assert _window_report_text(a, wa) == _window_report_text(b, wb)
     assert [s.returns for s in a.strategies] == [s.returns for s in b.strategies]
     assert a.prompt_lineage == b.prompt_lineage
 
@@ -965,13 +950,6 @@ def test_window_sharpe_is_the_sharpe_of_the_window_returns(rf_daily):
     assert any(c.triggered for c in result.cycles)
     for rep in result.windows + result.frozen_windows:
         assert rep.window_sharpe.hex() == sharpe(rep.returns, rf_daily).hex()
-
-
-def test_backtest_engine_both_reports_exact_diff():
-    result = run_backtest(RunConfig(seed=78, days=10, engine="both").validate())
-    assert len(result.windows) == 2
-    for rep in result.windows:
-        assert rep.exact_diff == 0.0
 
 
 @pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("both", 49)])

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shapes, exit codes, reports."""
 
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import filecmp
@@ -22,7 +23,7 @@ from dagcredit import cli
 from dagcredit.agents import ROLE_MOCKS, InvalidAgentOutput, MissingExternalData, system_runner
 from dagcredit.cli import build_parser, main
 from dagcredit.coalitions import enumerate_viable
-from dagcredit.config import RunConfig, load_graph_file
+from dagcredit.config import RunConfig, load_config, load_graph_file, load_prompts_dir
 from dagcredit.graph import InputError, reference_graph
 
 from conftest import swapped_trader
@@ -601,6 +602,32 @@ def market_files(market):
     return rows
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--days", "10", "--regime", "bear", "--signal-strength", "0.1"],
+         "days, regime, signal_strength"),
+        (["--regime", "sideways"], "regime"),
+    ],
+    ids=["all", "regime"],
+)
+def test_backtest_on_market_files_rejects_synthetic_market_settings(
+    capsys, tmp_path, flags, named
+):
+    """``days``, ``regime`` and ``signal_strength`` shape only a synthetic
+    market, so a backtest on market files that sets any of them off its
+    default exits 1 naming each, rather than ignoring it."""
+    for name, lines in market_files(bt.synthesize_market(seed=3, days=30)).items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--market", str(tmp_path / "m.csv"), "--features", str(tmp_path / "f.csv")]
+    code, out, err = run(capsys, "backtest", *argv, *flags)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: a backtest on market files does not read {named}; remove them\n"
+    )
+    assert run(capsys, "backtest", *argv, "--days", "60")[0] == 0
+
+
 @pytest.mark.parametrize("column, text", [("close", "inf"), ("open", "-inf"), ("volume", "nan")])
 def test_backtest_rejects_non_finite_market_numbers(capsys, tmp_path, column, text):
     rows = market_files(bt.synthesize_market(seed=3, days=15))
@@ -773,3 +800,68 @@ def test_malformed_csv_files_exit_one(capsys, tmp_path, name, before, after, mes
     )
     assert (code, out) == (1, "")
     assert_one_error_line(err, message)
+
+
+def bom_inputs(tmp_path):
+    """Per input file kind, its path, its UTF-8 text and how the program
+    loads it; both CSV files are written plain, so that either loads."""
+    rows = market_files(bt.synthesize_market(seed=3, days=15))
+    for name, lines in rows.items():
+        (tmp_path / name).write_bytes(("\n".join(lines) + "\n").encode())
+    (tmp_path / "prompts").mkdir()
+    return {
+        "market": (
+            tmp_path / "m.csv", "\n".join(rows["m.csv"]) + "\n",
+            lambda path: bt.load_market(path, tmp_path / "f.csv"),
+        ),
+        "features": (
+            tmp_path / "f.csv", "\n".join(rows["f.csv"]) + "\n",
+            lambda path: bt.load_market(tmp_path / "m.csv", path),
+        ),
+        "config": (tmp_path / "run.json", json.dumps({"days": 15, "symbol": "X"}), load_config),
+        "graph": (tmp_path / "graph.json", json.dumps(SPARSE_SKIP_GRAPH), load_graph_file),
+        "prompt": (
+            tmp_path / "prompts" / "TRA.txt", "Trade the consensus.\n",
+            lambda path: load_prompts_dir(path.parent),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["market", "features", "config", "graph", "prompt"])
+def test_input_files_with_a_byte_order_mark_load_as_without(tmp_path, kind):
+    """Excel's "CSV UTF-8" and other editors start a UTF-8 file with a
+    byte-order mark, which is not part of the text: every input file loads
+    with one exactly as without."""
+    path, text, load = bom_inputs(tmp_path)[kind]
+    path.write_bytes(text.encode())
+    plain = load(path)
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load(path) == plain
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(capsys, tmp_path):
+    """The mark is not counted in a bad byte's offset: a decoder that skips
+    it, as ``utf-8-sig`` does, counts from after it, and a bad byte that
+    starts a line would name the line before."""
+    rows = market_files(bt.synthesize_market(seed=3, days=15))
+    for name, lines in rows.items():
+        data = [line.encode() for line in lines]
+        if name == "m.csv":
+            data[0] = codecs.BOM_UTF8 + data[0]
+            data[4] = b"\xff" + data[4]
+        (tmp_path / name).write_bytes(b"\n".join(data) + b"\n")
+    code, out, err = run(
+        capsys,
+        "backtest",
+        "--market", str(tmp_path / "m.csv"),
+        "--features", str(tmp_path / "f.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert_one_error_line(err, "m.csv: line 5: not UTF-8 text")
+
+
+def test_text_files_read_line_ends_as_text_mode(tmp_path):
+    """A prompt's CR LF and lone CR line ends read as LF, as ``open`` reads
+    text."""
+    (tmp_path / "TRA.txt").write_bytes(b"Trade\r\nthe\rconsensus.\r\n")
+    assert load_prompts_dir(tmp_path) == {"TRA": "Trade\nthe\nconsensus."}

@@ -20,7 +20,7 @@ from dagcredit.optimizer import (
     run_cycle,
 )
 from dagcredit.graph import reference_graph
-from dagcredit.shapley import CostCounters, shapley_exact
+from dagcredit.shapley import shapley_exact
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ def cycle_fixture(value_of):
     table = [0.0] * (1 << g.n)
     for mask in viable:
         table[mask] = value_of(mask)
-    attribution = shapley_exact(table, g.n, CostCounters())
-    return g, specs, rewards, attribution.values
+    return g, specs, rewards, shapley_exact(table, g.n)
 
 
 def test_run_cycle_triggered_updates_exactly_one_prompt():

@@ -23,6 +23,7 @@ from dagcredit.config import RunConfig, load_graph_file
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
+    AttributionResult,
     CostCounters,
     ExecutorFailure,
     InvalidSize,
@@ -47,12 +48,14 @@ from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by
 
 
 def named_graph(name):
-    """The reference graph, the golden runs' sparse-skip graph or the wide
-    benchmark graph."""
+    """The reference graph, the golden runs' sparse-skip graph, a lone
+    agent or the wide benchmark graph."""
     if name == "reference":
         return reference_graph()
     if name == "sparse-skip":
         return build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    if name == "one-agent":
+        return build_graph([["T"]], [])
     return load_graph_file(WIDE_GRAPH)
 
 
@@ -63,7 +66,9 @@ def pruned_attribution(graph, viable, runner):
     run = layered_run(graph, viable, runner, FEATURES)
     values = map(signed_decision_value, sink_outputs(run))
     table = dense_table(graph.n, zip(viable, values, strict=True))
-    return shapley_exact(table, graph.n, run.counters._replace(coalition_evaluations=len(viable)))
+    return AttributionResult(
+        shapley_exact(table, graph.n), run.counters._replace(coalition_evaluations=len(viable))
+    )
 
 
 def replay_table(graph, runner):
@@ -122,8 +127,8 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
     for mask in range(1, 1 << n):
         table[mask] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
     oracle = permutation_shapley(n, table.__getitem__)
-    floats = shapley_exact([float(table[m]) for m in range(1 << n)], n, CostCounters())
-    for got, want in zip(floats.values, oracle):
+    floats = shapley_exact([float(table[m]) for m in range(1 << n)], n)
+    for got, want in zip(floats, oracle):
         assert abs(got - float(want)) < 1e-9
 
 
@@ -167,8 +172,7 @@ def test_phi_is_within_its_bound_of_the_exact_value(graph, rng):
         (mask, rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30)]))
         for mask in viable
     ))
-    exact = shapley_exact(table, graph.n, CostCounters())
-    assert_phi_within_bound(table, graph.n, exact.values)
+    assert_phi_within_bound(table, graph.n, shapley_exact(table, graph.n))
 
 
 def all_masks_phi(n, value_of):
@@ -221,8 +225,7 @@ def test_table_aggregation_is_bit_identical_to_all_masks(case):
     n, entries = case
     table = dense_table(n, entries.items())
     want = all_masks_phi(n, table.__getitem__)
-    exact = shapley_exact(table, n, CostCounters())
-    assert same_bits(exact.values, want)
+    assert same_bits(shapley_exact(table, n), want)
 
 
 @given(skip_layered_graphs(), st.integers(0, 2**32 - 1))
@@ -236,7 +239,7 @@ def test_viable_tables_aggregate_without_superset_probes(g, seed):
         g.n, ((mask, rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])) for mask in viable)
     )
     want = all_masks_phi(g.n, table.__getitem__)
-    assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
+    assert same_bits(shapley_exact(table, g.n), want)
 
 
 def phi_or_error(engine):
@@ -281,7 +284,7 @@ def test_viable_walk_drops_only_zero_terms(g, data):
     for mask in negative:
         table[mask] = -0.0
     want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
-    assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
+    assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
 @given(skip_layered_graphs(), st.data())
@@ -297,7 +300,7 @@ def test_viable_walk_keeps_every_non_finite_term(g, data):
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, *specials])
     table = dense_table(g.n, ((mask, data.draw(values)) for mask in viable))
     want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
-    assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
+    assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
 @pytest.mark.parametrize(
@@ -319,7 +322,7 @@ def test_non_finite_values_reach_phi(grand, other, want):
     g = layered_graph([2, 2, 1])
     table = dense_table(g.n, [(g.full_mask, grand), (g.full_mask ^ 0b1000, other)])
     assert phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__)) == want
-    assert phi_or_error(lambda: shapley_exact(table, g.n, CostCounters()).values) == want
+    assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
 def test_aggregation_holds_no_list_of_terms():
@@ -337,12 +340,12 @@ def test_aggregation_holds_no_list_of_terms():
     assert {"0x0.0p+0", "-0x0.0p+0"} <= {table[mask].hex() for mask in viable}
     tracemalloc.start()
     try:
-        result = shapley_exact(table, g.n, CostCounters())
+        phi = shapley_exact(table, g.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 320 * 1024
-    assert same_bits(result.values, all_masks_phi(g.n, table.__getitem__))
+    assert same_bits(phi, all_masks_phi(g.n, table.__getitem__))
 
 
 class CountingTable(list):
@@ -372,29 +375,29 @@ def test_aggregation_reads_three_entries_per_agent_and_non_zero_mask():
     assert 0 < nonzero <= len(viable) // 10
     want = all_masks_phi(g.n, values.__getitem__)
     table = CountingTable(values)
-    assert same_bits(shapley_exact(table, g.n, CostCounters()).values, want)
+    assert same_bits(shapley_exact(table, g.n), want)
     assert table.reads <= (1 << g.n) + 3 * g.n * nonzero
 
 
 def test_engines_reject_a_table_of_another_length():
     for length in (0, 3, 5, 8):
         with pytest.raises(ValueError, match=f"^the table has {length} entries, not 2\\*\\*2 = 4$"):
-            shapley_exact([0.0] * length, 2, CostCounters())
+            shapley_exact([0.0] * length, 2)
 
 
-def test_exact_engine_counts_evaluations():
-    """The aggregation reports the caller's counters as they are: the
-    caller counts the coalitions it evaluated."""
-    work = CostCounters(coalition_evaluations=3, agent_executions=5, cache_hits=2)
-    result = shapley_exact(dense_table(4, [(0b1111, 1.0)]), 4, work)
-    assert result.counters == CostCounters(3, 5, 2)
+def test_exact_engine_returns_only_the_contributions():
+    """The aggregation is a function of the table alone: one float per
+    agent, in index order. What valuing the table cost is the caller's."""
+    phi = shapley_exact(dense_table(4, [(0b1111, 1.0)]), 4)
+    assert type(phi) is tuple
+    assert phi == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_engines_reject_oversized_inputs():
     with pytest.raises(GraphTooLarge, match="25 agents exceeds the limit of 24"):
-        shapley_exact([], 25, CostCounters())
+        shapley_exact([], 25)
     with pytest.raises(InvalidSize):
-        shapley_exact([], 0, CostCounters())
+        shapley_exact([], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,7 @@ def test_engines_reject_oversized_inputs():
 def test_efficiency_on_random_games(n, seed):
     rng = random.Random(seed)
     table = [0.0] + [rng.uniform(-5, 5) for mask in range(1, 1 << n)]
-    result = shapley_exact(table, n, CostCounters())
-    assert abs(result.total() - table[(1 << n) - 1]) < 1e-9
+    assert abs(math.fsum(shapley_exact(table, n)) - table[(1 << n) - 1]) < 1e-9
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=500))
@@ -420,9 +422,8 @@ def test_symmetry_on_cardinality_games(n, seed):
     rng = random.Random(seed)
     by_size = [0.0] + [rng.randint(-9, 9) / rng.randint(1, 7) for _ in range(n)]
     table = [by_size[mask.bit_count()] for mask in range(1 << n)]
-    result = shapley_exact(table, n, CostCounters())
     # Every agent's terms are the same multiset, and fsum rounds them once.
-    assert len(set(result.values)) == 1
+    assert len(set(shapley_exact(table, n))) == 1
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=500))
@@ -439,15 +440,14 @@ def test_null_player_gets_exact_zero(n, seed):
         table[mask] = table[base]
     table[0] = 0.0
     game = [table[mask & strip] for mask in range(1 << n)]
-    result = shapley_exact(game, n, CostCounters())
     # Each of the null agent's terms is w * (x - x) = 0.0.
-    assert result.values[null_agent] == 0.0
+    assert shapley_exact(game, n)[null_agent] == 0.0
 
 
 def test_symmetric_pair_in_float_mode():
     table = [0.0, 1.5, 1.5, 2.0, 0.25, 1.75, 1.75, 3.5]
-    result = shapley_exact(table, 3, CostCounters())
-    assert abs(result.values[0] - result.values[1]) < 1e-12
+    phi = shapley_exact(table, 3)
+    assert abs(phi[0] - phi[1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +480,9 @@ def test_engine_equivalence_on_random_graphs(seed):
     g = random_layered(rng, 3 + seed % 8)
     viable = enumerate_viable(g)
     table = dense_table(g.n, ((mask, rng.uniform(-2, 2)) for mask in viable))
-    exact = shapley_exact(table, g.n, CostCounters())
-    assert same_bits(exact.values, all_masks_phi(g.n, table.__getitem__))
-    assert abs(exact.total() - table[g.full_mask]) < 1e-9
+    phi = shapley_exact(table, g.n)
+    assert same_bits(phi, all_masks_phi(g.n, table.__getitem__))
+    assert abs(math.fsum(phi) - table[g.full_mask]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +525,9 @@ def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable,
     grand = grand_outputs(ref_graph, run)
     assert grand == replay.outputs[0]
     assert list(grand) == list(range(ref_graph.n))
-    # The grand coalition holds every agent, so its sink task is the sink's
-    # entry at the full configuration, the last, which the backtest reads.
-    grand_task = run.plan.task_tables[ref_graph.sink][-1]
-    assert run.outputs[ref_graph.sink][grand_task] == replay.sink_outputs[0]
+    # The grand coalition's sink task is the sink's last, which the
+    # backtest reads.
+    assert run.outputs[ref_graph.sink][-1] == replay.sink_outputs[0]
 
 
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
@@ -572,10 +571,9 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
 def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
     replay_values, replay_counters = replay_table(ref_graph, ref_runner)
     dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
-    exact = shapley_exact(replay_values, ref_graph.n, replay_counters)
-    assert dag.values == exact.values
+    assert dag.values == shapley_exact(replay_values, ref_graph.n)
     assert dag.counters == CostCounters(49, 73, 169)
-    assert exact.counters == CostCounters(128, 448, 0)
+    assert replay_counters == CostCounters(128, 448, 0)
 
 
 def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner):
@@ -606,6 +604,7 @@ def assert_replay_follows_the_brute_force_steps(g):
         for agent, preds, source in coalition
     ]
     runner = system_runner(build_system(g, seed=5))
+    plan = live_plan(g, enumerate_viable(g))
     for schedule in (steps, None):
         calls = []
 
@@ -614,8 +613,8 @@ def assert_replay_follows_the_brute_force_steps(g):
             return runner(agent, upstream, external)
 
         game = backtest.evaluate_window(
-            g, enumerate_viable(g), recorder, [FEATURES], signed_decision_value,
-            lambda scores: scores[0], "both", schedule=schedule,
+            plan, recorder, [FEATURES], signed_decision_value, lambda scores: scores[0], "both",
+            schedule=schedule,
         )
         assert calls[game.attribution.counters.agent_executions:] == expected
 
@@ -811,13 +810,13 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
-    replay_values, replay_counters = replay_table(g, runner)
+    replay_values, _ = replay_table(g, runner)
     # The replay is worth 0.0 at every mask the pruned table leaves at 0.0,
     # so the two tables give every bit of phi alike.
     assert [v.hex() for v in replay_values] == [v.hex() for v in table]
-    pruned = shapley_exact(table, g.n, run.counters)
-    exact = shapley_exact(replay_values, g.n, replay_counters)
-    assert [v.hex() for v in pruned.values] == [v.hex() for v in exact.values]
+    pruned = shapley_exact(table, g.n)
+    exact = shapley_exact(replay_values, g.n)
+    assert [v.hex() for v in pruned] == [v.hex() for v in exact]
 
 
 def assert_upstream_is_the_live_keys_replay(g):
@@ -882,18 +881,24 @@ def test_executions_per_episode_are_pinned(name, executions):
 def assert_sink_table_marks_the_viable_masks(g):
     """The sink, the last agent, has a task under each configuration of the
     other agents, 2**(n - 1) in all, exactly where that configuration with
-    the sink is a viable mask; the other entries are -1."""
+    the sink is a viable mask; the other entries are -1. Every agent
+    reaches the sink, so the grand coalition's sink key holds every other
+    agent: the sink's largest key, and so its last task, which the
+    backtest reads."""
     viable = enumerate_viable(g)
-    table = live_plan(g, viable).task_tables[g.sink]
+    plan = live_plan(g, viable)
+    table = plan.task_tables[g.sink]
     sink_bit = 1 << g.sink
     assert g.sink == g.n - 1
     assert len(table) == sink_bit
     held = set(viable)
     assert [task >= 0 for task in table] == [c | sink_bit in held for c in range(sink_bit)]
     assert min(table) >= -1
+    assert plan.keys[g.sink][-1] == sink_bit - 1
+    assert table[-1] == len(plan.keys[g.sink]) - 1
 
 
-@pytest.mark.parametrize("name", ["reference", "sparse-skip", "wide"])
+@pytest.mark.parametrize("name", ["reference", "sparse-skip", "one-agent", "wide"])
 def test_sink_table_marks_the_viable_masks(name):
     assert_sink_table_marks_the_viable_masks(named_graph(name))
 
@@ -949,10 +954,10 @@ def assert_matches_replay(g, run, runner):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
-    dag = shapley_exact(table, g.n, run.counters)
+    dag = shapley_exact(table, g.n)
     replay_values, _ = replay_table(g, runner)
-    exact = shapley_exact(replay_values, g.n, CostCounters())
-    assert [v.hex() for v in dag.values] == [v.hex() for v in exact.values]
+    exact = shapley_exact(replay_values, g.n)
+    assert [v.hex() for v in dag] == [v.hex() for v in exact]
 
 
 @given(skip_layered_graphs(), st.data())
