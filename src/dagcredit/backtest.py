@@ -22,8 +22,8 @@ The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
 where the agent or a member upstream of it in the coalition has a prompt the
 tuned pass had changed. Only the tuned pass's runs are kept past the frozen
-pass, and only until the next window, which keeps memory bounded by one
-window.
+pass, and only until the next window. Each window adds two reports of one
+value per sink task: 16 bytes a sink task, and a few KiB for the rest.
 """
 from __future__ import annotations
 
@@ -424,18 +424,16 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 
 
 class WindowGame(NamedTuple):
-    """One game over a set of episodes: the value of every subset, the run
-    of each episode and the pruned engine's attribution. ``values`` is a
-    list of ``2**n`` floats indexed by mask, each viable mask's value and
-    0.0 at every other mask: 8 bytes a subset, less than a dict of the
-    viable masks once about 18% of the masks are viable. Each run's sink
-    row holds the ``score`` of each sink output, not the output itself, and
-    its other rows hold the agents' outputs. ``replay`` is the classical
-    replay's cost, set only under engine ``both``; the replay's value of
-    every subset is then the pruned engine's, bit for bit, or
-    ``evaluate_window`` would have raised."""
+    """One game over a set of episodes: its value of each sink task of the
+    plan, in task order, the run of each episode (its sink row holds
+    scores) and the pruned engine's attribution. A viable mask takes its
+    sink task's value (see ``LivePlan``), so the grand coalition's is the
+    last, and any other mask 0.0. ``replay`` is the classical replay's
+    cost, set only under engine ``both``; the replay's value of every subset
+    is then the pruned engine's, bit for bit, or ``evaluate_window`` would
+    have raised."""
 
-    values: list[float]
+    task_values: tuple[float, ...]
     runs: list[LayeredRunResult]
     attribution: AttributionResult
     replay: CostCounters | None
@@ -459,10 +457,10 @@ def evaluate_window(
     the viable masks of ``plan.graph``. ``score`` is what the game reads of
     one sink output, applied as each sink output is produced: a run keeps
     the score in the sink's row, and the output is dropped. A coalition is
-    worth ``value`` of its sink scores, one per episode; the game is a list
-    of ``2**n`` values indexed by mask, 0.0 off the viable masks, and
-    ``shapley_exact`` attributes it. The attribution carries the runs'
-    summed counters, with one coalition evaluation per viable mask.
+    worth ``value`` of its sink scores, one per episode; the game keeps a
+    value per sink task. ``shapley_exact`` attributes the ``2**n`` values by
+    mask, 0.0 off the viable masks, in a list dropped on return, with the
+    runs' summed counters and one coalition evaluation per viable mask.
     ``reuse`` is an earlier game on the same episodes, played with the same
     ``score``, and the mask of the agents whose prompts have changed since;
     each episode's run then reuses the earlier run of that episode (see
@@ -474,21 +472,18 @@ def evaluate_window(
     scores each sink output (``None`` where the sink did not run) and
     values the scores with the same ``value``.
 
-    ``score`` and ``value`` must be pure functions, as the backtest's
-    ``decision_to_position`` and ``sharpe_value`` and the ``shapley``
-    command's ``signed_decision_value`` and first score are: the pruned
-    engine calls ``value`` once per sink task of the plan, not once per
-    viable mask, and every viable mask whose sink runs under that task takes
-    the same value.
+    ``score`` and ``value`` must be pure functions, as the backtest's and
+    the ``shapley`` command's are: the pruned engine calls ``value`` once
+    per sink task of the plan, not once per viable mask.
 
     Under ``both``, every subset's replay value must equal the pruned
     engine's entry for it (0.0 for a non-viable subset), by ``==`` and in
     the sign of zero; the first subset where it does not raises
-    EnginesDisagree. As the replay runs every agent afresh, this
-    checks the pruned engine, that the agents are deterministic and, in a
-    game with ``reuse``, that the reused outputs are still current. One
-    aggregation of tables that agree entry by entry gives the same
-    contributions, so the replay's table is not aggregated.
+    EnginesDisagree as it is replayed. As the replay runs every agent
+    afresh, this checks the pruned engine, that the agents are
+    deterministic and, in a game with ``reuse``, that the reused outputs
+    are still current. One aggregation of tables that agree entry by entry
+    gives the same contributions, so the replay's table is not aggregated.
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
@@ -527,24 +522,24 @@ def evaluate_window(
     attribution = AttributionResult(
         shapley_exact(table, graph.n), counters._replace(coalition_evaluations=len(viable))
     )
+    # The same floats again, each at its task's viable mask: the live key and the sink.
+    task_values = tuple(table[key | 1 << sink] for key in plan.keys[sink])
 
     replay_cost = None
     if engine == "both":
         replay_executions = 0
-        replay_values = []
         for mask in range(1 << graph.n):
             steps = replay_steps(graph, mask) if schedule is None else schedule[mask]
             replay = replay_coalition(graph, steps, run_agent, episodes=episodes)
             replay_executions += replay.executions
-            replay_values.append(value(list(map(score, replay.sink_outputs))))
-        for mask, (replayed, pruned) in enumerate(zip(replay_values, table)):
+            replayed, pruned = value(list(map(score, replay.sink_outputs))), table[mask]
             if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
         replay_cost = CostCounters(1 << graph.n, replay_executions)
-    return WindowGame(table, runs, attribution, replay_cost)
+    return WindowGame(task_values, runs, attribution, replay_cost)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -614,7 +609,7 @@ def sma_positions(closes: Sequence[float], fast: int = 20, slow: int = 50) -> li
 
 class WindowReport(NamedTuple):
     """One window pass as its report prints it. Whether the classical
-    replay checked it is the run's ``config.engine``."""
+    replay checked it is the run's ``config.engine``; ``task_values`` is its game's."""
 
     index: int
     start: date
@@ -622,7 +617,7 @@ class WindowReport(NamedTuple):
     returns: tuple[float, ...]
     window_sharpe: float
     attribution: AttributionResult
-    coalition_values: tuple[tuple[str, float], ...]
+    task_values: tuple[float, ...]
 
 
 class StrategyReport(NamedTuple):
@@ -634,7 +629,10 @@ class StrategyReport(NamedTuple):
 
 
 class BacktestResult(NamedTuple):
+    """A run's reports, with the ``plan`` that indexes their ``task_values``."""
+
     graph: WorkflowGraph
+    plan: LivePlan
     config: RunConfig
     market: Market
     windows: list[WindowReport]
@@ -645,16 +643,18 @@ class BacktestResult(NamedTuple):
 
 
 def load_inputs(config: RunConfig) -> Market:
+    """The run's market, named ``config.symbol`` when set, else by its
+    source: ``CSV`` for market files, ``SYNTH`` for a synthetic market."""
     if config.market_csv:
         if not config.features_csv:
             raise ConfigError("market_csv requires features_csv")
         # These shape only a synthetic market.
         reject_unread(config, ("days", "regime", "signal_strength"),
                       "a backtest on market files does not read {}; remove them")
-        return load_market(config.market_csv, config.features_csv, symbol=config.symbol)
-    return synthesize_market(
-        config.seed, config.days, config.regime, config.signal_strength, config.symbol
-    )
+        market = load_market(config.market_csv, config.features_csv)
+    else:
+        market = synthesize_market(config.seed, config.days, config.regime, config.signal_strength)
+    return market if config.symbol is None else market._replace(symbol=config.symbol)
 
 
 def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> StrategyReport:
@@ -683,8 +683,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     """
     graph = config_graph(config)
     market = load_inputs(config)
-    viable = enumerate_viable(graph)
-    plan = live_plan(graph, viable)
+    plan = live_plan(graph, enumerate_viable(graph))
     # Only engine ``both`` replays: each of the 2**n subsets' steps, listed
     # once here rather than derived again in every window pass.
     schedule = (
@@ -692,7 +691,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         if config.engine == "both" else None
     )
     windows = day_windows(len(market.days), config.window_len)
-    viable_names = [coalition_names(graph, mask) for mask in viable]
 
     base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
     unknown = sorted(set(base_prompts or ()) - set(graph.names))
@@ -725,19 +723,16 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         # The grand coalition's sink score is its position, under the sink's
         # last task (see ``LivePlan``).
         rewards = [run.outputs[graph.sink][-1] * r for run, r in zip(game.runs, step_returns)]
-        report = WindowReport(
+        return game, WindowReport(
             index=w_index,
             start=market.days[day_idx[0]],
             end=market.days[day_idx[-1]],
             returns=tuple(rewards),
-            # The grand coalition's value is the Sharpe of the rewards.
-            window_sharpe=game.values[graph.full_mask],
+            # The grand coalition's value, the last, is the Sharpe of the rewards.
+            window_sharpe=game.task_values[-1],
             attribution=game.attribution,
-            coalition_values=tuple(
-                (names, game.values[mask]) for names, mask in zip(viable_names, viable)
-            ),
+            task_values=game.task_values,
         )
-        return game, report
 
     specs = dict(specs0)
     lineage = {
@@ -795,6 +790,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 
     result = BacktestResult(
         graph=graph,
+        plan=plan,
         config=config,
         market=market,
         windows=tuned_reports,
@@ -812,7 +808,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 # reports
 
 
-def _window_report_text(result: BacktestResult, rep: WindowReport) -> str:
+def _window_report_text(
+    result: BacktestResult, rep: WindowReport, rows: Sequence[tuple[str, int]]
+) -> str:
     lines = [
         f"window {rep.index}",
         f"days: {rep.start.isoformat()} .. {rep.end.isoformat()}",
@@ -824,8 +822,8 @@ def _window_report_text(result: BacktestResult, rep: WindowReport) -> str:
     if result.config.engine == "both":
         lines.append("exact_vs_pruned_max_diff: 0.000e+00")
     lines.append("coalition window sharpe:")
-    for names, value in rep.coalition_values:
-        lines.append(f"  {names} {value:+.6f}")
+    for names, task in rows:
+        lines.append(f"  {names} {rep.task_values[task]:+.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -867,12 +865,16 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = result.graph
 
+    # Each window report has a line per viable mask: name each mask once.
+    sink_table = result.plan.task_tables[graph.sink]
+    last = len(sink_table) - 1
+    rows = [(coalition_names(graph, m), sink_table[m & last]) for m in result.plan.viable]
     for sub, reports in (("windows", result.windows), ("frozen", result.frozen_windows)):
         directory = out_dir / sub
         directory.mkdir(exist_ok=True)
         for rep in reports:
             path = directory / f"window_{rep.index:02d}.txt"
-            path.write_text(_window_report_text(result, rep), encoding="utf-8", newline="\n")
+            path.write_text(_window_report_text(result, rep, rows), encoding="utf-8", newline="\n")
 
     with open(out_dir / "cycles.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for window, record in zip(result.windows, result.cycles):

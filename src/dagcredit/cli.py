@@ -172,10 +172,9 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     ), "shapley attributes a synthetic fixture episode; remove {} from the config")
     graph = config_graph(config)
     # The fixture episode is the last day of a 10-day synthetic series, so
-    # the technical window is fully populated.
+    # the technical window is fully populated. Its symbol is never printed.
     market = bt.synthesize_market(
-        config.seed, days=10, regime=config.regime,
-        signal_strength=config.signal_strength, symbol=config.symbol,
+        config.seed, days=10, regime=config.regime, signal_strength=config.signal_strength
     )
     # A coalition is valued by its signed sink decision, the score of its one
     # episode; one whose sink never runs is worth zero.

@@ -32,7 +32,7 @@ class RunConfig:
     market_csv: str | None = None
     features_csv: str | None = None
     prompts_dir: str | None = None
-    symbol: str = "SYNTH"
+    symbol: str | None = None
     days: int = 60
     regime: str = "bull"
     signal_strength: float = 0.6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dagcredit.agents import Decision, build_system, system_runner
-from dagcredit.coalitions import enumerate_viable
+from dagcredit.coalitions import coalition_names, enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
 
 
@@ -43,6 +43,21 @@ def sink_tasks(plan):
     agents."""
     table = plan.task_tables[plan.graph.sink]
     return [table[mask & len(table) - 1] for mask in plan.viable]
+
+
+def dense_values(plan, task_values):
+    """A window game as ``shapley_exact`` takes it, from its one value per
+    sink task: a list of 2**n floats indexed by mask, each viable mask's
+    value the value of its sink task in ``plan``, and 0.0 at every other
+    mask."""
+    values = [task_values[task] for task in sink_tasks(plan)]
+    return dense_table(plan.graph.n, zip(plan.viable, values))
+
+
+def report_rows(plan):
+    """What ``write_reports`` hands each window report: every viable mask's
+    names and sink task, in the plan's ``viable`` order."""
+    return [(coalition_names(plan.graph, m), t) for m, t in zip(plan.viable, sink_tasks(plan))]
 
 
 def sink_outputs(run):

@@ -49,7 +49,7 @@ from dagcredit.shapley import (
     _weights,
 )
 
-from conftest import layered_graph, prefix_mask
+from conftest import layered_graph, prefix_mask, report_rows
 from golden_runs import FEATURES
 from test_shapley import all_masks_phi, closed_form_cost, random_layered
 
@@ -206,13 +206,14 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
     # (c) frozen and tuned passes agree through the first triggered window,
     # where the frozen pass takes every output from the tuned pass's runs
     first = next(i for i, c in enumerate(result.cycles) if c.triggered)
+    rows = report_rows(result.plan)
     for w in range(first + 1):
         tuned, frozen = result.windows[w], result.frozen_windows[w]
         assert frozen.attribution.counters.agent_executions == 0
         assert frozen.attribution.counters.executions_reused == 4 * 73
         same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
-        assert _window_report_text(result, tuned) == _window_report_text(
-            result, frozen._replace(attribution=same_cost)
+        assert _window_report_text(result, tuned, rows) == _window_report_text(
+            result, frozen._replace(attribution=same_cost), rows
         )
 
     # (d) reruns are byte-identical on disk

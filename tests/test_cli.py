@@ -544,7 +544,7 @@ def test_backtest_rejects_unknown_config_key(capsys, tmp_path):
         {"rf_daily": None},
         {"rf_daily": float("nan")},
         {"threshold": float("inf")},
-        {"symbol": None},
+        {"symbol": 3},
         {"out_dir": 3},
         {"prompts_dir": ["p"]},
     ],
@@ -626,6 +626,26 @@ def test_backtest_on_market_files_rejects_synthetic_market_settings(
         f"error: a backtest on market files does not read {named}; remove them\n"
     )
     assert run(capsys, "backtest", *argv, "--days", "60")[0] == 0
+
+
+def test_backtest_summary_names_the_markets_own_symbol_unless_one_is_set(capsys, tmp_path):
+    """Unset, the symbol is the market source's own: ``CSV`` for market
+    files and ``SYNTH`` for a synthetic market, also where a config file
+    gives null. ``--symbol`` wins."""
+    for name, lines in market_files(bt.synthesize_market(seed=3, days=30)).items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = ["--market", str(tmp_path / "m.csv"), "--features", str(tmp_path / "f.csv")]
+    null = tmp_path / "run.json"
+    null.write_text('{"symbol": null}', encoding="utf-8")
+    for argv, symbol in (
+        (files, "CSV"),
+        ([*files, "--symbol", "ACME"], "ACME"),
+        (["--days", "15", "--config", str(null)], "SYNTH"),
+    ):
+        out = tmp_path / symbol
+        assert run(capsys, "backtest", *argv, "--out", str(out))[0] == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert summary[1] == f"symbol: {symbol}"
 
 
 @pytest.mark.parametrize("column, text", [("close", "inf"), ("open", "-inf"), ("volume", "nan")])

@@ -40,8 +40,8 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, sink_tasks,
-    skip_layered_graphs,
+    dense_table, dense_values, grand_outputs, layered_graph, prefix_mask, sink_outputs,
+    sink_tasks, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by_brute_force
@@ -156,7 +156,8 @@ def test_backtest_phi_is_within_its_bound_of_the_exact_value(monkeypatch):
     result = backtest.run_backtest(RunConfig(seed=42, days=60).validate())
     assert len(games) == 2 * len(result.windows) == 24
     for game in games:
-        assert_phi_within_bound(game.values, result.graph.n, game.attribution.values)
+        table = dense_values(result.plan, game.task_values)
+        assert_phi_within_bound(table, result.graph.n, game.attribution.values)
 
 
 @given(
