@@ -458,9 +458,11 @@ def evaluate_window(
     one sink output, applied as each sink output is produced: a run keeps
     the score in the sink's row, and the output is dropped. A coalition is
     worth ``value`` of its sink scores, one per episode; the game keeps a
-    value per sink task. ``shapley_exact`` attributes the ``2**n`` values by
-    mask, 0.0 off the viable masks, in a list dropped on return, with the
-    runs' summed counters and one coalition evaluation per viable mask.
+    value per sink task. ``shapley_exact`` attributes the ``2**(n - 1)``
+    values of the coalitions holding the sink, by configuration (the mask
+    of the other members), 0.0 off the viable masks, in a list dropped on
+    return, with the runs' summed counters and one coalition evaluation per
+    viable mask.
     ``reuse`` is an earlier game on the same episodes, played with the same
     ``score``, and the mask of the agents whose prompts have changed since;
     each episode's run then reuses the earlier run of that episode (see
@@ -477,13 +479,14 @@ def evaluate_window(
     per sink task of the plan, not once per viable mask.
 
     Under ``both``, every subset's replay value must equal the pruned
-    engine's entry for it (0.0 for a non-viable subset), by ``==`` and in
-    the sign of zero; the first subset where it does not raises
-    EnginesDisagree as it is replayed. As the replay runs every agent
-    afresh, this checks the pruned engine, that the agents are
-    deterministic and, in a game with ``reuse``, that the reused outputs
-    are still current. One aggregation of tables that agree entry by entry
-    gives the same contributions, so the replay's table is not aggregated.
+    engine's value of it (+0.0 for a non-viable subset, and for every
+    subset without the sink), by ``==`` and in the sign of zero; the first
+    subset where it does not raises EnginesDisagree as it is replayed. As
+    the replay runs every agent afresh, this checks the pruned engine, that
+    the agents are deterministic and, in a game with ``reuse``, that the
+    reused outputs are still current. One aggregation of games that agree
+    subset by subset gives the same contributions, so the replay's game is
+    not aggregated.
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
@@ -510,29 +513,32 @@ def evaluate_window(
     ]
     counters = CostCounters(*map(sum, zip(*(run.counters for run in runs))))
     # Every run shares the plan, so the sink's scores line up in one column
-    # per sink task: value each task once, and each viable mask by its sink
-    # task in the sink's table; masks that share a sink task share its value.
+    # per sink task: value each task once. Each configuration of the other
+    # agents takes its sink task's value from the sink's table; masks that
+    # share a sink task share its value. A configuration without a task
+    # (-1) is not viable and reads the +0.0 appended past the last task,
+    # not the last task's value.
     by_task = list(map(value, zip(*(run.outputs[sink] for run in runs))))
-    sink_table = plan.task_tables[sink]
-    last = len(sink_table) - 1
-    table = [0.0] * (1 << graph.n)
-    for mask in viable:
-        table[mask] = by_task[sink_table[mask & last]]
+    by_task.append(0.0)
+    table = list(map(by_task.__getitem__, plan.task_tables[sink]))
     del by_task  # the table holds every value: free the list before the aggregation peak
     attribution = AttributionResult(
         shapley_exact(table, graph.n), counters._replace(coalition_evaluations=len(viable))
     )
-    # The same floats again, each at its task's viable mask: the live key and the sink.
-    task_values = tuple(table[key | 1 << sink] for key in plan.keys[sink])
+    # The same floats again, each at its task's live key, a viable configuration.
+    task_values = tuple(map(table.__getitem__, plan.keys[sink]))
 
     replay_cost = None
     if engine == "both":
         replay_executions = 0
+        last = len(table) - 1
         for mask in range(1 << graph.n):
             steps = replay_steps(graph, mask) if schedule is None else schedule[mask]
             replay = replay_coalition(graph, steps, run_agent, episodes=episodes)
             replay_executions += replay.executions
-            replayed, pruned = value(list(map(score, replay.sink_outputs))), table[mask]
+            # A subset without the sink is worth +0.0 to the pruned engine.
+            pruned = table[mask & last] if mask >> sink & 1 else 0.0
+            replayed = value(list(map(score, replay.sink_outputs)))
             if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "

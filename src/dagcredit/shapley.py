@@ -1,26 +1,29 @@
-"""Exact Shapley attribution over dense coalition value tables, with
+"""Exact Shapley attribution over tables of the sink's configurations, with
 layer-wise shared execution for layered workflows.
 
-A game is a list of ``2**n`` floats, the value of every coalition indexed by
-its bitmask. ``shapley_exact`` aggregates it into per-agent contributions,
-summing, for each agent, over the masks of non-zero value, and streaming
-the terms into one exactly rounded ``math.fsum``: a term is non-zero only
-where one of its two values is, so each walk skips the zero-valued
-coalitions. It is the one aggregation. The pruned engine's game is zero at
-every non-viable coalition, which cannot trade, so its walks touch only
-viable masks; its saving lies in execution, through the live plan. The
-classical replay's game, checked equal to it entry by entry, needs no
-aggregation of its own.
+Only a coalition holding the sink (the trader, agent ``n - 1``) can trade,
+so every other coalition is worth 0.0, and a game is a list of the
+``2**(n - 1)`` values of the coalitions that hold the sink, one per
+configuration: the mask of the coalition's other members. ``shapley_exact``
+aggregates it into per-agent contributions, summing, for each agent, over
+the configurations of non-zero value, and streaming the terms into one
+exactly rounded ``math.fsum``: a term is non-zero only where one of its two
+values is, so each walk skips the zero-valued coalitions. It is the one
+aggregation. The pruned engine's game is zero at every non-viable
+coalition, which cannot trade, so its walks touch only viable masks; its
+saving lies in execution, through the live plan. The classical replay's
+game, checked equal to it subset by subset, needs no aggregation of its own.
 
-The dense list costs 8 bytes per subset (128 MiB at ``MAX_AGENTS``), where a
-dict keyed by viable mask costs about 44 bytes per viable mask, so the list
-is the smaller once about 18% of the masks are viable: 38% are on the
-reference graph and 46% on the benchmark's wide graph. The viable masks and
-the plan's live keys and task indices are packed arrays of 4 bytes an item,
-where a list would hold an int object of about 36 bytes for each, and so
-are the masks of non-zero value that the aggregation walks. Walking an
-array makes an int object for each item it yields, so the aggregation pays
-for its walks by walking only the masks of non-zero value.
+The table costs 8 bytes per configuration (64 MiB at ``MAX_AGENTS``), where
+a dict keyed by viable mask costs about 44 bytes per viable mask, so the
+list is the smaller once about 18% of the configurations are viable: 49 of
+64 are on the reference graph and 239,367 of 262,144 on the benchmark's wide
+graph. The viable masks and the plan's live keys and task indices are packed
+arrays of 4 bytes an item, where a list would hold an int object of about
+36 bytes for each, and so are the configurations of non-zero value that the
+aggregation walks. Walking an array makes an int object for each item it
+yields, so the aggregation pays for its walks by walking only the
+configurations of non-zero value.
 
 Tables for the pruned engine come from ``layered_run``. An agent in a
 coalition is fed only by its predecessors inside the coalition, so its output
@@ -116,40 +119,51 @@ def _weights(n: int) -> tuple[float, ...]:
 
 def _phi(n: int, nonzero: Sequence[int], table: Sequence[float]) -> list[float]:
     # phi_i sums w(|S| - 1) * (v(S) - v(S - i)) over the masks S holding i,
-    # and a term is non-zero only where v(S) or v(S - i) is. So each
-    # agent's sum walks only ``nonzero``, the masks whose value is non-zero
-    # (NaN is truthy and counts), and derives each such term once: from S
-    # itself when v(S) is non-zero, and otherwise from the mask S - i, which
-    # is then the non-zero one. Only the non-zero differences are kept (an
-    # inf - inf difference is NaN, which is kept). fsum is exact before its
-    # single rounding and gives +0.0 for a sum of zeros of either sign, so
-    # dropping zero terms leaves every bit of the result, in any order. The
-    # terms stream into fsum one at a time, so no list of them is built.
+    # and a term is non-zero only where v(S) or v(S - i) is. Only masks
+    # holding the sink are worth anything, so for an agent i below the sink
+    # both S and S - i hold it, and the term is w(|c|) * (t[c] - t[c - i])
+    # over the configurations c holding i, c being S without the sink. So
+    # each agent's sum walks only ``nonzero``, the configurations whose
+    # value is non-zero (NaN is truthy and counts), and derives each such
+    # term once: from c itself when t[c] is non-zero, and otherwise from
+    # c - i, which is then the non-zero one. Only the non-zero differences
+    # are kept (an inf - inf difference is NaN, which is kept). fsum is
+    # exact before its single rounding and gives +0.0 for a sum of zeros of
+    # either sign, so dropping zero terms leaves every bit of the result, in
+    # any order. The terms stream into fsum one at a time, so no list of
+    # them is built.
     w = _weights(n)
     phi = []
-    for i in range(n):
+    for i in range(n - 1):
         bit = 1 << i
         phi.append(math.fsum(
-            w[s.bit_count() - 1] * d
-            for m in nonzero
-            if ((s := m | bit) == m or not table[s]) and (d := table[s] - table[s ^ bit])
+            w[s.bit_count()] * d
+            for c in nonzero
+            if ((s := c | bit) == c or not table[s]) and (d := table[s] - table[s ^ bit])
         ))
+    # The sink's term at c is w(|c|) * (t[c] - v(c)), and v(c) is 0.0: c
+    # lacks the sink. t[c] - 0.0 is t[c] to the bit, -0.0 and NaN included.
+    phi.append(math.fsum(w[c.bit_count()] * table[c] for c in nonzero))
     return phi
 
 
 def shapley_exact(table: Sequence[float], n: int) -> tuple[float, ...]:
-    """Exact Shapley values of the game ``table`` over ``n`` agents, one per
-    agent in index order. ``table`` is the value of every subset, indexed
-    by mask (ValueError unless it has ``2**n`` entries). A pure function of
-    the table: what valuing it cost is the caller's to report.
+    """Exact Shapley values of a game over ``n`` agents in which only the
+    coalitions holding the sink, agent ``n - 1``, are worth anything, one
+    per agent in index order. ``table`` is the value of each coalition
+    holding the sink, indexed by the mask of its other members, so
+    ``2**(n - 1)`` entries (ValueError for any other length); every other
+    coalition is worth 0.0. A pure function of the table: what valuing it
+    cost is the caller's to report.
     """
     if n < 1:
         raise InvalidSize("need at least one agent")
     if n > MAX_AGENTS:
         raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
-    if len(table) != 1 << n:
-        raise ValueError(f"the table has {len(table)} entries, not 2**{n} = {1 << n}")
-    return tuple(_phi(n, array(MASK_TYPECODE, compress(range(1 << n), table)), table))
+    size = 1 << n - 1
+    if len(table) != size:
+        raise ValueError(f"the table has {len(table)} entries, not 2**{n - 1} = {size}")
+    return tuple(_phi(n, array(MASK_TYPECODE, compress(range(size), table)), table))
 
 
 class LayeredRunResult(NamedTuple):

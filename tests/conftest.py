@@ -21,14 +21,26 @@ def layered_graph(sizes):
     return build_graph(layers, edges)
 
 
-def dense_table(n, entries):
-    """A game over ``n`` agents as the engines take it: a list of 2**n
-    values indexed by mask, holding the value of each (mask, value) of
-    ``entries`` and 0.0 at every other mask."""
-    table = [0.0] * (1 << n)
+def sink_table(n, entries):
+    """A game over ``n`` agents as the engines take it: a list of the
+    2**(n - 1) values of the coalitions holding the sink, agent n - 1,
+    indexed by configuration (the mask without the sink's bit), holding the
+    value of each (mask, value) of ``entries``, whose masks hold the sink,
+    and 0.0 at every other configuration."""
+    sink_bit = 1 << n - 1
+    table = [0.0] * sink_bit
     for mask, value in entries:
-        table[mask] = value
+        assert mask & sink_bit, f"mask {mask:#b} lacks the sink"
+        table[mask ^ sink_bit] = value
     return table
+
+
+def dense_view(n, table):
+    """The game ``table`` over ``n`` agents as the value of every one of its
+    2**n subsets, indexed by mask: the subsets holding the sink, the highest
+    bit, are the upper half, and every other one is worth +0.0."""
+    assert len(table) == 1 << n - 1
+    return [0.0] * len(table) + list(table)
 
 
 def prefix_mask(graph, layer):
@@ -45,13 +57,18 @@ def sink_tasks(plan):
     return [table[mask & len(table) - 1] for mask in plan.viable]
 
 
-def dense_values(plan, task_values):
+def game_table(plan, task_values):
     """A window game as ``shapley_exact`` takes it, from its one value per
-    sink task: a list of 2**n floats indexed by mask, each viable mask's
-    value the value of its sink task in ``plan``, and 0.0 at every other
-    mask."""
-    values = [task_values[task] for task in sink_tasks(plan)]
-    return dense_table(plan.graph.n, zip(plan.viable, values))
+    sink task: per configuration of the agents other than the sink, the
+    value of its sink task in ``plan``, and 0.0 where it has none."""
+    return [task_values[task] if task >= 0 else 0.0 for task in plan.task_tables[plan.graph.sink]]
+
+
+def dense_values(plan, task_values):
+    """A window game as the value of every one of its 2**n subsets, indexed
+    by mask: each viable mask's value the value of its sink task in
+    ``plan``, and 0.0 at every other mask."""
+    return dense_view(plan.graph.n, game_table(plan, task_values))
 
 
 def report_rows(plan):

@@ -49,7 +49,7 @@ from dagcredit.shapley import (
     _weights,
 )
 
-from conftest import layered_graph, prefix_mask, report_rows
+from conftest import dense_view, layered_graph, prefix_mask, report_rows, sink_table
 from golden_runs import FEATURES
 from test_shapley import all_masks_phi, closed_form_cost, random_layered
 
@@ -98,15 +98,12 @@ def test_criterion_3_attribution_equivalence():
         rng = random.Random(4000 + seed)
         g = random_layered(rng, 3 + seed % 8)
         viable = enumerate_viable(g)
-        table = [0.0] * (1 << g.n)
-        for mask in viable:
-            table[mask] = rng.uniform(-2.0, 2.0)
+        table = sink_table(g.n, ((mask, rng.uniform(-2.0, 2.0)) for mask in viable))
         phi = shapley_exact(table, g.n)
-        worst_diff = max(
-            worst_diff,
-            max(abs(a - b) for a, b in zip(phi, all_masks_phi(g.n, table.__getitem__))),
-        )
-        worst_eff = max(worst_eff, abs(math.fsum(phi) - table[g.full_mask]))
+        oracle = all_masks_phi(g.n, dense_view(g.n, table).__getitem__)
+        worst_diff = max(worst_diff, max(abs(a - b) for a, b in zip(phi, oracle)))
+        # The grand coalition's value, at the last configuration.
+        worst_eff = max(worst_eff, abs(math.fsum(phi) - table[-1]))
         games += 1
     assert games >= 20
     assert worst_diff < 1e-9
@@ -121,27 +118,27 @@ def test_criterion_3_attribution_equivalence():
 
 def test_criterion_4_shapley_axioms():
     start = time.perf_counter()
-    # efficiency on seeded float games
+    # efficiency on seeded float games, worth something only with the sink
     for seed in range(6):
         rng = random.Random(seed)
         n = 3 + seed % 4
-        table = [0.0] + [rng.uniform(-5, 5) for mask in range(1, 1 << n)]
+        table = [rng.uniform(-5, 5) for _ in range(1 << n - 1)]
         phi = shapley_exact(table, n)
-        assert abs(math.fsum(phi) - table[(1 << n) - 1]) < 1e-9
-    # symmetry: cardinality-only games value every agent identically
+        assert abs(math.fsum(phi) - table[-1]) < 1e-9
+    # symmetry: games that count the heads of the coalitions holding the
+    # sink value every other agent identically
     for n in (3, 5):
-        by_size = [0.0] + [(k + 1) / 3 for k in range(n)]
-        table = [by_size[mask.bit_count()] for mask in range(1 << n)]
-        assert len(set(shapley_exact(table, n))) == 1
+        by_size = [(k + 1) / 3 for k in range(n)]
+        table = [by_size[config.bit_count()] for config in range(1 << n - 1)]
+        assert len(set(shapley_exact(table, n)[:-1])) == 1
     # null player: ignored agent gets exactly zero
     rng = random.Random(99)
     n, null_agent = 5, 2
     strip = ~(1 << null_agent)
     cache = {}
-    for mask in range(1 << n):
-        cache.setdefault(mask & strip, rng.randint(-9, 9) / 4)
-    cache[0] = 0.0
-    table = [cache[mask & strip] for mask in range(1 << n)]
+    for config in range(1 << n - 1):
+        cache.setdefault(config & strip, rng.randint(-9, 9) / 4)
+    table = [cache[config & strip] for config in range(1 << n - 1)]
     assert shapley_exact(table, n)[null_agent] == 0.0
     # the weights sum to one for every agent count, and the engine's are
     # those rationals rounded once

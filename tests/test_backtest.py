@@ -61,7 +61,7 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_values, grand_outputs, layered_graph, report_rows, swapped_trader,
+    dense_values, game_table, grand_outputs, layered_graph, report_rows, swapped_trader,
 )
 from golden_runs import SPARSE_SKIP_GRAPH
 
@@ -400,7 +400,7 @@ def test_evaluate_window_dag_engine_counts(window_setup):
     assert counters.agent_executions == 4 * 73
     assert counters.executions_reused == 0
     assert_task_values(plan, game)
-    assert game.attribution.values == shapley_exact(dense_values(plan, game.task_values), g.n)
+    assert game.attribution.values == shapley_exact(game_table(plan, game.task_values), g.n)
     assert game.replay is None
 
 
@@ -434,7 +434,7 @@ def test_evaluate_window_engines_agree(window_setup):
     # Engine ``both`` raised nothing, so the replay valued every subset as
     # the pruned table does.
     assert game.replay == CostCounters(coalition_evaluations=128, agent_executions=4 * 448)
-    assert game.attribution.values == shapley_exact(dense_values(plan, game.task_values), g.n)
+    assert game.attribution.values == shapley_exact(game_table(plan, game.task_values), g.n)
 
 
 def test_evaluate_window_both_aggregates_once(window_setup, monkeypatch):
@@ -503,6 +503,37 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
             replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=episodes)
             assert value(list(map(score, replay.sink_outputs))) == 0.0
             assert dense[mask] == 0.0
+
+
+def test_evaluate_window_table_is_zero_at_every_non_viable_configuration(
+    window_setup, monkeypatch
+):
+    """The table ``evaluate_window`` aggregates has one entry per
+    configuration of the agents other than the sink. With every sink task,
+    the grand coalition's last among them, worth a non-zero value, each
+    configuration without a viable mask still reads +0.0, and each other
+    one reads its sink task's value."""
+    g, market, runner, plan = window_setup
+    tables = []
+    aggregate = backtest.shapley_exact
+
+    def recorded(table, n):
+        tables.append(list(table))
+        return aggregate(table, n)
+
+    monkeypatch.setattr(backtest, "shapley_exact", recorded)
+    # A signed decision lies in [-1, 1], so every value lies in [1, 3].
+    game = evaluate_window(
+        plan, runner, [market.for_day(9)], signed_decision_value,
+        lambda scores: 2.0 + scores[0],
+    )
+    (table,) = tables
+    assert len(table) == 1 << g.n - 1
+    assert game.task_values[-1] == table[-1] != 0.0
+    assert 0.0 not in game.task_values
+    # ``game_table`` reads +0.0 at the 15 configurations without a sink task.
+    assert sum(task < 0 for task in plan.task_tables[g.sink]) == 15
+    assert [v.hex() for v in table] == [v.hex() for v in game_table(plan, game.task_values)]
 
 
 def test_evaluate_window_both_rejects_a_runner_whose_outputs_change(window_setup):
@@ -660,8 +691,9 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
 def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
     """A game keeps each sink output's score, not the output: on fully
     connected 5-5-5-1 (29,791 sink tasks) ``evaluate_window`` retains at
-    most 2.5 MiB and peaks at most 3 MiB above its inputs, plan included.
-    Measured on CPython 3.11: 1.93 and 2.16 MiB, where keeping the sink's
+    most 2.5 MiB and peaks at most 3 MiB above its inputs, the plan among
+    them. Measured on CPython 3.11.7: 1.54 and 1.81 MiB, where a table of
+    every subset's value peaked at 2.04 MiB and keeping the sink's
     decisions took 4.87 and 5.10 MiB."""
     g = layered_graph([5, 5, 5, 1])
     viable = enumerate_viable(g)

@@ -345,6 +345,7 @@ def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):
         {"threshold": 0.5},
         {"lesson_cap": None},
         {"rf_daily": 0.0001},
+        {"symbol": "ACME"},
     ],
     ids=",".join,
 )
@@ -367,6 +368,15 @@ def test_shapley_accepts_a_config_holding_every_default(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(dataclasses.asdict(RunConfig())), encoding="utf-8")
     assert run(capsys, "shapley", "--config", str(config)) == run(capsys, "shapley")
+
+
+def test_shapley_accepts_a_config_whose_symbol_is_null(capsys, tmp_path):
+    """A null ``symbol`` is its default, so ``shapley`` runs as without it."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"symbol": null}', encoding="utf-8")
+    code, out, err = run(capsys, "shapley", "--config", str(config))
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "shapley")
 
 
 def test_shapley_both_exits_three_when_the_engines_disagree(capsys, monkeypatch):

@@ -22,6 +22,8 @@ from dagcredit.optimizer import (
 from dagcredit.graph import reference_graph
 from dagcredit.shapley import shapley_exact
 
+from conftest import sink_table
+
 
 # ---------------------------------------------------------------------------
 # bottleneck identification
@@ -158,10 +160,7 @@ def cycle_fixture(value_of):
     g = reference_graph()
     specs = build_system(g, seed=42)
     rewards = [-0.01, 0.02, -0.03, 0.01]
-    viable = enumerate_viable(g)
-    table = [0.0] * (1 << g.n)
-    for mask in viable:
-        table[mask] = value_of(mask)
+    table = sink_table(g.n, ((mask, value_of(mask)) for mask in enumerate_viable(g)))
     return g, specs, rewards, shapley_exact(table, g.n)
 
 

@@ -40,7 +40,7 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_table, dense_values, grand_outputs, layered_graph, prefix_mask, sink_outputs,
+    dense_view, game_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, sink_table,
     sink_tasks, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
@@ -60,12 +60,12 @@ def named_graph(name):
 
 
 def pruned_attribution(graph, viable, runner):
-    """The pruned engine's attribution of one shared episode: the dense
-    table of the viable masks' signed sink decisions (0.0 elsewhere),
-    aggregated with the episode's work and one evaluation per viable mask."""
+    """The pruned engine's attribution of one shared episode: the table of
+    the viable masks' signed sink decisions (0.0 elsewhere), aggregated
+    with the episode's work and one evaluation per viable mask."""
     run = layered_run(graph, viable, runner, FEATURES)
     values = map(signed_decision_value, sink_outputs(run))
-    table = dense_table(graph.n, zip(viable, values, strict=True))
+    table = sink_table(graph.n, zip(viable, values, strict=True))
     return AttributionResult(
         shapley_exact(table, graph.n), run.counters._replace(coalition_evaluations=len(viable))
     )
@@ -82,6 +82,15 @@ def replay_table(graph, runner):
         sink = replay.sink_outputs[0]
         values.append(0.0 if sink is None else signed_decision_value(sink))
     return values, CostCounters(1 << graph.n, executions)
+
+
+def held_by_sink(values, n):
+    """The table ``shapley_exact`` takes of a game given by the value of
+    every subset, indexed by mask: its upper half, the subsets holding the
+    sink, once every other subset is checked to be worth +0.0."""
+    half = 1 << n - 1
+    assert [v.hex() for v in values[:half]] == ["0x0.0p+0"] * half
+    return values[half:]
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +131,11 @@ def permutation_shapley(n, game):
 
 @pytest.mark.parametrize("seed,n", [(0, 3), (1, 4), (2, 5), (3, 5)])
 def test_exact_engine_matches_permutation_oracle(seed, n):
+    """Random values at the coalitions holding the sink, zero elsewhere."""
     rng = random.Random(seed)
-    table = {0: Fraction(0)}
-    for mask in range(1, 1 << n):
-        table[mask] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-    oracle = permutation_shapley(n, table.__getitem__)
-    floats = shapley_exact([float(table[m]) for m in range(1 << n)], n)
+    held = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(1 << n - 1)]
+    oracle = permutation_shapley(n, ([Fraction(0)] * len(held) + held).__getitem__)
+    floats = shapley_exact(list(map(float, held)), n)
     for got, want in zip(floats, oracle):
         assert abs(got - float(want)) < 1e-9
 
@@ -138,8 +146,9 @@ def test_exact_engine_matches_permutation_oracle(seed, n):
 
 def assert_phi_within_bound(table, n, phi):
     """Each float of ``phi`` lies within the a priori bound of the exact
-    Shapley value of ``table``."""
-    for got, (want, magnitude) in zip(phi, exact_shapley(table, n), strict=True):
+    Shapley value of the game ``table``."""
+    exact = exact_shapley(dense_view(n, table), n)
+    for got, (want, magnitude) in zip(phi, exact, strict=True):
         assert abs(Fraction(got) - want) <= float_phi_bound(magnitude, got)
 
 
@@ -156,7 +165,7 @@ def test_backtest_phi_is_within_its_bound_of_the_exact_value(monkeypatch):
     result = backtest.run_backtest(RunConfig(seed=42, days=60).validate())
     assert len(games) == 2 * len(result.windows) == 24
     for game in games:
-        table = dense_values(result.plan, game.task_values)
+        table = game_table(result.plan, game.task_values)
         assert_phi_within_bound(table, result.graph.n, game.attribution.values)
 
 
@@ -169,7 +178,7 @@ def test_phi_is_within_its_bound_of_the_exact_value(graph, rng):
     """Games of values spread over many binades, zero off the viable
     masks."""
     viable = enumerate_viable(graph)
-    table = dense_table(graph.n, (
+    table = sink_table(graph.n, (
         (mask, rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30)]))
         for mask in viable
     ))
@@ -195,20 +204,21 @@ def all_masks_phi(n, value_of):
 
 @st.composite
 def closed_tables(draw):
-    """A size n and a table over some of its 2**n masks that holds every
-    superset of each of its masks: a drawn sparse table closed upward, the
-    added masks with drawn values too. Absent masks are worth zero, and
+    """A size n and a table over some of the 2**(n - 1) configurations of
+    the agents other than the sink that holds every superset of each of its
+    configurations: a drawn sparse table closed upward, the added
+    configurations with drawn values too. Absent ones are worth zero, and
     present ones may hold 0.0 or -0.0."""
     n = draw(st.integers(1, 6))
     value = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0]),
         st.floats(-1e6, 1e6, allow_nan=False),
     )
-    table = draw(st.dictionaries(st.integers(0, (1 << n) - 1), value))
+    table = draw(st.dictionaries(st.integers(0, (1 << n - 1) - 1), value))
     drawn = list(table)
-    for mask in range(1 << n):
-        if mask not in table and any(seed & mask == seed for seed in drawn):
-            table[mask] = draw(value)
+    for config in range(1 << n - 1):
+        if config not in table and any(seed & config == seed for seed in drawn):
+            table[config] = draw(value)
     return n, table
 
 
@@ -220,26 +230,26 @@ def same_bits(got, want):
 @settings(max_examples=200, deadline=None)
 def test_table_aggregation_is_bit_identical_to_all_masks(case):
     """The aggregation equals the sum over all subsets bit for bit on a
-    table that is non-zero only on masks holding every superset of each of
-    their members, as viable masks do (adding a member keeps a coalition
-    viable)."""
+    game that is non-zero only on coalitions holding the sink and every
+    superset of each of their members, as viable masks do (adding a member
+    keeps a coalition viable)."""
     n, entries = case
-    table = dense_table(n, entries.items())
-    want = all_masks_phi(n, table.__getitem__)
+    table = [entries.get(config, 0.0) for config in range(1 << n - 1)]
+    want = all_masks_phi(n, dense_view(n, table).__getitem__)
     assert same_bits(shapley_exact(table, n), want)
 
 
 @given(skip_layered_graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_viable_tables_aggregate_without_superset_probes(g, seed):
-    """A dense table over the viable masks, zero elsewhere, aggregates to
-    the all-masks sum."""
+    """A table over the viable masks, zero elsewhere, aggregates to the
+    all-masks sum."""
     rng = random.Random(seed)
     viable = enumerate_viable(g)
-    table = dense_table(
+    table = sink_table(
         g.n, ((mask, rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])) for mask in viable)
     )
-    want = all_masks_phi(g.n, table.__getitem__)
+    want = all_masks_phi(g.n, dense_view(g.n, table).__getitem__)
     assert same_bits(shapley_exact(table, g.n), want)
 
 
@@ -258,14 +268,14 @@ def test_viable_walk_drops_only_zero_terms(g, data):
     """A table filled as ``evaluate_window`` fills it, one drawn value per
     sink task (signed zeros, units, NaN, ±inf and one uniform value that
     repeats), with all but a few sink tasks at zero in some draws, and a
-    zero of either sign off the viable masks: the aggregation, walking only
-    the masks of non-zero value, gives the all-masks sum, bit for bit, or
-    the same error, so the terms its walks skip are all zeros."""
+    zero of either sign at the configurations with no viable mask: the
+    aggregation, walking only the configurations of non-zero value, gives
+    the all-masks sum, bit for bit, or the same error, so the terms its
+    walks skip are all zeros."""
     viable = enumerate_viable(g)
-    viable_masks = set(viable)
-    off = [mask for mask in range(1 << g.n) if mask not in viable_masks]
-    negative = data.draw(st.sets(st.sampled_from(off)), label="masks off viable at -0.0")
     plan = live_plan(g, viable)
+    off = [config for config, task in enumerate(plan.task_tables[g.sink]) if task < 0]
+    negative = data.draw(st.sets(st.sampled_from(off)), label="configurations off viable at -0.0")
     shared = data.draw(st.floats(-2, 2), label="repeated value")
     tasks = len(plan.keys[g.sink])
     by_task = data.draw(
@@ -281,10 +291,10 @@ def test_viable_walk_drops_only_zero_terms(g, data):
         by_task = [
             v if task in kept else math.copysign(0.0, v) for task, v in enumerate(by_task)
         ]
-    table = dense_table(g.n, zip(viable, map(by_task.__getitem__, sink_tasks(plan))))
-    for mask in negative:
-        table[mask] = -0.0
-    want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
+    table = sink_table(g.n, zip(viable, map(by_task.__getitem__, sink_tasks(plan))))
+    for config in negative:
+        table[config] = -0.0
+    want = phi_or_error(lambda: all_masks_phi(g.n, dense_view(g.n, table).__getitem__))
     assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
@@ -299,8 +309,8 @@ def test_viable_walk_keeps_every_non_finite_term(g, data):
     viable = enumerate_viable(g)
     specials = data.draw(st.sets(st.sampled_from([math.inf, -math.inf, math.nan])))
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, *specials])
-    table = dense_table(g.n, ((mask, data.draw(values)) for mask in viable))
-    want = phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__))
+    table = sink_table(g.n, ((mask, data.draw(values)) for mask in viable))
+    want = phi_or_error(lambda: all_masks_phi(g.n, dense_view(g.n, table).__getitem__))
     assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
@@ -318,27 +328,28 @@ def test_non_finite_values_reach_phi(grand, other, want):
     """On 2-2-1 the grand coalition holds ``grand`` and the mask without
     the second layer's second agent holds ``other``: infinities, the NaN of
     inf - inf, and the ValueError of inf + -inf all come through the walk
-    over the masks of non-zero value as they come through the sum over
-    every mask."""
+    over the configurations of non-zero value as they come through the sum
+    over every mask."""
     g = layered_graph([2, 2, 1])
-    table = dense_table(g.n, [(g.full_mask, grand), (g.full_mask ^ 0b1000, other)])
-    assert phi_or_error(lambda: all_masks_phi(g.n, table.__getitem__)) == want
+    table = sink_table(g.n, [(g.full_mask, grand), (g.full_mask ^ 0b1000, other)])
+    assert phi_or_error(lambda: all_masks_phi(g.n, dense_view(g.n, table).__getitem__)) == want
     assert phi_or_error(lambda: shapley_exact(table, g.n)) == want
 
 
 def test_aggregation_holds_no_list_of_terms():
-    """Aggregation streams its terms: on the dense table of the 29,791
-    viable masks of 5-5-5-1 its peak allocation stays under 320 KiB, where
-    a list of one agent's terms alone would not, and phi is the all-masks
-    sum to the last bit."""
+    """Aggregation streams its terms: on the table of the 29,791 viable
+    masks of 5-5-5-1 its peak allocation stays under 320 KiB, where a list
+    of one agent's terms alone would not, and phi is the all-masks sum to
+    the last bit."""
     g = layered_graph([5, 5, 5, 1])
     rng = random.Random(18)
     viable = enumerate_viable(g)
-    table = dense_table(
+    table = sink_table(
         g.n, ((mask, rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])) for mask in viable)
     )
     assert len(viable) == 29_791
-    assert {"0x0.0p+0", "-0x0.0p+0"} <= {table[mask].hex() for mask in viable}
+    sink_bit = 1 << g.sink
+    assert {"0x0.0p+0", "-0x0.0p+0"} <= {table[mask ^ sink_bit].hex() for mask in viable}
     tracemalloc.start()
     try:
         phi = shapley_exact(table, g.n)
@@ -346,7 +357,7 @@ def test_aggregation_holds_no_list_of_terms():
     finally:
         tracemalloc.stop()
     assert peak < 320 * 1024
-    assert same_bits(phi, all_masks_phi(g.n, table.__getitem__))
+    assert same_bits(phi, all_masks_phi(g.n, dense_view(g.n, table).__getitem__))
 
 
 class CountingTable(list):
@@ -360,36 +371,46 @@ class CountingTable(list):
 
 
 def test_aggregation_reads_three_entries_per_agent_and_non_zero_mask():
-    """Each agent's walk reads at most three entries per mask of non-zero
-    value and none for a zero one, as a term is non-zero only where one of
-    its two values is. On 5-5-5-1 with over 90% of the 29,791 viable values
-    zero, it reads besides at most one pass over the 2**16 entries, to find
-    the masks of non-zero value."""
+    """Each agent's walk reads at most three entries per configuration of
+    non-zero value and none for a zero one, as a term is non-zero only where
+    one of its two values is. On 5-5-5-1 with over 90% of the 29,791 viable
+    values zero, it reads besides at most one pass over the 2**15 entries,
+    to find the configurations of non-zero value."""
     g = layered_graph([5, 5, 5, 1])
     rng = random.Random(32)
     viable = enumerate_viable(g)
-    values = dense_table(g.n, (
+    values = sink_table(g.n, (
         (mask, rng.choice([1.0, -1.0, rng.uniform(-2, 2)] if rng.random() < 0.05 else [0.0, -0.0]))
         for mask in viable
     ))
     nonzero = sum(map(bool, values))
     assert 0 < nonzero <= len(viable) // 10
-    want = all_masks_phi(g.n, values.__getitem__)
+    want = all_masks_phi(g.n, dense_view(g.n, values).__getitem__)
     table = CountingTable(values)
     assert same_bits(shapley_exact(table, g.n), want)
-    assert table.reads <= (1 << g.n) + 3 * g.n * nonzero
+    assert table.reads <= (1 << g.sink) + 3 * g.n * nonzero
 
 
 def test_engines_reject_a_table_of_another_length():
     for length in (0, 3, 5, 8):
         with pytest.raises(ValueError, match=f"^the table has {length} entries, not 2\\*\\*2 = 4$"):
-            shapley_exact([0.0] * length, 2)
+            shapley_exact([0.0] * length, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_exact_engine_rejects_a_table_of_every_subset(n):
+    """A table of all 2**n subsets is not a game of the coalitions holding
+    the sink: it raises, rather than being read as one of twice as many
+    agents' configurations."""
+    message = f"^the table has {1 << n} entries, not 2\\*\\*{n - 1} = {1 << n - 1}$"
+    with pytest.raises(ValueError, match=message):
+        shapley_exact([1.0] * (1 << n), n)
 
 
 def test_exact_engine_returns_only_the_contributions():
     """The aggregation is a function of the table alone: one float per
     agent, in index order. What valuing the table cost is the caller's."""
-    phi = shapley_exact(dense_table(4, [(0b1111, 1.0)]), 4)
+    phi = shapley_exact(sink_table(4, [(0b1111, 1.0)]), 4)
     assert type(phi) is tuple
     assert phi == (0.25, 0.25, 0.25, 0.25)
 
@@ -411,42 +432,42 @@ def test_engines_reject_oversized_inputs():
 )
 @settings(max_examples=60, deadline=None)
 def test_efficiency_on_random_games(n, seed):
+    """The contributions sum to the grand coalition's value, the last
+    configuration's."""
     rng = random.Random(seed)
-    table = [0.0] + [rng.uniform(-5, 5) for mask in range(1, 1 << n)]
-    assert abs(math.fsum(shapley_exact(table, n)) - table[(1 << n) - 1]) < 1e-9
+    table = [rng.uniform(-5, 5) for _ in range(1 << n - 1)]
+    assert abs(math.fsum(shapley_exact(table, n)) - table[-1]) < 1e-9
 
 
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=500))
+@given(st.integers(min_value=3, max_value=6), st.integers(min_value=0, max_value=500))
 @settings(max_examples=40, deadline=None)
 def test_symmetry_on_cardinality_games(n, seed):
-    """A game that only counts heads treats every agent identically."""
+    """A game that only counts the heads of the coalitions holding the sink
+    treats every other agent identically."""
     rng = random.Random(seed)
-    by_size = [0.0] + [rng.randint(-9, 9) / rng.randint(1, 7) for _ in range(n)]
-    table = [by_size[mask.bit_count()] for mask in range(1 << n)]
-    # Every agent's terms are the same multiset, and fsum rounds them once.
-    assert len(set(shapley_exact(table, n))) == 1
+    by_size = [rng.randint(-9, 9) / rng.randint(1, 7) for _ in range(n)]
+    table = [by_size[config.bit_count()] for config in range(1 << n - 1)]
+    # Every such agent's terms are the same multiset, and fsum rounds them once.
+    assert len(set(shapley_exact(table, n)[:-1])) == 1
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=500))
 @settings(max_examples=40, deadline=None)
 def test_null_player_gets_exact_zero(n, seed):
     rng = random.Random(seed)
-    null_agent = rng.randrange(n)
+    null_agent = rng.randrange(n - 1)
     strip = ~(1 << null_agent)
-    table = {}
-    for mask in range(1 << n):
-        base = mask & strip
-        if base not in table:
-            table[base] = rng.randint(-20, 20) / rng.randint(1, 9)
-        table[mask] = table[base]
-    table[0] = 0.0
-    game = [table[mask & strip] for mask in range(1 << n)]
+    by_base = {}
+    for config in range(1 << n - 1):
+        if config & strip not in by_base:
+            by_base[config & strip] = rng.randint(-20, 20) / rng.randint(1, 9)
+    game = [by_base[config & strip] for config in range(1 << n - 1)]
     # Each of the null agent's terms is w * (x - x) = 0.0.
     assert shapley_exact(game, n)[null_agent] == 0.0
 
 
 def test_symmetric_pair_in_float_mode():
-    table = [0.0, 1.5, 1.5, 2.0, 0.25, 1.75, 1.75, 3.5]
+    table = [0.25, 1.75, 1.75, 3.5]
     phi = shapley_exact(table, 3)
     assert abs(phi[0] - phi[1]) < 1e-12
 
@@ -480,10 +501,10 @@ def test_engine_equivalence_on_random_graphs(seed):
     rng = random.Random(1000 + seed)
     g = random_layered(rng, 3 + seed % 8)
     viable = enumerate_viable(g)
-    table = dense_table(g.n, ((mask, rng.uniform(-2, 2)) for mask in viable))
+    table = sink_table(g.n, ((mask, rng.uniform(-2, 2)) for mask in viable))
     phi = shapley_exact(table, g.n)
-    assert same_bits(phi, all_masks_phi(g.n, table.__getitem__))
-    assert abs(math.fsum(phi) - table[g.full_mask]) < 1e-9
+    assert same_bits(phi, all_masks_phi(g.n, dense_view(g.n, table).__getitem__))
+    assert abs(math.fsum(phi) - table[-1]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +593,7 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
 def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
     replay_values, replay_counters = replay_table(ref_graph, ref_runner)
     dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
-    assert dag.values == shapley_exact(replay_values, ref_graph.n)
+    assert dag.values == shapley_exact(held_by_sink(replay_values, ref_graph.n), ref_graph.n)
     assert dag.counters == CostCounters(49, 73, 169)
     assert replay_counters == CostCounters(128, 448, 0)
 
@@ -810,13 +831,13 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     for mask, output in zip(viable, sink_outputs(run), strict=True):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
-    table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
+    table = sink_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     replay_values, _ = replay_table(g, runner)
-    # The replay is worth 0.0 at every mask the pruned table leaves at 0.0,
-    # so the two tables give every bit of phi alike.
-    assert [v.hex() for v in replay_values] == [v.hex() for v in table]
+    # The replay is worth 0.0 at every mask the pruned game leaves at 0.0,
+    # so the two games give every bit of phi alike.
+    assert [v.hex() for v in replay_values] == [v.hex() for v in dense_view(g.n, table)]
     pruned = shapley_exact(table, g.n)
-    exact = shapley_exact(replay_values, g.n)
+    exact = shapley_exact(held_by_sink(replay_values, g.n), g.n)
     assert [v.hex() for v in pruned] == [v.hex() for v in exact]
 
 
@@ -954,10 +975,10 @@ def assert_matches_replay(g, run, runner):
     for mask, output in zip(viable, sink_outputs(run), strict=True):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
-    table = dense_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
+    table = sink_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_exact(table, g.n)
     replay_values, _ = replay_table(g, runner)
-    exact = shapley_exact(replay_values, g.n)
+    exact = shapley_exact(held_by_sink(replay_values, g.n), g.n)
     assert [v.hex() for v in dag] == [v.hex() for v in exact]
 
 
