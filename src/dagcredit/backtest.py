@@ -71,8 +71,11 @@ FEATURE_HEADER = ["date", "sentiment", "fundamental"]
 STRATEGY_TUNED = "tuned-agents"
 STRATEGY_FROZEN = "frozen-agents"
 STRATEGY_BUY_HOLD = "buy-hold"
-STRATEGY_MACD = "macd-12-26-9"
-STRATEGY_SMA = "sma-20-50"
+# The baselines' spans in days, which their strategy names give.
+MACD_FAST, MACD_SLOW, MACD_SIGNAL = 12, 26, 9
+SMA_FAST, SMA_SLOW = 20, 50
+STRATEGY_MACD = f"macd-{MACD_FAST}-{MACD_SLOW}-{MACD_SIGNAL}"
+STRATEGY_SMA = f"sma-{SMA_FAST}-{SMA_SLOW}"
 
 
 class ParseError(InputError):
@@ -140,11 +143,9 @@ class Market(NamedTuple):
         )
 
 
-def load_market(
-    market_csv: str | Path, features_csv: str | Path, symbol: str = "CSV"
-) -> Market:
+def load_market(market_csv: str | Path, features_csv: str | Path) -> Market:
     """Parse and validate an OHLCV file, then the per-day feature file,
-    which must cover every market day.
+    which must cover every market day, as a market named ``CSV``.
 
     The market header must be exactly ``date,open,high,low,close,volume``;
     dates are ISO format, strictly increasing, every number finite, prices
@@ -202,7 +203,7 @@ def load_market(
             f"features missing for {len(missing)} market days, first {missing[0]}"
         )
     return Market(
-        symbol,
+        "CSV",
         tuple(days),
         tuple(closes),
         tuple(by_day[d][0] for d in days),
@@ -253,13 +254,10 @@ def _next_weekday(d: date) -> date:
 
 
 def synthesize_market(
-    seed: int,
-    days: int,
-    regime: str = "bull",
-    signal_strength: float = 0.6,
-    symbol: str = "SYNTH",
+    seed: int, days: int, regime: str = "bull", signal_strength: float = 0.6
 ) -> Market:
-    """Seeded geometric random walk plus features that lead the returns.
+    """Seeded geometric random walk plus features that lead the returns, as
+    a market named ``SYNTH``.
 
     Regimes set the daily drift (bull +, bear -, sideways 0). The sentiment
     feature mixes the next day's standardized return with noise at
@@ -307,7 +305,7 @@ def synthesize_market(
         fundamental.append(max(-1.0, min(1.0, raw)))
 
     return Market(
-        symbol, tuple(trading_days), tuple(closes), tuple(sentiment), tuple(fundamental)
+        "SYNTH", tuple(trading_days), tuple(closes), tuple(sentiment), tuple(fundamental)
     )
 
 
@@ -363,9 +361,9 @@ def annualized_sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:
     return sharpe(returns, rf_daily) * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def build_equity(returns: Sequence[float], initial: float = 1.0) -> list[float]:
-    """Compound an equity curve from simple returns, starting at ``initial``."""
-    equity = [initial]
+def build_equity(returns: Sequence[float]) -> list[float]:
+    """Compound an equity curve from simple returns, starting at 1.0."""
+    equity = [1.0]
     for r in returns:
         equity.append(equity[-1] * (1.0 + r))
     return equity
@@ -389,16 +387,13 @@ def max_drawdown(equity: Sequence[float]) -> float:
     return worst
 
 
-def decision_to_position(decision: Any) -> int:
+def decision_to_position(decision: TradeDecision | None) -> int:
     """Buy -> +1, Hold -> 0, Sell -> -1. ``None`` (no trader ran) is flat.
 
     The backtest's ``score`` for ``evaluate_window``: a window game keeps
     each sink decision's position, which is all ``sharpe_value`` reads.
     """
-    if decision is None:
-        return 0
-    action = decision.action if isinstance(decision, TradeDecision) else decision
-    return action.sign
+    return 0 if decision is None else decision.action.sign
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +584,22 @@ def _ema(values: Sequence[float], span: int) -> list[float]:
     return out
 
 
-def macd_positions(closes: Sequence[float], fast: int = 12, slow: int = 26, signal: int = 9) -> list[int]:
+def macd_positions(closes: Sequence[float]) -> list[int]:
     """+1 when the MACD line is above its signal line, -1 below, 0 when equal."""
-    line = [f - s for f, s in zip(_ema(closes, fast), _ema(closes, slow))]
-    sig = _ema(line, signal)
+    line = [f - s for f, s in zip(_ema(closes, MACD_FAST), _ema(closes, MACD_SLOW))]
+    sig = _ema(line, MACD_SIGNAL)
     return [(1 if m > s else -1 if m < s else 0) for m, s in zip(line, sig)]
 
 
-def sma_positions(closes: Sequence[float], fast: int = 20, slow: int = 50) -> list[int]:
+def sma_positions(closes: Sequence[float]) -> list[int]:
     """+1/-1 on the fast/slow average cross; flat until both windows fill."""
     out = []
     for i in range(len(closes)):
-        if i + 1 < slow:
+        if i + 1 < SMA_SLOW:
             out.append(0)
             continue
-        f = math.fsum(closes[i + 1 - fast : i + 1]) / fast
-        s = math.fsum(closes[i + 1 - slow : i + 1]) / slow
+        f = math.fsum(closes[i + 1 - SMA_FAST : i + 1]) / SMA_FAST
+        s = math.fsum(closes[i + 1 - SMA_SLOW : i + 1]) / SMA_SLOW
         out.append(1 if f > s else -1 if f < s else 0)
     return out
 

@@ -326,7 +326,7 @@ def layered_run(
     run_agent: AgentRunner,
     external: Any = None,
     *,
-    plan: LivePlan | None = None,
+    plan: LivePlan,
     reuse: tuple[LayeredRunResult, int] | None = None,
 ) -> LayeredRunResult:
     """Execute every viable coalition (given by mask) for one episode with
@@ -336,12 +336,15 @@ def layered_run(
     predecessors inside the coalition, so only on the members with a path
     to it inside the coalition: its live key. In index order, which runs
     every agent after its predecessors, each agent has one task per
-    distinct live key among the viable coalitions that hold it (``plan``,
-    built from the masks when not given). A task's inputs are the
-    outputs of its direct predecessors' tasks inside the live key; external
-    data goes to source agents only. A coalition's sink output is the
-    output of the sink's task under its live key, its entry in the sink's
-    table of ``plan.task_tables``.
+    distinct live key among the viable coalitions that hold it: the tasks
+    of ``plan``, which must be ``live_plan(graph, viable)`` or equal to it
+    (ValueError otherwise). A task's inputs are the outputs of its direct
+    predecessors' tasks inside the live key; external data goes to source
+    agents only. A coalition's sink output is the output of the sink's task
+    under its live key, its entry in the sink's table of
+    ``plan.task_tables``. ``graph`` and ``viable`` stay the leading
+    positional arguments, though the plan holds both: tools that observe a
+    run from outside, such as the benchmark's tracer, read them there.
 
     Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
     earlier run of the same plan on equal external data, with the mask of
@@ -362,9 +365,7 @@ def layered_run(
     its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,
     as its replay runs every agent of every subset again.
     """
-    if plan is None:
-        plan = live_plan(graph, viable)
-    elif not plan.serves(graph, viable):
+    if not plan.serves(graph, viable):
         raise ValueError("the plan was built for other viable masks")
     done: list[list[Any]] | None = None
     changed = 0
@@ -442,13 +443,11 @@ def replay_steps(graph: WorkflowGraph, mask: int) -> tuple[ReplayStep, ...]:
 
 
 class ReplayResult(NamedTuple):
-    """One coalition replayed over a list of episodes. ``outputs`` holds,
-    per episode, each member's output by agent in run order, and
-    ``sink_outputs`` the sink's output per episode (``None`` where the sink
-    is not a member). ``executions`` counts the runner calls of all the
+    """One coalition replayed over a list of episodes. ``sink_outputs``
+    holds the sink's output per episode (``None`` where the sink is not a
+    member), and ``executions`` counts the runner calls of all the
     episodes."""
 
-    outputs: list[dict[int, Any]]
     sink_outputs: list[Any]
     executions: int
 
@@ -471,7 +470,6 @@ def replay_coalition(
     path and the reference oracle for the memoized one.
     """
     sink = graph.sink
-    outputs: list[dict[int, Any]] = []
     sink_outputs: list[Any] = []
     for external in episodes:
         done: dict[int, Any] = {}
@@ -484,9 +482,8 @@ def replay_coalition(
                 done[agent] = run_agent(agent, upstream, external if source else None)
             except Exception as exc:
                 raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
-        outputs.append(done)
         sink_outputs.append(done.get(sink))
-    return ReplayResult(outputs, sink_outputs, len(steps) * len(outputs))
+    return ReplayResult(sink_outputs, len(steps) * len(sink_outputs))
 
 
 class PredictedCost(NamedTuple):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dagcredit.agents import Decision, build_system, system_runner
 from dagcredit.coalitions import coalition_names, enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
+from dagcredit.shapley import live_plan
 
 
 def layered_graph(sizes):
@@ -111,6 +112,19 @@ def skip_layered_graphs(draw):
     return build_graph(layers, sorted(edges))
 
 
+def recording(runner):
+    """``runner`` and the list of its calls, in call order: each call's
+    agent, upstream outputs, external data and output."""
+    calls = []
+
+    def run(agent, upstream, external):
+        output = runner(agent, upstream, external)
+        calls.append((agent, dict(upstream), external, output))
+        return output
+
+    return run, calls
+
+
 def swapped_trader(runner, sink, every=1):
     """``runner`` with the sink's buys and sells swapped on every ``every``-th
     call of the sink: a changed trader for ``every=1``, and a trader whose
@@ -135,6 +149,11 @@ def ref_graph():
 @pytest.fixture
 def ref_viable(ref_graph):
     return enumerate_viable(ref_graph)
+
+
+@pytest.fixture
+def ref_plan(ref_graph, ref_viable):
+    return live_plan(ref_graph, ref_viable)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Slow reference checks, written apart from the code in ``dagcredit`` that
 they test: a depth-first path search and the three viability conditions
 built on it, one coalition at a time, the steps of replaying every
-coalition, and the exact Shapley values of a float game with the a priori
-bound on the engine's float error."""
+coalition, the exact Shapley values of a float game with the a priori
+bound on the engine's float error, and the baselines' indicators in
+rationals."""
 
 import math
 from dataclasses import dataclass
@@ -114,3 +115,32 @@ def float_phi_bound(magnitude: Fraction, phi: float) -> Fraction:
     float."""
     u = UNIT_ROUNDOFF
     return ((1 + u) ** 3 - 1) * magnitude + Fraction(math.ulp(phi)) / 2
+
+
+def _ema_exact(values: list[Fraction], span: int) -> list[Fraction]:
+    """The exponential moving average of ``values`` with smoothing
+    ``2 / (span + 1)``, seeded with the first value, in rationals."""
+    k = Fraction(2, span + 1)
+    out = [values[0]]
+    for v in values[1:]:
+        out.append(k * v + (1 - k) * out[-1])
+    return out
+
+
+def macd_gaps_exact(closes: list[float], fast: int, slow: int, signal: int) -> list[Fraction]:
+    """Per day, the MACD line (fast EMA less slow EMA of the closes) less
+    its signal line (the line's EMA), exactly."""
+    exact = [Fraction(c) for c in closes]
+    line = [f - s for f, s in zip(_ema_exact(exact, fast), _ema_exact(exact, slow))]
+    return [m - s for m, s in zip(line, _ema_exact(line, signal))]
+
+
+def sma_gaps_exact(closes: list[float], fast: int, slow: int) -> list[Fraction | None]:
+    """Per day, the mean of the last ``fast`` closes less the mean of the
+    last ``slow``, exactly; ``None`` until ``slow`` closes have been seen."""
+    exact = [Fraction(c) for c in closes]
+    return [
+        None if i + 1 < slow
+        else sum(exact[i + 1 - fast : i + 1]) / fast - sum(exact[i + 1 - slow : i + 1]) / slow
+        for i in range(len(exact))
+    ]

@@ -32,7 +32,7 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
-from dagcredit.shapley import layered_run, replay_coalition, replay_steps
+from dagcredit.shapley import layered_run, live_plan, replay_coalition, replay_steps
 
 from conftest import layered_graph
 from golden_runs import FEATURES
@@ -352,7 +352,8 @@ def test_a_runner_binds_each_agent_once_however_many_tasks_it_runs():
     runner = system_runner(specs)
     assert binds == once
     viable = enumerate_viable(g)
-    runs = [layered_run(g, viable, runner, FEATURES) for _ in range(3)]
+    plan = live_plan(g, viable)
+    runs = [layered_run(g, viable, runner, FEATURES, plan=plan) for _ in range(3)]
     assert [run.counters.agent_executions for run in runs] == [73] * 3
     for mask in viable:
         replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])

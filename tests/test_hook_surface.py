@@ -3,13 +3,17 @@
 Tools that observe a run from outside, such as the benchmark's tracer, swap
 these names for wrappers. A call that stops going through its name (a
 rename, or a direct import elsewhere) would no longer be seen, so each name
-must exist, be callable and carry the calls of the run that uses it.
+must exist, be callable and carry the calls of the run that uses it. The
+arguments and result fields such a tool reads off those calls must keep
+their places and names too.
 """
 
 import pytest
 
 from dagcredit import backtest, cli, coalitions, shapley
+from dagcredit.coalitions import enumerate_viable
 from dagcredit.config import RunConfig
+from dagcredit.graph import reference_graph
 
 BACKTEST_CALLS = (
     "enumerate_viable",
@@ -85,3 +89,33 @@ def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
         "replay_coalition": 128,
         "shapley_exact": 1,
     }
+
+
+def test_calls_carry_what_observers_read(monkeypatch):
+    """What the benchmark's tracer reads of the wrapped calls: a layered
+    run's graph and viable masks as its first two positional arguments, its
+    runner calls and cache hits from its counters and its task count as
+    ``len(result.cache)``, and a replay's runner calls as
+    ``result.executions``. The ``shapley --engine both`` run on the
+    reference graph makes one layered run of 73 tasks over its 49 viable
+    masks and replays its 128 subsets in 448 runner calls."""
+    seen = {"layered_run": [], "replay_coalition": []}
+
+    def observed(name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen[name].append((args, result))
+            return result
+
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(backtest, name, observed(name, getattr(backtest, name)))
+    assert cli.main(["shapley", "--engine", "both"]) == 0
+    [(args, run)] = seen["layered_run"]
+    graph, viable = args[:2]
+    assert graph == reference_graph()
+    assert list(viable) == list(enumerate_viable(graph))
+    assert (run.counters.agent_executions, run.counters.cache_hits, len(run.cache)) == (73, 169, 73)
+    assert len(seen["replay_coalition"]) == 128
+    assert sum(replay.executions for _, replay in seen["replay_coalition"]) == 448

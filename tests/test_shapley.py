@@ -40,8 +40,8 @@ from dagcredit.shapley import (
 )
 
 from conftest import (
-    dense_view, game_table, grand_outputs, layered_graph, prefix_mask, sink_outputs, sink_table,
-    sink_tasks, skip_layered_graphs,
+    dense_view, game_table, grand_outputs, layered_graph, prefix_mask, recording, sink_outputs,
+    sink_table, sink_tasks, skip_layered_graphs,
 )
 from golden_runs import FEATURES, SPARSE_SKIP_GRAPH, WIDE_GRAPH, WIDE_PHI_SHA256, wide_phi_digest
 from oracles import exact_shapley, float_phi_bound, path_exists, replay_steps_by_brute_force
@@ -63,7 +63,7 @@ def pruned_attribution(graph, viable, runner):
     """The pruned engine's attribution of one shared episode: the table of
     the viable masks' signed sink decisions (0.0 elsewhere), aggregated
     with the episode's work and one evaluation per viable mask."""
-    run = layered_run(graph, viable, runner, FEATURES)
+    run = layered_run(graph, viable, runner, FEATURES, plan=live_plan(graph, viable))
     values = map(signed_decision_value, sink_outputs(run))
     table = sink_table(graph.n, zip(viable, values, strict=True))
     return AttributionResult(
@@ -525,8 +525,8 @@ def test_upstream_configuration_masks():
 # layered memoized execution
 
 
-def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
-    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_plan, ref_runner):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     assert run.counters.agent_executions == 73
     assert run.counters.executions_reused == 0
     assert len(run.cache) == 73
@@ -540,35 +540,38 @@ def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_runner):
     assert len(sink_outputs(run)) == 49
 
 
-def test_layered_run_returns_the_grand_coalitions_outputs(ref_graph, ref_viable, ref_runner):
-    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+def test_layered_run_returns_the_grand_coalitions_outputs(
+    ref_graph, ref_viable, ref_plan, ref_runner
+):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     grand_steps = replay_steps(ref_graph, ref_graph.full_mask)
-    replay = replay_coalition(ref_graph, grand_steps, ref_runner, episodes=[FEATURES])
-    grand = grand_outputs(ref_graph, run)
-    assert grand == replay.outputs[0]
-    assert list(grand) == list(range(ref_graph.n))
+    runner, calls = recording(ref_runner)
+    replay = replay_coalition(ref_graph, grand_steps, runner, episodes=[FEATURES])
+    # The replay runs every agent once, in index order.
+    assert [agent for agent, *_ in calls] == list(range(ref_graph.n))
+    assert grand_outputs(ref_graph, run) == {agent: output for agent, _, _, output in calls}
     # The grand coalition's sink task is the sink's last, which the
     # backtest reads.
     assert run.outputs[ref_graph.sink][-1] == replay.sink_outputs[0]
 
 
-def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_runner):
-    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_plan, ref_runner):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     for mask, output in zip(ref_viable, sink_outputs(run), strict=True):
         steps = replay_steps(ref_graph, mask)
         replay = replay_coalition(ref_graph, steps, ref_runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
 
 
-def test_agent_failure_is_wrapped(ref_graph, ref_viable):
+def test_agent_failure_is_wrapped(ref_graph, ref_viable, ref_plan):
     def broken(agent, upstream, external):
         raise ValueError("boom")
 
     with pytest.raises(ExecutorFailure):
-        layered_run(ref_graph, ref_viable, broken, FEATURES)
+        layered_run(ref_graph, ref_viable, broken, FEATURES, plan=ref_plan)
 
 
-def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
+def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable, ref_plan):
     """Every execution serves some viable coalition containing the agent,
     and inputs come only from declared predecessors inside its configuration."""
     seen = []
@@ -577,7 +580,7 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable):
         seen.append((agent, frozenset(upstream)))
         return len(upstream)
 
-    layered_run(ref_graph, ref_viable, recorder, FEATURES)
+    layered_run(ref_graph, ref_viable, recorder, FEATURES, plan=ref_plan)
     legal = set()
     for mask in ref_viable:
         for agent in (a for a in range(ref_graph.n) if mask >> a & 1):
@@ -663,9 +666,12 @@ def test_replay_runs_each_episode_on_its_own_outputs(ref_graph, ref_runner):
     one-episode calls do."""
     episodes = [FEATURES, OTHER_FEATURES, FEATURES]
     steps = replay_steps(ref_graph, ref_graph.full_mask)
-    alone = [replay_coalition(ref_graph, steps, ref_runner, episodes=[e]) for e in episodes]
-    replay = replay_coalition(ref_graph, steps, ref_runner, episodes=episodes)
-    assert replay.outputs == [r.outputs[0] for r in alone]
+    runner, alone_calls = recording(ref_runner)
+    alone = [replay_coalition(ref_graph, steps, runner, episodes=[e]) for e in episodes]
+    runner, calls = recording(ref_runner)
+    replay = replay_coalition(ref_graph, steps, runner, episodes=episodes)
+    # Every call, its inputs and output included, is the one-episode call's.
+    assert calls == alone_calls
     assert replay.sink_outputs == [r.sink_outputs[0] for r in alone]
     assert replay.executions == 3 * ref_graph.n
     assert replay.sink_outputs[0] != replay.sink_outputs[1]
@@ -750,7 +756,7 @@ def test_predicted_cost_matches_measured_counter():
         g = layered_graph(sizes)
         viable = enumerate_viable(g)
         runner = system_runner(build_system(g, seed=5))
-        run = layered_run(g, viable, runner, FEATURES)
+        run = layered_run(g, viable, runner, FEATURES, plan=live_plan(g, viable))
         cost = predicted_cost(g)
         assert run.counters.agent_executions == cost.total_executions
         assert len(viable) == cost.viable_coalitions
@@ -808,7 +814,7 @@ def counting(runner):
 def test_each_agent_runs_once_per_live_set(g):
     viable = enumerate_viable(g)
     runner, calls = counting(system_runner(build_system(g, seed=5)))
-    run = layered_run(g, viable, runner, FEATURES)
+    run = layered_run(g, viable, runner, FEATURES, plan=live_plan(g, viable))
     cost = predicted_cost(g)
     assert len(calls) == run.counters.agent_executions == len(run.cache) == cost.total_executions
     oracle = {a: live_sets(g, viable, a) for a in range(g.n)}
@@ -827,7 +833,7 @@ def test_each_agent_runs_once_per_live_set(g):
 def test_live_key_outputs_match_replay_and_exact_engine(g):
     viable = enumerate_viable(g)
     runner = system_runner(build_system(g, seed=11))
-    run = layered_run(g, viable, runner, FEATURES)
+    run = layered_run(g, viable, runner, FEATURES, plan=live_plan(g, viable))
     for mask, output in zip(viable, sink_outputs(run), strict=True):
         replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
@@ -859,7 +865,8 @@ def assert_upstream_is_the_live_keys_replay(g):
         calls.append((agent, tuple(upstream.items()), external))
         return interned(agent, upstream, external)
 
-    run = layered_run(g, enumerate_viable(g), recorder, FEATURES)
+    viable = enumerate_viable(g)
+    run = layered_run(g, viable, recorder, FEATURES, plan=live_plan(g, viable))
     tasks = [(agent, key) for agent, keys in enumerate(run.plan.keys) for key in keys]
     assert len(calls) == len(tasks)
     for call, (agent, key) in zip(calls, tasks):
@@ -894,7 +901,8 @@ def test_executions_per_episode_are_pinned(name, executions):
     g = named_graph(name)
     reads = []
     runner, calls = counting(lambda agent, upstream, external: reads.append(len(upstream)))
-    run = layered_run(g, enumerate_viable(g), runner)
+    viable = enumerate_viable(g)
+    run = layered_run(g, viable, runner, plan=live_plan(g, viable))
     assert len(calls) == run.counters.agent_executions == len(run.cache) == executions
     assert sum(reads) == run.plan.upstream_reads
     assert predicted_cost(g).total_executions == executions
@@ -931,8 +939,8 @@ def test_sink_table_marks_the_viable_masks_on_skip_graphs(g):
     assert_sink_table_marks_the_viable_masks(g)
 
 
-def test_sink_table_reads_the_replayed_sink_outputs(ref_graph, ref_viable, ref_runner):
-    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+def test_sink_table_reads_the_replayed_sink_outputs(ref_graph, ref_viable, ref_plan, ref_runner):
+    run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     table, row = run.plan.task_tables[ref_graph.sink], run.outputs[ref_graph.sink]
     for mask in ref_viable:
         steps = replay_steps(ref_graph, mask)
@@ -1053,7 +1061,7 @@ def test_reuse_reruns_the_tasks_that_a_changed_agent_reaches(g, data):
     assert_matches_replay(g, run, after)
 
 
-def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
+def test_outputs_need_not_be_hashable(ref_graph, ref_viable, ref_plan):
     """Reuse reads outputs by task and compares external data for equality,
     so neither needs to be hashable."""
 
@@ -1061,8 +1069,10 @@ def test_outputs_need_not_be_hashable(ref_graph, ref_viable):
         return [agent, sorted(upstream)]
 
     external = {"closes": [100.0, 101.0]}
-    first = layered_run(ref_graph, ref_viable, listing, external)
-    again = layered_run(ref_graph, ref_viable, listing, dict(external), reuse=(first, 0))
+    first = layered_run(ref_graph, ref_viable, listing, external, plan=ref_plan)
+    again = layered_run(
+        ref_graph, ref_viable, listing, dict(external), plan=first.plan, reuse=(first, 0)
+    )
     assert first.counters.agent_executions == 73
     assert again.counters.agent_executions == 0
     assert sink_outputs(again) == sink_outputs(first)
@@ -1095,7 +1105,8 @@ def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner)
     naa = ref_graph.names.index("NAA")
     without_naa = [mask for mask in ref_viable if not mask >> naa & 1]
     runner, calls = counting(ref_runner)
-    run = layered_run(ref_graph, without_naa, runner, FEATURES)
+    plan = live_plan(ref_graph, without_naa)
+    run = layered_run(ref_graph, without_naa, runner, FEATURES, plan=plan)
     assert naa not in calls
     assert len(calls) == run.counters.agent_executions == len(run.cache)
     assert run.counters.executions_reused == 0
@@ -1103,26 +1114,30 @@ def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner)
 
 
 def test_layered_run_rejects_a_mask_outside_the_power_set(ref_graph, ref_runner):
+    """A mask outside the power set fails as the run's plan is built,
+    before any agent runs."""
     runner, calls = counting(ref_runner)
     for mask in (-1, 1 << ref_graph.n):
         with pytest.raises(ValueError, match=f"mask {mask} is outside \\[0, 2\\*\\*7\\)"):
-            layered_run(ref_graph, [mask], runner, FEATURES)
+            layered_run(ref_graph, [mask], runner, FEATURES, plan=live_plan(ref_graph, [mask]))
     assert not calls
 
 
-def test_plan_and_reuse_must_match_the_masks(ref_graph, ref_viable, ref_runner):
+def test_plan_and_reuse_must_match_the_masks(ref_graph, ref_viable, ref_plan, ref_runner):
     plan = live_plan(ref_graph, ref_viable[:-1])
     with pytest.raises(ValueError, match="plan was built for other viable masks"):
         layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=plan)
     same = layered_run(ref_graph, list(ref_viable[:-1]), ref_runner, FEATURES, plan=plan)
     assert len(sink_outputs(same)) == 48
-    full = layered_run(ref_graph, ref_viable, ref_runner, FEATURES)
+    full = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     with pytest.raises(ValueError, match="earlier run was built from another plan"):
         layered_run(
             ref_graph, ref_viable[:-1], ref_runner, FEATURES, plan=plan, reuse=(full, 0)
         )
     with pytest.raises(ValueError, match="earlier run was on other external data"):
-        layered_run(ref_graph, ref_viable, ref_runner, OTHER_FEATURES, reuse=(full, 0))
+        layered_run(
+            ref_graph, ref_viable, ref_runner, OTHER_FEATURES, plan=full.plan, reuse=(full, 0)
+        )
 
 
 def test_plan_serves_an_equal_list_of_its_masks():
