@@ -49,7 +49,6 @@ from .shapley import (
     live_plan,
     predicted_cost,
     replay_coalition,
-    replay_steps,
     shapley_exact,
 )
 

@@ -14,9 +14,7 @@ those scores: the backtest scores a decision by its position and values a
 window by ``sharpe_value``, and the ``shapley`` command scores its one
 fixture episode by the signed sink decision and values a coalition by that
 score. Under engine ``both`` it also replays each subset once over all the
-window's episodes. The backtest derives every subset's replay steps once
-per run and hands them to each window; a game handed none, as the
-``shapley`` command's is, derives each subset's steps as it replays it.
+window's episodes, by its mask.
 
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
@@ -54,12 +52,10 @@ from .shapley import (
     CostCounters,
     LayeredRunResult,
     LivePlan,
-    ReplayStep,
     format_attribution,
     layered_run,
     live_plan,
     replay_coalition,
-    replay_steps,
     shapley_exact,
 )
 
@@ -442,7 +438,6 @@ def evaluate_window(
     value: Callable[[Sequence[Any]], float],
     engine: str = "dag",
     *,
-    schedule: Sequence[Sequence[ReplayStep]] | None = None,
     reuse: tuple[WindowGame, int] | None = None,
 ) -> WindowGame:
     """Play and attribute one coalition game over ``episodes``.
@@ -464,10 +459,8 @@ def evaluate_window(
     ``layered_run``), sink scores included. Engine ``both`` also replays
     every subset without sharing (the classical comparator), one
     ``replay_coalition`` call per subset over all the episodes, in mask
-    order, with the subset's steps from ``schedule`` (a list of every
-    mask's ``replay_steps``, derived per mask when not given). The replay
-    scores each sink output (``None`` where the sink did not run) and
-    values the scores with the same ``value``.
+    order. The replay scores each sink output (``None`` where the sink did
+    not run) and values the scores with the same ``value``.
 
     ``score`` and ``value`` must be pure functions, as the backtest's and
     the ``shapley`` command's are: the pruned engine calls ``value`` once
@@ -475,11 +468,12 @@ def evaluate_window(
 
     Under ``both``, every subset's replay value must equal the pruned
     engine's value of it (+0.0 for a non-viable subset, and for every
-    subset without the sink), by ``==`` and in the sign of zero; the first
-    subset where it does not raises EnginesDisagree as it is replayed. As
-    the replay runs every agent afresh, this checks the pruned engine, that
-    the agents are deterministic and, in a game with ``reuse``, that the
-    reused outputs are still current. One aggregation of games that agree
+    subset without the sink), by ``==`` and in the sign of zero, or be NaN
+    where it is NaN; the first subset where it does not raises
+    EnginesDisagree as it is replayed. As the replay runs every agent
+    afresh, this checks the pruned engine, that the agents are
+    deterministic and, in a game with ``reuse``, that the reused outputs
+    are still current. One aggregation of games that agree
     subset by subset gives the same contributions, so the replay's game is
     not aggregated.
     """
@@ -528,8 +522,7 @@ def evaluate_window(
         replay_executions = 0
         last = len(table) - 1
         for mask in range(1 << graph.n):
-            steps = replay_steps(graph, mask) if schedule is None else schedule[mask]
-            replay = replay_coalition(graph, steps, run_agent, episodes=episodes)
+            replay = replay_coalition(graph, mask, run_agent, episodes=episodes)
             replay_executions += replay.executions
             # A subset without the sink is worth +0.0 to the pruned engine.
             pruned = table[mask & last] if mask >> sink & 1 else 0.0
@@ -544,8 +537,11 @@ def evaluate_window(
 
 
 def _same_float(a: float, b: float) -> bool:
-    """``a == b``, with zeros of different sign told apart."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    """``a == b``, with zeros of different sign told apart, or both NaN."""
+    return (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+        or math.isnan(a) and math.isnan(b)
+    )
 
 
 def sharpe_value(
@@ -664,7 +660,7 @@ def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> St
         name=name,
         returns=tuple(returns),
         total_return=total_return(equity),
-        sharpe_annual=annualized_sharpe(returns, rf_daily) if len(returns) >= 2 else 0.0,
+        sharpe_annual=annualized_sharpe(returns, rf_daily),
         max_drawdown=max_drawdown(equity),
     )
 
@@ -676,21 +672,23 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     evaluated on identical decision days. The passes run window by window,
     and the frozen pass reuses the tuned pass's runs. Every window of the
     tuned pass ends in a tuning cycle, which reads that window's daily
-    rewards and may update one prompt for the next window. The live plan,
-    and under engine ``both`` every subset's replay steps, are built once
-    per run.
+    rewards and may update one prompt for the next window. The live plan
+    is built once per run.
     Reports are written under ``config.out_dir`` when set; the same config
-    and seed always produce byte-identical files.
+    and seed always produce byte-identical files. An ``out_dir`` that
+    already holds any of ``REPORT_ENTRIES`` raises ``ConfigError`` before
+    any work, so that no tree mixes two runs' files.
     """
+    if config.out_dir:
+        for name in REPORT_ENTRIES:
+            path = Path(config.out_dir) / name
+            if path.exists():
+                raise ConfigError(
+                    f"{path} exists: write the reports to a new or empty directory"
+                )
     graph = config_graph(config)
     market = load_inputs(config)
     plan = live_plan(graph, enumerate_viable(graph))
-    # Only engine ``both`` replays: each of the 2**n subsets' steps, listed
-    # once here rather than derived again in every window pass.
-    schedule = (
-        [replay_steps(graph, mask) for mask in range(1 << graph.n)]
-        if config.engine == "both" else None
-    )
     windows = day_windows(len(market.days), config.window_len)
 
     base_prompts = load_prompts_dir(config.prompts_dir) if config.prompts_dir else None
@@ -718,7 +716,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             decision_to_position,
             value,
             config.engine,
-            schedule=schedule,
             reuse=reuse,
         )
         # The grand coalition's sink score is its position, under the sink's
@@ -807,6 +804,9 @@ def run_backtest(config: RunConfig) -> BacktestResult:
 
 # ---------------------------------------------------------------------------
 # reports
+
+# What ``write_reports`` writes under the output directory.
+REPORT_ENTRIES = ("summary.txt", "cycles.jsonl", "windows", "frozen", "prompts")
 
 
 def _window_report_text(

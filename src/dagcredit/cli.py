@@ -11,9 +11,12 @@ or prompt files and none of the backtest's settings (``days``,
 a config that names a file or sets one of these to other than its default
 exits 1.
 So does a ``backtest`` on market files that sets ``days``, ``regime`` or
-``signal_strength``, which shape only a synthetic market, off its default.
-Identical invocations with the same config and seed print and write
-byte-identical output.
+``signal_strength``, which shape only a synthetic market, off its default,
+and a ``backtest`` whose ``--out`` already holds an earlier run's
+``summary.txt``, ``cycles.jsonl``, ``windows/``, ``frozen/`` or
+``prompts/``, which it names before any work, so that no report tree mixes
+two runs' files. Identical invocations with the same config and seed print
+and write byte-identical output.
 
 Each flag's argparse ``dest`` is the ``RunConfig`` field it sets (``--out``
 sets ``out_dir``; ``--graph`` and the graph argument set ``graph_file``), and

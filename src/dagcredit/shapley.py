@@ -41,11 +41,8 @@ whose prompts have changed since, a task whose agent and live key hold none
 of them takes the earlier run's output instead of running the agent again.
 
 The classical comparator, ``replay_coalition``, shares nothing: it runs one
-coalition over a list of episodes, every member once per episode. It takes
-the coalition as its steps, the members in index order with their
-predecessors inside the coalition and whether each is a source, which depend
-on the mask alone and which ``replay_steps`` derives, one mask at a time, so
-that no table of ``2**n`` masks' steps need be held.
+coalition, given by its mask, over a list of episodes, every member once per
+episode, and holds nothing for any other coalition.
 """
 from __future__ import annotations
 
@@ -422,26 +419,6 @@ def layered_run(
     return LayeredRunResult(plan, external, outputs, counters)
 
 
-# One step of a replay: an agent, its predecessors inside the coalition in
-# the graph's order, and whether it is a source, which takes the episode's
-# external data.
-ReplayStep = tuple[int, tuple[int, ...], bool]
-
-
-def replay_steps(graph: WorkflowGraph, mask: int) -> tuple[ReplayStep, ...]:
-    """The steps of replaying the coalition ``mask``: its members in index
-    order, each with its predecessors inside the coalition and whether it
-    is a source (an agent without predecessors in the graph). A mask
-    outside ``[0, 2**n)`` raises ``ValueError``."""
-    if not 0 <= mask < 1 << graph.n:
-        raise ValueError(f"mask {mask} is not a coalition of {graph.n} agents")
-    return tuple(
-        (agent, tuple(p for p in preds if mask >> p & 1), not preds)
-        for agent, preds in enumerate(graph.preds)
-        if mask >> agent & 1
-    )
-
-
 class ReplayResult(NamedTuple):
     """One coalition replayed over a list of episodes. ``sink_outputs``
     holds the sink's output per episode (``None`` where the sink is not a
@@ -454,14 +431,14 @@ class ReplayResult(NamedTuple):
 
 def replay_coalition(
     graph: WorkflowGraph,
-    steps: Sequence[ReplayStep],
+    mask: int,
     run_agent: AgentRunner,
     *,
     episodes: Sequence[Any],
 ) -> ReplayResult:
-    """Cache-free straight-line execution of one coalition, given by its
-    ``replay_steps``, once per item of ``episodes`` (each a source agent's
-    external data).
+    """Cache-free straight-line execution of the coalition ``mask`` once per
+    item of ``episodes`` (each a source agent's external data). A mask
+    outside ``[0, 2**n)`` raises ``ValueError``.
 
     In each episode every member runs once in index order, receiving that
     episode's outputs of its direct predecessors that are also members;
@@ -469,21 +446,27 @@ def replay_coalition(
     episode's external data. This is the classical (unshared) evaluation
     path and the reference oracle for the memoized one.
     """
+    if not 0 <= mask < 1 << graph.n:
+        raise ValueError(f"mask {mask} is not a coalition of {graph.n} agents")
+    members = list(compress(enumerate(graph.preds), lane_flags(mask)))
     sink = graph.sink
     sink_outputs: list[Any] = []
     for external in episodes:
         done: dict[int, Any] = {}
-        for agent, preds, source in steps:
-            # A loop, as in layered_run.
+        for agent, preds in members:
+            # Predecessors have lower indices, so those already done in this
+            # episode are the members among them, in the graph's order. A
+            # loop, as in layered_run.
             upstream = {}
             for p in preds:
-                upstream[p] = done[p]
+                if p in done:
+                    upstream[p] = done[p]
             try:
-                done[agent] = run_agent(agent, upstream, external if source else None)
+                done[agent] = run_agent(agent, upstream, None if preds else external)
             except Exception as exc:
                 raise ExecutorFailure(f"agent {graph.names[agent]} failed") from exc
         sink_outputs.append(done.get(sink))
-    return ReplayResult(sink_outputs, len(steps) * len(sink_outputs))
+    return ReplayResult(sink_outputs, len(members) * len(sink_outputs))
 
 
 class PredictedCost(NamedTuple):

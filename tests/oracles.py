@@ -62,14 +62,14 @@ def replay_steps_by_brute_force(graph: WorkflowGraph) -> list[tuple]:
     index order, with the members that have an edge into it, in increasing
     order, and whether it is one of the graph's sources. Reads the edges
     from ``succs``, one pair of agents at a time."""
-    schedule = []
+    per_mask = []
     for mask in range(1 << graph.n):
         members = [a for a in range(graph.n) if (mask >> a) & 1]
-        schedule.append(tuple(
+        per_mask.append(tuple(
             (v, tuple(u for u in members if v in graph.succs[u]), v in graph.sources)
             for v in members
         ))
-    return schedule
+    return per_mask
 
 
 # The unit roundoff of a double: half the gap between 1.0 and the next float.

@@ -44,7 +44,6 @@ from dagcredit.shapley import (
     live_plan,
     predicted_cost,
     replay_coalition,
-    replay_steps,
     shapley_exact,
     _weights,
 )
@@ -299,7 +298,7 @@ def test_criterion_8_information_flow_enforcement():
                 coalition = {a for a in range(g.n) if mask >> a & 1}
                 before = len(replay_calls)
                 replay_coalition(
-                    g, replay_steps(g, mask), recorder, episodes=[market.for_day(day)]
+                    g, mask, recorder, episodes=[market.for_day(day)]
                 )
                 invoked = {agent for agent, _ in replay_calls[before:]}
                 assert invoked <= coalition

@@ -32,7 +32,7 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.graph import build_graph, reference_graph
-from dagcredit.shapley import layered_run, live_plan, replay_coalition, replay_steps
+from dagcredit.shapley import layered_run, live_plan, replay_coalition
 
 from conftest import layered_graph
 from golden_runs import FEATURES
@@ -356,7 +356,7 @@ def test_a_runner_binds_each_agent_once_however_many_tasks_it_runs():
     runs = [layered_run(g, viable, runner, FEATURES, plan=plan) for _ in range(3)]
     assert [run.counters.agent_executions for run in runs] == [73] * 3
     for mask in viable:
-        replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
+        replay_coalition(g, mask, runner, episodes=[FEATURES])
     assert binds == once
     system_runner(specs)
     assert binds == once * 2

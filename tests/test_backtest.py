@@ -57,7 +57,7 @@ from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig, load_prompts_dir
 from dagcredit.graph import build_graph, reference_graph
 from dagcredit.shapley import (
-    CostCounters, live_plan, replay_coalition, replay_steps, shapley_exact,
+    CostCounters, live_plan, replay_coalition, shapley_exact,
 )
 
 from conftest import (
@@ -500,7 +500,7 @@ def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
     for mask in range(1 << g.n):
         if mask not in viable_masks:
             # The replay's value of the subset, as engine ``both`` takes it.
-            replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=episodes)
+            replay = replay_coalition(g, mask, runner, episodes=episodes)
             assert value(list(map(score, replay.sink_outputs))) == 0.0
             assert dense[mask] == 0.0
 
@@ -564,9 +564,9 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(
     replay = backtest.replay_coalition
     masks = []
 
-    def counted(graph, steps, *rest, **kwargs):
-        masks.append(sum(1 << agent for agent, _, _ in steps))
-        return replay(graph, steps, *rest, **kwargs)
+    def counted(graph, mask, *rest, **kwargs):
+        masks.append(mask)
+        return replay(graph, mask, *rest, **kwargs)
 
     monkeypatch.setattr(backtest, "replay_coalition", counted)
     with pytest.raises(
@@ -595,6 +595,35 @@ def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
         r"replay -0\.0, pruned 0\.0$",
     ):
         evaluate_window(plan, runner, episodes, score, signed_zero, "both")
+
+
+def test_evaluate_window_both_agrees_on_a_nan_value(window_setup):
+    """A game worth NaN wherever the trader takes a position is NaN at
+    those subsets in both engines, and two NaNs agree: ``both`` returns the
+    contributions ``dag`` does, NaN included, by ``float.hex``. A NaN
+    against a number still disagrees."""
+    _, market, runner, plan = window_setup
+    episodes, _, _ = window_game_args(market, [0, 1, 2, 3, 4])
+
+    def score(decision):
+        return None if decision is None else decision_to_position(decision)
+
+    def value(positions):
+        return math.nan if any(positions) else 0.0
+
+    dag = evaluate_window(plan, runner, episodes, score, value)
+    both = evaluate_window(plan, runner, episodes, score, value, "both")
+    assert any(map(math.isnan, dag.attribution.values))
+    assert [v.hex() for v in both.attribution.values] == [v.hex() for v in dag.attribution.values]
+
+    def nan_without_trader(positions):
+        return math.nan if positions[0] is None else value(positions)
+
+    with pytest.raises(
+        EnginesDisagree, match=r"^engines disagree on coalition \{\} \(mask 0b0\): "
+        r"replay nan, pruned 0\.0$",
+    ):
+        evaluate_window(plan, runner, episodes, score, nan_without_trader, "both")
 
 
 def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_setup):
@@ -641,7 +670,7 @@ def test_evaluate_window_values_each_sink_task_once():
     for game, run_agent in ((first, runner), (again, changed)):
         per_mask = [
             value(list(map(score, replay_coalition(
-                g, replay_steps(g, mask), run_agent, episodes=episodes
+                g, mask, run_agent, episodes=episodes
             ).sink_outputs)))
             for mask in viable
         ]
@@ -675,7 +704,7 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     dense = dense_values(game.runs[0].plan, game.task_values)
     for mask in range(1 << g.n):
         decisions = replay_coalition(
-            g, replay_steps(g, mask), runner, episodes=[market.for_day(i) for i in days[:-1]]
+            g, mask, runner, episodes=[market.for_day(i) for i in days[:-1]]
         ).sink_outputs
         vectors.add(tuple(decision_to_position(d) for d in decisions))
         own = sharpe([
@@ -717,14 +746,14 @@ def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
 
 
 def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
-    """Handed no ``schedule``, engine ``both`` derives each subset's replay
-    steps as it replays it: on 13 sources feeding one sink (16,384 subsets)
-    ``evaluate_window`` peaks at most 2.5 MiB above its inputs, the plan
-    not included, as it is built before tracing starts. Measured on
-    CPython 3.11.7: 1.54 MiB when this test runs alone and 1.21 MiB after
-    the rest of its file, as a process's first call also allocates what
-    later calls reuse; building a table of every subset's steps first,
-    with shared step tuples, peaked at 3.87 MiB."""
+    """Engine ``both`` replays each subset from its mask alone: on 13
+    sources feeding one sink (16,384 subsets) ``evaluate_window`` peaks at
+    most 2.5 MiB above its inputs, the plan not included, as it is built
+    before tracing starts. Measured under pytest on CPython 3.11.7: 0.40
+    MiB, alone or after the rest of its file. Deriving each subset's
+    replay as a tuple of per-member step tuples peaked at 1.54 MiB alone
+    and 1.21 MiB after the rest of the file, and building a table of every
+    subset's steps first, inside the traced block, at 9.75 MiB."""
     g = layered_graph([13, 1])
     viable = enumerate_viable(g)
     plan = live_plan(g, viable)
@@ -985,7 +1014,7 @@ def test_backtest_returns_follow_the_grand_decisions(monkeypatch):
         # A window's decision days are all its days but the last.
         days = list(range(market.days.index(rep.start), market.days.index(rep.end)))
         assert len(rep.returns) == len(days) == len(game.runs) == len(episodes) == 4
-        replay = replay_coalition(g, replay_steps(g, g.full_mask), runner, episodes=episodes)
+        replay = replay_coalition(g, g.full_mask, runner, episodes=episodes)
         positions = list(map(decision_to_position, replay.sink_outputs))
         assert [grand_outputs(g, run)[g.sink] for run in game.runs] == positions
         assert list(rep.returns) == [

@@ -502,6 +502,59 @@ def test_backtest_reports_are_byte_identical_across_runs(capsys, tmp_path):
     assert_identical(cmp)
 
 
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_backtest_refuses_an_out_dir_holding_an_earlier_runs_reports(capsys, tmp_path):
+    """A 15-day run into the reports of a 30-day run would leave that run's
+    windows 3 to 5, so that no single run's reports remain: it exits 1,
+    naming the path, and leaves the tree as it was."""
+    out_dir = tmp_path / "run"
+    assert run(capsys, "backtest", "--days", "30", "--seed", "7", "--out", str(out_dir))[0] == 0
+    before = tree_bytes(out_dir)
+    code, out, err = run(
+        capsys, "backtest", "--days", "15", "--seed", "7", "--out", str(out_dir)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {out_dir / 'summary.txt'} exists: "
+        "write the reports to a new or empty directory\n"
+    )
+    assert tree_bytes(out_dir) == before
+
+
+@pytest.mark.parametrize("entry", bt.REPORT_ENTRIES)
+def test_backtest_refuses_an_out_dir_holding_any_report_entry(
+    capsys, tmp_path, monkeypatch, entry
+):
+    """Any one entry a run writes is refused before any work, and a file
+    no run writes is not."""
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
+    path = out_dir / entry
+    if path.suffix:
+        path.write_text("", encoding="utf-8")
+    else:
+        path.mkdir()
+
+    def no_work(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(bt, "config_graph", no_work)
+    code, out, err = run(capsys, "backtest", "--days", "15", "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} exists: ")
+    assert sorted(out_dir.iterdir()) == sorted([out_dir / "notes.txt", path])
+    monkeypatch.undo()
+    if path.suffix:
+        path.unlink()
+    else:
+        path.rmdir()
+    assert run(capsys, "backtest", "--days", "15", "--out", str(out_dir))[0] == 0
+
+
 def test_backtest_writes_expected_files(capsys, tmp_path):
     out_dir = tmp_path / "run"
     code, out, err = run(

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings
 
-from dagcredit.shapley import replay_coalition, replay_steps
+from dagcredit.shapley import replay_coalition
 from dagcredit.graph import (
     CrossLayerViolation,
     LayerPartitionInvalid,
@@ -139,7 +139,7 @@ def test_replay_runs_agents_in_index_order():
         seen.append(agent)
         return agent
 
-    replay_coalition(g, replay_steps(g, g.full_mask), recorder, episodes=["data"])
+    replay_coalition(g, g.full_mask, recorder, episodes=["data"])
     assert seen == list(range(g.n))
 
 
@@ -152,7 +152,7 @@ def test_information_set_is_direct_predecessors_inside_coalition():
         seen[agent] = set(upstream)
         return agent
 
-    replay_coalition(g, replay_steps(g, 0b1001001), recorder, episodes=["data"])  # agents 0, 3, 6
+    replay_coalition(g, 0b1001001, recorder, episodes=["data"])  # agents 0, 3, 6
     assert seen == {0: set(), 3: {0}, 6: {3}}
 
 

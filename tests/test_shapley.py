@@ -35,7 +35,6 @@ from dagcredit.shapley import (
     _weights,
     predicted_cost,
     replay_coalition,
-    replay_steps,
     shapley_exact,
 )
 
@@ -77,7 +76,7 @@ def replay_table(graph, runner):
     are worth 0.0."""
     values, executions = [], 0
     for mask in range(1 << graph.n):
-        replay = replay_coalition(graph, replay_steps(graph, mask), runner, episodes=[FEATURES])
+        replay = replay_coalition(graph, mask, runner, episodes=[FEATURES])
         executions += replay.executions
         sink = replay.sink_outputs[0]
         values.append(0.0 if sink is None else signed_decision_value(sink))
@@ -544,9 +543,8 @@ def test_layered_run_returns_the_grand_coalitions_outputs(
     ref_graph, ref_viable, ref_plan, ref_runner
 ):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
-    grand_steps = replay_steps(ref_graph, ref_graph.full_mask)
     runner, calls = recording(ref_runner)
-    replay = replay_coalition(ref_graph, grand_steps, runner, episodes=[FEATURES])
+    replay = replay_coalition(ref_graph, ref_graph.full_mask, runner, episodes=[FEATURES])
     # The replay runs every agent once, in index order.
     assert [agent for agent, *_ in calls] == list(range(ref_graph.n))
     assert grand_outputs(ref_graph, run) == {agent: output for agent, _, _, output in calls}
@@ -558,8 +556,7 @@ def test_layered_run_returns_the_grand_coalitions_outputs(
 def test_memoized_outputs_match_cache_free_replay(ref_graph, ref_viable, ref_plan, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     for mask, output in zip(ref_viable, sink_outputs(run), strict=True):
-        steps = replay_steps(ref_graph, mask)
-        replay = replay_coalition(ref_graph, steps, ref_runner, episodes=[FEATURES])
+        replay = replay_coalition(ref_graph, mask, ref_runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
 
 
@@ -610,38 +607,31 @@ def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner)
 
 
 # ---------------------------------------------------------------------------
-# replay steps
+# the classical replay
 
 
 def assert_replay_follows_the_brute_force_steps(g):
-    """``replay_steps`` of each mask are the steps the oracle derives one
-    member at a time. Engine ``both`` replays every subset by those steps in
-    mask order, whether ``schedule=`` lists them or each is derived as its
-    replay starts: past the pruned engine's runner calls, each call is one
-    step's agent, handed its predecessors' outputs in the step's order, and
-    the episode's data only at a source."""
-    oracle = replay_steps_by_brute_force(g)
-    steps = [replay_steps(g, mask) for mask in range(1 << g.n)]
-    assert steps == oracle
+    """Engine ``both`` replays every subset, in mask order, by the steps the
+    oracle derives one member at a time: past the pruned engine's runner
+    calls, each call is one step's agent, handed its predecessors' outputs
+    in the step's order, and the episode's data only at a source."""
     expected = [
         (agent, preds, FEATURES if source else None)
-        for coalition in oracle
+        for coalition in replay_steps_by_brute_force(g)
         for agent, preds, source in coalition
     ]
     runner = system_runner(build_system(g, seed=5))
     plan = live_plan(g, enumerate_viable(g))
-    for schedule in (steps, None):
-        calls = []
+    calls = []
 
-        def recorder(agent, upstream, external):
-            calls.append((agent, tuple(upstream), external))
-            return runner(agent, upstream, external)
+    def recorder(agent, upstream, external):
+        calls.append((agent, tuple(upstream), external))
+        return runner(agent, upstream, external)
 
-        game = backtest.evaluate_window(
-            plan, recorder, [FEATURES], signed_decision_value, lambda scores: scores[0], "both",
-            schedule=schedule,
-        )
-        assert calls[game.attribution.counters.agent_executions:] == expected
+    game = backtest.evaluate_window(
+        plan, recorder, [FEATURES], signed_decision_value, lambda scores: scores[0], "both"
+    )
+    assert calls[game.attribution.counters.agent_executions:] == expected
 
 
 @pytest.mark.parametrize("name", ["reference", "sparse-skip"])
@@ -656,20 +646,22 @@ def test_replay_follows_the_brute_force_steps_on_skip_graphs(g):
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 7, 1 << 7 | 1])
-def test_replay_steps_rejects_a_mask_outside_the_graph(ref_graph, mask):
+def test_replay_rejects_a_mask_outside_the_graph(ref_graph, ref_runner, mask):
+    runner, calls = recording(ref_runner)
     with pytest.raises(ValueError, match=f"^mask {mask} is not a coalition of 7 agents$"):
-        replay_steps(ref_graph, mask)
+        replay_coalition(ref_graph, mask, runner, episodes=[FEATURES])
+    assert calls == []
 
 
 def test_replay_runs_each_episode_on_its_own_outputs(ref_graph, ref_runner):
     """One call replays the coalition once per episode, as separate
     one-episode calls do."""
     episodes = [FEATURES, OTHER_FEATURES, FEATURES]
-    steps = replay_steps(ref_graph, ref_graph.full_mask)
+    grand = ref_graph.full_mask
     runner, alone_calls = recording(ref_runner)
-    alone = [replay_coalition(ref_graph, steps, runner, episodes=[e]) for e in episodes]
+    alone = [replay_coalition(ref_graph, grand, runner, episodes=[e]) for e in episodes]
     runner, calls = recording(ref_runner)
-    replay = replay_coalition(ref_graph, steps, runner, episodes=episodes)
+    replay = replay_coalition(ref_graph, grand, runner, episodes=episodes)
     # Every call, its inputs and output included, is the one-episode call's.
     assert calls == alone_calls
     assert replay.sink_outputs == [r.sink_outputs[0] for r in alone]
@@ -678,13 +670,11 @@ def test_replay_runs_each_episode_on_its_own_outputs(ref_graph, ref_runner):
 
 
 def test_replay_refuses_a_mask_and_a_single_episode(ref_graph, ref_runner):
-    """The coalition is its steps and the episodes a keyword list, so the
-    call shape of a mask and one episode's data fails instead of replaying
-    each field of the data as an episode."""
+    """The episodes are a keyword list, so the call shape of a mask and one
+    episode's data fails instead of replaying each field of the data as an
+    episode."""
     with pytest.raises(TypeError):
         replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, FEATURES)
-    with pytest.raises(TypeError):
-        replay_coalition(ref_graph, ref_graph.full_mask, ref_runner, episodes=[FEATURES])
 
 
 def test_replay_failure_names_the_agent(ref_graph, ref_runner):
@@ -694,9 +684,10 @@ def test_replay_failure_names_the_agent(ref_graph, ref_runner):
             raise ValueError("boom")
         return ref_runner(agent, upstream, external)
 
-    steps = replay_steps(ref_graph, ref_graph.full_mask)
     with pytest.raises(ExecutorFailure, match="^agent NAA failed$"):
-        replay_coalition(ref_graph, steps, broken, episodes=[FEATURES, OTHER_FEATURES])
+        replay_coalition(
+            ref_graph, ref_graph.full_mask, broken, episodes=[FEATURES, OTHER_FEATURES]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +826,7 @@ def test_live_key_outputs_match_replay_and_exact_engine(g):
     runner = system_runner(build_system(g, seed=11))
     run = layered_run(g, viable, runner, FEATURES, plan=live_plan(g, viable))
     for mask, output in zip(viable, sink_outputs(run), strict=True):
-        replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
+        replay = replay_coalition(g, mask, runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = sink_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     replay_values, _ = replay_table(g, runner)
@@ -879,7 +870,7 @@ def assert_upstream_is_the_live_keys_replay(g):
                 replayed.append((a, tuple(upstream.items()), external))
             return interned(a, upstream, external)
 
-        replay_coalition(g, replay_steps(g, key | 1 << agent), replayer, episodes=[FEATURES])
+        replay_coalition(g, key | 1 << agent, replayer, episodes=[FEATURES])
         assert replayed == [call]
 
 
@@ -943,8 +934,7 @@ def test_sink_table_reads_the_replayed_sink_outputs(ref_graph, ref_viable, ref_p
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     table, row = run.plan.task_tables[ref_graph.sink], run.outputs[ref_graph.sink]
     for mask in ref_viable:
-        steps = replay_steps(ref_graph, mask)
-        replay = replay_coalition(ref_graph, steps, ref_runner, episodes=[FEATURES])
+        replay = replay_coalition(ref_graph, mask, ref_runner, episodes=[FEATURES])
         assert row[table[mask & len(table) - 1]] == replay.sink_outputs[0]
 
 
@@ -981,7 +971,7 @@ def assert_matches_replay(g, run, runner):
     contributions equal the replayed table's to the last bit."""
     viable = run.plan.viable
     for mask, output in zip(viable, sink_outputs(run), strict=True):
-        replay = replay_coalition(g, replay_steps(g, mask), runner, episodes=[FEATURES])
+        replay = replay_coalition(g, mask, runner, episodes=[FEATURES])
         assert output == replay.sink_outputs[0]
     table = sink_table(g.n, zip(viable, map(signed_decision_value, sink_outputs(run))))
     dag = shapley_exact(table, g.n)
