@@ -44,7 +44,9 @@ from .agents import (
     system_runner,
 )
 from .coalitions import coalition_names, enumerate_viable
-from .config import ENGINES, ConfigError, RunConfig, config_graph, load_prompts_dir, reject_unread
+from .config import (
+    ENGINES, REGIMES, ConfigError, RunConfig, config_graph, load_prompts_dir, reject_unread,
+)
 from .graph import InputError, WorkflowGraph
 from .optimizer import CycleRecord, run_cycle
 from .shapley import (
@@ -75,22 +77,6 @@ STRATEGY_SMA = f"sma-{SMA_FAST}-{SMA_SLOW}"
 
 
 class ParseError(InputError):
-    pass
-
-
-class NonPositivePrice(InputError):
-    pass
-
-
-class DuplicateDate(InputError):
-    pass
-
-
-class UnsortedDates(InputError):
-    pass
-
-
-class TooFewReturns(InputError):
     pass
 
 
@@ -163,14 +149,14 @@ def load_market(market_csv: str | Path, features_csv: str | Path) -> Market:
                 raise ParseError(f"line {lineno}: non-finite number in column {col!r}")
         for col in ("open", "high", "low", "close"):
             if not numbers[col] > 0:
-                raise NonPositivePrice(f"line {lineno}: {col} must be positive")
+                raise ParseError(f"line {lineno}: {col} must be positive")
         if numbers["volume"] < 0:
             raise ParseError(f"line {lineno}: volume must be non-negative")
         if days:
             if day == days[-1]:
-                raise DuplicateDate(f"line {lineno}: duplicate date {day.isoformat()}")
+                raise ParseError(f"line {lineno}: duplicate date {day.isoformat()}")
             if day < days[-1]:
-                raise UnsortedDates(f"line {lineno}: dates must be increasing")
+                raise ParseError(f"line {lineno}: dates must be increasing")
             # Each day's return is this ratio less one, so it must be finite.
             if not math.isfinite(numbers["close"] / closes[-1]):
                 raise ParseError(f"line {lineno}: close over the previous close is not finite")
@@ -183,7 +169,7 @@ def load_market(market_csv: str | Path, features_csv: str | Path) -> Market:
     for lineno, row in _read_csv(features_csv, FEATURE_HEADER):
         day = _parse_date(row["date"], lineno)
         if day in by_day:
-            raise DuplicateDate(f"line {lineno}: duplicate date {day.isoformat()}")
+            raise ParseError(f"line {lineno}: duplicate date {day.isoformat()}")
         try:
             sent = float(row["sentiment"])
             fund = float(row["fundamental"])
@@ -255,15 +241,15 @@ def synthesize_market(
     """Seeded geometric random walk plus features that lead the returns, as
     a market named ``SYNTH``.
 
-    Regimes set the daily drift (bull +, bear -, sideways 0). The sentiment
-    feature mixes the next day's standardized return with noise at
-    ``signal_strength``; the fundamental feature does the same for the
-    forward five-day mean through a slow exponential smooth. At strength zero
-    both features are pure noise.
+    Regimes set the daily drift (``config.REGIMES``: bull +, bear -,
+    sideways 0). The sentiment feature mixes the next day's standardized
+    return with noise at ``signal_strength``; the fundamental feature does
+    the same for the forward five-day mean through a slow exponential
+    smooth. At strength zero both features are pure noise.
     """
-    drifts = {"bull": 0.0012, "bear": -0.0012, "sideways": 0.0}
-    if regime not in drifts:
+    if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
+    drift = REGIMES[regime]
     if days < 2:
         raise InsufficientData("need at least two synthetic days")
     if not 0.0 <= signal_strength <= 1.0:
@@ -274,7 +260,7 @@ def synthesize_market(
     noise_sent = [rng.uniform(-1.0, 1.0) for _ in range(days)]
     noise_fund = [rng.uniform(-1.0, 1.0) for _ in range(days)]
 
-    rets = [drifts[regime] + vol * z for z in shocks]
+    rets = [drift + vol * z for z in shocks]
     closes = []
     level = 100.0
     for r in rets:
@@ -309,10 +295,10 @@ def synthesize_market(
 # metrics
 
 
-def sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:
+def sharpe(returns: Sequence[float]) -> float:
     """Raw (non-annualized) Sharpe ratio with sample standard deviation.
 
-    Exact: each excess return is a dyadic rational, so over their largest
+    Exact: each return is a dyadic rational, so over their largest
     denominator ``d`` they are integers ``A`` with sums ``S`` and ``Q`` of
     ``A`` and ``A**2``. The mean ``S / (k*d)`` and the standard deviation
     ``sqrt((k*Q - S*S) / (k*(k-1)*d*d))`` are each rounded once, so the
@@ -324,8 +310,8 @@ def sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:
     """
     k = len(returns)
     if k < 2:
-        raise TooFewReturns("sharpe needs at least two returns")
-    ratios = [(r - rf_daily).as_integer_ratio() for r in returns]
+        raise InsufficientData("sharpe needs at least two returns")
+    ratios = [r.as_integer_ratio() for r in returns]
     d = max(den for _, den in ratios)
     nums = [num * (d // den) for num, den in ratios]
     s = sum(nums)
@@ -353,8 +339,8 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
     return (root << q) / 1 if q >= 0 else root / (1 << -q)
 
 
-def annualized_sharpe(returns: Sequence[float], rf_daily: float = 0.0) -> float:
-    return sharpe(returns, rf_daily) * math.sqrt(TRADING_DAYS_PER_YEAR)
+def annualized_sharpe(returns: Sequence[float]) -> float:
+    return sharpe(returns) * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
 def build_equity(returns: Sequence[float]) -> list[float]:
@@ -544,9 +530,7 @@ def _same_float(a: float, b: float) -> bool:
     )
 
 
-def sharpe_value(
-    step_returns: Sequence[float], rf_daily: float = 0.0
-) -> Callable[[Sequence[int]], float]:
+def sharpe_value(step_returns: Sequence[float]) -> Callable[[Sequence[int]], float]:
     """A window game's coalition value: the raw Sharpe of the next-day
     returns that its positions, one per decision day, earn. The positions
     are the sink scores of ``evaluate_window`` with ``decision_to_position``
@@ -562,7 +546,7 @@ def sharpe_value(
         key = tuple(positions)
         if key not in by_positions:
             series = [p * r for p, r in zip(key, step_returns)]
-            by_positions[key] = sharpe(series, rf_daily)
+            by_positions[key] = sharpe(series)
         return by_positions[key]
 
     return value
@@ -612,9 +596,14 @@ class WindowReport(NamedTuple):
     start: date
     end: date
     returns: tuple[float, ...]
-    window_sharpe: float
     attribution: AttributionResult
     task_values: tuple[float, ...]
+
+    @property
+    def window_sharpe(self) -> float:
+        """The grand coalition's value, the last (see ``LivePlan``): the
+        Sharpe of the window's returns."""
+        return self.task_values[-1]
 
 
 class StrategyReport(NamedTuple):
@@ -626,9 +615,9 @@ class StrategyReport(NamedTuple):
 
 
 class BacktestResult(NamedTuple):
-    """A run's reports, with the ``plan`` that indexes their ``task_values``."""
+    """A run's reports, with the ``plan`` that indexes their ``task_values``
+    and holds the run's ``graph``."""
 
-    graph: WorkflowGraph
     plan: LivePlan
     config: RunConfig
     market: Market
@@ -637,6 +626,10 @@ class BacktestResult(NamedTuple):
     cycles: list[CycleRecord]
     strategies: list[StrategyReport]
     prompt_lineage: dict[tuple[str, int], str]
+
+    @property
+    def graph(self) -> WorkflowGraph:
+        return self.plan.graph
 
 
 def load_inputs(config: RunConfig) -> Market:
@@ -654,13 +647,13 @@ def load_inputs(config: RunConfig) -> Market:
     return market if config.symbol is None else market._replace(symbol=config.symbol)
 
 
-def _strategy_report(name: str, returns: Sequence[float], rf_daily: float) -> StrategyReport:
+def _strategy_report(name: str, returns: Sequence[float]) -> StrategyReport:
     equity = build_equity(returns)
     return StrategyReport(
         name=name,
         returns=tuple(returns),
         total_return=total_return(equity),
-        sharpe_annual=annualized_sharpe(returns, rf_daily),
+        sharpe_annual=annualized_sharpe(returns),
         max_drawdown=max_drawdown(equity),
     )
 
@@ -726,8 +719,6 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             start=market.days[day_idx[0]],
             end=market.days[day_idx[-1]],
             returns=tuple(rewards),
-            # The grand coalition's value, the last, is the Sharpe of the rewards.
-            window_sharpe=game.task_values[-1],
             attribution=game.attribution,
             task_values=game.task_values,
         )
@@ -747,7 +738,7 @@ def run_backtest(config: RunConfig) -> BacktestResult:
         step_returns = [market.step_return(i) for i in day_idx[:-1]]
         # Both passes value the window with one memo, so the frozen pass
         # runs Sharpe only on position vectors the tuned pass did not value.
-        value = sharpe_value(step_returns, config.rf_daily)
+        value = sharpe_value(step_returns)
         game, tuned = attributed_window(specs, w_index, day_idx, episodes, step_returns, value)
         changed = sum(1 << a for a in range(graph.n) if specs[a].prompt != specs0[a].prompt)
         frozen = attributed_window(
@@ -779,15 +770,14 @@ def run_backtest(config: RunConfig) -> BacktestResult:
     sma_returns = [sma_pos[i] * market.step_return(i) for i in decision_days]
 
     strategies = [
-        _strategy_report(STRATEGY_TUNED, tuned_returns, config.rf_daily),
-        _strategy_report(STRATEGY_FROZEN, frozen_returns, config.rf_daily),
-        _strategy_report(STRATEGY_BUY_HOLD, bh_returns, config.rf_daily),
-        _strategy_report(STRATEGY_MACD, macd_returns, config.rf_daily),
-        _strategy_report(STRATEGY_SMA, sma_returns, config.rf_daily),
+        _strategy_report(STRATEGY_TUNED, tuned_returns),
+        _strategy_report(STRATEGY_FROZEN, frozen_returns),
+        _strategy_report(STRATEGY_BUY_HOLD, bh_returns),
+        _strategy_report(STRATEGY_MACD, macd_returns),
+        _strategy_report(STRATEGY_SMA, sma_returns),
     ]
 
     result = BacktestResult(
-        graph=graph,
         plan=plan,
         config=config,
         market=market,

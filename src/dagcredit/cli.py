@@ -7,9 +7,8 @@ executions on a graph without running agents, and ``backtest`` runs the
 full windowed experiment. ``shapley`` and ``backtest`` both attribute
 through ``backtest.evaluate_window``. ``shapley`` reads no market, feature
 or prompt files and none of the backtest's settings (``days``,
-``window_len``, ``threshold``, ``lesson_cap``, ``rf_daily``, ``symbol``), so
-a config that names a file or sets one of these to other than its default
-exits 1.
+``window_len``, ``threshold``, ``lesson_cap``, ``symbol``), so a config
+that names a file or sets one of these to other than its default exits 1.
 So does a ``backtest`` on market files that sets ``days``, ``regime`` or
 ``signal_strength``, which shape only a synthetic market, off its default,
 and a ``backtest`` whose ``--out`` already holds an earlier run's
@@ -172,7 +171,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     config = _build_config(args)
     reject_unread(config, (
         "market_csv", "features_csv", "prompts_dir",
-        "days", "window_len", "threshold", "lesson_cap", "rf_daily", "symbol",
+        "days", "window_len", "threshold", "lesson_cap", "symbol",
     ), "shapley attributes a synthetic fixture episode; remove {} from the config")
     graph = config_graph(config)
     # The fixture episode is the last day of a 10-day synthetic series, so

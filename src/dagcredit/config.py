@@ -16,7 +16,8 @@ from pathlib import Path
 from .graph import InputError, WorkflowGraph, build_graph, reference_graph
 
 ENGINES = ("dag", "both")
-REGIMES = ("bull", "bear", "sideways")
+# Each synthetic market regime's daily drift.
+REGIMES = {"bull": 0.0012, "bear": -0.0012, "sideways": 0.0}
 
 
 class ConfigError(InputError):
@@ -38,8 +39,7 @@ class RunConfig:
     signal_strength: float = 0.6
     window_len: int = 5
     threshold: float = 0.0
-    lesson_cap: int | None = 5
-    rf_daily: float = 0.0
+    lesson_cap: int = 5
 
     def validate(self) -> "RunConfig":
         for f in dataclasses.fields(self):
@@ -53,15 +53,15 @@ class RunConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.regime not in REGIMES:
-            raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+            raise ConfigError(f"regime must be one of {tuple(REGIMES)}, got {self.regime!r}")
         if self.window_len < 3:
             raise ConfigError("window_len must be at least 3")
         if self.days < 2:
             raise ConfigError("days must be at least 2")
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must be in [0, 1]")
-        if self.lesson_cap is not None and self.lesson_cap < 1:
-            raise ConfigError("lesson_cap must be at least 1 (or null for unbounded)")
+        if self.lesson_cap < 1:
+            raise ConfigError("lesson_cap must be at least 1")
         if bool(self.market_csv) != bool(self.features_csv):
             raise ConfigError("market_csv and features_csv must be given together")
         return self

@@ -27,18 +27,6 @@ class GraphValidationError(InputError):
     """Raised when a graph definition violates a structural rule."""
 
 
-class MultipleSinks(GraphValidationError):
-    pass
-
-
-class CrossLayerViolation(GraphValidationError):
-    pass
-
-
-class LayerPartitionInvalid(GraphValidationError):
-    pass
-
-
 class WorkflowGraph(NamedTuple):
     """Validated layered DAG. Build via :func:`build_graph`, not directly.
 
@@ -97,18 +85,18 @@ def build_graph(
     case.
 
     Raises:
-        LayerPartitionInvalid: empty layers, a name that breaks the rule
-            above, or a roster mismatch against ``agents``.
-        CrossLayerViolation: an edge that does not reach a strictly later
-            layer (same-layer, backward or a self-loop). Every cycle holds
-            such an edge, so this rule is what rules out cycles.
-        MultipleSinks: more than one agent has no outgoing edge.
+        GraphValidationError: empty layers, a name that breaks the rule
+            above, a roster mismatch against ``agents``, an edge endpoint
+            that names no agent, an edge that does not reach a strictly
+            later layer (same-layer, backward or a self-loop; every cycle
+            holds such an edge, so this rule is what rules out cycles), or
+            more than one agent without an outgoing edge.
 
     An acyclic graph with agents always has one without predecessors, so
     every valid graph has a source.
     """
     if not layers or any(not layer for layer in layers):
-        raise LayerPartitionInvalid("every layer must contain at least one agent")
+        raise GraphValidationError("every layer must contain at least one agent")
 
     names: list[str] = []
     for layer in layers:
@@ -116,15 +104,15 @@ def build_graph(
     folded: dict[str, str] = {}
     for name in names:
         if not _AGENT_NAME.fullmatch(name):
-            raise LayerPartitionInvalid(f"agent name {name!r} must match [A-Za-z0-9_-]+")
+            raise GraphValidationError(f"agent name {name!r} must match [A-Za-z0-9_-]+")
         if name.lower() in folded:
-            raise LayerPartitionInvalid(
+            raise GraphValidationError(
                 "agent names must be unique across layers, ignoring case: "
                 f"{folded[name.lower()]!r} and {name!r}"
             )
         folded[name.lower()] = name
     if agents is not None and sorted(agents) != sorted(names):
-        raise LayerPartitionInvalid("layers must cover exactly the declared agents")
+        raise GraphValidationError("layers must cover exactly the declared agents")
 
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
@@ -132,7 +120,7 @@ def build_graph(
     edge_idx: set[tuple[int, int]] = set()
     for u_name, v_name in edges:
         if u_name not in index or v_name not in index:
-            raise LayerPartitionInvalid(f"edge endpoint not an agent: ({u_name}, {v_name})")
+            raise GraphValidationError(f"edge endpoint not an agent: ({u_name}, {v_name})")
         edge_idx.add((index[u_name], index[v_name]))
 
     layer_of = [0] * n
@@ -147,7 +135,7 @@ def build_graph(
     # so it also rules out cycles.
     for u, v in edge_idx:
         if layer_of[u] >= layer_of[v]:
-            raise CrossLayerViolation(
+            raise GraphValidationError(
                 f"edge {names[u]} -> {names[v]} does not go to a strictly later layer"
             )
 
@@ -159,7 +147,7 @@ def build_graph(
 
     sinks = [i for i in range(n) if not succs[i]]
     if len(sinks) != 1:
-        raise MultipleSinks(f"expected exactly one sink, found {[names[i] for i in sinks]}")
+        raise GraphValidationError(f"expected exactly one sink, found {[names[i] for i in sinks]}")
     return WorkflowGraph(
         names=tuple(names),
         layers=tuple(layer_tuples),

@@ -16,14 +16,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .agents import AgentSpec, BOOST_TOKEN, DAMP_TOKEN, PromptState
 from .graph import InputError, WorkflowGraph
 
-DEFAULT_THRESHOLD = 0.0
-DEFAULT_LESSON_CAP = 5
-
-
-class WindowTooShort(InputError):
-    pass
-
-
 class LessonSet(NamedTuple):
     text_blocks: tuple[str, ...]
     failure_count: int
@@ -32,21 +24,27 @@ class LessonSet(NamedTuple):
 
 def identify_bottleneck(values: Sequence[float], threshold: float) -> int | None:
     """Index of the minimum-contribution agent, or None when the minimum is
-    at or above ``threshold`` or tied (by ``==``): by Shapley's symmetry axiom
-    a tie names no one agent, and an index is only a place in the graph file."""
+    at or above ``threshold`` or tied (by ``==``), or when any contribution
+    is NaN: by Shapley's symmetry axiom a tie names no one agent, and an
+    index is only a place in the graph file. A NaN is not ordered against
+    any value, so ``min`` over it would name an agent by its place in the
+    list; like a tie, it tunes no agent."""
     if not values:
         raise ValueError("no contribution values given")
+    if any(map(math.isnan, values)):
+        return None
     low = min(values)
     return values.index(low) if low < threshold and values.count(low) == 1 else None
 
 
-def mock_reflector(target_name: str, rewards: Sequence[float]) -> tuple[str, ...]:
+def mock_reflector(target_name: str, rewards: Sequence[float]) -> LessonSet:
     """Deterministic stand-in for an LLM reflector.
 
     A negative reward is a failure and any other reward (zeros of either
     sign included) a success. Emits one stats block summarizing the split
     and, when any failures exist, one calibration directive: damp when
-    failures dominate, boost otherwise.
+    failures dominate, boost otherwise. The lesson set also counts the
+    failures and successes.
     """
     failures = [r for r in rewards if r < 0]
     successes = [r for r in rewards if not r < 0]
@@ -65,25 +63,20 @@ def mock_reflector(target_name: str, rewards: Sequence[float]) -> tuple[str, ...
             blocks.append(f"{DAMP_TOKEN} Scale back conviction after repeated losses.")
         else:
             blocks.append(f"{BOOST_TOKEN} Lean into signals that kept paying off.")
-    return tuple(blocks)
+    return LessonSet(tuple(blocks), n_fail, n_win)
 
 
-def append_lessons(
-    prompt: PromptState, lessons: Sequence[str], cap: int | None = DEFAULT_LESSON_CAP
-) -> PromptState:
+def append_lessons(prompt: PromptState, lessons: Sequence[str], cap: int) -> PromptState:
     """Append lesson blocks to a prompt, bump the version by one.
 
-    The base text is untouched and block order is preserved; when ``cap`` is
-    set, only the most recent ``cap`` blocks are retained.
+    The base text is untouched and block order is preserved; only the most
+    recent ``cap`` blocks are retained.
     """
-    blocks = (*prompt.lesson_blocks, *lessons)
-    if cap is not None:
-        if cap < 1:
-            raise ValueError("lesson cap must be at least 1")
-        blocks = blocks[-cap:]
+    if cap < 1:
+        raise ValueError("lesson cap must be at least 1")
     return PromptState(
         base_text=prompt.base_text,
-        lesson_blocks=blocks,
+        lesson_blocks=(*prompt.lesson_blocks, *lessons)[-cap:],
         version=prompt.version + 1,
     )
 
@@ -107,8 +100,8 @@ def run_cycle(
     rewards: Sequence[float],
     contributions: Sequence[float],
     *,
-    threshold: float = DEFAULT_THRESHOLD,
-    lesson_cap: int | None = DEFAULT_LESSON_CAP,
+    threshold: float,
+    lesson_cap: int,
 ) -> tuple[CycleRecord, dict[int, AgentSpec]]:
     """One full optimization cycle over an already-traded, attributed window.
 
@@ -120,14 +113,12 @@ def run_cycle(
     record plus the (possibly updated) spec table for the next window.
     """
     if len(rewards) < 2:
-        raise WindowTooShort("a cycle window needs at least two rewards")
+        raise InputError("a cycle window needs at least two rewards")
     target = identify_bottleneck(contributions, threshold)
     new_specs = dict(specs)
     lesson = None
     if target is not None:
-        blocks = mock_reflector(graph.names[target], rewards)
-        failures = sum(1 for r in rewards if r < 0)
-        lesson = LessonSet(blocks, failures, len(rewards) - failures)
+        lesson = mock_reflector(graph.names[target], rewards)
         new_prompt = append_lessons(specs[target].prompt, lesson.text_blocks, lesson_cap)
         new_specs[target] = specs[target]._replace(prompt=new_prompt)
     versions = tuple(new_specs[i].prompt.version for i in range(graph.n))

@@ -73,10 +73,6 @@ _KEY_BYTES = array(_KEY).itemsize
 _TASK = "i"
 
 
-class InvalidSize(InputError):
-    pass
-
-
 class ExecutorFailure(RuntimeError):
     """An agent runner raised during engine-driven execution."""
 
@@ -154,7 +150,7 @@ def shapley_exact(table: Sequence[float], n: int) -> tuple[float, ...]:
     cost is the caller's to report.
     """
     if n < 1:
-        raise InvalidSize("need at least one agent")
+        raise InputError("need at least one agent")
     if n > MAX_AGENTS:
         raise GraphTooLarge(f"{n} agents exceeds the limit of {MAX_AGENTS}")
     size = 1 << n - 1
@@ -501,7 +497,7 @@ def classical_cost(n: int) -> tuple[int, int]:
     executions total n * 2**(n-1).
     """
     if n < 1:
-        raise InvalidSize("need at least one agent")
+        raise InputError("need at least one agent")
     return (1 << n, n * (1 << (n - 1)))
 
 

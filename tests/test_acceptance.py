@@ -235,8 +235,8 @@ def test_criterion_6_tuning_loop_behavior(tmp_path):
 def test_criterion_7_metric_correctness():
     start = time.perf_counter()
     assert max_drawdown([1.0, 1.2, 0.9, 1.1]) == 0.25
-    assert abs(sharpe([0.02, 0.00], 0.0) - 0.70711) < 1e-4
-    assert sharpe([0.03, 0.03, 0.03], 0.0) == 0.0
+    assert abs(sharpe([0.02, 0.00]) - 0.70711) < 1e-4
+    assert sharpe([0.03, 0.03, 0.03]) == 0.0
     rng = random.Random(1)
     for _ in range(50):
         returns = [rng.uniform(-0.05, 0.05) for _ in range(rng.randint(2, 30))]

@@ -29,13 +29,9 @@ from dagcredit.backtest import (
     STRATEGY_MACD,
     STRATEGY_SMA,
     STRATEGY_TUNED,
-    DuplicateDate,
     EnginesDisagree,
     InsufficientData,
-    NonPositivePrice,
     ParseError,
-    TooFewReturns,
-    UnsortedDates,
     annualized_sharpe,
     build_equity,
     day_windows,
@@ -126,19 +122,19 @@ def test_load_market_csv_rejects_bad_number(tmp_path):
 
 def test_load_market_csv_rejects_nonpositive_price(tmp_path):
     bad = MARKET_CSV.replace("2024-01-03,100,112,99,110,1000", "2024-01-03,100,112,0,110,1000")
-    with pytest.raises(NonPositivePrice):
+    with pytest.raises(ParseError, match="line 3: low must be positive"):
         load(tmp_path, bad)
 
 
 def test_load_market_csv_rejects_duplicate_date(tmp_path):
     bad = MARKET_CSV.replace("2024-01-03", "2024-01-02", 1)
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(ParseError, match="line 3: duplicate date 2024-01-02"):
         load(tmp_path, bad)
 
 
 def test_load_market_csv_rejects_unsorted_dates(tmp_path):
     bad = MARKET_CSV.replace("2024-01-04", "2024-01-01")
-    with pytest.raises(UnsortedDates):
+    with pytest.raises(ParseError, match="dates must be increasing"):
         load(tmp_path, bad)
 
 
@@ -151,7 +147,7 @@ def test_load_market_csv_needs_two_days(tmp_path):
 def test_load_market_checks_the_market_file_before_the_features(tmp_path):
     bad_market = MARKET_CSV.replace("2024-01-04", "2024-01-01")
     bad_features = FEATURES_CSV.replace("0.5", "1.5")
-    with pytest.raises(UnsortedDates):
+    with pytest.raises(ParseError, match="dates must be increasing"):
         load(tmp_path, bad_market, bad_features)
 
 
@@ -244,10 +240,10 @@ def test_synthesize_market_content_is_pinned():
 
 
 def test_sharpe_frozen_value():
-    assert sharpe([0.02, 0.00], 0.0).hex() == "0x1.6a09e667f3bcdp-1"
+    assert sharpe([0.02, 0.00]).hex() == "0x1.6a09e667f3bcdp-1"
 
 
-# Bounded so that no excess return, and no standard deviation, overflows.
+# Bounded so that no standard deviation overflows.
 finite_returns = st.one_of(
     st.floats(min_value=-0.2, max_value=0.2),
     st.floats(min_value=-1e300, max_value=1e300),
@@ -262,32 +258,26 @@ finite_returns = st.one_of(
         st.lists(finite_returns, min_size=2, max_size=64),
         st.builds(lambda x, k: [x] * k, finite_returns, st.integers(2, 64)),
     ),
-    rf_daily=st.one_of(st.just(0.0), finite_returns),
 )
-def test_sharpe_equals_statistics_bit_for_bit(returns, rf_daily):
-    excess = [r - rf_daily for r in returns]
-    sd = statistics.stdev(excess)
-    expected = 0.0 if sd == 0.0 else statistics.mean(excess) / sd
-    assert sharpe(returns, rf_daily).hex() == expected.hex()
+def test_sharpe_equals_statistics_bit_for_bit(returns):
+    sd = statistics.stdev(returns)
+    expected = 0.0 if sd == 0.0 else statistics.mean(returns) / sd
+    assert sharpe(returns).hex() == expected.hex()
 
 
 def test_sharpe_zero_variance_is_zero():
-    assert sharpe([0.01, 0.01, 0.01], 0.0) == 0.0
-    assert sharpe([0.0, 0.0], 0.0) == 0.0
-
-
-def test_sharpe_subtracts_risk_free_rate():
-    assert sharpe([0.03, 0.01], 0.01) == pytest.approx(sharpe([0.02, 0.00], 0.0))
+    assert sharpe([0.01, 0.01, 0.01]) == 0.0
+    assert sharpe([0.0, 0.0]) == 0.0
 
 
 def test_sharpe_needs_two_returns():
-    with pytest.raises(TooFewReturns):
-        sharpe([0.02], 0.0)
+    with pytest.raises(InsufficientData, match="at least two returns"):
+        sharpe([0.02])
 
 
 def test_annualized_sharpe_scaling():
-    raw = sharpe([0.02, 0.00], 0.0)
-    assert annualized_sharpe([0.02, 0.00], 0.0) == pytest.approx(raw * math.sqrt(252))
+    raw = sharpe([0.02, 0.00])
+    assert annualized_sharpe([0.02, 0.00]) == pytest.approx(raw * math.sqrt(252))
 
 
 def test_max_drawdown_frozen_value():
@@ -365,7 +355,7 @@ def window_setup():
     return g, market, runner, live_plan(g, enumerate_viable(g))
 
 
-def window_game_args(market, day_indices, rf_daily=0.0):
+def window_game_args(market, day_indices):
     """The episodes, the position score and the Sharpe value of the window
     game on ``day_indices``, as ``run_backtest`` hands them to
     ``evaluate_window``."""
@@ -374,7 +364,7 @@ def window_game_args(market, day_indices, rf_daily=0.0):
     return (
         [market.for_day(i) for i in decision_days],
         decision_to_position,
-        sharpe_value(step_returns, rf_daily),
+        sharpe_value(step_returns),
     )
 
 
@@ -691,9 +681,9 @@ def test_evaluate_window_values_are_each_coalitions_own_sharpe(seed, start):
     days = list(range(start, start + 5))
     calls = []
 
-    def counted(returns, rf_daily=0.0):
+    def counted(returns):
         calls.append(tuple(returns))
-        return sharpe(returns, rf_daily)
+        return sharpe(returns)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "sharpe", counted)
@@ -1079,14 +1069,13 @@ def test_backtest_baselines_share_decision_days(result_30):
     assert buy_hold.returns == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("rf_daily", [0.0, 0.0001])
-def test_window_sharpe_is_the_sharpe_of_the_window_returns(rf_daily):
+def test_window_sharpe_is_the_sharpe_of_the_window_returns():
     """A window's Sharpe is its grand coalition's game value. The Sharpe of
     the window's returns, as the report once computed it, is the oracle."""
-    result = run_backtest(RunConfig(seed=78, days=30, rf_daily=rf_daily).validate())
+    result = run_backtest(RunConfig(seed=78, days=30).validate())
     assert any(c.triggered for c in result.cycles)
     for rep in result.windows + result.frozen_windows:
-        assert rep.window_sharpe.hex() == sharpe(rep.returns, rf_daily).hex()
+        assert rep.window_sharpe.hex() == sharpe(rep.returns).hex()
 
 
 @pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("both", 49)])

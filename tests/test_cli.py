@@ -279,6 +279,32 @@ def test_coalitions_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
     assert stderr.read_bytes() == b""
 
 
+STDLIB_ONLY_SCRIPT = """
+import sys
+from dagcredit.cli import main
+for argv in (["shapley", "--engine", "both"], ["backtest", "--days", "15", "--engine", "both"]):
+    assert main(argv) == 0, argv
+loaded = {name.partition(".")[0] for name in sys.modules}
+print("outside the standard library:", sorted(
+    loaded - sys.stdlib_module_names - {"dagcredit", "__main__"}
+))
+"""
+
+
+def test_the_commands_load_only_the_standard_library():
+    """The package needs nothing but Python: run without ``site`` (so no
+    installed package is on the path), the attribution and the backtest,
+    classical replay included, load no module from outside the standard
+    library."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "outside the standard library: []"
+
+
 def test_a_closed_reader_costs_no_file_descriptor(monkeypatch, tmp_path):
     """In process, standard output whose reader is gone: ``main`` points it
     at devnull and closes the descriptor it opened to do so, so repeated
@@ -343,8 +369,7 @@ def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):
         {"market_csv": "m.csv", "features_csv": "f.csv", "prompts_dir": "prompts"},
         {"days": 300, "window_len": 7},
         {"threshold": 0.5},
-        {"lesson_cap": None},
-        {"rf_daily": 0.0001},
+        {"lesson_cap": 3},
         {"symbol": "ACME"},
     ],
     ids=",".join,
@@ -604,8 +629,8 @@ def test_backtest_rejects_unknown_config_key(capsys, tmp_path):
         {"seed": 1.5},
         {"seed": True},
         {"signal_strength": "0.5"},
-        {"rf_daily": None},
-        {"rf_daily": float("nan")},
+        {"threshold": None},
+        {"threshold": float("nan")},
         {"threshold": float("inf")},
         {"symbol": 3},
         {"out_dir": 3},
@@ -620,6 +645,23 @@ def test_backtest_rejects_config_values_of_the_wrong_type(capsys, tmp_path, payl
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_backtest_rejects_a_config_naming_the_retired_risk_free_rate(capsys, tmp_path):
+    """The Sharpe reward has no risk-free rate: ``rf_daily`` is no setting."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"days": 15, "rf_daily": 0.0}), encoding="utf-8")
+    code, out, err = run(capsys, "backtest", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: unknown config keys ['rf_daily']\n"
+
+
+def test_backtest_rejects_an_unbounded_lesson_cap(capsys, tmp_path):
+    """Every prompt keeps at most ``lesson_cap`` lesson blocks: null is no cap."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"days": 15, "lesson_cap": None}), encoding="utf-8")
+    code, out, err = run(capsys, "backtest", "--config", str(path))
+    assert (code, out, err) == (1, "", "error: lesson_cap must be an integer, got None\n")
 
 
 def test_backtest_rejects_the_retired_exact_engine_in_a_config_file(capsys, tmp_path):
@@ -791,7 +833,10 @@ def test_every_value_error_the_package_defines_is_an_input_error():
             for _, cls in inspect.getmembers(module, inspect.isclass)
             if cls.__module__ == module.__name__ and issubclass(cls, ValueError)
         ]
-    assert InvalidAgentOutput in defined and len(defined) > 12
+    assert sorted(cls.__qualname__ for cls in defined) == [
+        "ConfigError", "GraphTooLarge", "GraphValidationError", "InputError",
+        "InsufficientData", "InvalidAgentOutput", "ParseError", "RoleMismatch",
+    ]
     assert [
         cls.__qualname__
         for cls in defined

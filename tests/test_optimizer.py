@@ -13,13 +13,13 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import enumerate_viable
 from dagcredit.optimizer import (
-    WindowTooShort,
+    LessonSet,
     identify_bottleneck,
     append_lessons,
     mock_reflector,
     run_cycle,
 )
-from dagcredit.graph import reference_graph
+from dagcredit.graph import InputError, reference_graph
 from dagcredit.shapley import shapley_exact
 
 from conftest import sink_table
@@ -50,6 +50,14 @@ def test_bottleneck_threshold_is_strict():
     assert identify_bottleneck([0.049, 0.2], threshold=0.05) == 0
 
 
+def test_bottleneck_nan_contribution_tunes_no_agent_in_either_order():
+    # ``min`` over a NaN depends on where the NaN stands; a pick must not.
+    nan = float("nan")
+    assert identify_bottleneck([nan, -1.0], threshold=0.0) is None
+    assert identify_bottleneck([-1.0, nan], threshold=0.0) is None
+    assert identify_bottleneck([0.5, nan, -1.0], threshold=0.0) is None
+
+
 def test_bottleneck_rejects_empty_input():
     with pytest.raises(ValueError):
         identify_bottleneck([], threshold=0.0)
@@ -73,7 +81,7 @@ def test_bottleneck_properties(values, threshold):
 
 
 def test_reflector_emits_stats_block():
-    blocks = mock_reflector("TAA", [-0.02, 0.04])
+    blocks = mock_reflector("TAA", [-0.02, 0.04]).text_blocks
     assert blocks[0] == (
         "Window review for TAA: failure_rate=0.50 avg_fail=-0.0200 "
         "avg_win=0.0400 cases=2"
@@ -82,26 +90,29 @@ def test_reflector_emits_stats_block():
 
 def test_reflector_zero_reward_counts_as_success():
     for zero in (0.0, -0.0):
-        blocks = mock_reflector("TAA", [zero])
-        assert blocks == (
-            "Window review for TAA: failure_rate=0.00 avg_fail=0.0000 "
-            "avg_win=0.0000 cases=1",
+        assert mock_reflector("TAA", [zero]) == LessonSet(
+            ("Window review for TAA: failure_rate=0.00 avg_fail=0.0000 "
+             "avg_win=0.0000 cases=1",),
+            failure_count=0,
+            success_count=1,
         )
 
 
 def test_reflector_damps_when_failures_dominate():
-    blocks = mock_reflector("TAA", [-0.02, -0.01, 0.01])
+    lesson = mock_reflector("TAA", [-0.02, -0.01, 0.01])
+    assert (lesson.failure_count, lesson.success_count) == (2, 1)
+    blocks = lesson.text_blocks
     assert len(blocks) == 2
     assert DAMP_TOKEN in blocks[1]
 
 
 def test_reflector_boosts_on_minority_failures():
-    blocks = mock_reflector("TAA", [-0.02, 0.01, 0.01])
+    blocks = mock_reflector("TAA", [-0.02, 0.01, 0.01]).text_blocks
     assert BOOST_TOKEN in blocks[1]
 
 
 def test_reflector_emits_no_directive_without_failures():
-    blocks = mock_reflector("TAA", [0.01])
+    blocks = mock_reflector("TAA", [0.01]).text_blocks
     assert len(blocks) == 1
     assert DAMP_TOKEN not in blocks[0] and BOOST_TOKEN not in blocks[0]
 
@@ -116,7 +127,7 @@ def test_reflector_is_deterministic():
 
 def test_append_lessons_appends_and_bumps_version():
     prompt = PromptState("base", ("old",), version=2)
-    updated = append_lessons(prompt, ("new one", "new two"))
+    updated = append_lessons(prompt, ("new one", "new two"), cap=5)
     assert updated.base_text == "base"
     assert updated.lesson_blocks == ("old", "new one", "new two")
     assert updated.version == 3
@@ -127,12 +138,6 @@ def test_append_lessons_cap_keeps_most_recent():
     updated = append_lessons(prompt, ("e", "f"), cap=5)
     assert updated.lesson_blocks == ("b", "c", "d", "e", "f")
     assert updated.version == 6
-
-
-def test_append_lessons_without_cap_keeps_everything():
-    prompt = PromptState("base", tuple("abcdef"), version=7)
-    updated = append_lessons(prompt, ("g",), cap=None)
-    assert len(updated.lesson_blocks) == 7
 
 
 def test_append_lessons_rejects_bad_cap():
@@ -170,7 +175,7 @@ def test_run_cycle_triggered_updates_exactly_one_prompt():
     g, specs, rewards, contributions = cycle_fixture(
         lambda mask: -0.5 if mask >> 1 & 1 else 0.1
     )
-    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0, lesson_cap=5)
     assert record_.triggered
     assert record_.bottleneck == 1
     assert record_.lesson is not None
@@ -185,19 +190,19 @@ def test_reflect_packages_lesson_set():
     g, specs, rewards, contributions = cycle_fixture(
         lambda mask: -0.5 if mask >> 1 & 1 else 0.1
     )
-    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0, lesson_cap=5)
     lesson = record_.lesson
     assert record_.bottleneck == 1
     assert lesson.failure_count == 2
     assert lesson.success_count == 2
-    assert lesson.text_blocks == mock_reflector(g.names[1], rewards)
+    assert lesson == mock_reflector(g.names[1], rewards)
     assert len(lesson.text_blocks) == 2
     assert updated[1].prompt.lesson_blocks == lesson.text_blocks
 
 
 def test_run_cycle_untriggered_changes_nothing():
     g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.0)
-    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=0.0, lesson_cap=5)
     assert not record_.triggered
     assert record_.bottleneck is None
     assert record_.lesson is None
@@ -211,9 +216,9 @@ def test_run_cycle_threshold_gates_triggering():
     g, specs, rewards, contributions = cycle_fixture(
         lambda mask: 0.05 if mask >> 1 & 1 else 0.07
     )
-    low, _ = run_cycle(g, specs, rewards, contributions, threshold=-1.0)
+    low, _ = run_cycle(g, specs, rewards, contributions, threshold=-1.0, lesson_cap=5)
     assert not low.triggered
-    high, _ = run_cycle(g, specs, rewards, contributions, threshold=1.0)
+    high, _ = run_cycle(g, specs, rewards, contributions, threshold=1.0, lesson_cap=5)
     assert high.triggered
     assert high.bottleneck == 1
 
@@ -222,7 +227,7 @@ def test_run_cycle_tied_minimum_triggers_nothing():
     # A game worth the same at every viable mask: the six upstream agents
     # tie, so no threshold names one of them.
     g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.07)
-    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=1.0)
+    record_, updated = run_cycle(g, specs, rewards, contributions, threshold=1.0, lesson_cap=5)
     assert not record_.triggered
     assert updated == specs
 
@@ -230,6 +235,6 @@ def test_run_cycle_tied_minimum_triggers_nothing():
 def test_run_cycle_requires_two_days():
     # A window of w days has w - 1 decision days, one reward each.
     g, specs, rewards, contributions = cycle_fixture(lambda mask: 0.0)
-    with pytest.raises(WindowTooShort):
-        run_cycle(g, specs, rewards[:1], contributions)
-    run_cycle(g, specs, rewards[:2], contributions)
+    with pytest.raises(InputError, match="at least two rewards"):
+        run_cycle(g, specs, rewards[:1], contributions, threshold=0.0, lesson_cap=5)
+    run_cycle(g, specs, rewards[:2], contributions, threshold=0.0, lesson_cap=5)

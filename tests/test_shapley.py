@@ -20,13 +20,12 @@ from dagcredit.agents import (
 )
 from dagcredit.coalitions import GraphTooLarge, enumerate_viable
 from dagcredit.config import RunConfig, load_graph_file
-from dagcredit.graph import build_graph, reference_graph
+from dagcredit.graph import InputError, build_graph, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
     AttributionResult,
     CostCounters,
     ExecutorFailure,
-    InvalidSize,
     classical_cost,
     format_attribution,
     format_replay_check,
@@ -417,7 +416,7 @@ def test_exact_engine_returns_only_the_contributions():
 def test_engines_reject_oversized_inputs():
     with pytest.raises(GraphTooLarge, match="25 agents exceeds the limit of 24"):
         shapley_exact([], 25)
-    with pytest.raises(InvalidSize):
+    with pytest.raises(InputError, match="need at least one agent"):
         shapley_exact([], 0)
 
 
@@ -760,7 +759,7 @@ def test_classical_cost_values():
     assert classical_cost(7) == (128, 448)
     assert classical_cost(1) == (2, 1)
     assert classical_cost(3) == (8, 12)
-    with pytest.raises(InvalidSize):
+    with pytest.raises(InputError, match="need at least one agent"):
         classical_cost(0)
 
 
@@ -959,7 +958,7 @@ def with_lessons(specs, changed):
     """``specs`` with a lesson appended to the prompt of each agent in the
     mask ``changed``."""
     return {
-        a: spec._replace(prompt=append_lessons(spec.prompt, [BOOST_TOKEN]))
+        a: spec._replace(prompt=append_lessons(spec.prompt, [BOOST_TOKEN], cap=5))
         if changed >> a & 1
         else spec
         for a, spec in specs.items()
