@@ -51,9 +51,9 @@ from .graph import InputError, WorkflowGraph
 from .optimizer import CycleRecord, run_cycle
 from .shapley import (
     AttributionResult,
-    CostCounters,
     LayeredRunResult,
     LivePlan,
+    classical_cost,
     format_attribution,
     layered_run,
     live_plan,
@@ -403,17 +403,18 @@ def day_windows(total_days: int, window_len: int) -> list[list[int]]:
 class WindowGame(NamedTuple):
     """One game over a set of episodes: its value of each sink task of the
     plan, in task order, the run of each episode (its sink row holds
-    scores) and the pruned engine's attribution. A viable mask takes its
-    sink task's value (see ``LivePlan``), so the grand coalition's is the
-    last, and any other mask 0.0. ``replay`` is the classical replay's
-    cost, set only under engine ``both``; the replay's value of every subset
-    is then the pruned engine's, bit for bit, or ``evaluate_window`` would
-    have raised."""
+    scores), the pruned engine's attribution and its runner calls. A viable
+    mask takes its sink task's value (see ``LivePlan``), so the grand
+    coalition's is the last, and any other mask 0.0. ``replay_executions``
+    is the classical replay's runner calls under engine ``both``, and 0
+    under ``dag``; the replay's value of every subset is then the pruned
+    engine's, bit for bit, or ``evaluate_window`` would have raised."""
 
     task_values: tuple[float, ...]
     runs: list[LayeredRunResult]
     attribution: AttributionResult
-    replay: CostCounters | None
+    agent_executions: int
+    replay_executions: int
 
 
 def evaluate_window(
@@ -437,8 +438,7 @@ def evaluate_window(
     value per sink task. ``shapley_exact`` attributes the ``2**(n - 1)``
     values of the coalitions holding the sink, by configuration (the mask
     of the other members), 0.0 off the viable masks, in a list dropped on
-    return, with the runs' summed counters and one coalition evaluation per
-    viable mask.
+    return.
     ``reuse`` is an earlier game on the same episodes, played with the same
     ``score``, and the mask of the agents whose prompts have changed since;
     each episode's run then reuses the earlier run of that episode (see
@@ -486,7 +486,6 @@ def evaluate_window(
         layered_run(graph, viable, scored, episode, plan=plan, reuse=done)
         for episode, done in zip(episodes, earlier)
     ]
-    counters = CostCounters(*map(sum, zip(*(run.counters for run in runs))))
     # Every run shares the plan, so the sink's scores line up in one column
     # per sink task: value each task once. Each configuration of the other
     # agents takes its sink task's value from the sink's table; masks that
@@ -497,15 +496,12 @@ def evaluate_window(
     by_task.append(0.0)
     table = list(map(by_task.__getitem__, plan.task_tables[sink]))
     del by_task  # the table holds every value: free the list before the aggregation peak
-    attribution = AttributionResult(
-        shapley_exact(table, graph.n), counters._replace(coalition_evaluations=len(viable))
-    )
+    attribution = AttributionResult(shapley_exact(table, graph.n))
     # The same floats again, each at its task's live key, a viable configuration.
     task_values = tuple(map(table.__getitem__, plan.keys[sink]))
 
-    replay_cost = None
+    replay_executions = 0
     if engine == "both":
-        replay_executions = 0
         last = len(table) - 1
         for mask in range(1 << graph.n):
             replay = replay_coalition(graph, mask, run_agent, episodes=episodes)
@@ -518,8 +514,8 @@ def evaluate_window(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
-        replay_cost = CostCounters(1 << graph.n, replay_executions)
-    return WindowGame(task_values, runs, attribution, replay_cost)
+    executions = sum(run.counters.agent_executions for run in runs)
+    return WindowGame(task_values, runs, attribution, executions, replay_executions)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -590,7 +586,8 @@ def sma_positions(closes: Sequence[float]) -> list[int]:
 
 class WindowReport(NamedTuple):
     """One window pass as its report prints it. Whether the classical
-    replay checked it is the run's ``config.engine``; ``task_values`` is its game's."""
+    replay checked it is the run's ``config.engine``; ``task_values`` and
+    the runner calls are its game's."""
 
     index: int
     start: date
@@ -598,6 +595,8 @@ class WindowReport(NamedTuple):
     returns: tuple[float, ...]
     attribution: AttributionResult
     task_values: tuple[float, ...]
+    agent_executions: int
+    replay_executions: int
 
     @property
     def window_sharpe(self) -> float:
@@ -721,6 +720,8 @@ def run_backtest(config: RunConfig) -> BacktestResult:
             returns=tuple(rewards),
             attribution=game.attribution,
             task_values=game.task_values,
+            agent_executions=game.agent_executions,
+            replay_executions=game.replay_executions,
         )
 
     specs = dict(specs0)
@@ -826,7 +827,6 @@ def _cycle_record_json(graph: WorkflowGraph, window: WindowReport, record: Cycle
         "start": window.start.isoformat(),
         "end": window.end.isoformat(),
         "contributions": dict(zip(graph.names, window.attribution.values)),
-        "cost": window.attribution.counters._asdict(),
         "bottleneck": graph.names[record.bottleneck] if record.bottleneck is not None else None,
         "triggered": record.triggered,
         "lesson_blocks": list(record.lesson.text_blocks) if record.lesson else [],
@@ -877,6 +877,14 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
         (prompts_dir / f"{name}_v{version}.txt").write_text(text, encoding="utf-8", newline="\n")
 
     cfg = result.config
+    # Runner calls per pass, and the replay's of both passes under ``both``.
+    calls = (
+        f"runner calls: tuned {sum(rep.agent_executions for rep in result.windows)}"
+        f"  frozen {sum(rep.agent_executions for rep in result.frozen_windows)}"
+    )
+    if cfg.engine == "both":
+        replayed = sum(rep.replay_executions for rep in result.windows + result.frozen_windows)
+        calls += f"  replay {replayed}"
     lines = [
         "backtest summary",
         f"symbol: {result.market.symbol}",
@@ -884,6 +892,10 @@ def write_reports(result: BacktestResult, out_dir: Path) -> None:
         f"engine: {cfg.engine}  threshold: {cfg.threshold:+.4f}  lesson_cap: {cfg.lesson_cap}",
         f"windows: {len(result.windows)}  triggered_cycles: "
         f"{sum(1 for c in result.cycles if c.triggered)}",
+        "",
+        f"tasks per episode: {result.plan.tasks}  classical n*2^(n-1): "
+        f"{classical_cost(graph.n)[1]}",
+        calls,
         "",
         *format_strategies(result.strategies),
         "",

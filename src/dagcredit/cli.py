@@ -25,10 +25,10 @@ defaults. So every command that takes a graph runs the config file's
 
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
 replays every subset classically and requires each subset's replay value
-to equal the pruned engine's bit for bit.
-``shapley`` then prints the ``dag`` output followed by the replay's cost, the
-execution reduction and the number of subsets that agreed. Engines that
-differ end the command with exit 3.
+to equal the pruned engine's bit for bit. ``shapley`` prints the
+contributions and the pruned engine's runner calls, then under ``both`` the
+replay's runner calls, the execution reduction and the number of subsets
+that agreed. Engines that differ end the command with exit 3.
 
 Exit codes: 0 success, 1 an ``InputError`` (the root of every bad-input
 error the package raises: a graph, config, data file or setting it cannot
@@ -190,8 +190,9 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         config.engine,
     )
     text = format_attribution(graph, game.attribution)
-    if game.replay is not None:
-        text += "\n" + format_replay_check(graph, game.attribution, game.replay)
+    text += f"\ncost: agent_executions={game.agent_executions}"
+    if config.engine == "both":
+        text += "\n" + format_replay_check(graph, game.agent_executions, game.replay_executions)
     print(text)
     if config.out_dir:
         out = Path(config.out_dir)

@@ -112,7 +112,8 @@ def _read_json(path: str | Path):
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file; unknown keys are an error, not a surprise."""
+    """Read a JSON config file; unknown keys are an error, not a surprise.
+    Every error names the file."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -121,7 +122,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
     try:
         return RunConfig(**raw).validate()
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -78,24 +78,18 @@ class ExecutorFailure(RuntimeError):
 
 
 class CostCounters(NamedTuple):
-    """Work performed while valuing a game.
+    """What one ``layered_run`` cost: ``agent_executions`` counts its
+    runner calls, and ``cache_hits`` is its plan's ``upstream_reads`` plus
+    one per viable mask."""
 
-    ``agent_executions`` counts runner calls; ``executions_reused`` counts
-    the tasks that took their output from an earlier run instead of calling
-    the runner.
-    """
-
-    coalition_evaluations: int = 0
-    agent_executions: int = 0
-    cache_hits: int = 0
-    executions_reused: int = 0
+    agent_executions: int
+    cache_hits: int
 
 
 class AttributionResult(NamedTuple):
-    """Per-agent Shapley values plus the cost of obtaining them."""
+    """Per-agent Shapley values, in index order."""
 
     values: tuple[float, ...]
-    counters: CostCounters
 
     def total(self) -> float:
         return math.fsum(self.values)
@@ -348,11 +342,11 @@ def layered_run(
     masks alone. An earlier run of another plan or on unequal external data
     raises ValueError.
 
-    ``agent_executions`` counts runner calls and ``executions_reused`` the
-    other tasks; the two sum to the plan's task count. ``cache_hits`` is
-    ``plan.upstream_reads`` (each task's reads of its predecessors' outputs)
-    plus one per viable mask. The second term is not a count of reads:
-    ``backtest.evaluate_window`` reads the sink's scores once per sink task.
+    ``agent_executions`` counts runner calls, at most the plan's task
+    count. ``cache_hits`` is ``plan.upstream_reads`` (each task's reads of
+    its predecessors' outputs) plus one per viable mask. The second term is
+    not a count of reads: ``backtest.evaluate_window`` reads the sink's
+    scores once per sink task.
 
     Outputs are trusted, not checked: an agent must be a pure function of
     its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,
@@ -407,11 +401,7 @@ def layered_run(
         if row and graph.succs[agent]:
             by_config[agent] = list(map(row.__getitem__, plan.task_tables[agent]))
 
-    counters = CostCounters(
-        agent_executions=executions,
-        cache_hits=plan.upstream_reads + len(viable),
-        executions_reused=plan.tasks - executions,
-    )
+    counters = CostCounters(executions, plan.upstream_reads + len(viable))
     return LayeredRunResult(plan, external, outputs, counters)
 
 
@@ -480,8 +470,7 @@ def predicted_cost(graph: WorkflowGraph) -> PredictedCost:
 
     Each layer's count is the number of distinct live keys of its agents
     over the viable coalitions, from the same routine ``layered_run`` keys
-    its tasks by. It depends on the graph alone and equals
-    ``agent_executions + executions_reused`` of any episode; the runner
+    its tasks by. It depends on the graph alone, and an episode's runner
     calls reach it when the episode reuses nothing.
     """
     viable = enumerate_viable(graph)
@@ -501,34 +490,22 @@ def classical_cost(n: int) -> tuple[int, int]:
     return (1 << n, n * (1 << (n - 1)))
 
 
-def _cost_fields(c: CostCounters) -> str:
-    """The four counters as every cost line prints them."""
-    return (
-        f"coalition_evaluations={c.coalition_evaluations} "
-        f"agent_executions={c.agent_executions} "
-        f"executions_reused={c.executions_reused} cache_hits={c.cache_hits}"
-    )
-
-
 def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
-    """Per-agent contributions plus the cost block, as stable text."""
+    """Per-agent contributions and their total, as stable text."""
     lines = ["agent contributions:"]
     for i, name in enumerate(graph.names):
         lines.append(f"  {name:<8} {result.values[i]:+.10f}")
     lines.append(f"  total    {result.total():+.10f}")
-    lines.append(f"cost: {_cost_fields(result.counters)}")
     return "\n".join(lines)
 
 
-def format_replay_check(
-    graph: WorkflowGraph, dag: AttributionResult, replay: CostCounters
-) -> str:
-    """What engine ``both`` prints below the pruned engine's attribution:
-    the classical replay's cost line, the execution reduction against it,
-    and that the two engines agreed on every subset."""
-    reduction = 1.0 - dag.counters.agent_executions / replay.agent_executions
+def format_replay_check(graph: WorkflowGraph, executions: int, replay_executions: int) -> str:
+    """What engine ``both`` prints below the pruned engine's runner calls,
+    ``executions``: the classical replay's, the execution reduction against
+    them, and that the two engines agreed on every subset."""
+    reduction = 1.0 - executions / replay_executions
     return "\n".join([
-        f"cost (replay): {_cost_fields(replay)}",
+        f"cost (replay): agent_executions={replay_executions}",
         f"execution reduction: {100.0 * reduction:.1f}%",
         f"all 2^{graph.n} = {1 << graph.n} subsets agreed",
     ])

@@ -52,9 +52,7 @@ from dagcredit.coalitions import enumerate_viable
 from dagcredit.cli import main
 from dagcredit.config import ConfigError, RunConfig, load_prompts_dir
 from dagcredit.graph import build_graph, reference_graph
-from dagcredit.shapley import (
-    CostCounters, live_plan, replay_coalition, shapley_exact,
-)
+from dagcredit.shapley import live_plan, replay_coalition, shapley_exact
 
 from conftest import (
     dense_values, game_table, grand_outputs, layered_graph, report_rows, swapped_trader,
@@ -384,14 +382,13 @@ def assert_task_values(plan, game):
 def test_evaluate_window_dag_engine_counts(window_setup):
     g, market, runner, plan = window_setup
     game = evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2, 3, 4]))
-    counters = game.attribution.counters
-    assert counters.coalition_evaluations == 49
     # four decision days, 73 shared executions each
-    assert counters.agent_executions == 4 * 73
-    assert counters.executions_reused == 0
+    assert plan.tasks == 73
+    assert game.agent_executions == 4 * 73
+    assert [run.counters.agent_executions for run in game.runs] == [73] * 4
     assert_task_values(plan, game)
     assert game.attribution.values == shapley_exact(game_table(plan, game.task_values), g.n)
-    assert game.replay is None
+    assert game.replay_executions == 0
 
 
 def test_evaluate_window_reuses_an_earlier_game(window_setup):
@@ -400,15 +397,16 @@ def test_evaluate_window_reuses_an_earlier_game(window_setup):
     first = evaluate_window(plan, runner, episodes, score, value)
     assert len(first.runs) == 4
     again = evaluate_window(plan, runner, episodes, score, value, reuse=(first, 0))
-    assert again.attribution.counters.agent_executions == 0
-    assert again.attribution.counters.executions_reused == 4 * 73
+    assert again.agent_executions == 0
+    # Every task of every episode was reused.
+    assert plan.tasks * len(episodes) - again.agent_executions == 4 * 73
     assert again.task_values == first.task_values
     assert [grand_outputs(g, run) for run in again.runs] == [
         grand_outputs(g, run) for run in first.runs
     ]
     # A changed trader reruns its 49 tasks on each day.
     trader = evaluate_window(plan, runner, episodes, score, value, reuse=(first, 1 << g.sink))
-    assert trader.attribution.counters.agent_executions == 4 * 49
+    assert trader.agent_executions == 4 * 49
     with pytest.raises(ValueError, match="another number of episodes"):
         evaluate_window(plan, runner, episodes[:-1], score, value, reuse=(first, 0))
     with pytest.raises(ValueError, match="other external data"):
@@ -423,7 +421,7 @@ def test_evaluate_window_engines_agree(window_setup):
     assert_task_values(plan, game)
     # Engine ``both`` raised nothing, so the replay valued every subset as
     # the pruned table does.
-    assert game.replay == CostCounters(coalition_evaluations=128, agent_executions=4 * 448)
+    assert game.replay_executions == 4 * 448
     assert game.attribution.values == shapley_exact(game_table(plan, game.task_values), g.n)
 
 
@@ -459,9 +457,9 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
         return runner(agent, upstream, external)
 
     game = evaluate_window(plan, recorder, episodes, score, value, "both")
-    replayed = calls[game.attribution.counters.agent_executions:]
+    replayed = calls[game.agent_executions:]
     assert len(replayed) == g.n * 2 ** (g.n - 1) * len(episodes) == 448 * 3
-    assert game.replay.agent_executions == len(replayed)
+    assert game.replay_executions == len(replayed)
     expected = []
     for mask in range(1 << g.n):
         members = [a for a in range(g.n) if mask >> a & 1]
@@ -630,7 +628,7 @@ def test_evaluate_window_both_rejects_a_reuse_that_hides_a_changed_agent(window_
         plan, changed, episodes, score, value, "both", reuse=(first, 1 << g.sink)
     )
     assert game.task_values != first.task_values
-    assert game.attribution.counters.agent_executions == 4 * 49
+    assert game.agent_executions == 4 * 49
 
 
 def test_evaluate_window_values_each_sink_task_once():
@@ -759,7 +757,7 @@ def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert game.replay.coalition_evaluations == 1 << 14
+    assert game.replay_executions == 14 << 13
     assert peak <= 2.5 * 2**20
 
 
@@ -865,17 +863,17 @@ def test_backtest_passes_agree_until_first_trigger(result_30):
     rows = report_rows(result_30.plan)
     for w in range(first + 1):
         tuned, frozen = result_30.windows[w], result_30.frozen_windows[w]
-        assert frozen.attribution.counters.agent_executions == 0
-        same_cost = frozen.attribution._replace(counters=tuned.attribution.counters)
+        assert frozen.agent_executions == 0
         assert _window_report_text(result_30, tuned, rows) == _window_report_text(
-            result_30, frozen._replace(attribution=same_cost), rows
+            result_30, frozen, rows
         )
 
 
 @pytest.mark.parametrize("engine", ["dag", "both"])
 def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, tmp_path):
     """The frozen pass reuses the tuned pass's runs: the runners are called
-    exactly as often as the reports say, and frozen window 0 runs nothing."""
+    exactly as often as the reports and the summary say, and frozen window 0
+    runs nothing."""
     calls = [0]
     make_runner = backtest.system_runner
 
@@ -893,12 +891,20 @@ def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, 
     result = run_backtest(config.validate())
     reports = result.windows + result.frozen_windows
     replayed = 6 * 2 * 4 * 448 if engine == "both" else 0
-    assert calls[0] == sum(r.attribution.counters.agent_executions for r in reports) + replayed
-    for rep in reports:
-        counters = rep.attribution.counters
-        assert counters.agent_executions + counters.executions_reused == 4 * 73
-    text = (tmp_path / "frozen" / "window_00.txt").read_text(encoding="utf-8")
-    assert "agent_executions=0 executions_reused=292 " in text
+    assert [r.replay_executions for r in reports] == [replayed // 12] * 12
+    tuned = sum(r.agent_executions for r in result.windows)
+    frozen = sum(r.agent_executions for r in result.frozen_windows)
+    assert calls[0] == tuned + frozen + replayed
+    # The tuned pass reuses nothing; the frozen pass's window 0 reuses everything.
+    assert [r.agent_executions for r in result.windows] == [4 * 73] * 6
+    assert result.frozen_windows[0].agent_executions == 0
+    assert 0 < frozen < 6 * 4 * 73
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    want = f"runner calls: tuned {tuned}  frozen {frozen}"
+    assert summary[6:8] == [
+        "tasks per episode: 73  classical n*2^(n-1): 448",
+        want + (f"  replay {replayed}" if engine == "both" else ""),
+    ]
 
 
 def test_backtest_binds_each_agent_once_per_window_and_pass(monkeypatch):
@@ -1024,13 +1030,13 @@ def test_backtest_is_deterministic():
 
 def test_backtest_keeps_one_value_per_sink_task_per_window_pass(tmp_path):
     """A backtest keeps, per window, each pass's one value per sink task
-    and what grows with the days: from 4 windows to 8 on fully connected
+    and what grows with the days: from 2 windows to 4 on fully connected
     4-4-4-1 (3,375 sink tasks), its result grows per window by at most 16
     bytes a sink task plus 12 KiB for the market's days, the strategies'
-    returns, and the windows' attributions, cycle records and prompts.
-    Measured on CPython 3.11: 59,900 bytes per window, 54,000 of them the
-    two passes' values, where keeping every viable mask's names and value
-    in each report grew by 436,700."""
+    returns, and the windows' attributions, runner calls, cycle records and
+    prompts. Measured on CPython 3.11: 56,600 bytes per window, 54,000 of
+    them the two passes' values; keeping every viable mask's name and
+    value in each report grew it by 434,500 more."""
     g = layered_graph([4, 4, 4, 1])
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({
@@ -1038,9 +1044,9 @@ def test_backtest_keeps_one_value_per_sink_task_per_window_pass(tmp_path):
         "edges": [[g.names[a], g.names[b]] for a in range(g.n) for b in sorted(g.succs[a])],
     }), encoding="utf-8")
     # An untraced run first makes what a process makes once: imports and caches.
-    run_backtest(RunConfig(days=20, graph_file=str(path)).validate())
+    run_backtest(RunConfig(days=10, graph_file=str(path)).validate())
     retained = {}
-    for days in (20, 40):
+    for days in (10, 20):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1052,7 +1058,7 @@ def test_backtest_keeps_one_value_per_sink_task_per_window_pass(tmp_path):
         sink_tasks = len(result.plan.keys[g.sink])
         del result
     assert sink_tasks == 3375
-    assert (retained[40] - retained[20]) / 4 <= 16 * sink_tasks + 12 * 2**10
+    assert (retained[20] - retained[10]) / 2 <= 16 * sink_tasks + 12 * 2**10
 
 
 def test_backtest_baselines_share_decision_days(result_30):
@@ -1078,28 +1084,22 @@ def test_window_sharpe_is_the_sharpe_of_the_window_returns():
         assert rep.window_sharpe.hex() == sharpe(rep.returns).hex()
 
 
-@pytest.mark.parametrize("engine,evaluations", [("dag", 49), ("both", 49)])
-def test_cycle_records_carry_their_window_attribution(engine, evaluations, tmp_path):
+@pytest.mark.parametrize("engine", ["dag", "both"])
+def test_cycle_records_carry_their_window_attribution(engine, tmp_path):
     """Each tuning cycle acts on, and records, the pruned engine's attribution
     that its window report prints, also when the classical replay runs beside
-    it."""
+    it. Neither prints what the window cost."""
     config = RunConfig(seed=78, days=15, engine=engine, out_dir=str(tmp_path))
     result = run_backtest(config.validate())
     lines = (tmp_path / "cycles.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(result.windows) == 3
     for line, rep in zip(lines, result.windows):
         record = json.loads(line)
-        counters = rep.attribution.counters
         assert record["contributions"] == dict(zip(result.graph.names, rep.attribution.values))
-        assert record["cost"] == {
-            "coalition_evaluations": counters.coalition_evaluations,
-            "agent_executions": counters.agent_executions,
-            "executions_reused": counters.executions_reused,
-            "cache_hits": counters.cache_hits,
-        }
-        assert counters.coalition_evaluations == evaluations
-        text = (tmp_path / "windows" / f"window_{rep.index:02d}.txt").read_text(encoding="utf-8")
-        assert f"cost: coalition_evaluations={evaluations} " in text
+        assert "cost" not in record
+        for sub in ("windows", "frozen"):
+            text = (tmp_path / sub / f"window_{rep.index:02d}.txt").read_text(encoding="utf-8")
+            assert "cost" not in text
 
 
 def test_backtest_csv_inputs(tmp_path):

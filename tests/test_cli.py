@@ -346,7 +346,7 @@ def test_shapley_both_engines_match(capsys, tmp_path):
         capsys, "shapley", "--engine", "both", "--seed", "7", "--out", str(out_dir)
     )
     assert code == 0
-    assert "agent_executions=73 executions_reused=0 cache_hits=169" in out
+    assert "cost: agent_executions=73\ncost (replay): agent_executions=448\n" in out
     assert "execution reduction: 83.7%" in out
     for name in ("NAA", "TAA", "FAA", "BOA", "BeOA", "NOA", "TRA"):
         assert name in out
@@ -661,7 +661,7 @@ def test_backtest_rejects_an_unbounded_lesson_cap(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"days": 15, "lesson_cap": None}), encoding="utf-8")
     code, out, err = run(capsys, "backtest", "--config", str(path))
-    assert (code, out, err) == (1, "", "error: lesson_cap must be an integer, got None\n")
+    assert (code, out, err) == (1, "", f"error: {path}: lesson_cap must be an integer, got None\n")
 
 
 def test_backtest_rejects_the_retired_exact_engine_in_a_config_file(capsys, tmp_path):
@@ -670,7 +670,7 @@ def test_backtest_rejects_the_retired_exact_engine_in_a_config_file(capsys, tmp_
     code, out, err = run(capsys, "backtest", "--config", str(path))
     assert code == 1
     assert out == ""
-    assert err == "error: engine must be one of ('dag', 'both'), got 'exact'\n"
+    assert err == f"error: {path}: engine must be one of ('dag', 'both'), got 'exact'\n"
 
 
 def test_backtest_missing_config_file_is_io_error(capsys, tmp_path):

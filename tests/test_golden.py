@@ -45,10 +45,8 @@ def test_shapley_both_stdout(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[-4:] == [
-        "cost: coalition_evaluations=49 agent_executions=73 executions_reused=0 "
-        "cache_hits=169",
-        "cost (replay): coalition_evaluations=128 agent_executions=448 executions_reused=0 "
-        "cache_hits=0",
+        "cost: agent_executions=73",
+        "cost (replay): agent_executions=448",
         "execution reduction: 83.7%",
         "all 2^7 = 128 subsets agreed",
     ]

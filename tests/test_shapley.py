@@ -24,7 +24,6 @@ from dagcredit.graph import InputError, build_graph, reference_graph
 from dagcredit.optimizer import append_lessons
 from dagcredit.shapley import (
     AttributionResult,
-    CostCounters,
     ExecutorFailure,
     classical_cost,
     format_attribution,
@@ -58,28 +57,26 @@ def named_graph(name):
 
 
 def pruned_attribution(graph, viable, runner):
-    """The pruned engine's attribution of one shared episode: the table of
-    the viable masks' signed sink decisions (0.0 elsewhere), aggregated
-    with the episode's work and one evaluation per viable mask."""
+    """The pruned engine's attribution of one shared episode, the table of
+    the viable masks' signed sink decisions (0.0 elsewhere) aggregated, and
+    the episode's runner calls."""
     run = layered_run(graph, viable, runner, FEATURES, plan=live_plan(graph, viable))
     values = map(signed_decision_value, sink_outputs(run))
     table = sink_table(graph.n, zip(viable, values, strict=True))
-    return AttributionResult(
-        shapley_exact(table, graph.n), run.counters._replace(coalition_evaluations=len(viable))
-    )
+    return AttributionResult(shapley_exact(table, graph.n)), run.counters.agent_executions
 
 
 def replay_table(graph, runner):
     """Signed sink decisions of every subset, each replayed without sharing,
-    indexed by mask, and the replay's cost; subsets whose sink never runs
-    are worth 0.0."""
+    indexed by mask, and the replay's runner calls; subsets whose sink never
+    runs are worth 0.0."""
     values, executions = [], 0
     for mask in range(1 << graph.n):
         replay = replay_coalition(graph, mask, runner, episodes=[FEATURES])
         executions += replay.executions
         sink = replay.sink_outputs[0]
         values.append(0.0 if sink is None else signed_decision_value(sink))
-    return values, CostCounters(1 << graph.n, executions)
+    return values, executions
 
 
 def held_by_sink(values, n):
@@ -526,7 +523,6 @@ def test_upstream_configuration_masks():
 def test_memoized_run_execution_counts(ref_graph, ref_viable, ref_plan, ref_runner):
     run = layered_run(ref_graph, ref_viable, ref_runner, FEATURES, plan=ref_plan)
     assert run.counters.agent_executions == 73
-    assert run.counters.executions_reused == 0
     assert len(run.cache) == 73
     grand = ref_graph.full_mask
     assert run.cache[(ref_graph.sink, grand & prefix_mask(ref_graph, 2))] == (
@@ -590,11 +586,10 @@ def test_executions_stay_inside_declared_configurations(ref_graph, ref_viable, r
 
 
 def test_memoized_game_matches_replay_game(ref_graph, ref_viable, ref_runner):
-    replay_values, replay_counters = replay_table(ref_graph, ref_runner)
-    dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
+    replay_values, replay_executions = replay_table(ref_graph, ref_runner)
+    dag, executions = pruned_attribution(ref_graph, ref_viable, ref_runner)
     assert dag.values == shapley_exact(held_by_sink(replay_values, ref_graph.n), ref_graph.n)
-    assert dag.counters == CostCounters(49, 73, 169)
-    assert replay_counters == CostCounters(128, 448, 0)
+    assert (executions, replay_executions) == (73, 448)
 
 
 def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner):
@@ -630,7 +625,7 @@ def assert_replay_follows_the_brute_force_steps(g):
     game = backtest.evaluate_window(
         plan, recorder, [FEATURES], signed_decision_value, lambda scores: scores[0], "both"
     )
-    assert calls[game.attribution.counters.agent_executions:] == expected
+    assert calls[game.agent_executions:] == expected
 
 
 @pytest.mark.parametrize("name", ["reference", "sparse-skip"])
@@ -988,6 +983,7 @@ def test_runner_calls_are_the_distinct_tasks_and_prompts(g, data):
     viable = enumerate_viable(g)
     cost = predicted_cost(g)
     plan = live_plan(g, viable)
+    assert plan.tasks == cost.total_executions
     agent = data.draw(st.integers(0, g.n - 1), label="tuned agent")
     frozen = build_system(g, seed=11)
     tuned = with_lessons(frozen, 1 << agent)
@@ -1001,9 +997,6 @@ def test_runner_calls_are_the_distinct_tasks_and_prompts(g, data):
         reuse = None if run is None else (run, 1 << agent)
         run = layered_run(g, viable, runner, FEATURES, plan=plan, reuse=reuse)
         runner_calls += run.counters.agent_executions
-        assert run.counters.agent_executions + run.counters.executions_reused == (
-            cost.total_executions
-        )
         seen |= {
             (a, live, tuple(prompts[m] for m in sorted(live | {a})))
             for a in range(g.n)
@@ -1043,10 +1036,8 @@ def test_reuse_reruns_the_tasks_that_a_changed_agent_reaches(g, data):
         for key in plan.keys[a]
         if (key | 1 << a) & changed
     ]
-    assert run.counters.agent_executions == len(calls)
-    assert run.counters.agent_executions + run.counters.executions_reused == (
-        predicted_cost(g).total_executions
-    )
+    assert run.counters.agent_executions == len(calls) <= plan.tasks
+    assert plan.tasks == predicted_cost(g).total_executions
     assert_matches_replay(g, run, after)
 
 
@@ -1081,7 +1072,7 @@ def test_prompt_states_decide_which_tasks_rerun(ref_graph, ref_viable, ref_runne
     )
     assert calls[73:] == [boa] * 7 + [sink] * 28
     assert run.counters.agent_executions == 35
-    assert run.counters.executions_reused == 38
+    assert plan.tasks - run.counters.agent_executions == 38
     # A changed trader reruns its own 49 tasks only.
     trader = layered_run(
         ref_graph, ref_viable, runner, FEATURES, plan=plan, reuse=(run, 1 << sink)
@@ -1097,8 +1088,7 @@ def test_agents_outside_every_mask_do_not_run(ref_graph, ref_viable, ref_runner)
     plan = live_plan(ref_graph, without_naa)
     run = layered_run(ref_graph, without_naa, runner, FEATURES, plan=plan)
     assert naa not in calls
-    assert len(calls) == run.counters.agent_executions == len(run.cache)
-    assert run.counters.executions_reused == 0
+    assert len(calls) == run.counters.agent_executions == len(run.cache) == plan.tasks
     assert len(sink_outputs(run)) == len(without_naa) == 3 * 7
 
 
@@ -1179,21 +1169,21 @@ def test_live_plan_is_packed():
 # formatting
 
 
-def test_format_attribution_lists_agents_and_cost(ref_graph, ref_viable, ref_runner):
-    result = pruned_attribution(ref_graph, ref_viable, ref_runner)
-    text = format_attribution(ref_graph, result)
-    for name in ref_graph.names:
-        assert name in text
-    assert "agent_executions=73 executions_reused=0 cache_hits=169" in text
+def test_format_attribution_lists_agents_and_total(ref_graph, ref_viable, ref_runner):
+    """The contributions block prints each agent and the total, and no cost."""
+    result, _ = pruned_attribution(ref_graph, ref_viable, ref_runner)
+    lines = format_attribution(ref_graph, result).splitlines()
+    assert lines[0] == "agent contributions:"
+    assert [line.split()[0] for line in lines[1:]] == [*ref_graph.names, "total"]
+    assert lines[-1] == f"  total    {result.total():+.10f}"
 
 
 def test_format_replay_check_reports_reduction(ref_graph, ref_viable, ref_runner):
-    _, replay_counters = replay_table(ref_graph, ref_runner)
-    dag = pruned_attribution(ref_graph, ref_viable, ref_runner)
-    text = format_replay_check(ref_graph, dag, replay_counters)
+    _, replay_executions = replay_table(ref_graph, ref_runner)
+    _, executions = pruned_attribution(ref_graph, ref_viable, ref_runner)
+    text = format_replay_check(ref_graph, executions, replay_executions)
     assert text.splitlines() == [
-        "cost (replay): coalition_evaluations=128 agent_executions=448 executions_reused=0 "
-        "cache_hits=0",
+        "cost (replay): agent_executions=448",
         "execution reduction: 83.7%",
         "all 2^7 = 128 subsets agreed",
     ]
