@@ -13,8 +13,9 @@ attributed game, for any score of a sink output and any coalition value of
 those scores: the backtest scores a decision by its position and values a
 window by ``sharpe_value``, and the ``shapley`` command scores its one
 fixture episode by the signed sink decision and values a coalition by that
-score. Under engine ``both`` it also replays each subset once over all the
-window's episodes, by its mask.
+score. Under engine ``both`` it also replays each subset that holds the
+sink once over all the window's episodes, by its mask, and checks every
+subset.
 
 The two agent passes run window by window. On each day the frozen pass takes
 its outputs from the tuned pass's run of that day and calls an agent only
@@ -406,9 +407,11 @@ class WindowGame(NamedTuple):
     scores), the pruned engine's attribution and its runner calls. A viable
     mask takes its sink task's value (see ``LivePlan``), so the grand
     coalition's is the last, and any other mask 0.0. ``replay_executions``
-    is the classical replay's runner calls under engine ``both``, and 0
-    under ``dag``; the replay's value of every subset is then the pruned
-    engine's, bit for bit, or ``evaluate_window`` would have raised."""
+    is the classical replay's runner calls under engine ``both``,
+    ``2**(n - 1) + (n - 1) * 2**(n - 2)`` per episode (the subsets that hold
+    the sink), and 0 under ``dag``; the replay's value of every subset is
+    then the pruned engine's, bit for bit, or ``evaluate_window`` would have
+    raised."""
 
     task_values: tuple[float, ...]
     runs: list[LayeredRunResult]
@@ -443,10 +446,14 @@ def evaluate_window(
     ``score``, and the mask of the agents whose prompts have changed since;
     each episode's run then reuses the earlier run of that episode (see
     ``layered_run``), sink scores included. Engine ``both`` also replays
-    every subset without sharing (the classical comparator), one
-    ``replay_coalition`` call per subset over all the episodes, in mask
-    order. The replay scores each sink output (``None`` where the sink did
-    not run) and values the scores with the same ``value``.
+    without sharing (the classical comparator) every subset that holds the
+    sink, one ``replay_coalition`` call per subset over all the episodes, in
+    mask order. The replay scores each sink output and values the scores
+    with the same ``value``. Every subset without the sink has no sink
+    output, so it is worth ``value`` of ``score(None)`` per episode, valued
+    once and checked first, as the empty coalition; its members' runner
+    calls are those of the subset with the sink added, less the sink's, so
+    each of them is still made afresh.
 
     ``score`` and ``value`` must be pure functions, as the backtest's and
     the ``shapley`` command's are: the pruned engine calls ``value`` once
@@ -457,11 +464,11 @@ def evaluate_window(
     subset without the sink), by ``==`` and in the sign of zero, or be NaN
     where it is NaN; the first subset where it does not raises
     EnginesDisagree as it is replayed. As the replay runs every agent
-    afresh, this checks the pruned engine, that the agents are
-    deterministic and, in a game with ``reuse``, that the reused outputs
-    are still current. One aggregation of games that agree
-    subset by subset gives the same contributions, so the replay's game is
-    not aggregated.
+    afresh under every input it can get in a subset, this checks the pruned
+    engine, that the agents are deterministic and, in a game with
+    ``reuse``, that the reused outputs are still current. One aggregation
+    of games that agree subset by subset gives the same contributions, so
+    the replay's game is not aggregated.
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
@@ -502,18 +509,26 @@ def evaluate_window(
 
     replay_executions = 0
     if engine == "both":
-        last = len(table) - 1
-        for mask in range(1 << graph.n):
-            replay = replay_coalition(graph, mask, run_agent, episodes=episodes)
-            replay_executions += replay.executions
-            # A subset without the sink is worth +0.0 to the pruned engine.
-            pruned = table[mask & last] if mask >> sink & 1 else 0.0
-            replayed = value(list(map(score, replay.sink_outputs)))
+
+        def check(mask: int, replayed: float, pruned: float) -> None:
             if not _same_float(replayed, pruned):
                 raise EnginesDisagree(
                     f"engines disagree on coalition {{{coalition_names(graph, mask)}}} "
                     f"(mask {mask:#b}): replay {replayed!r}, pruned {pruned!r}"
                 )
+
+        # A subset without the sink has no sink output, whatever its members
+        # return: the replay would value each one ``value`` of ``score(None)``
+        # per episode, and the pruned engine at +0.0. Check that once, under
+        # the empty coalition's name. Its members' runner calls need no
+        # replay of their own: the sink runs last and feeds nobody, so the
+        # subset with the sink added makes each of them again, then the sink's.
+        check(0, value([score(None)] * len(episodes)), 0.0)
+        last = len(table) - 1
+        for mask in range(1 << sink, 1 << graph.n):
+            replay = replay_coalition(graph, mask, run_agent, episodes=episodes)
+            replay_executions += replay.executions
+            check(mask, value(list(map(score, replay.sink_outputs))), table[mask & last])
     executions = sum(run.counters.agent_executions for run in runs)
     return WindowGame(task_values, runs, attribution, executions, replay_executions)
 

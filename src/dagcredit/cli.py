@@ -24,11 +24,13 @@ defaults. So every command that takes a graph runs the config file's
 ``graph_file`` unless a flag names another.
 
 The ``engine`` option is ``dag`` (the pruned engine) or ``both``, which also
-replays every subset classically and requires each subset's replay value
-to equal the pruned engine's bit for bit. ``shapley`` prints the
-contributions and the pruned engine's runner calls, then under ``both`` the
-replay's runner calls, the execution reduction and the number of subsets
-that agreed. Engines that differ end the command with exit 3.
+checks every subset classically, replaying each one that holds the sink,
+and requires each subset's replay value to equal the pruned engine's bit
+for bit. ``shapley`` prints the contributions and the pruned engine's
+runner calls, then under ``both`` the replay's runner calls, the execution
+reduction against the classical n * 2**(n-1) that ``cost`` prints, and the
+number of subsets that agreed. Engines that differ end the command with
+exit 3.
 
 Exit codes: 0 success, 1 an ``InputError`` (the root of every bad-input
 error the package raises: a graph, config, data file or setting it cannot

@@ -350,7 +350,8 @@ def layered_run(
 
     Outputs are trusted, not checked: an agent must be a pure function of
     its inputs. Engine ``both`` of ``backtest.evaluate_window`` is the check,
-    as its replay runs every agent of every subset again.
+    as its replay runs every agent of every subset that holds the sink
+    again: every agent under every input it can get in any subset.
     """
     if not plan.serves(graph, viable):
         raise ValueError("the plan was built for other viable masks")
@@ -500,10 +501,13 @@ def format_attribution(graph: WorkflowGraph, result: AttributionResult) -> str:
 
 
 def format_replay_check(graph: WorkflowGraph, executions: int, replay_executions: int) -> str:
-    """What engine ``both`` prints below the pruned engine's runner calls,
-    ``executions``: the classical replay's, the execution reduction against
-    them, and that the two engines agreed on every subset."""
-    reduction = 1.0 - executions / replay_executions
+    """What engine ``both`` prints below the pruned engine's runner calls
+    for one episode, ``executions``: the classical replay's runner calls,
+    the execution reduction against the classical n * 2**(n-1) of
+    ``classical_cost`` (the baseline ``dagcredit cost`` prints; the replay
+    skips the subsets without the sink, so it makes fewer), and that the
+    two engines agreed on every subset."""
+    reduction = 1.0 - executions / classical_cost(graph.n)[1]
     return "\n".join([
         f"cost (replay): agent_executions={replay_executions}",
         f"execution reduction: {100.0 * reduction:.1f}%",

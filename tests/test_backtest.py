@@ -420,8 +420,9 @@ def test_evaluate_window_engines_agree(window_setup):
     game = evaluate_window(plan, runner, *window_game_args(market, [0, 1, 2, 3, 4]), engine="both")
     assert_task_values(plan, game)
     # Engine ``both`` raised nothing, so the replay valued every subset as
-    # the pruned table does.
-    assert game.replay_executions == 4 * 448
+    # the pruned table does. It replays the 64 subsets that hold the trader:
+    # 64 trader calls and 6 * 32 others per episode.
+    assert game.replay_executions == 4 * 256 == 4 * (64 + 6 * 32)
     assert game.attribution.values == shapley_exact(game_table(plan, game.task_values), g.n)
 
 
@@ -444,10 +445,11 @@ def test_evaluate_window_both_aggregates_once(window_setup, monkeypatch):
 
 def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
     """The classical comparator shares nothing. After the pruned engine's
-    runner calls come n * 2**(n-1) calls per episode: mask by mask, then
-    episode by episode, then member by member in index order, each handed
-    exactly that episode's outputs of the member's predecessors inside the
-    coalition, and external data only at a source."""
+    runner calls come 2**(n-1) + (n-1) * 2**(n-2) calls per episode, those
+    of every subset that holds the sink: mask by mask, then episode by
+    episode, then member by member in index order, each handed exactly that
+    episode's outputs of the member's predecessors inside the coalition,
+    and external data only at a source."""
     g, market, runner, plan = window_setup
     episodes, score, value = window_game_args(market, [0, 1, 2, 3])
     calls = []
@@ -458,10 +460,11 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
 
     game = evaluate_window(plan, recorder, episodes, score, value, "both")
     replayed = calls[game.agent_executions:]
-    assert len(replayed) == g.n * 2 ** (g.n - 1) * len(episodes) == 448 * 3
+    assert len(replayed) == (2 ** (g.n - 1) + (g.n - 1) * 2 ** (g.n - 2)) * len(episodes)
+    assert len(replayed) == 256 * 3
     assert game.replay_executions == len(replayed)
     expected = []
-    for mask in range(1 << g.n):
+    for mask in range(1 << g.sink, 1 << g.n):
         members = [a for a in range(g.n) if mask >> a & 1]
         for external in episodes:
             outputs = {}
@@ -477,6 +480,41 @@ def test_evaluate_window_both_replays_every_subset_unshared(window_setup):
         fed = [repr(upstream) for a, upstream, _ in grand if a == agent and upstream]
         assert len(set(fed)) == len(fed)
     assert replayed == expected
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse-skip"])
+def test_evaluate_window_both_replays_no_subset_without_the_sink(name, monkeypatch):
+    """Engine ``both`` makes no replay runner call for a subset without the
+    sink: it replays only the masks that hold the sink, in mask order, and
+    its runner calls are 2**(n-1) + (n-1) * 2**(n-2) per episode."""
+    if name == "reference":
+        g = reference_graph()
+    else:
+        g = build_graph(SPARSE_SKIP_GRAPH["layers"], SPARSE_SKIP_GRAPH["edges"])
+    market = synthesize_market(seed=11, days=12, regime="bull")
+    runner = system_runner(build_system(g, seed=11))
+    episodes, score, value = window_game_args(market, [0, 1, 2, 3])
+    replay = backtest.replay_coalition
+    masks = []
+
+    def counted(graph, mask, *rest, **kwargs):
+        masks.append(mask)
+        return replay(graph, mask, *rest, **kwargs)
+
+    monkeypatch.setattr(backtest, "replay_coalition", counted)
+    calls = [0]
+
+    def counting(agent, upstream, external):
+        calls[0] += 1
+        return runner(agent, upstream, external)
+
+    game = evaluate_window(
+        live_plan(g, enumerate_viable(g)), counting, episodes, score, value, "both"
+    )
+    assert masks == list(range(1 << g.sink, 1 << g.n))
+    n = g.n
+    assert game.replay_executions == (2 ** (n - 1) + (n - 1) * 2 ** (n - 2)) * len(episodes)
+    assert calls[0] == game.agent_executions + game.replay_executions
 
 
 def test_evaluate_window_nonviable_subsets_are_worthless(window_setup):
@@ -537,7 +575,8 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(
     """A trader that buys with no upstream gives the lone-trader subset a
     value, though the game makes every non-viable subset worth zero; the
     pruned engine never runs it, the replay does. Each subset is checked as
-    it is replayed, so that subset, mask 64 of 128, is the last replayed."""
+    it is replayed, so that subset, mask 64, the first that holds the
+    trader, is the only one replayed."""
     g, market, runner, plan = window_setup
     args = window_game_args(market, [0, 1, 2, 3, 4])
 
@@ -562,7 +601,7 @@ def test_evaluate_window_both_rejects_a_nonviable_subset_worth_something(
         r"replay [-\d.e]+, pruned 0\.0$",
     ):
         evaluate_window(plan, eager, *args, "both")
-    assert masks == list(range(1 << g.sink | 1))
+    assert masks == [1 << g.sink]
 
 
 def test_evaluate_window_both_checks_the_sign_of_zero(window_setup):
@@ -735,7 +774,8 @@ def test_evaluate_window_keeps_the_sink_scores_not_the_decisions():
 
 def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
     """Engine ``both`` replays each subset from its mask alone: on 13
-    sources feeding one sink (16,384 subsets) ``evaluate_window`` peaks at
+    sources feeding one sink (8,192 subsets replayed, each holding the
+    sink, of 16,384) ``evaluate_window`` peaks at
     most 2.5 MiB above its inputs, the plan not included, as it is built
     before tracing starts. Measured under pytest on CPython 3.11.7: 0.40
     MiB, alone or after the rest of its file. Deriving each subset's
@@ -757,7 +797,7 @@ def test_evaluate_window_both_holds_no_table_of_every_subsets_steps():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert game.replay_executions == 14 << 13
+    assert game.replay_executions == (1 << 13) + 13 * (1 << 12)
     assert peak <= 2.5 * 2**20
 
 
@@ -890,7 +930,9 @@ def test_backtest_runner_calls_are_the_reported_executions(engine, monkeypatch, 
     config = RunConfig(seed=78, days=30, engine=engine, out_dir=str(tmp_path))
     result = run_backtest(config.validate())
     reports = result.windows + result.frozen_windows
-    replayed = 6 * 2 * 4 * 448 if engine == "both" else 0
+    # Under ``both``, 6 windows, 2 passes and 4 episodes, each replaying
+    # the 64 subsets that hold the trader in 256 runner calls.
+    replayed = 6 * 2 * 4 * 256 if engine == "both" else 0
     assert [r.replay_executions for r in reports] == [replayed // 12] * 12
     tuned = sum(r.agent_executions for r in result.windows)
     frozen = sum(r.agent_executions for r in result.frozen_windows)

@@ -346,11 +346,25 @@ def test_shapley_both_engines_match(capsys, tmp_path):
         capsys, "shapley", "--engine", "both", "--seed", "7", "--out", str(out_dir)
     )
     assert code == 0
-    assert "cost: agent_executions=73\ncost (replay): agent_executions=448\n" in out
+    assert "cost: agent_executions=73\ncost (replay): agent_executions=256\n" in out
     assert "execution reduction: 83.7%" in out
     for name in ("NAA", "TAA", "FAA", "BOA", "BeOA", "NOA", "TRA"):
         assert name in out
     assert (out_dir / "attribution.txt").read_text(encoding="utf-8").strip() == out.strip()
+
+
+@pytest.mark.parametrize("payload", [None, SPARSE_SKIP_GRAPH], ids=["reference", "sparse-skip"])
+def test_shapley_both_and_cost_print_one_execution_reduction(capsys, tmp_path, payload):
+    """Both commands compare the pruned engine's runner calls with the
+    classical n * 2**(n-1), not with the replay's own calls."""
+    graph = [] if payload is None else ["--graph", graph_file(tmp_path, payload)]
+    code, shapley_out, _ = run(capsys, "shapley", "--engine", "both", *graph)
+    assert code == 0
+    code, cost_out, _ = run(capsys, "cost", *graph)
+    assert code == 0
+    [line] = [line for line in shapley_out.splitlines() if line.startswith("execution reduction")]
+    assert line in cost_out.splitlines()
+    assert line == f"execution reduction: {'83.7' if payload is None else '85.9'}%"
 
 
 def test_shapley_rejects_a_misplaced_well_known_name(capsys, tmp_path):

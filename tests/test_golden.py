@@ -46,7 +46,7 @@ def test_shapley_both_stdout(capsys):
     lines = out.splitlines()
     assert lines[-4:] == [
         "cost: agent_executions=73",
-        "cost (replay): agent_executions=448",
+        "cost (replay): agent_executions=256",
         "execution reduction: 83.7%",
         "all 2^7 = 128 subsets agreed",
     ]

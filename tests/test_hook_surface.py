@@ -71,11 +71,11 @@ def test_backtest_calls_go_through_module_globals(monkeypatch, tmp_path):
     config = RunConfig(days=15, engine="both", out_dir=str(tmp_path)).validate()
     result = backtest.run_backtest(config)
     assert all(calls.values()), calls
-    # Each window pass replays every subset once, over all its episodes:
-    # 3 windows, 2 passes, 2**7 subsets.
+    # Each window pass replays every subset that holds the sink once, over
+    # all its episodes: 3 windows, 2 passes, 2**6 subsets.
     passes = len(result.windows) + len(result.frozen_windows)
     assert calls["evaluate_window"] == passes == 2 * 3
-    assert calls["replay_coalition"] == passes << result.graph.n == 768
+    assert calls["replay_coalition"] == passes << result.graph.n - 1 == 384
 
 
 def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
@@ -86,7 +86,7 @@ def test_shapley_command_calls_go_through_module_globals(monkeypatch, capsys):
     assert game_calls == {
         "evaluate_window": 1,
         "layered_run": 1,
-        "replay_coalition": 128,
+        "replay_coalition": 64,
         "shapley_exact": 1,
     }
 
@@ -98,7 +98,8 @@ def test_calls_carry_what_observers_read(monkeypatch):
     ``len(result.cache)``, and a replay's runner calls as
     ``result.executions``. The ``shapley --engine both`` run on the
     reference graph makes one layered run of 73 tasks over its 49 viable
-    masks and replays its 128 subsets in 448 runner calls."""
+    masks and replays the 64 subsets that hold the sink in 256 runner
+    calls."""
     seen = {"layered_run": [], "replay_coalition": []}
 
     def observed(name, original):
@@ -117,5 +118,5 @@ def test_calls_carry_what_observers_read(monkeypatch):
     assert graph == reference_graph()
     assert list(viable) == list(enumerate_viable(graph))
     assert (run.counters.agent_executions, run.counters.cache_hits, len(run.cache)) == (73, 169, 73)
-    assert len(seen["replay_coalition"]) == 128
-    assert sum(replay.executions for _, replay in seen["replay_coalition"]) == 448
+    assert len(seen["replay_coalition"]) == 64
+    assert sum(replay.executions for _, replay in seen["replay_coalition"]) == 256

@@ -605,13 +605,14 @@ def test_replay_game_values_nonviable_as_zero(ref_graph, ref_viable, ref_runner)
 
 
 def assert_replay_follows_the_brute_force_steps(g):
-    """Engine ``both`` replays every subset, in mask order, by the steps the
-    oracle derives one member at a time: past the pruned engine's runner
-    calls, each call is one step's agent, handed its predecessors' outputs
-    in the step's order, and the episode's data only at a source."""
+    """Engine ``both`` replays every subset that holds the sink, in mask
+    order, by the steps the oracle derives one member at a time: past the
+    pruned engine's runner calls, each call is one step's agent, handed its
+    predecessors' outputs in the step's order, and the episode's data only
+    at a source."""
     expected = [
         (agent, preds, FEATURES if source else None)
-        for coalition in replay_steps_by_brute_force(g)
+        for coalition in replay_steps_by_brute_force(g)[1 << g.sink:]
         for agent, preds, source in coalition
     ]
     runner = system_runner(build_system(g, seed=5))
@@ -637,6 +638,34 @@ def test_replay_follows_the_brute_force_steps(name):
 @settings(max_examples=40, deadline=None)
 def test_replay_follows_the_brute_force_steps_on_skip_graphs(g):
     assert_replay_follows_the_brute_force_steps(g)
+
+
+def assert_sink_adds_only_its_own_calls(g):
+    """For every subset S without the sink, replaying S with the sink added
+    makes exactly the runner calls of replaying S, each with the same
+    agent, upstream outputs, external data and output, in the same order,
+    plus the sink's: so engine ``both``, which replays only the subsets
+    that hold the sink, still makes every call a subset without it would."""
+    runner = system_runner(build_system(g, seed=5))
+    episodes = [FEATURES, OTHER_FEATURES]
+    for mask in range(1 << g.sink):
+        run, alone = recording(runner)
+        replay_coalition(g, mask, run, episodes=episodes)
+        run, with_sink = recording(runner)
+        replay_coalition(g, mask | 1 << g.sink, run, episodes=episodes)
+        assert [call for call in with_sink if call[0] != g.sink] == alone
+        assert sum(call[0] == g.sink for call in with_sink) == len(episodes)
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse-skip"])
+def test_sink_adds_only_its_own_calls(name):
+    assert_sink_adds_only_its_own_calls(named_graph(name))
+
+
+@given(skip_layered_graphs())
+@settings(max_examples=40, deadline=None)
+def test_sink_adds_only_its_own_calls_on_skip_graphs(g):
+    assert_sink_adds_only_its_own_calls(g)
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 7, 1 << 7 | 1])
@@ -1187,3 +1216,8 @@ def test_format_replay_check_reports_reduction(ref_graph, ref_viable, ref_runner
         "execution reduction: 83.7%",
         "all 2^7 = 128 subsets agreed",
     ]
+    # The reduction is against the classical n * 2**(n-1), whatever the
+    # replay's own runner calls were.
+    assert format_replay_check(ref_graph, executions, 256).splitlines()[1:] == (
+        text.splitlines()[1:]
+    )
