@@ -4,12 +4,11 @@ backtest."""
 
 from .agents import (
     AgentSpec,
-    AnalystSignal,
     Decision,
     MarketFeatures,
-    OutlookScore,
     PromptState,
     Role,
+    Signal,
     TradeDecision,
     build_system,
     signed_decision_value,

@@ -14,7 +14,6 @@ import enum
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
 from .graph import InputError, WorkflowGraph
@@ -89,8 +88,7 @@ DEFAULT_BASE_PROMPTS = {
 }
 
 
-@dataclass(frozen=True)
-class PromptState:
+class PromptState(NamedTuple):
     """A prompt is an immutable base plus appended lesson blocks.
 
     ``version`` increases by exactly one per lesson append; the base text
@@ -101,11 +99,11 @@ class PromptState:
     lesson_blocks: tuple[str, ...] = ()
     version: int = 1
 
-    @functools.cached_property
+    @property
     def rendered(self) -> str:
         """Base text followed by lesson blocks, oldest first, delimiter-joined.
 
-        Joined once per prompt state: every agent call reads it.
+        Joined on each read; ``system_runner`` reads it once per binding.
         """
         return LESSON_DELIMITER.join((self.base_text, *self.lesson_blocks))
 
@@ -120,11 +118,7 @@ class Decision(enum.Enum):
         self.sign = {"buy": 1, "hold": 0, "sell": -1}[value]
 
 
-class AnalystSignal(NamedTuple):
-    score: float
-
-
-class OutlookScore(NamedTuple):
+class Signal(NamedTuple):
     score: float
 
 
@@ -184,13 +178,13 @@ def _mean_score(upstream: Mapping[int, Any]) -> float:
 def _technical_analyst(s, upstream, external):
     closes = external.closes
     if len(closes) < 2:
-        return AnalystSignal(0.0)
+        return Signal(0.0)
     fast = closes[-min(SMA_SHORT, len(closes)):]
     slow = closes[-min(SMA_LONG, len(closes)):]
     sma_fast = math.fsum(fast) / len(fast)
     sma_slow = math.fsum(slow) / len(slow)
     spread = (sma_fast - sma_slow) / sma_slow
-    return AnalystSignal(_clamp(2.0 * s * spread / SPREAD_SCALE))
+    return Signal(_clamp(2.0 * s * spread / SPREAD_SCALE))
 
 
 def _decide(total: float) -> TradeDecision:
@@ -210,16 +204,16 @@ def _decide(total: float) -> TradeDecision:
 # s. The trader sums its upstream scores; the solo trader, the degenerate
 # single-agent system, decides straight from market data.
 ROLE_MOCKS = {
-    Role.NEWS_ANALYST: lambda s, up, ext: AnalystSignal(_clamp(2.0 * s * ext.sentiment)),
+    Role.NEWS_ANALYST: lambda s, up, ext: Signal(_clamp(2.0 * s * ext.sentiment)),
     Role.TECHNICAL_ANALYST: _technical_analyst,
-    Role.FUNDAMENTAL_ANALYST: lambda s, up, ext: AnalystSignal(_clamp(2.0 * s * ext.fundamental)),
-    Role.BULLISH_OUTLOOK: lambda s, up, ext: OutlookScore(
+    Role.FUNDAMENTAL_ANALYST: lambda s, up, ext: Signal(_clamp(2.0 * s * ext.fundamental)),
+    Role.BULLISH_OUTLOOK: lambda s, up, ext: Signal(
         _clamp(max(0.0, 2.0 * s * _mean_score(up)), 0.0, 1.0)
     ),
-    Role.BEARISH_OUTLOOK: lambda s, up, ext: OutlookScore(
+    Role.BEARISH_OUTLOOK: lambda s, up, ext: Signal(
         _clamp(min(0.0, 2.0 * s * _mean_score(up)), -1.0, 0.0)
     ),
-    Role.NEUTRAL_OUTLOOK: lambda s, up, ext: OutlookScore(_clamp(s * _mean_score(up))),
+    Role.NEUTRAL_OUTLOOK: lambda s, up, ext: Signal(_clamp(s * _mean_score(up))),
     Role.TRADER: lambda s, up, ext: _decide(2.0 * s * math.fsum([o.score for o in up.values()])),
     Role.SOLO_TRADER: lambda s, up, ext: _decide(2.0 * s * _clamp(ext.sentiment)),
 }
@@ -328,7 +322,7 @@ def system_runner(specs: Mapping[int, AgentSpec]):
         elif external is not None:
             raise ForbiddenExternalAccess(f"agent {name} may not access external data")
         output = call(upstream, external)
-        if isinstance(output, (AnalystSignal, OutlookScore)):
+        if isinstance(output, Signal):
             if not -1.0 <= output.score <= 1.0:
                 raise InvalidAgentOutput(f"{name} score {output.score} outside [-1, 1]")
         elif isinstance(output, TradeDecision):

@@ -42,6 +42,7 @@ class RunConfig:
     lesson_cap: int = 5
 
     def validate(self) -> "RunConfig":
+        empty = []
         for f in dataclasses.fields(self):
             # Annotations are strings here (postponed evaluation), such as
             # "int" or "str | None"; a value must match one of the parts.
@@ -50,6 +51,11 @@ class RunConfig:
             if not any(_IS_KIND[kind](value) for kind in kinds):
                 expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+            if value == "":
+                empty.append(f.name)
+        # Read by truth, an empty path or name would stand for its default.
+        if empty:
+            raise ConfigError(f"{', '.join(empty)} must not be empty")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.regime not in REGIMES:

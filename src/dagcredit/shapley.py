@@ -35,7 +35,8 @@ keys from per-agent tables over every configuration of the agent's
 ancestors' indices, built from whole byte runs of the predecessors' tables.
 The plan keeps each agent's task under every configuration of its table; a
 task reads a predecessor's output at the configuration its own live key
-gives, so the plan stores nothing per task beyond its key.
+gives, so the plan stores nothing per task beyond its key, and a run holds
+each output once, as its task's, with no copy per configuration.
 Handed an earlier run on the same external data and the mask of the agents
 whose prompts have changed since, a task whose agent and live key hold none
 of them takes the earlier run's output instead of running the agent again.
@@ -326,12 +327,14 @@ def layered_run(
     distinct live key among the viable coalitions that hold it: the tasks
     of ``plan``, which must be ``live_plan(graph, viable)`` or equal to it
     (ValueError otherwise). A task's inputs are the outputs of its direct
-    predecessors' tasks inside the live key; external data goes to source
-    agents only. A coalition's sink output is the output of the sink's task
-    under its live key, its entry in the sink's table of
-    ``plan.task_tables``. ``graph`` and ``viable`` stay the leading
-    positional arguments, though the plan holds both: tools that observe a
-    run from outside, such as the benchmark's tracer, read them there.
+    predecessors' tasks inside the live key, read through their tables of
+    ``plan.task_tables``, so each output is held once, as its task's;
+    external data goes to source agents only. A coalition's sink output is
+    the output of the sink's task under its live key, its entry in the
+    sink's table of ``plan.task_tables``. ``graph`` and ``viable`` stay the
+    leading positional arguments, though the plan holds both: tools that
+    observe a run from outside, such as the benchmark's tracer, read them
+    there.
 
     Without ``reuse`` every task calls ``run_agent``. ``reuse`` is an
     earlier run of the same plan on equal external data, with the mask of
@@ -366,16 +369,16 @@ def layered_run(
         done = earlier.outputs
     # Per agent, its output under each of its tasks.
     outputs: list[list[Any]] = [[] for _ in range(graph.n)]
-    # Per agent with successors, its output under each configuration of its
-    # table: what a successor's task reads at its live key's configuration.
-    by_config: list[list[Any]] = [[] for _ in range(graph.n)]
     executions = 0
 
     for agent in range(graph.n):
         # The earlier outputs when this agent's prompt is unchanged; a task
         # reuses its own when its live key is unchanged too.
         kept = done[agent] if done is not None and not changed >> agent & 1 else None
-        inputs = [(p, 1 << p, len(by_config[p]) - 1, by_config[p]) for p in graph.preds[agent]]
+        inputs = [
+            (p, 1 << p, len(plan.task_tables[p]) - 1, plan.task_tables[p], outputs[p])
+            for p in graph.preds[agent]
+        ]
         # Sources are the agents without predecessors.
         data = None if inputs else external
         row = outputs[agent]
@@ -386,9 +389,9 @@ def layered_run(
             # A loop, not a comprehension, which before CPython 3.12 costs
             # a function frame per runner call.
             upstream = {}
-            for p, bit, last, outs in inputs:
+            for p, bit, last, tasks, outs in inputs:
                 if key & bit:
-                    upstream[p] = outs[key & last]
+                    upstream[p] = outs[tasks[key & last]]
             try:
                 row.append(run_agent(agent, upstream, data))
             except Exception as exc:
@@ -396,11 +399,6 @@ def layered_run(
                     f"agent {graph.names[agent]} failed under live key {bin(key)}"
                 ) from exc
             executions += 1
-        # A configuration without a task (-1) reads the row's last output,
-        # which no task's live key selects; an agent without tasks has an
-        # empty row, and no live key holds it.
-        if row and graph.succs[agent]:
-            by_config[agent] = list(map(row.__getitem__, plan.task_tables[agent]))
 
     counters = CostCounters(executions, plan.upstream_reads + len(viable))
     return LayeredRunResult(plan, external, outputs, counters)

@@ -1,7 +1,5 @@
 """Deterministic mock agents, prompt rendering, and information-flow rules."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,16 +10,15 @@ from dagcredit.agents import (
     LESSON_DELIMITER,
     ROLE_MOCKS,
     AgentSpec,
-    AnalystSignal,
     Decision,
     ForbiddenExternalAccess,
     InvalidAgentOutput,
     MarketFeatures,
     MissingExternalData,
-    OutlookScore,
     PromptState,
     Role,
     RoleMismatch,
+    Signal,
     TradeDecision,
     base_sensitivity,
     build_system,
@@ -41,7 +38,7 @@ scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 def as_upstream(values):
-    return {i: AnalystSignal(v) for i, v in enumerate(values)}
+    return {i: Signal(v) for i, v in enumerate(values)}
 
 
 def gain(name, seed, prompt="p"):
@@ -62,33 +59,34 @@ def test_render_prompt_joins_blocks_in_order():
     assert prompt.rendered == f"base{LESSON_DELIMITER}first{LESSON_DELIMITER}second"
 
 
-def test_each_prompt_state_renders_once():
-    """Agents read one rendered text per prompt state; the outputs are the
-    same as from a freshly joined prompt."""
+def test_rendered_prompt_is_the_join_an_agent_reads():
+    """``rendered`` joins the base and the lesson blocks on each read, and an
+    agent bound to a tuned prompt gives what its executor gives on that
+    join. A prompt state holds its three fields and nothing cached."""
     g = reference_graph()
     specs = build_system(g, seed=42)
     upstream_by_layer = [
         {},
         as_upstream([0.5, -0.2, 0.3]),
-        {3: OutlookScore(0.6), 4: OutlookScore(-0.1), 5: OutlookScore(0.2)},
+        {3: Signal(0.6), 4: Signal(-0.1), 5: Signal(0.2)},
     ]
     for index, spec in specs.items():
         blocks = (f"{DAMP_TOKEN} lesson", f"{BOOST_TOKEN} {BOOST_TOKEN} lesson")
         prompt = PromptState(spec.prompt.base_text, blocks, version=3)
-        first = prompt.rendered
-        assert prompt.rendered is first
-        fresh = LESSON_DELIMITER.join((prompt.base_text, *blocks))
-        assert first == fresh and first is not fresh
+        joined = LESSON_DELIMITER.join((prompt.base_text, *blocks))
+        assert prompt.rendered == joined
+        assert tuple(prompt) == (spec.prompt.base_text, blocks, 3)
+        assert not hasattr(prompt, "__dict__")
 
         tuned = spec._replace(prompt=prompt)
         upstream = upstream_by_layer[g.layer_of[index]]
         external = FEATURES if spec.is_source else None
         outputs = [run_one(tuned, upstream, external) for _ in range(3)]
-        assert outputs == [spec.executor(fresh)(upstream, external)] * 3
+        assert outputs == [spec.executor(joined)(upstream, external)] * 3
 
     # A new state (one more lesson) renders its own text.
-    grown = dataclasses.replace(prompt, lesson_blocks=(*blocks, "third"))
-    assert grown.rendered == f"{first}{LESSON_DELIMITER}third"
+    grown = prompt._replace(lesson_blocks=(*blocks, "third"))
+    assert grown.rendered == f"{joined}{LESSON_DELIMITER}third"
 
 
 def test_prompt_defaults():
@@ -146,7 +144,7 @@ def test_gain_doubles_sensitivity():
 def test_news_analyst_scales_sentiment():
     mock = mock_executor(Role.NEWS_ANALYST, "NAA", 1)("p")
     out = mock({}, FEATURES)
-    assert isinstance(out, AnalystSignal)
+    assert isinstance(out, Signal)
     assert out.score == pytest.approx(
         max(-1.0, min(1.0, gain("NAA", 1) * FEATURES.sentiment))
     )
@@ -188,7 +186,7 @@ def test_bullish_outlook_keeps_only_upside():
     mock = mock_executor(Role.BULLISH_OUTLOOK, "BOA", 5)("p")
     up = mock(as_upstream([0.6, 0.4]), None)
     down = mock(as_upstream([-0.6, -0.4]), None)
-    assert isinstance(up, OutlookScore)
+    assert isinstance(up, Signal)
     assert up.score > 0
     assert down.score == 0.0
 
@@ -234,12 +232,12 @@ def test_trader_threshold_behavior():
     mock = mock_executor(Role.TRADER, "TRA", 8)("p")
     g = gain("TRA", 8)
     strong = 0.9 / g
-    out = mock({0: OutlookScore(strong)}, None)
+    out = mock({0: Signal(strong)}, None)
     assert out.action is Decision.BUY
     assert out.confidence == pytest.approx(0.9)
-    out = mock({0: OutlookScore(-strong)}, None)
+    out = mock({0: Signal(-strong)}, None)
     assert out.action is Decision.SELL
-    out = mock({0: OutlookScore(0.01 / g)}, None)
+    out = mock({0: Signal(0.01 / g)}, None)
     assert out.action is Decision.HOLD
 
 
@@ -311,7 +309,7 @@ def test_non_source_rejects_external_data():
 
 def test_out_of_range_scores_are_rejected():
     def rogue(prompt):
-        return lambda upstream, external: AnalystSignal(1.5)
+        return lambda upstream, external: Signal(1.5)
 
     spec = spec_for(Role.NEWS_ANALYST, True, rogue)
     with pytest.raises(InvalidAgentOutput):
@@ -330,7 +328,7 @@ def test_out_of_range_confidence_is_rejected():
 def test_runner_happy_path():
     spec = spec_for(Role.NEWS_ANALYST, True, mock_executor(Role.NEWS_ANALYST, "X", 1))
     out = run_one(spec, {}, FEATURES)
-    assert isinstance(out, AnalystSignal)
+    assert isinstance(out, Signal)
 
 
 def test_a_runner_binds_each_agent_once_however_many_tasks_it_runs():
@@ -451,8 +449,8 @@ PIN_EXTERNALS = {
 }
 PIN_UPSTREAMS = {
     "none": {},
-    "up": {0: AnalystSignal(0.37), 1: AnalystSignal(-0.12), 2: AnalystSignal(0.55)},
-    "down": {3: OutlookScore(-0.41), 4: OutlookScore(-0.3), 5: OutlookScore(0.08)},
+    "up": {0: Signal(0.37), 1: Signal(-0.12), 2: Signal(0.55)},
+    "down": {3: Signal(-0.41), 4: Signal(-0.3), 5: Signal(0.08)},
 }
 
 # "<agent> <prompt> <upstream> <external>": the score's float.hex(), or the

@@ -687,6 +687,29 @@ def test_backtest_rejects_the_retired_exact_engine_in_a_config_file(capsys, tmp_
     assert err == f"error: {path}: engine must be one of ('dag', 'both'), got 'exact'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["cost", "--graph", ""], None, "graph_file"),
+        (["backtest", "--days", "10", "--out", ""], None, "out_dir"),
+        (["backtest", "--market", "", "--features", ""], None, "market_csv, features_csv"),
+        (["backtest", "--days", "10"], {"graph_file": ""}, "graph_file"),
+    ],
+    ids=["graph", "out", "market-features", "config-file"],
+)
+def test_an_empty_path_or_name_exits_one_naming_the_field(capsys, tmp_path, argv, config, named):
+    """An empty string names no file or directory. Taken for an unset
+    setting, it would silently run the reference graph, write no reports or
+    run the synthetic market, so it exits 1 naming each such field."""
+    prefix = ""
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+        prefix = f"{path}: "
+    assert run(capsys, *argv) == (1, "", f"error: {prefix}{named} must not be empty\n")
+
+
 def test_backtest_missing_config_file_is_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "backtest", "--config", str(tmp_path / "absent.json"))
     assert code == 2

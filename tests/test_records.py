@@ -1,10 +1,9 @@
-"""Which of the package's record types are dataclasses, and what the others
+"""Which of the package's record types is a dataclass, and what the others
 still guarantee.
 
 Records that read no dataclass feature are ``typing.NamedTuple`` classes:
-immutable, and built without generated code. A dataclass stays only where
-the code needs one: ``dataclasses.fields`` or ``replace``, or a
-``functools.cached_property``, which needs an instance ``__dict__``.
+immutable, and built without generated code. ``RunConfig`` stays the one
+dataclass: the config code reads ``dataclasses.fields`` and ``replace``.
 """
 
 import dataclasses
@@ -17,10 +16,10 @@ from dagcredit import agents, backtest, cli, coalitions, config, graph, optimize
 
 MODULES = (agents, backtest, cli, coalitions, config, graph, optimizer, shapley)
 
-KEPT_DATACLASSES = {"RunConfig", "PromptState"}
+KEPT_DATACLASSES = {"RunConfig"}
 
 RECORDS = {
-    "agents": {"AnalystSignal", "OutlookScore", "TradeDecision", "MarketFeatures", "AgentSpec"},
+    "agents": {"Signal", "PromptState", "TradeDecision", "MarketFeatures", "AgentSpec"},
     "graph": {"WorkflowGraph"},
     "shapley": {
         "CostCounters", "AttributionResult", "LayeredRunResult", "LivePlan", "ReplayResult",
@@ -38,7 +37,7 @@ def defined_classes():
                 yield module, obj
 
 
-def test_exactly_two_classes_are_dataclasses():
+def test_run_config_is_the_only_dataclass():
     # A subclass inherits its base's dataclass fields, so ``is_dataclass``
     # alone would also accept a subclass: the decorator processed a class
     # when its own namespace holds the fields.

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagcredit.backtest import run_backtest, sharpe
-from dagcredit.config import RunConfig
+from dagcredit.config import REGIMES, RunConfig
 
+from conftest import skip_layered_graphs
 from golden_runs import SPARSE_SKIP_GRAPH
 from oracles import float_phi_bound, reference_backtest, sharpe_rounded, sqrt_rounded
 
@@ -35,6 +36,11 @@ GRID = [
     ("sparse-skip", 21, "bear", 3, -0.02, 3),
 ]
 
+# Drawn runs: 20-30 days on skip-layered graphs small enough that the
+# reference's replay of every subset stays quick.
+MAX_AGENTS = 9
+MAX_EXAMPLES = 25
+
 
 @pytest.fixture(scope="module")
 def sparse_skip_file(tmp_path_factory):
@@ -43,18 +49,11 @@ def sparse_skip_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("graph,seed,regime,window_len,threshold,lesson_cap", GRID)
-def test_backtest_decides_what_the_reference_backtest_decides(
-    sparse_skip_file, graph, seed, regime, window_len, threshold, lesson_cap
-):
+def assert_decides_as_the_reference(config):
     """Each window's Sharpe and both passes' returns equal the reference's
     by ``==``, every contribution lies within ``float_phi_bound`` of its
     exact value, and each cycle tunes the agent, and leaves the prompt
     versions, that the exact values give."""
-    config = RunConfig(
-        seed=seed, regime=regime, days=DAYS, window_len=window_len, threshold=threshold,
-        lesson_cap=lesson_cap, graph_file=sparse_skip_file if graph == "sparse-skip" else None,
-    ).validate()
     result = run_backtest(config)
     reference = reference_backtest(config)
     grand = (1 << result.graph.n) - 1
@@ -73,6 +72,46 @@ def test_backtest_decides_what_the_reference_backtest_decides(
     }
     assert [c.bottleneck for c in result.cycles] == reference.bottlenecks
     assert [c.prompt_versions for c in result.cycles] == reference.prompt_versions
+
+
+@pytest.mark.parametrize("graph,seed,regime,window_len,threshold,lesson_cap", GRID)
+def test_backtest_decides_what_the_reference_backtest_decides(
+    sparse_skip_file, graph, seed, regime, window_len, threshold, lesson_cap
+):
+    assert_decides_as_the_reference(RunConfig(
+        seed=seed, regime=regime, days=DAYS, window_len=window_len, threshold=threshold,
+        lesson_cap=lesson_cap, graph_file=sparse_skip_file if graph == "sparse-skip" else None,
+    ).validate())
+
+
+@pytest.fixture(scope="module")
+def graph_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    graph=skip_layered_graphs().filter(lambda g: g.n <= MAX_AGENTS),
+    seed=st.integers(0, 2**16),
+    regime=st.sampled_from(sorted(REGIMES)),
+    days=st.integers(20, 30),
+    window_len=st.integers(3, 6),
+    threshold=st.sampled_from([-0.02, 0.0, 0.05, 0.1]),
+    lesson_cap=st.integers(1, 5),
+)
+def test_a_short_backtest_on_any_skip_layered_graph_decides_what_the_reference_decides(
+    graph_dir, graph, seed, regime, days, window_len, threshold, lesson_cap
+):
+    path = graph_dir / "graph.json"
+    names = graph.names
+    path.write_text(json.dumps({
+        "layers": [[names[a] for a in layer] for layer in graph.layers],
+        "edges": [[names[p], names[a]] for a in range(graph.n) for p in graph.preds[a]],
+    }), encoding="utf-8")
+    assert_decides_as_the_reference(RunConfig(
+        seed=seed, regime=regime, days=days, window_len=window_len, threshold=threshold,
+        lesson_cap=lesson_cap, graph_file=str(path),
+    ).validate())
 
 
 def test_sqrt_rounded_breaks_ties_to_even():
